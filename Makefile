@@ -136,3 +136,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCollectiveConfig -fuzztime 30s ./internal/collective
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 30s ./internal/hier
+	$(GO) test -run '^$$' -fuzz FuzzContentionPeriods -fuzztime 30s ./internal/model

@@ -1,7 +1,8 @@
 package model
 
 import (
-	"container/heap"
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -70,8 +71,7 @@ func (c Clique) Key() string {
 	return string(c.appendKey(make([]byte, 0, 8*len(c))))
 }
 
-// appendKey appends the canonical key to dst, avoiding fmt and the
-// strings.Builder re-allocations on the ContentionPeriods hot path.
+// appendKey appends the canonical key to dst without fmt.
 func (c Clique) appendKey(dst []byte) []byte {
 	for _, f := range c {
 		dst = strconv.AppendInt(dst, int64(f.Src), 10)
@@ -93,106 +93,130 @@ func (c Clique) Intersect(flows map[Flow]bool) Clique {
 	return out
 }
 
-// finishHeap is a min-heap of message indices keyed by finish time.
-type finishHeap struct {
-	idx    []int
-	finish func(int) float64
-}
-
-func (h *finishHeap) Len() int           { return len(h.idx) }
-func (h *finishHeap) Less(i, j int) bool { return h.finish(h.idx[i]) < h.finish(h.idx[j]) }
-func (h *finishHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *finishHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
-func (h *finishHeap) Pop() interface{} {
-	n := len(h.idx)
-	v := h.idx[n-1]
-	h.idx = h.idx[:n-1]
-	return v
+// periodEvent is one endpoint (start or finish) of a message: its time and
+// the dense ID of the message's flow, -1 for a self-flow.
+type periodEvent struct {
+	t  float64
+	id int32
 }
 
 // ContentionPeriods extracts the communication clique set K (Definition 5):
 // the distinct sets of flows that are simultaneously in flight at some
-// instant. It sweeps the message start/finish event points; because message
-// intervals are inclusive, every maximal simultaneous set is realized at an
-// event point. Cliques are returned in order of first occurrence.
+// instant. The instants examined are the start and finish times of all
+// messages; because message intervals are inclusive, every maximal
+// simultaneous set is realized at one of them. All distinct sets found there
+// are returned, not only the maximal ones, in order of first occurrence;
+// each is sorted by Flow.Less and holds no self-flow (a self-flow never
+// touches the network, but its endpoints are instants like any other).
+//
+// The sweep runs on dense flow IDs: messages sorted by start and by finish
+// are merged with two cursors, a per-flow in-flight count tracks how many
+// messages of each flow cover the current instant, and one BitSet holds the
+// flows whose count is positive. Only an instant at which some count crossed
+// 0<->1 can show a new set; the bitset is then looked up by hash and Equal
+// among the sets seen so far, and a Clique is built only for a new one.
 func ContentionPeriods(p *Pattern) []Clique {
-	n := len(p.Messages)
-	if n == 0 {
+	flows := make([]Flow, len(p.Messages))
+	for i, m := range p.Messages {
+		flows[i] = m.Flow()
+	}
+	ix := NewFlowIndex(flows)
+	if ix.Len() == 0 {
 		return nil
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return p.Messages[order[a]].Start < p.Messages[order[b]].Start
-	})
-	// Event times: all distinct starts and finishes.
-	events := make([]float64, 0, 2*n)
-	for _, m := range p.Messages {
-		events = append(events, m.Start, m.Finish)
-	}
-	sort.Float64s(events)
-	events = dedupFloats(events)
-
-	active := &finishHeap{finish: func(i int) float64 { return p.Messages[i].Finish }}
-	next := 0 // next message in start order
-	seen := make(map[string]bool)
-	var out []Clique
-	var flows []Flow
-	var keyBuf []byte
-	processed := false // an event with this exact active set was already handled
-	for _, t := range events {
-		changed := false
-		// Retire messages that finished strictly before t.
-		for active.Len() > 0 && p.Messages[active.idx[0]].Finish < t {
-			heap.Pop(active)
-			changed = true
+	starts := make([]periodEvent, 0, len(p.Messages))
+	finishes := make([]periodEvent, 0, len(p.Messages))
+	for i, m := range p.Messages {
+		id := int32(-1)
+		if fid, ok := ix.ID(flows[i]); ok {
+			id = int32(fid)
 		}
-		// Admit messages starting at or before t.
-		for next < n && p.Messages[order[next]].Start <= t {
-			mi := order[next]
-			next++
-			if p.Messages[mi].Finish >= t {
-				heap.Push(active, mi)
-				changed = true
+		starts = append(starts, periodEvent{m.Start, id})
+		finishes = append(finishes, periodEvent{m.Finish, id})
+	}
+	byTime := func(a, b periodEvent) int { return cmp.Compare(a.t, b.t) }
+	slices.SortFunc(starts, byTime)
+	slices.SortFunc(finishes, byTime)
+
+	words := (ix.Len() + 63) / 64
+	active := make(BitSet, words)
+	inFlight := make([]int32, ix.Len())
+	nActive := 0
+	dirty := false
+
+	// The distinct sets so far: set k's words are seen[k*words:(k+1)*words],
+	// and sets sharing a hash chain through prev from head (both hold k+1,
+	// 0 ending the chain).
+	var out []Clique
+	var seen []uint64
+	var prev []int32
+	head := make(map[uint64]int32)
+
+	n := len(starts)
+	for i, j := 0, 0; j < n; {
+		t := finishes[j].t
+		if i < n && starts[i].t < t {
+			t = starts[i].t
+		}
+		// The comparisons are phrased as !(x > t) so that a NaN time, which
+		// Pattern.Validate admits, is consumed like any other and the loop
+		// always advances j.
+		for ; i < n && !(starts[i].t > t); i++ {
+			id := starts[i].id
+			if id < 0 {
+				continue
+			}
+			if inFlight[id]++; inFlight[id] == 1 {
+				active.Set(int(id))
+				nActive++
+				dirty = true
 			}
 		}
-		if active.Len() == 0 {
-			continue
+		if dirty && nActive > 0 {
+			dirty = false
+			h := hashBits(active)
+			k := head[h]
+			for k != 0 && !active.Equal(seen[int(k-1)*words:int(k)*words]) {
+				k = prev[k-1]
+			}
+			if k == 0 {
+				c := make(Clique, 0, nActive)
+				active.ForEach(func(id int) { c = append(c, ix.Flow(id)) })
+				out = append(out, c)
+				seen = append(seen, active...)
+				prev = append(prev, head[h])
+				head[h] = int32(len(out))
+			}
 		}
-		// Unchanged active set ⇒ identical clique ⇒ the key-dedup below
-		// would drop it anyway; skip the re-sort and key build entirely.
-		if !changed && processed {
-			continue
-		}
-		processed = true
-		flows = flows[:0]
-		for _, mi := range active.idx {
-			flows = append(flows, p.Messages[mi].Flow())
-		}
-		c := NewClique(flows...)
-		if len(c) == 0 {
-			continue
-		}
-		keyBuf = c.appendKey(keyBuf[:0])
-		if k := string(keyBuf); !seen[k] {
-			seen[k] = true
-			out = append(out, c)
+		// Messages finishing at t were still in flight at t; they retire
+		// before the next instant, and no finish lies strictly between.
+		for ; j < n && !(finishes[j].t > t); j++ {
+			id := finishes[j].id
+			if id < 0 {
+				continue
+			}
+			if inFlight[id]--; inFlight[id] == 0 {
+				active.Clear(int(id))
+				nActive--
+				dirty = true
+			}
 		}
 	}
 	return out
 }
 
-func dedupFloats(xs []float64) []float64 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
+// hashBits hashes a flow set for ContentionPeriods' dedup table: a
+// polynomial over the words. Colliding sets are told apart by BitSet.Equal.
+func hashBits(b BitSet) uint64 {
+	var h uint64
+	for _, w := range b {
+		h = h*hashMul + w
 	}
-	return out
+	return h
 }
+
+// hashMul is hashBits' multiplier (the 64-bit golden-ratio constant).
+const hashMul = 0x9E3779B97F4A7C15
 
 // MaxCliques reduces a clique set to the communication maximum clique set of
 // Section 2.2: any clique that is a subset of another is dominated and

@@ -6,7 +6,9 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -35,6 +37,11 @@ func Workers(n int) int {
 //	for i := 0; i < n; i++ { if _, err := fn(i); err != nil { return err } }
 //
 // would have produced.
+//
+// A panic in fn does not escape on a pool goroutine, where nothing could
+// recover it and it would end the process: the pool stops handing out
+// indices, drains, and Map panics on the calling goroutine with a *Panic
+// holding the value and stack of the smallest panicking index.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
@@ -61,14 +68,31 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		mu      sync.Mutex
 		errIdx  = n
 		firstEr error
+		panIdx  = n
+		firstPa *Panic
 		wg      sync.WaitGroup
 	)
 	for g := 0; g < w; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			i := -1
+			defer func() {
+				if v := recover(); v != nil {
+					pa, nested := v.(*Panic) // an inner Map's: keep its stack
+					if !nested {
+						pa = &Panic{Value: v, Stack: debug.Stack()}
+					}
+					mu.Lock()
+					if i < panIdx {
+						panIdx, firstPa = i, pa
+					}
+					mu.Unlock()
+					stopped.Store(true)
+				}
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= n || stopped.Load() {
 					return
 				}
@@ -87,10 +111,28 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		}()
 	}
 	wg.Wait()
+	if firstPa != nil {
+		panic(firstPa)
+	}
 	if firstEr != nil {
 		return nil, firstEr
 	}
 	return results, nil
+}
+
+// Panic is what Map panics with, on its caller's goroutine, after fn
+// panicked on a pool goroutine.
+type Panic struct {
+	// Value is what fn panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack, taken where it was recovered.
+	Stack []byte
+}
+
+// String renders the value and the original stack, so that a *Panic nobody
+// recovers still prints where fn failed, not only where Map re-raised it.
+func (p *Panic) String() string {
+	return fmt.Sprintf("%v [re-raised by parallel.Map]\n\n%s", p.Value, p.Stack)
 }
 
 // MapObserved is Map wrapped in telemetry. One span named label covers the

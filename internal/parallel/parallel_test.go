@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -76,6 +77,51 @@ func TestMapStopsDispatchAfterError(t *testing.T) {
 	}
 	if n := calls.Load(); n != 3 {
 		t.Fatalf("fn called %d times, want 3", n)
+	}
+}
+
+// TestMapReraisesWorkerPanic injects a panicking fn: the panic must reach the
+// caller's goroutine (where it can be recovered) after the pool has drained,
+// carrying the value and stack of the smallest panicking index.
+func TestMapReraisesWorkerPanic(t *testing.T) {
+	for _, workers := range []int{2, 8} {
+		var running atomic.Int64
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			Map(workers, 40, func(i int) (int, error) {
+				running.Add(1)
+				defer running.Add(-1)
+				if i == 5 || i == 23 {
+					panic(fmt.Sprintf("boom at %d", i))
+				}
+				return i, nil
+			})
+			return nil
+		}()
+		pa, ok := got.(*Panic)
+		if !ok {
+			t.Fatalf("workers=%d: recovered %v (%T), want *Panic", workers, got, got)
+		}
+		if pa.Value != "boom at 5" {
+			t.Errorf("workers=%d: Value = %v, want boom at 5", workers, pa.Value)
+		}
+		if !strings.Contains(string(pa.Stack), "TestMapReraisesWorkerPanic") {
+			t.Errorf("workers=%d: stack does not show the panicking fn:\n%s", workers, pa.Stack)
+		}
+		if n := running.Load(); n != 0 {
+			t.Errorf("workers=%d: %d calls still running when Map re-raised", workers, n)
+		}
+	}
+	// A nested Map hands the inner *Panic through unchanged.
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		Map(2, 2, func(int) (int, error) {
+			return 0, Run(2, 2, func(j int) error { panic("inner") })
+		})
+		return nil
+	}()
+	if pa, ok := got.(*Panic); !ok || pa.Value != "inner" {
+		t.Fatalf("nested: recovered %v, want the inner *Panic", got)
 	}
 }
 

@@ -1,0 +1,202 @@
+package serve
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"log"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"strconv"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/nas"
+	"repro/internal/obs"
+	"repro/internal/trace"
+)
+
+// inlineRequest renders a pattern as an inline-trace design request.
+func inlineRequest(t *testing.T, p *model.Pattern) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := trace.Encode(&sb, p); err != nil {
+		t.Fatal(err)
+	}
+	q, err := json.Marshal(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return `{"trace":` + string(q) + `}`
+}
+
+// jitterRequest is the long non-phase-aligned request of bench/'s
+// warm_variants workload: CG/16 over 39 iterations, every processor skewed.
+func jitterRequest(t *testing.T) string {
+	t.Helper()
+	p, err := nas.Generate("CG", 16, nas.Config{Iterations: 39})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inlineRequest(t, trace.ApplySkew(p, 0.5, 1))
+}
+
+// spanCount reads how often the named span closed on the collector.
+func spanCount(col *obs.Collector, name string) int64 {
+	for _, sp := range col.Report("test").Spans {
+		if sp.Name == name {
+			return sp.Count
+		}
+	}
+	return 0
+}
+
+// bodyDigest hashes a response body with what differs from run to run in it,
+// the span timings and event timestamps, zeroed. Everything else — the
+// design, the verdicts, the counters, report.pattern, the span names and
+// counts, the events' text — is in the digest.
+func bodyDigest(t *testing.T, body []byte) string {
+	t.Helper()
+	var v map[string]any
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("decoding response: %v", err)
+	}
+	rep := v["report"].(map[string]any)
+	for _, sp := range rep["spans"].([]any) {
+		m := sp.(map[string]any)
+		m["total_ns"], m["min_ns"], m["max_ns"] = 0, 0, 0
+	}
+	if evs, ok := rep["events"].([]any); ok {
+		for _, ev := range evs {
+			ev.(map[string]any)["at_ns"] = 0
+		}
+	}
+	canon, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(canon)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestFlatMissComputesModelOnce pins the data flow of a flat miss: the
+// contention model (periods, then maximum cliques) is derived once and
+// handed to the fingerprint, the synthesis and the pattern summary, and
+// what comes out is what came out when each of the three derived its own.
+// The digests were taken from the commit before that change, with
+// bodyDigest, on a quickConfig server sent these three requests in order.
+func TestFlatMissComputesModelOnce(t *testing.T) {
+	srv := newTestServer(t, quickConfig())
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for i, c := range []struct{ name, body, digest string }{
+		{"CG/16", `{"benchmark":"CG","procs":16}`, "2cd49095912f5e4a3a044827a5e44fadfa74e0ded3b3f61c9be8a0b995dfcf56"},
+		{"jitter", jitterRequest(t), "1a3785e4bad372a7f110ffe802c0b9a18a4c201e24755683c5947aba350360bb"},
+		{"ring-allreduce/64", `{"benchmark":"ring-allreduce","procs":64}`, "2d831e44cee8b7116028787cd092799e29a13235b9ad4a684ef6b31f15b41367"},
+	} {
+		resp, body := postDesign(t, ts.URL, c.body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Nocd-Cache") != "miss" {
+			t.Fatalf("%s: status %d, cache %q: %s", c.name, resp.StatusCode, resp.Header.Get("X-Nocd-Cache"), body)
+		}
+		if got := spanCount(srv.Metrics(), "serve.model"); got != int64(i+1) {
+			t.Errorf("%s: %d model computations after %d flat misses", c.name, got, i+1)
+		}
+		if got := bodyDigest(t, body); got != c.digest {
+			t.Errorf("%s: response digest %s, want %s", c.name, got, c.digest)
+		}
+	}
+	// A hit and a hierarchical miss derive nothing here.
+	postDesign(t, ts.URL, `{"benchmark":"CG","procs":16}`)
+	postDesign(t, ts.URL, `{"benchmark":"CG","procs":16,"hier":{"clusters":"blocks:4"}}`)
+	if got := spanCount(srv.Metrics(), "serve.model"); got != 3 {
+		t.Errorf("%d model computations, want 3: a hit or a hier miss computed one", got)
+	}
+}
+
+// TestMixedWidthPatternsAllSucceed sends one server patterns on either side
+// of the 64-flow boundary in the order that used to crash it (see
+// synth.TestStatePoolMixedWidths), then the FFT/8-FFT/16 alternation.
+func TestMixedWidthPatternsAllSucceed(t *testing.T) {
+	srv := newTestServer(t, quickConfig())
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	var allToAll trace.PhaseSpec
+	for s := 0; s < 9; s++ {
+		for d := 0; d < 9; d++ {
+			if s != d {
+				allToAll.Flows = append(allToAll.Flows, model.F(s, d))
+			}
+		}
+	}
+	bodies := []string{
+		inlineRequest(t, trace.BuildPhased("all-to-all.9", 9, []trace.PhaseSpec{allToAll})),
+		`{"benchmark":"CG","procs":16}`,
+		`{"benchmark":"FFT","procs":16}`,
+	}
+	for seed := 2; seed <= 3; seed++ {
+		for _, procs := range []int{8, 16} {
+			bodies = append(bodies, `{"benchmark":"FFT","procs":`+strconv.Itoa(procs)+`,"seed":`+strconv.Itoa(seed)+`}`)
+		}
+	}
+	for _, body := range bodies {
+		if resp, b := postDesign(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%.60s: status %d: %s", body, resp.StatusCode, b)
+		}
+	}
+}
+
+// panicOnce is an Observer that panics the first time a synthesis restart
+// opens its span — on a restart worker's goroutine, where a bug in the
+// search would.
+type panicOnce struct {
+	obs.Observer
+	fired atomic.Bool
+}
+
+func (p *panicOnce) SpanStart(name string) int64 {
+	if name == "synth.restart" && p.fired.CompareAndSwap(false, true) {
+		panic("injected restart panic")
+	}
+	return p.Observer.SpanStart(name)
+}
+
+// TestRestartPanicFailsOneRequest: a panic on a restart goroutine is one
+// 500, counted and logged, and the server answers the next request.
+func TestRestartPanicFailsOneRequest(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	for _, workers := range []int{1, 2} {
+		logged.Reset()
+		cfg := quickConfig()
+		cfg.Synth.Workers = workers
+		cfg.Synth.Obs = &panicOnce{Observer: obs.NewCollector()}
+		srv := newTestServer(t, cfg)
+		ts := httptest.NewServer(srv)
+		const body = `{"benchmark":"FFT","procs":8}`
+		resp, b := postDesign(t, ts.URL, body)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), `"`+CodeInternal+`"`) {
+			t.Fatalf("workers=%d: status %d, want 500 %s: %s", workers, resp.StatusCode, CodeInternal, b)
+		}
+		if strings.Contains(string(b), "goroutine") {
+			t.Errorf("workers=%d: the stack leaked to the client: %s", workers, b)
+		}
+		if got := srv.Metrics().Counter("serve.panics"); got != 1 {
+			t.Errorf("workers=%d: serve.panics = %d, want 1", workers, got)
+		}
+		// The log names the panic and shows the frame it came from, also
+		// when that frame ran on a pool goroutine.
+		if out := logged.String(); !strings.Contains(out, "injected restart panic") || !strings.Contains(out, "panicOnce") {
+			t.Errorf("workers=%d: log lacks the panic or its stack:\n%s", workers, out)
+		}
+		// The failed call left nothing behind: the same request now runs.
+		if resp, b := postDesign(t, ts.URL, body); resp.StatusCode != http.StatusOK || resp.Header.Get("X-Nocd-Cache") != "miss" {
+			t.Fatalf("workers=%d: request after the panic: status %d: %s", workers, resp.StatusCode, b)
+		}
+		ts.Close()
+	}
+}

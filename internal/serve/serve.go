@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"strings"
@@ -416,7 +417,15 @@ func (s *Server) resolve(ctx context.Context, raw []byte, alreadyForwarded bool)
 // counters.
 func (s *Server) errorResult(ctx context.Context, key string, err error) itemResult {
 	var bad *badRequestError
+	var panicked *panicError
 	switch {
+	case errors.As(err, &panicked):
+		// First, so that a client that has meanwhile hung up cannot turn a
+		// panic into a quiet 499.
+		obs.Count(s.col, "serve.panics", 1)
+		log.Printf("nocd: panic resolving %s: %v\n%s", key, panicked.value, panicked.stack)
+		return itemResult{status: http.StatusInternalServerError, key: key, errCode: CodeInternal,
+			errMsg: "internal error: synthesis panicked"}
 	case errors.As(err, &bad):
 		obs.Count(s.col, "serve.bad_requests", 1)
 		return itemResult{status: http.StatusBadRequest, key: key, errCode: CodeBadRequest, errMsg: bad.Error()}
@@ -755,6 +764,13 @@ func (s *Server) synthesize(runCtx context.Context, key string, pat *model.Patte
 		return s.synthesizeHier(key, pat, opt, hp, reqCol)
 	}
 
+	// The contention model is computed once per miss: the fingerprint, the
+	// synthesis and the report's pattern summary all read these two sets.
+	msp := obs.Span(s.col, "serve.model")
+	periods := model.ContentionPeriods(pat)
+	cliques := model.MaxCliques(periods)
+	msp.End()
+
 	// Warm-start: on this exact-key miss, seed from the structurally nearest
 	// cached design when one is close enough. The key was computed from the
 	// request's own options (no seed), so the response is stored and replayed
@@ -762,7 +778,7 @@ func (s *Server) synthesize(runCtx context.Context, key string, pat *model.Patte
 	warmHow := ""
 	var fp *trace.Fingerprint
 	if s.warm != nil {
-		fp = trace.FingerprintPattern(pat)
+		fp = trace.FingerprintCliques(pat.Procs, cliques)
 		warmHow = "cold"
 		if ne, _, ok := s.warm.nearest(fp); ok {
 			sd := *ne.seed
@@ -775,7 +791,7 @@ func (s *Server) synthesize(runCtx context.Context, key string, pat *model.Patte
 		}
 	}
 
-	res, err := synth.SynthesizeContext(ctx, pat, opt)
+	res, err := synth.SynthesizeCliques(ctx, pat, cliques, opt)
 	if err != nil {
 		if ctx.Err() != nil {
 			obs.Count(s.col, "serve.synth_aborted", 1)
@@ -788,7 +804,7 @@ func (s *Server) synthesize(runCtx context.Context, key string, pat *model.Patte
 		return nil, fmt.Errorf("serve: rendering design: %w", err)
 	}
 	rep := reqCol.Report("nocd")
-	rep.Pattern = trace.Summarize(pat)
+	rep.Pattern = trace.SummarizeCliques(pat, periods, cliques)
 	resp := DesignResponse{
 		Schema:         ResponseSchema,
 		Version:        ResponseVersion,

@@ -2,7 +2,11 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
+
+	"repro/internal/parallel"
 )
 
 // flightGroup deduplicates concurrent work per key (singleflight): the
@@ -58,7 +62,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(runCtx context
 	g.m[key] = c
 	g.mu.Unlock()
 	go func() {
-		c.ent, c.err = fn(runCtx)
+		c.ent, c.err = recovered(runCtx, fn)
 		g.mu.Lock()
 		delete(g.m, key)
 		g.mu.Unlock()
@@ -67,6 +71,32 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(runCtx context
 	}()
 	ent, err = c.wait(ctx)
 	return ent, err, false
+}
+
+// panicError is a panic in the leader's work, turned into the error every
+// waiter on the call receives: the runner goroutine belongs to no request,
+// so a panic escaping it would end the process instead of failing the
+// request. stack is the panicking goroutine's — a restart worker's when the
+// panic came through parallel.Map.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.value) }
+
+// recovered runs fn, returning a *panicError in place of a panic.
+func recovered(runCtx context.Context, fn func(context.Context) (*Entry, error)) (ent *Entry, err error) {
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+		case *parallel.Panic:
+			ent, err = nil, &panicError{value: v.Value, stack: v.Stack}
+		default:
+			ent, err = nil, &panicError{value: v, stack: debug.Stack()}
+		}
+	}()
+	return fn(runCtx)
 }
 
 // wait blocks until the call completes or ctx dies, whichever is first; a

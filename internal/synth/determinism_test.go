@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/nas"
 )
 
@@ -106,6 +107,38 @@ func TestDeterminismContextPlumbing(t *testing.T) {
 			}
 			if got := designBytes(t, res); !bytes.Equal(got, want) {
 				t.Errorf("%s: %s context changed the design bytes", name, label)
+			}
+		}
+	}
+}
+
+// TestDeterminismSynthesizeCliques: SynthesizeCliques on the pattern's own
+// maximum clique set is Synthesize, byte for byte; and the cliques it is
+// given are the only contention model it reads — the same pattern with every
+// message moved onto one instant (one clique of all flows, were it derived
+// afresh) still yields the original design.
+func TestDeterminismSynthesizeCliques(t *testing.T) {
+	for _, name := range nas.Names() {
+		small, _ := nas.PaperProcs(name)
+		pat, err := nas.Generate(name, small, quickNASConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := Options{Seed: 3, Restarts: 2, Workers: 2}
+		want := designBytes(t, synthOrDie(t, pat, opt))
+		cliques := model.MaxCliqueSet(pat)
+		flat := *pat
+		flat.Messages = append([]model.Message(nil), pat.Messages...)
+		for i := range flat.Messages {
+			flat.Messages[i].Start, flat.Messages[i].Finish = 0, 1
+		}
+		for label, p := range map[string]*model.Pattern{"own": pat, "flattened": &flat} {
+			res, err := SynthesizeCliques(context.Background(), p, cliques, opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, label, err)
+			}
+			if got := designBytes(t, res); !bytes.Equal(got, want) {
+				t.Errorf("%s: SynthesizeCliques on the %s pattern changed the design bytes", name, label)
 			}
 		}
 	}

@@ -161,7 +161,9 @@ func (s *state) setRouteRaw(fi int, route []int) {
 		pi := route[i-1]*s.stride + route[i]
 		set := s.pipes[pi]
 		if set == nil {
-			set = model.NewBitSet(len(s.flows))
+			// bsWords, not this pattern's own width: reset keeps the pooled
+			// sets across patterns that fit, so all must share one capacity.
+			set = make(model.BitSet, s.bsWords)
 			s.pipes[pi] = set
 		}
 		set.Set(fi)

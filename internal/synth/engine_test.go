@@ -3,6 +3,7 @@ package synth
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/model"
@@ -248,6 +249,59 @@ func TestStatePoolResetReproducible(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
 		if got := run(); !equalSnapshots(first, got) {
 			t.Fatalf("pooled rerun %d diverged from first run", rep)
+		}
+	}
+}
+
+// TestStatePoolMixedWidths runs, through one pool, patterns whose flow
+// universes need one and two bitset words. A pooled state keeps its pipe
+// sets across every pattern that fits the widest it has served, so each set
+// it creates must have that capacity. The order matters: a wide pattern on
+// few switches, a narrow one on more (creating sets for pipes the first
+// never used), then a wide one that reaches those pipes — which indexed a
+// one-word set out of range and took nocd down. Designs must equal what a
+// fresh pool produces.
+func TestStatePoolMixedWidths(t *testing.T) {
+	freshPool := func() { statePool = sync.Pool{New: func() any { return new(state) }} }
+	// Nine processors exchanging all-to-all: 72 flows on three switches.
+	var allToAll trace.PhaseSpec
+	for s := 0; s < 9; s++ {
+		for d := 0; d < 9; d++ {
+			if s != d {
+				allToAll.Flows = append(allToAll.Flows, model.F(s, d))
+			}
+		}
+	}
+	seq := []*model.Pattern{trace.BuildPhased("all-to-all.9", 9, []trace.PhaseSpec{allToAll})}
+	for _, c := range []struct {
+		name  string
+		procs int
+	}{{"CG", 16}, {"FFT", 16}, {"SP", 9}, {"SP", 16}, {"FFT", 8}, {"FFT", 16}} {
+		p, err := nas.Generate(c.name, c.procs, quickNASConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq = append(seq, p)
+	}
+	for i, wantWide := range []bool{true, false, true, false, true, false, true} {
+		if n := len(seq[i].Flows()); (n > 64) != wantWide || n > 128 {
+			t.Fatalf("%s has %d flows; the sequence must alternate across the one-word boundary", seq[i].Name, n)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		opt := Options{Seed: 1, Restarts: 2, Workers: workers}
+		want := make([][]byte, len(seq))
+		for i, p := range seq {
+			freshPool()
+			want[i] = designBytes(t, synthOrDie(t, p, opt))
+		}
+		freshPool()
+		for round := 0; round < 2; round++ {
+			for i, p := range seq {
+				if got := designBytes(t, synthOrDie(t, p, opt)); !bytes.Equal(got, want[i]) {
+					t.Fatalf("%s workers=%d round %d: pooled design differs from a fresh pool's", p.Name, workers, round)
+				}
+			}
 		}
 	}
 }

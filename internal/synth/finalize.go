@@ -249,6 +249,13 @@ func Synthesize(p *model.Pattern, opt Options) (*Result, error) {
 // the RNG streams, the fold order, and every byte of the returned design are
 // identical to Synthesize's (pinned by TestDeterminismContextPlumbing).
 func SynthesizeContext(ctx context.Context, p *model.Pattern, opt Options) (*Result, error) {
+	return SynthesizeCliques(ctx, p, model.MaxCliqueSet(p), opt)
+}
+
+// SynthesizeCliques is SynthesizeContext for a caller that already holds the
+// pattern's maximum clique set (model.MaxCliqueSet(p)), which is all the
+// search reads of the pattern's timing.
+func SynthesizeCliques(ctx context.Context, p *model.Pattern, cliques []model.Clique, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -258,7 +265,6 @@ func SynthesizeContext(ctx context.Context, p *model.Pattern, opt Options) (*Res
 	opt = opt.Normalized()
 	sp := obs.Span(opt.Obs, "synth.run")
 	defer sp.End()
-	cliques := model.MaxCliqueSet(p)
 	// The immutable per-pattern half of the search state (flow interning,
 	// conflict matrix, clique bitsets) is built once and shared read-only by
 	// every restart; the mutable half is pooled per restart.

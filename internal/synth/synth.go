@@ -230,8 +230,9 @@ type state struct {
 	rng       *rand.Rand
 	opt       Options
 	stats     *Stats
-	// bsWords is the word capacity the pooled pipe bitsets were created
-	// with; reset() drops them when a new kernel needs more.
+	// bsWords is the word capacity every pooled pipe bitset has (the widest
+	// flow universe this state has served); reset() drops the sets when a
+	// new kernel needs more, and setRouteRaw creates new ones at it.
 	bsWords int
 	// seedFast marks a warm-started state whose trace structure is
 	// identical to its seed's and whose replay left no estimated
@@ -253,12 +254,12 @@ type state struct {
 	nbrScratch   []int
 	candScratch  []int
 	revScratch   []int
-	allScratch   []int   // allSwitches
-	splitScratch []int   // split's shuffle copy
-	allProcs     []int   // backs swProcs[0] after reset
-	touchBuf     [2]int  // optimizeMoves' bestRoute touch/via list
+	allScratch   []int    // allSwitches
+	splitScratch []int    // split's shuffle copy
+	allProcs     []int    // backs swProcs[0] after reset
+	touchBuf     [2]int   // optimizeMoves' bestRoute touch/via list
 	gcPairs      [][2]int // globalCost's traffic-pair list
-	liveScratch  []bool  // liveSwitches
+	liveScratch  []bool   // liveSwitches
 	mergeSnap    stateSnapshot
 	mergeProcs   []int
 	routeSnap    [][]int // backboneReroute's route snapshot

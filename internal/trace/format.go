@@ -21,27 +21,55 @@ import (
 //
 // Message lines must precede phase lines that reference them.
 
-// Encode writes the pattern in noctrace v1 format.
+// Encode writes the pattern in noctrace v1 format. Numbers are rendered as
+// fmt's %d and %g would (shortest float that parses back exactly), through
+// strconv into one line buffer: the server encodes every request's pattern
+// to derive its key, and a Fprintf per message dominated that.
 func Encode(w io.Writer, p *model.Pattern) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "noctrace v1")
-	if p.Name != "" {
-		fmt.Fprintf(bw, "name %s\n", strings.ReplaceAll(p.Name, " ", "_"))
+	var line []byte
+	str := func(v string) { line = append(line, v...) }
+	num := func(v int) { line = strconv.AppendInt(append(line, ' '), int64(v), 10) }
+	flt := func(v float64) { line = strconv.AppendFloat(append(line, ' '), v, 'g', -1, 64) }
+	end := func() {
+		line = append(line, '\n')
+		bw.Write(line)
+		line = line[:0]
 	}
-	fmt.Fprintf(bw, "procs %d\n", p.Procs)
+	str("noctrace v1")
+	end()
+	if p.Name != "" {
+		str("name ")
+		str(strings.ReplaceAll(p.Name, " ", "_"))
+		end()
+	}
+	str("procs")
+	num(p.Procs)
+	end()
 	for _, m := range p.Messages {
-		fmt.Fprintf(bw, "msg %d %d %d %g %g %d\n", m.ID, m.Src, m.Dst, m.Start, m.Finish, m.Bytes)
+		str("msg")
+		num(m.ID)
+		num(m.Src)
+		num(m.Dst)
+		flt(m.Start)
+		flt(m.Finish)
+		num(m.Bytes)
+		end()
 	}
 	for _, ph := range p.Phases {
 		label := ph.Label
 		if label == "" {
 			label = "-"
 		}
-		fmt.Fprintf(bw, "phase %s %g %g %g", strings.ReplaceAll(label, " ", "_"), ph.Start, ph.Finish, ph.ComputeAfter)
+		str("phase ")
+		str(strings.ReplaceAll(label, " ", "_"))
+		flt(ph.Start)
+		flt(ph.Finish)
+		flt(ph.ComputeAfter)
 		for _, mi := range ph.Messages {
-			fmt.Fprintf(bw, " %d", mi)
+			num(mi)
 		}
-		fmt.Fprintln(bw)
+		end()
 	}
 	return bw.Flush()
 }

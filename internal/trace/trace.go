@@ -131,7 +131,12 @@ type Stats struct {
 // (periods, maximum cliques, |C|).
 func Summarize(p *model.Pattern) Stats {
 	periods := model.ContentionPeriods(p)
-	maxed := model.MaxCliques(periods)
+	return SummarizeCliques(p, periods, model.MaxCliques(periods))
+}
+
+// SummarizeCliques is Summarize for a caller that already holds the
+// pattern's contention periods and their maximum clique set.
+func SummarizeCliques(p *model.Pattern, periods, maxed []model.Clique) Stats {
 	largest := 0
 	for _, c := range maxed {
 		if len(c) > largest {

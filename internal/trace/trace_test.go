@@ -189,6 +189,22 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeCliquesReadsGivenSets: handed the sets Summarize derives, it
+// returns Summarize's answer; handed others, it reports those — it does not
+// go back to the messages for the contention model.
+func TestSummarizeCliquesReadsGivenSets(t *testing.T) {
+	p := ApplySkew(BuildPhased("sample", 4, samplePhases()), 0.5, 1)
+	periods := model.ContentionPeriods(p)
+	if got, want := SummarizeCliques(p, periods, model.MaxCliques(periods)), Summarize(p); got != want {
+		t.Fatalf("SummarizeCliques = %+v, Summarize = %+v", got, want)
+	}
+	one := []model.Clique{model.NewClique(model.F(0, 1), model.F(2, 3), model.F(3, 2))}
+	st := SummarizeCliques(p, append(one, one...), one)
+	if st.Periods != 2 || st.MaxPeriods != 1 || st.LargestCliq != 3 || st.ContentionSz != 3 {
+		t.Fatalf("stats do not follow the given sets: %+v", st)
+	}
+}
+
 func TestSortMessagesByStart(t *testing.T) {
 	p := &model.Pattern{Procs: 4, Messages: []model.Message{
 		{ID: 0, Src: 0, Dst: 1, Start: 5, Finish: 6},
