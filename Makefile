@@ -128,8 +128,19 @@ perf-synth:
 
 bench: bench-synth bench-obs bench-flitsim bench-warm
 
-bench-all:
-	$(GO) test -bench=. -benchmem -run '^$$' ./...
+# bench-all is the one performance entry point: the five gated
+# microbenchmark targets in sequence (each fails on its own ratio or budget
+# gate and refreshes its BENCH_*.json), then the end-to-end ledger —
+# BENCHMARK.json's four workloads, each with its per-layer breakdown. The
+# ledger builds and drives its own nocd and writes only under bench/out/;
+# about 35 s per workload. Run it on an otherwise idle box, without -j.
+LEDGER_WORKLOADS = cold_synth warm_variants hit_replay paper_cells
+
+bench-all: bench-synth bench-obs bench-flitsim bench-warm perf-synth
+	@for w in $(LEDGER_WORKLOADS); do \
+		echo "== $(GO) run ./bench -workload $$w -seed 1 -trace 1"; \
+		$(GO) run ./bench -workload $$w -seed 1 -trace 1 || exit 1; \
+	done
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 30s ./internal/trace
@@ -137,3 +148,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCollectiveConfig -fuzztime 30s ./internal/collective
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 30s ./internal/hier
 	$(GO) test -run '^$$' -fuzz FuzzContentionPeriods -fuzztime 30s ./internal/model
+	$(GO) test -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s ./internal/serve

@@ -300,7 +300,9 @@ func FFT(procs int, cfg Config) (*model.Pattern, error) {
 				Bytes: cfg.bytes(8192 / rows),
 			})
 		}
-		phases[len(phases)-1].ComputeAfter = computeGap
+		if len(phases) > 0 { // one processor exchanges nothing
+			phases[len(phases)-1].ComputeAfter = computeGap
+		}
 	}
 	return trace.BuildPhased(fmt.Sprintf("FFT.%d", procs), procs, phases), nil
 }
@@ -364,7 +366,9 @@ func MG(procs int, cfg Config) (*model.Pattern, error) {
 				Bytes: cfg.bytes(8),
 			})
 		}
-		phases[len(phases)-1].ComputeAfter = computeGap
+		if len(phases) > 0 { // one processor exchanges nothing
+			phases[len(phases)-1].ComputeAfter = computeGap
+		}
 	}
 	return trace.BuildPhased(fmt.Sprintf("MG.%d", procs), procs, phases), nil
 }

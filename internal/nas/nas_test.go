@@ -61,6 +61,20 @@ func TestGeneratorConstraints(t *testing.T) {
 	}
 }
 
+// TestSingleProcessorIsEmpty: one processor is a power of two and a perfect
+// square, so every generator accepts it, and the pattern it describes has
+// no messages. FFT and MG used to index their last phase and panic.
+func TestSingleProcessorIsEmpty(t *testing.T) {
+	for _, name := range Names() {
+		p, err := Generate(name, 1, Config{})
+		if err != nil {
+			t.Errorf("%s/1: %v", name, err)
+		} else if len(p.Messages) != 0 {
+			t.Errorf("%s/1: %d messages, want none", name, len(p.Messages))
+		}
+	}
+}
+
 func TestGeneratorsDeterministic(t *testing.T) {
 	for _, name := range Names() {
 		_, large := PaperProcs(name)

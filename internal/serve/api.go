@@ -19,7 +19,7 @@ import (
 const APIVersion = "v1"
 
 // ErrorResponse is the uniform error envelope: every non-2xx JSON response
-// (400, 404, 429, 503, 504, 500) carries exactly this shape, so clients
+// (400, 404, 413, 429, 503, 504, 500) carries exactly this shape, so clients
 // branch on one machine-readable code instead of scraping status text.
 type ErrorResponse struct {
 	Error ErrorDetail `json:"error"`
@@ -36,6 +36,7 @@ type ErrorDetail struct {
 const (
 	CodeBadRequest    = "bad_request"    // 400: malformed or invalid request
 	CodeNotFound      = "not_found"      // 404: key not cached (evictable by design)
+	CodeTooLarge      = "too_large"      // 413: by-name request past the procs/iterations bounds
 	CodeBulkSaturated = "bulk_saturated" // 429: bulk lane at its inflight watermark
 	CodeQueueFull     = "queue_full"     // 503: admission queue full, retry later
 	CodeTimeout       = "timeout"        // 504: synthesis exceeded the server budget

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 
 	"repro/internal/model"
@@ -24,9 +25,21 @@ import (
 // its canonical cluster spec and per-level knobs, so flat keys are unchanged
 // and differently spelled but equivalent cluster specs share an entry.
 func Key(p *model.Pattern, opt synth.Options, extra ...string) string {
+	return finishKey(traceHash(p), opt, extra...)
+}
+
+// traceHash returns a SHA-256 fed the pattern's canonical trace bytes: the
+// prefix of Key that depends on the pattern alone.
+func traceHash(p *model.Pattern) hash.Hash {
 	h := sha256.New()
 	// Encode writes to an in-memory hash and cannot fail.
 	_ = trace.Encode(h, p)
+	return h
+}
+
+// finishKey completes a key from h, a traceHash — fresh, or restored from
+// the key memo.
+func finishKey(h hash.Hash, opt synth.Options, extra ...string) string {
 	io.WriteString(h, "\x00")
 	io.WriteString(h, OptionsFingerprint(opt))
 	for _, e := range extra {

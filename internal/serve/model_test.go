@@ -21,7 +21,7 @@ import (
 )
 
 // inlineRequest renders a pattern as an inline-trace design request.
-func inlineRequest(t *testing.T, p *model.Pattern) string {
+func inlineRequest(t testing.TB, p *model.Pattern) string {
 	t.Helper()
 	var sb strings.Builder
 	if err := trace.Encode(&sb, p); err != nil {

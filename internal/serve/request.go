@@ -1,0 +1,241 @@
+// The request side of resolve: decoding a /v1/design body, validating its
+// knobs, and generating a named workload's pattern. Nothing here touches the
+// stores; a designPlan is everything resolve needs short of the pattern.
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+
+	"repro/internal/collective"
+	"repro/internal/hier"
+	"repro/internal/model"
+	"repro/internal/nas"
+	"repro/internal/obs"
+	"repro/internal/synth"
+)
+
+// Bounds on by-name requests, checked before any generator runs: a 60-byte
+// body naming a million iterations would otherwise build gigabytes of
+// pattern ahead of admission control, the timeout and the body cap. Past
+// them the request is a 413 too_large, not a 400.
+const (
+	maxRequestProcs      = 1024
+	maxRequestIterations = 4096
+)
+
+// badRequestError marks request-construction failures that map to 400.
+type badRequestError struct{ err error }
+
+func (e *badRequestError) Error() string { return e.err.Error() }
+func (e *badRequestError) Unwrap() error { return e.err }
+
+func badRequest(format string, args ...any) error {
+	return &badRequestError{err: fmt.Errorf(format, args...)}
+}
+
+// tooLargeError marks a well-formed request that asks for more than the
+// server will build; it maps to 413.
+type tooLargeError struct{ msg string }
+
+func (e *tooLargeError) Error() string { return e.msg }
+
+// workloadID is a by-name request's workload identity. With the server's
+// NAS and Collective configs fixed for its lifetime, it determines the
+// generated pattern — which is what lets the key memo stand in for it.
+type workloadID struct {
+	benchmark  string
+	procs      int
+	iterations int // 0: the server's default
+}
+
+// designPlan is a decoded, validated request: exactly one pattern source
+// (workload or trace), the effective synthesis options, the optional hier
+// block, and the admission lane.
+type designPlan struct {
+	workload workloadID // by-name source; zero for an inline trace
+	trace    string     // inline noctrace v1 source; empty for a workload
+	opt      synth.Options
+	hp       *hierParams
+	lane     string
+}
+
+// keyExtras lists the fingerprint components the plan appends to Key beyond
+// the pattern and the flat options.
+func (pl *designPlan) keyExtras() []string {
+	if pl.hp == nil {
+		return nil
+	}
+	return []string{pl.hp.fingerprint()}
+}
+
+// hierParams is the parsed form of a request's hier block: the cluster spec
+// plus the per-level knobs, already validated at the grammar level (the
+// partition itself can still fail against the concrete pattern, which the
+// synthesis path maps to a client error).
+type hierParams struct {
+	spec         *hier.Spec
+	maxGateways  int
+	gatewayWidth int
+	noiLinkDelay int
+	noiMaxDegree int
+	noiMaxProcs  int
+}
+
+// fingerprint renders the hier knobs for the cache key. The spec goes in
+// canonically, so "4", "flow:4", and a reordered explicit spelling of the
+// same groups share an entry.
+func (hp *hierParams) fingerprint() string {
+	return fmt.Sprintf("hier=%s maxgw=%d gww=%d noidelay=%d noimaxdeg=%d noimaxprocs=%d",
+		hp.spec.Canonical(), hp.maxGateways, hp.gatewayWidth, hp.noiLinkDelay, hp.noiMaxDegree, hp.noiMaxProcs)
+}
+
+// options builds the two-level synthesis options: both levels inherit the
+// flat request knobs, with the NoI overrides applied on top.
+func (hp *hierParams) options(base synth.Options) hier.Options {
+	noi := base
+	if hp.noiMaxDegree != 0 {
+		noi.MaxDegree = hp.noiMaxDegree
+	}
+	if hp.noiMaxProcs != 0 {
+		noi.MaxProcsPerSwitch = hp.noiMaxProcs
+	}
+	return hier.Options{
+		Spec:         hp.spec,
+		MaxGateways:  hp.maxGateways,
+		GatewayWidth: hp.gatewayWidth,
+		NoILinkDelay: hp.noiLinkDelay,
+		NoC:          base,
+		NoI:          noi,
+	}
+}
+
+// planRequest decodes the body and validates everything that can be judged
+// without the pattern: the lane, the shape and bounds of the pattern source,
+// the synthesis knobs and the hier block. It builds no pattern and consults
+// no memo. Failures are client errors (400, or 413 past the bounds).
+func (s *Server) planRequest(raw []byte) (*designPlan, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var req DesignRequest
+	if err := dec.Decode(&req); err != nil {
+		return nil, badRequest("decoding request: %v", err)
+	}
+
+	pl := &designPlan{lane: req.Lane, trace: req.Trace}
+	switch pl.lane {
+	case "":
+		pl.lane = LaneInteractive
+	case LaneInteractive, LaneBulk:
+	default:
+		return nil, badRequest("unknown lane %q (want %q or %q)", req.Lane, LaneInteractive, LaneBulk)
+	}
+
+	switch {
+	case req.Benchmark != "" && req.Trace != "":
+		return nil, badRequest("benchmark and trace are mutually exclusive")
+	case req.Benchmark != "":
+		if req.Procs <= 0 {
+			return nil, badRequest("benchmark requests need procs > 0, got %d", req.Procs)
+		}
+		if req.Procs > maxRequestProcs {
+			return nil, &tooLargeError{fmt.Sprintf("procs %d above the limit of %d", req.Procs, maxRequestProcs)}
+		}
+		if req.Iterations > maxRequestIterations {
+			return nil, &tooLargeError{fmt.Sprintf("iterations %d above the limit of %d", req.Iterations, maxRequestIterations)}
+		}
+		pl.workload = workloadID{benchmark: req.Benchmark, procs: req.Procs, iterations: max(req.Iterations, 0)}
+	case req.Trace == "":
+		return nil, badRequest("request needs a benchmark or an inline trace")
+	}
+
+	pl.opt = s.cfg.Synth
+	if req.Seed != 0 {
+		pl.opt.Seed = req.Seed
+	}
+	if req.MaxDegree != 0 {
+		pl.opt.MaxDegree = req.MaxDegree
+	}
+	if req.MaxProcs != 0 {
+		pl.opt.MaxProcsPerSwitch = req.MaxProcs
+	}
+	if req.Restarts != 0 {
+		pl.opt.Restarts = req.Restarts
+	}
+	if pl.opt.Restarts < 0 || pl.opt.Restarts > 64 {
+		return nil, badRequest("restarts %d outside [1, 64]", pl.opt.Restarts)
+	}
+
+	if h := req.Hier; h != nil {
+		if h.Clusters == "" {
+			return nil, badRequest("hier requests need a clusters spec")
+		}
+		spec, err := hier.ParseSpec(h.Clusters)
+		if err != nil {
+			return nil, &badRequestError{err: err}
+		}
+		if h.MaxGateways < 0 || h.GatewayWidth < 0 || h.NoILinkDelay < 0 ||
+			h.NoIMaxDegree < 0 || h.NoIMaxProcs < 0 {
+			return nil, badRequest("hier knobs must be non-negative")
+		}
+		pl.hp = &hierParams{
+			spec:         spec,
+			maxGateways:  h.MaxGateways,
+			gatewayWidth: h.GatewayWidth,
+			noiLinkDelay: h.NoILinkDelay,
+			noiMaxDegree: h.NoIMaxDegree,
+			noiMaxProcs:  h.NoIMaxProcs,
+		}
+	}
+	return pl, nil
+}
+
+// generateWorkload resolves a named workload against the NAS registry
+// first, then the collective registry (the name sets are disjoint). Typed
+// generator errors — unknown names, shape-constrained processor counts —
+// surface as client errors; a name unknown to both registries reports the
+// full menu. Every pattern the server builds by name is built here, and
+// counted on serve.pattern_generated.
+func (s *Server) generateWorkload(id workloadID) (*model.Pattern, error) {
+	cfg := s.cfg.NAS
+	cfg.Obs = nil // pattern generation is request work, not server telemetry
+	if id.iterations > 0 {
+		cfg.Iterations = id.iterations
+	}
+	p, err := nas.Generate(id.benchmark, id.procs, cfg)
+	if err == nil {
+		obs.Count(s.col, "serve.pattern_generated", 1)
+		return p, nil
+	}
+	var pce *nas.ProcCountError
+	if errors.As(err, &pce) {
+		return nil, &badRequestError{err: err}
+	}
+	var ube *nas.UnknownBenchmarkError
+	if !errors.As(err, &ube) {
+		return nil, err
+	}
+
+	ccfg := s.cfg.Collective
+	ccfg.Obs = nil
+	if id.iterations > 0 {
+		ccfg.Repeats = id.iterations
+	}
+	p, cerr := collective.Generate(id.benchmark, id.procs, ccfg)
+	if cerr == nil {
+		obs.Count(s.col, "serve.pattern_generated", 1)
+		return p, nil
+	}
+	var uce *collective.UnknownCollectiveError
+	if errors.As(cerr, &uce) {
+		return nil, badRequest("unknown benchmark or collective %q (benchmarks %v, collectives %v)",
+			id.benchmark, nas.Names(), collective.Names())
+	}
+	var nce *collective.NodeCountError
+	if errors.As(cerr, &nce) {
+		return nil, &badRequestError{err: cerr}
+	}
+	return nil, cerr
+}

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"log"
 	"net"
@@ -243,6 +244,7 @@ type Server struct {
 	mem     *memStore
 	disk    *diskStore // nil without Config.DataDir
 	warm    *warmIndex
+	memo    *keyMemo
 	flights *flightGroup
 	mux     *http.ServeMux
 	sem     chan struct{}
@@ -263,6 +265,7 @@ func New(cfg Config) (*Server, error) {
 		col:     obs.NewCollector(),
 		mem:     newMemStore(cfg.CacheSize),
 		warm:    newWarmIndex(cfg.WarmThreshold),
+		memo:    newKeyMemo(),
 		flights: newFlightGroup(),
 		mux:     http.NewServeMux(),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
@@ -370,23 +373,30 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	s.writeResult(w, res)
 }
 
-// resolve runs one design request end to end: parse, key, the layered
-// local stores, peer forwarding, then synthesis behind singleflight and
-// admission. It is the shared engine of the single and batch endpoints.
-// alreadyForwarded marks a request a peer relayed here; it is then always
-// handled locally (single-hop loop protection).
+// resolve runs one design request end to end, as one list of stages shared
+// by the single and batch endpoints:
+//
+//	plan     decode the body, validate its knobs and bounds   (request.go)
+//	key      trace hash — memo, or build the pattern — + knobs (requestKey)
+//	lookup   the layered local stores
+//	forward  relay to the key's owning peer
+//	flight   singleflight → admission → pattern → synthesis    (synthesize)
+//
+// The pattern is not a parse result: a by-name request whose workload the
+// key memo knows reaches its key without one, and only a flight leader —
+// behind the stores, the forward and admission — builds it. alreadyForwarded
+// marks a request a peer relayed here; it is then always handled locally
+// (single-hop loop protection).
 func (s *Server) resolve(ctx context.Context, raw []byte, alreadyForwarded bool) itemResult {
-	pat, opt, hp, lane, err := s.parseDesignRequest(raw)
+	plan, err := s.planRequest(raw)
 	if err != nil {
 		return s.errorResult(ctx, "", err)
 	}
-	obs.Count(s.col, "serve.lane_"+lane, 1)
-	var key string
-	if hp != nil {
-		key = Key(pat, opt, hp.fingerprint())
-	} else {
-		key = Key(pat, opt)
+	key, pat, err := s.requestKey(plan)
+	if err != nil {
+		return s.errorResult(ctx, "", err)
 	}
+	obs.Count(s.col, "serve.lane_"+plan.lane, 1)
 
 	if ent, ok := s.lookup(key); ok {
 		obs.Count(s.col, "serve.cache_hit", 1)
@@ -400,7 +410,7 @@ func (s *Server) resolve(ctx context.Context, raw []byte, alreadyForwarded bool)
 
 	reqCol := obs.NewCollector()
 	ent, err, shared := s.flights.Do(ctx, key, func(runCtx context.Context) (*Entry, error) {
-		return s.synthesize(runCtx, key, pat, opt, hp, lane, reqCol)
+		return s.synthesize(runCtx, key, plan, pat, reqCol)
 	})
 	if err != nil {
 		return s.errorResult(ctx, key, err)
@@ -413,10 +423,38 @@ func (s *Server) resolve(ctx context.Context, raw []byte, alreadyForwarded bool)
 	return itemResult{status: http.StatusOK, key: ent.Key, cache: how, warm: ent.Warm, body: ent.Body}
 }
 
+// requestKey computes the plan's cache key — byte for byte Key of its
+// pattern. An inline trace is decoded, canonically re-encoded and hashed,
+// every time. A named workload goes through the key memo: on a hit the hash
+// resumes just past the trace bytes and no pattern exists yet (pat is nil;
+// the flight leader builds it if the stores miss too); on a miss the
+// pattern is generated once, hashed, memoised, and handed on.
+func (s *Server) requestKey(plan *designPlan) (key string, pat *model.Pattern, err error) {
+	var h hash.Hash
+	if plan.trace != "" {
+		if pat, err = trace.Decode(strings.NewReader(plan.trace)); err != nil {
+			return "", nil, badRequest("decoding trace: %v", err)
+		}
+		h = traceHash(pat)
+	} else if memo, ok := s.memo.restore(plan.workload); ok {
+		obs.Count(s.col, "serve.keymemo_hit", 1)
+		h = memo
+	} else {
+		obs.Count(s.col, "serve.keymemo_miss", 1)
+		if pat, err = s.generateWorkload(plan.workload); err != nil {
+			return "", nil, err
+		}
+		h = traceHash(pat)
+		s.memo.save(plan.workload, h)
+	}
+	return finishKey(h, plan.opt, plan.keyExtras()...), pat, nil
+}
+
 // errorResult maps a resolution failure onto its status, envelope code, and
 // counters.
 func (s *Server) errorResult(ctx context.Context, key string, err error) itemResult {
 	var bad *badRequestError
+	var tooLarge *tooLargeError
 	var panicked *panicError
 	switch {
 	case errors.As(err, &panicked):
@@ -429,6 +467,9 @@ func (s *Server) errorResult(ctx context.Context, key string, err error) itemRes
 	case errors.As(err, &bad):
 		obs.Count(s.col, "serve.bad_requests", 1)
 		return itemResult{status: http.StatusBadRequest, key: key, errCode: CodeBadRequest, errMsg: bad.Error()}
+	case errors.As(err, &tooLarge):
+		obs.Count(s.col, "serve.too_large", 1)
+		return itemResult{status: http.StatusRequestEntityTooLarge, key: key, errCode: CodeTooLarge, errMsg: tooLarge.Error()}
 	case errors.Is(err, errBulkSaturated):
 		obs.Count(s.col, "serve.lane_bulk_throttled", 1)
 		return itemResult{status: http.StatusTooManyRequests, key: key, errCode: CodeBulkSaturated,
@@ -512,189 +553,6 @@ func (s *Server) store(ent *Entry) bool {
 	return stored || s.disk != nil
 }
 
-// badRequestError marks request-construction failures that map to 4xx.
-type badRequestError struct{ err error }
-
-func (e *badRequestError) Error() string { return e.err.Error() }
-func (e *badRequestError) Unwrap() error { return e.err }
-
-func badRequest(format string, args ...any) error {
-	return &badRequestError{err: fmt.Errorf(format, args...)}
-}
-
-// hierParams is the parsed form of a request's hier block: the cluster spec
-// plus the per-level knobs, already validated at the grammar level (the
-// partition itself can still fail against the concrete pattern, which the
-// synthesis path maps to a client error).
-type hierParams struct {
-	spec         *hier.Spec
-	maxGateways  int
-	gatewayWidth int
-	noiLinkDelay int
-	noiMaxDegree int
-	noiMaxProcs  int
-}
-
-// fingerprint renders the hier knobs for the cache key. The spec goes in
-// canonically, so "4", "flow:4", and a reordered explicit spelling of the
-// same groups share an entry.
-func (hp *hierParams) fingerprint() string {
-	return fmt.Sprintf("hier=%s maxgw=%d gww=%d noidelay=%d noimaxdeg=%d noimaxprocs=%d",
-		hp.spec.Canonical(), hp.maxGateways, hp.gatewayWidth, hp.noiLinkDelay, hp.noiMaxDegree, hp.noiMaxProcs)
-}
-
-// options builds the two-level synthesis options: both levels inherit the
-// flat request knobs, with the NoI overrides applied on top.
-func (hp *hierParams) options(base synth.Options) hier.Options {
-	noi := base
-	if hp.noiMaxDegree != 0 {
-		noi.MaxDegree = hp.noiMaxDegree
-	}
-	if hp.noiMaxProcs != 0 {
-		noi.MaxProcsPerSwitch = hp.noiMaxProcs
-	}
-	return hier.Options{
-		Spec:         hp.spec,
-		MaxGateways:  hp.maxGateways,
-		GatewayWidth: hp.gatewayWidth,
-		NoILinkDelay: hp.noiLinkDelay,
-		NoC:          base,
-		NoI:          noi,
-	}
-}
-
-// parseDesignRequest decodes and validates the body, builds the pattern,
-// and resolves the effective synthesis options, the optional hier block,
-// and the admission lane. All failures are client errors.
-func (s *Server) parseDesignRequest(raw []byte) (*model.Pattern, synth.Options, *hierParams, string, error) {
-	var opt synth.Options
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var req DesignRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, opt, nil, "", badRequest("decoding request: %v", err)
-	}
-
-	lane := req.Lane
-	switch lane {
-	case "", LaneInteractive:
-		lane = LaneInteractive
-	case LaneBulk:
-	default:
-		return nil, opt, nil, "", badRequest("unknown lane %q (want %q or %q)", req.Lane, LaneInteractive, LaneBulk)
-	}
-
-	var pat *model.Pattern
-	switch {
-	case req.Benchmark != "" && req.Trace != "":
-		return nil, opt, nil, "", badRequest("benchmark and trace are mutually exclusive")
-	case req.Benchmark != "":
-		if req.Procs <= 0 {
-			return nil, opt, nil, "", badRequest("benchmark requests need procs > 0, got %d", req.Procs)
-		}
-		p, err := s.generateWorkload(req)
-		if err != nil {
-			return nil, opt, nil, "", err
-		}
-		pat = p
-	case req.Trace != "":
-		p, err := trace.Decode(strings.NewReader(req.Trace))
-		if err != nil {
-			return nil, opt, nil, "", badRequest("decoding trace: %v", err)
-		}
-		pat = p
-	default:
-		return nil, opt, nil, "", badRequest("request needs a benchmark or an inline trace")
-	}
-
-	opt = s.cfg.Synth
-	if req.Seed != 0 {
-		opt.Seed = req.Seed
-	}
-	if req.MaxDegree != 0 {
-		opt.MaxDegree = req.MaxDegree
-	}
-	if req.MaxProcs != 0 {
-		opt.MaxProcsPerSwitch = req.MaxProcs
-	}
-	if req.Restarts != 0 {
-		opt.Restarts = req.Restarts
-	}
-	if opt.Restarts < 0 || opt.Restarts > 64 {
-		return nil, opt, nil, "", badRequest("restarts %d outside [1, 64]", opt.Restarts)
-	}
-
-	var hp *hierParams
-	if req.Hier != nil {
-		h := req.Hier
-		if h.Clusters == "" {
-			return nil, opt, nil, "", badRequest("hier requests need a clusters spec")
-		}
-		spec, err := hier.ParseSpec(h.Clusters)
-		if err != nil {
-			return nil, opt, nil, "", &badRequestError{err: err}
-		}
-		if h.MaxGateways < 0 || h.GatewayWidth < 0 || h.NoILinkDelay < 0 ||
-			h.NoIMaxDegree < 0 || h.NoIMaxProcs < 0 {
-			return nil, opt, nil, "", badRequest("hier knobs must be non-negative")
-		}
-		hp = &hierParams{
-			spec:         spec,
-			maxGateways:  h.MaxGateways,
-			gatewayWidth: h.GatewayWidth,
-			noiLinkDelay: h.NoILinkDelay,
-			noiMaxDegree: h.NoIMaxDegree,
-			noiMaxProcs:  h.NoIMaxProcs,
-		}
-	}
-	return pat, opt, hp, lane, nil
-}
-
-// generateWorkload resolves a named workload against the NAS registry
-// first, then the collective registry (the name sets are disjoint). Typed
-// generator errors — unknown names, shape-constrained processor counts —
-// surface as client errors; a name unknown to both registries reports the
-// full menu.
-func (s *Server) generateWorkload(req DesignRequest) (*model.Pattern, error) {
-	cfg := s.cfg.NAS
-	cfg.Obs = nil // pattern generation is request work, not server telemetry
-	if req.Iterations > 0 {
-		cfg.Iterations = req.Iterations
-	}
-	p, err := nas.Generate(req.Benchmark, req.Procs, cfg)
-	if err == nil {
-		return p, nil
-	}
-	var pce *nas.ProcCountError
-	if errors.As(err, &pce) {
-		return nil, &badRequestError{err: err}
-	}
-	var ube *nas.UnknownBenchmarkError
-	if !errors.As(err, &ube) {
-		return nil, err
-	}
-
-	ccfg := s.cfg.Collective
-	ccfg.Obs = nil
-	if req.Iterations > 0 {
-		ccfg.Repeats = req.Iterations
-	}
-	p, cerr := collective.Generate(req.Benchmark, req.Procs, ccfg)
-	if cerr == nil {
-		return p, nil
-	}
-	var uce *collective.UnknownCollectiveError
-	if errors.As(cerr, &uce) {
-		return nil, badRequest("unknown benchmark or collective %q (benchmarks %v, collectives %v)",
-			req.Benchmark, nas.Names(), collective.Names())
-	}
-	var nce *collective.NodeCountError
-	if errors.As(cerr, &nce) {
-		return nil, &badRequestError{err: cerr}
-	}
-	return nil, cerr
-}
-
 // acquire claims a synthesis slot, queueing up to MaxQueue callers.
 func (s *Server) acquire(ctx context.Context) error {
 	select {
@@ -737,9 +595,11 @@ func (s *Server) releaseBulk() { <-s.bulkSem }
 // synthesis itself under the request context plus server budget, response
 // rendering, and the write-through store. The lane is the leader's — a
 // request joining an in-flight call shares its result regardless of lane.
-func (s *Server) synthesize(runCtx context.Context, key string, pat *model.Pattern, opt synth.Options, hp *hierParams, lane string, reqCol *obs.Collector) (*Entry, error) {
+// pat is nil when the key came from the memo: this leader is then the first
+// to need the pattern and builds it here, inside its admission slot.
+func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan, pat *model.Pattern, reqCol *obs.Collector) (*Entry, error) {
 	obs.Count(s.col, "serve.cache_miss", 1)
-	if lane == LaneBulk {
+	if plan.lane == LaneBulk {
 		if err := s.acquireBulk(); err != nil {
 			return nil, err
 		}
@@ -758,10 +618,17 @@ func (s *Server) synthesize(runCtx context.Context, key string, pat *model.Patte
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
+	if pat == nil {
+		var err error
+		if pat, err = s.generateWorkload(plan.workload); err != nil {
+			return nil, err
+		}
+	}
+	opt := plan.opt
 	opt.Obs = obs.Tee(s.col, reqCol, s.cfg.Synth.Obs)
 
-	if hp != nil {
-		return s.synthesizeHier(key, pat, opt, hp, reqCol)
+	if plan.hp != nil {
+		return s.synthesizeHier(key, pat, opt, plan.hp, reqCol)
 	}
 
 	// The contention model is computed once per miss: the fingerprint, the

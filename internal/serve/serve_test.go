@@ -31,7 +31,7 @@ func quickConfig() Config {
 
 // newTestServer builds a Server, failing the test on construction errors
 // (the only source is an unusable -data-dir).
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {

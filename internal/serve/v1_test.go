@@ -136,6 +136,47 @@ func TestErrorEnvelope(t *testing.T) {
 		}
 	})
 
+	t.Run("413 too_large", func(t *testing.T) {
+		srv := newTestServer(t, quickConfig())
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		for _, tc := range []struct{ name, body string }{
+			{"iterations", `{"benchmark":"CG","procs":16,"iterations":1000000}`},
+			{"iterations just past", `{"benchmark":"CG","procs":16,"iterations":4097}`},
+			{"procs", `{"benchmark":"FFT","procs":65536}`},
+			{"procs just past", `{"benchmark":"ring-allreduce","procs":1025}`},
+			{"unknown name, still bounded first", `{"benchmark":"LU","procs":2048}`},
+			{"hier", `{"benchmark":"CG","procs":4096,"hier":{"clusters":"4"}}`},
+		} {
+			resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", tc.body)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s: status = %d, want 413 (%s)", tc.name, resp.StatusCode, b)
+			}
+			if code := decodeEnvelope(t, resp, b); code != CodeTooLarge {
+				t.Errorf("%s: code = %q, want %q", tc.name, code, CodeTooLarge)
+			}
+		}
+		// At the bounds the request is judged on its merits: 1,024 nodes is
+		// the collective generator's 400, not a 413.
+		resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", `{"benchmark":"ring-allreduce","procs":1024,"iterations":4096}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("at the bounds: status = %d, want the generator's 400 (%s)", resp.StatusCode, b)
+		}
+		// The bound runs before the memo and before any generator.
+		col := srv.Metrics()
+		for name, want := range map[string]int64{
+			"serve.too_large":         6,
+			"serve.keymemo_hit":       0,
+			"serve.keymemo_miss":      1, // the request at the bounds
+			"serve.bad_requests":      1, // likewise
+			"serve.pattern_generated": 0,
+		} {
+			if got := col.Counter(name); got != want {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
+		}
+	})
+
 	t.Run("429 bulk_saturated", func(t *testing.T) {
 		cfg := quickConfig()
 		cfg.BulkMaxInFlight = -1 // bulk lane disabled: every bulk request throttles
