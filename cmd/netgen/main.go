@@ -130,20 +130,13 @@ func runHier(pat *model.Pattern, base synth.Options, shared *cliutil.Flags, out 
 	if err != nil {
 		return err
 	}
-	noi := base
-	if shared.NoIMaxDegree != 0 {
-		noi.MaxDegree = shared.NoIMaxDegree
-	}
-	if shared.NoIMaxProcs != 0 {
-		noi.MaxProcsPerSwitch = shared.NoIMaxProcs
-	}
 	d, err := hier.Synthesize(pat, hier.Options{
 		Spec:         spec,
 		MaxGateways:  shared.MaxGateways,
 		GatewayWidth: shared.GatewayWidth,
 		NoILinkDelay: shared.NoILinkDelay,
 		NoC:          base,
-		NoI:          noi,
+		NoI:          hier.NoIOptions(base, shared.NoIMaxDegree, shared.NoIMaxProcs),
 		Obs:          shared.Observer(),
 	})
 	if err != nil {

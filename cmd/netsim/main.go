@@ -29,7 +29,6 @@ func main() {
 		netPath   = flag.String("net", "", "topology JSON for -topo generated")
 		vcs       = flag.Int("vcs", 3, "virtual channels per link")
 		useFloor  = flag.Bool("floorplan", true, "derive per-link delays from a floorplan (generated topologies)")
-		reference = flag.Bool("reference", false, "use the cycle-stepping reference engine (slow; for differential debugging)")
 		shared    cliutil.Flags
 	)
 	shared.RegisterSeed(flag.CommandLine, "floorplan placement seed")
@@ -47,7 +46,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := flitsim.Config{VCs: *vcs, Obs: shared.Observer(), ReferenceEngine: *reference}
+	cfg := flitsim.Config{VCs: *vcs, Obs: shared.Observer()}
 
 	var res flitsim.Result
 	switch *topo {

@@ -35,7 +35,7 @@ func Example_contentionModel() {
 	})
 	periods := model.ContentionPeriods(p)
 	maxed := model.MaxCliques(periods)
-	c := model.ContentionSetFromCliques(maxed)
+	c := model.ConflictMatrixFromCliques(model.NewFlowIndex(p.Flows()), maxed)
 	fmt.Println("periods:", len(periods))
 	fmt.Println("maximal cliques:", len(maxed))
 	fmt.Println("|C|:", c.Len())
@@ -48,11 +48,12 @@ func Example_contentionModel() {
 // Example_theorem1 shows the sufficient condition directly: two flows that
 // overlap in time and share a link violate C ∩ R = ∅.
 func Example_theorem1() {
-	c := model.NewPairSet()
-	c.Add(model.F(0, 2), model.F(1, 2))
-	r := model.NewPairSet()
-	r.Add(model.F(0, 2), model.F(1, 2))
-	free, witnesses := model.ContentionFree(c, r)
+	ix := model.NewFlowIndex([]model.Flow{model.F(0, 2), model.F(1, 2)})
+	c := model.NewConflictMatrix(ix)
+	c.Add(0, 1)
+	r := model.NewConflictMatrix(ix)
+	r.Add(0, 1)
+	free, witnesses := model.ContentionFreeBits(c, r)
 	fmt.Println("contention-free:", free)
 	fmt.Println("witnesses:", len(witnesses))
 	// Output:

@@ -6,11 +6,10 @@
 //
 // Three solvers are provided, mirroring the paper:
 //
-//   - FastColorBits (and the retained map-reference FastColor): the
-//     Appendix's Fast_Color — the maximum cardinality of the intersection
-//     between any maximum clique and the pipe's flow set. A cheap, close
-//     lower bound used throughout partitioning; on the dense flow-ID
-//     representation it is one popcount-of-AND per clique.
+//   - FastColorBits: the Appendix's Fast_Color — the maximum cardinality of
+//     the intersection between any maximum clique and the pipe's flow set. A
+//     cheap, close lower bound used throughout partitioning; on the dense
+//     flow-ID representation it is one popcount-of-AND per clique.
 //   - Greedy: DSATUR, a fast upper bound.
 //   - Exact: branch-and-bound chromatic coloring used at finalization
 //     ("formal coloring"), with a node budget that falls back to DSATUR on
@@ -109,27 +108,11 @@ func (g *ConflictGraph) addEdge(i, j int) {
 	g.degree[j]++
 }
 
-// BuildConflictGraph constructs the conflict graph over the given flows with
-// an edge wherever the contention set C marks the pair as potentially
-// colliding.
-func BuildConflictGraph(flows []model.Flow, c model.PairSet) *ConflictGraph {
-	fs := append([]model.Flow(nil), flows...)
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Less(fs[j]) })
-	g := newGraph(fs)
-	for i := 0; i < len(fs); i++ {
-		for j := i + 1; j < len(fs); j++ {
-			if c.Has(fs[i], fs[j]) {
-				g.addEdge(i, j)
-			}
-		}
-	}
-	return g
-}
-
 // BuildConflictGraphBits constructs the conflict graph for the member flows
-// of a pipe direction directly from dense conflict rows: members selects
-// flow IDs over cm's FlowIndex. Vertices come out in sorted flow order
-// because IDs ascend in Flow.Less order.
+// of a pipe direction, with an edge wherever the contention relation cm
+// marks the pair as potentially colliding: members selects flow IDs over
+// cm's FlowIndex. Vertices come out in sorted flow order because IDs ascend
+// in Flow.Less order.
 func BuildConflictGraphBits(members model.BitSet, cm *model.ConflictMatrix) *ConflictGraph {
 	ids := members.Elems(nil)
 	fs := make([]model.Flow, len(ids))
@@ -148,14 +131,6 @@ func BuildConflictGraphBits(members model.BitSet, cm *model.ConflictMatrix) *Con
 	return g
 }
 
-// BuildFromCliques constructs the conflict graph over the given flows with
-// an edge between two flows whenever they appear together in some clique —
-// the usual construction during partitioning, where C is represented by the
-// maximum clique set.
-func BuildFromCliques(flows []model.Flow, cliques []model.Clique) *ConflictGraph {
-	return BuildConflictGraph(flows, model.ContentionSetFromCliques(cliques))
-}
-
 // N returns the vertex count.
 func (g *ConflictGraph) N() int { return len(g.Flows) }
 
@@ -171,33 +146,15 @@ func (g *ConflictGraph) Edges() int {
 	return e / 2
 }
 
-// FastColor implements the Appendix's Fast_Color bound for a single
-// direction: the maximum number of flows the set shares with any one clique.
-// Every such shared subset is mutually conflicting, hence a clique of the
-// conflict graph, hence a lower bound on its chromatic number.
-//
-// This is the map-based reference implementation, retained for the
-// equivalence suite and cold callers; the synthesis hot path uses
-// FastColorBits.
-func FastColor(cliques []model.Clique, flows map[model.Flow]bool) int {
-	best := 0
-	for _, c := range cliques {
-		n := 0
-		for _, f := range c {
-			if flows[f] {
-				n++
-			}
-		}
-		if n > best {
-			best = n
-		}
-	}
-	return best
-}
-
-// FastColorBits is Fast_Color on the dense flow-ID representation: the
-// maximum popcount of the AND between the pipe-direction flow set and any
-// clique's membership bitset. All bitsets must share one FlowIndex.
+// FastColorBits implements the Appendix's Fast_Color bound for a single
+// direction: the maximum number of flows the set shares with any one clique,
+// i.e. the maximum popcount of the AND between the pipe-direction flow set
+// and any clique's membership bitset. Every such shared subset is mutually
+// conflicting, hence a clique of the conflict graph, hence a lower bound on
+// its chromatic number. A pipe needs the maximum over its two directions
+// (Section 3.1: "the overall number of links required is equal to the
+// maximum cardinality of the two sets of colors"). All bitsets must share
+// one FlowIndex.
 func FastColorBits(cliqueBits []model.BitSet, flows model.BitSet) int {
 	best := 0
 	for _, cb := range cliqueBits {
@@ -206,18 +163,6 @@ func FastColorBits(cliqueBits []model.BitSet, flows model.BitSet) int {
 		}
 	}
 	return best
-}
-
-// FastColorPipe applies Fast_Color to both directions of a pipe and returns
-// the maximum — the estimated number of full-duplex links required
-// (Section 3.1: "the overall number of links required is equal to the
-// maximum cardinality of the two sets of colors").
-func FastColorPipe(cliques []model.Clique, fwd, bwd map[model.Flow]bool) int {
-	f := FastColor(cliques, fwd)
-	if b := FastColor(cliques, bwd); b > f {
-		return b
-	}
-	return f
 }
 
 // Greedy colors the graph with the DSATUR heuristic and returns the color
@@ -409,15 +354,9 @@ func (g *ConflictGraph) tryColor(order, assign []int, colorVerts []model.BitSet,
 // Assignment maps flows to their assigned color (link index).
 type Assignment map[model.Flow]int
 
-// ColorPipeDirection exactly colors one direction's conflict graph and
-// returns the color count and flow→color assignment.
-func ColorPipeDirection(flows []model.Flow, c model.PairSet) (int, Assignment, bool) {
-	g := BuildConflictGraph(flows, c)
-	return colorGraph(g, nil)
-}
-
-// ColorPipeDirectionBits is ColorPipeDirection on the dense representation:
-// members selects the direction's flow IDs over cm's FlowIndex.
+// ColorPipeDirectionBits exactly colors one direction's conflict graph and
+// returns the color count and flow→color assignment: members selects the
+// direction's flow IDs over cm's FlowIndex.
 func ColorPipeDirectionBits(members model.BitSet, cm *model.ConflictMatrix) (int, Assignment, bool) {
 	return ColorPipeDirectionBitsStats(members, cm, nil)
 }

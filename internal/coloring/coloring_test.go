@@ -16,8 +16,32 @@ func flowsN(n int) []model.Flow {
 	return fs
 }
 
-func fullContention(fs []model.Flow) model.PairSet {
-	c := model.NewPairSet()
+// edges is a test-side list of conflicting flow pairs.
+type edges [][2]model.Flow
+
+func (e *edges) Add(a, b model.Flow) { *e = append(*e, [2]model.Flow{a, b}) }
+
+// contention builds the relation C over fs that marks exactly the listed
+// pairs.
+func contention(fs []model.Flow, c edges) *model.ConflictMatrix {
+	ix := model.NewFlowIndex(fs)
+	cm := model.NewConflictMatrix(ix)
+	for _, p := range c {
+		i, _ := ix.ID(p[0])
+		j, _ := ix.ID(p[1])
+		cm.Add(i, j)
+	}
+	return cm
+}
+
+// graph builds the conflict graph with vertices fs and the listed edges.
+func graph(fs []model.Flow, c edges) *ConflictGraph {
+	cm := contention(fs, c)
+	return BuildConflictGraphBits(cm.Index().Bits(fs), cm)
+}
+
+func fullContention(fs []model.Flow) edges {
+	var c edges
 	for i := range fs {
 		for j := i + 1; j < len(fs); j++ {
 			c.Add(fs[i], fs[j])
@@ -28,10 +52,10 @@ func fullContention(fs []model.Flow) model.PairSet {
 
 func TestBuildConflictGraph(t *testing.T) {
 	fs := flowsN(4)
-	c := model.NewPairSet()
+	var c edges
 	c.Add(fs[0], fs[1])
 	c.Add(fs[2], fs[3])
-	g := BuildConflictGraph(fs, c)
+	g := graph(fs, c)
 	if g.N() != 4 || g.Edges() != 2 {
 		t.Fatalf("graph: n=%d e=%d", g.N(), g.Edges())
 	}
@@ -47,7 +71,7 @@ func TestBuildConflictGraph(t *testing.T) {
 
 func TestGreedyOnCompleteGraph(t *testing.T) {
 	fs := flowsN(5)
-	g := BuildConflictGraph(fs, fullContention(fs))
+	g := graph(fs, fullContention(fs))
 	k, assign := g.Greedy()
 	if k != 5 {
 		t.Fatalf("K5 greedy colors = %d, want 5", k)
@@ -57,7 +81,7 @@ func TestGreedyOnCompleteGraph(t *testing.T) {
 
 func TestGreedyOnEmptyGraph(t *testing.T) {
 	fs := flowsN(6)
-	g := BuildConflictGraph(fs, model.NewPairSet())
+	g := graph(fs, nil)
 	k, assign := g.Greedy()
 	if k != 1 {
 		t.Fatalf("edgeless graph colors = %d, want 1", k)
@@ -66,7 +90,7 @@ func TestGreedyOnEmptyGraph(t *testing.T) {
 }
 
 func TestGreedyZeroVertices(t *testing.T) {
-	g := BuildConflictGraph(nil, model.NewPairSet())
+	g := graph(nil, nil)
 	if k, _ := g.Greedy(); k != 0 {
 		t.Fatalf("empty graph colors = %d", k)
 	}
@@ -78,11 +102,11 @@ func TestGreedyZeroVertices(t *testing.T) {
 func TestExactOddCycle(t *testing.T) {
 	// C5 needs 3 colors; DSATUR may also find 3, but exact must prove it.
 	fs := flowsN(5)
-	c := model.NewPairSet()
+	var c edges
 	for i := 0; i < 5; i++ {
 		c.Add(fs[i], fs[(i+1)%5])
 	}
-	g := BuildConflictGraph(fs, c)
+	g := graph(fs, c)
 	k, assign, exact := g.Exact()
 	if k != 3 || !exact {
 		t.Fatalf("C5 chromatic = %d (exact=%v), want 3", k, exact)
@@ -93,13 +117,13 @@ func TestExactOddCycle(t *testing.T) {
 func TestExactBipartite(t *testing.T) {
 	// K3,3 is 2-chromatic; greedy may or may not see it, exact must.
 	fs := flowsN(6)
-	c := model.NewPairSet()
+	var c edges
 	for i := 0; i < 3; i++ {
 		for j := 3; j < 6; j++ {
 			c.Add(fs[i], fs[j])
 		}
 	}
-	g := BuildConflictGraph(fs, c)
+	g := graph(fs, c)
 	k, assign, exact := g.Exact()
 	if k != 2 || !exact {
 		t.Fatalf("K3,3 chromatic = %d (exact=%v), want 2", k, exact)
@@ -122,31 +146,20 @@ func checkProper(t *testing.T, g *ConflictGraph, assign []int) {
 }
 
 func TestFastColor(t *testing.T) {
+	universe := []model.Flow{model.F(0, 1), model.F(2, 3), model.F(4, 5), model.F(6, 7)}
 	k1 := model.NewClique(model.F(0, 1), model.F(2, 3), model.F(4, 5))
 	k2 := model.NewClique(model.F(0, 1), model.F(6, 7))
-	pipe := map[model.Flow]bool{
-		model.F(0, 1): true, model.F(2, 3): true, model.F(6, 7): true,
+	pipe := []model.Flow{model.F(0, 1), model.F(2, 3), model.F(6, 7)}
+	ix := model.NewFlowIndex(universe)
+	cliqueBits, pipeSet := ix.CliqueBits([]model.Clique{k1, k2}), ix.Bits(pipe)
+	if got := FastColorBits(cliqueBits, pipeSet); got != 2 {
+		t.Fatalf("FastColorBits = %d, want 2", got)
 	}
-	if got := FastColor([]model.Clique{k1, k2}, pipe); got != 2 {
-		t.Fatalf("FastColor = %d, want 2", got)
+	if got := FastColorBits(nil, pipeSet); got != 0 {
+		t.Fatalf("FastColorBits with no cliques = %d", got)
 	}
-	if got := FastColor(nil, pipe); got != 0 {
-		t.Fatalf("FastColor with no cliques = %d", got)
-	}
-	if got := FastColor([]model.Clique{k1}, nil); got != 0 {
-		t.Fatalf("FastColor with empty pipe = %d", got)
-	}
-}
-
-func TestFastColorPipeTakesMax(t *testing.T) {
-	k := model.NewClique(model.F(0, 1), model.F(2, 3), model.F(4, 5))
-	fwd := map[model.Flow]bool{model.F(0, 1): true}
-	bwd := map[model.Flow]bool{model.F(2, 3): true, model.F(4, 5): true}
-	if got := FastColorPipe([]model.Clique{k}, fwd, bwd); got != 2 {
-		t.Fatalf("FastColorPipe = %d, want 2", got)
-	}
-	if got := FastColorPipe([]model.Clique{k}, bwd, fwd); got != 2 {
-		t.Fatalf("FastColorPipe (swapped) = %d, want 2", got)
+	if got := FastColorBits(cliqueBits[:1], model.NewBitSet(ix.Len())); got != 0 {
+		t.Fatalf("FastColorBits with empty pipe = %d", got)
 	}
 }
 
@@ -171,23 +184,23 @@ func TestFastColorIsLowerBoundProperty(t *testing.T) {
 		}
 		cliques = model.MaxCliques(cliques)
 		// Pipe: random subset.
-		pipeFlows := map[model.Flow]bool{}
 		var pipeList []model.Flow
 		for _, f := range universe {
 			if rng.Intn(2) == 0 {
-				pipeFlows[f] = true
 				pipeList = append(pipeList, f)
 			}
 		}
-		lb := FastColor(cliques, pipeFlows)
-		g := BuildFromCliques(pipeList, cliques)
+		ix := model.NewFlowIndex(universe)
+		pipe := ix.Bits(pipeList)
+		lb := FastColorBits(ix.CliqueBits(cliques), pipe)
+		g := BuildConflictGraphBits(pipe, model.ConflictMatrixFromCliques(ix, cliques))
 		chrom, assign, exact := g.Exact()
 		if !exact {
 			t.Fatalf("trial %d: exact coloring exhausted on a 10-vertex graph", trial)
 		}
 		checkProper(t, g, assign)
 		if lb > chrom {
-			t.Fatalf("trial %d: FastColor %d exceeds chromatic number %d", trial, lb, chrom)
+			t.Fatalf("trial %d: FastColorBits %d exceeds chromatic number %d", trial, lb, chrom)
 		}
 		gk, _ := g.Greedy()
 		if gk < chrom {
@@ -199,7 +212,7 @@ func TestFastColorIsLowerBoundProperty(t *testing.T) {
 	}
 	// "Close lower bound": tight in the large majority of cases.
 	if tight*10 < trials*7 {
-		t.Errorf("FastColor tight in only %d/%d trials", tight, trials)
+		t.Errorf("FastColorBits tight in only %d/%d trials", tight, trials)
 	}
 }
 
@@ -208,7 +221,7 @@ func TestExactMatchesBruteForceSmall(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(5)
 		fs := flowsN(n)
-		c := model.NewPairSet()
+		var c edges
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if rng.Intn(2) == 0 {
@@ -216,7 +229,7 @@ func TestExactMatchesBruteForceSmall(t *testing.T) {
 				}
 			}
 		}
-		g := BuildConflictGraph(fs, c)
+		g := graph(fs, c)
 		k, assign, exact := g.Exact()
 		if !exact {
 			t.Fatalf("budget exhausted on %d vertices", n)
@@ -264,8 +277,8 @@ func bruteTry(g *ConflictGraph, assign []int, v, k int) bool {
 
 func TestColorPipeDirection(t *testing.T) {
 	fs := flowsN(4)
-	c := fullContention(fs[:3]) // first three mutually conflict
-	k, assign, exact := ColorPipeDirection(fs, c)
+	cm := contention(fs, fullContention(fs[:3])) // first three mutually conflict
+	k, assign, exact := ColorPipeDirectionBits(cm.Index().Bits(fs), cm)
 	if k != 3 || !exact {
 		t.Fatalf("k=%d exact=%v, want 3", k, exact)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nas"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -78,9 +79,11 @@ func BenchmarkSimulateCG16GapMesh(b *testing.B) {
 
 func BenchmarkSimulateCG16GapMeshReference(b *testing.B) {
 	pat := gapHeavyCG(b)
+	rows, cols := topology.GridDims(pat.Procs)
+	net, grid := topology.Mesh(rows, cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunMesh(pat, Config{ReferenceEngine: true}); err != nil {
+		if _, err := runReference(pat, net, DOR{Grid: grid}, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // engine is the event-driven simulation core. It produces results
-// byte-identical to the cycle-stepping reference engine (engine_ref.go) but
+// byte-identical to the cycle-stepping reference engine (the test oracle in engine_ref_test.go) but
 // runs far faster on real traces by:
 //
 //   - fast-forwarding e.now across provably idle gaps (long NAS compute
@@ -92,12 +92,8 @@ var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
 // Simulate runs the pattern on the network under the given router and
 // returns aggregate results. Deterministic: identical inputs produce
-// identical results. The event-driven core is used unless the configuration
-// selects the retained reference engine.
+// identical results.
 func Simulate(pat *model.Pattern, router Router, fb *fabric) (Result, error) {
-	if fb.cfg.ReferenceEngine {
-		return simulateReference(pat, router, fb)
-	}
 	e := enginePool.Get().(*engine)
 	e.reset(pat, router, fb)
 	err := e.run()

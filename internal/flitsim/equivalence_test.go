@@ -13,6 +13,14 @@ import (
 	"repro/internal/trace"
 )
 
+// runReference is Run on the cycle-stepping oracle of engine_ref_test.go: the
+// same normalised configuration and fabric, simulateReference in place of
+// Simulate. Every suite that needs the reference goes through here.
+func runReference(pat *model.Pattern, net *topology.Network, router Router, cfg Config) (Result, error) {
+	cfg = cfg.Normalized()
+	return simulateReference(pat, router, buildFabric(net, cfg))
+}
+
 // runBoth runs the same workload through the event-driven engine and the
 // cycle-stepping reference and requires byte-identical Results, identical
 // error behavior, identical Observer counter maps, and an identical
@@ -25,8 +33,7 @@ func runBoth(t *testing.T, name string, pat *model.Pattern, net *topology.Networ
 	fastRes, fastErr := Run(pat, net, router, fcfg)
 	rcfg := cfg
 	rcfg.Obs = refCol
-	rcfg.ReferenceEngine = true
-	refRes, refErr := Run(pat, net, router, rcfg)
+	refRes, refErr := runReference(pat, net, router, rcfg)
 
 	switch {
 	case (fastErr == nil) != (refErr == nil):

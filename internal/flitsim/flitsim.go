@@ -67,12 +67,6 @@ type Config struct {
 	// the end of each simulation, a span per run, and one event per
 	// regressive-recovery kill. Nil disables telemetry at zero cost.
 	Obs obs.Observer
-	// ReferenceEngine selects the retained cycle-stepping engine instead
-	// of the event-driven core — a differential-debugging escape hatch
-	// (see DESIGN.md §8). Both engines produce identical Results and
-	// telemetry; the reference is orders of magnitude slower on traces
-	// with long compute gaps.
-	ReferenceEngine bool
 }
 
 // Normalized returns the configuration with every zero field replaced by

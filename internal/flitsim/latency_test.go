@@ -51,13 +51,13 @@ func TestLatencyAccountingGolden(t *testing.T) {
 	})
 	for _, eng := range []struct {
 		name string
-		cfg  Config
+		run  func(*model.Pattern, *topology.Network, Router, Config) (Result, error)
 	}{
-		{"event-driven", Config{}},
-		{"reference", Config{ReferenceEngine: true}},
+		{"event-driven", Run},
+		{"reference", runReference},
 	} {
 		t.Run(eng.name, func(t *testing.T) {
-			res, err := Run(pat, net, SourceRouted{Table: table}, eng.cfg)
+			res, err := eng.run(pat, net, SourceRouted{Table: table}, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestFlitHopConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Run(pat, net, DOR{Grid: grid}, Config{ReferenceEngine: true})
+	ref, err := runReference(pat, net, DOR{Grid: grid}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func buildScripts(p *model.Pattern, cfg Config) [][]op {
 	arena := make([]op, total)
 	off := 0
 	for proc, n := range counts {
-		scripts[proc] = arena[off:off:off+n]
+		scripts[proc] = arena[off : off : off+n]
 		off += n
 	}
 	var msgs []int

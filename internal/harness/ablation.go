@@ -40,24 +40,25 @@ func (c Config) ColoringQuality(procs map[string]int) ([]ColoringQualityRow, err
 		if err != nil {
 			return ColoringQualityRow{}, err
 		}
-		cliques := d.Result.Cliques
-		contention := model.ContentionSetFromCliques(cliques)
+		ix := model.NewFlowIndex(d.Pattern.Flows())
+		cliqueBits := ix.CliqueBits(d.Result.Cliques)
+		contention := model.ConflictMatrixFromCliques(ix, d.Result.Cliques)
 		row := ColoringQualityRow{Benchmark: name, Procs: n}
 		// Reconstruct per-pipe-direction flow sets from the routes.
-		dirFlows := make(map[[2]int][]model.Flow)
+		dirFlows := make(map[[2]int]model.BitSet)
 		for f, r := range d.Result.Table.Routes {
+			id, _ := ix.ID(f)
 			for i := 1; i < len(r.Switches); i++ {
 				key := [2]int{int(r.Switches[i-1]), int(r.Switches[i])}
-				dirFlows[key] = append(dirFlows[key], f)
+				if dirFlows[key] == nil {
+					dirFlows[key] = model.NewBitSet(ix.Len())
+				}
+				dirFlows[key].Set(id)
 			}
 		}
 		for _, flows := range dirFlows {
-			set := make(map[model.Flow]bool, len(flows))
-			for _, f := range flows {
-				set[f] = true
-			}
-			fast := coloring.FastColor(cliques, set)
-			chrom, _, _ := coloring.ColorPipeDirection(flows, contention)
+			fast := coloring.FastColorBits(cliqueBits, flows)
+			chrom, _, _ := coloring.ColorPipeDirectionBits(flows, contention)
 			row.Pipes++
 			if fast == chrom {
 				row.Tight++
@@ -168,16 +169,18 @@ func (c Config) SkewRobustness(benchmark string, procs int, skews []float64) ([]
 	if err != nil {
 		return nil, err
 	}
-	r := d.Result.Table.ConflictSet()
+	ix := model.NewFlowIndex(d.Pattern.Flows())
+	r := d.Result.Table.ConflictMatrix(ix)
 	return parallel.MapObserved(c.Obs, "harness.skew", c.Workers, len(skews), func(i int) (SkewRow, error) {
 		s := skews[i]
-		skewed := trace.ApplySkew(d.Pattern, s, c.Seed+7)
-		cs := model.ContentionSet(skewed)
-		_, witnesses := model.ContentionFree(cs, r)
+		// Skew moves messages in time only, so the skewed trace's flows
+		// are the ideal pattern's and ix interns both.
+		periods := model.ContentionPeriods(trace.ApplySkew(d.Pattern, s, c.Seed+7))
+		_, witnesses := model.ContentionFreeBits(model.ConflictMatrixFromCliques(ix, periods), r)
 		return SkewRow{
 			Skew:      s,
 			Witnesses: len(witnesses),
-			Periods:   len(model.ContentionPeriods(skewed)),
+			Periods:   len(periods),
 		}, nil
 	})
 }

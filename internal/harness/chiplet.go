@@ -7,12 +7,10 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/flitsim"
-	"repro/internal/floorplan"
 	"repro/internal/hier"
 	"repro/internal/model"
 	"repro/internal/nas"
 	"repro/internal/obs"
-	"repro/internal/synth"
 )
 
 // ChipletRow is one bar of the chiplet experiment: one organization of a
@@ -66,7 +64,7 @@ func (c Config) Chiplet(benchmark string, procs, clusters int) ([]ChipletRow, er
 	if err != nil {
 		return nil, fmt.Errorf("chiplet %s/%d: %v", benchmark, procs, err)
 	}
-	flat, err := c.buildFlatDesign(benchmark, procs, pat)
+	flat, err := c.designFor(benchmark, procs, pat)
 	if err != nil {
 		return nil, fmt.Errorf("chiplet %s/%d: flat: %v", benchmark, procs, err)
 	}
@@ -166,21 +164,6 @@ func (c Config) chipletPattern(benchmark string, procs int) (*model.Pattern, err
 		return nil, err
 	}
 	return collective.Generate(benchmark, procs, c.collectiveConfig())
-}
-
-// buildFlatDesign wraps an already generated pattern in the flat synthesis
-// + floorplan pipeline (BuildDesign regenerates the pattern; here the same
-// pattern must feed all three organizations).
-func (c Config) buildFlatDesign(benchmark string, procs int, pat *model.Pattern) (*Design, error) {
-	res, err := synth.Synthesize(pat, c.synthOptions())
-	if err != nil {
-		return nil, err
-	}
-	plan, err := floorplan.Place(res.Net, floorplan.Options{Seed: c.Seed, Obs: c.Obs})
-	if err != nil {
-		return nil, err
-	}
-	return &Design{Benchmark: benchmark, Procs: procs, Pattern: pat, Result: res, Plan: plan}, nil
 }
 
 // RenderChipletTable formats chiplet rows as a text table.

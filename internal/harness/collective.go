@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/collective"
-	"repro/internal/floorplan"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/synth"
 )
 
 // collectiveConfig maps the harness knobs onto the collective generators:
@@ -25,21 +23,7 @@ func (c Config) BuildCollectiveDesign(name string, nodes int) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := synth.Synthesize(pat, c.synthOptions())
-	if err != nil {
-		return nil, err
-	}
-	plan, err := floorplan.Place(res.Net, floorplan.Options{Seed: c.Seed, Obs: c.Obs})
-	if err != nil {
-		return nil, err
-	}
-	return &Design{
-		Benchmark: name,
-		Procs:     nodes,
-		Pattern:   pat,
-		Result:    res,
-		Plan:      plan,
-	}, nil
+	return c.designFor(name, nodes, pat)
 }
 
 // CollectiveTopologies lists the comparison bars for the collective

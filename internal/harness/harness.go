@@ -36,10 +36,7 @@ type Config struct {
 	// are independent, collected in input order, and the first error in
 	// cell order wins (see internal/parallel).
 	Workers int
-	// Sim carries simulator parameters. Harness cells run on flitsim's
-	// event-driven engine by default; Sim.ReferenceEngine selects the
-	// cycle-stepping reference when differentially debugging a cell (the
-	// two produce byte-identical Results, so figures are unaffected).
+	// Sim carries simulator parameters.
 	Sim flitsim.Config
 	// Obs receives telemetry from the harness itself (one span per
 	// experiment cell, pool-occupancy counters) and is propagated to the
@@ -94,6 +91,14 @@ func (c Config) BuildDesign(benchmark string, procs int) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.designFor(benchmark, procs, pat)
+}
+
+// designFor synthesizes and floorplans a network for an already generated
+// pattern: the one body behind BuildDesign, BuildCollectiveDesign and the
+// chiplet experiment's flat organization (which must feed the same pattern
+// to all three organizations).
+func (c Config) designFor(name string, procs int, pat *model.Pattern) (*Design, error) {
 	res, err := synth.Synthesize(pat, c.synthOptions())
 	if err != nil {
 		return nil, err
@@ -102,13 +107,7 @@ func (c Config) BuildDesign(benchmark string, procs int) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Design{
-		Benchmark: benchmark,
-		Procs:     procs,
-		Pattern:   pat,
-		Result:    res,
-		Plan:      plan,
-	}, nil
+	return &Design{Benchmark: name, Procs: procs, Pattern: pat, Result: res, Plan: plan}, nil
 }
 
 // simulateGenerated runs a pattern on a design's network with its

@@ -95,14 +95,15 @@ func (c Config) MultiApp(apps []string, procs int) (*MultiAppResult, error) {
 	// Phase 2: per-app Theorem 1 checks and simulations against the
 	// shared network are again independent cells; the merged design is
 	// only read concurrently.
-	r := mergedRes.Table.ConflictSet()
+	ix := model.NewFlowIndex(merged.Flows())
+	r := mergedRes.Table.ConflictMatrix(ix)
 	type appEval struct {
 		free  bool
 		ratio float64
 	}
 	evals, err := parallel.MapObserved(c.Obs, "harness.multiapp.eval", c.Workers, len(res.Apps), func(i int) (appEval, error) {
 		d := designs[res.Apps[i]]
-		free, _ := model.ContentionFree(model.ContentionSet(d.Pattern), r)
+		free, _ := model.ContentionFreeBits(model.ConflictMatrixFromCliques(ix, model.ContentionPeriods(d.Pattern)), r)
 		own, err := c.simulateGenerated(d.Pattern, d)
 		if err != nil {
 			return appEval{}, err

@@ -44,30 +44,31 @@ type WalkthroughResult struct {
 func (c Config) Walkthrough() (*WalkthroughResult, error) {
 	pat := nas.Figure1Pattern()
 	cliques := model.MaxCliqueSet(pat)
-	contention := model.ContentionSetFromCliques(cliques)
+	ix := model.NewFlowIndex(pat.Flows())
+	cliqueBits := ix.CliqueBits(cliques)
+	contention := model.ConflictMatrixFromCliques(ix, cliques)
 
 	w := &WalkthroughResult{MaxCliques: len(cliques)}
 
+	// A cut's link count is the larger of its two directions' color
+	// counts (Section 3.1).
 	cutLinks := func(inA func(int) bool) (fast, exact int) {
-		fwdSet := map[model.Flow]bool{}
-		bwdSet := map[model.Flow]bool{}
-		var fwd, bwd []model.Flow
-		for _, f := range pat.Flows() {
+		fwd, bwd := model.NewBitSet(ix.Len()), model.NewBitSet(ix.Len())
+		for id, f := range ix.Flows() {
 			switch {
 			case inA(f.Src) && !inA(f.Dst):
-				fwdSet[f] = true
-				fwd = append(fwd, f)
+				fwd.Set(id)
 			case !inA(f.Src) && inA(f.Dst):
-				bwdSet[f] = true
-				bwd = append(bwd, f)
+				bwd.Set(id)
 			}
 		}
-		fast = coloring.FastColorPipe(cliques, fwdSet, bwdSet)
-		kf, _, _ := coloring.ColorPipeDirection(fwd, contention)
-		kb, _, _ := coloring.ColorPipeDirection(bwd, contention)
-		exact = kf
-		if kb > exact {
-			exact = kb
+		for _, dir := range []model.BitSet{fwd, bwd} {
+			if k := coloring.FastColorBits(cliqueBits, dir); k > fast {
+				fast = k
+			}
+			if k, _, _ := coloring.ColorPipeDirectionBits(dir, contention); k > exact {
+				exact = k
+			}
 		}
 		return fast, exact
 	}

@@ -15,6 +15,24 @@ func hierOptions(workers int) Options {
 	return Options{NoC: lvl, NoI: lvl}
 }
 
+// TestNoIOptionsInheritsUnlessOverridden: zero budgets leave the NoC options
+// as they are; a non-zero budget replaces that constraint and nothing else.
+func TestNoIOptionsInheritsUnlessOverridden(t *testing.T) {
+	noc := synth.Options{Seed: 3, Restarts: 2, Constraints: synth.Constraints{MaxDegree: 6, MaxProcsPerSwitch: 3}}
+	if got := NoIOptions(noc, 0, 0); got != noc {
+		t.Errorf("no overrides: %+v, want the NoC options %+v", got, noc)
+	}
+	want := noc
+	want.MaxDegree = 4
+	if got := NoIOptions(noc, 4, 0); got != want {
+		t.Errorf("degree override: %+v, want %+v", got, want)
+	}
+	want.MaxProcsPerSwitch = 2
+	if got := NoIOptions(noc, 4, 2); got != want {
+		t.Errorf("both overrides: %+v, want %+v", got, want)
+	}
+}
+
 func designBytes(t *testing.T, d *Design) []byte {
 	t.Helper()
 	var buf bytes.Buffer

@@ -43,6 +43,20 @@ type Options struct {
 	Obs obs.Observer
 }
 
+// NoIOptions returns the inter-chiplet level's synthesis options: the NoI
+// inherits the NoC's, and a non-zero degree or processors-per-switch budget
+// overrides that one constraint. netgen's -noi-* flags and the server's hier
+// block both build Options.NoI here.
+func NoIOptions(noc synth.Options, maxDegree, maxProcsPerSwitch int) synth.Options {
+	if maxDegree != 0 {
+		noc.MaxDegree = maxDegree
+	}
+	if maxProcsPerSwitch != 0 {
+		noc.MaxProcsPerSwitch = maxProcsPerSwitch
+	}
+	return noc
+}
+
 // Normalized resolves defaults.
 func (o Options) Normalized() Options {
 	if o.GatewayWidth <= 0 {

@@ -40,9 +40,10 @@ func BenchmarkMaxCliques(b *testing.B) {
 
 func BenchmarkContentionSet(b *testing.B) {
 	p := benchPattern(500)
+	ix := NewFlowIndex(p.Flows())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ContentionSet(p)
+		ConflictMatrixFromCliques(ix, ContentionPeriods(p))
 	}
 }
 

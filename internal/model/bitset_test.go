@@ -176,6 +176,11 @@ func TestConflictMatrixMatchesPairSet(t *testing.T) {
 		if freeWant != freeGot || len(witWant) != len(witGot) {
 			t.Fatalf("trial %d: ContentionFreeBits disagrees with ContentionFree", trial)
 		}
+		for k := range witWant {
+			if witWant[k] != witGot[k] {
+				t.Fatalf("trial %d: witness[%d] = %v, want %v", trial, k, witGot[k], witWant[k])
+			}
+		}
 	}
 }
 

@@ -82,17 +82,6 @@ func (c Clique) appendKey(dst []byte) []byte {
 	return dst
 }
 
-// Intersect returns the flows common to the clique and the given flow set.
-func (c Clique) Intersect(flows map[Flow]bool) Clique {
-	var out Clique
-	for _, f := range c {
-		if flows[f] {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // periodEvent is one endpoint (start or finish) of a message: its time and
 // the dense ID of the message's flow, -1 for a self-flow.
 type periodEvent struct {

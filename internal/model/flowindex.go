@@ -1,6 +1,9 @@
 package model
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // FlowIndex interns a pattern's flows into dense integer IDs so the
 // contention kernel can run on BitSet arithmetic instead of map hashing.
@@ -72,11 +75,21 @@ func (ix *FlowIndex) CliqueBits(cliques []Clique) []BitSet {
 	return out
 }
 
+// FlowPair is an unordered pair of flows in canonical order (A ≤ B). It is
+// the 4-tuple (s1,d1,s2,d2) of Definitions 4 and 7 with the symmetric
+// redundancy removed.
+type FlowPair struct {
+	A, B Flow
+}
+
+func (p FlowPair) String() string { return fmt.Sprintf("{%v,%v}", p.A, p.B) }
+
 // ConflictMatrix is a pairwise flow relation stored as one conflict BitSet
-// row per flow ID: Has(i, j) is a single bit test. It is the dense form of
-// PairSet for both the potential communication contention set C
-// (Definition 4) and the network resource conflict set R (Definition 7).
-// The diagonal is always clear — a flow does not conflict with itself.
+// row per flow ID: Has(i, j) is a single bit test. It represents both the
+// potential communication contention set C (Definition 4) and the network
+// resource conflict set R (Definition 7). The diagonal is always clear — a
+// flow does not conflict with itself: the methodology treats repeated
+// transmissions on one flow as the same communication.
 type ConflictMatrix struct {
 	ix   *FlowIndex
 	rows []BitSet
@@ -127,8 +140,9 @@ func (m *ConflictMatrix) Len() int {
 	return total / 2
 }
 
-// ConflictMatrixFromCliques builds the dense contention relation C from a
-// clique set — the BitSet counterpart of ContentionSetFromCliques.
+// ConflictMatrixFromCliques builds the contention relation C from a clique
+// set: every unordered pair of distinct flows that share a clique, i.e. are
+// simultaneously in flight at some instant.
 func ConflictMatrixFromCliques(ix *FlowIndex, cliques []Clique) *ConflictMatrix {
 	m := NewConflictMatrix(ix)
 	for _, c := range cliques {
@@ -138,8 +152,8 @@ func ConflictMatrixFromCliques(ix *FlowIndex, cliques []Clique) *ConflictMatrix 
 }
 
 // Intersect returns the unordered pairs present in both relations, sorted
-// by (A, B) — the same order PairSet.Intersect produces, because IDs ascend
-// in Flow.Less order.
+// by (A, B), because IDs ascend in Flow.Less order. Both relations must be
+// defined over the same FlowIndex.
 func (m *ConflictMatrix) Intersect(o *ConflictMatrix) []FlowPair {
 	var out []FlowPair
 	n := len(m.rows)
@@ -165,9 +179,9 @@ func (m *ConflictMatrix) Intersect(o *ConflictMatrix) []FlowPair {
 	return out
 }
 
-// ContentionFreeBits applies Theorem 1 on dense relations: the mapping is
-// contention-free iff C ∩ R = ∅. Equivalent to ContentionFree on the
-// PairSet representations, witness order included.
+// ContentionFreeBits applies Theorem 1: the application mapped onto the
+// network is contention-free iff C ∩ R = ∅. It returns the (possibly empty)
+// witness list of conflicting pairs.
 func ContentionFreeBits(c, r *ConflictMatrix) (bool, []FlowPair) {
 	w := c.Intersect(r)
 	return len(w) == 0, w

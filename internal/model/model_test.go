@@ -150,10 +150,6 @@ func TestCliqueOps(t *testing.T) {
 	if !a.Equal(NewClique(Flow{1, 2}, Flow{3, 4})) {
 		t.Errorf("Equal failed")
 	}
-	inter := b.Intersect(map[Flow]bool{{9, 0}: true, {1, 2}: true})
-	if len(inter) != 2 {
-		t.Errorf("Intersect = %v, want 2 flows", inter)
-	}
 }
 
 func TestMaxCliques(t *testing.T) {
@@ -178,26 +174,27 @@ func TestMaxCliquesEqualDuplicates(t *testing.T) {
 }
 
 func TestContentionSetMatchesPairwiseOverlap(t *testing.T) {
-	// The contention set built from cliques must equal the pairwise
+	// The contention relation built from cliques must equal the pairwise
 	// overlap relation projected onto distinct flow pairs.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		p := randomPattern(rng, 8, 20)
-		fromCliques := ContentionSet(p)
-		direct := NewPairSet()
+		ix := NewFlowIndex(p.Flows())
+		fromCliques := ConflictMatrixFromCliques(ix, ContentionPeriods(p))
+		direct := NewConflictMatrix(ix)
 		for _, pr := range p.OverlapPairs() {
-			a, b := p.Messages[pr[0]].Flow(), p.Messages[pr[1]].Flow()
-			if a.Src == a.Dst || b.Src == b.Dst || a == b {
-				continue
+			a, aok := ix.ID(p.Messages[pr[0]].Flow())
+			b, bok := ix.ID(p.Messages[pr[1]].Flow())
+			if aok && bok { // self-flows are not interned
+				direct.Add(a, b)
 			}
-			direct.Add(a, b)
 		}
-		if len(fromCliques) != len(direct) {
-			t.Fatalf("trial %d: |C| from cliques %d != from overlap %d", trial, len(fromCliques), len(direct))
+		if fromCliques.Len() != direct.Len() {
+			t.Fatalf("trial %d: |C| from cliques %d != from overlap %d", trial, fromCliques.Len(), direct.Len())
 		}
-		for pr := range direct {
-			if !fromCliques.Has(pr.A, pr.B) {
-				t.Fatalf("trial %d: pair %v missing from clique-derived C", trial, pr)
+		for i := 0; i < ix.Len(); i++ {
+			if !fromCliques.Row(i).Equal(direct.Row(i)) {
+				t.Fatalf("trial %d: flow %v contends with different flows in the clique-derived C", trial, ix.Flow(i))
 			}
 		}
 	}
@@ -236,16 +233,16 @@ func TestPairSetBasics(t *testing.T) {
 }
 
 func TestTheorem1(t *testing.T) {
-	c := NewPairSet()
-	c.Add(Flow{0, 1}, Flow{2, 3})
-	r := NewPairSet()
-	r.Add(Flow{4, 5}, Flow{6, 7})
-	if free, w := ContentionFree(c, r); !free || len(w) != 0 {
+	ix := NewFlowIndex([]Flow{{0, 1}, {2, 3}, {4, 5}, {6, 7}})
+	c, r := NewConflictMatrix(ix), NewConflictMatrix(ix)
+	c.Add(0, 1)
+	r.Add(2, 3)
+	if free, w := ContentionFreeBits(c, r); !free || len(w) != 0 {
 		t.Fatalf("disjoint C and R should be contention-free, got %v", w)
 	}
-	r.Add(Flow{2, 3}, Flow{0, 1})
-	free, w := ContentionFree(c, r)
-	if free || len(w) != 1 {
+	r.Add(1, 0)
+	free, w := ContentionFreeBits(c, r)
+	if free || len(w) != 1 || w[0] != (FlowPair{A: Flow{0, 1}, B: Flow{2, 3}}) {
 		t.Fatalf("overlapping C and R should not be contention-free, witnesses=%v", w)
 	}
 }
@@ -320,9 +317,12 @@ func TestMaxCliquesProperty(t *testing.T) {
 			}
 		}
 		// And the pairwise contention sets must be identical.
-		c1, c2 := ContentionSetFromCliques(all), ContentionSetFromCliques(maxed)
-		if len(c1) != len(c2) {
-			t.Fatalf("trial %d: contention set changed by reduction: %d vs %d", trial, len(c1), len(c2))
+		ix := NewFlowIndex(u1)
+		c1, c2 := ConflictMatrixFromCliques(ix, all), ConflictMatrixFromCliques(ix, maxed)
+		for i := 0; i < ix.Len(); i++ {
+			if !c1.Row(i).Equal(c2.Row(i)) {
+				t.Fatalf("trial %d: contention set changed by reduction at flow %v", trial, ix.Flow(i))
+			}
 		}
 	}
 }

@@ -1,16 +1,11 @@
 package model
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// FlowPair is an unordered pair of flows in canonical order (A ≤ B). It is
-// the 4-tuple (s1,d1,s2,d2) of Definitions 4 and 7 with the symmetric
-// redundancy removed.
-type FlowPair struct {
-	A, B Flow
-}
+// The map-backed pair set: the original representation of C and R, kept in
+// the test build as the oracle TestConflictMatrixMatchesPairSet holds
+// ConflictMatrix and ContentionFreeBits to. Nothing outside this package's
+// tests can reach it.
 
 // MakeFlowPair canonicalizes the pair so that A ≤ B.
 func MakeFlowPair(a, b Flow) FlowPair {
@@ -20,9 +15,7 @@ func MakeFlowPair(a, b Flow) FlowPair {
 	return FlowPair{A: a, B: b}
 }
 
-func (p FlowPair) String() string { return fmt.Sprintf("{%v,%v}", p.A, p.B) }
-
-// PairSet is a set of unordered flow pairs. It represents both the potential
+// PairSet is a set of unordered flow pairs, standing for both the potential
 // communication contention set C (Definition 4) and the network resource
 // conflict set R (Definition 7).
 type PairSet map[FlowPair]struct{}
@@ -63,17 +56,10 @@ func (s PairSet) Intersect(t PairSet) []FlowPair {
 	return out
 }
 
-// ContentionSet computes C (Definition 4) from the pattern's contention
-// periods: every unordered pair of distinct flows that are simultaneously in
-// flight at some instant. Self-pairs (a flow with itself) are excluded: the
+// ContentionSetFromCliques expands a clique set into the pairwise contention
+// set it induces. Self-pairs (a flow with itself) are excluded: the
 // methodology treats repeated transmissions on one flow as the same
 // communication.
-func ContentionSet(p *Pattern) PairSet {
-	return ContentionSetFromCliques(ContentionPeriods(p))
-}
-
-// ContentionSetFromCliques expands a clique set into the pairwise contention
-// set it induces.
 func ContentionSetFromCliques(cliques []Clique) PairSet {
 	s := NewPairSet()
 	for _, c := range cliques {

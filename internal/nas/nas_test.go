@@ -366,7 +366,13 @@ func crossing(p *model.Pattern, inA func(int) bool) (fwd, bwd map[model.Flow]boo
 func fastColorRef(cliques []model.Clique, flows map[model.Flow]bool) int {
 	best := 0
 	for _, c := range cliques {
-		if n := len(c.Intersect(flows)); n > best {
+		n := 0
+		for _, f := range c {
+			if flows[f] {
+				n++
+			}
+		}
+		if n > best {
 			best = n
 		}
 	}

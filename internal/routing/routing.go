@@ -131,32 +131,9 @@ func PathChannels(f model.Flow, r Route) []Channel {
 	return out
 }
 
-// ConflictSet computes R (Definition 7): every unordered pair of distinct
-// flows whose paths share at least one directed resource.
-func (t *Table) ConflictSet() model.PairSet {
-	r := model.NewPairSet()
-	// Invert: resource -> flows using it.
-	users := make(map[Channel][]model.Flow)
-	flows := t.SortedFlows()
-	for _, f := range flows {
-		for _, ch := range PathChannels(f, t.Routes[f]) {
-			users[ch] = append(users[ch], f)
-		}
-	}
-	for _, fs := range users {
-		for i := 0; i < len(fs); i++ {
-			for j := i + 1; j < len(fs); j++ {
-				r.Add(fs[i], fs[j])
-			}
-		}
-	}
-	return r
-}
-
-// ConflictMatrix computes R (Definition 7) as dense per-flow conflict rows
-// over the given flow index — the same pairs ConflictSet produces, in the
-// bitset representation the synthesis kernel consumes. Flows absent from the
-// index are ignored.
+// ConflictMatrix computes R (Definition 7) over the given flow index: every
+// unordered pair of distinct flows whose paths share at least one directed
+// resource. Flows absent from the index are ignored.
 func (t *Table) ConflictMatrix(ix *model.FlowIndex) *model.ConflictMatrix {
 	m := model.NewConflictMatrix(ix)
 	users := make(map[Channel][]int)

@@ -152,15 +152,30 @@ func TestCrossbarTable(t *testing.T) {
 	}
 	// Crossbar conflict set: flows conflict only at shared injection or
 	// ejection ports (same src or same dst).
-	r := tab.ConflictSet()
-	for p := range r {
-		if p.A.Src != p.B.Src && p.A.Dst != p.B.Dst {
-			t.Fatalf("crossbar conflict between independent flows %v", p)
-		}
+	ix := model.NewFlowIndex(tab.SortedFlows())
+	r := tab.ConflictMatrix(ix)
+	for i := 0; i < ix.Len(); i++ {
+		r.Row(i).ForEach(func(j int) {
+			if a, b := ix.Flow(i), ix.Flow(j); a.Src != b.Src && a.Dst != b.Dst {
+				t.Fatalf("crossbar conflict between independent flows %v and %v", a, b)
+			}
+		})
 	}
 	mesh, _ := topology.Mesh(2, 4)
 	if _, err := CrossbarTable(mesh, nil); err == nil {
 		t.Fatal("CrossbarTable accepted a mesh")
+	}
+}
+
+// conflicts computes the table's R over its own flows and returns the pair
+// test.
+func conflicts(tab *Table) func(a, b model.Flow) bool {
+	ix := model.NewFlowIndex(tab.SortedFlows())
+	r := tab.ConflictMatrix(ix)
+	return func(a, b model.Flow) bool {
+		i, _ := ix.ID(a)
+		j, _ := ix.ID(b)
+		return r.Has(i, j)
 	}
 }
 
@@ -178,12 +193,12 @@ func TestConflictSetSharedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := tab.ConflictSet()
-	if !r.Has(model.F(0, 2), model.F(1, 2)) {
+	has := conflicts(tab)
+	if !has(model.F(0, 2), model.F(1, 2)) {
 		t.Error("flows sharing s1->s2 link not in R")
 	}
 	// Opposite directions of a full-duplex link do not conflict.
-	if r.Has(model.F(0, 2), model.F(2, 0)) {
+	if has(model.F(0, 2), model.F(2, 0)) {
 		t.Error("opposite-direction flows conflict")
 	}
 }
@@ -204,13 +219,11 @@ func TestConflictSetLinkIndexSeparation(t *testing.T) {
 	if err := tab.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := tab.ConflictSet()
-	if r.Has(model.F(0, 2), model.F(1, 3)) {
+	if conflicts(tab)(model.F(0, 2), model.F(1, 3)) {
 		t.Error("flows on different links of one pipe conflict")
 	}
 	tab.Routes[model.F(1, 3)] = Route{Switches: []topology.SwitchID{a, b}, Links: []int{0}}
-	r = tab.ConflictSet()
-	if !r.Has(model.F(0, 2), model.F(1, 3)) {
+	if !conflicts(tab)(model.F(0, 2), model.F(1, 3)) {
 		t.Error("flows on the same link do not conflict")
 	}
 }
@@ -218,14 +231,14 @@ func TestConflictSetLinkIndexSeparation(t *testing.T) {
 func TestConflictSetInjectionPort(t *testing.T) {
 	net := topology.Crossbar(3)
 	tab, _ := CrossbarTable(net, []model.Flow{model.F(0, 1), model.F(0, 2), model.F(1, 0), model.F(2, 0)})
-	r := tab.ConflictSet()
-	if !r.Has(model.F(0, 1), model.F(0, 2)) {
+	has := conflicts(tab)
+	if !has(model.F(0, 1), model.F(0, 2)) {
 		t.Error("same-source flows must conflict at the injection port")
 	}
-	if !r.Has(model.F(1, 0), model.F(2, 0)) {
+	if !has(model.F(1, 0), model.F(2, 0)) {
 		t.Error("same-destination flows must conflict at the ejection port")
 	}
-	if r.Has(model.F(0, 1), model.F(1, 0)) {
+	if has(model.F(0, 1), model.F(1, 0)) {
 		t.Error("inject and eject of one processor are separate full-duplex directions")
 	}
 }
@@ -265,9 +278,10 @@ func TestTheoremOneMeshContentionFreeCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := model.NewPairSet()
-	c.Add(flows[0], flows[1])
-	free, _ := model.ContentionFree(c, tab.ConflictSet())
+	ix := model.NewFlowIndex(flows)
+	c := model.NewConflictMatrix(ix)
+	c.Add(0, 1)
+	free, _ := model.ContentionFreeBits(c, tab.ConflictMatrix(ix))
 	if !free {
 		t.Fatal("parallel disjoint flows flagged as contention")
 	}

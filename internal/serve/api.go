@@ -1,7 +1,7 @@
-// The versioned v1 HTTP surface: every endpoint lives under /v1/ (the
-// unversioned paths remain as byte-identical aliases for one release), all
-// error statuses share one typed JSON envelope, and POST /v1/designs batches
-// N design requests into an NDJSON stream ordered by completion.
+// The versioned v1 HTTP surface: every endpoint lives under /v1/ and only
+// there (an unversioned path is a 404), all error statuses share one typed
+// JSON envelope, and POST /v1/designs batches N design requests into an
+// NDJSON stream ordered by completion.
 package serve
 
 import (

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -190,5 +191,46 @@ func TestDiskStoreUnusableDir(t *testing.T) {
 	cfg.DataDir = filepath.Join(file, "sub") // parent is a file: MkdirAll fails
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New succeeded with an unusable data dir")
+	}
+}
+
+// TestDiskWriteFailureNeverIndexed: with a data dir, the disk store is the
+// layer the warm index trusts to hold every key, and the index is never
+// pruned. A design the disk refused must therefore stay out of the index —
+// it would otherwise outlive its memory entry as a seed no layer can serve,
+// one more per failed write. The response itself is unaffected.
+func TestDiskWriteFailureNeverIndexed(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	cfg := quickConfig()
+	cfg.DataDir = dir
+	cfg.CacheSize = 2
+	srv := newTestServer(t, cfg)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if err := os.RemoveAll(dir); err != nil { // disk full, directory gone: every Put fails
+		t.Fatal(err)
+	}
+
+	const n = 5 // > CacheSize, so the LRU evicts
+	for seed := 1; seed <= n; seed++ {
+		resp, b := postDesign(t, ts.URL, `{"benchmark":"CG","procs":16,"seed":`+strconv.Itoa(seed)+`}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, b)
+		}
+		assertDesignOK(t, b)
+	}
+	col := srv.Metrics()
+	if got := col.Counter("serve.store_disk_error"); got != n {
+		t.Errorf("serve.store_disk_error = %d, want %d", got, n)
+	}
+	if got := col.Counter("serve.cache_store"); got != 0 {
+		t.Errorf("serve.cache_store = %d, want 0: no write reached the authoritative layer", got)
+	}
+	if got := srv.warm.size(); got > cfg.CacheSize {
+		t.Errorf("warm index holds %d entries, more than the %d designs any layer can serve", got, cfg.CacheSize)
+	}
+	// The newest design is still replayed from memory.
+	if resp, _ := postDesign(t, ts.URL, `{"benchmark":"CG","procs":16,"seed":`+strconv.Itoa(n)+`}`); resp.Header.Get("X-Nocd-Cache") != "hit" {
+		t.Errorf("repeat of the last request: X-Nocd-Cache = %q, want hit", resp.Header.Get("X-Nocd-Cache"))
 	}
 }

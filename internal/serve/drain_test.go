@@ -35,7 +35,7 @@ func TestServeDrainsInFlight(t *testing.T) {
 	}
 	resc := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(url+"/design", "application/json",
+		resp, err := http.Post(url+"/v1/design", "application/json",
 			strings.NewReader(`{"benchmark":"CG","procs":16}`))
 		if err != nil {
 			resc <- result{err: err}
@@ -99,7 +99,7 @@ func TestServeDrainTimeout(t *testing.T) {
 	go func() { serveErr <- Serve(ctx, srv, ln, 100*time.Millisecond) }()
 	url := "http://" + ln.Addr().String()
 
-	go http.Post(url+"/design", "application/json",
+	go http.Post(url+"/v1/design", "application/json",
 		strings.NewReader(`{"benchmark":"CG","procs":16}`))
 	<-gate.started
 	cancel()

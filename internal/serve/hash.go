@@ -57,9 +57,6 @@ func finishKey(h hash.Hash, opt synth.Options, extra ...string) string {
 // begins, hence the bytes); the server computes request keys before
 // injecting a seed, so warm-started responses are stored under the cold
 // request's key — see the warm-index determinism note in warm.go.
-// ReferenceMoveEngine is deliberately absent too: it selects the retained
-// pre-incremental move evaluator, which the synth equivalence suite pins
-// byte-identical to the default engine, so it cannot change the bytes.
 // Fields are spelled out (not reflected) so adding an option later forces a
 // conscious decision about whether it belongs in the key.
 func OptionsFingerprint(opt synth.Options) string {

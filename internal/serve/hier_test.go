@@ -19,7 +19,7 @@ func TestDesignHier(t *testing.T) {
 	defer ts.Close()
 
 	body := `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "flow:4"}}`
-	resp, raw := postDesign(t, ts.URL+"/v1", body)
+	resp, raw := postDesign(t, ts.URL, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
@@ -54,7 +54,7 @@ func TestDesignHier(t *testing.T) {
 			dr.Switches, dr.Links, d.TotalSwitches(), d.TotalLinks())
 	}
 
-	resp2, raw2 := postDesign(t, ts.URL+"/v1", body)
+	resp2, raw2 := postDesign(t, ts.URL, body)
 	if got := resp2.Header.Get("X-Nocd-Cache"); got != "hit" {
 		t.Errorf("repeat request cache %q, want hit", got)
 	}
@@ -71,8 +71,8 @@ func TestDesignHierKeying(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	flatResp, _ := postDesign(t, ts.URL+"/v1", `{"benchmark": "CG", "procs": 16}`)
-	hierResp, _ := postDesign(t, ts.URL+"/v1", `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "4"}}`)
+	flatResp, _ := postDesign(t, ts.URL, `{"benchmark": "CG", "procs": 16}`)
+	hierResp, _ := postDesign(t, ts.URL, `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "4"}}`)
 	if flatResp.Header.Get("X-Nocd-Pattern-Hash") == hierResp.Header.Get("X-Nocd-Pattern-Hash") {
 		t.Error("flat and hier requests share a cache key")
 	}
@@ -81,11 +81,11 @@ func TestDesignHierKeying(t *testing.T) {
 	}
 
 	// "flow:4" spells the same partition as "4": must hit.
-	same, _ := postDesign(t, ts.URL+"/v1", `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "flow:4"}}`)
+	same, _ := postDesign(t, ts.URL, `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "flow:4"}}`)
 	if got := same.Header.Get("X-Nocd-Cache"); got != "hit" {
 		t.Errorf("equivalent cluster spec: cache %q, want hit", got)
 	}
-	other, _ := postDesign(t, ts.URL+"/v1", `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "blocks:4"}}`)
+	other, _ := postDesign(t, ts.URL, `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "blocks:4"}}`)
 	if got := other.Header.Get("X-Nocd-Cache"); got != "miss" {
 		t.Errorf("different cluster spec: cache %q, want miss", got)
 	}
@@ -109,7 +109,7 @@ func TestDesignHierBadRequests(t *testing.T) {
 		"negative knob":  `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "4", "gateway_width": -1}}`,
 		"unknown field":  `{"benchmark": "CG", "procs": 16, "hier": {"clusterz": "4"}}`,
 	} {
-		resp, raw := postDesign(t, ts.URL+"/v1", body)
+		resp, raw := postDesign(t, ts.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, raw)
 			continue
@@ -121,6 +121,33 @@ func TestDesignHierBadRequests(t *testing.T) {
 		}
 		if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != CodeBadRequest {
 			t.Errorf("%s: not the typed bad-request envelope: %s", name, raw)
+		}
+	}
+}
+
+// TestHierNoIInheritsNoCPinned holds "the NoI inherits the NoC options
+// unless overridden" to what the server answered when it spelled the rule
+// out itself: with and without NoI overrides, a hier request's key and
+// response (bodyDigest) are those of the commit before hier.NoIOptions.
+func TestHierNoIInheritsNoCPinned(t *testing.T) {
+	srv := newTestServer(t, quickConfig())
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, c := range []struct{ name, body, key, digest string }{
+		{"inherited", `{"benchmark":"CG","procs":16,"max_degree":6,"hier":{"clusters":"blocks:4"}}`,
+			"sha256:1c85893346c9e6db03971e895a97fb532b82a4ab82d0b79d22b476c2a96acc42", "b407a8bd97d9604baaf1b02689f26f980af56ea1b5d90f9834db63e788c37dce"},
+		{"overridden", `{"benchmark":"CG","procs":16,"max_degree":6,"hier":{"clusters":"blocks:4","noi_max_degree":4,"noi_max_procs":2}}`,
+			"sha256:02ba64506b2c9587e3c04d04cd87222d5f10c8665228aab186de4a7b7f7e12f4", "889dcf9d96cc8dd06d3cb8871877e6ccc35771ae2310a7fe81d361bfcf06fe60"},
+	} {
+		resp, body := postDesign(t, ts.URL, c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.name, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Nocd-Pattern-Hash"); got != c.key {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.key)
+		}
+		if got := bodyDigest(t, body); got != c.digest {
+			t.Errorf("%s: response digest %s, want %s", c.name, got, c.digest)
 		}
 	}
 }

@@ -93,22 +93,15 @@ func (hp *hierParams) fingerprint() string {
 }
 
 // options builds the two-level synthesis options: both levels inherit the
-// flat request knobs, with the NoI overrides applied on top.
+// flat request knobs, with the NoI overrides applied by hier.NoIOptions.
 func (hp *hierParams) options(base synth.Options) hier.Options {
-	noi := base
-	if hp.noiMaxDegree != 0 {
-		noi.MaxDegree = hp.noiMaxDegree
-	}
-	if hp.noiMaxProcs != 0 {
-		noi.MaxProcsPerSwitch = hp.noiMaxProcs
-	}
 	return hier.Options{
 		Spec:         hp.spec,
 		MaxGateways:  hp.maxGateways,
 		GatewayWidth: hp.gatewayWidth,
 		NoILinkDelay: hp.noiLinkDelay,
 		NoC:          base,
-		NoI:          noi,
+		NoI:          hier.NoIOptions(base, hp.noiMaxDegree, hp.noiMaxProcs),
 	}
 }
 

@@ -21,9 +21,9 @@
 // request is still waiting on the same key — behind an admission gate
 // bounding concurrent syntheses and queue depth, with a separate bulk lane
 // watermark so sweeps cannot starve interactive traffic. The HTTP surface
-// is versioned under /v1/ (api.go; the unversioned paths are aliases), with
-// POST /v1/designs batching N requests into a completion-ordered NDJSON
-// stream. Everything is observed through internal/obs: serve.* counters
+// is versioned under /v1/ and nowhere else (api.go), with POST /v1/designs
+// batching N requests into a completion-ordered NDJSON stream. Everything
+// is observed through internal/obs: serve.* counters
 // plus the synth.*/coloring.* counters of the work itself land in the
 // server-lifetime Collector exposed at /v1/metrics, while each synthesis
 // also feeds the per-request Collector embedded in its response.
@@ -284,16 +284,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.SetPeers(cfg.Self, cfg.Peers)
 
-	// The canonical surface lives under /v1/; the unversioned paths stay
-	// registered as byte-identical aliases for one release.
-	for _, prefix := range []string{"/" + APIVersion, ""} {
-		s.mux.HandleFunc("POST "+prefix+"/design", s.handleDesign)
-		s.mux.HandleFunc("POST "+prefix+"/designs", s.handleBatch)
-		s.mux.HandleFunc("GET "+prefix+"/design/{key}", s.handleGetDesign)
-		s.mux.HandleFunc("GET "+prefix+"/healthz", s.handleHealthz)
-		s.mux.HandleFunc("GET "+prefix+"/metrics", s.handleMetrics)
-		s.mux.HandleFunc("GET "+prefix+"/benchmarks", s.handleBenchmarks)
-	}
+	const prefix = "/" + APIVersion
+	s.mux.HandleFunc("POST "+prefix+"/design", s.handleDesign)
+	s.mux.HandleFunc("POST "+prefix+"/designs", s.handleBatch)
+	s.mux.HandleFunc("GET "+prefix+"/design/{key}", s.handleGetDesign)
+	s.mux.HandleFunc("GET "+prefix+"/healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET "+prefix+"/metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET "+prefix+"/benchmarks", s.handleBenchmarks)
 	return s, nil
 }
 
@@ -538,19 +535,22 @@ func (s *Server) lookup(key string) (*Entry, bool) {
 	return ent, true
 }
 
-// store writes an entry through the layered stores and keeps the warm
-// index in lockstep with whichever layer is authoritative: the disk store
-// when present (it never evicts), otherwise the memory LRU.
+// store writes an entry through the layered stores and reports whether the
+// authoritative layer took it: the disk store when present (it never
+// evicts), otherwise the memory LRU. Callers index only what it took, so the
+// warm index never names a key that layer does not hold. An entry whose disk
+// write failed is still served from memory until the LRU drops it.
 func (s *Server) store(ent *Entry) bool {
 	evicted, stored := s.mem.Put(ent)
-	if s.disk != nil {
-		if _, ok := s.disk.Put(ent); ok {
-			obs.Count(s.col, "serve.store_disk_write", 1)
-		}
-	} else {
+	if s.disk == nil {
 		s.warm.remove(evicted...)
+		return stored
 	}
-	return stored || s.disk != nil
+	_, stored = s.disk.Put(ent)
+	if stored {
+		obs.Count(s.col, "serve.store_disk_write", 1)
+	}
+	return stored
 }
 
 // acquire claims a synthesis slot, queueing up to MaxQueue callers.

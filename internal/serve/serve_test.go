@@ -42,9 +42,9 @@ func newTestServer(t testing.TB, cfg Config) *Server {
 
 func postDesign(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/design", "application/json", strings.NewReader(body))
+	resp, err := http.Post(url+"/v1/design", "application/json", strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /design: %v", err)
+		t.Fatalf("POST /v1/design: %v", err)
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
@@ -290,13 +290,13 @@ func TestDesignBadRequests(t *testing.T) {
 		t.Errorf("serve.bad_requests = %d, want %d", got, len(cases))
 	}
 
-	resp, err := http.Get(ts.URL + "/design")
+	resp, err := http.Get(ts.URL + "/v1/design")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /design status = %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v1/design status = %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -346,7 +346,7 @@ func TestClientDisconnectAbortsSynthesis(t *testing.T) {
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/design",
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/design",
 		strings.NewReader(`{"benchmark":"CG","procs":16}`))
 	if err != nil {
 		t.Fatal(err)
@@ -416,20 +416,20 @@ func TestHealthzMetricsBenchmarks(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(b)) != "ok" {
-		t.Errorf("/healthz = %d %q", resp.StatusCode, b)
+		t.Errorf("/v1/healthz = %d %q", resp.StatusCode, b)
 	}
 
 	if _, b = postDesign(t, ts.URL, `{"benchmark":"CG","procs":16}`); len(b) == 0 {
 		t.Fatal("empty design response")
 	}
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,21 +437,21 @@ func TestHealthzMetricsBenchmarks(t *testing.T) {
 	resp.Body.Close()
 	var rep obs.RunReport
 	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatalf("/metrics is not a RunReport: %v", err)
+		t.Fatalf("/v1/metrics is not a RunReport: %v", err)
 	}
 	if err := rep.Validate(); err != nil {
-		t.Errorf("/metrics report invalid: %v", err)
+		t.Errorf("/v1/metrics report invalid: %v", err)
 	}
 	if rep.Tool != "nocd" {
 		t.Errorf("report tool = %q", rep.Tool)
 	}
 	for _, name := range []string{"serve.requests", "serve.cache_miss", "synth.runs"} {
 		if rep.Counters[name] == 0 {
-			t.Errorf("/metrics missing counter %s (have %v)", name, rep.Counters)
+			t.Errorf("/v1/metrics missing counter %s (have %v)", name, rep.Counters)
 		}
 	}
 
-	resp, err = http.Get(ts.URL + "/benchmarks")
+	resp, err = http.Get(ts.URL + "/v1/benchmarks")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,15 +459,15 @@ func TestHealthzMetricsBenchmarks(t *testing.T) {
 	resp.Body.Close()
 	var names []string
 	if err := json.Unmarshal(b, &names); err != nil {
-		t.Fatalf("/benchmarks: %v", err)
+		t.Fatalf("/v1/benchmarks: %v", err)
 	}
 	want := len(nas.Names()) + len(collective.Names())
 	if len(names) != want || names[1] != "CG" {
-		t.Errorf("/benchmarks = %v, want %d names with NAS first", names, want)
+		t.Errorf("/v1/benchmarks = %v, want %d names with NAS first", names, want)
 	}
 	// Collectives are appended after the NAS names, in registry order.
 	if got := names[len(nas.Names()):]; !reflect.DeepEqual(got, collective.Names()) {
-		t.Errorf("/benchmarks collective tail = %v, want %v", got, collective.Names())
+		t.Errorf("/v1/benchmarks collective tail = %v, want %v", got, collective.Names())
 	}
 }
 

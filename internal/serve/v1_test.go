@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -37,53 +36,40 @@ func do(t *testing.T, method, url, body string) (*http.Response, []byte) {
 	return resp, b
 }
 
-// TestV1AliasesByteIdentical pins the one-release compatibility window: the
-// unversioned paths must answer byte-for-byte like their /v1/ twins, cache
-// and warm headers included, so clients can migrate in either direction.
-func TestV1AliasesByteIdentical(t *testing.T) {
+// TestUnversionedPathsGone: the surface lives under /v1/ only. Every path
+// that used to answer without the prefix is now a 404, whatever the method
+// and even for a key the cache holds.
+func TestUnversionedPathsGone(t *testing.T) {
 	srv := newTestServer(t, quickConfig())
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Populate the cache so both /design POSTs below replay the same entry.
 	const body = `{"benchmark":"CG","procs":16}`
-	if resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", body); resp.StatusCode != http.StatusOK {
+	resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", body)
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("priming request: status %d: %s", resp.StatusCode, b)
 	}
+	key := resp.Header.Get("X-Nocd-Pattern-Hash")
 
-	cases := []struct {
+	for _, tc := range []struct {
 		method, path, body string
 	}{
 		{http.MethodPost, "/design", body},
+		{http.MethodPost, "/designs", "[" + body + "]"},
+		{http.MethodGet, "/design/" + key, ""},
 		{http.MethodGet, "/benchmarks", ""},
 		{http.MethodGet, "/healthz", ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
-			v1, v1b := do(t, tc.method, ts.URL+"/v1"+tc.path, tc.body)
-			al, alb := do(t, tc.method, ts.URL+tc.path, tc.body)
-			if v1.StatusCode != al.StatusCode {
-				t.Fatalf("status: /v1 %d vs alias %d", v1.StatusCode, al.StatusCode)
+		{http.MethodGet, "/metrics", ""},
+	} {
+		name := tc.method + " " + strings.TrimSuffix(tc.path, key)
+		t.Run(name, func(t *testing.T) {
+			if resp, _ := do(t, tc.method, ts.URL+"/v1"+tc.path, tc.body); resp.StatusCode != http.StatusOK {
+				t.Fatalf("/v1%s: status %d, want 200", tc.path, resp.StatusCode)
 			}
-			if !bytes.Equal(v1b, alb) {
-				t.Errorf("bodies differ: /v1 %d bytes, alias %d bytes", len(v1b), len(alb))
-			}
-			for _, h := range []string{"Content-Type", "X-Nocd-Cache", "X-Nocd-Pattern-Hash", "X-Nocd-Warm"} {
-				if v1.Header.Get(h) != al.Header.Get(h) {
-					t.Errorf("%s: /v1 %q vs alias %q", h, v1.Header.Get(h), al.Header.Get(h))
-				}
+			if resp, _ := do(t, tc.method, ts.URL+tc.path, tc.body); resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s: status %d, want 404", tc.path, resp.StatusCode)
 			}
 		})
-	}
-
-	// The replay endpoint too: fetch the primed key through both prefixes.
-	resp, _ := do(t, http.MethodPost, ts.URL+"/v1/design", body)
-	key := resp.Header.Get("X-Nocd-Pattern-Hash")
-	v1, v1b := do(t, http.MethodGet, ts.URL+"/v1/design/"+key, "")
-	al, alb := do(t, http.MethodGet, ts.URL+"/design/"+key, "")
-	if v1.StatusCode != http.StatusOK || al.StatusCode != http.StatusOK || !bytes.Equal(v1b, alb) {
-		t.Errorf("GET design/{key}: /v1 %d (%d bytes) vs alias %d (%d bytes)",
-			v1.StatusCode, len(v1b), al.StatusCode, len(alb))
 	}
 }
 

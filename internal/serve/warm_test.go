@@ -180,7 +180,7 @@ func TestGetDesignByKey(t *testing.T) {
 		t.Fatal("POST /design returned no X-Nocd-Pattern-Hash")
 	}
 
-	got, err := http.Get(ts.URL + "/design/" + key)
+	got, err := http.Get(ts.URL + "/v1/design/" + key)
 	if err != nil {
 		t.Fatalf("GET /design/%s: %v", key, err)
 	}
@@ -199,7 +199,7 @@ func TestGetDesignByKey(t *testing.T) {
 		t.Error("GET /design/{key} is not byte-identical to the POST response")
 	}
 
-	miss, err := http.Get(ts.URL + "/design/sha256:doesnotexist")
+	miss, err := http.Get(ts.URL + "/v1/design/sha256:doesnotexist")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func BenchmarkSynthesizeFigure1Reference(b *testing.B) {
 	pat := nas.Figure1Pattern()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Synthesize(pat, Options{Seed: 1, Restarts: 1, ReferenceMoveEngine: true})
+		res, err := Synthesize(pat, Options{Seed: 1, Restarts: 1, referenceMoveEngine: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func BenchmarkSynthesizeCG16Reference(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Synthesize(pat, Options{Seed: 1, Restarts: 1, ReferenceMoveEngine: true}); err != nil {
+		if _, err := Synthesize(pat, Options{Seed: 1, Restarts: 1, referenceMoveEngine: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -137,7 +137,7 @@ func isMirror(a, b []int) bool {
 // incremental engine persists it into shared headers or the arena, the
 // reference engine copies it afresh.
 func (s *state) applyGroupRoute(g group, cand []int) {
-	if s.opt.ReferenceMoveEngine {
+	if s.opt.referenceMoveEngine {
 		s.setRoute(g[0], append([]int(nil), cand...))
 		if g[1] >= 0 {
 			s.setRoute(g[1], reversed(cand))
@@ -186,7 +186,7 @@ func (s *state) groupRouteDelta(g group, cand []int) int {
 // any elimination was committed.
 func (s *state) eliminatePipes() bool {
 	changed := false
-	ref := s.opt.ReferenceMoveEngine
+	ref := s.opt.referenceMoveEngine
 	for sw := range s.swProcs {
 		deg := 0
 		if ref {
@@ -299,7 +299,7 @@ func (s *state) tryPipeElimination(ids []int, a, b, m int) bool {
 // directPair is the two-switch route [a, b]: a shared header on the
 // incremental engine, a fresh allocation on the reference engine.
 func (s *state) directPair(a, b int) []int {
-	if s.opt.ReferenceMoveEngine {
+	if s.opt.referenceMoveEngine {
 		return []int{a, b}
 	}
 	if a == b {
@@ -316,7 +316,7 @@ func (s *state) directPair(a, b int) []int {
 // viaRoute is the one-intermediate route [a, m, b]: arena-backed on the
 // incremental engine, a fresh allocation on the reference engine.
 func (s *state) viaRoute(a, m, b int) []int {
-	if s.opt.ReferenceMoveEngine {
+	if s.opt.referenceMoveEngine {
 		return []int{a, m, b}
 	}
 	r := s.arena.alloc(3)

@@ -229,7 +229,7 @@ func (s *state) localCostRef(pairs [][2]int, switches []int) int {
 // probe path (moves, swaps, reroutes, pipe eliminations, global scoring) and
 // the perf-synth Reference:New ratio measures the whole engine change.
 func (s *state) costOf(pairs [][2]int, switches []int) int {
-	if s.opt.ReferenceMoveEngine {
+	if s.opt.referenceMoveEngine {
 		return s.localCostRef(pairs, switches)
 	}
 	return s.localCost(pairs, switches)
@@ -254,7 +254,7 @@ func (s *state) violates(sw int) bool {
 	if len(s.swProcs[sw]) > s.opt.MaxProcsPerSwitch {
 		return true
 	}
-	if s.opt.ReferenceMoveEngine {
+	if s.opt.referenceMoveEngine {
 		return s.estDegreeRef(sw) > s.opt.MaxDegree
 	}
 	return s.estDegree(sw) > s.opt.MaxDegree

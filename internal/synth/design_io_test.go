@@ -55,7 +55,9 @@ func TestSaveLoadDesignRoundTrip(t *testing.T) {
 		}
 	}
 	// Theorem 1 must survive serialization.
-	free, _ := model.ContentionFree(model.ContentionSet(pat), table.ConflictSet())
+	ix := model.NewFlowIndex(pat.Flows())
+	c := model.ConflictMatrixFromCliques(ix, model.ContentionPeriods(pat))
+	free, _ := model.ContentionFreeBits(c, table.ConflictMatrix(ix))
 	if !free {
 		t.Fatal("loaded design not contention-free")
 	}

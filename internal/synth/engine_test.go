@@ -321,7 +321,7 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 		seed := int64(trial)
 		pat := trace.BuildPhased("eq", 10, phases)
 		cliques := model.MaxCliqueSet(pat)
-		optRef := Options{Seed: seed, ReferenceMoveEngine: true}
+		optRef := Options{Seed: seed, referenceMoveEngine: true}
 		optNew := Options{Seed: seed}
 		if trial%2 == 1 {
 			optRef.Anneal = AnnealConfig{InitialTemp: 2, Cooling: 0.9, Steps: 24}
@@ -422,7 +422,7 @@ func TestSynthesizeReferenceEngineByteIdentical(t *testing.T) {
 	for name, opt := range variants {
 		newRes := synthOrDie(t, pat, opt)
 		refOpt := opt
-		refOpt.ReferenceMoveEngine = true
+		refOpt.referenceMoveEngine = true
 		refRes := synthOrDie(t, pat, refOpt)
 		if !bytes.Equal(designBytes(t, newRes), designBytes(t, refRes)) {
 			t.Errorf("%s: incremental engine design differs from reference engine", name)
@@ -437,7 +437,7 @@ func TestSynthesizeReferenceEngineByteIdentical(t *testing.T) {
 	sd := SeedFromDesign(base.Net, base.Table)
 	opt := Options{Seed: 9, Restarts: 2, Workers: 2, SeedDesign: sd}
 	refOpt := opt
-	refOpt.ReferenceMoveEngine = true
+	refOpt.referenceMoveEngine = true
 	if !bytes.Equal(designBytes(t, synthOrDie(t, pat, opt)), designBytes(t, synthOrDie(t, pat, refOpt))) {
 		t.Error("seeded: incremental engine design differs from reference engine")
 	}

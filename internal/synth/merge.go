@@ -10,7 +10,7 @@ const costSwitchWeight = 2 * costLinkWeight
 func (s *state) liveSwitches() int {
 	n := len(s.swProcs)
 	var live []bool
-	if s.opt.ReferenceMoveEngine {
+	if s.opt.referenceMoveEngine {
 		live = make([]bool, n)
 	} else if live = s.liveScratch; cap(live) < n {
 		live = make([]bool, n)
@@ -87,7 +87,7 @@ func (s *state) restore(snap stateSnapshot) {
 // all-singleton solution into the paper's multi-processor switches.
 func (s *state) mergeRefine() bool {
 	changed := false
-	ref := s.opt.ReferenceMoveEngine
+	ref := s.opt.referenceMoveEngine
 	for a := range s.swProcs {
 		if len(s.swProcs[a]) == 0 {
 			continue

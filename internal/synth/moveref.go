@@ -6,11 +6,13 @@ import (
 )
 
 // The reference move engine: the original closure-based tryMove/trySwap and
-// the per-iteration candidate rebuilds, selected by
-// Options.ReferenceMoveEngine. It is output-inert — the incremental engine is
-// pinned byte-identical to it by the equivalence suite — and exists so the
-// perf-synth benchmark gate measures a real in-run ratio (the same playbook
-// as flitsim's retained cycle-stepping engine). Cost evaluation goes through
+// the per-iteration candidate rebuilds, selected by the unexported
+// Options.referenceMoveEngine, which only this package's tests and benchmarks
+// can set. It is output-inert — the incremental engine is pinned
+// byte-identical to it by the equivalence suite — and exists so the
+// perf-synth benchmark gate measures a real in-run ratio. It stays in the
+// non-test build because the search calls it from a dozen interleaved sites
+// (DESIGN.md §13). Cost evaluation goes through
 // localCostRef, which recomputes direction stats and degrees the way the
 // pre-incremental engine did.
 

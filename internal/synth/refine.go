@@ -61,7 +61,7 @@ func (s *state) rerouteAnneal(budget int) {
 // is at its processor or degree budget.
 func (s *state) swapRefine() bool {
 	changed := false
-	ref := s.opt.ReferenceMoveEngine
+	ref := s.opt.referenceMoveEngine
 	for p := 0; p < s.procs; p++ {
 		for q := p + 1; q < s.procs; q++ {
 			if s.home[p] == s.home[q] {

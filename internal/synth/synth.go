@@ -74,14 +74,6 @@ type Options struct {
 	GreedyFinalColoring bool
 	// MaxRounds bounds the outer partition-finalize loop (default 16).
 	MaxRounds int
-	// ReferenceMoveEngine selects the original closure-based move
-	// evaluation (apply/undo/recost/reapply probes, per-iteration candidate
-	// rebuilds, uncached cost recomputation) instead of the incremental
-	// journal/gain-cache engine. Output-inert: both engines produce
-	// byte-identical designs (pinned by the engine-equivalence suite), so
-	// the flag is excluded from OptionsFingerprint. It exists for the
-	// equivalence suite and the perf-synth in-run speedup ratio.
-	ReferenceMoveEngine bool
 	// SeedDesign, when non-nil, warm-starts the configured restarts from a
 	// prior design's switch tree instead of the root megaswitch (see
 	// SeedDesign). Extension restarts — the ones drawn only while no run
@@ -95,6 +87,15 @@ type Options struct {
 	// fold so counter values are identical for every Workers setting.
 	// Nil disables telemetry at zero cost.
 	Obs obs.Observer
+
+	// referenceMoveEngine selects the original closure-based move
+	// evaluation (apply/undo/recost/reapply probes, per-iteration candidate
+	// rebuilds, uncached cost recomputation) instead of the incremental
+	// journal/gain-cache engine. Unexported: only this package's
+	// equivalence suite and the perf-synth benchmarks can set it, so no
+	// shipped binary reaches the reference path. Both engines produce
+	// byte-identical designs (pinned by the engine-equivalence suite).
+	referenceMoveEngine bool
 }
 
 // Normalized returns the options with every zero field replaced by its
@@ -359,7 +360,7 @@ func (s *state) setRoute(fi int, route []int) {
 // shared cached header (incremental engine) or a fresh allocation
 // (reference engine).
 func (s *state) directRoute(fi int) []int {
-	if s.opt.ReferenceMoveEngine {
+	if s.opt.referenceMoveEngine {
 		return s.directRouteAlloc(fi)
 	}
 	f := s.flows[fi]
@@ -459,7 +460,7 @@ func (s *state) switchesOf(pairs [][2]int, extra ...int) []int {
 // evalMove measures the cost delta of moving p to `to` without changing the
 // state (beyond the reference-identical end-of-list permutation of p).
 func (s *state) evalMove(p, to int) int {
-	if s.opt.ReferenceMoveEngine {
+	if s.opt.referenceMoveEngine {
 		delta, undo := s.tryMove(p, to)
 		undo()
 		return delta
@@ -493,7 +494,7 @@ func (s *state) balancedAfterMove(p, to int, i, j int) bool {
 // (or, with annealing enabled, a temperature-accepted random move), calling
 // Best_Route after each commit.
 func (s *state) optimizeMoves(i, j int) {
-	if s.opt.ReferenceMoveEngine {
+	if s.opt.referenceMoveEngine {
 		s.optimizeMovesRef(i, j)
 		return
 	}

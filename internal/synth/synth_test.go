@@ -257,8 +257,9 @@ func TestTheoremOneByConstruction(t *testing.T) {
 		if !res.ExactColoring {
 			t.Logf("%s: coloring fell back to greedy (budget)", name)
 		}
-		c := model.ContentionSetFromCliques(res.Cliques)
-		free, wit := model.ContentionFree(c, res.Table.ConflictSet())
+		ix := model.NewFlowIndex(pat.Flows())
+		c := model.ConflictMatrixFromCliques(ix, res.Cliques)
+		free, wit := model.ContentionFreeBits(c, res.Table.ConflictMatrix(ix))
 		if !free {
 			t.Errorf("%s: %d C∩R witnesses, e.g. %v", name, len(wit), wit[0])
 		}

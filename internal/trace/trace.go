@@ -144,6 +144,7 @@ func SummarizeCliques(p *model.Pattern, periods, maxed []model.Clique) Stats {
 		}
 	}
 	start, finish := p.Span()
+	ix := model.NewFlowIndex(model.CliqueFlows(maxed))
 	return Stats{
 		Procs:        p.Procs,
 		Messages:     len(p.Messages),
@@ -154,7 +155,7 @@ func SummarizeCliques(p *model.Pattern, periods, maxed []model.Clique) Stats {
 		LargestCliq:  largest,
 		TotalBytes:   p.TotalBytes(),
 		Span:         finish - start,
-		ContentionSz: model.ContentionSetFromCliques(maxed).Len(),
+		ContentionSz: model.ConflictMatrixFromCliques(ix, maxed).Len(),
 	}
 }
 

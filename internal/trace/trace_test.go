@@ -253,11 +253,17 @@ func TestConcatUnionOfPeriods(t *testing.T) {
 	if len(periods) != 3 {
 		t.Fatalf("merged periods = %d, want 3: %v", len(periods), periods)
 	}
-	c := model.ContentionSet(m)
-	if c.Has(model.F(0, 1), model.F(1, 0)) {
+	ix := model.NewFlowIndex(m.Flows())
+	c := model.ConflictMatrixFromCliques(ix, periods)
+	contend := func(a, b model.Flow) bool {
+		i, _ := ix.ID(a)
+		j, _ := ix.ID(b)
+		return c.Has(i, j)
+	}
+	if contend(model.F(0, 1), model.F(1, 0)) {
 		t.Error("cross-application flows must not contend")
 	}
-	if !c.Has(model.F(0, 1), model.F(2, 3)) || !c.Has(model.F(1, 0), model.F(3, 2)) {
+	if !contend(model.F(0, 1), model.F(2, 3)) || !contend(model.F(1, 0), model.F(3, 2)) {
 		t.Error("within-application contention lost")
 	}
 	// Phase message references must resolve.
