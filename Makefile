@@ -4,7 +4,7 @@
 # schedules so an order-dependent reduction cannot pass by luck.
 GO ?= go
 
-.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-synth bench-obs bench-flitsim bench-warm perf-synth bench-all fuzz
+.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-synth bench-obs bench-flitsim bench-warm bench-all fuzz
 
 verify: vet build race determinism
 
@@ -64,9 +64,6 @@ bench-synth:
 # slower than the BENCH_synth.json baseline. Run it standalone to compare
 # against the committed baseline, or via `make bench` to compare against a
 # fresh same-machine bench-synth run.
-# (SynthesizeCG16 is anchored so BenchmarkSynthesizeCG16Reference stays
-# out: that benchmark exists for the perf-synth ratio gate, not the 2% obs
-# budget.)
 bench-obs:
 	$(GO) test -run '^$$' -bench 'SynthesizeCG16$$|Observer' -benchmem \
 		./internal/synth ./internal/obs \
@@ -101,25 +98,9 @@ bench-warm:
 			-ratio 'BenchmarkWarmStartSweepCold:BenchmarkWarmStartSweepSeeded' -min-ratio 5 \
 			$(if $(wildcard BENCH_warm.json),-baseline BENCH_warm.json -budget 25)
 
-# perf-synth is the move-engine speedup gate: it runs the synthesis
-# benchmarks together with their *Reference counterparts (the
-# pre-incremental closure/alloc evaluator, which only package synth's own
-# tests and benchmarks can select and the equivalence suite pins
-# byte-identical) and fails unless the incremental engine wins by >= 2x
-# ns/op and >= 5x allocs/op on both workloads. Both engines run in the same
-# invocation on the same machine, so the ratio gate needs no committed
-# baseline to be meaningful.
-perf-synth:
-	$(GO) test -run '^$$' -bench 'Synthesize(Figure1|CG16)(Reference)?$$' -benchtime 2s -benchmem \
-		./internal/synth \
-		| $(GO) run ./cmd/benchjson -o BENCH_perf_synth.json -raw BENCH_perf_synth.txt \
-			-ratio 'BenchmarkSynthesizeFigure1Reference:BenchmarkSynthesizeFigure1' \
-			-ratio 'BenchmarkSynthesizeCG16Reference:BenchmarkSynthesizeCG16' \
-			-min-ratio 2 -min-alloc-ratio 5
-
 bench: bench-synth bench-obs bench-flitsim bench-warm
 
-# bench-all is the one performance entry point: the five gated
+# bench-all is the one performance entry point: `bench`'s four gated
 # microbenchmark targets in sequence (each fails on its own ratio or budget
 # gate and refreshes its BENCH_*.json), then the end-to-end ledger —
 # BENCHMARK.json's four workloads, each with its per-layer breakdown. The
@@ -127,12 +108,14 @@ bench: bench-synth bench-obs bench-flitsim bench-warm
 # about 35 s per workload. Run it on an otherwise idle box, without -j.
 LEDGER_WORKLOADS = cold_synth warm_variants hit_replay paper_cells
 
-bench-all: bench-synth bench-obs bench-flitsim bench-warm perf-synth
+bench-all: bench
 	@for w in $(LEDGER_WORKLOADS); do \
 		echo "== $(GO) run ./bench -workload $$w -seed 1 -trace 1"; \
 		$(GO) run ./bench -workload $$w -seed 1 -trace 1 || exit 1; \
 	done
 
+# FuzzLoadDesign caps minimization: its seed is a 12 KB saved design, and the
+# default 60 s minimizer would otherwise eat the whole 30 s budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 30s ./internal/trace
@@ -140,3 +123,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 30s ./internal/hier
 	$(GO) test -run '^$$' -fuzz FuzzContentionPeriods -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/synth

@@ -18,12 +18,10 @@
 // separated by ':' since names may contain '/'), the report gains a
 // speedup record ns(NUM)/ns(DEN); -ratio repeats to gate several pairs in
 // one run. With -min-ratio, the run fails when any measured ns/op ratio
-// falls below that floor; with -min-alloc-ratio (requires -benchmem
-// input), the same check applies to the allocs/op ratio. Because both
-// sides run on the same machine in the same invocation, the gates are
-// machine-independent — `make bench-flitsim` holds the reference-engine/
-// event-engine speedup at >= 10x, and `make perf-synth` holds the
-// reference/incremental move-engine ratio at >= 2x time and >= 5x allocs.
+// falls below that floor. Because both sides run on the same machine in
+// the same invocation, the gates are machine-independent — `make
+// bench-flitsim` holds the reference-engine/event-engine speedup at >= 10x
+// and `make bench-warm` the cold/seeded synthesis ratio at >= 5x.
 package main
 
 import (
@@ -54,16 +52,12 @@ type Result struct {
 }
 
 // Ratio is the speedup record produced by -ratio: Value is the numerator
-// benchmark's ns/op divided by the denominator's. AllocValue is the same
-// quotient over allocs/op, present only when both sides carried -benchmem
-// stats.
+// benchmark's ns/op divided by the denominator's.
 type Ratio struct {
-	Numerator     string   `json:"numerator"`
-	Denominator   string   `json:"denominator"`
-	Value         float64  `json:"value"`
-	MinRatio      float64  `json:"min_ratio,omitempty"`
-	AllocValue    *float64 `json:"alloc_value,omitempty"`
-	MinAllocRatio float64  `json:"min_alloc_ratio,omitempty"`
+	Numerator   string  `json:"numerator"`
+	Denominator string  `json:"denominator"`
+	Value       float64 `json:"value"`
+	MinRatio    float64 `json:"min_ratio,omitempty"`
 }
 
 // Report is the emitted JSON document. GoMaxProcs and NumCPU describe the
@@ -94,7 +88,6 @@ func main() {
 		return nil
 	})
 	minRatio := flag.Float64("min-ratio", 0, "fail when any -ratio ns/op value is below this floor")
-	minAllocRatio := flag.Float64("min-alloc-ratio", 0, "fail when any -ratio allocs/op value is below this floor (input must use -benchmem)")
 	flag.Parse()
 
 	var rawBuf strings.Builder
@@ -154,7 +147,7 @@ func main() {
 		}
 	}
 	for _, spec := range ratioSpecs {
-		r, err := computeRatio(&rep, spec, *minRatio, *minAllocRatio)
+		r, err := computeRatio(&rep, spec, *minRatio)
 		if err != nil {
 			fatal(err)
 		}
@@ -163,17 +156,6 @@ func main() {
 			regressions = append(regressions,
 				fmt.Sprintf("speedup %s / %s = %.2fx, below floor %.2fx",
 					r.Numerator, r.Denominator, r.Value, *minRatio))
-		}
-		if *minAllocRatio > 0 {
-			if r.AllocValue == nil {
-				regressions = append(regressions,
-					fmt.Sprintf("alloc ratio %s / %s: allocs/op missing (run the benchmarks with -benchmem)",
-						r.Numerator, r.Denominator))
-			} else if *r.AllocValue < *minAllocRatio {
-				regressions = append(regressions,
-					fmt.Sprintf("alloc ratio %s / %s = %.2fx, below floor %.2fx",
-						r.Numerator, r.Denominator, *r.AllocValue, *minAllocRatio))
-			}
 		}
 	}
 	if len(rep.Ratios) > 0 {
@@ -204,7 +186,7 @@ func main() {
 
 // computeRatio resolves one -ratio spec against the parsed results. Names
 // match with the GOMAXPROCS suffix stripped on both sides.
-func computeRatio(rep *Report, spec string, minRatio, minAllocRatio float64) (*Ratio, error) {
+func computeRatio(rep *Report, spec string, minRatio float64) (*Ratio, error) {
 	num, den, ok := strings.Cut(spec, ":")
 	if !ok || num == "" || den == "" {
 		return nil, fmt.Errorf("-ratio %q: want NUM:DEN benchmark names", spec)
@@ -229,18 +211,12 @@ func computeRatio(rep *Report, spec string, minRatio, minAllocRatio float64) (*R
 	if rd.NsPerOp == 0 {
 		return nil, fmt.Errorf("-ratio: denominator %q has 0 ns/op", den)
 	}
-	r := &Ratio{
-		Numerator:     stripGomaxprocs(rn.Name),
-		Denominator:   stripGomaxprocs(rd.Name),
-		Value:         rn.NsPerOp / rd.NsPerOp,
-		MinRatio:      minRatio,
-		MinAllocRatio: minAllocRatio,
-	}
-	if rn.AllocsPerOp != nil && rd.AllocsPerOp != nil && *rd.AllocsPerOp != 0 {
-		av := *rn.AllocsPerOp / *rd.AllocsPerOp
-		r.AllocValue = &av
-	}
-	return r, nil
+	return &Ratio{
+		Numerator:   stripGomaxprocs(rn.Name),
+		Denominator: stripGomaxprocs(rd.Name),
+		Value:       rn.NsPerOp / rd.NsPerOp,
+		MinRatio:    minRatio,
+	}, nil
 }
 
 // loadBaseline reads a prior benchjson report and indexes its results by

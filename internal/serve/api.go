@@ -36,7 +36,7 @@ type ErrorDetail struct {
 const (
 	CodeBadRequest    = "bad_request"    // 400: malformed or invalid request
 	CodeNotFound      = "not_found"      // 404: key not cached (evictable by design)
-	CodeTooLarge      = "too_large"      // 413: by-name request past the procs/iterations bounds
+	CodeTooLarge      = "too_large"      // 413: request past the procs/iterations bounds
 	CodeBulkSaturated = "bulk_saturated" // 429: bulk lane at its inflight watermark
 	CodeQueueFull     = "queue_full"     // 503: admission queue full, retry later
 	CodeTimeout       = "timeout"        // 504: synthesis exceeded the server budget

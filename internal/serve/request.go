@@ -17,10 +17,11 @@ import (
 	"repro/internal/synth"
 )
 
-// Bounds on by-name requests, checked before any generator runs: a 60-byte
-// body naming a million iterations would otherwise build gigabytes of
-// pattern ahead of admission control, the timeout and the body cap. Past
-// them the request is a 413 too_large, not a 400.
+// Bounds on requests, checked before any generator runs: a 60-byte body
+// naming a million iterations would otherwise build gigabytes of pattern
+// ahead of admission control, the timeout and the body cap. Past them the
+// request is a 413 too_large, not a 400. The procs bound also covers an
+// inline trace's header (requestKey); iterations exist only by name.
 const (
 	maxRequestProcs      = 1024
 	maxRequestIterations = 4096

@@ -278,6 +278,7 @@ func FuzzDesignRequest(f *testing.F) {
 		`{"benchmark":"CG","procs":16,"hier":{"clusters":"0-3;4-7@4,7"}}`,
 		`{"trace":"noctrace v1\nname t\nprocs 2\nmsg 0 1 0 1 8\n"}`,
 		`{"trace":"noctrace v1","benchmark":"CG"}`,
+		hugeProcsTrace,
 		`{"benchmark":"LU","procs":-1,"restarts":1000}`,
 		`{"bench":1}`, `[]`, ``,
 	} {

@@ -432,6 +432,12 @@ func (s *Server) requestKey(plan *designPlan) (key string, pat *model.Pattern, e
 		if pat, err = trace.Decode(strings.NewReader(plan.trace)); err != nil {
 			return "", nil, badRequest("decoding trace: %v", err)
 		}
+		// The same bound by-name requests meet in planRequest: the decoder
+		// takes any procs header, and everything from here on allocates per
+		// processor.
+		if pat.Procs > maxRequestProcs {
+			return "", nil, &tooLargeError{fmt.Sprintf("trace procs %d above the limit of %d", pat.Procs, maxRequestProcs)}
+		}
 		h = traceHash(pat)
 	} else if memo, ok := s.memo.restore(plan.workload); ok {
 		obs.Count(s.col, "serve.keymemo_hit", 1)

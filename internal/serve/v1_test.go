@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -92,6 +93,40 @@ func decodeEnvelope(t *testing.T, resp *http.Response, body []byte) string {
 
 // TestErrorEnvelope walks every error status the surface can produce and
 // pins that each carries the typed JSON envelope with its documented code.
+// hugeProcsTrace is a 65-byte inline trace whose header names twenty million
+// processors. The decoder accepts it; before the inline bound, encoding,
+// hashing and fingerprinting it per processor took nocd to 8.9 GB.
+const hugeProcsTrace = `{"trace":"noctrace v1\nname x\nprocs 20000000\nmsg 0 0 1 0 1 8\n"}`
+
+// TestInlineTraceProcsBounded: the inline trace meets the same procs bound as
+// a by-name request, straight after decode — a 413 within a second, nothing
+// generated, nothing synthesized.
+func TestInlineTraceProcsBounded(t *testing.T) {
+	srv := newTestServer(t, quickConfig())
+	done := make(chan itemResult, 1)
+	go func() { done <- srv.resolve(context.Background(), []byte(hugeProcsTrace), false) }()
+	select {
+	case res := <-done:
+		if res.status != http.StatusRequestEntityTooLarge || res.errCode != CodeTooLarge {
+			t.Fatalf("status %d code %q (%s), want 413 %s", res.status, res.errCode, res.errMsg, CodeTooLarge)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("no answer within 1s: the trace's procs header is not bounded before per-processor work")
+	}
+	for name, want := range map[string]int64{"serve.too_large": 1, "serve.pattern_generated": 0, "synth.runs": 0} {
+		if got := srv.Metrics().Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	// At the bound an inline trace is judged on its merits.
+	atBound := `{"trace":"noctrace v1\nname x\nprocs 1024\nmsg 0 0 1 0 1 8\n"}`
+	if plan, err := srv.planRequest([]byte(atBound)); err != nil {
+		t.Fatal(err)
+	} else if _, _, err := srv.requestKey(plan); err != nil {
+		t.Errorf("procs 1024 inline: %v, want a key", err)
+	}
+}
+
 func TestErrorEnvelope(t *testing.T) {
 	t.Run("400 bad_request", func(t *testing.T) {
 		srv := newTestServer(t, quickConfig())
@@ -133,6 +168,7 @@ func TestErrorEnvelope(t *testing.T) {
 			{"procs just past", `{"benchmark":"ring-allreduce","procs":1025}`},
 			{"unknown name, still bounded first", `{"benchmark":"LU","procs":2048}`},
 			{"hier", `{"benchmark":"CG","procs":4096,"hier":{"clusters":"4"}}`},
+			{"inline trace header", hugeProcsTrace},
 		} {
 			resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", tc.body)
 			if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -151,7 +187,7 @@ func TestErrorEnvelope(t *testing.T) {
 		// The bound runs before the memo and before any generator.
 		col := srv.Metrics()
 		for name, want := range map[string]int64{
-			"serve.too_large":         6,
+			"serve.too_large":         7,
 			"serve.keymemo_hit":       0,
 			"serve.keymemo_miss":      1, // the request at the bounds
 			"serve.bad_requests":      1, // likewise

@@ -218,5 +218,5 @@ func (s *state) globalCost() int {
 		}
 	}
 	s.gcPairs = pairs
-	return s.costOf(pairs, s.allSwitches())
+	return s.localCost(pairs, s.allSwitches())
 }

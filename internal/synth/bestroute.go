@@ -110,15 +110,6 @@ func (s *state) trafficNeighbors(a, b int) []int {
 	return out
 }
 
-// reversed returns the route walked backwards as a fresh slice.
-func reversed(r []int) []int {
-	out := make([]int, len(r))
-	for i, x := range r {
-		out[len(r)-1-i] = x
-	}
-	return out
-}
-
 // isMirror reports whether a equals b walked backwards.
 func isMirror(a, b []int) bool {
 	if len(a) != len(b) {
@@ -133,17 +124,9 @@ func isMirror(a, b []int) bool {
 }
 
 // applyGroupRoute routes the group's first flow along cand and any paired
-// reverse flow along the mirror of cand. cand may be caller scratch: the
-// incremental engine persists it into shared headers or the arena, the
-// reference engine copies it afresh.
+// reverse flow along the mirror of cand. cand may be caller scratch: it is
+// persisted into shared headers or the arena.
 func (s *state) applyGroupRoute(g group, cand []int) {
-	if s.opt.referenceMoveEngine {
-		s.setRoute(g[0], append([]int(nil), cand...))
-		if g[1] >= 0 {
-			s.setRoute(g[1], reversed(cand))
-		}
-		return
-	}
 	s.setRoute(g[0], s.persistRoute(cand))
 	if g[1] >= 0 {
 		s.setRoute(g[1], s.persistReversed(cand))
@@ -162,7 +145,7 @@ func (s *state) groupRouteDelta(g group, cand []int) int {
 	}
 	pairs = addRoutePairs(pairs, cand)
 	sws := s.switchesOf(pairs)
-	before := s.costOf(pairs, sws)
+	before := s.localCost(pairs, sws)
 	m := s.beginProbe()
 	s.setRoute(g[0], cand)
 	if g[1] >= 0 {
@@ -173,7 +156,7 @@ func (s *state) groupRouteDelta(g group, cand []int) int {
 		s.revScratch = rev
 		s.setRoute(g[1], rev)
 	}
-	after := s.costOf(pairs, sws)
+	after := s.localCost(pairs, sws)
 	s.rollback(m)
 	s.pairScratch = pairs[:0]
 	return after - before
@@ -186,15 +169,8 @@ func (s *state) groupRouteDelta(g group, cand []int) int {
 // any elimination was committed.
 func (s *state) eliminatePipes() bool {
 	changed := false
-	ref := s.opt.referenceMoveEngine
 	for sw := range s.swProcs {
-		deg := 0
-		if ref {
-			deg = s.estDegreeRef(sw)
-		} else {
-			deg = s.estDegree(sw)
-		}
-		if deg <= s.opt.MaxDegree {
+		if s.estDegree(sw) <= s.opt.MaxDegree {
 			continue
 		}
 		for other := range s.swProcs {
@@ -274,7 +250,7 @@ func (s *state) tryPipeElimination(ids []int, a, b, m int) bool {
 		}
 	}
 	sws := s.switchesOf(pairs)
-	before := s.costOf(pairs, sws)
+	before := s.localCost(pairs, sws)
 	mk := s.beginProbe()
 	for _, fi := range ids {
 		f := s.flows[fi]
@@ -285,7 +261,7 @@ func (s *state) tryPipeElimination(ids []int, a, b, m int) bool {
 			s.setRoute(fi, s.viaRoute(ha, m, hb))
 		}
 	}
-	after := s.costOf(pairs, sws)
+	after := s.localCost(pairs, sws)
 	s.pairScratch = pairs[:0]
 	if after < before {
 		s.keep(mk)
@@ -296,12 +272,8 @@ func (s *state) tryPipeElimination(ids []int, a, b, m int) bool {
 	return false
 }
 
-// directPair is the two-switch route [a, b]: a shared header on the
-// incremental engine, a fresh allocation on the reference engine.
+// directPair is the two-switch route [a, b] as a shared header.
 func (s *state) directPair(a, b int) []int {
-	if s.opt.referenceMoveEngine {
-		return []int{a, b}
-	}
 	if a == b {
 		// Pathological but possible via seed-replayed routes that revisit
 		// their origin: mirror the reference's two-element [a, a] exactly
@@ -313,12 +285,8 @@ func (s *state) directPair(a, b int) []int {
 	return s.cachedDirect(a, b)
 }
 
-// viaRoute is the one-intermediate route [a, m, b]: arena-backed on the
-// incremental engine, a fresh allocation on the reference engine.
+// viaRoute is the one-intermediate route [a, m, b], arena-backed.
 func (s *state) viaRoute(a, m, b int) []int {
-	if s.opt.referenceMoveEngine {
-		return []int{a, m, b}
-	}
 	r := s.arena.alloc(3)
 	r[0], r[1], r[2] = a, m, b
 	return r

@@ -17,10 +17,9 @@ package synth
 // dirW/dirQ (invalidated by setRouteRaw when the pipe's membership changes),
 // pair widths in pairW, and per-switch width sums in sumW — maintained
 // lazily through the dirty list so estDegree, the old O(switches) hot spot,
-// is O(1) amortized. The *Ref variants recompute everything the way the
-// pre-incremental engine did; the reference move engine uses them so the
-// perf-synth ratio measures real work, and the equivalence suite pins both
-// to identical values.
+// is O(1) amortized. The memos are held to a from-scratch recomputation
+// (estDegreeRef/localCostRef in moveref_test.go) after every operation of
+// TestMoveEngineRandomEquivalence.
 const (
 	costHopWeight     = 1
 	costQuadWeight    = 1 << 4
@@ -111,12 +110,6 @@ func (s *state) flushDirty() {
 	s.dirty = s.dirty[:0]
 }
 
-// fastColorDir applies the Fast_Color bound to one pipe direction.
-func (s *state) fastColorDir(from, to int) int {
-	w, _ := s.dirStats(from, to)
-	return w
-}
-
 // estWidth estimates a pipe's link count: the max of the two directions'
 // fast-color bounds (full-duplex links, Section 3.1), memoized in pairW.
 func (s *state) estWidth(a, b int) int {
@@ -131,43 +124,12 @@ func (s *state) estDegree(sw int) int {
 	return len(s.swProcs[sw]) + int(s.sumW[sw])
 }
 
-// estDegreeRef is the pre-incremental estDegree: a scan over every other
-// switch with both direction widths recomputed from the pipe bitsets.
-func (s *state) estDegreeRef(sw int) int {
-	d := len(s.swProcs[sw])
-	for t := range s.swProcs {
-		if t == sw {
-			continue
-		}
-		wf, _ := s.dirStatsCompute(sw, t)
-		if wb, _ := s.dirStatsCompute(t, sw); wb > wf {
-			wf = wb
-		}
-		d += wf
-	}
-	return d
-}
-
 // penaltyOf sums constraint violations over a set of switches: degree excess
 // plus processor-count excess.
 func (s *state) penaltyOf(switches []int) int {
 	total := 0
 	for _, sw := range switches {
 		if d := s.estDegree(sw); d > s.opt.MaxDegree {
-			total += d - s.opt.MaxDegree
-		}
-		if n := len(s.swProcs[sw]); n > s.opt.MaxProcsPerSwitch {
-			total += n - s.opt.MaxProcsPerSwitch
-		}
-	}
-	return total
-}
-
-// penaltyOfRef is penaltyOf over estDegreeRef.
-func (s *state) penaltyOfRef(switches []int) int {
-	total := 0
-	for _, sw := range switches {
-		if d := s.estDegreeRef(sw); d > s.opt.MaxDegree {
 			total += d - s.opt.MaxDegree
 		}
 		if n := len(s.swProcs[sw]); n > s.opt.MaxProcsPerSwitch {
@@ -204,37 +166,6 @@ func (s *state) localCost(pairs [][2]int, switches []int) int {
 		s.totalHops*costHopWeight
 }
 
-// localCostRef is localCost evaluated the pre-incremental way: direction
-// stats recomputed per pair, degrees rebuilt by scanning every switch pair.
-// Values are identical to localCost's.
-func (s *state) localCostRef(pairs [][2]int, switches []int) int {
-	links, quad := 0, 0
-	for _, p := range pairs {
-		wf, qf := s.dirStatsCompute(p[0], p[1])
-		wb, qb := s.dirStatsCompute(p[1], p[0])
-		if wb > wf {
-			wf = wb
-		}
-		links += wf
-		quad += qf + qb
-	}
-	return s.penaltyOfRef(switches)*costPenaltyWeight +
-		links*costLinkWeight +
-		quad*costQuadWeight +
-		s.totalHops*costHopWeight
-}
-
-// costOf dispatches between the incremental and reference cost evaluators,
-// so the reference engine keeps the pre-incremental work profile in every
-// probe path (moves, swaps, reroutes, pipe eliminations, global scoring) and
-// the perf-synth Reference:New ratio measures the whole engine change.
-func (s *state) costOf(pairs [][2]int, switches []int) int {
-	if s.opt.referenceMoveEngine {
-		return s.localCostRef(pairs, switches)
-	}
-	return s.localCost(pairs, switches)
-}
-
 // totalLinks sums estimated widths over all pipes with traffic.
 func (s *state) totalLinks() int {
 	total := 0
@@ -253,9 +184,6 @@ func (s *state) totalLinks() int {
 func (s *state) violates(sw int) bool {
 	if len(s.swProcs[sw]) > s.opt.MaxProcsPerSwitch {
 		return true
-	}
-	if s.opt.referenceMoveEngine {
-		return s.estDegreeRef(sw) > s.opt.MaxDegree
 	}
 	return s.estDegree(sw) > s.opt.MaxDegree
 }

@@ -72,6 +72,30 @@ func LoadDesign(r io.Reader) (*topology.Network, *routing.Table, error) {
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, nil, fmt.Errorf("synth: decoding design: %v", err)
 	}
+	// Everything topology and routing index by, or panic on, is checked
+	// first. Every processor must be attached, so the switch lists bound
+	// procs — and with it the allocation a hostile header could ask for.
+	listed := 0
+	for _, procs := range in.Switches {
+		listed += len(procs)
+	}
+	if in.Procs < 0 || in.Procs > listed {
+		return nil, nil, fmt.Errorf("synth: design declares %d processors but attaches %d", in.Procs, listed)
+	}
+	for i := range in.Pipes {
+		p := &in.Pipes[i]
+		if n := len(in.Switches); p.A < 0 || p.B < 0 || p.A >= n || p.B >= n || p.A == p.B || p.Width < 0 {
+			return nil, nil, fmt.Errorf("synth: pipe (%d,%d) of width %d is not a link between two of %d switches", p.A, p.B, p.Width, n)
+		}
+		if p.B < p.A {
+			p.A, p.B = p.B, p.A
+		}
+	}
+	for _, rj := range in.Routes {
+		if rj.Src < 0 || rj.Src >= in.Procs || rj.Dst < 0 || rj.Dst >= in.Procs {
+			return nil, nil, fmt.Errorf("synth: route (%d,%d) references a processor outside 0..%d", rj.Src, rj.Dst, in.Procs-1)
+		}
+	}
 	net := topology.New(in.Name, in.Procs)
 	for _, procs := range in.Switches {
 		s := net.AddSwitch()

@@ -24,8 +24,9 @@ import (
 //   - rollback(m) reverse-replays the journal down to the mark through the
 //     raw mutators and pops the route arena to the mark, restoring the state
 //     bit-for-bit (including swProcs list order: a probed processor ends up
-//     at the end of its home list, exactly as the reference engine's
-//     apply/undo round trip leaves it).
+//     at the end of its home list, exactly as the apply/undo round trip of
+//     the reference evaluator — the test oracle in moveref_test.go — leaves
+//     it).
 //   - keep(m) retains the mutations and performs the deferred version bumps
 //     (old and current route pairs, moved processors' homes). It never pops
 //     the arena: committed routes own their arena bytes until reset().

@@ -306,11 +306,16 @@ func TestStatePoolMixedWidths(t *testing.T) {
 	}
 }
 
-// TestMoveEngineRandomEquivalence drives a reference-engine state and an
-// incremental-engine state through the same randomized interleaving of
-// splits, reattaches, move/swap probes, anneal and greedy optimization, and
-// global refinement, and requires identical deltas, stats, and full state at
-// every step.
+// TestMoveEngineRandomEquivalence drives two states through the same
+// randomized interleaving of splits, reattaches, move/swap probes, anneal and
+// greedy optimization, and global refinement — sref through the oracle's
+// entry points in moveref_test.go (tryMove+undo, optimizeMovesRef,
+// swapRefineRef), snew through the production ones (probeMove,
+// optimizeMoves, swapRefine) — and requires identical deltas, stats, and full
+// state at every step. After every operation the cost memos of both states
+// are also held to a from-scratch recomputation: estDegree against
+// estDegreeRef for every switch, localCost against localCostRef over every
+// switch pair.
 func TestMoveEngineRandomEquivalence(t *testing.T) {
 	phases := []trace.PhaseSpec{
 		{Flows: []model.Flow{model.F(0, 1), model.F(2, 3), model.F(4, 5), model.F(6, 7), model.F(8, 9)}, Bytes: 64},
@@ -321,17 +326,33 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 		seed := int64(trial)
 		pat := trace.BuildPhased("eq", 10, phases)
 		cliques := model.MaxCliqueSet(pat)
-		optRef := Options{Seed: seed, referenceMoveEngine: true}
-		optNew := Options{Seed: seed}
+		opt := Options{Seed: seed}
 		if trial%2 == 1 {
-			optRef.Anneal = AnnealConfig{InitialTemp: 2, Cooling: 0.9, Steps: 24}
-			optNew.Anneal = optRef.Anneal
+			opt.Anneal = AnnealConfig{InitialTemp: 2, Cooling: 0.9, Steps: 24}
 		}
-		sref := newState(newKernel(pat, cliques), optRef.Normalized(), seed, &Stats{})
-		snew := newState(newKernel(pat, cliques), optNew.Normalized(), seed, &Stats{})
+		sref := newState(newKernel(pat, cliques), opt.Normalized(), seed, &Stats{})
+		snew := newState(newKernel(pat, cliques), opt.Normalized(), seed, &Stats{})
 
+		checkMemos := func(s *state, who, op string) {
+			t.Helper()
+			var pairs [][2]int
+			all := s.allSwitches()
+			for a := range all {
+				if got, want := s.estDegree(a), s.estDegreeRef(a); got != want {
+					t.Fatalf("trial %d: %s estDegree(%d) = %d after %s, recomputed %d", trial, who, a, got, op, want)
+				}
+				for b := a + 1; b < s.nsw(); b++ {
+					pairs = append(pairs, [2]int{a, b})
+				}
+			}
+			if got, want := s.localCost(pairs, all), s.localCostRef(pairs, all); got != want {
+				t.Fatalf("trial %d: %s localCost = %d after %s, recomputed %d", trial, who, got, op, want)
+			}
+		}
 		check := func(op string) {
 			t.Helper()
+			checkMemos(sref, "ref", op)
+			checkMemos(snew, "new", op)
 			if !equalSnapshots(snapshotFull(sref), snapshotFull(snew)) {
 				t.Fatalf("trial %d: state diverged after %s", trial, op)
 			}
@@ -373,25 +394,26 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 				p := rng.Intn(10)
 				to := rng.Intn(len(sref.swProcs))
 				if to != sref.home[p] {
-					d1 := sref.evalMove(p, to)
-					d2 := snew.evalMove(p, to)
+					d1, undo := sref.tryMove(p, to)
+					undo()
+					d2 := snew.probeMove(p, to)
 					if d1 != d2 {
-						t.Fatalf("trial %d: evalMove(%d,%d) delta %d vs %d", trial, p, to, d1, d2)
+						t.Fatalf("trial %d: tryMove(%d,%d) delta %d, probeMove %d", trial, p, to, d1, d2)
 					}
-					check("evalMove")
+					check("probeMove")
 				}
 			case 3:
 				if len(sref.swProcs) >= 2 {
 					i := rng.Intn(len(sref.swProcs))
 					j := rng.Intn(len(sref.swProcs))
 					if i != j {
-						sref.optimizeMoves(i, j)
+						sref.optimizeMovesRef(i, j)
 						snew.optimizeMoves(i, j)
 						check("optimizeMoves")
 					}
 				}
 			case 4:
-				sref.swapRefine()
+				sref.swapRefineRef()
 				snew.swapRefine()
 				check("swapRefine")
 			case 5:
@@ -402,43 +424,5 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 		}
 		sref.release()
 		snew.release()
-	}
-}
-
-// TestSynthesizeReferenceEngineByteIdentical pins the incremental engine to
-// the reference engine end to end: full Synthesize runs must serialize to the
-// same bytes for representative workloads and option variants.
-func TestSynthesizeReferenceEngineByteIdentical(t *testing.T) {
-	pat, err := nas.Generate("CG", 16, quickNASConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	variants := map[string]Options{
-		"default": {Seed: 1, Restarts: 2, Workers: 2},
-		"anneal":  {Seed: 2, Restarts: 2, Workers: 2, Anneal: AnnealConfig{InitialTemp: 2, Cooling: 0.95, Steps: 40}},
-		"greedy":  {Seed: 3, Restarts: 2, Workers: 2, GreedyFinalColoring: true},
-		"nobest":  {Seed: 4, Restarts: 2, Workers: 2, DisableBestRoute: true},
-	}
-	for name, opt := range variants {
-		newRes := synthOrDie(t, pat, opt)
-		refOpt := opt
-		refOpt.referenceMoveEngine = true
-		refRes := synthOrDie(t, pat, refOpt)
-		if !bytes.Equal(designBytes(t, newRes), designBytes(t, refRes)) {
-			t.Errorf("%s: incremental engine design differs from reference engine", name)
-		}
-		if newRes.Stats.MovesEvaluated != refRes.Stats.MovesEvaluated ||
-			newRes.Stats.MovesCommitted != refRes.Stats.MovesCommitted {
-			t.Errorf("%s: move stats differ: new %+v ref %+v", name, newRes.Stats, refRes.Stats)
-		}
-	}
-	// Seeded restart path.
-	base := synthOrDie(t, pat, Options{Seed: 1, Restarts: 2, Workers: 2})
-	sd := SeedFromDesign(base.Net, base.Table)
-	opt := Options{Seed: 9, Restarts: 2, Workers: 2, SeedDesign: sd}
-	refOpt := opt
-	refOpt.referenceMoveEngine = true
-	if !bytes.Equal(designBytes(t, synthOrDie(t, pat, opt)), designBytes(t, synthOrDie(t, pat, refOpt))) {
-		t.Error("seeded: incremental engine design differs from reference engine")
 	}
 }

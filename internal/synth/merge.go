@@ -9,10 +9,8 @@ const costSwitchWeight = 2 * costLinkWeight
 // liveSwitches counts switches that hold processors or carry traffic.
 func (s *state) liveSwitches() int {
 	n := len(s.swProcs)
-	var live []bool
-	if s.opt.referenceMoveEngine {
-		live = make([]bool, n)
-	} else if live = s.liveScratch; cap(live) < n {
+	live := s.liveScratch
+	if cap(live) < n {
 		live = make([]bool, n)
 		s.liveScratch = live
 	} else {
@@ -55,12 +53,6 @@ type stateSnapshot struct {
 	routes [][]int
 }
 
-func (s *state) snapshot() stateSnapshot {
-	var snap stateSnapshot
-	s.snapshotInto(&snap)
-	return snap
-}
-
 // snapshotInto refills snap in place so the merge loop's per-pair snapshot
 // reuses one pair of backing arrays instead of allocating each attempt.
 func (s *state) snapshotInto(snap *stateSnapshot) {
@@ -87,7 +79,6 @@ func (s *state) restore(snap stateSnapshot) {
 // all-singleton solution into the paper's multi-processor switches.
 func (s *state) mergeRefine() bool {
 	changed := false
-	ref := s.opt.referenceMoveEngine
 	for a := range s.swProcs {
 		if len(s.swProcs[a]) == 0 {
 			continue
@@ -99,17 +90,9 @@ func (s *state) mergeRefine() bool {
 			if len(s.swProcs[a])+len(s.swProcs[b]) > s.opt.MaxProcsPerSwitch {
 				continue
 			}
-			var snap stateSnapshot
-			var procs []int
-			if ref {
-				snap = s.snapshot()
-				procs = append([]int(nil), s.swProcs[b]...)
-			} else {
-				s.snapshotInto(&s.mergeSnap)
-				snap = s.mergeSnap
-				procs = append(s.mergeProcs[:0], s.swProcs[b]...)
-				s.mergeProcs = procs
-			}
+			s.snapshotInto(&s.mergeSnap)
+			procs := append(s.mergeProcs[:0], s.swProcs[b]...)
+			s.mergeProcs = procs
 			before := s.consolidationScore()
 			for _, p := range procs {
 				s.reattach(p, a)
@@ -122,7 +105,7 @@ func (s *state) mergeRefine() bool {
 				s.stats.GlobalMoves += len(procs)
 				changed = true
 			} else {
-				s.restore(snap)
+				s.restore(s.mergeSnap)
 			}
 		}
 	}

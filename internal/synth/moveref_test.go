@@ -5,16 +5,21 @@ import (
 	"sort"
 )
 
-// The reference move engine: the original closure-based tryMove/trySwap and
-// the per-iteration candidate rebuilds, selected by the unexported
-// Options.referenceMoveEngine, which only this package's tests and benchmarks
-// can set. It is output-inert — the incremental engine is pinned
-// byte-identical to it by the equivalence suite — and exists so the
-// perf-synth benchmark gate measures a real in-run ratio. It stays in the
-// non-test build because the search calls it from a dozen interleaved sites
-// (DESIGN.md §13). Cost evaluation goes through
-// localCostRef, which recomputes direction stats and degrees the way the
-// pre-incremental engine did.
+// The reference move evaluator, kept as a test oracle: the original
+// closure-based tryMove/trySwap with their apply/undo/recost/reapply round
+// trip, the step 7-9 loops that rebuild and re-probe every candidate each
+// iteration, and cost functions that recompute every width and degree from
+// the pipe bitsets instead of reading the memos. Nothing here is compiled
+// into a binary. TestMoveEngineRandomEquivalence drives one state through
+// these entry points and a twin through probeMove/optimizeMoves/swapRefine,
+// and requires equal deltas, stats, state and memo values after every
+// operation; the end-to-end half of the comparison is the golden corpus
+// (golden_test.go), generated with this evaluator driving full runs.
+//
+// The oracle runs on an ordinary arena-backed state with no probe open. The
+// route headers its undo closures capture are committed routes, which own
+// their arena bytes until reset(): a rollback pops only to its own mark, and
+// every mark is taken above them.
 
 // routeUndo captures route state for rollback.
 type routeUndo struct {
@@ -22,8 +27,8 @@ type routeUndo struct {
 	route []int
 }
 
-// directRouteAlloc is the reference engine's directRoute: a freshly
-// allocated one- or two-switch path.
+// directRouteAlloc is the oracle's directRoute: a freshly allocated one- or
+// two-switch path, independent of the shared cached headers.
 func (s *state) directRouteAlloc(fi int) []int {
 	f := s.flows[fi]
 	a, b := s.home[f.Src], s.home[f.Dst]
@@ -87,7 +92,7 @@ func (s *state) trySwap(p, q int) (int, func()) {
 	s.reattachNoReroute(q, sp)
 	redirect := func(proc int) {
 		for _, fi := range s.procFlows[proc] {
-			s.setRoute(fi, s.directRoute(fi))
+			s.setRoute(fi, s.directRouteAlloc(fi))
 		}
 	}
 	redirect(p)
@@ -202,4 +207,75 @@ func (s *state) annealMovesRef(i, j int) {
 		}
 		temp *= s.opt.Anneal.Cooling
 	}
+}
+
+// swapRefineRef is swapRefine over trySwap.
+func (s *state) swapRefineRef() bool {
+	changed := false
+	for p := 0; p < s.procs; p++ {
+		for q := p + 1; q < s.procs; q++ {
+			if s.home[p] == s.home[q] {
+				continue
+			}
+			delta, undo := s.trySwap(p, q)
+			if delta < 0 {
+				s.stats.MovesCommitted++
+				changed = true
+			} else {
+				undo()
+			}
+		}
+	}
+	return changed
+}
+
+// estDegreeRef is the pre-incremental estDegree: a scan over every other
+// switch with both direction widths recomputed from the pipe bitsets.
+func (s *state) estDegreeRef(sw int) int {
+	d := len(s.swProcs[sw])
+	for t := range s.swProcs {
+		if t == sw {
+			continue
+		}
+		wf, _ := s.dirStatsCompute(sw, t)
+		if wb, _ := s.dirStatsCompute(t, sw); wb > wf {
+			wf = wb
+		}
+		d += wf
+	}
+	return d
+}
+
+// penaltyOfRef is penaltyOf over estDegreeRef.
+func (s *state) penaltyOfRef(switches []int) int {
+	total := 0
+	for _, sw := range switches {
+		if d := s.estDegreeRef(sw); d > s.opt.MaxDegree {
+			total += d - s.opt.MaxDegree
+		}
+		if n := len(s.swProcs[sw]); n > s.opt.MaxProcsPerSwitch {
+			total += n - s.opt.MaxProcsPerSwitch
+		}
+	}
+	return total
+}
+
+// localCostRef is localCost evaluated the pre-incremental way: direction
+// stats recomputed per pair, degrees rebuilt by scanning every switch pair.
+// Values are identical to localCost's.
+func (s *state) localCostRef(pairs [][2]int, switches []int) int {
+	links, quad := 0, 0
+	for _, p := range pairs {
+		wf, qf := s.dirStatsCompute(p[0], p[1])
+		wb, qb := s.dirStatsCompute(p[1], p[0])
+		if wb > wf {
+			wf = wb
+		}
+		links += wf
+		quad += qf + qb
+	}
+	return s.penaltyOfRef(switches)*costPenaltyWeight +
+		links*costLinkWeight +
+		quad*costQuadWeight +
+		s.totalHops*costHopWeight
 }

@@ -61,20 +61,9 @@ func (s *state) rerouteAnneal(budget int) {
 // is at its processor or degree budget.
 func (s *state) swapRefine() bool {
 	changed := false
-	ref := s.opt.referenceMoveEngine
 	for p := 0; p < s.procs; p++ {
 		for q := p + 1; q < s.procs; q++ {
 			if s.home[p] == s.home[q] {
-				continue
-			}
-			if ref {
-				delta, undo := s.trySwap(p, q)
-				if delta < 0 {
-					s.stats.MovesCommitted++
-					changed = true
-				} else {
-					undo()
-				}
 				continue
 			}
 			delta, m := s.applySwap(p, q)

@@ -95,11 +95,11 @@ func TestFastColorDirCountsCliqueOverlap(t *testing.T) {
 	for fi := range s.flows {
 		s.setRoute(fi, s.directRoute(fi))
 	}
-	if got := s.fastColorDir(0, 1); got != 3 {
-		t.Fatalf("fastColorDir(0,1) = %d, want 3", got)
+	if got, _ := s.dirStats(0, 1); got != 3 {
+		t.Fatalf("dirStats(0,1) width = %d, want 3", got)
 	}
-	if got := s.fastColorDir(1, 0); got != 3 {
-		t.Fatalf("fastColorDir(1,0) = %d, want 3", got)
+	if got, _ := s.dirStats(1, 0); got != 3 {
+		t.Fatalf("dirStats(1,0) width = %d, want 3", got)
 	}
 	if got := s.estWidth(0, 1); got != 3 {
 		t.Fatalf("estWidth = %d, want 3", got)
@@ -173,7 +173,8 @@ func TestTrySwapUndoRestoresExactly(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	s := testState(t, 6, pairPhases(), 7)
 	s.split(0)
-	snap := s.snapshot()
+	var snap stateSnapshot
+	s.snapshotInto(&snap)
 	before := snapshotFull(s)
 	// Mutate heavily.
 	s.reattach(s.swProcs[0][0], 1)

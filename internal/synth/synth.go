@@ -87,15 +87,6 @@ type Options struct {
 	// fold so counter values are identical for every Workers setting.
 	// Nil disables telemetry at zero cost.
 	Obs obs.Observer
-
-	// referenceMoveEngine selects the original closure-based move
-	// evaluation (apply/undo/recost/reapply probes, per-iteration candidate
-	// rebuilds, uncached cost recomputation) instead of the incremental
-	// journal/gain-cache engine. Unexported: only this package's
-	// equivalence suite and the perf-synth benchmarks can set it, so no
-	// shipped binary reaches the reference path. Both engines produce
-	// byte-identical designs (pinned by the engine-equivalence suite).
-	referenceMoveEngine bool
 }
 
 // Normalized returns the options with every zero field replaced by its
@@ -356,13 +347,9 @@ func (s *state) setRoute(fi int, route []int) {
 	s.setRouteRaw(fi, route)
 }
 
-// directRoute is the one-pipe path between the endpoints' home switches: a
-// shared cached header (incremental engine) or a fresh allocation
-// (reference engine).
+// directRoute is the one-pipe path between the endpoints' home switches, as
+// a shared cached header.
 func (s *state) directRoute(fi int) []int {
-	if s.opt.referenceMoveEngine {
-		return s.directRouteAlloc(fi)
-	}
 	f := s.flows[fi]
 	return s.cachedDirect(s.home[f.Src], s.home[f.Dst])
 }
@@ -457,17 +444,6 @@ func (s *state) switchesOf(pairs [][2]int, extra ...int) []int {
 	return sws
 }
 
-// evalMove measures the cost delta of moving p to `to` without changing the
-// state (beyond the reference-identical end-of-list permutation of p).
-func (s *state) evalMove(p, to int) int {
-	if s.opt.referenceMoveEngine {
-		delta, undo := s.tryMove(p, to)
-		undo()
-		return delta
-	}
-	return s.probeMove(p, to)
-}
-
 // balancedAfterMove checks the Appendix's step 8 balance rule: a move must
 // not leave the two partitions differing by more than two processors. It
 // additionally forbids emptying either half — undoing a split entirely just
@@ -494,10 +470,6 @@ func (s *state) balancedAfterMove(p, to int, i, j int) bool {
 // (or, with annealing enabled, a temperature-accepted random move), calling
 // Best_Route after each commit.
 func (s *state) optimizeMoves(i, j int) {
-	if s.opt.referenceMoveEngine {
-		s.optimizeMovesRef(i, j)
-		return
-	}
 	if s.opt.Anneal.InitialTemp > 0 {
 		s.annealMoves(i, j)
 	}
@@ -622,7 +594,7 @@ func (s *state) globalRefine() {
 				if len(s.swProcs[to]) >= s.opt.MaxProcsPerSwitch {
 					continue
 				}
-				delta := s.evalMove(p, to)
+				delta := s.probeMove(p, to)
 				if delta < bestDelta {
 					bestDelta = delta
 					bestTo = to
