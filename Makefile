@@ -4,7 +4,7 @@
 # schedules so an order-dependent reduction cannot pass by luck.
 GO ?= go
 
-.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-synth bench-obs bench-flitsim bench-warm bench-all fuzz
+.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-synth bench-obs bench-flitsim bench-warm bench-floorplan bench-all fuzz
 
 verify: vet build race determinism
 
@@ -98,9 +98,23 @@ bench-warm:
 			-ratio 'BenchmarkWarmStartSweepCold:BenchmarkWarmStartSweepSeeded' -min-ratio 5 \
 			$(if $(wildcard BENCH_warm.json),-baseline BENCH_warm.json -budget 25)
 
-bench: bench-synth bench-obs bench-flitsim bench-warm
+# bench-floorplan is the placement speedup gate: it runs the floorplan
+# benchmarks (CG-16, FFT-16, the imperfect-matching ring-allreduce-64 and a
+# constructed 256-processor network), writes BENCH_floorplan.json/.txt, and fails unless the array-backed delta
+# search beats the map-based reference (the test oracle in placeref_test.go)
+# by >= 10x on CG-16. Both run in the same invocation on the same machine, so
+# the ratio gate needs no committed baseline; the -baseline annotation (when
+# BENCH_floorplan.json exists) additionally flags absolute ns/op regressions
+# over 25%.
+bench-floorplan:
+	$(GO) test -run '^$$' -bench 'Place' -benchmem ./internal/floorplan \
+		| $(GO) run ./cmd/benchjson -o BENCH_floorplan.json -raw BENCH_floorplan.txt \
+			-ratio 'BenchmarkPlaceCG16Reference:BenchmarkPlaceCG16' -min-ratio 10 \
+			$(if $(wildcard BENCH_floorplan.json),-baseline BENCH_floorplan.json -budget 25)
 
-# bench-all is the one performance entry point: `bench`'s four gated
+bench: bench-synth bench-obs bench-flitsim bench-warm bench-floorplan
+
+# bench-all is the one performance entry point: `bench`'s five gated
 # microbenchmark targets in sequence (each fails on its own ratio or budget
 # gate and refreshes its BENCH_*.json), then the end-to-end ledger —
 # BENCHMARK.json's four workloads, each with its per-layer breakdown. The

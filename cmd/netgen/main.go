@@ -98,7 +98,7 @@ func main() {
 		fmt.Printf("  pipe %d-%d: %d link(s)\n", p.A, p.B, p.Width)
 	}
 
-	plan, err := floorplan.Place(res.Net, floorplan.Options{Seed: shared.Seed, Obs: shared.Observer()})
+	plan, err := floorplan.Place(res.Net, floorplan.Options{Obs: shared.Observer()})
 	if err != nil {
 		fatal(err)
 	}

@@ -70,7 +70,7 @@ func main() {
 			fatal(err2)
 		}
 		if *useFloor {
-			plan, err3 := floorplan.Place(net, floorplan.Options{Seed: shared.Seed, Obs: shared.Observer()})
+			plan, err3 := floorplan.Place(net, floorplan.Options{Obs: shared.Observer()})
 			if err3 != nil {
 				fatal(err3)
 			}

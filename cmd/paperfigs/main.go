@@ -125,7 +125,7 @@ func main() {
 		return nil
 	})
 	run("scale", func() error {
-		sizes := []int{8, 16, 32}
+		sizes := []int{8, 16, 32, 64}
 		if *quick {
 			sizes = []int{8, 16}
 		}

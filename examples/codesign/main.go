@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := floorplan.Place(result.Net, floorplan.Options{Seed: 7})
+	plan, err := floorplan.Place(result.Net, floorplan.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

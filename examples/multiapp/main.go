@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan, err := floorplan.Place(res.Net, floorplan.Options{Seed: 3})
+		plan, err := floorplan.Place(res.Net, floorplan.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -103,7 +103,7 @@ func (c Config) designFor(name string, procs int, pat *model.Pattern) (*Design, 
 	if err != nil {
 		return nil, err
 	}
-	plan, err := floorplan.Place(res.Net, floorplan.Options{Seed: c.Seed, Obs: c.Obs})
+	plan, err := floorplan.Place(res.Net, floorplan.Options{Obs: c.Obs})
 	if err != nil {
 		return nil, err
 	}

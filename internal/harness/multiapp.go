@@ -77,7 +77,7 @@ func (c Config) MultiApp(apps []string, procs int) (*MultiAppResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := floorplan.Place(mergedRes.Net, floorplan.Options{Seed: c.Seed})
+	plan, err := floorplan.Place(mergedRes.Net, floorplan.Options{Obs: c.Obs})
 	if err != nil {
 		return nil, err
 	}

@@ -53,3 +53,26 @@ func TestCountersWorkerInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestObsReachesEveryFloorplanCall pins Config.Obs's promise for the two
+// experiments that floorplan outside BuildDesign: Walkthrough places its one
+// network, MultiApp the merged network on top of one per application.
+func TestObsReachesEveryFloorplanCall(t *testing.T) {
+	run := func(experiment func(Config) error) int64 {
+		t.Helper()
+		col := obs.NewCollector()
+		c := Quick()
+		c.Obs = col
+		if err := experiment(c.Normalized()); err != nil {
+			t.Fatal(err)
+		}
+		return col.Counters()["floorplan.place_calls"]
+	}
+	if got := run(func(c Config) error { _, err := c.Walkthrough(); return err }); got != 1 {
+		t.Errorf("Walkthrough recorded %d floorplan.place_calls, want 1", got)
+	}
+	apps := []string{"CG", "FFT"}
+	if got := run(func(c Config) error { _, err := c.MultiApp(apps, 16); return err }); got != int64(len(apps))+1 {
+		t.Errorf("MultiApp recorded %d floorplan.place_calls, want %d (one per application plus the merged network)", got, len(apps)+1)
+	}
+}

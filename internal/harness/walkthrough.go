@@ -87,7 +87,7 @@ func (c Config) Walkthrough() (*WalkthroughResult, error) {
 	w.ConstraintsMet = res.ConstraintsMet
 	w.ContentionFree = res.ContentionFree
 
-	plan, err := floorplan.Place(res.Net, floorplan.Options{Seed: c.Seed})
+	plan, err := floorplan.Place(res.Net, floorplan.Options{Obs: c.Obs})
 	if err != nil {
 		return nil, err
 	}
