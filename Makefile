@@ -70,47 +70,42 @@ bench-obs:
 		| $(GO) run ./cmd/benchjson -o BENCH_obs.json -raw BENCH_obs.txt \
 			-baseline BENCH_synth.json -budget 2
 
-# bench-flitsim is the simulator-engine speedup gate: it runs the flitsim
-# benchmarks (the compute-gap-heavy CG pair plus the mesh/torus/crossbar
-# workloads), writes BENCH_flitsim.json/.txt, and fails unless the
-# event-driven engine beats the cycle-stepping reference (the test oracle
-# in engine_ref_test.go) by >= 10x on the gap-heavy trace. Both run in the
-# same invocation on the same machine, so the ratio gate needs no committed
-# baseline to be meaningful;
-# the -baseline annotation (when BENCH_flitsim.json exists) additionally
-# flags absolute ns/op regressions over 25%.
-bench-flitsim:
-	$(GO) test -run '^$$' -bench 'Simulate|Simulation' -benchmem ./internal/flitsim \
-		| $(GO) run ./cmd/benchjson -o BENCH_flitsim.json -raw BENCH_flitsim.txt \
-			-ratio 'BenchmarkSimulateCG16GapMeshReference:BenchmarkSimulateCG16GapMesh' -min-ratio 10 \
-			$(if $(wildcard BENCH_flitsim.json),-baseline BENCH_flitsim.json -budget 25)
-
-# bench-warm is the warm-start speedup gate: it runs the warm-start sweep
-# benchmark pair (the same five CG-16 variants synthesized cold and seeded
-# from a prior design), writes BENCH_warm.json/.txt, and fails unless the
-# seeded path beats cold synthesis by >= 5x. Both sides run in the same
-# invocation on the same machine, so the ratio gate needs no committed
-# baseline; the -baseline annotation (when BENCH_warm.json exists)
-# additionally flags absolute ns/op regressions over 25%.
-bench-warm:
-	$(GO) test -run '^$$' -bench 'WarmStartSweep' -benchmem ./internal/synth \
-		| $(GO) run ./cmd/benchjson -o BENCH_warm.json -raw BENCH_warm.txt \
-			-ratio 'BenchmarkWarmStartSweepCold:BenchmarkWarmStartSweepSeeded' -min-ratio 5 \
-			$(if $(wildcard BENCH_warm.json),-baseline BENCH_warm.json -budget 25)
-
-# bench-floorplan is the placement speedup gate: it runs the floorplan
-# benchmarks (CG-16, FFT-16, the imperfect-matching ring-allreduce-64 and a
-# constructed 256-processor network), writes BENCH_floorplan.json/.txt, and fails unless the array-backed delta
-# search beats the map-based reference (the test oracle in placeref_test.go)
-# by >= 10x on CG-16. Both run in the same invocation on the same machine, so
-# the ratio gate needs no committed baseline; the -baseline annotation (when
-# BENCH_floorplan.json exists) additionally flags absolute ns/op regressions
+# bench-<gate> is a same-machine speedup gate: it runs the gate's benchmarks,
+# writes BENCH_<gate>.json/.txt, and fails unless the numerator of its -ratio
+# pair takes at least BENCH_MIN_<gate> times the ns/op of the denominator.
+# Both sides run in the same invocation on the same machine, so the ratio
+# needs no committed baseline to be meaningful; the -baseline annotation (when
+# BENCH_<gate>.json exists) additionally flags absolute ns/op regressions
 # over 25%.
-bench-floorplan:
-	$(GO) test -run '^$$' -bench 'Place' -benchmem ./internal/floorplan \
-		| $(GO) run ./cmd/benchjson -o BENCH_floorplan.json -raw BENCH_floorplan.txt \
-			-ratio 'BenchmarkPlaceCG16Reference:BenchmarkPlaceCG16' -min-ratio 10 \
-			$(if $(wildcard BENCH_floorplan.json),-baseline BENCH_floorplan.json -budget 25)
+#   flitsim:   the event-driven engine vs the cycle-stepping reference (the
+#              test oracle in engine_ref_test.go) on the compute-gap-heavy CG
+#              trace, next to the mesh/torus/crossbar workloads.
+#   warm:      the same five CG-16 variants synthesized cold vs seeded from a
+#              prior design.
+#   floorplan: the array-backed delta search vs the map-based reference (the
+#              test oracle in placeref_test.go) on CG-16, next to FFT-16, the
+#              imperfect-matching ring-allreduce-64 and a constructed
+#              256-processor network.
+BENCH_PKG_flitsim = ./internal/flitsim
+BENCH_RE_flitsim = Simulate|Simulation
+BENCH_RATIO_flitsim = BenchmarkSimulateCG16GapMeshReference:BenchmarkSimulateCG16GapMesh
+BENCH_MIN_flitsim = 10
+
+BENCH_PKG_warm = ./internal/synth
+BENCH_RE_warm = WarmStartSweep
+BENCH_RATIO_warm = BenchmarkWarmStartSweepCold:BenchmarkWarmStartSweepSeeded
+BENCH_MIN_warm = 5
+
+BENCH_PKG_floorplan = ./internal/floorplan
+BENCH_RE_floorplan = Place
+BENCH_RATIO_floorplan = BenchmarkPlaceCG16Reference:BenchmarkPlaceCG16
+BENCH_MIN_floorplan = 10
+
+bench-flitsim bench-warm bench-floorplan: bench-%:
+	$(GO) test -run '^$$' -bench '$(BENCH_RE_$*)' -benchmem $(BENCH_PKG_$*) \
+		| $(GO) run ./cmd/benchjson -o BENCH_$*.json -raw BENCH_$*.txt \
+			-ratio '$(BENCH_RATIO_$*)' -min-ratio $(BENCH_MIN_$*) \
+			$(if $(wildcard BENCH_$*.json),-baseline BENCH_$*.json -budget 25)
 
 bench: bench-synth bench-obs bench-flitsim bench-warm bench-floorplan
 

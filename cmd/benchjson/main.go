@@ -71,9 +71,7 @@ type Report struct {
 	GoMaxProcs int      `json:"gomaxprocs"`
 	NumCPU     int      `json:"numcpu"`
 	Results    []Result `json:"results"`
-	// Ratio mirrors Ratios[0] for readers of the original single-ratio
-	// reports; Ratios carries every -ratio record in flag order.
-	Ratio  *Ratio  `json:"ratio,omitempty"`
+	// Ratios carries every -ratio record in flag order.
 	Ratios []Ratio `json:"ratios,omitempty"`
 }
 
@@ -157,9 +155,6 @@ func main() {
 				fmt.Sprintf("speedup %s / %s = %.2fx, below floor %.2fx",
 					r.Numerator, r.Denominator, r.Value, *minRatio))
 		}
-	}
-	if len(rep.Ratios) > 0 {
-		rep.Ratio = &rep.Ratios[0]
 	}
 	if *raw != "" {
 		if err := os.WriteFile(*raw, []byte(rawBuf.String()), 0o644); err != nil {

@@ -31,7 +31,6 @@ func main() {
 		useFloor  = flag.Bool("floorplan", true, "derive per-link delays from a floorplan (generated topologies)")
 		shared    cliutil.Flags
 	)
-	shared.RegisterSeed(flag.CommandLine, "floorplan placement seed")
 	shared.RegisterReport(flag.CommandLine)
 	flag.Parse()
 	if *tracePath == "" {
@@ -86,7 +85,7 @@ func main() {
 	fmt.Printf("pattern:            %s (%d procs, %d messages)\n", pat.Name, pat.Procs, len(pat.Messages))
 	fmt.Printf("topology:           %s\n", *topo)
 	fmt.Printf("execution time:     %d cycles (%.1f us at %g MHz)\n",
-		res.ExecCycles, res.ExecTimeNs(cfg)/1e3, 800.0)
+		res.ExecCycles, res.ExecTimeNs(cfg)/1e3, cfg.Normalized().ClockMHz)
 	fmt.Printf("mean comm time:     %.0f cycles/processor\n", res.CommCycles)
 	fmt.Printf("message latency:    mean %.1f, max %d cycles\n", res.MeanLatency, res.MaxLatency)
 	fmt.Printf("flit-hops:          %d\n", res.FlitHops)

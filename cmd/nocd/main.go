@@ -18,8 +18,7 @@
 //	     [-maxprocs 4] [-restarts 4] [-seed 1] [-workers 0] [-max-inflight 2] [-max-queue 64]
 //	     [-drain-timeout 10s] [-pprof-addr localhost:6060]
 //
-// Endpoints (versioned under /v1/; the unversioned paths remain as aliases
-// for one release):
+// Endpoints (versioned under /v1/):
 //
 //	POST /v1/design        {"benchmark":"CG","procs":16}, {"benchmark":"ring-allreduce","procs":64},
 //	                       or {"trace":"noctrace v1\n..."}; optional "lane":"bulk"

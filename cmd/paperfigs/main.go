@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	paperfigs [-fig all|1|7a|7b|8a|8b|sens|color|ablation|multi|scale|warm|skew] [-quick] [-workers 0] [-report run.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	paperfigs [-fig all|1|7a|7b|8a|8b|sens|color|ablation|multi|scale|warm|skew|coll|chiplet] [-quick] [-workers 0] [-report run.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
 
 import (
@@ -17,7 +17,7 @@ import (
 
 func main() {
 	var (
-		fig    = flag.String("fig", "all", "figure: all, 1, 7a, 7b, 8a, 8b, sens, color, ablation, multi, scale, warm, skew")
+		fig    = flag.String("fig", "all", "figure: all, 1, 7a, 7b, 8a, 8b, sens, color, ablation, multi, scale, warm, skew, coll, chiplet")
 		quick  = flag.Bool("quick", false, "scaled-down workloads (faster)")
 		shared cliutil.Flags
 	)
@@ -150,6 +150,27 @@ func main() {
 			return err
 		}
 		fmt.Println(harness.RenderSkewTable("CG", rows))
+		return nil
+	})
+	run("coll", func() error {
+		rows, err := cfg.Collectives(16)
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderPerfTable("Collectives: performance, 16-node schedules (normalized to crossbar)", rows))
+		return nil
+	})
+	run("chiplet", func() error {
+		for _, cell := range []struct {
+			bench string
+			procs int
+		}{{"CG", 16}, {"ring-allreduce", 64}} {
+			rows, err := cfg.Chiplet(cell.bench, cell.procs, 4)
+			if err != nil {
+				return err
+			}
+			fmt.Println(harness.RenderChipletTable(fmt.Sprintf("Chiplet: %s-%d at 4 clusters (normalized to the flat design)", cell.bench, cell.procs), rows))
+		}
 		return nil
 	})
 	if err := shared.WriteReport("paperfigs", nil); err != nil {

@@ -378,7 +378,7 @@ func TestPhaselessPatternFallback(t *testing.T) {
 func TestRouterNamesAndExecTime(t *testing.T) {
 	names := map[string]bool{}
 	for _, n := range []string{
-		DOR{}.Name(), TFAR{}.Name(), SourceRouted{}.Name(), XBar{}.Name(), (&BFSRouted{}).Name(),
+		DOR{}.Name(), TFAR{}.Name(), SourceRouted{}.Name(), XBar{}.Name(),
 	} {
 		if n == "" || names[n] {
 			t.Fatalf("router names must be unique and non-empty: %v", names)
@@ -391,19 +391,38 @@ func TestRouterNamesAndExecTime(t *testing.T) {
 	}
 }
 
-func TestBFSRoutedDirect(t *testing.T) {
-	net, _ := topology.Mesh(2, 2)
-	r, err := NewBFSRouted(net, []model.Flow{model.F(0, 3), model.F(3, 0)})
-	if err != nil {
-		t.Fatal(err)
+// TestRunGeneratedFallbackRoundRobin pins the link assignment of the
+// shortest-path fallback: flows the table lacks that cross the same directed
+// switch pair are spread round-robin over the pipe's links, so two of them on
+// a width-2 pipe replay exactly like the hand-written separate-link table.
+func TestRunGeneratedFallbackRoundRobin(t *testing.T) {
+	net := topology.New("gen", 4)
+	a, b := net.AddSwitch(), net.AddSwitch()
+	net.AttachProc(0, a)
+	net.AttachProc(1, a)
+	net.AttachProc(2, b)
+	net.AttachProc(3, b)
+	net.SetPipe(a, b, 2)
+	pat := onePhase(4, 4096, model.F(0, 2), model.F(1, 3))
+	run := func(links ...int) Result {
+		t.Helper()
+		table := routing.NewTable(net)
+		for i, f := range pat.Flows()[:len(links)] {
+			table.Routes[f] = routing.Route{Switches: []topology.SwitchID{a, b}, Links: links[i : i+1]}
+		}
+		res, err := RunGenerated(pat, net, table, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	pat := onePhase(4, 256, model.F(0, 3), model.F(3, 0))
-	res, err := Run(pat, net, r, Config{})
-	if err != nil {
-		t.Fatal(err)
+	fallback, separate, shared := run(), run(0, 1), run(0, 0)
+	if fallback.ExecCycles != separate.ExecCycles || fallback.FlitHops != separate.FlitHops {
+		t.Errorf("fallback replay %d cycles / %d hops, separate links %d / %d",
+			fallback.ExecCycles, fallback.FlitHops, separate.ExecCycles, separate.FlitHops)
 	}
-	if res.Messages != 2 {
-		t.Fatalf("delivered %d/2", res.Messages)
+	if fallback.ExecCycles >= shared.ExecCycles {
+		t.Errorf("fallback (%d cycles) no faster than one shared link (%d)", fallback.ExecCycles, shared.ExecCycles)
 	}
 }
 

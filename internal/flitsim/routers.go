@@ -213,44 +213,3 @@ type XBar struct{}
 func (XBar) Name() string                             { return "crossbar" }
 func (XBar) Prepare(*fabric, *packet) error           { return nil }
 func (XBar) Candidates(*fabric, *packet, int) []Alloc { return nil }
-
-// BFSRouted computes shortest-path source routes over an arbitrary topology
-// at Prepare time — used to run a pattern on a network generated for a
-// different pattern (the Section 4.2 sensitivity study), where the
-// synthesizer's table does not cover the new flows.
-type BFSRouted struct {
-	Table *routing.Table // lazily built
-}
-
-// NewBFSRouted builds shortest-path routes for the given flows on net.
-func NewBFSRouted(net *topology.Network, flows []model.Flow) (*BFSRouted, error) {
-	t, err := routing.ShortestPath(net, flows)
-	if err != nil {
-		return nil, err
-	}
-	// Balance link usage within pipes: assign link indices round-robin
-	// per directed switch pair.
-	next := make(map[[2]topology.SwitchID]int)
-	for _, f := range t.SortedFlows() {
-		r := t.Routes[f]
-		for i := 1; i < len(r.Switches); i++ {
-			a, b := r.Switches[i-1], r.Switches[i]
-			pipe, _ := net.PipeBetween(a, b)
-			key := [2]topology.SwitchID{a, b}
-			r.Links[i-1] = next[key] % pipe.Width
-			next[key]++
-		}
-		t.Routes[f] = r
-	}
-	return &BFSRouted{Table: t}, nil
-}
-
-func (*BFSRouted) Name() string { return "bfs-source" }
-
-func (b *BFSRouted) Prepare(fb *fabric, pkt *packet) error {
-	return SourceRouted{Table: b.Table}.Prepare(fb, pkt)
-}
-
-func (b *BFSRouted) Candidates(fb *fabric, pkt *packet, sw int) []Alloc {
-	return SourceRouted{Table: b.Table}.Candidates(fb, pkt, sw)
-}

@@ -56,28 +56,6 @@ func RunCrossbar(pat *model.Pattern, cfg Config) (Result, error) {
 	return Run(pat, net, XBar{}, cfg)
 }
 
-// RunHier replays a flattened two-level (chiplet) design: the composite
-// network and hierarchical source routes produced by package hier, where
-// switch IDs at or past noiStart form the inter-chiplet (NoI) block. Links
-// inside a chiplet cost one cycle; links with an endpoint in the NoI block
-// — NoI internal links and the gateway pipes that cross the chiplet
-// boundary — cost noiDelay cycles, modeling the longer inter-chiplet wires.
-// A caller-supplied cfg.LinkDelay wins over this two-class model.
-func RunHier(pat *model.Pattern, net *topology.Network, table *routing.Table, noiStart topology.SwitchID, noiDelay int, cfg Config) (Result, error) {
-	if cfg.LinkDelay == nil {
-		if noiDelay < 1 {
-			noiDelay = 1
-		}
-		cfg.LinkDelay = func(a, b topology.SwitchID) int {
-			if a >= noiStart || b >= noiStart {
-				return noiDelay
-			}
-			return 1
-		}
-	}
-	return RunGenerated(pat, net, table, cfg)
-}
-
 // RunGenerated simulates the pattern on a synthesized network using its
 // source-routing table. Flows present in the pattern but missing from the
 // table (e.g. when running a different application on the network, as in the
@@ -92,16 +70,34 @@ func RunGenerated(pat *model.Pattern, net *topology.Network, table *routing.Tabl
 	if len(missing) == 0 {
 		return Run(pat, net, SourceRouted{Table: table}, cfg)
 	}
-	bfs, err := NewBFSRouted(net, missing)
+	merged, err := shortestPathRoutes(net, missing)
 	if err != nil {
 		return Result{}, err
 	}
-	merged := routing.NewTable(net)
 	for f, r := range table.Routes {
 		merged.Routes[f] = r
 	}
-	for f, r := range bfs.Table.Routes {
-		merged.Routes[f] = r
-	}
 	return Run(pat, net, SourceRouted{Table: merged}, cfg)
+}
+
+// shortestPathRoutes builds shortest-path source routes for the flows,
+// assigning link indices round-robin per directed switch pair (in sorted
+// flow order) to balance usage within each pipe.
+func shortestPathRoutes(net *topology.Network, flows []model.Flow) (*routing.Table, error) {
+	t, err := routing.ShortestPath(net, flows)
+	if err != nil {
+		return nil, err
+	}
+	next := make(map[[2]topology.SwitchID]int)
+	for _, f := range t.SortedFlows() {
+		r := t.Routes[f] // Links shares the table's backing array
+		for i := 1; i < len(r.Switches); i++ {
+			a, b := r.Switches[i-1], r.Switches[i]
+			pipe, _ := net.PipeBetween(a, b)
+			key := [2]topology.SwitchID{a, b}
+			r.Links[i-1] = next[key] % pipe.Width
+			next[key]++
+		}
+	}
+	return t, nil
 }

@@ -41,10 +41,16 @@ type ChipletRow struct {
 // mesh-of-meshes, and the synthesized two-level composite.
 func ChipletTopologies() []string { return []string{"flat", "mesh-of-meshes", "two-level"} }
 
-// chipletSpec is the partition the experiment uses: the deterministic
-// flow-graph agglomeration at the requested cluster count.
-func chipletSpec(clusters int) *hier.Spec {
-	return &hier.Spec{Mode: hier.ModeFlow, K: clusters}
+// twoLevel synthesizes the pattern's two-level composite on the partition
+// the experiment uses — the deterministic flow-graph agglomeration at the
+// requested cluster count — with the harness knobs at both levels.
+func (c Config) twoLevel(pat *model.Pattern, clusters int) (*hier.Design, error) {
+	return hier.Synthesize(pat, hier.Options{
+		Spec: &hier.Spec{Mode: hier.ModeFlow, K: clusters},
+		NoC:  c.synthOptions(),
+		NoI:  c.synthOptions(),
+		Obs:  c.Obs,
+	})
 }
 
 // Chiplet runs the two-level comparison for one benchmark (NAS or
@@ -68,12 +74,7 @@ func (c Config) Chiplet(benchmark string, procs, clusters int) ([]ChipletRow, er
 	if err != nil {
 		return nil, fmt.Errorf("chiplet %s/%d: flat: %v", benchmark, procs, err)
 	}
-	two, err := hier.Synthesize(pat, hier.Options{
-		Spec: chipletSpec(clusters),
-		NoC:  c.synthOptions(),
-		NoI:  c.synthOptions(),
-		Obs:  c.Obs,
-	})
+	two, err := c.twoLevel(pat, clusters)
 	if err != nil {
 		return nil, fmt.Errorf("chiplet %s/%d: two-level: %v", benchmark, procs, err)
 	}
@@ -144,12 +145,7 @@ func (c Config) BuildChipletDesign(benchmark string, procs, clusters int) (*hier
 	if err != nil {
 		return nil, fmt.Errorf("chiplet %s/%d: %v", benchmark, procs, err)
 	}
-	return hier.Synthesize(pat, hier.Options{
-		Spec: chipletSpec(clusters),
-		NoC:  c.synthOptions(),
-		NoI:  c.synthOptions(),
-		Obs:  c.Obs,
-	})
+	return c.twoLevel(pat, clusters)
 }
 
 // chipletPattern resolves a benchmark name against the NAS registry first,

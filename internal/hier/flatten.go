@@ -201,18 +201,16 @@ func shiftRoute(r routing.Route, off topology.SwitchID) routing.Route {
 }
 
 // Simulate flattens the design for the pattern and replays it in flitsim
-// with hierarchical link delays (RunHier): intra-chiplet links at 1 cycle,
-// NoI and gateway links at the design's NoILinkDelay. A caller-supplied
-// cfg.LinkDelay wins over the hierarchical default.
+// under the flattened design's two-class link delays (Flat.LinkDelay). A
+// caller-supplied cfg.LinkDelay wins over the hierarchical default.
 func Simulate(d *Design, p *model.Pattern, cfg flitsim.Config) (flitsim.Result, *Flat, error) {
 	flat, err := Flatten(d, p)
 	if err != nil {
 		return flitsim.Result{}, nil, err
 	}
-	if cfg.LinkDelay != nil {
-		res, err := flitsim.RunGenerated(p, flat.Net, flat.Table, cfg)
-		return res, flat, err
+	if cfg.LinkDelay == nil {
+		cfg.LinkDelay = flat.LinkDelay
 	}
-	res, err := flitsim.RunHier(p, flat.Net, flat.Table, flat.NoIOffset, flat.NoILinkDelay, cfg)
+	res, err := flitsim.RunGenerated(p, flat.Net, flat.Table, cfg)
 	return res, flat, err
 }

@@ -74,6 +74,46 @@ func TestFlattenCappedGateways(t *testing.T) {
 	}
 }
 
+// TestSimulateLinkDelay pins which delay model a replay runs under:
+// Flat.LinkDelay unless the caller supplied one.
+func TestSimulateLinkDelay(t *testing.T) {
+	pat := cg16(t)
+	opt := hierOptions(0)
+	opt.Spec = mustSpec(t, "flow:4")
+	d, err := Synthesize(pat, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type delay = func(a, b topology.SwitchID) int
+	unit := func(a, b topology.SwitchID) int { return 1 }
+	var cycles []int64
+	for _, tc := range []struct {
+		name  string
+		given delay
+		want  func(*Flat) delay
+	}{
+		{"hierarchical default", nil, func(f *Flat) delay { return f.LinkDelay }},
+		{"caller's delay wins", unit, func(*Flat) delay { return unit }},
+	} {
+		got, flat, err := Simulate(d, pat, flitsim.Config{LinkDelay: tc.given})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := flitsim.RunGenerated(pat, flat.Net, flat.Table, flitsim.Config{LinkDelay: tc.want(flat)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ExecCycles != want.ExecCycles || got.FlitHops != want.FlitHops {
+			t.Errorf("%s: replay %d cycles / %d flit hops, want %d / %d",
+				tc.name, got.ExecCycles, got.FlitHops, want.ExecCycles, want.FlitHops)
+		}
+		cycles = append(cycles, got.ExecCycles)
+	}
+	if cycles[0] <= cycles[1] {
+		t.Errorf("NoI delay %d made the replay no slower than unit delays: %v cycles", d.NoILinkDelay, cycles)
+	}
+}
+
 // TestFlattenErrors pins the argument checks.
 func TestFlattenErrors(t *testing.T) {
 	pat := cg16(t)

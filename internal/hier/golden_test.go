@@ -18,13 +18,16 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden hier-design files")
 
-// goldenCells are the two acceptance workloads at four clusters.
+// goldenCells are the two acceptance workloads at four clusters, each with
+// the execution time and network load of its flattened replay under the
+// design's own two-class link delays.
 var goldenCells = []struct {
-	benchmark string
-	pat       func(testing.TB) *model.Pattern
+	benchmark            string
+	pat                  func(testing.TB) *model.Pattern
+	execCycles, flitHops int64
 }{
-	{"CG.16", cg16},
-	{"ring-allreduce.64", ring64},
+	{"CG.16", cg16, 37169, 619032},
+	{"ring-allreduce.64", ring64, 23863, 2555280},
 }
 
 // goldenSummary renders a reviewable per-level digest of a two-level
@@ -105,6 +108,10 @@ func TestGoldenHierDesigns(t *testing.T) {
 			twoRes, _, err := Simulate(d, pat, flitsim.Config{})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if twoRes.ExecCycles != cell.execCycles || twoRes.FlitHops != cell.flitHops {
+				t.Errorf("replay drifted: %d cycles / %d flit hops, pinned %d / %d",
+					twoRes.ExecCycles, twoRes.FlitHops, cell.execCycles, cell.flitHops)
 			}
 			mom, err := MeshOfMeshes(pat, d.Assign, d.GatewayWidth, d.NoILinkDelay)
 			if err != nil {

@@ -2,7 +2,6 @@ package model
 
 import (
 	"math/bits"
-	"strconv"
 )
 
 // BitSet is a fixed-capacity set of small non-negative integers backed by
@@ -37,16 +36,6 @@ func (b BitSet) Count() int {
 	return n
 }
 
-// Empty reports whether no element is present.
-func (b BitSet) Empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // AndCount returns |b ∩ c| without materializing the intersection.
 func (b BitSet) AndCount(c BitSet) int {
 	n := len(b)
@@ -79,13 +68,6 @@ func (b BitSet) Or(c BitSet) {
 	for i, w := range c {
 		b[i] |= w
 	}
-}
-
-// Clone returns an independent copy.
-func (b BitSet) Clone() BitSet {
-	out := make(BitSet, len(b))
-	copy(out, b)
-	return out
 }
 
 // Reset removes all elements.
@@ -127,20 +109,5 @@ func (b BitSet) ForEach(fn func(i int)) {
 // Elems appends the elements in ascending order to dst and returns it.
 func (b BitSet) Elems(dst []int) []int {
 	b.ForEach(func(i int) { dst = append(dst, i) })
-	return dst
-}
-
-// AppendKey appends a canonical byte key for the set's contents to dst —
-// cheap map-deduplication without fmt. Two sets over the same universe have
-// equal keys iff they are Equal.
-func (b BitSet) AppendKey(dst []byte) []byte {
-	last := len(b) - 1
-	for last >= 0 && b[last] == 0 {
-		last--
-	}
-	for i := 0; i <= last; i++ {
-		dst = strconv.AppendUint(dst, b[i], 36)
-		dst = append(dst, ',')
-	}
 	return dst
 }

@@ -75,13 +75,3 @@ func (s SpanHandle) End() {
 		s.o.SpanEnd(s.name, s.start)
 	}
 }
-
-// Nop is an Observer that discards everything. The nil Observer is the
-// preferred disabled value; Nop exists for call sites that must store a
-// non-nil implementation.
-type Nop struct{}
-
-func (Nop) Count(string, int64)    {}
-func (Nop) SpanStart(string) int64 { return 0 }
-func (Nop) SpanEnd(string, int64)  {}
-func (Nop) Event(string, string)   {}

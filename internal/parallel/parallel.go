@@ -160,11 +160,3 @@ func MapObserved[T any](o obs.Observer, label string, workers, n int, fn func(i 
 		return fn(i)
 	})
 }
-
-// Run is Map for work that produces no value.
-func Run(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}

@@ -115,28 +115,13 @@ func TestMapReraisesWorkerPanic(t *testing.T) {
 	// A nested Map hands the inner *Panic through unchanged.
 	got := func() (v any) {
 		defer func() { v = recover() }()
-		Map(2, 2, func(int) (int, error) {
-			return 0, Run(2, 2, func(j int) error { panic("inner") })
+		Map(2, 2, func(int) ([]int, error) {
+			return Map(2, 2, func(j int) (int, error) { panic("inner") })
 		})
 		return nil
 	}()
 	if pa, ok := got.(*Panic); !ok || pa.Value != "inner" {
 		t.Fatalf("nested: recovered %v, want the inner *Panic", got)
-	}
-}
-
-func TestRunPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	if err := Run(8, 20, func(i int) error {
-		if i == 11 {
-			return boom
-		}
-		return nil
-	}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if err := Run(8, 20, func(i int) error { return nil }); err != nil {
-		t.Fatalf("err = %v, want nil", err)
 	}
 }
 

@@ -34,14 +34,6 @@ const UnassignedLink = -1
 // Hops returns the number of switch-to-switch hops.
 func (r Route) Hops() int { return len(r.Links) }
 
-// Clone deep-copies the route.
-func (r Route) Clone() Route {
-	return Route{
-		Switches: append([]topology.SwitchID(nil), r.Switches...),
-		Links:    append([]int(nil), r.Links...),
-	}
-}
-
 // Table is a source-based routing function F: it supplies a single
 // deterministic path per flow (Definition 6).
 type Table struct {
@@ -205,63 +197,6 @@ func step(from, to int) int {
 		return 1
 	}
 	return -1
-}
-
-// MinimalTorus builds deterministic minimal routes on a torus, taking the
-// shorter way around each ring (ties resolved toward increasing index) —
-// the deterministic stand-in for the simulator's fully adaptive routing when
-// computing the model-level conflict set.
-func MinimalTorus(net *topology.Network, g topology.Grid, flows []model.Flow) (*Table, error) {
-	t := NewTable(net)
-	for _, f := range flows {
-		if f.Src == f.Dst {
-			continue
-		}
-		src, dst := net.Home[f.Src], net.Home[f.Dst]
-		r1, c1 := g.Coord(src)
-		r2, c2 := g.Coord(dst)
-		route := Route{Switches: []topology.SwitchID{src}}
-		rr, cc := r1, c1
-		for cc != c2 {
-			cc = ringStep(cc, c2, g.Cols)
-			route.Switches = append(route.Switches, g.At(rr, cc))
-			route.Links = append(route.Links, 0)
-		}
-		for rr != r2 {
-			rr = ringStep(rr, r2, g.Rows)
-			route.Switches = append(route.Switches, g.At(rr, cc))
-			route.Links = append(route.Links, 0)
-		}
-		t.Routes[f] = route
-	}
-	return t, t.Validate()
-}
-
-// ringStep advances one position around a ring of size k toward the target,
-// using the wrap only when it is strictly shorter and physically present
-// (rings of length <= 2 have no wrap pipe).
-func ringStep(from, to, k int) int {
-	fwd := ((to - from) + k) % k // steps going +1
-	bwd := ((from - to) + k) % k // steps going -1
-	useWrap := k > 2
-	switch {
-	case fwd <= bwd:
-		if from+1 < k {
-			return from + 1
-		}
-		if useWrap {
-			return 0
-		}
-		return from - 1
-	default:
-		if from-1 >= 0 {
-			return from - 1
-		}
-		if useWrap {
-			return k - 1
-		}
-		return from + 1
-	}
 }
 
 // ShortestPath builds BFS shortest-path routes over an arbitrary switch

@@ -52,51 +52,6 @@ func abs(x int) int {
 	return x
 }
 
-func TestMinimalTorusUsesWrap(t *testing.T) {
-	net, g := topology.Torus(4, 4)
-	tab, err := MinimalTorus(net, g, allPairs(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0 -> 3 should wrap: 1 hop, not 3.
-	if r := tab.Routes[model.F(0, 3)]; r.Hops() != 1 {
-		t.Fatalf("0->3 on torus: hops = %d, want 1 (wrap)", r.Hops())
-	}
-	// 0 -> 15: torus distance = 1 + 1 = 2.
-	if r := tab.Routes[model.F(0, 15)]; r.Hops() != 2 {
-		t.Fatalf("0->15 on torus: hops = %d, want 2", r.Hops())
-	}
-	// Every route minimal wrt ring distances.
-	for f, r := range tab.Routes {
-		r1, c1 := g.Coord(net.Home[f.Src])
-		r2, c2 := g.Coord(net.Home[f.Dst])
-		want := ringDist(r1, r2, 4) + ringDist(c1, c2, 4)
-		if r.Hops() != want {
-			t.Fatalf("flow %v: hops %d, want %d", f, r.Hops(), want)
-		}
-	}
-}
-
-func ringDist(a, b, k int) int {
-	d := abs(a - b)
-	if k-d < d {
-		return k - d
-	}
-	return d
-}
-
-func TestMinimalTorusDegenerateRing(t *testing.T) {
-	net, g := topology.Torus(2, 4)
-	tab, err := MinimalTorus(net, g, allPairs(8))
-	if err != nil {
-		t.Fatal(err) // Validate inside would catch illegal wrap hops
-	}
-	// Column rings have length 2 with no wrap pipe; route must still work.
-	if r := tab.Routes[model.F(0, 4)]; r.Hops() != 1 {
-		t.Fatalf("0->4 hops = %d, want 1", r.Hops())
-	}
-}
-
 func TestShortestPathIrregular(t *testing.T) {
 	// Triangle with a pendant: 0-1, 1-2, 0-2, 2-3.
 	net := topology.New("irr", 4)

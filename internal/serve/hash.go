@@ -58,12 +58,14 @@ func finishKey(h hash.Hash, opt synth.Options, extra ...string) string {
 // injecting a seed, so warm-started responses are stored under the cold
 // request's key — see the warm-index determinism note in warm.go.
 // Fields are spelled out (not reflected) so adding an option later forces a
-// conscious decision about whether it belongs in the key.
+// conscious decision about whether it belongs in the key. "maxrounds=16" is
+// the text a former option's only value ever wrote; it stays so every stored
+// key stays valid.
 func OptionsFingerprint(opt synth.Options) string {
 	o := opt.Normalized()
-	return fmt.Sprintf("maxdeg=%d maxprocs=%d seed=%d restarts=%d anneal=%g/%g/%d nobestroute=%t noglobalrefine=%t greedycolor=%t maxrounds=%d seedfp=%s",
+	return fmt.Sprintf("maxdeg=%d maxprocs=%d seed=%d restarts=%d anneal=%g/%g/%d nobestroute=%t noglobalrefine=%t greedycolor=%t maxrounds=16 seedfp=%s",
 		o.MaxDegree, o.MaxProcsPerSwitch, o.Seed, o.Restarts,
 		o.Anneal.InitialTemp, o.Anneal.Cooling, o.Anneal.Steps,
-		o.DisableBestRoute, o.DisableGlobalRefine, o.GreedyFinalColoring, o.MaxRounds,
+		o.DisableBestRoute, o.DisableGlobalRefine, o.GreedyFinalColoring,
 		o.SeedDesign.Fingerprint())
 }

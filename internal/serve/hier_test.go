@@ -7,7 +7,9 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/coloring"
 	"repro/internal/hier"
+	"repro/internal/synth"
 )
 
 // TestDesignHier posts a two-level request and checks the full surface: a
@@ -52,6 +54,31 @@ func TestDesignHier(t *testing.T) {
 	if dr.Switches != d.TotalSwitches() || dr.Links != d.TotalLinks() {
 		t.Errorf("response counts %d/%d, design %d/%d",
 			dr.Switches, dr.Links, d.TotalSwitches(), d.TotalLinks())
+	}
+
+	// The response's stats are the sum over the levels of the same
+	// synthesis run directly, colouring effort included.
+	plan, err := srv.planRequest([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := srv.generateWorkload(plan.workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := hier.Synthesize(pat, plan.hp.options(plan.opt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want synth.Stats
+	for _, lv := range append(direct.Chiplets, direct.NoI) {
+		want.Add(lv.Result.Stats)
+	}
+	if want.Coloring == (coloring.Stats{}) {
+		t.Fatal("no level of the workload ran the colourer: the check below has no power")
+	}
+	if dr.Stats != want {
+		t.Errorf("response stats %+v, sum over levels %+v", dr.Stats, want)
 	}
 
 	resp2, raw2 := postDesign(t, ts.URL, body)

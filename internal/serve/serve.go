@@ -742,7 +742,7 @@ func (s *Server) synthesizeHier(key string, pat *model.Pattern, opt synth.Option
 	for _, lv := range levels {
 		constraintsMet = constraintsMet && lv.Result.ConstraintsMet
 		exact = exact && lv.Result.ExactColoring
-		addStats(&stats, lv.Result.Stats)
+		stats.Add(lv.Result.Stats)
 	}
 	summary := &HierSummary{
 		Clusters:     hp.spec.Canonical(),
@@ -782,25 +782,6 @@ func (s *Server) synthesizeHier(key string, pat *model.Pattern, opt synth.Option
 		obs.Count(s.col, "serve.cache_store", 1)
 	}
 	return ent, nil
-}
-
-// addStats folds one level's search counters into the response aggregate:
-// sums everywhere, maximum for the depth gauge.
-func addStats(into *synth.Stats, t synth.Stats) {
-	into.Splits += t.Splits
-	into.MovesEvaluated += t.MovesEvaluated
-	into.MovesCommitted += t.MovesCommitted
-	into.MovesRejected += t.MovesRejected
-	into.Reroutes += t.Reroutes
-	into.GlobalMoves += t.GlobalMoves
-	into.Rounds += t.Rounds
-	into.RestartsRun += t.RestartsRun
-	into.SeededRestarts += t.SeededRestarts
-	into.Repairs += t.Repairs
-	if t.MaxDepth > into.MaxDepth {
-		into.MaxDepth = t.MaxDepth
-	}
-	into.FastColorGap += t.FastColorGap
 }
 
 // handleGetDesign replays a cached design by its content-addressed key —

@@ -140,7 +140,6 @@ func TestDesignCacheMissThenHit(t *testing.T) {
 // tests a deterministic window while a synthesis is in flight. Installed
 // via Config.Synth.Obs, which the server tees into every synthesis.
 type gateObserver struct {
-	obs.Nop
 	once    sync.Once
 	started chan struct{}
 	release chan struct{}
@@ -149,6 +148,10 @@ type gateObserver struct {
 func newGate() *gateObserver {
 	return &gateObserver{started: make(chan struct{}), release: make(chan struct{})}
 }
+
+func (*gateObserver) Count(string, int64)   {}
+func (*gateObserver) SpanEnd(string, int64) {}
+func (*gateObserver) Event(string, string)  {}
 
 func (g *gateObserver) SpanStart(name string) int64 {
 	if name == "synth.restart" {

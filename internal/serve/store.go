@@ -22,27 +22,14 @@ type Entry struct {
 	Fp   *trace.Fingerprint
 }
 
-// Store is one backend in the layered design cache. The server stacks
-// backends — the in-memory LRU in front of the optional persistent disk
-// store — and consults them front to back on Get, writing through on Put.
-// All implementations are safe for concurrent use.
-//
-// Put reports whether the entry was stored and which keys the backend
-// evicted to make room (the evict-notify half of the contract): secondary
-// indexes layered on a backend — the warm-start fingerprint index — use the
-// evicted keys to stay in lockstep with the backend's contents.
-type Store interface {
-	// Get returns the entry stored for key.
-	Get(key string) (*Entry, bool)
-	// Put stores (or refreshes) an entry.
-	Put(e *Entry) (evicted []string, stored bool)
-	// Len reports the number of stored entries.
-	Len() int
-}
-
-// memStore is the bounded most-recently-used in-memory backend. Both Get
-// and Put refresh recency; when Put pushes the store past capacity the
-// least recently used entries are evicted.
+// memStore is the bounded most-recently-used in-memory backend of the
+// layered design cache: the server consults it before the optional
+// persistent diskStore on Get and writes through both on Put. Both Get and
+// Put refresh recency; when Put pushes the store past capacity the least
+// recently used entries are evicted, and Put returns their keys so the
+// warm-start fingerprint index stays in lockstep with the store's contents
+// (diskStore.Put has the same shape and never evicts). Safe for concurrent
+// use.
 type memStore struct {
 	mu  sync.Mutex
 	cap int

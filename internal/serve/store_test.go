@@ -99,10 +99,3 @@ func TestMemStoreConcurrent(t *testing.T) {
 	}
 	close(done)
 }
-
-// TestStoreInterface pins that both backends satisfy the Store contract at
-// compile time.
-var (
-	_ Store = (*memStore)(nil)
-	_ Store = (*diskStore)(nil)
-)

@@ -15,10 +15,13 @@ import (
 // cancelOnRestart is an Observer that fires a CancelFunc the first time a
 // restart begins, so cancellation deterministically lands mid-synthesis.
 type cancelOnRestart struct {
-	obs.Nop
 	once   sync.Once
 	cancel context.CancelFunc
 }
+
+func (*cancelOnRestart) Count(string, int64)   {}
+func (*cancelOnRestart) SpanEnd(string, int64) {}
+func (*cancelOnRestart) Event(string, string)  {}
 
 func (c *cancelOnRestart) SpanStart(name string) int64 {
 	if name == "synth.restart" {

@@ -110,13 +110,6 @@ func (s *state) flushDirty() {
 	s.dirty = s.dirty[:0]
 }
 
-// estWidth estimates a pipe's link count: the max of the two directions'
-// fast-color bounds (full-duplex links, Section 3.1), memoized in pairW.
-func (s *state) estWidth(a, b int) int {
-	s.flushDirty()
-	return int(s.pairW[s.widthIdx(a, b)])
-}
-
 // estDegree estimates the port count of a switch under current routing:
 // processor ports plus the maintained width sum, O(1) amortized.
 func (s *state) estDegree(sw int) int {
@@ -164,19 +157,6 @@ func (s *state) localCost(pairs [][2]int, switches []int) int {
 		links*costLinkWeight +
 		quad*costQuadWeight +
 		s.totalHops*costHopWeight
-}
-
-// totalLinks sums estimated widths over all pipes with traffic.
-func (s *state) totalLinks() int {
-	total := 0
-	for a := 0; a < s.nsw(); a++ {
-		for b := a + 1; b < s.nsw(); b++ {
-			if s.pipeLen(a, b) > 0 || s.pipeLen(b, a) > 0 {
-				total += s.estWidth(a, b)
-			}
-		}
-	}
-	return total
 }
 
 // violates reports whether a switch breaks the design constraints under the

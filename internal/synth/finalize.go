@@ -312,7 +312,7 @@ func SynthesizeCliques(ctx context.Context, p *model.Pattern, cliques []model.Cl
 			return nil, out.err
 		}
 		run++
-		totals.add(out.res.Stats)
+		totals.Add(out.res.Stats)
 		if better(out.res, best) {
 			best = out.res
 		}
@@ -334,7 +334,7 @@ func SynthesizeCliques(ctx context.Context, p *model.Pattern, cliques []model.Cl
 				return nil, out.err
 			}
 			run++
-			totals.add(out.res.Stats)
+			totals.Add(out.res.Stats)
 			if better(out.res, best) {
 				best = out.res
 			}
@@ -412,6 +412,9 @@ func totalHops(t *routing.Table) int {
 	return h
 }
 
+// maxRounds bounds the outer partition-finalize loop.
+const maxRounds = 16
+
 func synthesizeOnce(ctx context.Context, p *model.Pattern, kern *kernel, opt Options, sd *SeedDesign, seed int64) (*Result, error) {
 	stats := &Stats{}
 	s := newState(kern, opt, seed, stats)
@@ -428,7 +431,7 @@ func synthesizeOnce(ctx context.Context, p *model.Pattern, kern *kernel, opt Opt
 		realDeg []int
 		err     error
 	)
-	for round := 0; round < opt.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

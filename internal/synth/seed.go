@@ -70,12 +70,6 @@ func SeedFromDesign(net *topology.Network, table *routing.Table) *SeedDesign {
 	return sd
 }
 
-// SeedFromNetwork is SeedFromDesign without route replay: only the
-// processor-to-switch assignment is reused.
-func SeedFromNetwork(net *topology.Network) *SeedDesign {
-	return SeedFromDesign(net, nil)
-}
-
 // Fingerprint returns a short stable digest of the seed, for inclusion in
 // cache keys: two Options values with different seeds must never collide.
 func (sd *SeedDesign) Fingerprint() string {

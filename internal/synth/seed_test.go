@@ -24,7 +24,7 @@ func TestDeterminismSeededWorkers(t *testing.T) {
 	base := synthOrDie(t, pat, Options{Seed: 1, Restarts: 2, Workers: 1})
 	sd := SeedFromDesign(base.Net, base.Table)
 	if sd == nil {
-		t.Fatal("SeedFromNetwork returned nil for a real design")
+		t.Fatal("SeedFromDesign returned nil for a real design")
 	}
 	opt := Options{Seed: 5, Restarts: 3, SeedDesign: sd}
 	opt.Workers = 1
@@ -119,7 +119,7 @@ func TestSeedAcrossVariants(t *testing.T) {
 	}
 	varFP := trace.FingerprintPattern(variant)
 
-	sd := SeedFromNetwork(baseRes.Net)
+	sd := SeedFromDesign(baseRes.Net, nil)
 	sd.ChangedProcs = varFP.ChangedSegments(baseFP)
 	cold := synthOrDie(t, variant, Options{Seed: 1, Restarts: 2})
 	warm := synthOrDie(t, variant, Options{Seed: 1, Restarts: 2, SeedDesign: sd})
@@ -145,7 +145,7 @@ func TestSeedExtensionRestartsAreCold(t *testing.T) {
 	base := synthOrDie(t, pat, Options{Seed: 1, Restarts: 1})
 	// An adversarially tight constraint set keeps runs failing so the
 	// extension loop triggers.
-	opt := Options{Seed: 1, Restarts: 2, SeedDesign: SeedFromNetwork(base.Net)}
+	opt := Options{Seed: 1, Restarts: 2, SeedDesign: SeedFromDesign(base.Net, nil)}
 	opt.MaxDegree = 2
 	opt.MaxProcsPerSwitch = 1
 	res := synthOrDie(t, pat, opt)

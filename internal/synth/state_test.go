@@ -53,8 +53,11 @@ func TestNewStateInitial(t *testing.T) {
 	if s.totalHops != 0 {
 		t.Fatalf("initial hops %d", s.totalHops)
 	}
-	if s.totalLinks() != 0 {
-		t.Fatalf("megaswitch should need no links, got %d", s.totalLinks())
+	s.flushDirty()
+	for _, w := range s.pairW {
+		if w != 0 {
+			t.Fatalf("megaswitch should need no links, got widths %v", s.pairW)
+		}
 	}
 }
 
@@ -101,8 +104,9 @@ func TestFastColorDirCountsCliqueOverlap(t *testing.T) {
 	if got, _ := s.dirStats(1, 0); got != 3 {
 		t.Fatalf("dirStats(1,0) width = %d, want 3", got)
 	}
-	if got := s.estWidth(0, 1); got != 3 {
-		t.Fatalf("estWidth = %d, want 3", got)
+	s.flushDirty()
+	if got := s.pairW[s.widthIdx(0, 1)]; got != 3 {
+		t.Fatalf("pairW = %d, want 3", got)
 	}
 	// Degree: 3 procs + 3 links.
 	if got := s.estDegree(0); got != 6 {

@@ -72,8 +72,6 @@ type Options struct {
 	// GreedyFinalColoring replaces the formal (exact) coloring at
 	// finalization with DSATUR (ablation).
 	GreedyFinalColoring bool
-	// MaxRounds bounds the outer partition-finalize loop (default 16).
-	MaxRounds int
 	// SeedDesign, when non-nil, warm-starts the configured restarts from a
 	// prior design's switch tree instead of the root megaswitch (see
 	// SeedDesign). Extension restarts — the ones drawn only while no run
@@ -107,9 +105,6 @@ func (o Options) Normalized() Options {
 	if o.Anneal.Steps == 0 {
 		o.Anneal.Steps = 32
 	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 16
-	}
 	return o
 }
 
@@ -141,9 +136,10 @@ type Stats struct {
 	Coloring coloring.Stats
 }
 
-// add merges another restart's counts: sums everywhere except MaxDepth,
+// Add merges another run's counts — a restart's into its run's totals, a
+// hierarchy level's into the design's: sums everywhere except MaxDepth,
 // which takes the maximum.
-func (s *Stats) add(t Stats) {
+func (s *Stats) Add(t Stats) {
 	s.Splits += t.Splits
 	s.MovesEvaluated += t.MovesEvaluated
 	s.MovesCommitted += t.MovesCommitted
@@ -151,6 +147,7 @@ func (s *Stats) add(t Stats) {
 	s.Reroutes += t.Reroutes
 	s.GlobalMoves += t.GlobalMoves
 	s.Rounds += t.Rounds
+	s.RestartsRun += t.RestartsRun
 	s.SeededRestarts += t.SeededRestarts
 	s.Repairs += t.Repairs
 	if t.MaxDepth > s.MaxDepth {

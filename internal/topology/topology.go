@@ -278,21 +278,6 @@ func (n *Network) Graft(src *Network) SwitchID {
 	return off
 }
 
-// Clone deep-copies the network.
-func (n *Network) Clone() *Network {
-	out := New(n.Name, n.Procs)
-	out.Switches = make([]Switch, len(n.Switches))
-	for i, sw := range n.Switches {
-		out.Switches[i] = Switch{ID: sw.ID, Procs: append([]int(nil), sw.Procs...)}
-	}
-	copy(out.Home, n.Home)
-	out.Pipes = append([]Pipe(nil), n.Pipes...)
-	for i, p := range out.Pipes {
-		out.pipeIdx[pipeKey(p.A, p.B)] = i
-	}
-	return out
-}
-
 // GridDims factors n into rows x cols with rows <= cols, as close to square
 // as possible — the grid shape used for mesh and torus baselines.
 func GridDims(n int) (rows, cols int) {

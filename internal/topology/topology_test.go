@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -191,58 +190,6 @@ func TestNeighborsSorted(t *testing.T) {
 	nb := n.Neighbors(s[0])
 	if len(nb) != 3 || nb[0] != s[1] || nb[1] != s[2] || nb[2] != s[3] {
 		t.Fatalf("Neighbors = %v", nb)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	n, _ := Mesh(2, 2)
-	c := n.Clone()
-	c.SetPipe(0, 3, 7)
-	c.AttachProc(0, 3)
-	if _, ok := n.PipeBetween(0, 3); ok {
-		t.Fatal("clone shares pipes")
-	}
-	if n.Home[0] != 0 {
-		t.Fatal("clone shares homes")
-	}
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	n, _ := Torus(3, 3)
-	var buf bytes.Buffer
-	if err := n.EncodeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != n.Name || got.Procs != n.Procs || got.NumSwitches() != n.NumSwitches() {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if got.TotalLinks() != n.TotalLinks() {
-		t.Fatalf("links: %d vs %d", got.TotalLinks(), n.TotalLinks())
-	}
-	for p := 0; p < n.Procs; p++ {
-		if got.Home[p] != n.Home[p] {
-			t.Fatalf("home of %d changed", p)
-		}
-	}
-}
-
-func TestDecodeJSONRejectsBad(t *testing.T) {
-	bad := []string{
-		`{`,
-		`{"name":"x","procs":2,"switches":[[0,5]],"pipes":[]}`,
-		`{"name":"x","procs":2,"switches":[[0],[1]],"pipes":[]}`, // disconnected
-	}
-	for _, s := range bad {
-		if _, err := DecodeJSON(strings.NewReader(s)); err == nil {
-			t.Errorf("accepted %q", s)
-		}
 	}
 }
 

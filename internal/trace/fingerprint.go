@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -127,26 +126,6 @@ func FingerprintCliques(procs int, cliques []model.Clique) *Fingerprint {
 		fp.DegreeHist[b]++
 	}
 	return fp
-}
-
-// Key returns a short canonical identifier for the fingerprint, suitable as
-// an index key or log label. Equal fingerprints have equal keys.
-func (fp *Fingerprint) Key() string {
-	h := uint64(fnvOffset64)
-	h = mix64(h, uint64(fp.Version))
-	h = mix64(h, uint64(fp.Procs))
-	h = mix64(h, uint64(fp.Flows))
-	h = mix64(h, uint64(fp.Cliques))
-	for _, d := range fp.DegreeHist {
-		h = mix64(h, uint64(d))
-	}
-	for _, s := range fp.Segments {
-		h = mix64(h, s)
-	}
-	for _, s := range fp.CliqueSigs {
-		h = mix64(h, s)
-	}
-	return fmt.Sprintf("fp:%016x", h)
 }
 
 // Equal reports whether two fingerprints are structurally identical.

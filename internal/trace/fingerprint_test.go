@@ -51,9 +51,6 @@ func TestFingerprintPermutationInvariance(t *testing.T) {
 	if !fa.Equal(fb) {
 		t.Fatalf("fingerprint not invariant under flow permutation:\n%+v\n%+v", fa, fb)
 	}
-	if fa.Key() != fb.Key() {
-		t.Fatalf("keys differ for permuted pattern: %s vs %s", fa.Key(), fb.Key())
-	}
 	if d := fa.Distance(fb); d != 0 {
 		t.Fatalf("distance between permuted patterns = %g, want 0", d)
 	}
@@ -76,9 +73,6 @@ func TestFingerprintDistinctStructures(t *testing.T) {
 	a2a := FingerprintPattern(BuildPhased("a2a", 8, allToAllPhases(8, 256)))
 	if ring.Equal(a2a) {
 		t.Fatal("ring and all-to-all produced equal fingerprints")
-	}
-	if ring.Key() == a2a.Key() {
-		t.Fatal("ring and all-to-all produced equal keys")
 	}
 	if d := ring.Distance(a2a); d < 0.3 {
 		t.Fatalf("ring vs all-to-all distance = %g, want >= 0.3", d)
@@ -245,9 +239,6 @@ func FuzzFingerprint(f *testing.F) {
 		// Distance is a self-consistent metric-ish score.
 		if d := fp.Distance(fp); d != 0 {
 			t.Fatalf("self distance %g != 0", d)
-		}
-		if fp.Key() != FingerprintPattern(perm).Key() {
-			t.Fatal("key differs for structurally equal patterns")
 		}
 	})
 }

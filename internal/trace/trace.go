@@ -10,7 +10,6 @@ package trace
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -156,32 +155,6 @@ func SummarizeCliques(p *model.Pattern, periods, maxed []model.Clique) Stats {
 		TotalBytes:   p.TotalBytes(),
 		Span:         finish - start,
 		ContentionSz: model.ConflictMatrixFromCliques(ix, maxed).Len(),
-	}
-}
-
-// SortMessagesByStart orders the pattern's messages chronologically,
-// renumbering IDs and fixing up phase references. Useful after skewing.
-func SortMessagesByStart(p *model.Pattern) {
-	idx := make([]int, len(p.Messages))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return p.Messages[idx[a]].Start < p.Messages[idx[b]].Start
-	})
-	remap := make([]int, len(p.Messages))
-	msgs := make([]model.Message, len(p.Messages))
-	for newPos, old := range idx {
-		remap[old] = newPos
-		m := p.Messages[old]
-		m.ID = newPos
-		msgs[newPos] = m
-	}
-	p.Messages = msgs
-	for pi := range p.Phases {
-		for j, mi := range p.Phases[pi].Messages {
-			p.Phases[pi].Messages[j] = remap[mi]
-		}
 	}
 }
 

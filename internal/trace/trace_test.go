@@ -205,33 +205,6 @@ func TestSummarizeCliquesReadsGivenSets(t *testing.T) {
 	}
 }
 
-func TestSortMessagesByStart(t *testing.T) {
-	p := &model.Pattern{Procs: 4, Messages: []model.Message{
-		{ID: 0, Src: 0, Dst: 1, Start: 5, Finish: 6},
-		{ID: 1, Src: 1, Dst: 2, Start: 1, Finish: 2},
-		{ID: 2, Src: 2, Dst: 3, Start: 3, Finish: 4},
-	}, Phases: []model.Phase{{Messages: []int{0, 2}}}}
-	SortMessagesByStart(p)
-	for i := 1; i < len(p.Messages); i++ {
-		if p.Messages[i].Start < p.Messages[i-1].Start {
-			t.Fatalf("not sorted")
-		}
-	}
-	for i, m := range p.Messages {
-		if m.ID != i {
-			t.Fatalf("IDs not renumbered: %v", p.Messages)
-		}
-	}
-	// Phase refs must follow the messages they named: originally messages
-	// starting at t=5 and t=3, now at indices 2 and 1.
-	want := []int{2, 1}
-	for i, mi := range p.Phases[0].Messages {
-		if mi != want[i] {
-			t.Fatalf("phase refs = %v, want %v", p.Phases[0].Messages, want)
-		}
-	}
-}
-
 func TestConcatUnionOfPeriods(t *testing.T) {
 	a := BuildPhased("a", 4, []PhaseSpec{
 		{Flows: []model.Flow{model.F(0, 1), model.F(2, 3)}, Bytes: 64},
