@@ -71,15 +71,20 @@ bench-obs:
 			-baseline BENCH_synth.json -budget 2
 
 # bench-<gate> is a same-machine speedup gate: it runs the gate's benchmarks,
-# writes BENCH_<gate>.json/.txt, and fails unless the numerator of its -ratio
-# pair takes at least BENCH_MIN_<gate> times the ns/op of the denominator.
+# writes BENCH_<gate>.json/.txt, and fails unless the numerator of every pair
+# in BENCH_RATIO_<gate> (a space-separated list of NUM:DEN) takes at least
+# BENCH_MIN_<gate> times the ns/op of its denominator.
 # Both sides run in the same invocation on the same machine, so the ratio
 # needs no committed baseline to be meaningful; the -baseline annotation (when
 # BENCH_<gate>.json exists) additionally flags absolute ns/op regressions
 # over 25%.
 #   flitsim:   the event-driven engine vs the cycle-stepping reference (the
-#              test oracle in engine_ref_test.go) on the compute-gap-heavy CG
-#              trace, next to the mesh/torus/crossbar workloads.
+#              test oracle in engine_ref_test.go) on two traces: the
+#              compute-gap-heavy CG on the mesh, where idle cycles are skipped
+#              (contended, so it rarely leaps: the pair also bounds the leap's
+#              bookkeeping), and full-size BT on the crossbar, where steady
+#              wormhole streaming is leapt; next to the mesh/torus/crossbar
+#              workloads.
 #   warm:      the same five CG-16 variants synthesized cold vs seeded from a
 #              prior design.
 #   floorplan: the array-backed delta search vs the map-based reference (the
@@ -88,7 +93,8 @@ bench-obs:
 #              256-processor network.
 BENCH_PKG_flitsim = ./internal/flitsim
 BENCH_RE_flitsim = Simulate|Simulation
-BENCH_RATIO_flitsim = BenchmarkSimulateCG16GapMeshReference:BenchmarkSimulateCG16GapMesh
+BENCH_RATIO_flitsim = BenchmarkSimulateCG16GapMeshReference:BenchmarkSimulateCG16GapMesh \
+	BenchmarkSimulateBT16StreamCrossbarReference:BenchmarkSimulateBT16StreamCrossbar
 BENCH_MIN_flitsim = 10
 
 BENCH_PKG_warm = ./internal/synth
@@ -104,7 +110,7 @@ BENCH_MIN_floorplan = 10
 bench-flitsim bench-warm bench-floorplan: bench-%:
 	$(GO) test -run '^$$' -bench '$(BENCH_RE_$*)' -benchmem $(BENCH_PKG_$*) \
 		| $(GO) run ./cmd/benchjson -o BENCH_$*.json -raw BENCH_$*.txt \
-			-ratio '$(BENCH_RATIO_$*)' -min-ratio $(BENCH_MIN_$*) \
+			$(foreach r,$(BENCH_RATIO_$*),-ratio '$(r)') -min-ratio $(BENCH_MIN_$*) \
 			$(if $(wildcard BENCH_$*.json),-baseline BENCH_$*.json -budget 25)
 
 bench: bench-synth bench-obs bench-flitsim bench-warm bench-floorplan
@@ -133,3 +139,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzContentionPeriods -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/synth
+	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/flitsim

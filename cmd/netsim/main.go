@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	netsim -trace trace.txt -topo mesh|torus|crossbar|generated [-net net.json] [-report run.json]
+//	netsim -trace trace.txt -topo mesh|torus|ring|crossbar|generated [-net net.json] [-report run.json]
 //
 // For -topo generated, -net must point to a design saved by netgen; the
 // synthesized source routes and link assignments are used as-is, with
@@ -25,7 +25,7 @@ import (
 func main() {
 	var (
 		tracePath = flag.String("trace", "", "input noctrace file (required)")
-		topo      = flag.String("topo", "mesh", "mesh, torus, crossbar, or generated")
+		topo      = flag.String("topo", "mesh", "mesh, torus, ring, crossbar, or generated")
 		netPath   = flag.String("net", "", "topology JSON for -topo generated")
 		vcs       = flag.Int("vcs", 3, "virtual channels per link")
 		useFloor  = flag.Bool("floorplan", true, "derive per-link delays from a floorplan (generated topologies)")
@@ -53,6 +53,8 @@ func main() {
 		res, err = flitsim.RunMesh(pat, cfg)
 	case "torus":
 		res, err = flitsim.RunTorus(pat, cfg)
+	case "ring":
+		res, err = flitsim.RunRing(pat, cfg)
 	case "crossbar":
 		res, err = flitsim.RunCrossbar(pat, cfg)
 	case "generated":
@@ -91,7 +93,8 @@ func main() {
 	fmt.Printf("flit-hops:          %d\n", res.FlitHops)
 	fmt.Printf("peak link util:     %.3f\n", res.PeakLinkUtil)
 	fmt.Printf("energy estimate:    %.0f units\n", res.EnergyUnits)
-	fmt.Printf("deadlock recoveries: %d\n", res.Kills)
+	fmt.Printf("deadlock recoveries: %d (%d victims)\n", res.Kills, res.Victims)
+	fmt.Printf("vc stalls:          %d\n", res.VCStalls)
 	if err := shared.WriteReport("netsim", trace.Summarize(pat)); err != nil {
 		fatal(err)
 	}

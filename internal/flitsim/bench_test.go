@@ -88,3 +88,38 @@ func BenchmarkSimulateCG16GapMeshReference(b *testing.B) {
 		}
 	}
 }
+
+// streamingBT is the streaming trace behind the engine's second speedup
+// gate: full-size NAS BT on 16 nodes, whose multi-KB messages spend almost
+// every cycle of a crossbar replay streaming one body flit per hop — the
+// regime the event-driven core leaps and the reference steps. The CG16Gap
+// pair above is contended and rarely leaps: it bounds the leap's bookkeeping.
+func streamingBT(b *testing.B) *model.Pattern {
+	pat, err := nas.Generate("BT", 16, nas.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pat
+}
+
+func BenchmarkSimulateBT16StreamCrossbar(b *testing.B) {
+	pat := streamingBT(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunCrossbar(pat, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSimulateBT16StreamCrossbarReference(b *testing.B) {
+	pat := streamingBT(b)
+	net := topology.Crossbar(pat.Procs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runReference(pat, net, XBar{}, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -14,7 +14,9 @@ import (
 //
 //   - fast-forwarding e.now across provably idle gaps (long NAS compute
 //     phases, link pipeline transit, deadlock backoff) instead of spinning
-//     empty cycles — see nextCycle for the wake-up invariants;
+//     empty cycles, and across steady wormhole streaming, where a cycle
+//     that provably repeats is applied K times at once — see nextCycle for
+//     the wake-up invariants;
 //   - keying hot state off dense slices (message-ID-indexed packet arena
 //     and readyAt, channel-ID-indexed input-used stamps) instead of maps,
 //     with generation stamps replacing per-cycle map clears;
@@ -83,6 +85,27 @@ type engine struct {
 	fwdChs    []int
 
 	eligible []*vcBuf // forward() scratch
+
+	// Repeating-cycle detection (steady, DESIGN.md §8). moves lists the
+	// flit transfers of the cycle being processed in execution order;
+	// eventAt is the last cycle with a structural event; buffered0,
+	// inflight0 and stalls0 are the occupancy counters and vcStalls as the
+	// cycle began. stepped counts the cycles run() processed in full — the
+	// rest of e.now was skipped or leapt — and is read only by tests.
+	moves                []move
+	eventAt              int64
+	buffered0, inflight0 int
+	stalls0              int64
+	stepped              int64
+}
+
+// move is one flit transfer: a send onto channel c toward VC to (an
+// injection when c leaves a processor, else a switch traversal), or, with to
+// nil, an ejection from channel c.
+type move struct {
+	c   *channel
+	pkt *packet
+	to  *vcBuf
 }
 
 // farFuture is the nextArrival sentinel when no flit is on a wire.
@@ -109,6 +132,7 @@ func (e *engine) reset(pat *model.Pattern, router Router, fb *fabric) {
 	e.now, e.kills, e.victims, e.vcStalls, e.flitHops = 0, 0, 0, 0, 0
 	e.latSum, e.latMax, e.latN = 0, 0, 0
 	e.usedStamp = 0
+	e.eventAt, e.stepped = 0, 0 // cycle 0 has no predecessor: an event
 	e.inflightCount, e.buffered, e.undelivered = 0, 0, 0
 	e.nextArrival = farFuture
 	e.netPackets = e.netPackets[:0]
@@ -198,6 +222,8 @@ func (e *engine) release() {
 	e.eligible = e.eligible[:0]
 	clear(e.netPackets)
 	e.netPackets = e.netPackets[:0]
+	clear(e.moves)
+	e.moves = e.moves[:0]
 	clear(e.liveCh)
 	e.liveCh = e.liveCh[:0]
 	for i := range e.routedTo {
@@ -232,6 +258,9 @@ func (e *engine) run() error {
 			return fmt.Errorf("flitsim: %s on %s exceeded %d cycles (likely livelock)",
 				e.pat.Name, e.fb.net.Name, e.cfg.MaxCycles)
 		}
+		e.stepped++
+		e.moves = e.moves[:0]
+		e.buffered0, e.inflight0, e.stalls0 = e.buffered, e.inflightCount, e.vcStalls
 		e.deliverArrivals()
 		e.stepScripts()
 		e.inject()
@@ -248,31 +277,39 @@ func (e *engine) run() error {
 	}
 }
 
-// nextCycle returns the earliest cycle after e.now at which any engine
-// state transition is possible; every cycle strictly in between is provably
-// identical to a reference-engine no-op cycle and is skipped. The wake-up
-// sources (DESIGN.md §8):
+// nextCycle returns the earliest cycle after e.now that must be processed in
+// full. Every cycle strictly in between is provably either a reference-engine
+// no-op, and is skipped, or — when steady reports that the cycle just
+// processed repeats — an exact copy of it, and leap applies them all at once.
+// The thresholds (DESIGN.md §8):
 //
 //  1. A flit buffered anywhere: switch allocation, forwarding, or ejection
-//     may act every cycle, so no skip is possible.
+//     may act every cycle, so no skip is possible — unless the cycle is
+//     steady, when what they do next is what they just did.
 //  2. An NI queue head past its retransmit backoff (or a stale queue entry
-//     awaiting its defensive dequeue): injection may act every cycle.
-//  3. The earliest in-flight arrival (lower-bounded by e.nextArrival).
+//     awaiting its defensive dequeue): injection may act every cycle. In a
+//     steady cycle the head either is blocked on a VC or credit that no
+//     repeat frees, or injects a body flit per cycle until its tail is due.
+//  3. The earliest in-flight arrival (lower-bounded by e.nextArrival); the
+//     arrivals of a steady cycle are part of what repeats.
 //  4. The earliest script wake-up: busyUntil for compute/send overheads,
 //     max(readyAt, opStart+RecvOverhead) for a posted receive.
 //  5. The earliest deadlock-recovery tick (multiple of 32) at which some
-//     in-network packet will have exceeded its doubling stall tolerance.
+//     in-network packet will have exceeded its doubling stall tolerance. A
+//     packet that moved in a steady cycle moves in every repeat and never
+//     stalls; the others bound the leap exactly as they bound a skip.
 //
 // Any event that would change one of these bounds (an arrival filling a
 // buffer, a kill resetting lastProgress) can itself only happen at a cycle
 // returned here, so the fast-forward is exact, not heuristic.
 func (e *engine) nextCycle() int64 {
 	horizon := e.cfg.MaxCycles + 1
-	if e.buffered > 0 {
+	steady := e.steady()
+	if e.buffered > 0 && !steady {
 		return e.now + 1
 	}
 	next := horizon
-	if e.inflightCount > 0 && e.nextArrival < next {
+	if !steady && e.inflightCount > 0 && e.nextArrival < next {
 		next = e.nextArrival
 	}
 	for _, ni := range e.nis {
@@ -282,11 +319,12 @@ func (e *engine) nextCycle() int64 {
 				// Stale entry: inject dequeues it next cycle.
 				return e.now + 1
 			}
-			if head.notBefore <= e.now {
+			if head.notBefore > e.now {
+				if head.notBefore < next {
+					next = head.notBefore
+				}
+			} else if !steady {
 				return e.now + 1
-			}
-			if head.notBefore < next {
-				next = head.notBefore
 			}
 		}
 		if ni.done() {
@@ -318,21 +356,32 @@ func (e *engine) nextCycle() int64 {
 			}
 		}
 	}
-	if len(e.netPackets) > 0 {
-		base := int64(e.cfg.DeadlockTimeout)
-		for _, pkt := range e.netPackets {
-			shift := pkt.retries
-			if shift > 6 {
-				shift = 6
-			}
-			t := pkt.lastProgress + (base << shift) + 1
-			if t <= e.now {
-				t = e.now + 1
-			}
-			// Recovery only scans on multiples of 32.
-			t = (t + 31) &^ 31
-			if t < next {
-				next = t
+	base := int64(e.cfg.DeadlockTimeout)
+	for _, pkt := range e.netPackets {
+		if steady && pkt.lastProgress == e.now {
+			continue
+		}
+		shift := pkt.retries
+		if shift > 6 {
+			shift = 6
+		}
+		t := pkt.lastProgress + (base << shift) + 1
+		if t <= e.now {
+			t = e.now + 1
+		}
+		// Recovery only scans on multiples of 32.
+		t = (t + 31) &^ 31
+		if t < next {
+			next = t
+		}
+	}
+	if steady {
+		// The cycle that injects a tail also dequeues its packet.
+		for _, m := range e.moves {
+			if m.c.src.kind == endProc {
+				if tail := e.now + int64(m.pkt.flits-m.pkt.sent); tail < next {
+					next = tail
+				}
 			}
 		}
 	}
@@ -342,7 +391,81 @@ func (e *engine) nextCycle() int64 {
 	if next <= e.now {
 		next = e.now + 1
 	}
+	if steady && next > e.now+1 {
+		e.leap(next - 1 - e.now)
+	}
 	return next
+}
+
+// steady reports whether the cycle just processed left the engine in the
+// state the cycle before it left, shifted by one cycle — which makes the next
+// cycle, and every one after it up to nextCycle's first threshold, repeat
+// this one move for move. Three conditions establish it (DESIGN.md §8 has
+// the proof and the cases each one excludes):
+//
+//   - no structural event this cycle (eventAt): no VC allocated or released,
+//     no head or tail flit moved, no script op completed, no post, dequeue or
+//     kill, and no arbitration decided among more than one candidate, so no
+//     decision read a round-robin pointer;
+//   - every VC balanced: as many flits delivered to it as sent toward it as
+//     popped from it, so len(buf) and inTransit end where they began. The
+//     counters show deliveries, sends and pops total the same, and the stamps
+//     show each VC sent toward was also delivered to and popped;
+//   - every link pipeline full and feeding one VC, so the arrivals repeat too
+//     (with delay 1 this is implied by the balance).
+func (e *engine) steady() bool {
+	if e.eventAt == e.now || e.buffered != e.buffered0 || e.inflightCount != e.inflight0 {
+		return false
+	}
+	for _, m := range e.moves {
+		if to := m.to; to != nil && (to.filled != e.now || to.popped != e.now) {
+			return false
+		}
+	}
+	for _, c := range e.liveCh {
+		if len(c.inflight) != c.delay {
+			return false
+		}
+		for _, inf := range c.inflight[1:] {
+			if inf.to != c.inflight[0].to {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// leap applies k repeats of the steady cycle just processed: every counter a
+// move advances advances k times, every in-flight stamp shifts by k, and
+// buffers, credits and ownership stay as they are. An ejection channel's rr
+// stays too: forward bumps it and ejectFlits resets it to the VC after the
+// one it drained, every cycle. nextArrival stays a lower bound, which is all
+// deliverArrivals asks of it.
+func (e *engine) leap(k int64) {
+	last := e.now + k
+	var sends int64
+	for _, m := range e.moves {
+		m.pkt.lastProgress = last
+		if m.to == nil {
+			m.pkt.arrived += int(k)
+			continue
+		}
+		sends++
+		m.c.carried += k
+		switch {
+		case m.c.src.kind == endProc:
+			m.pkt.sent += int(k)
+		case m.c.dst.kind == endSwitch:
+			m.c.rr += int(k)
+		}
+	}
+	e.flitHops += k * sends
+	e.vcStalls += k * (e.vcStalls - e.stalls0)
+	for _, c := range e.liveCh {
+		for i := range c.inflight {
+			c.inflight[i].at += k
+		}
+	}
 }
 
 // addInflight places a flit on a channel's wire, maintaining the arrival
@@ -362,6 +485,7 @@ func (e *engine) addInflight(c *channel, inf inflightFlit) {
 // routeIn records that input VC v was allocated output VC v.out,
 // insertion-sorting by seq to preserve reference arbitration order.
 func (e *engine) routeIn(v *vcBuf) {
+	e.eventAt = e.now
 	id := v.out.ch.id
 	lst := append(e.routedTo[id], v)
 	i := len(lst) - 1
@@ -433,6 +557,7 @@ func (e *engine) deliverArrivals() {
 			if inf.at <= e.now {
 				inf.to.buf = append(inf.to.buf, inf.f)
 				inf.to.inTransit--
+				inf.to.filled = e.now
 				e.inflightCount--
 				e.buffered++
 				e.bufInCh[c.id]++
@@ -458,9 +583,7 @@ func (e *engine) deliverArrivals() {
 func (e *engine) stepScripts() {
 	for _, ni := range e.nis {
 		for !ni.done() && e.stepOne(ni) {
-		}
-		if ni.done() && ni.doneAt == 0 {
-			ni.doneAt = e.now
+			e.eventAt = e.now
 		}
 	}
 }
@@ -551,6 +674,7 @@ func (e *engine) inject() {
 			// Fully streamed or already delivered: nothing left to
 			// inject; drop the entry (defensive — see kill).
 			ni.queue = ni.queue[1:]
+			e.eventAt = e.now
 			continue
 		}
 		if e.now < pkt.notBefore {
@@ -564,12 +688,17 @@ func (e *engine) inject() {
 			}
 			v.owner = pkt
 			pkt.injVC = v
+			e.eventAt = e.now
 		}
 		v := pkt.injVC
 		if !v.space(e.cfg.BufFlits) {
 			continue
 		}
 		f := flit{pkt: pkt, head: pkt.sent == 0, tail: pkt.sent == pkt.flits-1}
+		if f.head || f.tail {
+			e.eventAt = e.now
+		}
+		e.moves = append(e.moves, move{c: ch, pkt: pkt, to: v})
 		pkt.sent++
 		if pkt.sent == 1 {
 			e.netPackets = append(e.netPackets, pkt)
@@ -660,9 +789,14 @@ func (e *engine) forward() {
 		v := eligible[c.rr%len(eligible)]
 		c.rr++
 		f := v.pop()
+		v.popped = e.now
+		if len(eligible) > 1 || f.head || f.tail {
+			e.eventAt = e.now
+		}
 		e.buffered--
 		e.bufInCh[v.ch.id]--
 		out := v.out
+		e.moves = append(e.moves, move{c: c, pkt: f.pkt, to: out})
 		out.inTransit++
 		e.addInflight(c, inflightFlit{f: f, to: out, at: e.now + int64(c.delay)})
 		c.carried++
@@ -696,9 +830,14 @@ func (e *engine) ejectFlits() {
 			}
 			ch.rr = (ch.rr + i + 1) % len(ch.vcs)
 			f := v.pop()
+			v.popped = e.now
+			if f.head || f.tail {
+				e.eventAt = e.now
+			}
 			e.buffered--
 			e.bufInCh[ch.id]--
 			pkt := f.pkt
+			e.moves = append(e.moves, move{c: ch, pkt: pkt})
 			pkt.arrived++
 			pkt.lastProgress = e.now
 			if f.tail {
@@ -759,6 +898,7 @@ func (e *engine) recoverDeadlocks() {
 }
 
 func (e *engine) kill(pkt *packet) {
+	e.eventAt = e.now
 	for _, c := range e.fb.channels {
 		kept := c.inflight[:0]
 		for _, inf := range c.inflight {

@@ -105,9 +105,6 @@ func (e *refEngine) stepScripts() {
 	for _, ni := range e.nis {
 		for !ni.done() && e.stepOne(ni) {
 		}
-		if ni.done() && ni.doneAt == 0 {
-			ni.doneAt = e.now
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package flitsim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -136,6 +137,19 @@ func TestEngineEquivalenceDeadlockRecovery(t *testing.T) {
 	if res.Kills < 2 {
 		t.Errorf("pair-starve Kills = %d, want >= 2", res.Kills)
 	}
+	// The winner streams ~4,100 cycles while the loser's head stalls in its
+	// injection VC: every recovery tick, kill and retransmit backoff of the
+	// loser lands inside what would otherwise be one leap of the winner —
+	// also with deeper link pipelines and a timeout off the 32-cycle grid.
+	for _, c := range []struct{ delay, buf, timeout int }{{3, 4, 100}, {2, 2, 256}, {4, 8, 1000}} {
+		res = runBoth(t, fmt.Sprintf("pair-starve/delay%d", c.delay), starve, pnet, SourceRouted{Table: ptable}, Config{
+			VCs: 1, BufFlits: c.buf, DeadlockTimeout: c.timeout, MaxCycles: 2_000_000,
+			LinkDelay: func(a, b topology.SwitchID) int { return c.delay },
+		})
+		if res.Kills == 0 {
+			t.Errorf("pair-starve/delay%d: no kill landed inside the winner's stream", c.delay)
+		}
+	}
 }
 
 // TestEngineEquivalenceWedged pins the MaxCycles error path: a permanent
@@ -155,43 +169,191 @@ func TestEngineEquivalenceWedged(t *testing.T) {
 	if res.Messages == len(fs) {
 		t.Error("wedge workload completed; the MaxCycles path was not exercised")
 	}
+
+	// A horizon that falls mid-stream: the leap over a 64 KB worm must stop
+	// at MaxCycles with the same partial flit counts.
+	lnet, ltable := lineNet(4)
+	long := trace.BuildPhased("long", 4, []trace.PhaseSpec{{Flows: []model.Flow{model.F(0, 3)}, Bytes: 64 << 10}})
+	res = runBoth(t, "horizon", long, lnet, SourceRouted{Table: ltable}, Config{MaxCycles: 5_000})
+	if res.Messages != 0 || res.FlitHops == 0 {
+		t.Errorf("horizon workload: Messages = %d, FlitHops = %d, want a worm cut off mid-stream", res.Messages, res.FlitHops)
+	}
+}
+
+// shiftPattern has every processor send bytes to the processor k places on,
+// one phase per k: a permutation per phase, so worms stream concurrently.
+func shiftPattern(procs, bytes int, ks ...int) *model.Pattern {
+	var phases []trace.PhaseSpec
+	for _, k := range ks {
+		var fs []model.Flow
+		for p := 0; p < procs; p++ {
+			fs = append(fs, model.F(p, (p+k)%procs))
+		}
+		phases = append(phases, trace.PhaseSpec{Flows: fs, Bytes: bytes})
+	}
+	return trace.BuildPhased("shift", procs, phases)
+}
+
+// TestEngineEquivalenceStreaming pins the engines together where the
+// event-driven one leaps: 16 KB messages (4,097 flits, so single leaps span
+// well over 1,000 cycles) on every router, and link pipelines one to four
+// cycles deep — the folded torus runs at 2, floorplanned links deeper — on
+// mesh, torus and a synthesized network with a pipe more than one link wide.
+func TestEngineEquivalenceStreaming(t *testing.T) {
+	const procs = 8
+	pat := shiftPattern(procs, 16<<10, 1, 3, 4)
+	rows, cols := topology.GridDims(procs)
+	mnet, mgrid := topology.Mesh(rows, cols)
+	tnet, tgrid := topology.Torus(rows, cols)
+	rnet, rgrid := topology.Ring(procs)
+
+	all := shiftPattern(procs, 16<<10, 1, 2, 3, 4, 5, 6, 7)
+	opts := synth.Options{Seed: 1, Restarts: 2, Workers: 1}
+	opts.MaxDegree = 3
+	syn, err := synth.Synthesize(all, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := 0
+	for _, p := range syn.Net.Pipes {
+		wide = max(wide, p.Width)
+	}
+	if wide < 2 {
+		t.Fatalf("synthesized network has no pipe wider than one link; pick a pattern that needs one")
+	}
+
+	for delay := 1; delay <= 4; delay++ {
+		t.Run(fmt.Sprintf("delay%d", delay), func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{LinkDelay: func(a, b topology.SwitchID) int { return delay }}
+			runBoth(t, "mesh", pat, mnet, DOR{Grid: mgrid}, cfg)
+			runBoth(t, "torus", pat, tnet, TFAR{Grid: tgrid}, cfg)
+			runBoth(t, "synth", all, syn.Net, SourceRouted{Table: syn.Table}, cfg)
+		})
+	}
+	t.Run("crossbar", func(t *testing.T) {
+		t.Parallel()
+		xnet := topology.Crossbar(procs)
+		runBoth(t, "crossbar", pat, xnet, XBar{}, Config{})
+		// One hot destination: three worms rotate for p7's ejection
+		// channel, the short ones finish, the long one leaps alone until
+		// a fourth joins the arbitration — whose rr the leap must have
+		// left exact.
+		hot := trace.BuildPhased("hot", procs, []trace.PhaseSpec{
+			{Flows: []model.Flow{model.F(0, 7), model.F(1, 7), model.F(2, 7), model.F(3, 4)}, Bytes: 16 << 10},
+			{Flows: []model.Flow{model.F(3, 7)}, Bytes: 8 << 10},
+		})
+		hot.Messages[1].Bytes, hot.Messages[2].Bytes, hot.Messages[3].Bytes = 256, 1024, 64
+		for vcs := 1; vcs <= 3; vcs++ {
+			runBoth(t, fmt.Sprintf("hot/vc%d", vcs), hot, xnet, XBar{}, Config{VCs: vcs})
+		}
+	})
+	t.Run("ring", func(t *testing.T) {
+		t.Parallel()
+		runBoth(t, "ring", pat, rnet, TFAR{Grid: rgrid}, Config{})
+	})
+}
+
+// drawCase draws a small phased workload — random flows, sizes from 16 B to
+// 16<<(sizeExps-1) B, compute gaps — and simulator knobs, taking every choice
+// from draw (rand.Intn, or the next fuzz byte).
+func drawCase(draw func(n int) int, procs, sizeExps int) (*model.Pattern, Config) {
+	timeouts := []int{64, 256, 8192}
+	nPhases := 1 + draw(4)
+	var phases []trace.PhaseSpec
+	for i := 0; i < nPhases; i++ {
+		var fs []model.Flow
+		nFlows := 1 + draw(procs)
+		for j := 0; j < nFlows; j++ {
+			src := draw(procs)
+			dst := draw(procs)
+			fs = append(fs, model.F(src, dst))
+		}
+		phases = append(phases, trace.PhaseSpec{
+			Flows:        fs,
+			Bytes:        1 << (4 + draw(sizeExps)),
+			ComputeAfter: float64(draw(200)),
+		})
+	}
+	return trace.BuildPhased("rand", procs, phases), Config{
+		VCs:             1 + draw(3),
+		BufFlits:        2 + draw(7),
+		DeadlockTimeout: timeouts[draw(len(timeouts))],
+		MaxCycles:       5_000_000,
+	}
 }
 
 // TestEngineEquivalenceRandomized fuzzes the engines against each other
 // with random phased workloads — random flows, sizes, compute gaps, and
-// simulator knobs — on mesh and torus. Seeded, so failures reproduce.
+// simulator knobs — on mesh and torus. Seeded, so failures reproduce. The
+// first eight trials are the original corpus (sizes to 2 KB, unit links) and
+// all that -short runs; the rest add per-link delays of 1-4 cycles and, one
+// trial in four, sizes to 64 KB.
 func TestEngineEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const procs = 8
 	rows, cols := topology.GridDims(procs)
 	mnet, mgrid := topology.Mesh(rows, cols)
 	tnet, tgrid := topology.Torus(rows, cols)
-	timeouts := []int{64, 256, 8192}
-	for trial := 0; trial < 8; trial++ {
-		nPhases := 1 + rng.Intn(4)
-		var phases []trace.PhaseSpec
-		for i := 0; i < nPhases; i++ {
-			var fs []model.Flow
-			nFlows := 1 + rng.Intn(procs)
-			for j := 0; j < nFlows; j++ {
-				src := rng.Intn(procs)
-				dst := rng.Intn(procs)
-				fs = append(fs, model.F(src, dst))
-			}
-			phases = append(phases, trace.PhaseSpec{
-				Flows:        fs,
-				Bytes:        1 << (4 + rng.Intn(8)),
-				ComputeAfter: float64(rng.Intn(200)),
-			})
+	trials := 64
+	if testing.Short() {
+		trials = 8
+	}
+	for trial := 0; trial < trials; trial++ {
+		sizeExps := 8
+		if trial >= 8 && trial%4 == 0 {
+			sizeExps = 13
 		}
-		pat := trace.BuildPhased("rand", procs, phases)
-		cfg := Config{
-			VCs:             1 + rng.Intn(3),
-			BufFlits:        2 + rng.Intn(7),
-			DeadlockTimeout: timeouts[rng.Intn(len(timeouts))],
-			MaxCycles:       5_000_000,
+		pat, cfg := drawCase(rng.Intn, procs, sizeExps)
+		if trial >= 8 {
+			salt, depth := rng.Intn(64), 1+rng.Intn(4)
+			cfg.LinkDelay = func(a, b topology.SwitchID) int { return 1 + (int(a)*5+int(b)*3+salt)%depth }
 		}
 		runBoth(t, "rand-mesh", pat, mnet, DOR{Grid: mgrid}, cfg)
 		runBoth(t, "rand-torus", pat, tnet, TFAR{Grid: tgrid}, cfg)
 	}
+}
+
+// FuzzEngineEquivalence is the native-fuzz form of the randomized trials:
+// the input bytes choose the topology, the link pipeline depth and, through
+// drawCase, the workload and knobs; an exhausted input draws zeros.
+func FuzzEngineEquivalence(f *testing.F) {
+	// Seeds, in draw order: topology, depth-1, phases-1, then per phase
+	// flows-1, src/dst pairs, size exponent-4, compute gap; then VCs-1,
+	// BufFlits-2, timeout index.
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 10, 0})                                                    // mesh, delay 1-2, one 16 KB worm
+	f.Add([]byte{1, 3, 0, 7, 0, 4, 1, 5, 2, 6, 3, 7, 4, 0, 5, 1, 6, 2, 7, 3, 8, 50, 2, 6, 2}) // torus, delay 1-4, a 4 KB shift by 4
+	f.Add([]byte{2, 0, 1, 1, 0, 3, 4, 7, 8, 199, 0, 2, 6, 6, 0, 1, 2, 0})                     // ring, two phases, 2 VCs, timeout 64
+	f.Add([]byte{3, 0, 0, 3, 0, 7, 1, 7, 2, 7, 3, 7, 10, 0, 2, 6, 2})                         // crossbar, four 16 KB worms to p7
+	const procs = 8
+	rows, cols := topology.GridDims(procs)
+	mnet, mgrid := topology.Mesh(rows, cols)
+	tnet, tgrid := topology.Torus(rows, cols)
+	rnet, rgrid := topology.Ring(procs)
+	xnet := topology.Crossbar(procs)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		draw := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		}
+		topo, depth := draw(4), 1+draw(4)
+		pat, cfg := drawCase(draw, procs, 11)
+		cfg.MaxCycles = 200_000
+		cfg.LinkDelay = func(a, b topology.SwitchID) int { return 1 + (int(a)+int(b))%depth }
+		switch topo {
+		case 0:
+			runBoth(t, "fuzz-mesh", pat, mnet, DOR{Grid: mgrid}, cfg)
+		case 1:
+			runBoth(t, "fuzz-torus", pat, tnet, TFAR{Grid: tgrid}, cfg)
+		case 2:
+			runBoth(t, "fuzz-ring", pat, rnet, TFAR{Grid: rgrid}, cfg)
+		case 3:
+			runBoth(t, "fuzz-crossbar", pat, xnet, XBar{}, cfg)
+		}
+	})
 }

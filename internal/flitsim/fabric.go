@@ -28,6 +28,9 @@ type vcBuf struct {
 	owner     *packet
 	out       *vcBuf // downstream VC allocated for this packet
 	inTransit int    // flits on the wire toward this buffer
+	// filled and popped are the last cycles a flit was delivered into and
+	// popped from buf: engine.steady's per-VC balance check.
+	filled, popped int64
 }
 
 // space reports whether one more flit may be sent toward this buffer

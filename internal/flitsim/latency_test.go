@@ -10,19 +10,20 @@ import (
 	"repro/internal/trace"
 )
 
-// lineNet2 is the minimal two-switch network: p0 on s0, p1 on s1, one
-// single-link pipe — contention-free, so latencies are computable by hand.
-func lineNet2() (*topology.Network, *routing.Table) {
-	net := topology.New("line2", 2)
-	s0, s1 := net.AddSwitch(), net.AddSwitch()
-	net.AttachProc(0, s0)
-	net.AttachProc(1, s1)
-	net.SetPipe(s0, s1, 1)
-	table := routing.NewTable(net)
-	table.Routes[model.F(0, 1)] = routing.Route{
-		Switches: []topology.SwitchID{s0, s1},
-		Links:    []int{0},
+// lineNet is n switches in a row, one processor each, with the single source
+// route p0 → p(n-1) — contention-free, so latencies are computable by hand.
+func lineNet(n int) (*topology.Network, *routing.Table) {
+	net := topology.New("line", n)
+	sw := make([]topology.SwitchID, n)
+	for i := range sw {
+		sw[i] = net.AddSwitch()
+		net.AttachProc(i, sw[i])
 	}
+	for i := 1; i < n; i++ {
+		net.SetPipe(sw[i-1], sw[i], 1)
+	}
+	table := routing.NewTable(net)
+	table.Routes[model.F(0, n-1)] = routing.Route{Switches: sw, Links: make([]int, n-1)}
 	return net, table
 }
 
@@ -43,7 +44,7 @@ func lineNet2() (*topology.Network, *routing.Table) {
 // blocked-receive cycles}, and every flit crosses exactly 3 channels:
 // FlitHops = (2+17+65)·3 = 252.
 func TestLatencyAccountingGolden(t *testing.T) {
-	net, table := lineNet2()
+	net, table := lineNet(2)
 	pat := trace.BuildPhased("golden3", 2, []trace.PhaseSpec{
 		{Flows: []model.Flow{model.F(0, 1)}, Bytes: 4},
 		{Flows: []model.Flow{model.F(0, 1)}, Bytes: 64},

@@ -1,0 +1,54 @@
+package flitsim
+
+import (
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/nas"
+	"repro/internal/topology"
+	"repro/internal/trace"
+)
+
+// steppedCycles runs the workload on a private engine and returns the
+// simulated length next to the number of cycles run() processed in full.
+// stepped has no Observer counter on purpose: runBoth compares counter maps
+// with the cycle-stepping oracle, which steps every cycle.
+func steppedCycles(t *testing.T, pat *model.Pattern, net *topology.Network, router Router, cfg Config) (exec, stepped int64) {
+	t.Helper()
+	e := new(engine)
+	e.reset(pat, router, buildFabric(net, cfg.Normalized()))
+	if err := e.run(); err != nil {
+		t.Fatal(err)
+	}
+	return e.now, e.stepped
+}
+
+// TestLeapFires pins that steady wormhole streaming is leapt, not stepped: a
+// silently disabled leap must fail here, not just slow a benchmark. Identity
+// with the oracle is the equivalence suite's job; this one only counts.
+func TestLeapFires(t *testing.T) {
+	// One 64 KB message (16,385 flits) over a 3-hop source route: a head
+	// fill, one leap to the tail, a drain.
+	net, table := lineNet(4)
+	one := trace.BuildPhased("one", 4, []trace.PhaseSpec{{Flows: []model.Flow{model.F(0, 3)}, Bytes: 64 << 10}})
+	// A moving worm never stalls, so the deadlock timeout must not cap its leap.
+	for _, delay := range []int{1, 3} {
+		cfg := Config{DeadlockTimeout: 32, LinkDelay: func(a, b topology.SwitchID) int { return delay }}
+		exec, stepped := steppedCycles(t, one, net, SourceRouted{Table: table}, cfg)
+		if exec <= 16_000 || stepped >= 200 {
+			t.Errorf("64 KB over 3 hops, link delay %d: stepped %d of %d cycles, want < 200 of > 16,000", delay, stepped, exec)
+		}
+	}
+
+	// Full-size BT/16 on the crossbar: what is left is mostly worms bound
+	// for one processor taking turns on its ejection channel (a period-2
+	// state, stepped).
+	bt, err := nas.Generate("BT", 16, nas.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, stepped := steppedCycles(t, bt, topology.Crossbar(16), XBar{}, Config{})
+	if exec != 164_592 || stepped >= 30_000 {
+		t.Errorf("BT/16 on the crossbar: stepped %d of %d cycles, want < 30,000 of 164,592", stepped, exec)
+	}
+}

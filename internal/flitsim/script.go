@@ -115,7 +115,6 @@ type niState struct {
 	started   bool
 	queue     []*packet
 	comm      int64
-	doneAt    int64
 }
 
 func (ni *niState) done() bool { return ni.pc >= len(ni.script) }

@@ -34,8 +34,9 @@ func Topologies() []string { return []string{"crossbar", "mesh", "torus", "gener
 // nodes, Figure 8(a)) or "large" (16 nodes, Figure 8(b)).
 //
 // Each benchmark cell (one design plus four simulations) runs on the
-// Workers pool; the four topologies within a cell stay sequential because
-// the crossbar run provides the normalization baseline for the others.
+// Workers pool; the four replays within a cell stay sequential because cells,
+// not replays, are the fan-out unit (normalizing to the crossbar is
+// arithmetic on finished results, not a reason to order the runs).
 func (c Config) Figure8(size string) ([]PerfRow, error) {
 	names := benchmarkNames()
 	cells, err := parallel.MapObserved(c.Obs, "harness.fig8", c.Workers, len(names), func(i int) ([]PerfRow, error) {
