@@ -52,7 +52,13 @@ cover-serve cover-collective cover-hier: cover-%:
 
 # bench-synth runs the synthesis hot-path benchmarks with allocation stats
 # and writes BENCH_synth.json (a machine-readable summary) plus
-# BENCH_synth.txt (the raw benchstat-compatible text).
+# BENCH_synth.txt (the raw benchstat-compatible text): one restart of
+# Figure 1 and CG/16, the default four of full-size BT/16 (the heaviest paper
+# cell, where mergeRefine's port bound has most to skip), the restart fan-out
+# sweep, and the colouring and contention-model kernels. It records and gates
+# nothing itself; its SynthesizeCG16 row is the baseline of bench-obs, so
+# re-record both together on one box whenever synthesis gets faster — a stale
+# slow baseline passes the 2% telemetry gate vacuously.
 bench-synth:
 	$(GO) test -run '^$$' -bench 'Synthesize|FastColor|Coloring|ContentionPeriods|MaxClique' -benchmem \
 		./internal/synth ./internal/coloring ./internal/model \
@@ -139,4 +145,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzContentionPeriods -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/synth
+	$(GO) test -run '^$$' -fuzz FuzzMoveEngine -fuzztime 30s ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/flitsim

@@ -155,16 +155,19 @@ func TestDesignHierBadRequests(t *testing.T) {
 // TestHierNoIInheritsNoCPinned holds "the NoI inherits the NoC options
 // unless overridden" to what the server answered when it spelled the rule
 // out itself: with and without NoI overrides, a hier request's key and
-// response (bodyDigest) are those of the commit before hier.NoIOptions.
+// response (bodyDigest) are those of the commit before hier.NoIOptions —
+// the digests plus the synth.Stats MergesTried/MergesSkipped fields and
+// counters the bodies have carried since (no other difference; CHANGES.md,
+// PR 22).
 func TestHierNoIInheritsNoCPinned(t *testing.T) {
 	srv := newTestServer(t, quickConfig())
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	for _, c := range []struct{ name, body, key, digest string }{
 		{"inherited", `{"benchmark":"CG","procs":16,"max_degree":6,"hier":{"clusters":"blocks:4"}}`,
-			"sha256:1c85893346c9e6db03971e895a97fb532b82a4ab82d0b79d22b476c2a96acc42", "b407a8bd97d9604baaf1b02689f26f980af56ea1b5d90f9834db63e788c37dce"},
+			"sha256:1c85893346c9e6db03971e895a97fb532b82a4ab82d0b79d22b476c2a96acc42", "a5935a3a46497251129c90c3afe5d9bc404c25a0ab39be96ab5b575079d3c619"},
 		{"overridden", `{"benchmark":"CG","procs":16,"max_degree":6,"hier":{"clusters":"blocks:4","noi_max_degree":4,"noi_max_procs":2}}`,
-			"sha256:02ba64506b2c9587e3c04d04cd87222d5f10c8665228aab186de4a7b7f7e12f4", "889dcf9d96cc8dd06d3cb8871877e6ccc35771ae2310a7fe81d361bfcf06fe60"},
+			"sha256:02ba64506b2c9587e3c04d04cd87222d5f10c8665228aab186de4a7b7f7e12f4", "44cb6ac5b9cd3bbe5c42266bd2e77f555517ca7e7002fa8e2cb17ada5ea56cba"},
 	} {
 		resp, body := postDesign(t, ts.URL, c.body)
 		if resp.StatusCode != http.StatusOK {

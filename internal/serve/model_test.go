@@ -88,15 +88,21 @@ func bodyDigest(t *testing.T, body []byte) string {
 // handed to the fingerprint, the synthesis and the pattern summary, and
 // what comes out is what came out when each of the three derived its own.
 // The digests were taken from the commit before that change, with
-// bodyDigest, on a quickConfig server sent these three requests in order.
+// bodyDigest, on a quickConfig server sent these three requests in order,
+// and re-based once since: when mergeRefine began to skip merges its port
+// bound rules out, the canonical bodies changed in stats.Reroutes and the
+// synth.reroutes counter (reroutes made inside discarded attempts are
+// counted, and a skipped attempt makes none) and gained the
+// MergesTried/MergesSkipped fields and counters — nothing else (CHANGES.md,
+// PR 22, has the diff).
 func TestFlatMissComputesModelOnce(t *testing.T) {
 	srv := newTestServer(t, quickConfig())
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	for i, c := range []struct{ name, body, digest string }{
-		{"CG/16", `{"benchmark":"CG","procs":16}`, "2cd49095912f5e4a3a044827a5e44fadfa74e0ded3b3f61c9be8a0b995dfcf56"},
-		{"jitter", jitterRequest(t), "1a3785e4bad372a7f110ffe802c0b9a18a4c201e24755683c5947aba350360bb"},
-		{"ring-allreduce/64", `{"benchmark":"ring-allreduce","procs":64}`, "2d831e44cee8b7116028787cd092799e29a13235b9ad4a684ef6b31f15b41367"},
+		{"CG/16", `{"benchmark":"CG","procs":16}`, "2b59c5bd4ce702c273a3a45354a351b3500c4c351a1d54ada94d9836304a71af"},
+		{"jitter", jitterRequest(t), "5c699725aad405ce17cf4c07164bda676d3bcb623acf1f0daa4d900fbd61d2bc"},
+		{"ring-allreduce/64", `{"benchmark":"ring-allreduce","procs":64}`, "06c0e53d56de3fee0e19c3a3c26aa1a408f1e2091bd0008f3ac5ea11160483d6"},
 	} {
 		resp, body := postDesign(t, ts.URL, c.body)
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Nocd-Cache") != "miss" {

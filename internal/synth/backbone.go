@@ -212,7 +212,7 @@ func (s *state) globalCost() int {
 	pairs := s.gcPairs[:0]
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			if s.pipeLen(a, b) > 0 || s.pipeLen(b, a) > 0 {
+			if s.pipeUsed(a, b) || s.pipeUsed(b, a) {
 				pairs = append(pairs, [2]int{a, b})
 			}
 		}

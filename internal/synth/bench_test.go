@@ -36,6 +36,22 @@ func BenchmarkSynthesizeCG16(b *testing.B) {
 	}
 }
 
+// BenchmarkSynthesizeBT16 is the heaviest paper cell at full size (the
+// default 4 restarts, serial): the pattern whose merge sweeps dominate a cold
+// synthesis, so the one where mergeRefine's port bound has most to skip.
+func BenchmarkSynthesizeBT16(b *testing.B) {
+	pat, err := nas.Generate("BT", 16, nas.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Synthesize(pat, Options{Seed: 1, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestSynthesizeAllocCeiling is the allocation floor the retired perf-synth
 // gate enforced, as absolutes. That gate required the move engine to allocate
 // at least 5x less than the closure-based reference evaluator in the same

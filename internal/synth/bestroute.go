@@ -101,8 +101,7 @@ func (s *state) trafficNeighbors(a, b int) []int {
 		if m == a || m == b {
 			continue
 		}
-		if s.pipeLen(a, m) > 0 || s.pipeLen(m, a) > 0 ||
-			s.pipeLen(b, m) > 0 || s.pipeLen(m, b) > 0 {
+		if s.pipeUsed(a, m) || s.pipeUsed(m, a) || s.pipeUsed(b, m) || s.pipeUsed(m, b) {
 			out = append(out, m)
 		}
 	}

@@ -13,13 +13,13 @@ package synth
 //     hill-climbing a gradient across the width plateaus.
 //   - hops: total route length, a weak preference for short paths.
 //
-// Evaluation is incremental: per-direction width/quad pairs are memoized in
-// dirW/dirQ (invalidated by setRouteRaw when the pipe's membership changes),
-// pair widths in pairW, and per-switch width sums in sumW — maintained
-// lazily through the dirty list so estDegree, the old O(switches) hot spot,
-// is O(1) amortized. The memos are held to a from-scratch recomputation
-// (estDegreeRef/localCostRef in moveref_test.go) after every operation of
-// TestMoveEngineRandomEquivalence.
+// Evaluation reads tables that setRouteRaw keeps exact: per pipe direction a
+// row of per-clique flow counts, its maximum (dirW, the Fast_Color width) and
+// sum of squares (dirQ), per pair the larger direction width (pairW), per
+// switch the sum of its pair widths (sumW). Every raw mutation leaves them
+// equal to a from-scratch recomputation, hence so does every rollback; they
+// are held to one (dirStatsCompute/estDegreeRef/localCostRef in
+// moveref_test.go) after every operation of TestMoveEngineRandomEquivalence.
 const (
 	costHopWeight     = 1
 	costQuadWeight    = 1 << 4
@@ -27,93 +27,55 @@ const (
 	costPenaltyWeight = 1 << 28
 )
 
-// dirStatsCompute computes, for one pipe direction, the Fast_Color width
-// bound and the quadratic clique load: per clique, the popcount of the AND
-// between the pipe's flow set and the clique's membership bitset.
-func (s *state) dirStatsCompute(from, to int) (width, quad int) {
-	pi := from*s.stride + to
-	if s.pipeCount[pi] == 0 {
-		return 0, 0
-	}
-	set := s.pipes[pi]
-	for _, cb := range s.cliqueBits {
-		if n := set.AndCount(cb); n > 0 {
-			if n > width {
-				width = n
-			}
-			quad += n * n
-		}
-	}
-	return width, quad
-}
-
-// dirStats is dirStatsCompute memoized in dirW/dirQ.
+// dirStats returns one pipe direction's Fast_Color width bound — the most
+// flows any one clique has on it — and its quadratic clique load.
 func (s *state) dirStats(from, to int) (width, quad int) {
 	pi := from*s.stride + to
-	if s.pipeCount[pi] == 0 {
-		return 0, 0
-	}
-	if w := s.dirW[pi]; w >= 0 {
-		return int(w), int(s.dirQ[pi])
-	}
-	width, quad = s.dirStatsCompute(from, to)
-	s.dirW[pi] = int32(width)
-	s.dirQ[pi] = int64(quad)
-	return width, quad
+	return int(s.dirW[pi]), int(s.dirQ[pi])
 }
 
-// invalidateDir drops the direction's memo after a membership change and
-// queues the unordered pair's width for a deferred sumW correction. A pair
-// already queued (pairW == -1) is not queued twice.
-func (s *state) invalidateDir(from, to int) {
-	s.dirW[from*s.stride+to] = -1
-	if from == to {
-		// Self-loop pipes (possible only via pathological seed routes)
-		// never contribute to a switch's degree: estDegree has always
-		// summed widths over *other* switches only, so the diagonal stays
-		// out of sumW.
-		return
+// portBound is a lower bound, from placement alone, on the port count of one
+// switch hosting every processor of a and b (a == b: of a as it stands): its
+// processors, plus the most flows of any one clique that leave the set, or
+// enter it. Each such flow's route has a hop out of (into) the switch, on
+// some pipe direction whose width is at least its count of that clique's
+// flows; summed over the switch's pipes that is at most estDegree, whatever
+// the routes are.
+func (s *state) portBound(a, b int) int {
+	cnt := s.boundCnt // leaving counts by clique, then entering counts
+	sws := []int{a, b}
+	if a == b {
+		sws = sws[:1]
 	}
-	a, b := from, to
-	if b < a {
-		a, b = b, a
-	}
-	wi := a*s.stride + b
-	if w := s.pairW[wi]; w >= 0 {
-		s.dirty = append(s.dirty, dirtyPair{a: int32(a), b: int32(b), old: w})
-		s.pairW[wi] = -1
-	}
-}
-
-// flushDirty revalidates every queued pair width and folds the change into
-// both endpoints' sumW. After a flush, pairW has no invalid entries and
-// sumW[sw] is exactly Σ over pairs touching sw of the pair's width.
-func (s *state) flushDirty() {
-	if len(s.dirty) == 0 {
-		return
-	}
-	for i := 0; i < len(s.dirty); i++ {
-		d := s.dirty[i]
-		a, b := int(d.a), int(d.b)
-		wi := a*s.stride + b
-		if s.pairW[wi] >= 0 {
-			continue
+	n, most := 0, int32(0)
+	for _, sw := range sws {
+		n += len(s.swProcs[sw])
+		for _, p := range s.swProcs[sw] {
+			for _, fi := range s.procFlows[p] {
+				f := s.flows[fi]
+				hs, hd := s.home[f.Src], s.home[f.Dst]
+				leaves, enters := hs == a || hs == b, hd == a || hd == b
+				if leaves == enters {
+					continue // both endpoints inside: the flow needs no port
+				}
+				off := 0
+				if enters {
+					off = len(s.cliques)
+				}
+				for _, c := range s.flowCliques[fi] {
+					cnt[off+int(c)]++
+					most = max(most, cnt[off+int(c)])
+				}
+			}
 		}
-		wf, _ := s.dirStats(a, b)
-		if wb, _ := s.dirStats(b, a); wb > wf {
-			wf = wb
-		}
-		s.pairW[wi] = int32(wf)
-		s.sumW[a] += int64(wf) - int64(d.old)
-		s.sumW[b] += int64(wf) - int64(d.old)
 	}
-	s.dirty = s.dirty[:0]
+	clear(cnt)
+	return n + int(most)
 }
 
 // estDegree estimates the port count of a switch under current routing:
-// processor ports plus the maintained width sum, O(1) amortized.
+// processor ports plus the maintained width sum.
 func (s *state) estDegree(sw int) int {
-	s.flushDirty()
 	return len(s.swProcs[sw]) + int(s.sumW[sw])
 }
 

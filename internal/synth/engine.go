@@ -145,33 +145,126 @@ func (s *state) bumpRoutePairs(r []int) {
 }
 
 // setRouteRaw is the journal-free route mutator: it maintains the pipe flow
-// sets, the per-direction stats cache, the pair-width dirty list, and the
-// total hop count, and installs the new header.
+// sets, the per-direction count tables (and through them every width, pair
+// width and degree sum), and the total hop count, and installs the new header.
 func (s *state) setRouteRaw(fi int, route []int) {
 	if old := s.routes[fi]; old != nil {
 		for i := 1; i < len(old); i++ {
-			pi := old[i-1]*s.stride + old[i]
-			s.pipes[pi].Clear(fi)
-			s.pipeCount[pi]--
-			s.invalidateDir(old[i-1], old[i])
+			s.dirDel(old[i-1], old[i], fi)
 		}
 		s.totalHops -= len(old) - 1
 	}
 	s.routes[fi] = route
 	for i := 1; i < len(route); i++ {
-		pi := route[i-1]*s.stride + route[i]
-		set := s.pipes[pi]
-		if set == nil {
-			// bsWords, not this pattern's own width: reset keeps the pooled
-			// sets across patterns that fit, so all must share one capacity.
-			set = make(model.BitSet, s.bsWords)
-			s.pipes[pi] = set
-		}
-		set.Set(fi)
-		s.pipeCount[pi]++
-		s.invalidateDir(route[i-1], route[i])
+		s.dirAdd(route[i-1], route[i], fi)
 	}
 	s.totalHops += len(route) - 1
+}
+
+// dirAdd puts flow fi on the (from,to) direction: one more in the count of
+// every clique holding fi, so quad grows by (n+1)²−n² = 2n+1 per clique and
+// the width rises to any count that passes it. A route that crosses the
+// direction twice (possible only via pathological seed routes) is counted
+// once, as the flow set counts it.
+func (s *state) dirAdd(from, to, fi int) {
+	pi := from*s.stride + to
+	set := s.pipes[pi]
+	if set == nil {
+		// bsWords, not this pattern's own width: reset keeps the pooled
+		// sets across patterns that fit, so all must share one capacity.
+		set = make(model.BitSet, s.bsWords)
+		s.pipes[pi] = set
+	}
+	if set.Has(fi) {
+		return
+	}
+	set.Set(fi)
+	at := int(s.rowAt[pi])
+	if at == 0 {
+		at = s.newCountRow(pi)
+	}
+	row := s.counts[at-1 : at-1+len(s.cliques)]
+	w, q := s.dirW[pi], s.dirQ[pi]
+	for _, c := range s.flowCliques[fi] {
+		n := row[c]
+		row[c] = n + 1
+		q += int64(2*n + 1)
+		if n >= w {
+			w = n + 1
+		}
+	}
+	s.dirQ[pi] = q
+	if w != s.dirW[pi] {
+		s.dirW[pi] = w
+		s.foldWidth(from, to, w)
+	}
+}
+
+// dirDel is dirAdd's inverse. Only a clique that held the maximum can lower
+// the width, and then by exactly one, unless another clique also holds it.
+func (s *state) dirDel(from, to, fi int) {
+	pi := from*s.stride + to
+	set := s.pipes[pi]
+	if !set.Has(fi) {
+		return
+	}
+	set.Clear(fi)
+	at := int(s.rowAt[pi])
+	row := s.counts[at-1 : at-1+len(s.cliques)]
+	w, q := s.dirW[pi], s.dirQ[pi]
+	heldMax := false
+	for _, c := range s.flowCliques[fi] {
+		n := row[c]
+		row[c] = n - 1
+		q -= int64(2*n - 1)
+		heldMax = heldMax || n == w
+	}
+	s.dirQ[pi] = q
+	if !heldMax {
+		return
+	}
+	for _, n := range row {
+		if n == w {
+			return
+		}
+	}
+	s.dirW[pi] = w - 1
+	s.foldWidth(from, to, w-1)
+}
+
+// newCountRow carves a zero row of per-clique flow counts off the slab for a
+// direction's first flow and returns rowAt's encoding of it.
+func (s *state) newCountRow(pi int) int {
+	n, nc := len(s.counts), len(s.cliques)
+	if n+nc > cap(s.counts) {
+		grown := make([]int32, n, 2*cap(s.counts)+nc)
+		copy(grown, s.counts)
+		s.counts = grown
+	}
+	// Zero by construction: make zeroes the whole capacity and reset()
+	// clears every row before truncating.
+	s.counts = s.counts[:n+nc]
+	s.rowAt[pi] = int32(n + 1)
+	return n + 1
+}
+
+// foldWidth folds a direction's new width w into the unordered pair's width
+// and both endpoints' width sums.
+func (s *state) foldWidth(from, to int, w int32) {
+	if from == to {
+		// Self-loop pipes (possible only via pathological seed routes)
+		// never contribute to a switch's degree: estDegree has always
+		// summed widths over *other* switches only, so the diagonal stays
+		// out of sumW.
+		return
+	}
+	wi := s.widthIdx(from, to)
+	pw := max(w, s.dirW[to*s.stride+from])
+	if d := int64(pw - s.pairW[wi]); d != 0 {
+		s.pairW[wi] = pw
+		s.sumW[from] += d
+		s.sumW[to] += d
+	}
 }
 
 // moveProcRaw is the journal-free placement mutator (the old
@@ -351,7 +444,6 @@ func (s *state) gainFresh(g *moveGain, p, to int) bool {
 // cached link/quad/hop deltas plus the penalty delta recomputed from current
 // degrees and processor counts shifted by the captured deltas.
 func (s *state) gainDelta(g *moveGain) int {
-	s.flushDirty()
 	pen := 0
 	maxDeg, maxProcs := s.opt.MaxDegree, s.opt.MaxProcsPerSwitch
 	for i, sw32 := range g.sws {
@@ -519,6 +611,9 @@ type kernel struct {
 	flows      []model.Flow          // flow ID -> Flow (sorted; shared with idx)
 	revID      []int                 // flow ID -> reverse flow's ID, or -1
 	procFlows  [][]int               // processor -> flow IDs touching it
+	// flowCliques is cliqueBits transposed: flow ID -> the cliques holding
+	// it, ascending. The count tables and portBound walk it.
+	flowCliques [][]int32
 }
 
 func newKernel(p *model.Pattern, cliques []model.Clique) *kernel {
@@ -532,6 +627,10 @@ func newKernel(p *model.Pattern, cliques []model.Clique) *kernel {
 		flows:      idx.Flows(),
 		revID:      make([]int, idx.Len()),
 		procFlows:  make([][]int, p.Procs),
+	}
+	k.flowCliques = make([][]int32, idx.Len())
+	for c, bits := range k.cliqueBits {
+		bits.ForEach(func(fi int) { k.flowCliques[fi] = append(k.flowCliques[fi], int32(c)) })
 	}
 	for fi, f := range k.flows {
 		if ri, ok := idx.ID(f.Reverse()); ok {
@@ -603,9 +702,6 @@ func (s *state) reset() {
 			}
 		}
 	}
-	for i := range s.pipeCount {
-		s.pipeCount[i] = 0
-	}
 	for i := range s.dirW {
 		s.dirW[i] = 0
 	}
@@ -621,7 +717,16 @@ func (s *state) reset() {
 	for i := range s.sumW {
 		s.sumW[i] = 0
 	}
-	s.dirty = s.dirty[:0]
+	// The slab is cut into rows of this kernel's clique count, so every row
+	// goes back: zeroed here, carved again by newCountRow on first use.
+	clear(s.counts)
+	s.counts = s.counts[:0]
+	clear(s.rowAt)
+	if nc := 2 * len(s.cliques); cap(s.boundCnt) < nc {
+		s.boundCnt = make([]int32, nc)
+	} else {
+		s.boundCnt = s.boundCnt[:nc] // portBound leaves it zero
+	}
 
 	if cap(s.home) < s.procs {
 		s.home = make([]int, s.procs)

@@ -2,10 +2,12 @@ package synth
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/collective"
 	"repro/internal/model"
 	"repro/internal/nas"
 	"repro/internal/trace"
@@ -161,6 +163,63 @@ func TestJournalInnerKeepOuterRollback(t *testing.T) {
 	checkStateInvariants(t, s)
 }
 
+// TestJournalMergeShapedRollback is the shape of a discarded merge attempt:
+// an outer probe moves a whole switch's processors, Best_Route and
+// eliminatePipes open and keep or roll back their own scopes inside it, and
+// the outer rollback must undo all of it — placement, routes, tables and the
+// arena position — leaving only the emptied switch's processor list reversed,
+// which mergeRefine sorts. (Inner keeps bump gain-cache versions early; that
+// can only invalidate a cached gain spuriously.)
+func TestJournalMergeShapedRollback(t *testing.T) {
+	s := threeSwitchState(t, 23)
+	before := snapshotFull(s)
+	ci, off := s.arena.ci, s.arena.off
+	a, b := 0, 1
+	listA := fmt.Sprint(s.swProcs[a])
+	procs := append([]int(nil), s.swProcs[b]...)
+
+	m := s.beginProbe()
+	for _, p := range procs {
+		s.reattach(p, a)
+	}
+	inner := 0
+	for fi, f := range s.flows {
+		ha, hb := s.home[f.Src], s.home[f.Dst]
+		if ha == hb {
+			continue
+		}
+		mk := s.beginProbe()
+		s.setRoute(fi, s.viaRoute(ha, 3-ha-hb, hb)) // three switches: the third is the via
+		s.keep(mk)
+		inner++
+	}
+	s.bestRoute([]int{a}, nil)
+	s.eliminatePipes()
+	if inner == 0 || s.jDepth != 1 || len(s.journal) == 0 {
+		t.Fatalf("inner scopes kept %d, depth %d, journal %d: nothing for the outer rollback to undo", inner, s.jDepth, len(s.journal))
+	}
+	s.rollback(m)
+
+	if !equalSnapshots(before, snapshotFull(s)) {
+		t.Fatal("outer rollback did not restore placement and routes")
+	}
+	if s.arena.ci != ci || s.arena.off != off {
+		t.Fatalf("arena at (%d,%d) after rollback, mark was (%d,%d)", s.arena.ci, s.arena.off, ci, off)
+	}
+	if len(s.journal) != 0 || s.jDepth != 0 {
+		t.Fatalf("journal not drained: len=%d depth=%d", len(s.journal), s.jDepth)
+	}
+	if got := fmt.Sprint(s.swProcs[a]); got != listA {
+		t.Fatalf("receiving switch's list %s, was %s", got, listA)
+	}
+	for i, p := range s.swProcs[b] {
+		if p != procs[len(procs)-1-i] {
+			t.Fatalf("emptied switch's list %v, want %v reversed", s.swProcs[b], procs)
+		}
+	}
+	checkStateInvariants(t, s)
+}
+
 func TestArenaChunkingAndRestore(t *testing.T) {
 	var a routeArena
 	mark := [2]int{a.ci, a.off}
@@ -288,18 +347,46 @@ func TestStatePoolMixedWidths(t *testing.T) {
 			t.Fatalf("%s has %d flows; the sequence must alternate across the one-word boundary", seq[i].Name, n)
 		}
 	}
-	for _, workers := range []int{1, 2} {
-		opt := Options{Seed: 1, Restarts: 2, Workers: workers}
-		want := make([][]byte, len(seq))
-		for i, p := range seq {
-			freshPool()
-			want[i] = designBytes(t, synthOrDie(t, p, opt))
+	// The count slab is cut into rows of the kernel's clique count, so the
+	// same pool must also survive that count going up and down: CG/16 has 3
+	// maximum cliques, its jittered trace 29, a ring collective 1.
+	cg, err := nas.Generate("CG", 16, nas.Config{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := collective.Generate("ring-allreduce", 16, collective.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jitter := trace.ApplySkew(cg, 0.5, 1)
+	byCliques := []*model.Pattern{cg, jitter, ring, jitter, cg}
+	for i, want := range []int{3, 29, 1, 29, 3} {
+		if n := len(model.MaxCliqueSet(byCliques[i])); n != want {
+			t.Fatalf("%s has %d maximum cliques, the sequence assumes %d", byCliques[i].Name, n, want)
 		}
-		freshPool()
-		for round := 0; round < 2; round++ {
+	}
+	freshPool()
+	for _, p := range byCliques {
+		s := newState(newKernel(p, model.MaxCliqueSet(p)), Options{Seed: 1}.Normalized(), 1, &Stats{})
+		checkStateInvariants(t, s) // a recycled slab reads as empty
+		s.partition()
+		checkStateInvariants(t, s)
+		s.release()
+	}
+	for _, seq := range [][]*model.Pattern{seq, byCliques} {
+		for _, workers := range []int{1, 2} {
+			opt := Options{Seed: 1, Restarts: 2, Workers: workers}
+			want := make([][]byte, len(seq))
 			for i, p := range seq {
-				if got := designBytes(t, synthOrDie(t, p, opt)); !bytes.Equal(got, want[i]) {
-					t.Fatalf("%s workers=%d round %d: pooled design differs from a fresh pool's", p.Name, workers, round)
+				freshPool()
+				want[i] = designBytes(t, synthOrDie(t, p, opt))
+			}
+			freshPool()
+			for round := 0; round < 2; round++ {
+				for i, p := range seq {
+					if got := designBytes(t, synthOrDie(t, p, opt)); !bytes.Equal(got, want[i]) {
+						t.Fatalf("%s workers=%d round %d: pooled design differs from a fresh pool's", p.Name, workers, round)
+					}
 				}
 			}
 		}
@@ -312,10 +399,12 @@ func TestStatePoolMixedWidths(t *testing.T) {
 // entry points in moveref_test.go (tryMove+undo, optimizeMovesRef,
 // swapRefineRef), snew through the production ones (probeMove,
 // optimizeMoves, swapRefine) — and requires identical deltas, stats, and full
-// state at every step. After every operation the cost memos of both states
+// state at every step. After every operation the cost tables of both states
 // are also held to a from-scratch recomputation: estDegree against
 // estDegreeRef for every switch, localCost against localCostRef over every
-// switch pair.
+// switch pair, and through checkStateInvariants every direction's count row,
+// width and quad, every pair width and width sum, and portBound against the
+// degree it bounds.
 func TestMoveEngineRandomEquivalence(t *testing.T) {
 	phases := []trace.PhaseSpec{
 		{Flows: []model.Flow{model.F(0, 1), model.F(2, 3), model.F(4, 5), model.F(6, 7), model.F(8, 9)}, Bytes: 64},
@@ -333,7 +422,7 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 		sref := newState(newKernel(pat, cliques), opt.Normalized(), seed, &Stats{})
 		snew := newState(newKernel(pat, cliques), opt.Normalized(), seed, &Stats{})
 
-		checkMemos := func(s *state, who, op string) {
+		checkCosts := func(s *state, who, op string) {
 			t.Helper()
 			var pairs [][2]int
 			all := s.allSwitches()
@@ -351,8 +440,8 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 		}
 		check := func(op string) {
 			t.Helper()
-			checkMemos(sref, "ref", op)
-			checkMemos(snew, "new", op)
+			checkCosts(sref, "ref", op)
+			checkCosts(snew, "new", op)
 			if !equalSnapshots(snapshotFull(sref), snapshotFull(snew)) {
 				t.Fatalf("trial %d: state diverged after %s", trial, op)
 			}
@@ -360,6 +449,7 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 				t.Fatalf("trial %d: stats diverged after %s:\nref=%+v\nnew=%+v",
 					trial, op, *sref.stats, *snew.stats)
 			}
+			checkStateInvariants(t, sref)
 			checkStateInvariants(t, snew)
 		}
 
@@ -425,4 +515,94 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 		sref.release()
 		snew.release()
 	}
+}
+
+// FuzzMoveEngine decodes its input into a small phased pattern (flows may
+// repeat across phases, so a flow can sit in several cliques) and a sequence
+// of engine operations — splits, moves, reroutes (including a route that
+// crosses one pipe direction twice), move and swap probes kept or rolled
+// back, nested scopes, Best_Route, eliminatePipes, merge sweeps — and after
+// every one holds the cost tables to the from-scratch oracle and portBound to
+// the degree it bounds (checkTables, via checkStateInvariants).
+func FuzzMoveEngine(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		buf := make([]byte, 96)
+		rand.New(rand.NewSource(seed)).Read(buf)
+		f.Add(buf)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		procs := 4 + next()%7
+		var phases []trace.PhaseSpec
+		for ph, n := 0, 1+next()%4; ph < n; ph++ {
+			spec := trace.PhaseSpec{Bytes: 64}
+			for k, m := 0, 1+next()%6; k < m; k++ {
+				spec.Flows = append(spec.Flows, model.F(next()%procs, next()%procs))
+			}
+			phases = append(phases, spec)
+		}
+		pat := trace.BuildPhased("fuzz", procs, phases)
+		s := newState(newKernel(pat, model.MaxCliqueSet(pat)), Options{Seed: 1}.Normalized(), 1, &Stats{})
+		defer s.release()
+		if len(s.flows) == 0 {
+			return
+		}
+		for op := 0; op < 48 && len(data) > 0; op++ {
+			kind := next() % 9
+			p, q := next()%procs, next()%procs
+			sw := next() % len(s.swProcs)
+			fi := next() % len(s.flows)
+			a, b := s.home[s.flows[fi].Src], s.home[s.flows[fi].Dst]
+			switch kind {
+			case 0:
+				if len(s.swProcs) < 6 && len(s.swProcs[sw]) >= 2 {
+					s.split(sw)
+				}
+			case 1:
+				if sw != s.home[p] {
+					s.reattach(p, sw)
+				}
+			case 2:
+				if a != b && sw != a && sw != b {
+					s.setRoute(fi, []int{a, sw, b})
+				}
+			case 3:
+				if a != b && sw != a && sw != b {
+					s.setRoute(fi, []int{a, sw, a, sw, b}) // (a,sw) twice
+				}
+			case 4:
+				if sw != s.home[p] {
+					s.probeMove(p, sw)
+				}
+			case 5:
+				if s.home[p] != s.home[q] {
+					if _, m := s.applySwap(p, q); fi%2 == 0 {
+						s.keep(m)
+					} else {
+						s.rollback(m)
+					}
+				}
+			case 6:
+				m := s.beginProbe()
+				if sw != s.home[p] {
+					s.reattach(p, sw)
+				}
+				s.bestRoute(s.allSwitches(), nil)
+				s.rollback(m)
+			case 7:
+				s.bestRoute(s.allSwitches(), nil)
+				s.eliminatePipes()
+			case 8:
+				s.mergeRefine()
+			}
+			checkStateInvariants(t, s)
+		}
+	})
 }

@@ -81,7 +81,7 @@ func (s *state) finalize(name string) (*topology.Network, *routing.Table, []int,
 	widths := make(map[[2]int]int)                // unordered pair
 	for from := 0; from < s.nsw(); from++ {
 		for to := 0; to < s.nsw(); to++ {
-			if from == to || s.pipeLen(from, to) == 0 {
+			if from == to || !s.pipeUsed(from, to) {
 				continue
 			}
 			set := s.pipeAt(from, to)
@@ -367,6 +367,8 @@ func emitSynthObs(o obs.Observer, totals Stats, best *Result) {
 	obs.Count(o, "synth.moves_rejected", int64(totals.MovesRejected))
 	obs.Count(o, "synth.reroutes", int64(totals.Reroutes))
 	obs.Count(o, "synth.global_moves", int64(totals.GlobalMoves))
+	obs.Count(o, "synth.merges_tried", int64(totals.MergesTried))
+	obs.Count(o, "synth.merges_skipped", int64(totals.MergesSkipped))
 	obs.Count(o, "synth.rounds", int64(totals.Rounds))
 	obs.Count(o, "synth.repairs", int64(totals.Repairs))
 	obs.Count(o, "synth.bisection_depth", int64(totals.MaxDepth))
@@ -377,9 +379,7 @@ func emitSynthObs(o obs.Observer, totals Stats, best *Result) {
 	if !best.ConstraintsMet {
 		obs.Emit(o, "synth.constraints_unmet", best.Net.Name)
 	}
-	if !best.ContentionFree && o != nil {
-		// Guard before formatting: obs.Emit tolerates nil, but the Sprintf
-		// argument would still be built (and allocate) on the disabled path.
+	if !best.ContentionFree {
 		obs.Emit(o, "synth.contention_witnesses", fmt.Sprintf("%s: %d", best.Net.Name, len(best.Witnesses)))
 	}
 }
@@ -468,7 +468,8 @@ func synthesizeOnce(ctx context.Context, p *model.Pattern, kern *kernel, opt Opt
 			}
 			j := s.split(i)
 			if !opt.DisableBestRoute {
-				s.bestRoute([]int{i, j}, []int{i, j})
+				s.touchBuf[0], s.touchBuf[1] = i, j
+				s.bestRoute(s.touchBuf[:], s.touchBuf[:])
 			}
 			s.optimizeMoves(i, j)
 		}

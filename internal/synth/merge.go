@@ -1,5 +1,7 @@
 package synth
 
+import "sort"
+
 // costSwitchWeight prices one switch relative to links when deciding whether
 // to consolidate two switches. The paper's floorplan model gives a 5-port
 // switch roughly the area of a couple of tile-crossing links, and its
@@ -26,7 +28,7 @@ func (s *state) liveSwitches() int {
 	}
 	for a := range s.swProcs {
 		for b := range s.swProcs {
-			if a != b && s.pipeLen(a, b) > 0 {
+			if a != b && s.pipeUsed(a, b) {
 				live[a] = true
 				live[b] = true
 			}
@@ -47,36 +49,18 @@ func (s *state) consolidationScore() int {
 	return s.globalCost() + s.liveSwitches()*costSwitchWeight
 }
 
-// stateSnapshot captures processor placement and all routes for rollback.
-type stateSnapshot struct {
-	home   []int
-	routes [][]int
-}
-
-// snapshotInto refills snap in place so the merge loop's per-pair snapshot
-// reuses one pair of backing arrays instead of allocating each attempt.
-func (s *state) snapshotInto(snap *stateSnapshot) {
-	snap.home = append(snap.home[:0], s.home...)
-	snap.routes = append(snap.routes[:0], s.routes...)
-}
-
-func (s *state) restore(snap stateSnapshot) {
-	for p, sw := range snap.home {
-		if s.home[p] != sw {
-			s.reattachNoReroute(p, sw)
-		}
-	}
-	for fi, r := range snap.routes {
-		s.setRoute(fi, r)
-	}
-}
-
 // mergeRefine tries to consolidate switches once the constraints are met:
 // for every ordered pair, move all of one switch's processors onto the other
 // (rerouting their flows directly, then locally re-optimizing routes) and
 // keep the merge if the consolidation score strictly improves without
 // introducing violations. This is what turns a legal but fragmented
 // all-singleton solution into the paper's multi-processor switches.
+//
+// Most pairs cannot be kept whatever Best_Route finds: when portBound already
+// exceeds the degree budget the merged switch violates it under every
+// routing, so the attempt is skipped. A failed attempt — skipped or rolled
+// back — leaves b's processor list in ascending order, which later split
+// shuffles read.
 func (s *state) mergeRefine() bool {
 	changed := false
 	for a := range s.swProcs {
@@ -90,22 +74,31 @@ func (s *state) mergeRefine() bool {
 			if len(s.swProcs[a])+len(s.swProcs[b]) > s.opt.MaxProcsPerSwitch {
 				continue
 			}
-			s.snapshotInto(&s.mergeSnap)
+			s.stats.MergesTried++
+			if s.portBound(a, b) > s.opt.MaxDegree {
+				s.stats.MergesSkipped++
+				sort.Ints(s.swProcs[b])
+				continue
+			}
 			procs := append(s.mergeProcs[:0], s.swProcs[b]...)
 			s.mergeProcs = procs
 			before := s.consolidationScore()
+			m := s.beginProbe()
 			for _, p := range procs {
 				s.reattach(p, a)
 			}
 			if !s.opt.DisableBestRoute {
-				s.bestRoute([]int{a}, nil)
+				s.touchBuf[0] = a
+				s.bestRoute(s.touchBuf[:1], nil)
 				s.eliminatePipes()
 			}
 			if !s.anyViolation() && s.consolidationScore() < before {
+				s.keep(m)
 				s.stats.GlobalMoves += len(procs)
 				changed = true
 			} else {
-				s.restore(s.mergeSnap)
+				s.rollback(m)
+				sort.Ints(s.swProcs[b])
 			}
 		}
 	}

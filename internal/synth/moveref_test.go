@@ -8,13 +8,16 @@ import (
 // The reference move evaluator, kept as a test oracle: the original
 // closure-based tryMove/trySwap with their apply/undo/recost/reapply round
 // trip, the step 7-9 loops that rebuild and re-probe every candidate each
-// iteration, and cost functions that recompute every width and degree from
-// the pipe bitsets instead of reading the memos. Nothing here is compiled
-// into a binary. TestMoveEngineRandomEquivalence drives one state through
-// these entry points and a twin through probeMove/optimizeMoves/swapRefine,
-// and requires equal deltas, stats, state and memo values after every
-// operation; the end-to-end half of the comparison is the golden corpus
-// (golden_test.go), generated with this evaluator driving full runs.
+// iteration, cost functions that recompute every width and degree from the
+// pipe bitsets instead of reading the count tables, and the merge loop that
+// attempts every pair in full and undoes it from a snapshot. Nothing here is
+// compiled into a binary. TestMoveEngineRandomEquivalence drives one state
+// through these entry points and a twin through
+// probeMove/optimizeMoves/swapRefine, and requires equal deltas, stats, state
+// and table values after every operation; TestMergeRefineMatchesReference
+// does the same for mergeRefine; the end-to-end half of the comparison is the
+// golden corpus (golden_test.go), generated with this evaluator driving full
+// runs.
 //
 // The oracle runs on an ordinary arena-backed state with no probe open. The
 // route headers its undo closures capture are committed routes, which own
@@ -229,6 +232,26 @@ func (s *state) swapRefineRef() bool {
 	return changed
 }
 
+// dirStatsCompute computes, for one pipe direction, the Fast_Color width
+// bound and the quadratic clique load from the pipe's flow set: per clique,
+// the popcount of the AND with the clique's membership bitset. It is what the
+// count tables must equal after every mutation.
+func (s *state) dirStatsCompute(from, to int) (width, quad int) {
+	set := s.pipes[from*s.stride+to]
+	if set == nil {
+		return 0, 0
+	}
+	for _, cb := range s.cliqueBits {
+		if n := set.AndCount(cb); n > 0 {
+			if n > width {
+				width = n
+			}
+			quad += n * n
+		}
+	}
+	return width, quad
+}
+
 // estDegreeRef is the pre-incremental estDegree: a scan over every other
 // switch with both direction widths recomputed from the pipe bitsets.
 func (s *state) estDegreeRef(sw int) int {
@@ -278,4 +301,73 @@ func (s *state) localCostRef(pairs [][2]int, switches []int) int {
 		links*costLinkWeight +
 		quad*costQuadWeight +
 		s.totalHops*costHopWeight
+}
+
+// stateSnapshot captures processor placement and all routes: the undo of the
+// reference merge loop, which production replaced with the probe journal.
+type stateSnapshot struct {
+	home   []int
+	routes [][]int
+}
+
+func (s *state) snapshotInto(snap *stateSnapshot) {
+	snap.home = append(snap.home[:0], s.home...)
+	snap.routes = append(snap.routes[:0], s.routes...)
+}
+
+func (s *state) restore(snap stateSnapshot) {
+	for p, sw := range snap.home {
+		if s.home[p] != sw {
+			s.reattachNoReroute(p, sw)
+		}
+	}
+	for fi, r := range snap.routes {
+		s.setRoute(fi, r)
+	}
+}
+
+// mergeAttempt is one pair the reference merge loop tried: what portBound
+// said of it beforehand, and whether the merge was kept.
+type mergeAttempt struct {
+	a, b, bound int
+	kept        bool
+}
+
+// mergeRefineRef is the reference merge loop: every pair that fits the
+// processor budget is attempted in full — snapshot, move, Best_Route,
+// eliminatePipes — and restored from the snapshot when it cannot be kept.
+func (s *state) mergeRefineRef() (tried []mergeAttempt) {
+	var snap stateSnapshot
+	for a := range s.swProcs {
+		if len(s.swProcs[a]) == 0 {
+			continue
+		}
+		for b := range s.swProcs {
+			if a == b || len(s.swProcs[b]) == 0 {
+				continue
+			}
+			if len(s.swProcs[a])+len(s.swProcs[b]) > s.opt.MaxProcsPerSwitch {
+				continue
+			}
+			at := mergeAttempt{a: a, b: b, bound: s.portBound(a, b)}
+			s.snapshotInto(&snap)
+			procs := append([]int(nil), s.swProcs[b]...)
+			before := s.consolidationScore()
+			for _, p := range procs {
+				s.reattach(p, a)
+			}
+			if !s.opt.DisableBestRoute {
+				s.bestRoute([]int{a}, nil)
+				s.eliminatePipes()
+			}
+			if !s.anyViolation() && s.consolidationScore() < before {
+				s.stats.GlobalMoves += len(procs)
+				at.kept = true
+			} else {
+				s.restore(snap)
+			}
+			tried = append(tried, at)
+		}
+	}
+	return tried
 }

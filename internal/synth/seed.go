@@ -176,8 +176,7 @@ func (s *state) applySeed(sd *SeedDesign) bool {
 	// Replay the bisection result: group 0 stays on the root switch, each
 	// further group becomes a switch one level below it (procless groups
 	// are pure intermediates kept alive by the routes replayed below).
-	// reattach resets every touched flow to its direct route, which
-	// invalidates exactly the width memos the move affects.
+	// reattach resets every touched flow to its direct route.
 	groupSwitch := make([]int, len(groups))
 	for gi := 1; gi < len(groups); gi++ {
 		j := len(s.swProcs)
@@ -235,9 +234,8 @@ func (s *state) applySeed(sd *SeedDesign) bool {
 		s.seedFast = true
 		return true
 	}
-	// Re-run route optimization (and with it Fast_Color width sizing,
-	// recomputed lazily per touched pipe) only on the partitions whose
-	// traffic structure changed relative to the seed's trace.
+	// Re-run route optimization only on the partitions whose traffic
+	// structure changed relative to the seed's trace.
 	touch := s.changedSwitches(sd.ChangedProcs)
 	if len(touch) > 0 {
 		s.bestRoute(touch, nil)

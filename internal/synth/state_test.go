@@ -53,7 +53,6 @@ func TestNewStateInitial(t *testing.T) {
 	if s.totalHops != 0 {
 		t.Fatalf("initial hops %d", s.totalHops)
 	}
-	s.flushDirty()
 	for _, w := range s.pairW {
 		if w != 0 {
 			t.Fatalf("megaswitch should need no links, got widths %v", s.pairW)
@@ -104,7 +103,6 @@ func TestFastColorDirCountsCliqueOverlap(t *testing.T) {
 	if got, _ := s.dirStats(1, 0); got != 3 {
 		t.Fatalf("dirStats(1,0) width = %d, want 3", got)
 	}
-	s.flushDirty()
 	if got := s.pairW[s.widthIdx(0, 1)]; got != 3 {
 		t.Fatalf("pairW = %d, want 3", got)
 	}
@@ -270,7 +268,7 @@ func checkStateInvariants(t *testing.T, s *state) {
 	if hops != s.totalHops {
 		t.Fatalf("totalHops %d, recomputed %d", s.totalHops, hops)
 	}
-	// No stale pipe entries, and cached counts match set cardinalities.
+	// No stale pipe entries, and pipeUsed agrees with the set.
 	for a := 0; a < s.nsw(); a++ {
 		for b := 0; b < s.nsw(); b++ {
 			if a == b {
@@ -280,8 +278,8 @@ func checkStateInvariants(t *testing.T, s *state) {
 			if set == nil {
 				continue
 			}
-			if got := set.Count(); got != s.pipeLen(a, b) {
-				t.Fatalf("pipe (%d,%d) count cache %d, set has %d", a, b, s.pipeLen(a, b), got)
+			if got := set.Count(); (got > 0) != s.pipeUsed(a, b) {
+				t.Fatalf("pipe (%d,%d): pipeUsed %v, set has %d", a, b, s.pipeUsed(a, b), got)
 			}
 			set.ForEach(func(fi int) {
 				r := s.routes[fi]
@@ -295,6 +293,65 @@ func checkStateInvariants(t *testing.T, s *state) {
 					t.Fatalf("stale pipe entry (%d,%d) for flow %v (route %v)", a, b, s.flows[fi], r)
 				}
 			})
+		}
+	}
+	checkTables(t, s)
+}
+
+// checkTables holds every maintained cost table to a from-scratch
+// recomputation, over the whole stride (cells past the live switches must
+// read as empty): each direction's count row against the AND-popcount of its
+// flow set with each clique (all zero, or no row at all, for an empty pipe),
+// dirW/dirQ against dirStatsCompute, pairW against the larger direction,
+// sumW against the sum of the switch's pair widths — and portBound, for every
+// switch as it stands, against the degree it must not exceed.
+func checkTables(t *testing.T, s *state) {
+	t.Helper()
+	nc := len(s.cliques)
+	for a := 0; a < s.stride; a++ {
+		sum := 0
+		for b := 0; b < s.stride; b++ {
+			pi := a*s.stride + b
+			w, q := s.dirStatsCompute(a, b)
+			if gw, gq := s.dirStats(a, b); gw != w || gq != q {
+				t.Fatalf("direction (%d,%d): tables say width %d quad %d, flow set says %d %d", a, b, gw, gq, w, q)
+			}
+			if at := int(s.rowAt[pi]); at != 0 {
+				for c, n := range s.counts[at-1 : at-1+nc] {
+					want := 0
+					if s.pipes[pi] != nil {
+						want = s.pipes[pi].AndCount(s.cliqueBits[c])
+					}
+					if int(n) != want {
+						t.Fatalf("direction (%d,%d) clique %d: count %d, flow set has %d", a, b, c, n, want)
+					}
+				}
+			} else if s.pipes[pi] != nil && s.pipes[pi].Count() != 0 {
+				t.Fatalf("direction (%d,%d) holds %d flows but has no count row", a, b, s.pipes[pi].Count())
+			}
+			if a == b {
+				continue
+			}
+			if wb, _ := s.dirStatsCompute(b, a); wb > w {
+				w = wb
+			}
+			if got := int(s.pairW[s.widthIdx(a, b)]); got != w {
+				t.Fatalf("pair (%d,%d): pairW %d, recomputed %d", a, b, got, w)
+			}
+			sum += w
+		}
+		if int(s.sumW[a]) != sum {
+			t.Fatalf("switch %d: sumW %d, recomputed %d", a, s.sumW[a], sum)
+		}
+	}
+	for sw := range s.swProcs {
+		if bound, deg := s.portBound(sw, sw), s.estDegreeRef(sw); bound > deg {
+			t.Fatalf("switch %d: portBound %d exceeds its degree %d", sw, bound, deg)
+		}
+	}
+	for i, n := range s.boundCnt {
+		if n != 0 {
+			t.Fatalf("portBound left boundCnt[%d] = %d", i, n)
 		}
 	}
 }

@@ -118,6 +118,12 @@ type Stats struct {
 	MovesRejected int
 	Reroutes      int
 	GlobalMoves   int
+	// MergesTried counts the switch pairs mergeRefine considered (those that
+	// fit one switch's processor budget); MergesSkipped the ones among them
+	// whose placement alone proves the merged switch over its port budget,
+	// so no routing was attempted.
+	MergesTried   int
+	MergesSkipped int
 	Rounds        int
 	RestartsRun   int
 	// SeededRestarts counts the restarts that replayed a SeedDesign switch
@@ -146,6 +152,8 @@ func (s *Stats) Add(t Stats) {
 	s.MovesRejected += t.MovesRejected
 	s.Reroutes += t.Reroutes
 	s.GlobalMoves += t.GlobalMoves
+	s.MergesTried += t.MergesTried
+	s.MergesSkipped += t.MergesSkipped
 	s.Rounds += t.Rounds
 	s.RestartsRun += t.RestartsRun
 	s.SeededRestarts += t.SeededRestarts
@@ -181,19 +189,21 @@ type state struct {
 	// Pipes and the incremental cost caches are dense stride×stride
 	// matrices over switch indices (grown as splits add switches), indexed
 	// at from*stride+to for directions and at a*stride+b with a<b for
-	// unordered pairs: pipes is the direction's flow-ID set, pipeCount its
-	// cardinality, dirW/dirQ the direction's memoized Fast_Color width and
-	// quad load (dirW -1 = invalid), pairW the pair width memo whose
-	// invalidations queue on dirty until flushDirty folds them into sumW —
-	// the per-switch width sums that make estDegree O(1).
-	stride    int
-	pipes     []model.BitSet
-	pipeCount []int32
-	dirW      []int32
-	dirQ      []int64
-	pairW     []int32
-	sumW      []int64
-	dirty     []dirtyPair
+	// unordered pairs: pipes is the direction's flow-ID set, rowAt the
+	// direction's row of per-clique flow counts in the counts slab (1 + its
+	// offset; 0 = never used, all counts zero),
+	// dirW/dirQ the row's maximum (the Fast_Color width) and sum of squares
+	// (the quad load), pairW the larger of a pair's two direction widths and
+	// sumW the per-switch sum of pair widths that makes estDegree a read.
+	// setRouteRaw (engine.go) keeps all of them exact; cost.go reads them.
+	stride int
+	pipes  []model.BitSet
+	rowAt  []int32
+	counts []int32
+	dirW   []int32
+	dirQ   []int64
+	pairW  []int32
+	sumW   []int64
 
 	// Gain-cache guards: bumped only by committed mutations (probes defer
 	// bumps to keep and roll them back otherwise).
@@ -246,19 +256,12 @@ type state struct {
 	allScratch   []int    // allSwitches
 	splitScratch []int    // split's shuffle copy
 	allProcs     []int    // backs swProcs[0] after reset
-	touchBuf     [2]int   // optimizeMoves' bestRoute touch/via list
+	touchBuf     [2]int   // bestRoute touch/via list of split and merge callers
 	gcPairs      [][2]int // globalCost's traffic-pair list
 	liveScratch  []bool   // liveSwitches
-	mergeSnap    stateSnapshot
 	mergeProcs   []int
+	boundCnt     []int32 // portBound's per-clique out/in counts
 	routeSnap    [][]int // backboneReroute's route snapshot
-}
-
-// dirtyPair queues a pair-width invalidation for flushDirty: the pair's
-// switches (IDs, so entries survive growStride) and the width sumW last
-// accounted for it.
-type dirtyPair struct {
-	a, b, old int32
 }
 
 func pairKey(a, b int) [2]int {
@@ -274,8 +277,10 @@ func (s *state) nsw() int { return len(s.swProcs) }
 // pipeAt returns the ordered direction's flow set, or nil if never used.
 func (s *state) pipeAt(from, to int) model.BitSet { return s.pipes[from*s.stride+to] }
 
-// pipeLen returns the ordered direction's flow count.
-func (s *state) pipeLen(from, to int) int { return int(s.pipeCount[from*s.stride+to]) }
+// pipeUsed reports whether the ordered direction carries any flow: every flow
+// is in at least one clique (the flow universe is the cliques' union), so a
+// direction is empty exactly when its width is zero.
+func (s *state) pipeUsed(from, to int) bool { return s.dirW[from*s.stride+to] > 0 }
 
 func (s *state) widthIdx(a, b int) int {
 	if b < a {
@@ -285,8 +290,8 @@ func (s *state) widthIdx(a, b int) int {
 }
 
 // growStride resizes the dense pipe/cache matrices to hold at least n
-// switches, preserving pipe contents, memoized stats, versions, and route
-// headers. New direction cells start valid-empty (width 0, quad 0) and new
+// switches, preserving pipe contents, count rows, widths, versions, and route
+// headers. New direction cells start empty (no row, width 0, quad 0) and new
 // pair cells at width 0, which is consistent with sumW: a never-used pipe
 // contributes nothing.
 func (s *state) growStride(n int) {
@@ -301,7 +306,7 @@ func (s *state) growStride(n int) {
 		stride *= 2
 	}
 	pipes := make([]model.BitSet, stride*stride)
-	count := make([]int32, stride*stride)
+	rowAt := make([]int32, stride*stride)
 	dirW := make([]int32, stride*stride)
 	dirQ := make([]int64, stride*stride)
 	pairW := make([]int32, stride*stride)
@@ -311,7 +316,7 @@ func (s *state) growStride(n int) {
 		for b := 0; b < s.stride; b++ {
 			o, n := a*s.stride+b, a*stride+b
 			pipes[n] = s.pipes[o]
-			count[n] = s.pipeCount[o]
+			rowAt[n] = s.rowAt[o]
 			dirW[n] = s.dirW[o]
 			dirQ[n] = s.dirQ[o]
 			pairW[n] = s.pairW[o]
@@ -320,7 +325,7 @@ func (s *state) growStride(n int) {
 		}
 	}
 	s.stride = stride
-	s.pipes, s.pipeCount = pipes, count
+	s.pipes, s.rowAt = pipes, rowAt
 	s.dirW, s.dirQ, s.pairW, s.pairVer, s.pairRoute = dirW, dirQ, pairW, pairVer, pairRoute
 	sumW := make([]int64, stride)
 	copy(sumW, s.sumW)
@@ -666,7 +671,8 @@ func (s *state) partition() bool {
 		i := splittable[s.rng.Intn(len(splittable))]
 		j := s.split(i)
 		if !s.opt.DisableBestRoute {
-			s.bestRoute([]int{i, j}, []int{i, j})
+			s.touchBuf[0], s.touchBuf[1] = i, j
+			s.bestRoute(s.touchBuf[:], s.touchBuf[:])
 		}
 		s.optimizeMoves(i, j)
 	}
