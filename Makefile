@@ -135,13 +135,15 @@ bench-all: bench
 		$(GO) run ./bench -workload $$w -seed 1 -trace 1 || exit 1; \
 	done
 
-# FuzzLoadDesign caps minimization: its seed is a 12 KB saved design, and the
-# default 60 s minimizer would otherwise eat the whole 30 s budget.
+# FuzzLoadDesign and FuzzHierLoadDesign cap minimization: their seeds are saved
+# designs of 8 to 14 KB, and the default 60 s minimizer would otherwise eat the
+# whole 30 s budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCollectiveConfig -fuzztime 30s ./internal/collective
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 30s ./internal/hier
+	$(GO) test -run '^$$' -fuzz FuzzHierLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/hier
 	$(GO) test -run '^$$' -fuzz FuzzContentionPeriods -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/synth

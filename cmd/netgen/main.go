@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cliutil"
@@ -108,12 +109,8 @@ func main() {
 	fmt.Println(plan.Render(res.Net))
 
 	if *out != "" {
-		of, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer of.Close()
-		if err := synth.SaveDesign(of, res.Net, res.Table); err != nil {
+		save := func(w io.Writer) error { return synth.SaveDesign(w, res.Net, res.Table) }
+		if err := writeFile(*out, save); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("design (topology + routes) written to %s\n", *out)
@@ -156,17 +153,27 @@ func runHier(pat *model.Pattern, base synth.Options, shared *cliutil.Flags, out 
 			d.Assign.NoIProcs, d.NoI.Net.NumSwitches(), d.NoI.Net.TotalLinks(), d.NoI.Result.ContentionFree)
 	}
 	if out != "" {
-		of, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer of.Close()
-		if err := hier.SaveDesign(of, d); err != nil {
+		save := func(w io.Writer) error { return hier.SaveDesign(w, d) }
+		if err := writeFile(out, save); err != nil {
 			return err
 		}
 		fmt.Printf("hier-design (all levels + clustering) written to %s\n", out)
 	}
 	return nil
+}
+
+// writeFile creates path and runs save on it; a failed Close is reported,
+// since that is where a short write to a full disk can surface.
+func writeFile(path string, save func(io.Writer) error) error {
+	of, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := save(of); err != nil {
+		of.Close()
+		return err
+	}
+	return of.Close()
 }
 
 func fatal(err error) {

@@ -1,7 +1,10 @@
 package hier
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -149,4 +152,69 @@ func fuzzCheckAssignment(t *testing.T, spec string, procs int, a *Assignment, ma
 	if len(a.Clusters) > 1 && len(s.NoI.Messages) != inter {
 		t.Fatalf("%q: %d NoI messages for %d inter-cluster messages", spec, len(s.NoI.Messages), inter)
 	}
+}
+
+// hugeProcsDesign is a 135-byte document that made LoadDesign allocate 1.1 GB:
+// the assignment tables were sized from "procs" before anything compared it
+// with the one processor the clusters hold.
+const hugeProcsDesign = `{"schema":"hier-design","version":1,"procs":50000000,"clusters":[[0]],` +
+	`"gateways":[],"gateway_width":1,"noi_link_delay":2,"chiplets":[]}`
+
+func TestLoadDesignBoundsProcs(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadDesign(strings.NewReader(hugeProcsDesign))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("LoadDesign accepted 50,000,000 processors in one single-member cluster")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("LoadDesign allocated %d bytes rejecting a %d-byte document (%v)", got, len(hugeProcsDesign), err)
+	}
+}
+
+// FuzzHierLoadDesign feeds arbitrary bytes to the hier-design loader, which
+// reads documents `netgen -clusters -o` and the server hand out. It must never
+// panic, and a design it accepts must save to bytes that load and save again
+// unchanged.
+func FuzzHierLoadDesign(f *testing.F) {
+	opt := hierOptions(0)
+	spec, err := ParseSpec("flow:4")
+	if err != nil {
+		f.Fatal(err)
+	}
+	opt.Spec = spec
+	for _, cell := range goldenCells {
+		d, err := Synthesize(cell.pat(f), opt)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var saved bytes.Buffer
+		if err := SaveDesign(&saved, d); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(saved.Bytes())
+		f.Add(saved.Bytes()[:saved.Len()/2])
+	}
+	f.Add([]byte(hugeProcsDesign))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		d, err := LoadDesign(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := SaveDesign(&first, d); err != nil {
+			t.Fatalf("saving an accepted design: %v", err)
+		}
+		d, err = LoadDesign(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading a saved design: %v\n%s", err, first.Bytes())
+		}
+		if err := SaveDesign(&second, d); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("load → save is not a fixed point:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -44,6 +44,16 @@ func NewAssignment(procs int, clusters, gateways [][]int) (*Assignment, error) {
 	if gateways != nil && len(gateways) != len(clusters) {
 		return nil, specErrf("", "%d gateway lists for %d clusters", len(gateways), len(clusters))
 	}
+	// The tables below are sized by procs, which in a serialized design is a
+	// bare number; the lists are as long as the document that held them. A
+	// partition of [0, procs) has exactly procs members, so count first.
+	members := 0
+	for _, c := range clusters {
+		members += len(c)
+	}
+	if members != procs {
+		return nil, specErrf("", "clusters hold %d members for %d processors", members, procs)
+	}
 	a := &Assignment{
 		Procs:    procs,
 		Clusters: make([][]int, len(clusters)),
@@ -76,11 +86,8 @@ func NewAssignment(procs int, clusters, gateways [][]int) (*Assignment, error) {
 		}
 		a.Clusters[c] = sorted
 	}
-	for p := 0; p < procs; p++ {
-		if a.Of[p] == -1 {
-			return nil, specErrf("", "processor %d not in any cluster", p)
-		}
-	}
+	// procs members, all in range and none twice: every processor is covered.
+
 	// Clusters must be presented in canonical order (ascending smallest
 	// member) so serialized assignments round-trip byte-identically.
 	for c := 1; c < len(a.Clusters); c++ {

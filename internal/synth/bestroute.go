@@ -134,8 +134,7 @@ func (s *state) applyGroupRoute(g group, cand []int) {
 
 // groupRouteDelta measures the cost change of rerouting a flow (and its
 // mirrored reverse, if grouped) onto cand inside a probe scope, rolling back
-// before returning — so it is version-neutral and never invalidates cached
-// move gains. cand is not retained; scratch buffers back both the
+// before returning. cand is not retained; scratch buffers back both the
 // affected-pair set and the transient mirror route.
 func (s *state) groupRouteDelta(g group, cand []int) int {
 	pairs := addRoutePairs(s.pairScratch[:0], s.routes[g[0]])

@@ -94,9 +94,12 @@ func (s *state) penaltyOf(switches []int) int {
 	return total
 }
 
-// localCostParts evaluates the weighted objective's components restricted to
-// the given pipes and switches (the hop term is global: s.totalHops).
-func (s *state) localCostParts(pairs [][2]int, switches []int) (pen, links, quad int) {
+// localCost evaluates the weighted objective restricted to the given pipes
+// and switches (the hop term is global: s.totalHops). Comparing localCost
+// before and after a tentative change yields the global cost delta, because
+// contributions outside the affected sets are unchanged.
+func (s *state) localCost(pairs [][2]int, switches []int) int {
+	links, quad := 0, 0
 	for _, p := range pairs {
 		wf, qf := s.dirStats(p[0], p[1])
 		wb, qb := s.dirStats(p[1], p[0])
@@ -106,16 +109,7 @@ func (s *state) localCostParts(pairs [][2]int, switches []int) (pen, links, quad
 		links += wf
 		quad += qf + qb
 	}
-	return s.penaltyOf(switches), links, quad
-}
-
-// localCost evaluates the weighted objective restricted to the given pipes
-// and switches. Comparing localCost before and after a tentative change
-// yields the global cost delta, because contributions outside the affected
-// sets are unchanged.
-func (s *state) localCost(pairs [][2]int, switches []int) int {
-	pen, links, quad := s.localCostParts(pairs, switches)
-	return pen*costPenaltyWeight +
+	return s.penaltyOf(switches)*costPenaltyWeight +
 		links*costLinkWeight +
 		quad*costQuadWeight +
 		s.totalHops*costHopWeight

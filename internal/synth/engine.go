@@ -9,27 +9,25 @@ import (
 
 // This file is the allocation-free incremental move engine: an explicit undo
 // journal with nested marks (replacing tryMove's undo closures), a per-state
-// route arena (replacing per-move route copies), version counters that guard
-// a KL/FM-style per-candidate gain cache across optimizeMoves iterations, and
-// a state pool that recycles every matrix and scratch buffer across restarts.
+// route arena (replacing per-move route copies), and a state pool that
+// recycles every matrix and scratch buffer across restarts.
 //
 // Contract (see DESIGN.md §13):
 //
 //   - All pipe/placement mutations go through setRoute/reattachNoReroute.
-//     With no probe open (jDepth == 0) a mutation is a commit: it bumps the
-//     pair/home version counters that invalidate cached gains. Inside a probe
-//     (between beginProbe and rollback/keep) mutations are journaled and bump
-//     nothing, so a rolled-back probe is version-neutral and leaves every
-//     cached gain exactly as fresh as before.
+//     With no probe open (jDepth == 0) a mutation is a commit and leaves no
+//     record. Inside a probe (between beginProbe and rollback/keep) it is
+//     journaled first.
 //   - rollback(m) reverse-replays the journal down to the mark through the
 //     raw mutators and pops the route arena to the mark, restoring the state
 //     bit-for-bit (including swProcs list order: a probed processor ends up
 //     at the end of its home list, exactly as the apply/undo round trip of
 //     the reference evaluator — the test oracle in moveref_test.go — leaves
 //     it).
-//   - keep(m) retains the mutations and performs the deferred version bumps
-//     (old and current route pairs, moved processors' homes). It never pops
-//     the arena: committed routes own their arena bytes until reset().
+//   - keep(m) retains the mutations. The journal is truncated only when the
+//     outermost scope closes, so an enclosing rollback still undoes them. It
+//     never pops the arena: committed routes own their arena bytes until
+//     reset().
 //   - Route slices are immutable headers once installed: direct one- and
 //     two-switch routes are shared cached headers, longer routes live in the
 //     arena (or on the heap for rare oversized paths). Nothing ever writes
@@ -95,8 +93,8 @@ func (s *state) beginProbe() jmark {
 }
 
 // rollback restores the state to the mark: journal entries are reverse-
-// replayed through the raw mutators (no journaling, no version bumps) and the
-// arena is popped, so probe-allocated routes are reclaimed.
+// replayed through the raw mutators (no journaling) and the arena is popped,
+// so probe-allocated routes are reclaimed.
 func (s *state) rollback(m jmark) {
 	for i := len(s.journal) - 1; i >= m.n; i-- {
 		e := &s.journal[i]
@@ -112,35 +110,16 @@ func (s *state) rollback(m jmark) {
 	s.jDepth--
 }
 
-// keep commits the probe's mutations: the version bumps deferred while the
-// journal was open are applied now (over-bumping on nested keeps is safe —
-// it can only invalidate cached gains spuriously). The journal is truncated
-// only when the outermost scope closes, so an enclosing rollback still sees
-// every entry; the arena is never popped.
+// keep retains the probe's mutations. The journal is truncated only when the
+// outermost scope closes, so an enclosing rollback still sees every entry;
+// the arena is never popped.
 func (s *state) keep(m jmark) {
-	for i := m.n; i < len(s.journal); i++ {
-		e := &s.journal[i]
-		if e.kind == jeRoute {
-			s.bumpRoutePairs(e.route)
-			s.bumpRoutePairs(s.routes[e.a])
-		} else {
-			s.homeVer[e.a]++
-		}
-	}
 	s.jDepth--
 	if s.jDepth == 0 {
 		for i := m.n; i < len(s.journal); i++ {
 			s.journal[i].route = nil
 		}
 		s.journal = s.journal[:m.n]
-	}
-}
-
-// bumpRoutePairs invalidates the gain-cache version of every pipe pair a
-// route crosses.
-func (s *state) bumpRoutePairs(r []int) {
-	for i := 1; i < len(r); i++ {
-		s.pairVer[s.widthIdx(r[i-1], r[i])]++
 	}
 }
 
@@ -283,21 +262,6 @@ func (s *state) moveProcRaw(p, to int) {
 	s.swProcs[to] = append(s.swProcs[to], p)
 }
 
-// moveProcToEnd replays the list permutation a probe would have caused —
-// remove p and re-append it to its own home list — without any probe. Gain-
-// cache hits use it so the swProcs order (and hence every later shuffle)
-// stays byte-identical to the reference engine's probe/undo round trip.
-func (s *state) moveProcToEnd(p int) {
-	procs := s.swProcs[s.home[p]]
-	for i, q := range procs {
-		if q == p {
-			copy(procs[i:], procs[i+1:])
-			procs[len(procs)-1] = p
-			return
-		}
-	}
-}
-
 // cachedDirect returns the shared immutable header for the one- or two-
 // switch direct route between home switches a and b.
 func (s *state) cachedDirect(a, b int) []int {
@@ -400,142 +364,6 @@ func (s *state) probeMove(p, to int) int {
 	// apply/undo round trip leaves.
 	s.rollback(m)
 	return delta
-}
-
-// moveGain is one cached candidate evaluation for the optimizeMoves loop:
-// the move's cost components plus everything needed to prove them still
-// valid. The penalty term is nonlinear in state that other moves change, so
-// it is not cached — gainDelta recomputes it from current degrees plus the
-// captured per-switch degree deltas.
-type moveGain struct {
-	valid                bool
-	from, to             int32
-	dLinks, dQuad, dHops int
-	pairs                [][2]int32 // affected pipe pairs (canonical a < b)
-	pairVers             []uint32   // pairVer at capture
-	sws                  []int32    // affected switches (from, to included)
-	dDeg                 []int32    // estDegree delta per sws entry
-	peers                []int32    // p and all endpoint procs of p's flows
-	homeVers             []uint32   // homeVer at capture
-}
-
-// gainFresh reports whether a cached gain still predicts probeMove(p, to)
-// exactly: same endpoints, no peer rehomed, no affected pipe's content
-// changed since capture. Under these guards the captured link/quad/hop
-// deltas and per-switch degree deltas are exact (see DESIGN.md §13).
-func (s *state) gainFresh(g *moveGain, p, to int) bool {
-	if !g.valid || g.from != int32(s.home[p]) || g.to != int32(to) {
-		return false
-	}
-	for i, pe := range g.peers {
-		if s.homeVer[pe] != g.homeVers[i] {
-			return false
-		}
-	}
-	for i, pr := range g.pairs {
-		if s.pairVer[int(pr[0])*s.stride+int(pr[1])] != g.pairVers[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// gainDelta reconstructs the move's cost delta from a fresh cache entry:
-// cached link/quad/hop deltas plus the penalty delta recomputed from current
-// degrees and processor counts shifted by the captured deltas.
-func (s *state) gainDelta(g *moveGain) int {
-	pen := 0
-	maxDeg, maxProcs := s.opt.MaxDegree, s.opt.MaxProcsPerSwitch
-	for i, sw32 := range g.sws {
-		sw := int(sw32)
-		n := len(s.swProcs[sw])
-		d := n + int(s.sumW[sw])
-		dA := d + int(g.dDeg[i])
-		nA := n
-		if sw32 == g.from {
-			nA--
-		}
-		if sw32 == g.to {
-			nA++
-		}
-		if d > maxDeg {
-			pen -= d - maxDeg
-		}
-		if n > maxProcs {
-			pen -= n - maxProcs
-		}
-		if dA > maxDeg {
-			pen += dA - maxDeg
-		}
-		if nA > maxProcs {
-			pen += nA - maxProcs
-		}
-	}
-	return pen*costPenaltyWeight + g.dLinks*costLinkWeight +
-		g.dQuad*costQuadWeight + g.dHops*costHopWeight
-}
-
-// probeMoveGain is probeMove plus gain capture: it fills s.gains[p] so later
-// optimizeMoves iterations can skip the probe while the entry stays fresh.
-func (s *state) probeMoveGain(p, to int) int {
-	from := s.home[p]
-	pairs := s.movePairs(p, to)
-	sws := s.switchesOf(pairs, from, to)
-	penB, lB, qB := s.localCostParts(pairs, sws)
-	hopsB := s.totalHops
-
-	g := &s.gains[p]
-	g.valid = false
-	g.from, g.to = int32(from), int32(to)
-	g.pairs = g.pairs[:0]
-	g.pairVers = g.pairVers[:0]
-	for _, pr := range pairs {
-		g.pairs = append(g.pairs, [2]int32{int32(pr[0]), int32(pr[1])})
-		g.pairVers = append(g.pairVers, s.pairVer[pr[0]*s.stride+pr[1]])
-	}
-	g.sws = g.sws[:0]
-	g.dDeg = g.dDeg[:0]
-	for _, sw := range sws {
-		g.sws = append(g.sws, int32(sw))
-		g.dDeg = append(g.dDeg, int32(-s.estDegree(sw)))
-	}
-	g.peers = append(g.peers[:0], int32(p))
-	g.homeVers = append(g.homeVers[:0], s.homeVer[p])
-	for _, fi := range s.procFlows[p] {
-		f := s.flows[fi]
-		for k := 0; k < 2; k++ {
-			x := f.Src
-			if k == 1 {
-				x = f.Dst
-			}
-			seen := false
-			for _, y := range g.peers {
-				if y == int32(x) {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				g.peers = append(g.peers, int32(x))
-				g.homeVers = append(g.homeVers, s.homeVer[x])
-			}
-		}
-	}
-
-	m := s.beginProbe()
-	s.reattach(p, to)
-	penA, lA, qA := s.localCostParts(pairs, sws)
-	hopsA := s.totalHops
-	for i, sw := range sws {
-		g.dDeg[i] += int32(s.estDegree(sw))
-	}
-	s.rollback(m)
-	g.dLinks, g.dQuad, g.dHops = lA-lB, qA-qB, hopsA-hopsB
-	g.valid = true
-	s.pairScratch = pairs[:0]
-	s.stats.MovesEvaluated++
-	return (penA-penB)*costPenaltyWeight + g.dLinks*costLinkWeight +
-		g.dQuad*costQuadWeight + g.dHops*costHopWeight
 }
 
 // applySwap evaluates exchanging the homes of p and q, leaving the swap
@@ -682,7 +510,7 @@ func (s *state) release() {
 
 // reset rebuilds the mutable state for the current kernel: one megaswitch
 // holding every processor, every flow on the shared single-switch route,
-// all caches valid-empty, journal and arena empty, gains invalid.
+// all tables zero, journal and arena empty.
 func (s *state) reset() {
 	s.growStride(8)
 	nf := len(s.flows)
@@ -711,9 +539,6 @@ func (s *state) reset() {
 	for i := range s.pairW {
 		s.pairW[i] = 0
 	}
-	for i := range s.pairVer {
-		s.pairVer[i] = 0
-	}
 	for i := range s.sumW {
 		s.sumW[i] = 0
 	}
@@ -730,13 +555,10 @@ func (s *state) reset() {
 
 	if cap(s.home) < s.procs {
 		s.home = make([]int, s.procs)
-		s.homeVer = make([]uint32, s.procs)
 	} else {
 		s.home = s.home[:s.procs]
-		s.homeVer = s.homeVer[:s.procs]
 		for i := range s.home {
 			s.home[i] = 0
-			s.homeVer[i] = 0
 		}
 	}
 	if cap(s.allProcs) < s.procs {
@@ -762,14 +584,5 @@ func (s *state) reset() {
 		s.routes[fi] = r0
 	}
 	s.totalHops = 0
-
-	if cap(s.gains) < s.procs {
-		s.gains = make([]moveGain, s.procs)
-	} else {
-		s.gains = s.gains[:s.procs]
-	}
-	for i := range s.gains {
-		s.gains[i].valid = false
-	}
 	s.seedFast = false
 }

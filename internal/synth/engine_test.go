@@ -34,11 +34,6 @@ func threeSwitchState(t *testing.T, seed int64) *state {
 	return s
 }
 
-// versionsOf copies the gain-cache version counters.
-func versionsOf(s *state) ([]uint32, []uint32) {
-	return append([]uint32(nil), s.pairVer...), append([]uint32(nil), s.homeVer...)
-}
-
 // crossFlow returns a flow ID whose endpoints live on different switches.
 func crossFlow(t *testing.T, s *state) int {
 	t.Helper()
@@ -56,7 +51,6 @@ func TestJournalNestedRollbackRestoresExactly(t *testing.T) {
 	fi := crossFlow(t, s)
 	f := s.flows[fi]
 	before := snapshotFull(s)
-	pv, hv := versionsOf(s)
 
 	m1 := s.beginProbe()
 	a, b := s.home[f.Src], s.home[f.Dst]
@@ -86,23 +80,12 @@ func TestJournalNestedRollbackRestoresExactly(t *testing.T) {
 		t.Fatal("nested rollback did not restore state")
 	}
 	checkStateInvariants(t, s)
-	pv2, hv2 := versionsOf(s)
-	for i := range pv {
-		if pv[i] != pv2[i] {
-			t.Fatalf("rollback bumped pairVer[%d]", i)
-		}
-	}
-	for i := range hv {
-		if hv[i] != hv2[i] {
-			t.Fatalf("rollback bumped homeVer[%d]", i)
-		}
-	}
 	if len(s.journal) != 0 || s.jDepth != 0 {
 		t.Fatalf("journal not drained: len=%d depth=%d", len(s.journal), s.jDepth)
 	}
 }
 
-func TestJournalKeepCommitsAndBumpsVersions(t *testing.T) {
+func TestJournalKeepCommits(t *testing.T) {
 	s := threeSwitchState(t, 13)
 	fi := crossFlow(t, s)
 	f := s.flows[fi]
@@ -114,7 +97,6 @@ func TestJournalKeepCommitsAndBumpsVersions(t *testing.T) {
 			break
 		}
 	}
-	pv, hv := versionsOf(s)
 	p := s.swProcs[via][0]
 
 	m := s.beginProbe()
@@ -129,16 +111,6 @@ func TestJournalKeepCommitsAndBumpsVersions(t *testing.T) {
 	}
 	if len(s.journal) != 0 || s.jDepth != 0 {
 		t.Fatalf("journal not truncated after outermost keep: len=%d depth=%d", len(s.journal), s.jDepth)
-	}
-	if s.homeVer[p] == hv[p] {
-		t.Fatal("keep did not bump moved proc's homeVer")
-	}
-	// Both the replaced direct route's pair and the new via route's pairs
-	// must be invalidated.
-	for _, pair := range [][2]int{{a, b}, {a, via}, {via, b}} {
-		if s.pairVer[s.widthIdx(pair[0], pair[1])] == pv[s.widthIdx(pair[0], pair[1])] {
-			t.Fatalf("keep did not bump pairVer for %v", pair)
-		}
 	}
 	checkStateInvariants(t, s)
 }
@@ -168,8 +140,7 @@ func TestJournalInnerKeepOuterRollback(t *testing.T) {
 // eliminatePipes open and keep or roll back their own scopes inside it, and
 // the outer rollback must undo all of it — placement, routes, tables and the
 // arena position — leaving only the emptied switch's processor list reversed,
-// which mergeRefine sorts. (Inner keeps bump gain-cache versions early; that
-// can only invalidate a cached gain spuriously.)
+// which mergeRefine sorts.
 func TestJournalMergeShapedRollback(t *testing.T) {
 	s := threeSwitchState(t, 23)
 	before := snapshotFull(s)

@@ -263,6 +263,9 @@ func SynthesizeCliques(ctx context.Context, p *model.Pattern, cliques []model.Cl
 		return nil, fmt.Errorf("synth: %v", err)
 	}
 	opt = opt.Normalized()
+	if opt.Restarts < 0 {
+		return nil, fmt.Errorf("synth: negative Restarts %d", opt.Restarts)
+	}
 	sp := obs.Span(opt.Obs, "synth.run")
 	defer sp.End()
 	// The immutable per-pattern half of the search state (flow interning,

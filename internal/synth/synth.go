@@ -205,11 +205,6 @@ type state struct {
 	pairW  []int32
 	sumW   []int64
 
-	// Gain-cache guards: bumped only by committed mutations (probes defer
-	// bumps to keep and roll them back otherwise).
-	pairVer []uint32 // pipe-pair content version, at a*stride+b with a<b
-	homeVer []uint32 // processor placement version
-
 	// Undo journal and route arena (engine.go).
 	journal []journalEntry
 	jDepth  int
@@ -220,9 +215,6 @@ type state struct {
 	// so they survive pooling and are remapped by growStride.
 	selfRoute [][]int
 	pairRoute [][]int
-
-	// Per-candidate cached move gains for the optimizeMoves loop.
-	gains []moveGain
 
 	totalHops int
 	src       rand.Source
@@ -290,9 +282,9 @@ func (s *state) widthIdx(a, b int) int {
 }
 
 // growStride resizes the dense pipe/cache matrices to hold at least n
-// switches, preserving pipe contents, count rows, widths, versions, and route
-// headers. New direction cells start empty (no row, width 0, quad 0) and new
-// pair cells at width 0, which is consistent with sumW: a never-used pipe
+// switches, preserving pipe contents, count rows, widths, and route headers.
+// New direction cells start empty (no row, width 0, quad 0) and new pair
+// cells at width 0, which is consistent with sumW: a never-used pipe
 // contributes nothing.
 func (s *state) growStride(n int) {
 	if n <= s.stride {
@@ -310,7 +302,6 @@ func (s *state) growStride(n int) {
 	dirW := make([]int32, stride*stride)
 	dirQ := make([]int64, stride*stride)
 	pairW := make([]int32, stride*stride)
-	pairVer := make([]uint32, stride*stride)
 	pairRoute := make([][]int, stride*stride)
 	for a := 0; a < s.stride; a++ {
 		for b := 0; b < s.stride; b++ {
@@ -320,13 +311,12 @@ func (s *state) growStride(n int) {
 			dirW[n] = s.dirW[o]
 			dirQ[n] = s.dirQ[o]
 			pairW[n] = s.pairW[o]
-			pairVer[n] = s.pairVer[o]
 			pairRoute[n] = s.pairRoute[o]
 		}
 	}
 	s.stride = stride
 	s.pipes, s.rowAt = pipes, rowAt
-	s.dirW, s.dirQ, s.pairW, s.pairVer, s.pairRoute = dirW, dirQ, pairW, pairVer, pairRoute
+	s.dirW, s.dirQ, s.pairW, s.pairRoute = dirW, dirQ, pairW, pairRoute
 	sumW := make([]int64, stride)
 	copy(sumW, s.sumW)
 	s.sumW = sumW
@@ -336,15 +326,11 @@ func (s *state) growStride(n int) {
 }
 
 // setRoute replaces a flow's route, maintaining the per-pipe flow sets,
-// caches, and total hop count. Committed calls (no open probe) bump the
-// gain-cache versions of every pair the old and new routes cross; probed
-// calls journal the old header for rollback/keep instead.
+// tables, and total hop count. Inside a probe it journals the old header for
+// rollback first.
 func (s *state) setRoute(fi int, route []int) {
 	if s.jDepth > 0 {
 		s.journal = append(s.journal, journalEntry{kind: jeRoute, a: int32(fi), route: s.routes[fi]})
-	} else {
-		s.bumpRoutePairs(s.routes[fi])
-		s.bumpRoutePairs(route)
 	}
 	s.setRouteRaw(fi, route)
 }
@@ -387,14 +373,12 @@ func (s *state) reattach(p, to int) {
 	}
 }
 
-// reattachNoReroute moves the processor without touching routes (used by
-// undo/rollback, which restore routes explicitly). Committed calls bump the
-// processor's placement version; probed calls journal the old home.
+// reattachNoReroute moves the processor without touching routes; its callers
+// (reattach, applySwap) reroute afterwards. Inside a probe it journals the
+// old home for rollback first.
 func (s *state) reattachNoReroute(p, to int) {
 	if s.jDepth > 0 {
 		s.journal = append(s.journal, journalEntry{kind: jeAttach, a: int32(p), b: int32(s.home[p])})
-	} else {
-		s.homeVer[p]++
 	}
 	s.moveProcRaw(p, to)
 }
@@ -481,9 +465,6 @@ func (s *state) optimizeMoves(i, j int) {
 	candidates := append(append(s.candScratch[:0], s.swProcs[i]...), s.swProcs[j]...)
 	s.candScratch = candidates
 	sort.Ints(candidates)
-	for _, p := range candidates {
-		s.gains[p].valid = false
-	}
 	for iter := 0; iter < 4*s.procs; iter++ {
 		bestDelta := 0
 		bestProc, bestTo := -1, -1
@@ -495,17 +476,7 @@ func (s *state) optimizeMoves(i, j int) {
 			if !s.balancedAfterMove(p, to, i, j) {
 				continue
 			}
-			var delta int
-			if g := &s.gains[p]; s.gainFresh(g, p, to) {
-				delta = s.gainDelta(g)
-				s.stats.MovesEvaluated++
-				// Replay the probe's list permutation so swProcs order
-				// stays identical to the reference engine's.
-				s.moveProcToEnd(p)
-			} else {
-				delta = s.probeMoveGain(p, to)
-			}
-			if delta < bestDelta {
+			if delta := s.probeMove(p, to); delta < bestDelta {
 				bestDelta = delta
 				bestProc, bestTo = p, to
 			}
@@ -630,9 +601,6 @@ func (s *state) globalRefine() {
 	}
 }
 
-// partition runs the main loop: while some switch violates the constraints
-// and can be split, split it and locally optimize. Returns false if
-// violations remain but no switch can be split further.
 // cancelled reports whether the run's context has been cancelled. The
 // caller chain (partition → synthesizeOnce → SynthesizeContext) converts a
 // true return into the context's error.
@@ -640,9 +608,12 @@ func (s *state) cancelled() bool {
 	return s.ctx != nil && s.ctx.Err() != nil
 }
 
+// partition runs the main loop: while some switch violates the constraints
+// and can be split, split it and locally optimize. Returns false if
+// violations remain but no switch can be split further.
 func (s *state) partition() bool {
-	cap := 6*s.procs + 16
-	for iter := 0; iter < cap; iter++ {
+	limit := 6*s.procs + 16
+	for iter := 0; iter < limit; iter++ {
 		if s.cancelled() {
 			return false
 		}

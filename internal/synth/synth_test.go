@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -223,9 +224,19 @@ func TestGreedyFinalColoringAblation(t *testing.T) {
 }
 
 func TestSynthesizeRejectsInvalidPattern(t *testing.T) {
-	bad := &model.Pattern{Name: "bad", Procs: 0}
-	if _, err := Synthesize(bad, Options{}); err == nil {
-		t.Fatal("invalid pattern accepted")
+	for _, tc := range []struct {
+		name string
+		pat  *model.Pattern
+		opt  Options
+		want string
+	}{
+		{"no processors", &model.Pattern{Name: "bad", Procs: 0}, Options{}, "synth: "},
+		{"negative restarts", nas.Figure1Pattern(), Options{Restarts: -1}, "synth: negative Restarts -1"},
+	} {
+		_, err := Synthesize(tc.pat, tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
