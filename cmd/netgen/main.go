@@ -142,15 +142,16 @@ func runHier(pat *model.Pattern, base synth.Options, shared *cliutil.Flags, out 
 	fmt.Printf("pattern %s: %d processors, %d flows\n", pat.Name, pat.Procs, len(pat.Flows()))
 	fmt.Printf("two-level design: %d clusters, %d switches, %d links (gateway pipes included)\n",
 		len(d.Assign.Clusters), d.TotalSwitches(), d.TotalLinks())
+	fmt.Printf("design constraints met at every level: %v\n", d.ConstraintsMet())
 	fmt.Printf("contention-free at every level (Theorem 1, C ∩ R = ∅): %v\n", d.ContentionFree())
 	for c, lv := range d.Chiplets {
-		fmt.Printf("  chiplet %d: procs %v, gateways %v, %d switches, %d links, contention-free %v\n",
+		fmt.Printf("  chiplet %d: procs %v, gateways %v, %d switches, %d links, constraints met %v, contention-free %v\n",
 			c, d.Assign.Clusters[c], d.Assign.Gateways[c],
-			lv.Net.NumSwitches(), lv.Net.TotalLinks(), lv.Result.ContentionFree)
+			lv.Net.NumSwitches(), lv.Net.TotalLinks(), lv.Result.ConstraintsMet, lv.Result.ContentionFree)
 	}
 	if d.NoI != nil {
-		fmt.Printf("  noi: %d gateway endpoints, %d switches, %d links, contention-free %v\n",
-			d.Assign.NoIProcs, d.NoI.Net.NumSwitches(), d.NoI.Net.TotalLinks(), d.NoI.Result.ContentionFree)
+		fmt.Printf("  noi: %d gateway endpoints, %d switches, %d links, constraints met %v, contention-free %v\n",
+			d.Assign.NoIProcs, d.NoI.Net.NumSwitches(), d.NoI.Net.TotalLinks(), d.NoI.Result.ConstraintsMet, d.NoI.Result.ContentionFree)
 	}
 	if out != "" {
 		save := func(w io.Writer) error { return hier.SaveDesign(w, d) }

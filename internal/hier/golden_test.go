@@ -196,3 +196,64 @@ func TestGoldenFilesComplete(t *testing.T) {
 		t.Errorf("missing golden file testdata/%s", name)
 	}
 }
+
+// TestDesignConstraintsMet holds Design.ConstraintsMet to the per-level
+// verdicts on the CG.16 golden design, whose four chiplets meet their budgets
+// and whose NoI does not — the verdict netgen -clusters used to leave out.
+func TestDesignConstraintsMet(t *testing.T) {
+	spec, _ := ParseSpec("flow:4")
+	opt := hierOptions(0)
+	opt.Spec = spec
+	d, err := Synthesize(cg16(t), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lv := range d.Chiplets {
+		if !lv.Result.ConstraintsMet {
+			t.Fatal("a CG.16 chiplet misses its budget: the cases below assume all four meet it")
+		}
+	}
+	// with returns a copy of base whose level i (len(Chiplets) = the NoI) has
+	// the given verdict, or no synthesis result at all when res is false.
+	with := func(base *Design, i int, met, res bool) *Design {
+		c := *base
+		c.Chiplets = append([]*Level(nil), base.Chiplets...)
+		lv := *base.NoI
+		if i < len(c.Chiplets) {
+			lv = *c.Chiplets[i]
+		}
+		if r := *lv.Result; res {
+			r.ConstraintsMet = met
+			lv.Result = &r
+		} else {
+			lv.Result = nil
+		}
+		if i < len(c.Chiplets) {
+			c.Chiplets[i] = &lv
+		} else {
+			c.NoI = &lv
+		}
+		return &c
+	}
+	allMet := with(d, 4, true, true)
+	noNoI := *with(d, 2, false, true)
+	noNoI.NoI = nil
+	for _, tc := range []struct {
+		name string
+		d    *Design
+		want bool
+	}{
+		{"as synthesized: the NoI is over its degree budget", d, false},
+		{"every level met", allMet, true},
+		{"one chiplet unmet", with(allMet, 2, false, true), false},
+		{"a chiplet and the NoI unmet", with(d, 2, false, true), false},
+		{"a baseline chiplet has no verdict", with(allMet, 0, true, false), false},
+		{"a baseline NoI has no verdict", with(allMet, 4, true, false), false},
+		{"single level, all met", &Design{Chiplets: allMet.Chiplets}, true},
+		{"single level, one unmet", &noNoI, false},
+	} {
+		if got := tc.d.ConstraintsMet(); got != tc.want {
+			t.Errorf("%s: ConstraintsMet() = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -116,6 +116,18 @@ func (d *Design) ContentionFree() bool {
 	return true
 }
 
+// ConstraintsMet reports whether every synthesized level met its own design
+// constraints — the chiplets the NoC budgets, the NoI the NoI's (false when
+// any level is a baseline without a synthesis result).
+func (d *Design) ConstraintsMet() bool {
+	for _, lv := range d.Chiplets {
+		if lv.Result == nil || !lv.Result.ConstraintsMet {
+			return false
+		}
+	}
+	return d.NoI == nil || d.NoI.Result != nil && d.NoI.Result.ConstraintsMet
+}
+
 // TotalSwitches sums switch counts across all levels.
 func (d *Design) TotalSwitches() int {
 	total := 0

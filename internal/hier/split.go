@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/trace"
 )
 
 // FlowPath describes how one original flow decomposes across the two levels.
@@ -77,7 +76,16 @@ func pathFor(a *Assignment, f model.Flow) FlowPath {
 // of inter-cluster messages whose local endpoint is not a gateway, and the
 // NoI carries every inter-cluster message remapped onto gateway endpoints.
 // Each level message copies its original's timing and payload, so an
-// inter-cluster message's bytes cross the NoI exactly once.
+// inter-cluster message's bytes cross the NoI exactly once. Within a level
+// messages keep their original order and are renumbered sequentially, and
+// every original phase is mirrored — label, bounds, compute gap, and the
+// level's share of its messages. Empty mirrored phases are kept on purpose: a
+// phase's compute gap shapes timing even for processors that sit out its
+// communication.
+//
+// One walk over the messages and one over the phases serve every level: each
+// flow's path is resolved once, and a message is appended to the (at most
+// three) levels that own a piece of it.
 func SplitPattern(p *model.Pattern, a *Assignment) (*Split, error) {
 	if p.Procs != a.Procs {
 		return nil, fmt.Errorf("hier: pattern has %d procs, assignment %d", p.Procs, a.Procs)
@@ -86,54 +94,95 @@ func SplitPattern(p *model.Pattern, a *Assignment) (*Split, error) {
 		Assign: a,
 		Flows:  make(map[model.Flow]FlowPath),
 	}
-	for _, m := range p.Messages {
-		f := m.Flow()
-		if _, ok := s.Flows[f]; !ok {
-			s.Flows[f] = pathFor(a, f)
-		}
-		if !s.Flows[f].Intra {
-			s.InterMessages++
-		}
-	}
+	// levels[c] is chiplet c's sub-pattern; the NoI's, when there is one,
+	// comes last.
+	noi := len(a.Clusters)
+	levels := make([]*model.Pattern, noi, noi+1)
 	for c, members := range a.Clusters {
-		cc := c
-		s.Chiplets = append(s.Chiplets, trace.Project(
-			p,
-			fmt.Sprintf("%s.c%d", p.Name, c),
-			len(members),
-			func(_ int, m model.Message) *model.Message {
-				fp := s.Flows[m.Flow()]
-				switch {
-				case fp.Intra && fp.Cluster == cc:
-					nm := m
-					nm.Src, nm.Dst = fp.Local.Src, fp.Local.Dst
-					return &nm
-				case !fp.Intra && fp.SrcCluster == cc && fp.LegOut != nil:
-					nm := m
-					nm.Src, nm.Dst = fp.LegOut.Src, fp.LegOut.Dst
-					return &nm
-				case !fp.Intra && fp.DstCluster == cc && fp.LegIn != nil:
-					nm := m
-					nm.Src, nm.Dst = fp.LegIn.Src, fp.LegIn.Dst
-					return &nm
-				}
-				return nil
-			}))
+		levels[c] = &model.Pattern{Name: fmt.Sprintf("%s.c%d", p.Name, c), Procs: len(members)}
 	}
-	if len(a.Clusters) > 1 {
-		s.NoI = trace.Project(
-			p,
-			p.Name+".noi",
-			a.NoIProcs,
-			func(_ int, m model.Message) *model.Message {
-				fp := s.Flows[m.Flow()]
-				if fp.Intra {
-					return nil
+	if noi > 1 {
+		levels = append(levels, &model.Pattern{Name: p.Name + ".noi", Procs: a.NoIProcs})
+	}
+	// at[i] lists where message i lands: 1 + the level, its ID there (the
+	// level's running count) and its endpoints in the level's processor IDs.
+	type landing struct{ level, id, src, dst int32 }
+	at := make([][3]landing, len(p.Messages))
+	count := make([]int32, len(levels))
+	put := func(i, level int, f model.Flow) {
+		k := 0
+		for at[i][k].level != 0 {
+			k++
+		}
+		at[i][k] = landing{int32(level + 1), count[level], int32(f.Src), int32(f.Dst)}
+		count[level]++
+	}
+	for i, m := range p.Messages {
+		fp, ok := s.Flows[m.Flow()]
+		if !ok {
+			fp = pathFor(a, m.Flow())
+			s.Flows[m.Flow()] = fp
+		}
+		if fp.Intra {
+			put(i, fp.Cluster, fp.Local)
+			continue
+		}
+		s.InterMessages++
+		if fp.LegOut != nil {
+			put(i, fp.SrcCluster, *fp.LegOut)
+		}
+		if fp.LegIn != nil {
+			put(i, fp.DstCluster, *fp.LegIn)
+		}
+		put(i, noi, fp.NoI)
+	}
+	for l, lv := range levels {
+		if count[l] > 0 { // a level nothing lands on keeps a nil list
+			lv.Messages = make([]model.Message, count[l])
+		}
+	}
+	for i, m := range p.Messages {
+		for _, l := range at[i] {
+			if l.level == 0 {
+				break
+			}
+			m.ID, m.Src, m.Dst = int(l.id), int(l.src), int(l.dst)
+			levels[l.level-1].Messages[l.id] = m
+		}
+	}
+	// Each level's mirrored phase lists are cut from one array sized by its
+	// message count: a phase keeps the tail it appended, nil if it added none.
+	lists := make([][]int, len(levels))
+	start := make([]int, len(levels))
+	for l, lv := range levels {
+		lists[l] = make([]int, 0, len(lv.Messages))
+		if len(p.Phases) > 0 {
+			lv.Phases = make([]model.Phase, 0, len(p.Phases))
+		}
+	}
+	for _, ph := range p.Phases {
+		for l := range levels {
+			start[l] = len(lists[l])
+		}
+		for _, mi := range ph.Messages {
+			for _, l := range at[mi] {
+				if l.level == 0 {
+					break
 				}
-				nm := m
-				nm.Src, nm.Dst = fp.NoI.Src, fp.NoI.Dst
-				return &nm
-			})
+				lists[l.level-1] = append(lists[l.level-1], int(l.id))
+			}
+		}
+		for l, lv := range levels {
+			mirrored := model.Phase{Label: ph.Label, Start: ph.Start, Finish: ph.Finish, ComputeAfter: ph.ComputeAfter}
+			if n := len(lists[l]); n > start[l] {
+				mirrored.Messages = lists[l][start[l]:n:n]
+			}
+			lv.Phases = append(lv.Phases, mirrored)
+		}
+	}
+	s.Chiplets = levels[:noi:noi]
+	if noi > 1 {
+		s.NoI = levels[noi]
 	}
 	return s, nil
 }

@@ -1,6 +1,8 @@
 package hier
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/collective"
@@ -179,5 +181,128 @@ func TestSplitCappedGatewaysForwarding(t *testing.T) {
 	}
 	if !sawLeg {
 		t.Error("cap 1 produced no forwarding legs on CG-16")
+	}
+}
+
+// projectRef is the split's definition, kept as the test oracle: one level's
+// sub-pattern is the original with every message rewritten to zero or one
+// replacement (nil drops it), survivors renumbered sequentially in their
+// original order, and every phase mirrored with its label, bounds and compute
+// gap around the survivors it contained — empty ones included. SplitPattern
+// builds all levels in one walk; this builds one level per walk.
+func projectRef(p *model.Pattern, name string, procs int, rewrite func(m model.Message) *model.Message) *model.Pattern {
+	out := &model.Pattern{Name: name, Procs: procs}
+	newIdx := make([]int, len(p.Messages))
+	for i, m := range p.Messages {
+		newIdx[i] = -1
+		if nm := rewrite(m); nm != nil {
+			kept := *nm
+			kept.ID = len(out.Messages)
+			newIdx[i] = kept.ID
+			out.Messages = append(out.Messages, kept)
+		}
+	}
+	for _, ph := range p.Phases {
+		mirrored := model.Phase{Label: ph.Label, Start: ph.Start, Finish: ph.Finish, ComputeAfter: ph.ComputeAfter}
+		for _, mi := range ph.Messages {
+			if ni := newIdx[mi]; ni >= 0 {
+				mirrored.Messages = append(mirrored.Messages, ni)
+			}
+		}
+		out.Phases = append(out.Phases, mirrored)
+	}
+	return out
+}
+
+// TestSplitMatchesProjection holds every sub-pattern SplitPattern returns —
+// name, processor count, message order, IDs, endpoints, timing, payload and
+// the mirrored phase lists — to the level-by-level projection, with and
+// without forwarding legs, and on a pattern with an empty phase.
+func TestSplitMatchesProjection(t *testing.T) {
+	gap := cg16(t)
+	gap = &model.Pattern{Name: gap.Name, Procs: gap.Procs, Messages: gap.Messages,
+		Phases: append([]model.Phase{{Label: "warm-up", ComputeAfter: 7}}, gap.Phases...)}
+	for _, tc := range []struct {
+		pat  *model.Pattern
+		spec string
+		cap  int
+	}{
+		{cg16(t), "blocks:4", 0},
+		{cg16(t), "flow:4", 0},
+		{cg16(t), "blocks:4", 1},
+		{gap, "blocks:4", 2},
+		{ring64(t), "blocks:8", 0},
+		{ring64(t), "blocks:1", 0},
+		{cg16(t), "blocks:16", 0}, // every chiplet empty
+		{&model.Pattern{Name: "unphased", Procs: 16, Messages: cg16(t).Messages}, "blocks:4", 0},
+	} {
+		sp, err := ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Partition(tc.pat, sp, tc.cap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := SplitPattern(tc.pat, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		to := func(m model.Message, f model.Flow) *model.Message {
+			m.Src, m.Dst = f.Src, f.Dst
+			return &m
+		}
+		for c, got := range s.Chiplets {
+			want := projectRef(tc.pat, fmt.Sprintf("%s.c%d", tc.pat.Name, c), len(a.Clusters[c]), func(m model.Message) *model.Message {
+				switch fp := s.Flows[m.Flow()]; {
+				case fp.Intra && fp.Cluster == c:
+					return to(m, fp.Local)
+				case !fp.Intra && fp.SrcCluster == c && fp.LegOut != nil:
+					return to(m, *fp.LegOut)
+				case !fp.Intra && fp.DstCluster == c && fp.LegIn != nil:
+					return to(m, *fp.LegIn)
+				}
+				return nil
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s cap %d: chiplet %d differs from its projection", tc.pat.Name, tc.spec, tc.cap, c)
+			}
+		}
+		if len(a.Clusters) == 1 {
+			if s.NoI != nil || len(s.Chiplets) != 1 {
+				t.Errorf("%s %s: single cluster split into %d chiplets, NoI %v", tc.pat.Name, tc.spec, len(s.Chiplets), s.NoI)
+			}
+			continue
+		}
+		want := projectRef(tc.pat, tc.pat.Name+".noi", a.NoIProcs, func(m model.Message) *model.Message {
+			if fp := s.Flows[m.Flow()]; !fp.Intra {
+				return to(m, fp.NoI)
+			}
+			return nil
+		})
+		if !reflect.DeepEqual(s.NoI, want) {
+			t.Errorf("%s %s cap %d: NoI differs from its projection", tc.pat.Name, tc.spec, tc.cap)
+		}
+	}
+}
+
+// BenchmarkSplitPattern is the split of the largest hier ledger class:
+// ring-allreduce/64 (8,064 messages, 126 phases) over eight clusters.
+func BenchmarkSplitPattern(b *testing.B) {
+	pat := ring64(b)
+	sp, err := ParseSpec("blocks:8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := Partition(pat, sp, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SplitPattern(pat, a); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -733,14 +733,13 @@ func (s *Server) synthesizeHier(key string, pat *model.Pattern, opt synth.Option
 	if err := hier.SaveDesign(&design, d); err != nil {
 		return nil, fmt.Errorf("serve: rendering hier design: %w", err)
 	}
-	constraintsMet, exact := true, true
+	exact := true
 	var stats synth.Stats
 	levels := append([]*hier.Level{}, d.Chiplets...)
 	if d.NoI != nil {
 		levels = append(levels, d.NoI)
 	}
 	for _, lv := range levels {
-		constraintsMet = constraintsMet && lv.Result.ConstraintsMet
 		exact = exact && lv.Result.ExactColoring
 		stats.Add(lv.Result.Stats)
 	}
@@ -763,7 +762,7 @@ func (s *Server) synthesizeHier(key string, pat *model.Pattern, opt synth.Option
 		PatternHash:    key,
 		Name:           d.Name,
 		Procs:          d.Procs,
-		ConstraintsMet: constraintsMet,
+		ConstraintsMet: d.ConstraintsMet(),
 		ContentionFree: d.ContentionFree(),
 		ExactColoring:  exact,
 		Switches:       d.TotalSwitches(),

@@ -52,6 +52,24 @@ func BenchmarkSynthesizeBT16(b *testing.B) {
 	}
 }
 
+// BenchmarkSynthesizeHierNoI is the NoI level of hier FFT/16 under four
+// clusters (default restarts, serial): no restart ever meets the degree
+// budget, so every one runs all its rounds and no merge sweep — the
+// probe-bound case, where the candidate evaluator is the whole cost.
+func BenchmarkSynthesizeHierNoI(b *testing.B) {
+	pat := noiFFT16(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Synthesize(pat, Options{Seed: 1, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.ConstraintsMet {
+			b.Fatal("the NoI level met its constraints: this is no longer the every-round case")
+		}
+	}
+}
+
 // TestSynthesizeAllocCeiling is the allocation floor the retired perf-synth
 // gate enforced, as absolutes. That gate required the move engine to allocate
 // at least 5x less than the closure-based reference evaluator in the same

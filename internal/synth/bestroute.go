@@ -132,32 +132,20 @@ func (s *state) applyGroupRoute(g group, cand []int) {
 	}
 }
 
-// groupRouteDelta measures the cost change of rerouting a flow (and its
-// mirrored reverse, if grouped) onto cand inside a probe scope, rolling back
-// before returning. cand is not retained; scratch buffers back both the
-// affected-pair set and the transient mirror route.
+// groupRouteDelta is the cost change of rerouting a flow (and its mirrored
+// reverse, if grouped) onto cand. cand is not retained.
 func (s *state) groupRouteDelta(g group, cand []int) int {
-	pairs := addRoutePairs(s.pairScratch[:0], s.routes[g[0]])
-	if g[1] >= 0 {
-		pairs = addRoutePairs(pairs, s.routes[g[1]])
+	s.wiLeave(g[0])
+	for i := 1; i < len(cand); i++ {
+		s.wiJoin(g[0], cand[i-1], cand[i])
 	}
-	pairs = addRoutePairs(pairs, cand)
-	sws := s.switchesOf(pairs)
-	before := s.localCost(pairs, sws)
-	m := s.beginProbe()
-	s.setRoute(g[0], cand)
 	if g[1] >= 0 {
-		rev := s.revScratch[:0]
-		for i := len(cand) - 1; i >= 0; i-- {
-			rev = append(rev, cand[i])
+		s.wiLeave(g[1])
+		for i := len(cand) - 1; i > 0; i-- {
+			s.wiJoin(g[1], cand[i], cand[i-1])
 		}
-		s.revScratch = rev
-		s.setRoute(g[1], rev)
 	}
-	after := s.localCost(pairs, sws)
-	s.rollback(m)
-	s.pairScratch = pairs[:0]
-	return after - before
+	return s.wiDelta(-1, -1)
 }
 
 // eliminatePipes targets degree violations directly: for every switch over
@@ -175,25 +163,7 @@ func (s *state) eliminatePipes() bool {
 			if other == sw {
 				continue
 			}
-			// Union of both directions' flows, in ascending flow order
-			// (IDs ascend in Flow.Less order).
-			fwd, bwd := s.pipeAt(sw, other), s.pipeAt(other, sw)
-			ids := s.idScratch[:0]
-			if fwd != nil {
-				ids = fwd.Elems(ids)
-			}
-			if bwd != nil {
-				n := len(ids)
-				bwd.ForEach(func(fi int) {
-					if fwd == nil || !fwd.Has(fi) {
-						ids = append(ids, fi)
-					}
-				})
-				if n > 0 && len(ids) > n {
-					ids = mergeSortedInts(ids, n)
-				}
-			}
-			s.idScratch = ids
+			ids := s.pipeFlowIDs(sw, other)
 			if len(ids) == 0 {
 				continue
 			}
@@ -211,6 +181,29 @@ func (s *state) eliminatePipes() bool {
 	return changed
 }
 
+// pipeFlowIDs lists, into idScratch, the flows on either direction of pipe
+// (a,b) in ascending flow order (IDs ascend in Flow.Less order).
+func (s *state) pipeFlowIDs(a, b int) []int {
+	fwd, bwd := s.pipeAt(a, b), s.pipeAt(b, a)
+	ids := s.idScratch[:0]
+	if fwd != nil {
+		ids = fwd.Elems(ids)
+	}
+	if bwd != nil {
+		n := len(ids)
+		bwd.ForEach(func(fi int) {
+			if fwd == nil || !fwd.Has(fi) {
+				ids = append(ids, fi)
+			}
+		})
+		if n > 0 && len(ids) > n {
+			ids = mergeSortedInts(ids, n)
+		}
+	}
+	s.idScratch = ids
+	return ids
+}
+
 // mergeSortedInts merges the two sorted runs ids[:n] and ids[n:] in place.
 func mergeSortedInts(ids []int, n int) []int {
 	for i := n; i < len(ids); i++ {
@@ -223,51 +216,49 @@ func mergeSortedInts(ids []int, n int) []int {
 
 // tryPipeElimination reroutes every flow crossing pipe (a,b): directly when
 // the direct path avoids the pipe, otherwise via intermediate m (m == -1
-// allows only direct replacements). The batch is kept only if the weighted
-// objective improves. Replacement routes are decided twice (a validation
-// pass, then the apply pass inside a probe scope) instead of being
-// materialized into per-call slices.
+// allows only direct replacements). The batch is committed only if the
+// weighted objective improves.
 func (s *state) tryPipeElimination(ids []int, a, b, m int) bool {
-	for _, fi := range ids {
-		f := s.flows[fi]
-		ha, hb := s.home[f.Src], s.home[f.Dst]
-		if pairKey(ha, hb) == pairKey(a, b) && (m < 0 || m == ha || m == hb) {
-			return false // this flow cannot leave the pipe
-		}
+	if s.pipeEliminationDelta(ids, a, b, m) >= 0 {
+		return false
 	}
-	pairs := s.pairScratch[:0]
 	for _, fi := range ids {
-		pairs = addRoutePairs(pairs, s.routes[fi])
-		f := s.flows[fi]
-		ha, hb := s.home[f.Src], s.home[f.Dst]
-		if pairKey(ha, hb) != pairKey(a, b) {
-			pairs = addPair(pairs, ha, hb)
-		} else {
-			pairs = addPair(pairs, ha, m)
-			pairs = addPair(pairs, m, hb)
-		}
-	}
-	sws := s.switchesOf(pairs)
-	before := s.localCost(pairs, sws)
-	mk := s.beginProbe()
-	for _, fi := range ids {
-		f := s.flows[fi]
-		ha, hb := s.home[f.Src], s.home[f.Dst]
-		if pairKey(ha, hb) != pairKey(a, b) {
-			s.setRoute(fi, s.directPair(ha, hb)) // direct path avoids the pipe
+		if ha, hb, direct := s.offPipe(fi, a, b); direct {
+			s.setRoute(fi, s.directPair(ha, hb))
 		} else {
 			s.setRoute(fi, s.viaRoute(ha, m, hb))
 		}
 	}
-	after := s.localCost(pairs, sws)
-	s.pairScratch = pairs[:0]
-	if after < before {
-		s.keep(mk)
-		s.stats.Reroutes += len(ids)
-		return true
+	s.stats.Reroutes += len(ids)
+	return true
+}
+
+// offPipe returns the home switches of fi's endpoints and whether the direct
+// path between them avoids pipe (a,b).
+func (s *state) offPipe(fi, a, b int) (ha, hb int, direct bool) {
+	f := s.flows[fi]
+	ha, hb = s.home[f.Src], s.home[f.Dst]
+	return ha, hb, pairKey(ha, hb) != pairKey(a, b)
+}
+
+// pipeEliminationDelta is the cost change tryPipeElimination's batch would
+// cause, or 0 when some flow cannot leave the pipe.
+func (s *state) pipeEliminationDelta(ids []int, a, b, m int) int {
+	for _, fi := range ids {
+		if ha, hb, direct := s.offPipe(fi, a, b); !direct && (m < 0 || m == ha || m == hb) {
+			return 0 // this flow cannot leave the pipe
+		}
 	}
-	s.rollback(mk)
-	return false
+	for _, fi := range ids {
+		s.wiLeave(fi)
+		if ha, hb, direct := s.offPipe(fi, a, b); direct {
+			s.wiJoin(fi, ha, hb)
+		} else {
+			s.wiJoin(fi, ha, m)
+			s.wiJoin(fi, m, hb)
+		}
+	}
+	return s.wiDelta(-1, -1)
 }
 
 // directPair is the two-switch route [a, b] as a shared header.

@@ -20,6 +20,8 @@ package synth
 // equal to a from-scratch recomputation, hence so does every rollback; they
 // are held to one (dirStatsCompute/estDegreeRef/localCostRef in
 // moveref_test.go) after every operation of TestMoveEngineRandomEquivalence.
+// Candidates are priced from the same tables without mutating them
+// (whatif.go).
 const (
 	costHopWeight     = 1
 	costQuadWeight    = 1 << 4
@@ -79,25 +81,25 @@ func (s *state) estDegree(sw int) int {
 	return len(s.swProcs[sw]) + int(s.sumW[sw])
 }
 
-// penaltyOf sums constraint violations over a set of switches: degree excess
-// plus processor-count excess.
+// excess is the constraint violation of a switch with deg ports and n
+// processors: degree excess plus processor-count excess.
+func (s *state) excess(deg, n int) int {
+	return max(0, deg-s.opt.MaxDegree) + max(0, n-s.opt.MaxProcsPerSwitch)
+}
+
+// penaltyOf sums constraint violations over a set of switches.
 func (s *state) penaltyOf(switches []int) int {
 	total := 0
 	for _, sw := range switches {
-		if d := s.estDegree(sw); d > s.opt.MaxDegree {
-			total += d - s.opt.MaxDegree
-		}
-		if n := len(s.swProcs[sw]); n > s.opt.MaxProcsPerSwitch {
-			total += n - s.opt.MaxProcsPerSwitch
-		}
+		total += s.excess(s.estDegree(sw), len(s.swProcs[sw]))
 	}
 	return total
 }
 
 // localCost evaluates the weighted objective restricted to the given pipes
-// and switches (the hop term is global: s.totalHops). Comparing localCost
-// before and after a tentative change yields the global cost delta, because
-// contributions outside the affected sets are unchanged.
+// and switches (the hop term is global: s.totalHops). globalCost sums it over
+// everything; the change a candidate would make to that sum is what wiDelta
+// returns, without applying the candidate.
 func (s *state) localCost(pairs [][2]int, switches []int) int {
 	links, quad := 0, 0
 	for _, p := range pairs {

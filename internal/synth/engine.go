@@ -7,27 +7,26 @@ import (
 	"repro/internal/model"
 )
 
-// This file is the allocation-free incremental move engine: an explicit undo
-// journal with nested marks (replacing tryMove's undo closures), a per-state
-// route arena (replacing per-move route copies), and a state pool that
-// recycles every matrix and scratch buffer across restarts.
+// This file is the allocation-free incremental move engine: the raw mutators
+// that keep the count tables exact, an undo journal for the one scope that
+// still applies before it decides (a merge attempt), a per-state route arena
+// (replacing per-move route copies), and a state pool that recycles every
+// matrix and scratch buffer across restarts.
 //
 // Contract (see DESIGN.md §13):
 //
+//   - Candidates are priced by the what-if evaluator (whatif.go), which
+//     mutates nothing; only a winner reaches the mutators here.
 //   - All pipe/placement mutations go through setRoute/reattachNoReroute.
-//     With no probe open (jDepth == 0) a mutation is a commit and leaves no
-//     record. Inside a probe (between beginProbe and rollback/keep) it is
-//     journaled first.
-//   - rollback(m) reverse-replays the journal down to the mark through the
-//     raw mutators and pops the route arena to the mark, restoring the state
-//     bit-for-bit (including swProcs list order: a probed processor ends up
-//     at the end of its home list, exactly as the apply/undo round trip of
-//     the reference evaluator — the test oracle in moveref_test.go — leaves
-//     it).
-//   - keep(m) retains the mutations. The journal is truncated only when the
-//     outermost scope closes, so an enclosing rollback still undoes them. It
-//     never pops the arena: committed routes own their arena bytes until
-//     reset().
+//     With no probe open a mutation is a commit and leaves no record. Inside
+//     one (between beginProbe and rollback/keep) it is journaled first.
+//     mergeRefine is the only caller of beginProbe, so scopes never nest.
+//   - rollback(m) reverse-replays the journal through the raw mutators and
+//     pops the route arena to the mark, restoring the state bit-for-bit
+//     except swProcs list order: a processor moved and moved back ends up at
+//     the end of its home list.
+//   - keep() retains the mutations and drops the journal. It never pops the
+//     arena: committed routes own their arena bytes until reset().
 //   - Route slices are immutable headers once installed: direct one- and
 //     two-switch routes are shared cached headers, longer routes live in the
 //     arena (or on the heap for rare oversized paths). Nothing ever writes
@@ -43,9 +42,8 @@ const (
 	jeAttach = uint8(1)
 )
 
-// jmark is a journal + arena position returned by beginProbe.
+// jmark is the arena position beginProbe returns.
 type jmark struct {
-	n     int // journal length
 	chunk int // arena chunk index
 	off   int // arena offset within chunk
 }
@@ -85,42 +83,34 @@ func (a *routeArena) alloc(n int) []int {
 func (a *routeArena) restore(chunk, off int) { a.ci, a.off = chunk, off }
 func (a *routeArena) reset()                 { a.ci, a.off = 0, 0 }
 
-// beginProbe opens a nested probe scope: subsequent setRoute and
-// reattachNoReroute calls are journaled instead of committed.
+// beginProbe opens the probe scope: until rollback or keep, setRoute and
+// reattachNoReroute calls are journaled before they are applied.
 func (s *state) beginProbe() jmark {
-	s.jDepth++
-	return jmark{n: len(s.journal), chunk: s.arena.ci, off: s.arena.off}
+	s.probing = true
+	return jmark{chunk: s.arena.ci, off: s.arena.off}
 }
 
-// rollback restores the state to the mark: journal entries are reverse-
-// replayed through the raw mutators (no journaling) and the arena is popped,
-// so probe-allocated routes are reclaimed.
+// rollback restores the state to the mark: the journal is reverse-replayed
+// through the raw mutators and the arena is popped, so probe-allocated routes
+// are reclaimed.
 func (s *state) rollback(m jmark) {
-	for i := len(s.journal) - 1; i >= m.n; i-- {
-		e := &s.journal[i]
-		if e.kind == jeRoute {
+	for i := len(s.journal) - 1; i >= 0; i-- {
+		if e := &s.journal[i]; e.kind == jeRoute {
 			s.setRouteRaw(int(e.a), e.route)
 		} else {
 			s.moveProcRaw(int(e.a), int(e.b))
 		}
-		e.route = nil
 	}
-	s.journal = s.journal[:m.n]
 	s.arena.restore(m.chunk, m.off)
-	s.jDepth--
+	s.keep()
 }
 
-// keep retains the probe's mutations. The journal is truncated only when the
-// outermost scope closes, so an enclosing rollback still sees every entry;
-// the arena is never popped.
-func (s *state) keep(m jmark) {
-	s.jDepth--
-	if s.jDepth == 0 {
-		for i := m.n; i < len(s.journal); i++ {
-			s.journal[i].route = nil
-		}
-		s.journal = s.journal[:m.n]
-	}
+// keep closes the probe scope, retaining its mutations. The arena is not
+// popped.
+func (s *state) keep() {
+	clear(s.journal) // drop the route headers
+	s.journal = s.journal[:0]
+	s.probing = false
 }
 
 // setRouteRaw is the journal-free route mutator: it maintains the pipe flow
@@ -251,13 +241,8 @@ func (s *state) foldWidth(from, to int, w int32) {
 // list, append to the end of the target's.
 func (s *state) moveProcRaw(p, to int) {
 	from := s.home[p]
-	procs := s.swProcs[from]
-	for i, q := range procs {
-		if q == p {
-			s.swProcs[from] = append(procs[:i], procs[i+1:]...)
-			break
-		}
-	}
+	s.procToEnd(p)
+	s.swProcs[from] = s.swProcs[from][:len(s.swProcs[from])-1]
 	s.home[p] = to
 	s.swProcs[to] = append(s.swProcs[to], p)
 }
@@ -311,110 +296,6 @@ func (s *state) persistReversed(cand []int) []int {
 		out[n-1-i] = x
 	}
 	return out
-}
-
-// movePairs collects, into pairScratch, the pipe pairs a move of processor p
-// to switch `to` can affect: the pairs crossed by p's current routes, then
-// the predicted direct pairs of those flows under the moved placement — the
-// same set (and order) the reference engine discovers by applying the move.
-func (s *state) movePairs(p, to int) [][2]int {
-	pairs := s.pairScratch[:0]
-	for _, fi := range s.procFlows[p] {
-		pairs = addRoutePairs(pairs, s.routes[fi])
-	}
-	for _, fi := range s.procFlows[p] {
-		f := s.flows[fi]
-		a, b := s.home[f.Src], s.home[f.Dst]
-		if f.Src == p {
-			a = to
-		}
-		if f.Dst == p {
-			b = to
-		}
-		if a != b {
-			pairs = addPair(pairs, a, b)
-		}
-	}
-	return pairs
-}
-
-// applyMove evaluates moving p to `to` and leaves the move applied inside an
-// open probe scope: the caller commits with keep(m) or reverts with
-// rollback(m). The "before" cost comes from the current state — no
-// apply/undo/recost/reapply round trip.
-func (s *state) applyMove(p, to int) (int, jmark) {
-	from := s.home[p]
-	pairs := s.movePairs(p, to)
-	sws := s.switchesOf(pairs, from, to)
-	before := s.localCost(pairs, sws)
-	m := s.beginProbe()
-	s.reattach(p, to)
-	after := s.localCost(pairs, sws)
-	s.pairScratch = pairs[:0]
-	s.stats.MovesEvaluated++
-	return after - before, m
-}
-
-// probeMove is applyMove immediately rolled back: the cost delta of a move,
-// leaving only the reference-identical list permutation behind.
-func (s *state) probeMove(p, to int) int {
-	delta, m := s.applyMove(p, to)
-	// rollback replays the attach entry through moveProcRaw, which nets p to
-	// the end of its home list — the same permutation the reference engine's
-	// apply/undo round trip leaves.
-	s.rollback(m)
-	return delta
-}
-
-// applySwap evaluates exchanging the homes of p and q, leaving the swap
-// applied inside an open probe scope (keep to commit, rollback to revert).
-func (s *state) applySwap(p, q int) (int, jmark) {
-	sp, sq := s.home[p], s.home[q]
-	pairs := s.pairScratch[:0]
-	for _, fi := range s.procFlows[p] {
-		pairs = addRoutePairs(pairs, s.routes[fi])
-	}
-	for _, fi := range s.procFlows[q] {
-		pairs = addRoutePairs(pairs, s.routes[fi])
-	}
-	for k := 0; k < 2; k++ {
-		proc := p
-		if k == 1 {
-			proc = q
-		}
-		for _, fi := range s.procFlows[proc] {
-			f := s.flows[fi]
-			a, b := s.home[f.Src], s.home[f.Dst]
-			if f.Src == p {
-				a = sq
-			} else if f.Src == q {
-				a = sp
-			}
-			if f.Dst == p {
-				b = sq
-			} else if f.Dst == q {
-				b = sp
-			}
-			if a != b {
-				pairs = addPair(pairs, a, b)
-			}
-		}
-	}
-	sws := s.switchesOf(pairs, sp, sq)
-	before := s.localCost(pairs, sws)
-	m := s.beginProbe()
-	s.reattachNoReroute(p, sq)
-	s.reattachNoReroute(q, sp)
-	for _, fi := range s.procFlows[p] {
-		s.setRoute(fi, s.directRoute(fi))
-	}
-	for _, fi := range s.procFlows[q] {
-		s.setRoute(fi, s.directRoute(fi))
-	}
-	after := s.localCost(pairs, sws)
-	s.pairScratch = pairs[:0]
-	s.stats.MovesEvaluated++
-	return after - before, m
 }
 
 // allSwitches fills the reusable all-switch list [0, nsw).
@@ -572,7 +453,7 @@ func (s *state) reset() {
 	s.swDepth = append(s.swDepth[:0], 0)
 
 	s.journal = s.journal[:0]
-	s.jDepth = 0
+	s.probing = false
 	s.arena.reset()
 	if cap(s.routes) < nf {
 		s.routes = make([][]int, nf)

@@ -46,13 +46,17 @@ func crossFlow(t *testing.T, s *state) int {
 	return -1
 }
 
-func TestJournalNestedRollbackRestoresExactly(t *testing.T) {
+// TestJournalRollbackRestoresExactly mutates one flow's route and one
+// processor's home twice each inside a probe scope — the second time back to
+// where they started, so the journal holds entries that overwrite each other
+// — and requires the rollback to restore placement, routes and tables.
+func TestJournalRollbackRestoresExactly(t *testing.T) {
 	s := threeSwitchState(t, 11)
 	fi := crossFlow(t, s)
 	f := s.flows[fi]
 	before := snapshotFull(s)
 
-	m1 := s.beginProbe()
+	m := s.beginProbe()
 	a, b := s.home[f.Src], s.home[f.Dst]
 	via := -1
 	for sw := range s.swProcs {
@@ -66,22 +70,19 @@ func TestJournalNestedRollbackRestoresExactly(t *testing.T) {
 	s.setRoute(fi, r)
 	p := s.swProcs[a][0]
 	s.reattachNoReroute(p, b)
-
-	m2 := s.beginProbe()
 	s.setRoute(fi, s.cachedDirect(s.home[f.Src], s.home[f.Dst]))
 	s.reattachNoReroute(p, a)
-	s.rollback(m2)
-	if s.home[p] != b || len(s.routes[fi]) != 3 {
-		t.Fatal("inner rollback undid outer mutations")
+	if len(s.journal) != 4 {
+		t.Fatalf("journal holds %d entries, want 4", len(s.journal))
 	}
-	s.rollback(m1)
+	s.rollback(m)
 
 	if !equalSnapshots(before, snapshotFull(s)) {
-		t.Fatal("nested rollback did not restore state")
+		t.Fatal("rollback did not restore state")
 	}
 	checkStateInvariants(t, s)
-	if len(s.journal) != 0 || s.jDepth != 0 {
-		t.Fatalf("journal not drained: len=%d depth=%d", len(s.journal), s.jDepth)
+	if len(s.journal) != 0 || s.probing {
+		t.Fatalf("journal not drained: len=%d probing=%v", len(s.journal), s.probing)
 	}
 }
 
@@ -104,43 +105,23 @@ func TestJournalKeepCommits(t *testing.T) {
 	r[0], r[1], r[2] = a, via, b
 	s.setRoute(fi, r)
 	s.reattach(p, a)
-	s.keep(m)
+	s.keep()
 
 	if s.home[p] != a || len(s.routes[fi]) != 3 {
 		t.Fatal("keep lost mutations")
 	}
-	if len(s.journal) != 0 || s.jDepth != 0 {
-		t.Fatalf("journal not truncated after outermost keep: len=%d depth=%d", len(s.journal), s.jDepth)
-	}
-	checkStateInvariants(t, s)
-}
-
-func TestJournalInnerKeepOuterRollback(t *testing.T) {
-	s := threeSwitchState(t, 17)
-	fi := crossFlow(t, s)
-	before := snapshotFull(s)
-
-	m1 := s.beginProbe()
-	p := s.swProcs[s.home[s.flows[fi].Src]][0]
-	to := s.home[s.flows[fi].Dst]
-	s.reattachNoReroute(p, to)
-	m2 := s.beginProbe()
-	s.setRoute(fi, s.cachedDirect(s.home[s.flows[fi].Src], s.home[s.flows[fi].Dst]))
-	s.keep(m2) // inner keep must leave entries for the enclosing scope
-	s.rollback(m1)
-
-	if !equalSnapshots(before, snapshotFull(s)) {
-		t.Fatal("outer rollback could not undo inner-kept mutations")
+	if len(s.journal) != 0 || s.probing || s.arena.off == m.off {
+		t.Fatalf("after keep: journal len=%d probing=%v arena offset %d (mark %d)", len(s.journal), s.probing, s.arena.off, m.off)
 	}
 	checkStateInvariants(t, s)
 }
 
 // TestJournalMergeShapedRollback is the shape of a discarded merge attempt:
-// an outer probe moves a whole switch's processors, Best_Route and
-// eliminatePipes open and keep or roll back their own scopes inside it, and
-// the outer rollback must undo all of it — placement, routes, tables and the
-// arena position — leaving only the emptied switch's processor list reversed,
-// which mergeRefine sorts.
+// a probe moves a whole switch's processors, Best_Route and eliminatePipes
+// price their candidates without touching the journal and commit their
+// winners into it, and the rollback must undo all of it — placement, routes,
+// tables and the arena position — leaving only the emptied switch's processor
+// list reversed, which mergeRefine sorts.
 func TestJournalMergeShapedRollback(t *testing.T) {
 	s := threeSwitchState(t, 23)
 	before := snapshotFull(s)
@@ -159,15 +140,14 @@ func TestJournalMergeShapedRollback(t *testing.T) {
 		if ha == hb {
 			continue
 		}
-		mk := s.beginProbe()
 		s.setRoute(fi, s.viaRoute(ha, 3-ha-hb, hb)) // three switches: the third is the via
-		s.keep(mk)
 		inner++
 	}
+	n := len(s.journal)
 	s.bestRoute([]int{a}, nil)
 	s.eliminatePipes()
-	if inner == 0 || s.jDepth != 1 || len(s.journal) == 0 {
-		t.Fatalf("inner scopes kept %d, depth %d, journal %d: nothing for the outer rollback to undo", inner, s.jDepth, len(s.journal))
+	if inner == 0 || !s.probing || len(s.journal) <= n {
+		t.Fatalf("%d reroutes, probing %v, journal %d then %d: Best_Route committed nothing for the rollback to undo", inner, s.probing, n, len(s.journal))
 	}
 	s.rollback(m)
 
@@ -177,8 +157,8 @@ func TestJournalMergeShapedRollback(t *testing.T) {
 	if s.arena.ci != ci || s.arena.off != off {
 		t.Fatalf("arena at (%d,%d) after rollback, mark was (%d,%d)", s.arena.ci, s.arena.off, ci, off)
 	}
-	if len(s.journal) != 0 || s.jDepth != 0 {
-		t.Fatalf("journal not drained: len=%d depth=%d", len(s.journal), s.jDepth)
+	if len(s.journal) != 0 || s.probing {
+		t.Fatalf("journal not drained: len=%d probing=%v", len(s.journal), s.probing)
 	}
 	if got := fmt.Sprint(s.swProcs[a]); got != listA {
 		t.Fatalf("receiving switch's list %s, was %s", got, listA)
@@ -490,11 +470,14 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 
 // FuzzMoveEngine decodes its input into a small phased pattern (flows may
 // repeat across phases, so a flow can sit in several cliques) and a sequence
-// of engine operations — splits, moves, reroutes (including a route that
-// crosses one pipe direction twice), move and swap probes kept or rolled
-// back, nested scopes, Best_Route, eliminatePipes, merge sweeps — and after
-// every one holds the cost tables to the from-scratch oracle and portBound to
-// the degree it bounds (checkTables, via checkStateInvariants).
+// of engine operations — splits, moves, reroutes (including routes that cross
+// one pipe direction twice or hop from a switch to itself), swaps, a rolled-
+// back probe scope, Best_Route, eliminatePipes, merge sweeps. After every one
+// it prices a move, a swap, a group reroute and a pipe elimination with the
+// what-if evaluator and with the mutating oracle (whatif_test.go's compare
+// helpers) and requires equal deltas, then holds the cost tables to the
+// from-scratch oracle, portBound to the degree it bounds and the evaluator's
+// scratch to all-zero (checkStateInvariants).
 func FuzzMoveEngine(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		buf := make([]byte, 96)
@@ -549,16 +532,12 @@ func FuzzMoveEngine(f *testing.F) {
 					s.setRoute(fi, []int{a, sw, a, sw, b}) // (a,sw) twice
 				}
 			case 4:
-				if sw != s.home[p] {
-					s.probeMove(p, sw)
+				if a != b && sw != a {
+					s.setRoute(fi, []int{a, a, sw, b}) // (a,a), a self-loop hop
 				}
 			case 5:
 				if s.home[p] != s.home[q] {
-					if _, m := s.applySwap(p, q); fi%2 == 0 {
-						s.keep(m)
-					} else {
-						s.rollback(m)
-					}
+					s.swapHomes(p, q)
 				}
 			case 6:
 				m := s.beginProbe()
@@ -573,6 +552,15 @@ func FuzzMoveEngine(f *testing.F) {
 			case 8:
 				s.mergeRefine()
 			}
+			if sw != s.home[p] {
+				compareMove(t, s, p, sw)
+			}
+			if s.home[p] != s.home[q] {
+				compareSwap(t, s, p, q)
+			}
+			compareGroup(t, s, fi, sw)
+			comparePipe(t, s, s.home[p], sw, s.home[q])
+			comparePipe(t, s, s.home[p], sw, -1)
 			checkStateInvariants(t, s)
 		}
 	})

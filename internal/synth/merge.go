@@ -93,7 +93,7 @@ func (s *state) mergeRefine() bool {
 				s.eliminatePipes()
 			}
 			if !s.anyViolation() && s.consolidationScore() < before {
-				s.keep(m)
+				s.keep()
 				s.stats.GlobalMoves += len(procs)
 				changed = true
 			} else {

@@ -2,27 +2,65 @@ package synth
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
-// The reference move evaluator, kept as a test oracle: the original
-// closure-based tryMove/trySwap with their apply/undo/recost/reapply round
-// trip, the step 7-9 loops that rebuild and re-probe every candidate each
-// iteration, cost functions that recompute every width and degree from the
-// pipe bitsets instead of reading the count tables, and the merge loop that
-// attempts every pair in full and undoes it from a snapshot. Nothing here is
-// compiled into a binary. TestMoveEngineRandomEquivalence drives one state
-// through these entry points and a twin through
-// probeMove/optimizeMoves/swapRefine, and requires equal deltas, stats, state
-// and table values after every operation; TestMergeRefineMatchesReference
-// does the same for mergeRefine; the end-to-end half of the comparison is the
-// golden corpus (golden_test.go), generated with this evaluator driving full
-// runs.
+// The reference move evaluator, kept as a test oracle: every candidate is
+// applied, measured and undone. It holds the original closure-based
+// tryMove/trySwap with their apply/undo/recost/reapply round trip, the same
+// mutate-and-measure pricing of a group reroute and of a pipe elimination
+// (groupRouteDeltaRef, pipeEliminationDeltaRef), the affected-pair and
+// affected-switch lists those measure over (addPair, addRoutePairs,
+// switchesOf), the step 7-9 loops that rebuild and re-probe every candidate
+// each iteration, cost functions that recompute every width and degree from
+// the pipe bitsets instead of reading the count tables, and the merge loop
+// that attempts every pair in full and undoes it from a snapshot. Nothing here
+// is compiled into a binary: production prices candidates without applying
+// them (whatif.go). TestMoveEngineRandomEquivalence drives one state through
+// these entry points and a twin through probeMove/optimizeMoves/swapRefine,
+// and requires equal deltas, stats, state and table values after every
+// operation; TestWhatIfMatchesOracle, TestWhatIfPitfalls and FuzzMoveEngine
+// hold every kind of what-if delta to this file's on the same state
+// (whatif_test.go); TestMergeRefineMatchesReference does the lockstep for
+// mergeRefine; the end-to-end half of the comparison is the golden corpus
+// (golden_test.go), generated with this evaluator driving full runs.
 //
-// The oracle runs on an ordinary arena-backed state with no probe open. The
-// route headers its undo closures capture are committed routes, which own
-// their arena bytes until reset(): a rollback pops only to its own mark, and
-// every mark is taken above them.
+// The oracle runs on an ordinary arena-backed state with no probe open, so
+// its setRoute and reattach calls are commits. The route headers its undo
+// closures capture are committed routes, which own their arena bytes until
+// reset(): a rollback pops only to its own mark, and every mark is taken
+// above them.
+
+// addPair appends the canonical unordered pair (a,b) to pairs if absent.
+func addPair(pairs [][2]int, a, b int) [][2]int {
+	if p := pairKey(a, b); !slices.Contains(pairs, p) {
+		pairs = append(pairs, p)
+	}
+	return pairs
+}
+
+// addRoutePairs records every pipe a route crosses.
+func addRoutePairs(pairs [][2]int, r []int) [][2]int {
+	for i := 1; i < len(r); i++ {
+		pairs = addPair(pairs, r[i-1], r[i])
+	}
+	return pairs
+}
+
+// switchesOf collects the distinct endpoints of a pipe set plus any extras.
+func switchesOf(pairs [][2]int, extra ...int) []int {
+	var sws []int
+	for _, p := range pairs {
+		extra = append(extra, p[0], p[1])
+	}
+	for _, x := range extra {
+		if !slices.Contains(sws, x) {
+			sws = append(sws, x)
+		}
+	}
+	return sws
+}
 
 // routeUndo captures route state for rollback.
 type routeUndo struct {
@@ -48,7 +86,7 @@ func (s *state) directRouteAlloc(fi int) []int {
 func (s *state) tryMove(p, to int) (delta int, undo func()) {
 	from := s.home[p]
 	var undos []routeUndo
-	pairs := s.pairScratch[:0]
+	var pairs [][2]int
 	for _, fi := range s.procFlows[p] {
 		r := s.routes[fi]
 		undos = append(undos, routeUndo{fi: fi, route: r})
@@ -59,7 +97,7 @@ func (s *state) tryMove(p, to int) (delta int, undo func()) {
 	for _, fi := range s.procFlows[p] {
 		pairs = addRoutePairs(pairs, s.routes[fi])
 	}
-	sws := s.switchesOf(pairs, from, to)
+	sws := switchesOf(pairs, from, to)
 	after := s.localCostRef(pairs, sws)
 	undoFn := func() {
 		s.reattachNoReroute(p, from)
@@ -71,7 +109,6 @@ func (s *state) tryMove(p, to int) (delta int, undo func()) {
 	undoFn()
 	before := s.localCostRef(pairs, sws)
 	s.reattach(p, to)
-	s.pairScratch = pairs[:0]
 	s.stats.MovesEvaluated++
 	return after - before, undoFn
 }
@@ -81,7 +118,7 @@ func (s *state) tryMove(p, to int) (delta int, undo func()) {
 func (s *state) trySwap(p, q int) (int, func()) {
 	sp, sq := s.home[p], s.home[q]
 	var undos []routeUndo
-	pairs := s.pairScratch[:0]
+	var pairs [][2]int
 	record := func(proc int) {
 		for _, fi := range s.procFlows[proc] {
 			r := s.routes[fi]
@@ -105,7 +142,7 @@ func (s *state) trySwap(p, q int) (int, func()) {
 			pairs = addRoutePairs(pairs, s.routes[fi])
 		}
 	}
-	sws := s.switchesOf(pairs, sp, sq)
+	sws := switchesOf(pairs, sp, sq)
 	after := s.localCostRef(pairs, sws)
 	undo := func() {
 		s.reattachNoReroute(p, sp)
@@ -134,9 +171,77 @@ func (s *state) trySwap(p, q int) (int, func()) {
 	s.reattachNoReroute(q, sp)
 	redirect(p)
 	redirect(q)
-	s.pairScratch = pairs[:0]
 	s.stats.MovesEvaluated++
 	return after - before, undo
+}
+
+// groupRouteDeltaRef is the mutate-and-measure groupRouteDelta: the group is
+// routed onto cand (and its mirror), costed, and routed back.
+func (s *state) groupRouteDeltaRef(g group, cand []int) int {
+	pairs := addRoutePairs(nil, s.routes[g[0]])
+	if g[1] >= 0 {
+		pairs = addRoutePairs(pairs, s.routes[g[1]])
+	}
+	pairs = addRoutePairs(pairs, cand)
+	sws := switchesOf(pairs)
+	before := s.localCostRef(pairs, sws)
+	old := [2][]int{s.routes[g[0]], nil}
+	s.setRoute(g[0], cand)
+	if g[1] >= 0 {
+		old[1] = s.routes[g[1]]
+		rev := slices.Clone(cand)
+		slices.Reverse(rev)
+		s.setRoute(g[1], rev)
+	}
+	after := s.localCostRef(pairs, sws)
+	if g[1] >= 0 {
+		s.setRoute(g[1], old[1])
+	}
+	s.setRoute(g[0], old[0])
+	return after - before
+}
+
+// pipeEliminationDeltaRef is the mutate-and-measure pipeEliminationDelta:
+// every flow of ids is taken off pipe (a,b), the batch is costed, and every
+// route is put back.
+func (s *state) pipeEliminationDeltaRef(ids []int, a, b, m int) int {
+	for _, fi := range ids {
+		f := s.flows[fi]
+		ha, hb := s.home[f.Src], s.home[f.Dst]
+		if pairKey(ha, hb) == pairKey(a, b) && (m < 0 || m == ha || m == hb) {
+			return 0
+		}
+	}
+	var pairs [][2]int
+	var undos []routeUndo
+	for _, fi := range ids {
+		pairs = addRoutePairs(pairs, s.routes[fi])
+		undos = append(undos, routeUndo{fi: fi, route: s.routes[fi]})
+		f := s.flows[fi]
+		ha, hb := s.home[f.Src], s.home[f.Dst]
+		if pairKey(ha, hb) != pairKey(a, b) {
+			pairs = addPair(pairs, ha, hb)
+		} else {
+			pairs = addPair(pairs, ha, m)
+			pairs = addPair(pairs, m, hb)
+		}
+	}
+	sws := switchesOf(pairs)
+	before := s.localCostRef(pairs, sws)
+	for _, fi := range ids {
+		f := s.flows[fi]
+		ha, hb := s.home[f.Src], s.home[f.Dst]
+		if pairKey(ha, hb) != pairKey(a, b) {
+			s.setRoute(fi, []int{ha, hb})
+		} else {
+			s.setRoute(fi, []int{ha, m, hb})
+		}
+	}
+	after := s.localCostRef(pairs, sws)
+	for _, u := range undos {
+		s.setRoute(u.fi, u.route)
+	}
+	return after - before
 }
 
 // optimizeMovesRef is the reference step 7-9 loop: the candidate slice is

@@ -66,15 +66,26 @@ func (s *state) swapRefine() bool {
 			if s.home[p] == s.home[q] {
 				continue
 			}
-			delta, m := s.applySwap(p, q)
-			if delta < 0 {
-				s.keep(m)
+			if s.probeSwap(p, q) < 0 {
+				s.swapHomes(p, q)
 				s.stats.MovesCommitted++
 				changed = true
-			} else {
-				s.rollback(m)
 			}
 		}
 	}
 	return changed
+}
+
+// swapHomes exchanges the homes of p and q and reroutes both processors'
+// flows directly.
+func (s *state) swapHomes(p, q int) {
+	sp, sq := s.home[p], s.home[q]
+	s.reattachNoReroute(p, sq)
+	s.reattachNoReroute(q, sp)
+	for _, fi := range s.procFlows[p] {
+		s.setRoute(fi, s.directRoute(fi))
+	}
+	for _, fi := range s.procFlows[q] {
+		s.setRoute(fi, s.directRoute(fi))
+	}
 }

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -296,6 +297,22 @@ func checkStateInvariants(t *testing.T, s *state) {
 		}
 	}
 	checkTables(t, s)
+	// The what-if evaluator's scratch is all-zero between evaluations.
+	wi := &s.wi
+	if len(wi.dirs) != 0 || len(wi.sws) != 0 || wi.hops != 0 {
+		t.Fatalf("what-if scratch not cleared: %d directions, %d switches, %d hops pending", len(wi.dirs), len(wi.sws), wi.hops)
+	}
+	for name, cells := range map[string][]int32{"slot": wi.slot, "overlay": wi.ov} {
+		if i := slices.IndexFunc(cells, func(n int32) bool { return n != 0 }); i >= 0 {
+			t.Fatalf("what-if %s[%d] = %d between evaluations", name, i, cells[i])
+		}
+	}
+	if i := slices.IndexFunc(wi.deg, func(n int64) bool { return n != 0 }); i >= 0 {
+		t.Fatalf("what-if deg[%d] = %d between evaluations", i, wi.deg[i])
+	}
+	if len(wi.slot) != len(s.dirW) || len(wi.deg) != len(s.sumW) {
+		t.Fatalf("what-if scratch sized %d/%d, tables %d/%d", len(wi.slot), len(wi.deg), len(s.dirW), len(s.sumW))
+	}
 }
 
 // checkTables holds every maintained cost table to a from-scratch

@@ -205,10 +205,11 @@ type state struct {
 	pairW  []int32
 	sumW   []int64
 
-	// Undo journal and route arena (engine.go).
+	// Undo journal, open while probing, and route arena (engine.go).
 	journal []journalEntry
-	jDepth  int
+	probing bool
 	arena   routeArena
+	wi      whatIf // the what-if evaluator's scratch (whatif.go)
 
 	// Shared immutable direct-route headers: selfRoute[a] = [a],
 	// pairRoute[a*stride+b] = [a,b]; contents depend only on the indices,
@@ -239,8 +240,6 @@ type state struct {
 
 	// Reusable scratch for cost evaluation; helpers fully consume them
 	// before returning (no nesting), so one buffer each suffices.
-	pairScratch  [][2]int
-	swScratch    []int
 	idScratch    []int
 	nbrScratch   []int
 	candScratch  []int
@@ -323,13 +322,16 @@ func (s *state) growStride(n int) {
 	selfRoute := make([][]int, stride)
 	copy(selfRoute, s.selfRoute)
 	s.selfRoute = selfRoute
+	// All-zero between evaluations, so nothing to carry over.
+	s.wi.slot = make([]int32, stride*stride)
+	s.wi.deg = make([]int64, stride)
 }
 
 // setRoute replaces a flow's route, maintaining the per-pipe flow sets,
 // tables, and total hop count. Inside a probe it journals the old header for
 // rollback first.
 func (s *state) setRoute(fi int, route []int) {
-	if s.jDepth > 0 {
+	if s.probing {
 		s.journal = append(s.journal, journalEntry{kind: jeRoute, a: int32(fi), route: s.routes[fi]})
 	}
 	s.setRouteRaw(fi, route)
@@ -374,60 +376,13 @@ func (s *state) reattach(p, to int) {
 }
 
 // reattachNoReroute moves the processor without touching routes; its callers
-// (reattach, applySwap) reroute afterwards. Inside a probe it journals the
+// (reattach, swapHomes) reroute afterwards. Inside a probe it journals the
 // old home for rollback first.
 func (s *state) reattachNoReroute(p, to int) {
-	if s.jDepth > 0 {
+	if s.probing {
 		s.journal = append(s.journal, journalEntry{kind: jeAttach, a: int32(p), b: int32(s.home[p])})
 	}
 	s.moveProcRaw(p, to)
-}
-
-// addPair appends the canonical unordered pair (a,b) to pairs if absent.
-// The affected sets a tentative change touches are tiny, so a linear scan
-// beats hashing.
-func addPair(pairs [][2]int, a, b int) [][2]int {
-	if b < a {
-		a, b = b, a
-	}
-	p := [2]int{a, b}
-	for _, q := range pairs {
-		if q == p {
-			return pairs
-		}
-	}
-	return append(pairs, p)
-}
-
-// addRoutePairs records every pipe a route crosses.
-func addRoutePairs(pairs [][2]int, r []int) [][2]int {
-	for i := 1; i < len(r); i++ {
-		pairs = addPair(pairs, r[i-1], r[i])
-	}
-	return pairs
-}
-
-// switchesOf collects the distinct endpoints of a pipe set plus any extras
-// into the reusable scratch buffer.
-func (s *state) switchesOf(pairs [][2]int, extra ...int) []int {
-	sws := s.swScratch[:0]
-	add := func(x int) {
-		for _, y := range sws {
-			if y == x {
-				return
-			}
-		}
-		sws = append(sws, x)
-	}
-	for _, p := range pairs {
-		add(p[0])
-		add(p[1])
-	}
-	for _, x := range extra {
-		add(x)
-	}
-	s.swScratch = sws
-	return sws
 }
 
 // balancedAfterMove checks the Appendix's step 8 balance rule: a move must
@@ -521,10 +476,10 @@ func (s *state) annealMoves(i, j int) {
 			temp *= s.opt.Anneal.Cooling
 			continue
 		}
-		delta, m := s.applyMove(p, to)
+		delta := s.probeMove(p, to)
 		accept := delta < 0 || s.rng.Float64() < math.Exp(-float64(delta)/temp)
 		if accept {
-			s.keep(m)
+			s.reattach(p, to)
 			s.stats.MovesCommitted++
 			if !s.opt.DisableBestRoute {
 				s.touchBuf[0], s.touchBuf[1] = i, j
@@ -532,7 +487,6 @@ func (s *state) annealMoves(i, j int) {
 			}
 		} else {
 			s.stats.MovesRejected++
-			s.rollback(m)
 		}
 		refresh = true
 		temp *= s.opt.Anneal.Cooling
