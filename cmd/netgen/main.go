@@ -31,6 +31,10 @@ func main() {
 		maxProcs  = flag.Int("maxprocs", 4, "maximum processors per switch")
 		restarts  = flag.Int("restarts", 4, "synthesis restarts")
 		out       = flag.String("o", "", "write topology JSON to this file")
+		gwWidth   = flag.Int("gateway-width", 0, "links per gateway pipe between a chiplet and the NoI (0 = 1)")
+		noiDelay  = flag.Int("noi-link-delay", 0, "cycles per flit hop on NoI and gateway links (0 = 2)")
+		noiDeg    = flag.Int("noi-maxdegree", 0, "maximum NoI switch degree (0 = same as the chiplet level)")
+		noiProcs  = flag.Int("noi-maxprocs", 0, "maximum gateway endpoints per NoI switch (0 = same as the chiplet level)")
 		shared    cliutil.Flags
 	)
 	shared.RegisterSeed(flag.CommandLine, "synthesis seed")
@@ -69,7 +73,15 @@ func main() {
 		Obs:         shared.Observer(),
 	}
 	if shared.Clusters != "" {
-		if err := runHier(pat, opt, &shared, *out); err != nil {
+		hopt := hier.Options{
+			MaxGateways:  shared.MaxGateways,
+			GatewayWidth: *gwWidth,
+			NoILinkDelay: *noiDelay,
+			NoC:          opt,
+			NoI:          hier.NoIOptions(opt, *noiDeg, *noiProcs),
+			Obs:          shared.Observer(),
+		}
+		if err := runHier(pat, shared.Clusters, hopt, *out); err != nil {
 			fatal(err)
 		}
 		if err := shared.WriteReport("netgen", trace.Summarize(pat)); err != nil {
@@ -120,22 +132,16 @@ func main() {
 	}
 }
 
-// runHier synthesizes and reports a two-level chiplet design: one NoC per
-// cluster, one NoI over the gateways, hier-design v1 on -o.
-func runHier(pat *model.Pattern, base synth.Options, shared *cliutil.Flags, out string) error {
-	spec, err := hier.ParseSpec(shared.Clusters)
+// runHier synthesizes and reports a two-level chiplet design for the
+// -clusters spec: one NoC per cluster, one NoI over the gateways,
+// hier-design v1 on -o.
+func runHier(pat *model.Pattern, clusters string, opt hier.Options, out string) error {
+	spec, err := hier.ParseSpec(clusters)
 	if err != nil {
 		return err
 	}
-	d, err := hier.Synthesize(pat, hier.Options{
-		Spec:         spec,
-		MaxGateways:  shared.MaxGateways,
-		GatewayWidth: shared.GatewayWidth,
-		NoILinkDelay: shared.NoILinkDelay,
-		NoC:          base,
-		NoI:          hier.NoIOptions(base, shared.NoIMaxDegree, shared.NoIMaxProcs),
-		Obs:          shared.Observer(),
-	})
+	opt.Spec = spec
+	d, err := hier.Synthesize(pat, opt)
 	if err != nil {
 		return err
 	}

@@ -87,7 +87,7 @@ func main() {
 	fmt.Printf("pattern:            %s (%d procs, %d messages)\n", pat.Name, pat.Procs, len(pat.Messages))
 	fmt.Printf("topology:           %s\n", *topo)
 	fmt.Printf("execution time:     %d cycles (%.1f us at %g MHz)\n",
-		res.ExecCycles, res.ExecTimeNs(cfg)/1e3, cfg.Normalized().ClockMHz)
+		res.ExecCycles, res.ExecTimeNs()/1e3, flitsim.ClockMHz)
 	fmt.Printf("mean comm time:     %.0f cycles/processor\n", res.CommCycles)
 	fmt.Printf("message latency:    mean %.1f, max %d cycles\n", res.MeanLatency, res.MaxLatency)
 	fmt.Printf("flit-hops:          %d\n", res.FlitHops)

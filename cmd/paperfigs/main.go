@@ -40,7 +40,6 @@ func main() {
 	}
 	cfg.Workers = shared.Workers
 	cfg.Obs = shared.Observer()
-	cfg = cfg.Normalized()
 	run := func(name string, f func() error) {
 		if *fig != "all" && *fig != name {
 			return

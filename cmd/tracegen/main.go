@@ -59,16 +59,12 @@ func main() {
 	if *skew > 0 {
 		pat = trace.ApplySkew(pat, *skew, shared.Seed)
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		err = trace.Encode(os.Stdout, pat)
+	} else {
+		err = writeTrace(*out, pat)
 	}
-	if err := trace.Encode(w, pat); err != nil {
+	if err != nil {
 		fatal(err)
 	}
 	st := trace.Summarize(pat)
@@ -100,20 +96,12 @@ func emitSplit(pat *model.Pattern, shared *cliutil.Flags, out string) error {
 	if err != nil {
 		return err
 	}
-	write := func(sub *model.Pattern, path string) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return trace.Encode(f, sub)
-	}
 	for c, sub := range s.Chiplets {
 		sst := trace.Summarize(sub)
 		fmt.Fprintf(os.Stderr, "  chiplet %d (procs %v, gateways %v): %d messages, |C|=%d\n",
 			c, a.Clusters[c], a.Gateways[c], sst.Messages, sst.ContentionSz)
 		if out != "" {
-			if err := write(sub, fmt.Sprintf("%s.c%d", out, c)); err != nil {
+			if err := writeTrace(fmt.Sprintf("%s.c%d", out, c), sub); err != nil {
 				return err
 			}
 		}
@@ -123,12 +111,26 @@ func emitSplit(pat *model.Pattern, shared *cliutil.Flags, out string) error {
 		fmt.Fprintf(os.Stderr, "  noi (%d gateway endpoints): %d messages (%d inter-cluster), |C|=%d\n",
 			a.NoIProcs, nst.Messages, s.InterMessages, nst.ContentionSz)
 		if out != "" {
-			if err := write(s.NoI, out+".noi"); err != nil {
+			if err := writeTrace(out+".noi", s.NoI); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// writeTrace creates path and encodes the pattern into it; a failed Close is
+// reported, since that is where a short write to a full disk can surface.
+func writeTrace(path string, p *model.Pattern) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.Encode(f, p); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(err error) {

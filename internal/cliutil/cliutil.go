@@ -40,14 +40,10 @@ type Flags struct {
 	Peers           string
 	BulkMaxInflight int
 
-	// Hier group (RegisterHier): the two-level chiplet knobs. Clusters
-	// empty means flat (single-level) operation.
-	Clusters     string
-	MaxGateways  int
-	GatewayWidth int
-	NoILinkDelay int
-	NoIMaxDegree int
-	NoIMaxProcs  int
+	// Hier group (RegisterHier): the clustering of two-level chiplet mode.
+	// Clusters empty means flat (single-level) operation.
+	Clusters    string
+	MaxGateways int
 
 	collector *obs.Collector
 }
@@ -91,22 +87,15 @@ func (f *Flags) RegisterServe(fs *flag.FlagSet) {
 		"bulk-lane synthesis watermark (lane=bulk beyond it returns 429; negative disables the lane)")
 }
 
-// RegisterHier registers the two-level chiplet flag group: -clusters plus
-// the -noi-* level knobs, with identical names, defaults, and help text for
-// every command that can work hierarchically.
+// RegisterHier registers the two-level clustering flags, -clusters and
+// -max-gateways, with identical names, defaults, and help text for every
+// command that can partition a pattern. The NoI level's own knobs belong to
+// netgen, their only reader.
 func (f *Flags) RegisterHier(fs *flag.FlagSet) {
 	fs.StringVar(&f.Clusters, "clusters", "",
 		`cluster spec for two-level chiplet mode: "4", "flow:4", "blocks:4", or explicit "0-3;4-7@4,7" (empty = flat)`)
 	fs.IntVar(&f.MaxGateways, "max-gateways", 0,
 		"cap on gateway processors per cluster (0 = every boundary processor)")
-	fs.IntVar(&f.GatewayWidth, "gateway-width", 0,
-		"links per gateway pipe between a chiplet and the NoI (0 = 1)")
-	fs.IntVar(&f.NoILinkDelay, "noi-link-delay", 0,
-		"cycles per flit hop on NoI and gateway links (0 = 2)")
-	fs.IntVar(&f.NoIMaxDegree, "noi-maxdegree", 0,
-		"maximum NoI switch degree (0 = same as the chiplet level)")
-	fs.IntVar(&f.NoIMaxProcs, "noi-maxprocs", 0,
-		"maximum gateway endpoints per NoI switch (0 = same as the chiplet level)")
 }
 
 // PeerList splits the -peers value into member URLs, dropping empty

@@ -58,10 +58,6 @@ type Config struct {
 	Repeats int
 	// ByteScale multiplies all message sizes. Zero means 1.0.
 	ByteScale float64
-	// ComputeScale multiplies the compute gap separating repeats (the
-	// stand-in for the compute phase between collectives). Zero means
-	// 1.0. As in internal/nas, per-node compute scales with 1/N.
-	ComputeScale float64
 	// Obs receives telemetry: the collective.* counters describing each
 	// generated pattern. Nil disables telemetry at zero cost.
 	Obs obs.Observer
@@ -78,9 +74,6 @@ func (c Config) Normalized() Config {
 	}
 	if c.ByteScale == 0 {
 		c.ByteScale = 1
-	}
-	if c.ComputeScale == 0 {
-		c.ComputeScale = 1
 	}
 	return c
 }
@@ -104,10 +97,11 @@ func (c Config) chunk(nodes int) int {
 	return c.bytes(ch)
 }
 
-// computeGap returns the scaled compute gap following one full execution of
-// the collective, in trace time units.
-func (c Config) computeGap(nodes int) float64 {
-	return c.ComputeScale * 256.0 / float64(nodes) * 16
+// computeGap returns the compute gap following one full execution of the
+// collective (the stand-in for the compute phase between collectives), in
+// trace time units. As in internal/nas, per-node compute scales with 1/N.
+func computeGap(nodes int) float64 {
+	return 256.0 / float64(nodes) * 16
 }
 
 // UnknownCollectiveError reports a request for a collective outside the

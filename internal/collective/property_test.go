@@ -176,13 +176,13 @@ func TestPhasesAreContentionPeriods(t *testing.T) {
 // normalization is idempotent.
 func TestNormalizedDefaults(t *testing.T) {
 	n := Config{}.Normalized()
-	if n.BufferBytes != 16384 || n.Repeats != 2 || n.ByteScale != 1 || n.ComputeScale != 1 {
+	if n.BufferBytes != 16384 || n.Repeats != 2 || n.ByteScale != 1 {
 		t.Errorf("Normalized zero config = %+v", n)
 	}
 	if n != n.Normalized() {
 		t.Error("Normalized is not idempotent")
 	}
-	set := Config{BufferBytes: 64, Repeats: 1, ByteScale: 0.5, ComputeScale: 2}
+	set := Config{BufferBytes: 64, Repeats: 1, ByteScale: 0.5}
 	if got := set.Normalized(); got != set {
 		t.Errorf("Normalized overwrote set fields: %+v", got)
 	}

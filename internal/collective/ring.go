@@ -67,7 +67,7 @@ func ringCollective(name string, passes []string, nodes int, cfg Config) (*model
 		for _, prefix := range passes {
 			phases = ringPass(phases, prefix, nodes, chunk)
 		}
-		phases[len(phases)-1].ComputeAfter = cfg.computeGap(nodes)
+		phases[len(phases)-1].ComputeAfter = computeGap(nodes)
 	}
 	return build(name, nodes, phases), nil
 }

@@ -34,7 +34,7 @@ func TreeBroadcast(nodes int, cfg Config) (*model.Pattern, error) {
 				Bytes: payload,
 			})
 		}
-		phases[len(phases)-1].ComputeAfter = cfg.computeGap(nodes)
+		phases[len(phases)-1].ComputeAfter = computeGap(nodes)
 	}
 	return build(name, nodes, phases), nil
 }

@@ -192,7 +192,7 @@ func (e *engine) reset(pat *model.Pattern, router Router, fb *fabric) {
 	}
 	e.routedChs = e.routedChs[:0]
 
-	scripts := buildScripts(pat, e.cfg)
+	scripts := buildScripts(pat)
 	if cap(e.niArena) < pat.Procs {
 		e.niArena = make([]niState, pat.Procs)
 		e.nis = make([]*niState, pat.Procs)
@@ -293,7 +293,7 @@ func (e *engine) run() error {
 //  3. The earliest in-flight arrival (lower-bounded by e.nextArrival); the
 //     arrivals of a steady cycle are part of what repeats.
 //  4. The earliest script wake-up: busyUntil for compute/send overheads,
-//     max(readyAt, opStart+RecvOverhead) for a posted receive.
+//     max(readyAt, opStart+recvOverhead) for a posted receive.
 //  5. The earliest deadlock-recovery tick (multiple of 32) at which some
 //     in-network packet will have exceeded its doubling stall tolerance. A
 //     packet that moved in a steady cycle moves in every repeat and never
@@ -344,7 +344,7 @@ func (e *engine) nextCycle() int64 {
 			if ready < 0 {
 				continue // woken by a future ejection (an arrival event)
 			}
-			wake := ni.opStart + int64(e.cfg.RecvOverhead)
+			wake := ni.opStart + recvOverhead
 			if ready > wake {
 				wake = ready
 			}
@@ -605,7 +605,7 @@ func (e *engine) stepOne(ni *niState) bool {
 		if !ni.started {
 			ni.started = true
 			ni.opStart = e.now
-			ni.busyUntil = e.now + int64(e.cfg.SendOverhead)
+			ni.busyUntil = e.now + sendOverhead
 		}
 		if e.now < ni.busyUntil {
 			return false
@@ -618,7 +618,7 @@ func (e *engine) stepOne(ni *niState) bool {
 			ni.opStart = e.now
 		}
 		ready := e.readyAt[o.msg]
-		if ready < 0 || e.now < ready || e.now < ni.opStart+int64(e.cfg.RecvOverhead) {
+		if ready < 0 || e.now < ready || e.now < ni.opStart+recvOverhead {
 			return false
 		}
 		ni.comm += e.now - ni.opStart
@@ -633,7 +633,7 @@ func (e *engine) stepOne(ni *niState) bool {
 // the network).
 func (e *engine) postSend(ni *niState, msgID int) {
 	m := e.pat.Messages[msgID]
-	flits := 1 + (m.Bytes+e.cfg.FlitBytes-1)/e.cfg.FlitBytes
+	flits := 1 + (m.Bytes+flitBytes-1)/flitBytes
 	pkt := &e.pktArena[msgID]
 	rl := pkt.routeLink[:0]
 	*pkt = packet{
@@ -844,7 +844,7 @@ func (e *engine) ejectFlits() {
 				v.owner = nil
 				pkt.delivered = true
 				pkt.deliveredAt = e.now
-				e.readyAt[pkt.msgID] = e.now + int64(e.cfg.RecvOverhead)
+				e.readyAt[pkt.msgID] = e.now + recvOverhead
 				e.undelivered--
 				e.dropNet(pkt)
 				lat := e.now - pkt.postedAt
@@ -1000,7 +1000,7 @@ func (e *engine) results() Result {
 		}
 	}
 	for _, c := range e.fb.channels {
-		r.EnergyUnits += float64(c.carried) * (e.cfg.EnergySwitch + e.cfg.EnergyWire*float64(c.delay))
+		r.EnergyUnits += float64(c.carried) * (energySwitch + energyWire*float64(c.delay))
 	}
 	return r
 }

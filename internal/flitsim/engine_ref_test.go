@@ -51,7 +51,7 @@ func simulateReference(pat *model.Pattern, router Router, fb *fabric) (Result, e
 		readyAt:   make(map[int]int64),
 		inputUsed: make(map[*channel]bool),
 	}
-	scripts := buildScripts(pat, e.cfg)
+	scripts := buildScripts(pat)
 	for p := 0; p < pat.Procs; p++ {
 		e.nis = append(e.nis, &niState{proc: p, script: scripts[p]})
 	}
@@ -125,7 +125,7 @@ func (e *refEngine) stepOne(ni *niState) bool {
 		if !ni.started {
 			ni.started = true
 			ni.opStart = e.now
-			ni.busyUntil = e.now + int64(e.cfg.SendOverhead)
+			ni.busyUntil = e.now + sendOverhead
 		}
 		if e.now < ni.busyUntil {
 			return false
@@ -138,7 +138,7 @@ func (e *refEngine) stepOne(ni *niState) bool {
 			ni.opStart = e.now
 		}
 		ready, ok := e.readyAt[o.msg]
-		if !ok || e.now < ready || e.now < ni.opStart+int64(e.cfg.RecvOverhead) {
+		if !ok || e.now < ready || e.now < ni.opStart+recvOverhead {
 			return false
 		}
 		ni.comm += e.now - ni.opStart
@@ -152,7 +152,7 @@ func (e *refEngine) stepOne(ni *niState) bool {
 // immediately for a self-message, which never enters the network).
 func (e *refEngine) postSend(ni *niState, msgID int) {
 	m := e.pat.Messages[msgID]
-	flits := 1 + (m.Bytes+e.cfg.FlitBytes-1)/e.cfg.FlitBytes
+	flits := 1 + (m.Bytes+flitBytes-1)/flitBytes
 	pkt := &packet{
 		msgID:        msgID,
 		src:          m.Src,
@@ -319,7 +319,7 @@ func (e *refEngine) ejectFlits() {
 				v.owner = nil
 				pkt.delivered = true
 				pkt.deliveredAt = e.now
-				e.readyAt[pkt.msgID] = e.now + int64(e.cfg.RecvOverhead)
+				e.readyAt[pkt.msgID] = e.now + recvOverhead
 				lat := e.now - pkt.postedAt
 				e.latSum += lat
 				e.latN++
@@ -464,7 +464,7 @@ func (e *refEngine) results() Result {
 		}
 	}
 	for _, c := range e.fb.channels {
-		r.EnergyUnits += float64(c.carried) * (e.cfg.EnergySwitch + e.cfg.EnergyWire*float64(c.delay))
+		r.EnergyUnits += float64(c.carried) * (energySwitch + energyWire*float64(c.delay))
 	}
 	return r
 }

@@ -6,7 +6,7 @@
 // internal crossbars, virtual channels with credit-based flow control,
 // pipelined links whose delay equals their floorplanned length in tiles, and
 // script-driven end nodes that replay a communication pattern phase by phase
-// with configurable send/receive overheads. Routing is pluggable:
+// with fixed send/receive overheads. Routing is pluggable:
 // dimension-order for meshes, true fully adaptive (minimal) for tori, source
 // routing for generated irregular networks, and trivial routing for the
 // single-switch crossbar. Deadlocks — possible under adaptive and irregular
@@ -14,9 +14,10 @@
 // regressive recovery: the stalled packet is killed, drained, and
 // retransmitted from its source.
 //
-// Default parameters follow Section 4.2: 32-bit flits and links at 800 MHz,
-// 3 virtual channels per physical link, ten-cycle send and receive
-// overheads, and link delay equal to tile distance (minimum one cycle).
+// Parameters follow Section 4.2: 32-bit flits and links at 800 MHz and
+// ten-cycle send and receive overheads are constants; 3 virtual channels per
+// physical link and link delay equal to tile distance (minimum one cycle) are
+// Config defaults.
 package flitsim
 
 import (
@@ -26,25 +27,34 @@ import (
 	"repro/internal/topology"
 )
 
-// Config holds simulator parameters. Zero values select the paper's
-// defaults.
+// The Section 4.2 parameters no caller varies.
+const (
+	// ClockMHz converts cycles to wall time in reports.
+	ClockMHz float64 = 800
+	// flitBytes is the flit width (32 bits).
+	flitBytes = 4
+	// sendOverhead and recvOverhead are the per-message software overheads
+	// in cycles, à la LogP [23].
+	sendOverhead = 10
+	recvOverhead = 10
+	// traceUnitCycles converts a trace compute-time unit into processor
+	// busy cycles: one 64-byte trace unit at one flit per cycle.
+	traceUnitCycles = 16
+	// energySwitch and energyWire weight the abstract energy model (the
+	// power extension sketched in the paper's conclusion): per flit, per
+	// switch traversal and per tile of wire crossed (link delay is the
+	// length proxy).
+	energySwitch = 1.0
+	energyWire   = 0.5
+)
+
+// Config holds the simulator parameters callers vary. Zero values select
+// the paper's defaults.
 type Config struct {
 	// VCs is the number of virtual channels per physical link (default 3).
 	VCs int
 	// BufFlits is the buffer capacity of each virtual channel (default 8).
 	BufFlits int
-	// FlitBytes is the flit width (default 4 bytes = 32 bits).
-	FlitBytes int
-	// ClockMHz converts cycles to wall time in reports (default 800).
-	ClockMHz float64
-	// SendOverhead and RecvOverhead are the per-message software
-	// overheads in cycles (default 10 each, à la LogP [23]).
-	SendOverhead int
-	RecvOverhead int
-	// TraceUnitCycles converts a trace compute-time unit into processor
-	// busy cycles (default 16: one 64-byte trace unit at one flit per
-	// cycle).
-	TraceUnitCycles int
 	// DeadlockTimeout is the stall length, in cycles, after which a
 	// packet is declared deadlocked and regressively recovered. The
 	// default (8192) exceeds the drain time of the largest benchmark
@@ -56,12 +66,6 @@ type Config struct {
 	// switches in cycles (its floorplanned length in tiles, minimum 1).
 	// Nil means every link has delay 1.
 	LinkDelay func(a, b topology.SwitchID) int
-	// EnergySwitch and EnergyWire parameterize the abstract energy model
-	// (the power extension sketched in the paper's conclusion): each flit
-	// costs EnergySwitch per switch traversal plus EnergyWire per tile of
-	// wire crossed (link delay is the length proxy). Defaults 1.0 / 0.5.
-	EnergySwitch float64
-	EnergyWire   float64
 	// Obs receives telemetry: the flitsim.* counters (cycles, flits,
 	// VC-allocation stalls, deadlock retries and victims) emitted once at
 	// the end of each simulation, a span per run, and one event per
@@ -78,32 +82,11 @@ func (c Config) Normalized() Config {
 	if c.BufFlits == 0 {
 		c.BufFlits = 8
 	}
-	if c.FlitBytes == 0 {
-		c.FlitBytes = 4
-	}
-	if c.ClockMHz == 0 {
-		c.ClockMHz = 800
-	}
-	if c.SendOverhead == 0 {
-		c.SendOverhead = 10
-	}
-	if c.RecvOverhead == 0 {
-		c.RecvOverhead = 10
-	}
-	if c.TraceUnitCycles == 0 {
-		c.TraceUnitCycles = 16
-	}
 	if c.DeadlockTimeout == 0 {
 		c.DeadlockTimeout = 8192
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 20_000_000
-	}
-	if c.EnergySwitch == 0 {
-		c.EnergySwitch = 1.0
-	}
-	if c.EnergyWire == 0 {
-		c.EnergyWire = 0.5
 	}
 	return c
 }
@@ -138,16 +121,14 @@ type Result struct {
 	// divided by total cycles.
 	PeakLinkUtil float64
 	// EnergyUnits estimates network energy in abstract units: per-flit
-	// switch traversals plus wire length crossed (see Config.EnergySwitch
-	// and Config.EnergyWire).
+	// switch traversals plus wire length crossed (weights 1.0 and 0.5 per
+	// tile).
 	EnergyUnits float64
 }
 
-// ExecTimeNs converts execution cycles to nanoseconds at the configured
-// clock.
-func (r Result) ExecTimeNs(cfg Config) float64 {
-	cfg = cfg.Normalized()
-	return float64(r.ExecCycles) * 1e3 / cfg.ClockMHz
+// ExecTimeNs converts execution cycles to nanoseconds at ClockMHz.
+func (r Result) ExecTimeNs() float64 {
+	return float64(r.ExecCycles) * 1e3 / ClockMHz
 }
 
 // endpointKind tags channel endpoints.

@@ -231,7 +231,7 @@ func TestComputeGapsExtendExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantExtra := int64(100 * 16) // TraceUnitCycles default
+	wantExtra := int64(100 * traceUnitCycles)
 	if r2.ExecCycles-r1.ExecCycles < wantExtra {
 		t.Errorf("compute gap added only %d cycles, want >= %d", r2.ExecCycles-r1.ExecCycles, wantExtra)
 	}
@@ -386,7 +386,7 @@ func TestRouterNamesAndExecTime(t *testing.T) {
 		names[n] = true
 	}
 	r := Result{ExecCycles: 800}
-	if ns := r.ExecTimeNs(Config{}); ns != 1000 {
+	if ns := r.ExecTimeNs(); ns != 1000 {
 		t.Errorf("800 cycles at 800 MHz = %f ns, want 1000", ns)
 	}
 }
@@ -426,21 +426,26 @@ func TestRunGeneratedFallbackRoundRobin(t *testing.T) {
 	}
 }
 
+// TestEnergyAccounting pins the energy model's weights on one 256-byte
+// message corner to corner of a 2×2 mesh: 65 flits (64 payload plus the
+// head) cross the injection channel, two switch links and the ejection
+// channel, each flit paying 1.0 per traversal plus 0.5 per cycle of link
+// delay. Processor channels always have delay 1.
 func TestEnergyAccounting(t *testing.T) {
 	pat := onePhase(4, 256, model.F(0, 3))
-	res, err := RunMesh(pat, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EnergyUnits <= 0 {
-		t.Fatal("no energy recorded")
-	}
-	// Doubling wire energy must increase the estimate.
-	res2, err := RunMesh(pat, Config{EnergyWire: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.EnergyUnits <= res.EnergyUnits {
-		t.Errorf("wire energy knob ignored: %f vs %f", res2.EnergyUnits, res.EnergyUnits)
+	for _, tc := range []struct {
+		delay int
+		want  float64
+	}{
+		{1, 65 * 4 * (1 + 0.5)},             // 390
+		{3, 65 * (2*(1+0.5) + 2*(1+0.5*3))}, // 520
+	} {
+		res, err := RunMesh(pat, Config{LinkDelay: func(a, b topology.SwitchID) int { return tc.delay }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Kills != 0 || res.EnergyUnits != tc.want {
+			t.Errorf("link delay %d: %.1f energy units (%d kills), want %.1f", tc.delay, res.EnergyUnits, res.Kills, tc.want)
+		}
 	}
 }

@@ -39,7 +39,7 @@ func lineNet(n int) (*topology.Network, *routing.Table) {
 //	m2: 256 B → 65 flits, posted at 30 but queued behind m1 at the NI
 //	    until 36, streams 37..101, tail received at 104, latency 74
 //
-// p1's receives complete at deliveredAt+RecvOverhead: 24, 49, and 114 —
+// p1's receives complete at deliveredAt+recvOverhead: 24, 49, and 114 —
 // so ExecCycles is 114, PerProcComm is {3×10 send overhead, 24+25+65
 // blocked-receive cycles}, and every flit crosses exactly 3 channels:
 // FlitHops = (2+17+65)·3 = 252.

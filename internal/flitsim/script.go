@@ -27,7 +27,7 @@ type op struct {
 // receive; a phase's compute gap busies every processor afterwards. Patterns
 // without phase metadata are treated as a sequence of single-message phases
 // in start-time order (conservative trace-driven fallback).
-func buildScripts(p *model.Pattern, cfg Config) [][]op {
+func buildScripts(p *model.Pattern) [][]op {
 	scripts := make([][]op, p.Procs)
 	phases := p.Phases
 	if len(phases) == 0 {
@@ -76,7 +76,7 @@ func buildScripts(p *model.Pattern, cfg Config) [][]op {
 			}
 		}
 		if ph.ComputeAfter > 0 {
-			busy := int64(ph.ComputeAfter * float64(cfg.TraceUnitCycles))
+			busy := int64(ph.ComputeAfter * traceUnitCycles)
 			if busy < 1 {
 				busy = 1
 			}

@@ -111,21 +111,13 @@ type Options struct {
 	// network alone, so every seed yields the same Plan. The field remains
 	// only because the end-to-end benchmark still sets it; leave it zero.
 	Seed int64
-	// Sweeps bounds the improvement passes (default 64).
-	Sweeps int
 	// Obs receives telemetry: a span per Place call plus the floorplan.*
 	// counters. Nil disables telemetry at zero cost.
 	Obs obs.Observer
 }
 
-// Normalized returns the options with every zero field replaced by its
-// documented default.
-func (o Options) Normalized() Options {
-	if o.Sweeps == 0 {
-		o.Sweeps = 64
-	}
-	return o
-}
+// maxSweeps bounds the improvement passes.
+const maxSweeps = 64
 
 // Place computes a variable-orientation floorplan for the network: switches
 // on corner-lattice points, processors on tiles. A greedy breadth-first
@@ -139,7 +131,6 @@ func Place(net *topology.Network, opt Options) (*Plan, error) {
 	if err := net.Validate(); err != nil {
 		return nil, fmt.Errorf("floorplan: %v", err)
 	}
-	opt = opt.Normalized()
 	sp := obs.Span(opt.Obs, "floorplan.place")
 	defer sp.End()
 	rows, cols := topology.GridDims(net.Procs)
@@ -148,7 +139,7 @@ func Place(net *topology.Network, opt Options) (*Plan, error) {
 		return nil, fmt.Errorf("floorplan: %d switches exceed %d corner sites", net.NumSwitches(), corners)
 	}
 	pl := newPlacement(net, rows, cols)
-	sweeps := pl.optimize(opt.Sweeps)
+	sweeps := pl.optimize(maxSweeps)
 	plan := pl.plan()
 	obs.Count(opt.Obs, "floorplan.place_calls", 1)
 	obs.Count(opt.Obs, "floorplan.sweeps", int64(sweeps))

@@ -33,7 +33,7 @@ func refPlace(net *topology.Network) (*Plan, int, error) {
 		return nil, 0, fmt.Errorf("floorplan: %d switches exceed %d corner sites", net.NumSwitches(), corners)
 	}
 	pl := newRefPlacement(net, rows, cols)
-	ran := pl.optimize(Options{}.Normalized().Sweeps)
+	ran := pl.optimize(maxSweeps)
 	return pl.plan(), ran, nil
 }
 

@@ -63,7 +63,6 @@ func (c Config) twoLevel(pat *model.Pattern, clusters int) (*hier.Design, error)
 // the synthesized composite face identical physics. Each row is emitted as
 // a harness.chiplet_row event.
 func (c Config) Chiplet(benchmark string, procs, clusters int) ([]ChipletRow, error) {
-	c = c.Normalized()
 	sp := obs.Span(c.Obs, "harness.chiplet")
 	defer sp.End()
 	pat, err := c.chipletPattern(benchmark, procs)
@@ -140,7 +139,6 @@ func (c Config) Chiplet(benchmark string, procs, clusters int) ([]ChipletRow, er
 // BuildChipletDesign synthesizes just the two-level composite for a
 // benchmark — the entry the invariant suite drives.
 func (c Config) BuildChipletDesign(benchmark string, procs, clusters int) (*hier.Design, error) {
-	c = c.Normalized()
 	pat, err := c.chipletPattern(benchmark, procs)
 	if err != nil {
 		return nil, fmt.Errorf("chiplet %s/%d: %v", benchmark, procs, err)

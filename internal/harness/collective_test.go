@@ -21,7 +21,6 @@ func TestCollectivesPipeline(t *testing.T) {
 	col := obs.NewCollector()
 	c := Quick()
 	c.Obs = col
-	c = c.Normalized()
 
 	const nodes = 8
 	rows, err := c.Collectives(nodes)
@@ -107,7 +106,6 @@ func TestDeterminismCollectivesWorkers(t *testing.T) {
 	run := func(workers int) []PerfRow {
 		c := Quick()
 		c.Workers = workers
-		c = c.Normalized()
 		rows, err := c.Collectives(8)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -36,8 +36,6 @@ type Config struct {
 	// are independent, collected in input order, and the first error in
 	// cell order wins (see internal/parallel).
 	Workers int
-	// Sim carries simulator parameters.
-	Sim flitsim.Config
 	// Obs receives telemetry from the harness itself (one span per
 	// experiment cell, pool-occupancy counters) and is propagated to the
 	// synthesis, floorplan, pattern-generation, and simulation stages it
@@ -55,16 +53,6 @@ func Quick() Config {
 // Paper returns the full-scale configuration used by cmd/paperfigs and the
 // benchmarks.
 func Paper() Config { return Config{Seed: 1} }
-
-// Normalized returns the configuration with defaults resolved: an unset
-// Sim.Obs inherits the harness Observer so one assignment instruments the
-// whole pipeline.
-func (c Config) Normalized() Config {
-	if c.Sim.Obs == nil {
-		c.Sim.Obs = c.Obs
-	}
-	return c
-}
 
 func (c Config) nasConfig() nas.Config {
 	return nas.Config{Iterations: c.Iterations, ByteScale: c.ByteScale, Obs: c.Obs}
@@ -95,9 +83,9 @@ func (c Config) BuildDesign(benchmark string, procs int) (*Design, error) {
 }
 
 // designFor synthesizes and floorplans a network for an already generated
-// pattern: the one body behind BuildDesign, BuildCollectiveDesign and the
-// chiplet experiment's flat organization (which must feed the same pattern
-// to all three organizations).
+// pattern: the one body behind BuildDesign, BuildCollectiveDesign, MultiApp's
+// shared network and the chiplet experiment's flat organization (which must
+// feed the same pattern to all three organizations).
 func (c Config) designFor(name string, procs int, pat *model.Pattern) (*Design, error) {
 	res, err := synth.Synthesize(pat, c.synthOptions())
 	if err != nil {
@@ -118,14 +106,10 @@ func (c Config) simulateGenerated(pat *model.Pattern, d *Design) (flitsim.Result
 	return flitsim.RunGenerated(pat, d.Result.Net, d.Result.Table, cfg)
 }
 
-// simConfig resolves the simulator configuration, defaulting its Observer
-// to the harness's.
+// simConfig is the simulator configuration: the Section 4.2 defaults,
+// reporting to the harness's Observer.
 func (c Config) simConfig() flitsim.Config {
-	cfg := c.Sim
-	if cfg.Obs == nil {
-		cfg.Obs = c.Obs
-	}
-	return cfg
+	return flitsim.Config{Obs: c.Obs}
 }
 
 // simulateBaseline runs a pattern on one of the regular baselines.

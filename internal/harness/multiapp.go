@@ -5,10 +5,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/floorplan"
 	"repro/internal/model"
 	"repro/internal/parallel"
-	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -73,25 +71,15 @@ func (c Config) MultiApp(apps []string, procs int) (*MultiAppResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mergedRes, err := synth.Synthesize(merged, c.synthOptions())
+	mergedDesign, err := c.designFor("merged", procs, merged)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := floorplan.Place(mergedRes.Net, floorplan.Options{Obs: c.Obs})
-	if err != nil {
-		return nil, err
-	}
+	mergedRes := mergedDesign.Result
 	res.MergedSwitches = mergedRes.Net.NumSwitches()
 	res.MergedLinks = mergedRes.Net.TotalLinks()
 	res.ConstraintsMet = mergedRes.ConstraintsMet
 
-	mergedDesign := &Design{
-		Benchmark: "merged",
-		Procs:     procs,
-		Pattern:   merged,
-		Result:    mergedRes,
-		Plan:      plan,
-	}
 	// Phase 2: per-app Theorem 1 checks and simulations against the
 	// shared network are again independent cells; the merged design is
 	// only read concurrently.

@@ -16,7 +16,6 @@ func buildCounters(t *testing.T, workers int) map[string]int64 {
 	c := Quick()
 	c.Workers = workers
 	c.Obs = col
-	c = c.Normalized()
 	if _, err := c.BuildDesign("CG", 16); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestObsReachesEveryFloorplanCall(t *testing.T) {
 		col := obs.NewCollector()
 		c := Quick()
 		c.Obs = col
-		if err := experiment(c.Normalized()); err != nil {
+		if err := experiment(c); err != nil {
 			t.Fatal(err)
 		}
 		return col.Counters()["floorplan.place_calls"]

@@ -66,7 +66,6 @@ func warmStartVariants(base nas.Config) []struct {
 // above ColdCost) and the effort saved. The per-variant cells run on the
 // Workers pool.
 func (c Config) WarmStart(benchmark string, procs int) ([]WarmStartRow, error) {
-	c = c.Normalized()
 	baseCfg := c.nasConfig()
 	basePat, err := nas.Generate(benchmark, procs, baseCfg)
 	if err != nil {

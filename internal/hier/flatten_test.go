@@ -137,7 +137,7 @@ func TestFlattenErrors(t *testing.T) {
 func TestSynthesizeErrors(t *testing.T) {
 	pat := cg16(t)
 	if _, err := Synthesize(pat, Options{}); err == nil {
-		t.Error("Synthesize accepted options with neither Spec nor Assign")
+		t.Error("Synthesize accepted options without a Spec")
 	}
 	spec, _ := ParseSpec("blocks:99")
 	if _, err := Synthesize(pat, Options{Spec: spec}); err == nil {
@@ -145,14 +145,6 @@ func TestSynthesizeErrors(t *testing.T) {
 	}
 	if _, err := Synthesize(nil, Options{Spec: spec}); err == nil {
 		t.Error("Synthesize accepted a nil pattern")
-	}
-	// A pre-built assignment for a different processor count is rejected.
-	other, err := Partition(ring64(t), mustSpec(t, "blocks:4"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Synthesize(pat, Options{Assign: other}); err == nil {
-		t.Error("Synthesize accepted an assignment for a different pattern")
 	}
 }
 

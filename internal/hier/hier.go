@@ -15,11 +15,8 @@ import (
 // different degree and width limits (narrow on-die routers, wide
 // inter-chiplet ports).
 type Options struct {
-	// Spec selects the clustering; required unless Assign is set.
+	// Spec selects the clustering (required).
 	Spec *Spec
-	// Assign, when non-nil, bypasses Partition and uses this clustering
-	// as-is (Spec and MaxGateways are then ignored).
-	Assign *Assignment
 	// MaxGateways caps the automatic per-cluster gateway set (boundary
 	// processors); 0 keeps every boundary processor. Capping below the
 	// boundary count reintroduces intra-chiplet forwarding legs and can
@@ -170,15 +167,9 @@ func Synthesize(p *model.Pattern, opt Options) (*Design, error) {
 	opt = opt.Normalized()
 	sp := obs.Span(opt.Obs, "hier.synthesize")
 	defer sp.End()
-	assign := opt.Assign
-	if assign == nil {
-		var err error
-		assign, err = Partition(p, opt.Spec, opt.MaxGateways)
-		if err != nil {
-			return nil, err
-		}
-	} else if assign.Procs != p.Procs {
-		return nil, fmt.Errorf("hier: assignment has %d procs, pattern %d", assign.Procs, p.Procs)
+	assign, err := Partition(p, opt.Spec, opt.MaxGateways)
+	if err != nil {
+		return nil, err
 	}
 	split, err := SplitPattern(p, assign)
 	if err != nil {

@@ -102,10 +102,10 @@ func (s *state) backboneReroute() bool {
 		addEdge(bestA, bestB)
 	}
 
-	// Snapshot and reroute everything over backbone shortest paths.
-	snapshot := append(s.routeSnap[:0], s.routes...)
-	s.routeSnap = snapshot
+	// Reroute everything over backbone shortest paths inside a probe scope,
+	// so a rejected proposal rolls back exactly the routes it replaced.
 	before := s.globalCost()
+	m := s.beginProbe()
 	ok := true
 	for fi, f := range s.flows {
 		a, b := s.home[f.Src], s.home[f.Dst]
@@ -121,12 +121,11 @@ func (s *state) backboneReroute() bool {
 		s.setRoute(fi, path)
 	}
 	if ok && s.globalCost() < before {
+		s.keep()
 		s.stats.Reroutes += len(s.flows)
 		return true
 	}
-	for fi, r := range snapshot {
-		s.setRoute(fi, r)
-	}
+	s.rollback(m)
 	return false
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // This file is the allocation-free incremental move engine: the raw mutators
-// that keep the count tables exact, an undo journal for the one scope that
-// still applies before it decides (a merge attempt), a per-state route arena
-// (replacing per-move route copies), and a state pool that recycles every
-// matrix and scratch buffer across restarts.
+// that keep the count tables exact, an undo journal for the scopes that
+// still apply before they decide (merge attempts and backbone proposals), a
+// per-state route arena (replacing per-move route copies), and a state pool
+// that recycles every matrix and scratch buffer across restarts.
 //
 // Contract (see DESIGN.md §13):
 //
@@ -20,7 +20,8 @@ import (
 //   - All pipe/placement mutations go through setRoute/reattachNoReroute.
 //     With no probe open a mutation is a commit and leaves no record. Inside
 //     one (between beginProbe and rollback/keep) it is journaled first.
-//     mergeRefine is the only caller of beginProbe, so scopes never nest.
+//     Only mergeRefine and backboneReroute (called from globalRefine,
+//     outside mergeRefine, and applySeed) open one, so scopes never nest.
 //   - rollback(m) reverse-replays the journal through the raw mutators and
 //     pops the route arena to the mark, restoring the state bit-for-bit
 //     except swProcs list order: a processor moved and moved back ends up at

@@ -252,7 +252,6 @@ type state struct {
 	liveScratch  []bool   // liveSwitches
 	mergeProcs   []int
 	boundCnt     []int32 // portBound's per-clique out/in counts
-	routeSnap    [][]int // backboneReroute's route snapshot
 }
 
 func pairKey(a, b int) [2]int {

@@ -67,10 +67,11 @@ const modulePrefix = "repro/"
 // module is the type-checked non-test source of every package under the
 // repository root.
 type module struct {
-	fset *token.FileSet
-	pkgs map[string]*types.Package // by import path
-	info *types.Info               // shared by every package
-	std  types.Importer
+	fset  *token.FileSet
+	pkgs  map[string]*types.Package // by import path
+	info  *types.Info               // shared by every package
+	std   types.Importer
+	files []*ast.File
 
 	decls      []*decl
 	declOf     map[types.Object]*decl
@@ -152,6 +153,7 @@ func (m *module) Import(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
 	m.pkgs[path] = pkg
+	m.files = append(m.files, files...)
 	for _, f := range files {
 		m.index(pkg, f)
 	}
@@ -340,4 +342,131 @@ func readAllowlist(t *testing.T, path string) map[string]string {
 		t.Fatal(err)
 	}
 	return allow
+}
+
+// knobStructs are the option structs TestKnobsWritten audits: the pipeline
+// stages of harness's TestKnobStructsConform plus the design server's.
+var knobStructs = []string{
+	"synth.Options", "harness.Config", "flitsim.Config", "floorplan.Options",
+	"nas.Config", "collective.Config", "hier.Options", "serve.Config",
+}
+
+// TestKnobsWritten holds the rule that every knob has a caller: each field of
+// a knob struct (and of the module structs nested in one by value, such as
+// synth.Constraints) is written by some non-test code — bench/ included — as
+// a composite-literal key, the left side of an assignment or inc/dec, or the
+// operand of &. Writes inside a knob struct's own Normalized do not count: a
+// default is not a caller. A field only tests set is a constant in disguise;
+// testdata/knob_allow.txt names, with a reason, the few kept as test seams.
+func TestKnobsWritten(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module from source")
+	}
+	m := loadModule(t)
+	allow := readAllowlist(t, "testdata/knob_allow.txt")
+
+	fields := map[string]*types.Var{} // "pkg.Owner.Field" -> field
+	seen := map[*types.Named]bool{}
+	var walk func(n *types.Named)
+	walk = func(n *types.Named) {
+		st, ok := n.Underlying().(*types.Struct)
+		if !ok || seen[n] {
+			return
+		}
+		seen[n] = true
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			fields[qualified(n.Obj())+"."+f.Name()] = f
+			if inner, ok := f.Type().(*types.Named); ok && inner.Obj().Pkg() != nil &&
+				strings.HasPrefix(inner.Obj().Pkg().Path(), modulePrefix) {
+				walk(inner)
+			}
+		}
+	}
+	roots := map[*types.TypeName]bool{}
+	for _, name := range knobStructs {
+		pkg, typ, _ := strings.Cut(name, ".")
+		p := m.pkgs[modulePrefix+"internal/"+pkg]
+		if p == nil {
+			t.Fatalf("knob struct %s: no package %s", name, pkg)
+		}
+		tn, ok := p.Scope().Lookup(typ).(*types.TypeName)
+		if !ok {
+			t.Fatalf("knob struct %s does not exist", name)
+		}
+		roots[tn] = true
+		walk(tn.Type().(*types.Named))
+	}
+
+	written := map[*types.Var]bool{}
+	// lhs marks the field an assigned or addressed expression denotes, and
+	// every field it is reached through (x.A.B writes part of A).
+	var lhs func(e ast.Expr)
+	lhs = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			if v, ok := m.info.Uses[e.Sel].(*types.Var); ok && v.IsField() {
+				written[v] = true
+			}
+			lhs(e.X)
+		case *ast.ParenExpr:
+			lhs(e.X)
+		case *ast.StarExpr:
+			lhs(e.X)
+		case *ast.IndexExpr:
+			lhs(e.X)
+		}
+	}
+	for _, f := range m.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "Normalized" && fd.Recv != nil {
+				if tn, _ := receiver(m.info.Defs[fd.Name].(*types.Func)); roots[tn] {
+					continue
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := m.info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, isKV := elt.(*ast.KeyValueExpr); isKV {
+							written[m.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)] = true
+						} else {
+							written[st.Field(i)] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						lhs(e)
+					}
+				case *ast.IncDecStmt:
+					lhs(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						lhs(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	for name := range allow {
+		if v, ok := fields[name]; !ok || written[v] {
+			t.Errorf("testdata/knob_allow.txt lists %s, which non-test code writes or which does not exist: drop the line", name)
+		}
+	}
+	var unwritten []string
+	for name, v := range fields {
+		if _, ok := allow[name]; !ok && !written[v] {
+			unwritten = append(unwritten, name)
+		}
+	}
+	sort.Strings(unwritten)
+	for _, name := range unwritten {
+		t.Errorf("%s is written by no non-test code: make it a constant, or list it in testdata/knob_allow.txt if tests drive it as a seam", name)
+	}
 }
