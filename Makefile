@@ -88,12 +88,13 @@ bench-obs:
 # BENCH_<gate>.json exists) additionally flags absolute ns/op regressions
 # over 25%.
 #   flitsim:   the event-driven engine vs the cycle-stepping reference (the
-#              test oracle in engine_ref_test.go) on two traces: the
-#              compute-gap-heavy CG on the mesh, where idle cycles are skipped
-#              (contended, so it rarely leaps: the pair also bounds the leap's
-#              bookkeeping), and full-size BT on the crossbar, where steady
-#              wormhole streaming is leapt; next to the mesh/torus/crossbar
-#              workloads.
+#              test oracle in engine_ref_test.go) in three pairs: the
+#              compute-gap-heavy CG on the mesh, where idle cycles are skipped;
+#              full-size BT on the crossbar, where steady wormhole streaming
+#              is leapt; and full-size CG on the mesh, where worms taking
+#              turns on shared links make periodic states that are leapt
+#              whole periods at a time (the pair also bounds the period
+#              test's bookkeeping); next to the mesh/torus/crossbar workloads.
 #   warm:      the same five CG-16 variants synthesized cold vs seeded from a
 #              prior design. The floor is 3, down from 5: the ratio measures
 #              what seeding saves, and the what-if evaluator halved the cold
@@ -108,7 +109,8 @@ bench-obs:
 BENCH_PKG_flitsim = ./internal/flitsim
 BENCH_RE_flitsim = Simulate|Simulation
 BENCH_RATIO_flitsim = BenchmarkSimulateCG16GapMeshReference:BenchmarkSimulateCG16GapMesh \
-	BenchmarkSimulateBT16StreamCrossbarReference:BenchmarkSimulateBT16StreamCrossbar
+	BenchmarkSimulateBT16StreamCrossbarReference:BenchmarkSimulateBT16StreamCrossbar \
+	BenchmarkSimulateCG16MeshReference:BenchmarkSimulateCG16Mesh
 BENCH_MIN_flitsim = 10
 
 BENCH_PKG_warm = ./internal/synth
@@ -154,6 +156,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHierLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/hier
 	$(GO) test -run '^$$' -fuzz FuzzContentionPeriods -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDiskStoreLoad -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzMoveEngine -fuzztime 30s ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/flitsim

@@ -92,8 +92,7 @@ func BenchmarkSimulateCG16GapMeshReference(b *testing.B) {
 // streamingBT is the streaming trace behind the engine's second speedup
 // gate: full-size NAS BT on 16 nodes, whose multi-KB messages spend almost
 // every cycle of a crossbar replay streaming one body flit per hop — the
-// regime the event-driven core leaps and the reference steps. The CG16Gap
-// pair above is contended and rarely leaps: it bounds the leap's bookkeeping.
+// regime the event-driven core leaps and the reference steps.
 func streamingBT(b *testing.B) *model.Pattern {
 	pat, err := nas.Generate("BT", 16, nas.Config{})
 	if err != nil {
@@ -119,6 +118,42 @@ func BenchmarkSimulateBT16StreamCrossbarReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := runReference(pat, net, XBar{}, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// arbitratingCG is the trace behind the engine's third speedup gate:
+// full-size NAS CG on 16 nodes, whose mesh replay spends almost all of its
+// stepped cycles with worms taking turns on shared links — periodic states
+// of period 2, 3 and 6 that the event-driven core leaps whole periods at a
+// time.
+func arbitratingCG(b *testing.B) *model.Pattern {
+	pat, err := nas.Generate("CG", 16, nas.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pat
+}
+
+func BenchmarkSimulateCG16Mesh(b *testing.B) {
+	pat := arbitratingCG(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunMesh(pat, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSimulateCG16MeshReference(b *testing.B) {
+	pat := arbitratingCG(b)
+	rows, cols := topology.GridDims(pat.Procs)
+	net, grid := topology.Mesh(rows, cols)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runReference(pat, net, DOR{Grid: grid}, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,9 +14,10 @@ import (
 //
 //   - fast-forwarding e.now across provably idle gaps (long NAS compute
 //     phases, link pipeline transit, deadlock backoff) instead of spinning
-//     empty cycles, and across steady wormhole streaming, where a cycle
-//     that provably repeats is applied K times at once — see nextCycle for
-//     the wake-up invariants;
+//     empty cycles, and across steady wormhole streaming and round-robin
+//     arbitration, where a state that provably repeats every p ≤ 8 cycles
+//     is applied K whole periods at once — see nextCycle for the wake-up
+//     invariants and period for the repeat test;
 //   - keying hot state off dense slices (message-ID-indexed packet arena
 //     and readyAt, channel-ID-indexed input-used stamps) instead of maps,
 //     with generation stamps replacing per-cycle map clears;
@@ -86,26 +87,49 @@ type engine struct {
 
 	eligible []*vcBuf // forward() scratch
 
-	// Repeating-cycle detection (steady, DESIGN.md §8). moves lists the
-	// flit transfers of the cycle being processed in execution order;
-	// eventAt is the last cycle with a structural event; buffered0,
-	// inflight0 and stalls0 are the occupancy counters and vcStalls as the
-	// cycle began. stepped counts the cycles run() processed in full — the
-	// rest of e.now was skipped or leapt — and is read only by tests.
-	moves                []move
-	eventAt              int64
-	buffered0, inflight0 int
-	stalls0              int64
-	stepped              int64
+	// Periodic-state detection (period, DESIGN.md §8). hist holds one
+	// record per processed cycle, oldest first, for at most the last
+	// maxPeriod consecutive ones; histAt is the cycle of the newest. moves
+	// logs their flit transfers in execution order. eventAt is the last
+	// cycle with a structural event. got[c.id*maxPeriod:][:maxPeriod]
+	// rings the last maxPeriod flits delivered off channel c (nGot[c.id]
+	// in all), each stamped with its delivery cycle net of leapt, the
+	// cycles leap applied so far — so a leap shifts the stamps without
+	// touching them. stepped counts the cycles run() processed in full —
+	// the rest of e.now was skipped or leapt — and is read only by tests.
+	hist    []cycleRec
+	histAt  int64
+	moves   []move
+	eventAt int64
+	got     []inflightFlit
+	nGot    []int
+	leapt   int64
+	stepped int64
+}
+
+// maxPeriod bounds the period of a repeating state: the product of the
+// candidate counts of the arbiters that rotate together.
+const maxPeriod = 8
+
+// cycleRec is the history record of one processed cycle: where its moves
+// start in engine.moves, and the occupancy counters and vcStalls as the
+// cycle began — that is, as the cycle before it ended.
+type cycleRec struct {
+	from               int
+	buffered, inflight int
+	stalls             int64
 }
 
 // move is one flit transfer: a send onto channel c toward VC to (an
 // injection when c leaves a processor, else a switch traversal), or, with to
-// nil, an ejection from channel c.
+// nil, an ejection from channel c. from is the VC popped (nil for an
+// injection), rr is c.rr before the move, and elig the number of input VCs
+// forward arbitrated among.
 type move struct {
-	c   *channel
-	pkt *packet
-	to  *vcBuf
+	c        *channel
+	pkt      *packet
+	from, to *vcBuf
+	rr, elig int
 }
 
 // farFuture is the nextArrival sentinel when no flit is on a wire.
@@ -132,7 +156,8 @@ func (e *engine) reset(pat *model.Pattern, router Router, fb *fabric) {
 	e.now, e.kills, e.victims, e.vcStalls, e.flitHops = 0, 0, 0, 0, 0
 	e.latSum, e.latMax, e.latN = 0, 0, 0
 	e.usedStamp = 0
-	e.eventAt, e.stepped = 0, 0 // cycle 0 has no predecessor: an event
+	e.eventAt, e.stepped, e.leapt = 0, 0, 0 // cycle 0 has no predecessor: an event
+	e.hist, e.moves = e.hist[:0], e.moves[:0]
 	e.inflightCount, e.buffered, e.undelivered = 0, 0, 0
 	e.nextArrival = farFuture
 	e.netPackets = e.netPackets[:0]
@@ -172,6 +197,14 @@ func (e *engine) reset(pat *model.Pattern, router Router, fb *fabric) {
 	} else {
 		e.bufInCh = e.bufInCh[:nCh]
 		clear(e.bufInCh)
+	}
+	if cap(e.nGot) < nCh {
+		e.nGot = make([]int, nCh)
+		e.got = make([]inflightFlit, nCh*maxPeriod)
+	} else {
+		e.nGot = e.nGot[:nCh]
+		clear(e.nGot)
+		e.got = e.got[:nCh*maxPeriod]
 	}
 	if cap(e.chLive) < nCh {
 		e.chLive = make([]bool, nCh)
@@ -224,6 +257,8 @@ func (e *engine) release() {
 	e.netPackets = e.netPackets[:0]
 	clear(e.moves)
 	e.moves = e.moves[:0]
+	e.hist = e.hist[:0]
+	clear(e.got)
 	clear(e.liveCh)
 	e.liveCh = e.liveCh[:0]
 	for i := range e.routedTo {
@@ -259,8 +294,7 @@ func (e *engine) run() error {
 				e.pat.Name, e.fb.net.Name, e.cfg.MaxCycles)
 		}
 		e.stepped++
-		e.moves = e.moves[:0]
-		e.buffered0, e.inflight0, e.stalls0 = e.buffered, e.inflightCount, e.vcStalls
+		e.record()
 		e.deliverArrivals()
 		e.stepScripts()
 		e.inject()
@@ -277,26 +311,50 @@ func (e *engine) run() error {
 	}
 }
 
+// record opens the history record of the cycle about to be processed. A gap
+// since the last record (skipped cycles) restarts the history: the skipped
+// cycles were no-ops, so the state as this cycle begins is still the state
+// after cycle e.now−1, but what moved in the cycles before the gap is not.
+func (e *engine) record() {
+	if len(e.hist) == 0 || e.now != e.histAt+1 {
+		e.hist, e.moves = e.hist[:0], e.moves[:0]
+	} else if len(e.hist) == maxPeriod {
+		copy(e.hist, e.hist[1:])
+		e.hist = e.hist[:maxPeriod-1]
+		// Drop the moves no record reaches once they outnumber the live
+		// ones, so the copy is amortised O(1) per move.
+		if lo := e.hist[0].from; 2*lo > len(e.moves) {
+			n := copy(e.moves, e.moves[lo:])
+			e.moves = e.moves[:n]
+			for i := range e.hist {
+				e.hist[i].from -= lo
+			}
+		}
+	}
+	e.histAt = e.now
+	e.hist = append(e.hist, cycleRec{from: len(e.moves), buffered: e.buffered, inflight: e.inflightCount, stalls: e.vcStalls})
+}
+
 // nextCycle returns the earliest cycle after e.now that must be processed in
 // full. Every cycle strictly in between is provably either a reference-engine
-// no-op, and is skipped, or — when steady reports that the cycle just
-// processed repeats — an exact copy of it, and leap applies them all at once.
-// The thresholds (DESIGN.md §8):
+// no-op, and is skipped, or — when period reports that the last p cycles
+// repeat — a copy of one of them, and leap applies whole periods at once; the
+// remainder of the last period is stepped. The thresholds (DESIGN.md §8):
 //
 //  1. A flit buffered anywhere: switch allocation, forwarding, or ejection
-//     may act every cycle, so no skip is possible — unless the cycle is
-//     steady, when what they do next is what they just did.
+//     may act every cycle, so no skip is possible — unless the state is
+//     periodic, when what they do next period is what they did last period.
 //  2. An NI queue head past its retransmit backoff (or a stale queue entry
 //     awaiting its defensive dequeue): injection may act every cycle. In a
-//     steady cycle the head either is blocked on a VC or credit that no
-//     repeat frees, or injects a body flit per cycle until its tail is due.
+//     periodic state the head either is blocked on a VC or credit that no
+//     repeat frees, or injects m body flits a period until its tail is due.
 //  3. The earliest in-flight arrival (lower-bounded by e.nextArrival); the
-//     arrivals of a steady cycle are part of what repeats.
+//     arrivals of a period are part of what repeats.
 //  4. The earliest script wake-up: busyUntil for compute/send overheads,
 //     max(readyAt, opStart+recvOverhead) for a posted receive.
 //  5. The earliest deadlock-recovery tick (multiple of 32) at which some
 //     in-network packet will have exceeded its doubling stall tolerance. A
-//     packet that moved in a steady cycle moves in every repeat and never
+//     packet that moved in the last period moves in every repeat and never
 //     stalls; the others bound the leap exactly as they bound a skip.
 //
 // Any event that would change one of these bounds (an arrival filling a
@@ -304,7 +362,8 @@ func (e *engine) run() error {
 // returned here, so the fast-forward is exact, not heuristic.
 func (e *engine) nextCycle() int64 {
 	horizon := e.cfg.MaxCycles + 1
-	steady := e.steady()
+	p, tailK := e.period()
+	steady := p > 0
 	if e.buffered > 0 && !steady {
 		return e.now + 1
 	}
@@ -358,7 +417,7 @@ func (e *engine) nextCycle() int64 {
 	}
 	base := int64(e.cfg.DeadlockTimeout)
 	for _, pkt := range e.netPackets {
-		if steady && pkt.lastProgress == e.now {
+		if steady && pkt.lastProgress > e.now-int64(p) {
 			continue
 		}
 		shift := pkt.retries
@@ -375,96 +434,235 @@ func (e *engine) nextCycle() int64 {
 			next = t
 		}
 	}
-	if steady {
-		// The cycle that injects a tail also dequeues its packet.
-		for _, m := range e.moves {
-			if m.c.src.kind == endProc {
-				if tail := e.now + int64(m.pkt.flits-m.pkt.sent); tail < next {
-					next = tail
-				}
-			}
-		}
-	}
 	if next > horizon {
 		next = horizon
 	}
 	if next <= e.now {
 		next = e.now + 1
 	}
-	if steady && next > e.now+1 {
-		e.leap(next - 1 - e.now)
+	if !steady {
+		return next
 	}
-	return next
+	k := min((next-1-e.now)/int64(p), tailK)
+	if k > 0 {
+		e.leap(p, k)
+	}
+	return e.now + k*int64(p) + 1
 }
 
-// steady reports whether the cycle just processed left the engine in the
-// state the cycle before it left, shifted by one cycle — which makes the next
-// cycle, and every one after it up to nextCycle's first threshold, repeat
-// this one move for move. Three conditions establish it (DESIGN.md §8 has
-// the proof and the cases each one excludes):
+// period returns the smallest p ≤ maxPeriod such that the cycle just
+// processed left the engine in the state cycle e.now−p left, shifted by p
+// cycles — which makes the next p cycles, and every period after them up to
+// nextCycle's first threshold, repeat the last p move for move — or 0. With
+// it comes the number of whole periods the injecting NIs can repeat before
+// one of them would inject a tail. The conditions (DESIGN.md §8 has the proof
+// and the cases each one excludes):
 //
-//   - no structural event this cycle (eventAt): no VC allocated or released,
-//     no head or tail flit moved, no script op completed, no post, dequeue or
-//     kill, and no arbitration decided among more than one candidate, so no
-//     decision read a round-robin pointer;
-//   - every VC balanced: as many flits delivered to it as sent toward it as
-//     popped from it, so len(buf) and inTransit end where they began. The
-//     counters show deliveries, sends and pops total the same, and the stamps
-//     show each VC sent toward was also delivered to and popped;
-//   - every link pipeline full and feeding one VC, so the arrivals repeat too
-//     (with delay 1 this is implied by the balance).
-func (e *engine) steady() bool {
-	if e.eventAt == e.now || e.buffered != e.buffered0 || e.inflightCount != e.inflight0 {
-		return false
-	}
-	for _, m := range e.moves {
-		if to := m.to; to != nil && (to.filled != e.now || to.popped != e.now) {
-			return false
+//   - no structural event in the last p cycles (eventAt): no VC allocated or
+//     released, no head or tail flit moved, no script op completed, no post,
+//     dequeue or kill;
+//   - the occupancy counters where they were p cycles ago, and every VC
+//     balanced over the period (repeats);
+//   - every live link pipeline a shifted copy of itself p cycles ago
+//     (pipeRepeats);
+//   - every round-robin pointer equivalent for the arbitrations ahead
+//     (repeats);
+//   - p−1 ≤ DeadlockTimeout, so a packet that moves once a period is never
+//     a recovery victim.
+func (e *engine) period() (int, int64) {
+	n := len(e.hist)
+	for p := 1; p <= n && p-1 <= e.cfg.DeadlockTimeout; p++ {
+		if e.eventAt > e.now-int64(p) {
+			break
 		}
+		// hist[n-p] began the period: its counters are those p cycles ago.
+		if r := &e.hist[n-p]; r.buffered != e.buffered || r.inflight != e.inflightCount {
+			continue
+		}
+		if tailK, ok := e.repeats(p); ok {
+			return p, tailK
+		}
+	}
+	return 0, 0
+}
+
+// repeats checks the last p cycles' moves, in three passes over them that
+// leave the tallies zero: count, check, clear. It establishes
+//
+//   - per-VC balance: as many flits sent toward each VC as delivered into it
+//     (engine.got) as popped from it. The counters of period show sends,
+//     deliveries and pops total the same, so no VC outside the sent-toward
+//     set can have been delivered to or popped either;
+//   - rr: a pick among L > 1 candidates reads rr mod L. A channel's rr
+//     advances by one per send, so a switch-to-switch channel's picks
+//     repeat only if the period's sends n ≡ 0 mod every such L. An
+//     ejection channel's rr is also reset by ejectFlits to the VC after the
+//     one drained — a function of the state, as the channel never holds two
+//     flits when it scans — so a pick after a reset in the period repeats,
+//     and one before it needs rr's change over the period ≡ 0 mod L;
+//
+// and returns the number of whole periods before an injecting NI's tail:
+// its packet injects one flit per injection move in the period.
+func (e *engine) repeats(p int) (tailK int64, ok bool) {
+	w := e.moves[e.hist[len(e.hist)-p].from:]
+	ok = true
+	for i := range w {
+		m := &w[i]
+		if m.to != nil {
+			m.to.nTo++
+		}
+		if m.from != nil {
+			m.from.nPop++
+		}
+		c := m.c
+		if c.nMoves == 0 {
+			c.rrAt = m.rr // rr as the period began
+		}
+		c.nMoves++
+		if m.to == nil {
+			c.rrAt = -1 // reset: later picks read what this period set
+		} else if m.elig > 1 && c.rrAt >= 0 && (c.rr-c.rrAt)%m.elig != 0 {
+			ok = false
+		}
+	}
+	tailK = farFuture
+	for i := range w {
+		m := &w[i]
+		c := m.c
+		if ok && c.src.kind == endProc {
+			tailK = min(tailK, int64(m.pkt.flits-1-m.pkt.sent)/int64(c.nMoves))
+		}
+		if v := m.to; ok && v != nil && v.nTo > 0 {
+			if v.nPop != v.nTo || e.fills(v, p) != v.nTo {
+				ok = false
+			}
+			v.nTo = 0 // checked
+		}
+	}
+	for i := range w {
+		m := &w[i]
+		if m.to != nil {
+			m.to.nTo = 0
+		}
+		if m.from != nil {
+			m.from.nPop = 0
+		}
+		m.c.nMoves = 0
+	}
+	if !ok {
+		return 0, false
 	}
 	for _, c := range e.liveCh {
-		if len(c.inflight) != c.delay {
+		if !e.pipeRepeats(c, p) {
+			return 0, false
+		}
+	}
+	return tailK, true
+}
+
+// delivered returns channel c's delivery ring, its delivery count, and how
+// many of the newest deliveries fall in the last p cycles — at most one a
+// cycle, so the ring holds them all.
+func (e *engine) delivered(c *channel, p int) (ring []inflightFlit, n, ng int) {
+	ring, n = e.got[c.id*maxPeriod:][:maxPeriod], e.nGot[c.id]
+	since := e.now - int64(p) - e.leapt
+	for ng < min(n, maxPeriod) && ring[(n-1-ng)%maxPeriod].at > since {
+		ng++
+	}
+	return ring, n, ng
+}
+
+// fills counts the deliveries into v in the last p cycles.
+func (e *engine) fills(v *vcBuf, p int) int {
+	ring, n, ng := e.delivered(v.ch, p)
+	fills := 0
+	for i := 1; i <= ng; i++ {
+		if ring[(n-i)%maxPeriod].to == v {
+			fills++
+		}
+	}
+	return fills
+}
+
+// pipeRepeats reports whether live channel c's pipeline is a shifted copy of
+// itself p cycles ago. The pipeline then held the flits delivered in the
+// last p cycles followed by those still in flight that were already sent:
+// read as one list X sorted by arrival, the in-flight list must equal the
+// prefix of X arriving by now+delay−p, each flit p cycles later.
+func (e *engine) pipeRepeats(c *channel, p int) bool {
+	ring, n, ng := e.delivered(c, p)
+	x := func(i int) inflightFlit {
+		if i < ng {
+			g := ring[(n-ng+i)%maxPeriod]
+			g.at += e.leapt
+			return g
+		}
+		return c.inflight[i-ng]
+	}
+	for i, inf := range c.inflight {
+		if old := x(i); inf.at != old.at+int64(p) || inf.f != old.f || inf.to != old.to {
 			return false
 		}
-		for _, inf := range c.inflight[1:] {
-			if inf.to != c.inflight[0].to {
-				return false
+	}
+	// Nothing else arrives by now+delay−p in X: its shifted copy would be
+	// due in the pipeline, and is not there.
+	return ng == 0 || x(len(c.inflight)).at > e.now+int64(c.delay-p)
+}
+
+// leap applies k repeats of the period of p cycles just processed, ending at
+// cycle e.now + k·p: every counter a move advances advances k times, every
+// in-flight stamp shifts by k·p, and buffers, credits and ownership stay as
+// they are. Each mover's lastProgress becomes the cycle of its last move in
+// the final copy — not its end, which it may not have moved in. Ejection rr
+// stays: a period that sends to an ejection channel also drains it (the flit
+// arrives a cycle later and is ejected at once), and rr after a drain is a
+// function of the state. The history shifts with the leap: its records now
+// stand for the final copy.
+// nextArrival stays a lower bound, which is all deliverArrivals asks of it.
+func (e *engine) leap(p int, k int64) {
+	shift := k * int64(p)
+	n := len(e.hist)
+	var sends int64
+	for j := n - p; j < n; j++ {
+		at := e.now - int64(n-1-j) + shift
+		end := len(e.moves)
+		if j+1 < n {
+			end = e.hist[j+1].from
+		}
+		for _, m := range e.moves[e.hist[j].from:end] {
+			m.pkt.lastProgress = at
+			if m.to == nil {
+				m.pkt.arrived += int(k)
+				continue
+			}
+			sends++
+			m.c.carried += k
+			switch {
+			case m.c.src.kind == endProc:
+				m.pkt.sent += int(k)
+			case m.c.dst.kind == endSwitch:
+				m.c.rr += int(k)
 			}
 		}
 	}
-	return true
-}
-
-// leap applies k repeats of the steady cycle just processed: every counter a
-// move advances advances k times, every in-flight stamp shifts by k, and
-// buffers, credits and ownership stay as they are. An ejection channel's rr
-// stays too: forward bumps it and ejectFlits resets it to the VC after the
-// one it drained, every cycle. nextArrival stays a lower bound, which is all
-// deliverArrivals asks of it.
-func (e *engine) leap(k int64) {
-	last := e.now + k
-	var sends int64
-	for _, m := range e.moves {
-		m.pkt.lastProgress = last
-		if m.to == nil {
-			m.pkt.arrived += int(k)
-			continue
-		}
-		sends++
-		m.c.carried += k
-		switch {
-		case m.c.src.kind == endProc:
-			m.pkt.sent += int(k)
-		case m.c.dst.kind == endSwitch:
-			m.c.rr += int(k)
-		}
-	}
 	e.flitHops += k * sends
-	e.vcStalls += k * (e.vcStalls - e.stalls0)
+	stalls := k * (e.vcStalls - e.hist[n-p].stalls)
+	e.vcStalls += stalls
 	for _, c := range e.liveCh {
 		for i := range c.inflight {
-			c.inflight[i].at += k
+			c.inflight[i].at += shift
 		}
+	}
+	e.leapt += shift
+	e.histAt += shift
+	// Records older than the period describe cycles before the copies, not
+	// the ones now preceding the last: drop them.
+	from := e.hist[n-p].from
+	e.moves = e.moves[:copy(e.moves, e.moves[from:])]
+	e.hist = e.hist[:copy(e.hist, e.hist[n-p:])]
+	for i := range e.hist {
+		e.hist[i].from -= from
+		e.hist[i].stalls += stalls
 	}
 }
 
@@ -557,7 +755,8 @@ func (e *engine) deliverArrivals() {
 			if inf.at <= e.now {
 				inf.to.buf = append(inf.to.buf, inf.f)
 				inf.to.inTransit--
-				inf.to.filled = e.now
+				e.got[c.id*maxPeriod+e.nGot[c.id]%maxPeriod] = inflightFlit{f: inf.f, to: inf.to, at: e.now - e.leapt}
+				e.nGot[c.id]++
 				e.inflightCount--
 				e.buffered++
 				e.bufInCh[c.id]++
@@ -787,16 +986,15 @@ func (e *engine) forward() {
 			continue
 		}
 		v := eligible[c.rr%len(eligible)]
-		c.rr++
 		f := v.pop()
-		v.popped = e.now
-		if len(eligible) > 1 || f.head || f.tail {
+		e.moves = append(e.moves, move{c: c, pkt: f.pkt, from: v, to: v.out, rr: c.rr, elig: len(eligible)})
+		c.rr++
+		if f.head || f.tail {
 			e.eventAt = e.now
 		}
 		e.buffered--
 		e.bufInCh[v.ch.id]--
 		out := v.out
-		e.moves = append(e.moves, move{c: c, pkt: f.pkt, to: out})
 		out.inTransit++
 		e.addInflight(c, inflightFlit{f: f, to: out, at: e.now + int64(c.delay)})
 		c.carried++
@@ -828,16 +1026,15 @@ func (e *engine) ejectFlits() {
 			if len(v.buf) == 0 {
 				continue
 			}
-			ch.rr = (ch.rr + i + 1) % len(ch.vcs)
 			f := v.pop()
-			v.popped = e.now
+			pkt := f.pkt
+			e.moves = append(e.moves, move{c: ch, pkt: pkt, from: v, rr: ch.rr})
+			ch.rr = (ch.rr + i + 1) % len(ch.vcs)
 			if f.head || f.tail {
 				e.eventAt = e.now
 			}
 			e.buffered--
 			e.bufInCh[ch.id]--
-			pkt := f.pkt
-			e.moves = append(e.moves, move{c: ch, pkt: pkt})
 			pkt.arrived++
 			pkt.lastProgress = e.now
 			if f.tail {

@@ -254,6 +254,130 @@ func TestEngineEquivalenceStreaming(t *testing.T) {
 	})
 }
 
+// hotPattern streams one phase of worms that share outputs: every flow in
+// groups sends to the group's last processor, so each group's worms take
+// turns there. bytes[i] sizes the i-th flow; uneven sizes put the tails at
+// different offsets within a period.
+func hotPattern(procs int, groups [][]int, bytes ...int) *model.Pattern {
+	var fs []model.Flow
+	for _, g := range groups {
+		for _, src := range g[:len(g)-1] {
+			fs = append(fs, model.F(src, g[len(g)-1]))
+		}
+	}
+	pat := trace.BuildPhased("hot", procs, []trace.PhaseSpec{{Flows: fs, Bytes: 1}})
+	for i := range pat.Messages {
+		pat.Messages[i].Bytes = bytes[i%len(bytes)]
+	}
+	return pat
+}
+
+// TestEngineEquivalencePeriodic pins the engines together where the
+// event-driven one leaps whole periods: two and three worms rotating on one
+// output (periods 2 and 3), and both at once (period 6), on the crossbar,
+// mesh and ring, with one to three VCs and link pipelines one to four deep —
+// deeper than the period, so the pipeline check matters. Around them: a
+// MaxCycles horizon at every offset of a period, a worm stalled behind the
+// rotation whose recovery ticks and kills fall mid-period, and tails due
+// inside what would otherwise be one leap.
+func TestEngineEquivalencePeriodic(t *testing.T) {
+	const procs = 8
+	sizes := []int{4096, 4100, 4104, 4108, 4112}
+	pats := []struct {
+		name string
+		pat  *model.Pattern
+	}{
+		{"two", hotPattern(procs, [][]int{{0, 1, 7}}, sizes...)},
+		{"three", hotPattern(procs, [][]int{{0, 1, 2, 7}}, sizes...)},
+		{"lcm6", hotPattern(procs, [][]int{{0, 1, 7}, {2, 3, 4, 6}}, sizes...)},
+	}
+	rows, cols := topology.GridDims(procs)
+	mnet, mgrid := topology.Mesh(rows, cols)
+	rnet, rgrid := topology.Ring(procs)
+	xnet := topology.Crossbar(procs)
+	for _, p := range pats {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			for vcs := 1; vcs <= 3; vcs++ {
+				runBoth(t, fmt.Sprintf("crossbar/vc%d", vcs), p.pat, xnet, XBar{}, Config{VCs: vcs})
+				for delay := 1; delay <= 4; delay++ {
+					cfg := Config{VCs: vcs, LinkDelay: func(a, b topology.SwitchID) int { return delay }}
+					runBoth(t, fmt.Sprintf("mesh/vc%d/delay%d", vcs, delay), p.pat, mnet, DOR{Grid: mgrid}, cfg)
+					runBoth(t, fmt.Sprintf("ring/vc%d/delay%d", vcs, delay), p.pat, rnet, TFAR{Grid: rgrid}, cfg)
+				}
+			}
+		})
+	}
+
+	lcm6 := pats[2].pat
+	// The cases above must reach the leap they are here to check: with
+	// three VCs the two rotations make a period-6 state on the ring and,
+	// behind two-cycle links, on the mesh. (On the crossbar ejection's rr
+	// doubles both periods, to 4 and 6; their lcm, 12, is stepped.)
+	for _, c := range []struct {
+		name   string
+		net    *topology.Network
+		router Router
+		delay  int
+	}{{"ring", rnet, TFAR{Grid: rgrid}, 1}, {"mesh", mnet, DOR{Grid: mgrid}, 2}} {
+		cfg := Config{LinkDelay: func(a, b topology.SwitchID) int { return c.delay }}
+		if exec, stepped := steppedCycles(t, lcm6, c.net, c.router, cfg); stepped*10 > exec {
+			t.Errorf("lcm6 on the %s: stepped %d of %d cycles, want the period leap to fire", c.name, stepped, exec)
+		}
+	}
+	t.Run("horizon", func(t *testing.T) {
+		t.Parallel()
+		for mc := int64(2000); mc < 2006; mc++ {
+			res := runBoth(t, fmt.Sprintf("horizon%d", mc), lcm6, rnet, TFAR{Grid: rgrid}, Config{MaxCycles: mc})
+			if res.Messages == len(lcm6.Messages) {
+				t.Fatalf("horizon %d: every message delivered; the wedge path was not exercised", mc)
+			}
+		}
+	})
+	t.Run("stalled", func(t *testing.T) {
+		t.Parallel()
+		// Two ejection VCs at p7 for three worms: two rotate while the
+		// third's head waits for a VC, a non-mover whose timeout — off
+		// the 32-cycle grid — ends each leap at a recovery tick.
+		three := pats[1].pat
+		for _, timeout := range []int{64, 100, 333} {
+			res := runBoth(t, fmt.Sprintf("stalled/timeout%d", timeout), three, xnet, XBar{}, Config{VCs: 2, DeadlockTimeout: timeout})
+			if res.Kills == 0 {
+				t.Errorf("stalled/timeout%d: no kill landed inside the rotation", timeout)
+			}
+		}
+	})
+	t.Run("credits", func(t *testing.T) {
+		t.Parallel()
+		// Two- and three-flit buffers behind links of mixed depth: credit
+		// bursts that a pipeline can hold without the period's moves or
+		// balance showing them.
+		for buf := 2; buf <= 3; buf++ {
+			for salt := 0; salt < 2; salt++ {
+				cfg := Config{BufFlits: buf, LinkDelay: func(a, b topology.SwitchID) int { return 1 + (int(a)*5+int(b)*3+salt)%4 }}
+				for _, p := range pats {
+					for vcs := 1; vcs <= 3; vcs++ {
+						cfg.VCs = vcs
+						name := fmt.Sprintf("credits/%s/buf%d/salt%d/vc%d", p.name, buf, salt, vcs)
+						runBoth(t, name+"/mesh", p.pat, mnet, DOR{Grid: mgrid}, cfg)
+						runBoth(t, name+"/ring", p.pat, rnet, TFAR{Grid: rgrid}, cfg)
+					}
+				}
+			}
+		}
+	})
+	t.Run("tails", func(t *testing.T) {
+		t.Parallel()
+		// Short worms join and leave the rotation: each tail is due a
+		// different offset into a period.
+		short := hotPattern(procs, [][]int{{0, 1, 2, 3, 7}}, 16<<10, 260, 1028, 2052)
+		for vcs := 2; vcs <= 3; vcs++ {
+			runBoth(t, fmt.Sprintf("tails/vc%d", vcs), short, xnet, XBar{}, Config{VCs: vcs})
+			runBoth(t, fmt.Sprintf("tails/mesh/vc%d", vcs), short, mnet, DOR{Grid: mgrid}, Config{VCs: vcs})
+		}
+	})
+}
+
 // drawCase draws a small phased workload — random flows, sizes from 16 B to
 // 16<<(sizeExps-1) B, compute gaps — and simulator knobs, taking every choice
 // from draw (rand.Intn, or the next fuzz byte).
@@ -326,6 +450,12 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add([]byte{1, 3, 0, 7, 0, 4, 1, 5, 2, 6, 3, 7, 4, 0, 5, 1, 6, 2, 7, 3, 8, 50, 2, 6, 2}) // torus, delay 1-4, a 4 KB shift by 4
 	f.Add([]byte{2, 0, 1, 1, 0, 3, 4, 7, 8, 199, 0, 2, 6, 6, 0, 1, 2, 0})                     // ring, two phases, 2 VCs, timeout 64
 	f.Add([]byte{3, 0, 0, 3, 0, 7, 1, 7, 2, 7, 3, 7, 10, 0, 2, 6, 2})                         // crossbar, four 16 KB worms to p7
+	// TestEngineEquivalencePeriodic's rotations, 4 KB worms.
+	f.Add([]byte{3, 0, 0, 1, 0, 7, 1, 7, 8, 0, 1, 6, 0})                   // crossbar, two rotating on 2 VCs (period 4)
+	f.Add([]byte{3, 0, 0, 2, 0, 7, 1, 7, 2, 7, 8, 0, 1, 6, 0})             // crossbar, two rotating, one stalled, timeout 64
+	f.Add([]byte{0, 3, 0, 2, 0, 7, 1, 7, 2, 7, 8, 0, 2, 6, 2})             // mesh, delay 1-4, three to p7
+	f.Add([]byte{2, 0, 0, 4, 0, 7, 1, 7, 2, 6, 3, 6, 4, 6, 8, 0, 2, 6, 2}) // ring, two and three rotating (period 6)
+	f.Add([]byte{0, 1, 0, 4, 0, 7, 1, 7, 2, 6, 3, 6, 4, 6, 8, 0, 2, 6, 2}) // mesh, delay 1-2, the same
 	const procs = 8
 	rows, cols := topology.GridDims(procs)
 	mnet, mgrid := topology.Mesh(rows, cols)

@@ -28,9 +28,9 @@ type vcBuf struct {
 	owner     *packet
 	out       *vcBuf // downstream VC allocated for this packet
 	inTransit int    // flits on the wire toward this buffer
-	// filled and popped are the last cycles a flit was delivered into and
-	// popped from buf: engine.steady's per-VC balance check.
-	filled, popped int64
+	// nTo and nPop tally the sends toward and pops from this VC over a
+	// candidate period: engine.repeats' scratch, zero between its calls.
+	nTo, nPop int
 }
 
 // space reports whether one more flit may be sent toward this buffer
@@ -72,6 +72,9 @@ type channel struct {
 	inflight []inflightFlit
 	carried  int64 // flits transmitted (stats)
 	rr       int   // round-robin arbitration pointer
+	// nMoves and rrAt are engine.repeats' scratch: nMoves is zero between
+	// its calls, and rrAt is set by the first move it counts.
+	nMoves, rrAt int
 }
 
 func (c *channel) String() string { return fmt.Sprintf("%v->%v#%d", c.src, c.dst, c.linkIdx) }

@@ -3,6 +3,7 @@ package flitsim
 import (
 	"testing"
 
+	"repro/internal/collective"
 	"repro/internal/model"
 	"repro/internal/nas"
 	"repro/internal/topology"
@@ -23,8 +24,9 @@ func steppedCycles(t *testing.T, pat *model.Pattern, net *topology.Network, rout
 	return e.now, e.stepped
 }
 
-// TestLeapFires pins that steady wormhole streaming is leapt, not stepped: a
-// silently disabled leap must fail here, not just slow a benchmark. Identity
+// TestLeapFires pins that steady wormhole streaming and round-robin
+// arbitration are leapt, not stepped: a silently disabled leap, or one
+// limited to period 1, must fail here, not just slow a benchmark. Identity
 // with the oracle is the equivalence suite's job; this one only counts.
 func TestLeapFires(t *testing.T) {
 	// One 64 KB message (16,385 flits) over a 3-hop source route: a head
@@ -40,15 +42,36 @@ func TestLeapFires(t *testing.T) {
 		}
 	}
 
-	// Full-size BT/16 on the crossbar: what is left is mostly worms bound
-	// for one processor taking turns on its ejection channel (a period-2
-	// state, stepped).
+	// Two worms sharing one crossbar output take turns on it: a period-2
+	// state, leapt like a repeating cycle. Stepping it instead costs a cycle
+	// per flit, about 8,200.
+	two := trace.BuildPhased("two", 4, []trace.PhaseSpec{{Flows: []model.Flow{model.F(0, 2), model.F(1, 2)}, Bytes: 16 << 10}})
+	exec, stepped := steppedCycles(t, two, topology.Crossbar(4), XBar{}, Config{})
+	if exec <= 8_000 || stepped >= 200 {
+		t.Errorf("two 16 KB worms rotating on one output: stepped %d of %d cycles, want < 200 of > 8,000", stepped, exec)
+	}
+
+	// Full-size BT/16 on the crossbar: worms bound for one processor take
+	// turns on its ejection channel, a period-4 state (22,082 stepped
+	// cycles when only a repeating cycle was leapt).
 	bt, err := nas.Generate("BT", 16, nas.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, stepped := steppedCycles(t, bt, topology.Crossbar(16), XBar{}, Config{})
-	if exec != 164_592 || stepped >= 30_000 {
-		t.Errorf("BT/16 on the crossbar: stepped %d of %d cycles, want < 30,000 of 164,592", stepped, exec)
+	exec, stepped = steppedCycles(t, bt, topology.Crossbar(16), XBar{}, Config{})
+	if exec != 164_592 || stepped >= 4_000 {
+		t.Errorf("BT/16 on the crossbar: stepped %d of %d cycles, want < 4,000 of 164,592", stepped, exec)
+	}
+
+	// tree-broadcast/16 on the ring, the slowest cell of the paper sweep:
+	// periods 2, 3 and 6 (101,743 stepped cycles with single cycles only).
+	tb, err := collective.Generate("tree-broadcast", 16, collective.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnet, rgrid := topology.Ring(16)
+	exec, stepped = steppedCycles(t, tb, rnet, TFAR{Grid: rgrid}, Config{})
+	if exec != 111_863 || stepped >= 4_000 {
+		t.Errorf("tree-broadcast/16 on the ring: stepped %d of %d cycles, want < 4,000 of 111,863", stepped, exec)
 	}
 }

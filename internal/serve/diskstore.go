@@ -141,6 +141,13 @@ func (d *diskStore) load(path string) (*Entry, error) {
 	if sum := sha256.Sum256(sf.Body); hex.EncodeToString(sum[:]) != sf.BodySHA256 {
 		return nil, fmt.Errorf("serve: %s: body checksum mismatch", path)
 	}
+	// The checksum does not cover the fingerprint. One not shaped like
+	// trace.FingerprintCliques builds them — a segment per processor, a
+	// signature per clique — is corruption: Distance loops over Procs, so
+	// a flipped digit there would stall every warm-start lookup.
+	if fp := sf.Fingerprint; fp != nil && (len(fp.Segments) != fp.Procs || len(fp.CliqueSigs) != fp.Cliques) {
+		return nil, fmt.Errorf("serve: %s: malformed fingerprint", path)
+	}
 	return &Entry{Key: sf.Key, Body: sf.Body, Warm: sf.Warm, Fp: sf.Fingerprint}, nil
 }
 

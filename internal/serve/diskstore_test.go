@@ -9,6 +9,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // TestDiskStoreSurvivesRestart is the durability acceptance pin: a design
@@ -233,4 +236,60 @@ func TestDiskWriteFailureNeverIndexed(t *testing.T) {
 	if resp, _ := postDesign(t, ts.URL, `{"benchmark":"CG","procs":16,"seed":`+strconv.Itoa(n)+`}`); resp.Header.Get("X-Nocd-Cache") != "hit" {
 		t.Errorf("repeat of the last request: X-Nocd-Cache = %q, want hit", resp.Header.Get("X-Nocd-Cache"))
 	}
+}
+
+// FuzzDiskStoreLoad feeds arbitrary bytes to the disk store's file parser
+// as the entry file of one fixed key, so mutations of the seeds — real
+// entries written by Put — keep the key↔filename binding and reach the
+// checks after it. A file load accepts must be one Put could have written:
+// its key is the file's, its body is not empty, and its fingerprint is
+// shaped like one trace.FingerprintCliques builds — a segment per processor,
+// a signature per clique — so the warm index's Distance scans cost no more
+// than the file's own length.
+func FuzzDiskStoreLoad(f *testing.F) {
+	key := "sha256:" + strings.Repeat("ab", 32)
+	fp := trace.FingerprintPattern(trace.BuildPhased("seed", 4, []trace.PhaseSpec{
+		{Flows: []model.Flow{model.F(0, 1), model.F(2, 3)}, Bytes: 64},
+		{Flows: []model.Flow{model.F(1, 2)}, Bytes: 64},
+	}))
+	seedDir := f.TempDir()
+	d := &diskStore{dir: seedDir, keys: make(map[string]struct{})}
+	for _, e := range []*Entry{
+		{Key: key, Body: []byte(`{"design":{}}`), Warm: "seeded", Fp: fp},
+		{Key: key, Body: []byte("x")},
+	} {
+		if _, ok := d.Put(e); !ok {
+			f.Fatal("seed Put failed")
+		}
+		b, err := os.ReadFile(d.path(key))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"schema":"nocd.design-store","version":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		d := &diskStore{dir: dir, keys: make(map[string]struct{})}
+		path := d.path(key)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ent, err := d.load(path)
+		if err != nil {
+			return
+		}
+		if ent.Key != key || len(ent.Body) == 0 {
+			t.Fatalf("load accepted key %q with a %d-byte body", ent.Key, len(ent.Body))
+		}
+		if fp := ent.Fp; fp != nil {
+			if len(fp.Segments) != fp.Procs || len(fp.CliqueSigs) != fp.Cliques {
+				t.Fatalf("load accepted a fingerprint of %d processors and %d cliques with %d segments and %d signatures",
+					fp.Procs, fp.Cliques, len(fp.Segments), len(fp.CliqueSigs))
+			}
+			if dist := fp.Distance(fp); dist != 0 {
+				t.Fatalf("fingerprint is %v from itself", dist)
+			}
+		}
+	})
 }
