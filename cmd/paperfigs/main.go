@@ -10,14 +10,150 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/harness"
 )
 
+// figures is every -fig value in the order -fig all prints them.
+var figures = []struct {
+	name string
+	run  func(cfg harness.Config, quick bool) error
+}{
+	{"1", func(cfg harness.Config, _ bool) error {
+		w, err := cfg.Walkthrough()
+		if err != nil {
+			return err
+		}
+		fmt.Println(w.Render())
+		return nil
+	}},
+	{"7a", func(cfg harness.Config, _ bool) error {
+		rows, err := cfg.Figure7("small")
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderResourceTable("Figure 7(a): resources, 8/9-node configurations (normalized to mesh)", rows))
+		return nil
+	}},
+	{"7b", func(cfg harness.Config, _ bool) error {
+		rows, err := cfg.Figure7("large")
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderResourceTable("Figure 7(b): resources, 16-node configurations (normalized to mesh)", rows))
+		return nil
+	}},
+	{"8a", func(cfg harness.Config, _ bool) error {
+		rows, err := cfg.Figure8("small")
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderPerfTable("Figure 8(a): performance, 8/9-node configurations (normalized to crossbar)", rows))
+		return nil
+	}},
+	{"8b", func(cfg harness.Config, _ bool) error {
+		rows, err := cfg.Figure8("large")
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderPerfTable("Figure 8(b): performance, 16-node configurations (normalized to crossbar)", rows))
+		return nil
+	}},
+	{"sens", func(cfg harness.Config, _ bool) error {
+		rows, err := cfg.Sensitivity([]string{"BT", "CG", "FFT", "MG"}, 16)
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderSensitivityTable(rows))
+		return nil
+	}},
+	{"color", func(cfg harness.Config, _ bool) error {
+		rows, err := cfg.ColoringQuality(nil)
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderColoringQuality(rows))
+		return nil
+	}},
+	{"ablation", func(cfg harness.Config, _ bool) error {
+		for _, bench := range []string{"CG", "BT"} {
+			rows, err := cfg.Ablations(bench, 16)
+			if err != nil {
+				return err
+			}
+			fmt.Println(harness.RenderAblations(rows))
+		}
+		return nil
+	}},
+	{"multi", func(cfg harness.Config, _ bool) error {
+		res, err := cfg.MultiApp([]string{"CG", "FFT"}, 16)
+		if err != nil {
+			return err
+		}
+		fmt.Println(res.Render())
+		return nil
+	}},
+	{"scale", func(cfg harness.Config, quick bool) error {
+		sizes := []int{8, 16, 32, 64}
+		if quick {
+			sizes = []int{8, 16}
+		}
+		rows, err := cfg.Scaling("CG", sizes)
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderScaling("CG", rows))
+		return nil
+	}},
+	{"warm", func(cfg harness.Config, _ bool) error {
+		rows, err := cfg.WarmStart("CG", 16)
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderWarmStart("CG", rows))
+		return nil
+	}},
+	{"skew", func(cfg harness.Config, _ bool) error {
+		rows, err := cfg.SkewRobustness("CG", 16, []float64{0, 0.25, 0.5, 1, 2, 4, 8, 16})
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderSkewTable("CG", rows))
+		return nil
+	}},
+	{"coll", func(cfg harness.Config, _ bool) error {
+		rows, err := cfg.Collectives(16)
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderPerfTable("Collectives: performance, 16-node schedules (normalized to crossbar)", rows))
+		return nil
+	}},
+	{"chiplet", func(cfg harness.Config, _ bool) error {
+		for _, cell := range []struct {
+			bench string
+			procs int
+		}{{"CG", 16}, {"ring-allreduce", 64}} {
+			rows, err := cfg.Chiplet(cell.bench, cell.procs, 4)
+			if err != nil {
+				return err
+			}
+			fmt.Println(harness.RenderChipletTable(fmt.Sprintf("Chiplet: %s-%d at 4 clusters (normalized to the flat design)", cell.bench, cell.procs), rows))
+		}
+		return nil
+	}},
+}
+
 func main() {
+	names := []string{"all"}
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
 	var (
-		fig    = flag.String("fig", "all", "figure: all, 1, 7a, 7b, 8a, 8b, sens, color, ablation, multi, scale, warm, skew, coll, chiplet")
+		fig    = flag.String("fig", "all", "figure: "+strings.Join(names, ", "))
 		quick  = flag.Bool("quick", false, "scaled-down workloads (faster)")
 		shared cliutil.Flags
 	)
@@ -25,6 +161,10 @@ func main() {
 	shared.RegisterProfiles(flag.CommandLine)
 	shared.RegisterReport(flag.CommandLine)
 	flag.Parse()
+	if !slices.Contains(names, *fig) {
+		fmt.Fprintf(os.Stderr, "paperfigs: unknown -fig %q (valid: %s)\n", *fig, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 	stopProfiles, err := shared.StartProfiles()
 	if err != nil {
 		fatal(err)
@@ -40,138 +180,14 @@ func main() {
 	}
 	cfg.Workers = shared.Workers
 	cfg.Obs = shared.Observer()
-	run := func(name string, f func() error) {
-		if *fig != "all" && *fig != name {
-			return
+	for _, f := range figures {
+		if *fig != "all" && *fig != f.name {
+			continue
 		}
-		if err := f(); err != nil {
-			fatal(fmt.Errorf("%s: %v", name, err))
+		if err := f.run(cfg, *quick); err != nil {
+			fatal(fmt.Errorf("%s: %v", f.name, err))
 		}
 	}
-
-	run("1", func() error {
-		w, err := cfg.Walkthrough()
-		if err != nil {
-			return err
-		}
-		fmt.Println(w.Render())
-		return nil
-	})
-	run("7a", func() error {
-		rows, err := cfg.Figure7("small")
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderResourceTable("Figure 7(a): resources, 8/9-node configurations (normalized to mesh)", rows))
-		return nil
-	})
-	run("7b", func() error {
-		rows, err := cfg.Figure7("large")
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderResourceTable("Figure 7(b): resources, 16-node configurations (normalized to mesh)", rows))
-		return nil
-	})
-	run("8a", func() error {
-		rows, err := cfg.Figure8("small")
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderPerfTable("Figure 8(a): performance, 8/9-node configurations (normalized to crossbar)", rows))
-		return nil
-	})
-	run("8b", func() error {
-		rows, err := cfg.Figure8("large")
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderPerfTable("Figure 8(b): performance, 16-node configurations (normalized to crossbar)", rows))
-		return nil
-	})
-	run("sens", func() error {
-		rows, err := cfg.Sensitivity([]string{"BT", "FFT"}, 16)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderSensitivityTable(rows))
-		return nil
-	})
-	run("color", func() error {
-		rows, err := cfg.ColoringQuality(nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderColoringQuality(rows))
-		return nil
-	})
-	run("ablation", func() error {
-		for _, bench := range []string{"CG", "BT"} {
-			rows, err := cfg.Ablations(bench, 16)
-			if err != nil {
-				return err
-			}
-			fmt.Println(harness.RenderAblations(rows))
-		}
-		return nil
-	})
-	run("multi", func() error {
-		res, err := cfg.MultiApp([]string{"CG", "FFT"}, 16)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		return nil
-	})
-	run("scale", func() error {
-		sizes := []int{8, 16, 32, 64}
-		if *quick {
-			sizes = []int{8, 16}
-		}
-		rows, err := cfg.Scaling("CG", sizes)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderScaling("CG", rows))
-		return nil
-	})
-	run("warm", func() error {
-		rows, err := cfg.WarmStart("CG", 16)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderWarmStart("CG", rows))
-		return nil
-	})
-	run("skew", func() error {
-		rows, err := cfg.SkewRobustness("CG", 16, []float64{0, 0.25, 0.5, 1, 2, 4, 8, 16})
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderSkewTable("CG", rows))
-		return nil
-	})
-	run("coll", func() error {
-		rows, err := cfg.Collectives(16)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderPerfTable("Collectives: performance, 16-node schedules (normalized to crossbar)", rows))
-		return nil
-	})
-	run("chiplet", func() error {
-		for _, cell := range []struct {
-			bench string
-			procs int
-		}{{"CG", 16}, {"ring-allreduce", 64}} {
-			rows, err := cfg.Chiplet(cell.bench, cell.procs, 4)
-			if err != nil {
-				return err
-			}
-			fmt.Println(harness.RenderChipletTable(fmt.Sprintf("Chiplet: %s-%d at 4 clusters (normalized to the flat design)", cell.bench, cell.procs), rows))
-		}
-		return nil
-	})
 	if err := shared.WriteReport("paperfigs", nil); err != nil {
 		fatal(err)
 	}

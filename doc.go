@@ -6,8 +6,8 @@
 // harness that regenerates every figure of the paper's evaluation.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for measured-vs-paper results. The
-// benchmarks in bench_test.go regenerate each figure:
+// experiment index, and EXPERIMENTS.md for measured-vs-paper results.
+// cmd/paperfigs regenerates each figure:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/paperfigs -quick
 package repro

@@ -28,11 +28,11 @@ func TestDeterminismHarnessWorkers(t *testing.T) {
 		}
 	})
 	t.Run("Sensitivity", func(t *testing.T) {
-		a, err := serial.Sensitivity([]string{"BT", "FFT"}, 16)
+		a, err := serial.Sensitivity(sensBenchmarks, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := par.Sensitivity([]string{"BT", "FFT"}, 16)
+		b, err := par.Sensitivity(sensBenchmarks, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,32 +124,59 @@ func TestFigure8ForCG(t *testing.T) {
 	}
 }
 
+// sensBenchmarks is the matrix paperfigs -fig sens prints.
+var sensBenchmarks = []string{"BT", "CG", "FFT", "MG"}
+
 func TestSensitivityOrdering(t *testing.T) {
-	rows, err := Quick().Sensitivity([]string{"BT", "FFT"}, 16)
+	rows, err := Quick().Sensitivity(sensBenchmarks, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
+	n := len(sensBenchmarks)
+	if len(rows) != n*n {
+		t.Fatalf("got %d rows, want %d", len(rows), n*n)
 	}
-	var bt, fft SensitivityRow
+	cell := map[[2]string]SensitivityRow{}
+	worst := map[string]float64{} // worst off-diagonal degradation per trace
 	for _, r := range rows {
-		switch r.Benchmark {
-		case "BT":
-			bt = r
-		case "FFT":
-			fft = r
+		cell[[2]string{r.Trace, r.Network}] = r
+		if r.Trace == r.Network {
+			if r.Degradation != 0 || r.Exec != r.OwnExec {
+				t.Errorf("%s on its own network: exec %d, own %d, degradation %v", r.Trace, r.Exec, r.OwnExec, r.Degradation)
+			}
+		} else {
+			worst[r.Trace] = max(worst[r.Trace], r.Degradation)
 		}
 	}
 	// Paper: FFT suffers <2% on the CG network; BT ~20%. Assert the
-	// ordering (BT degrades more) and that FFT stays modest.
-	if bt.Degradation < fft.Degradation {
-		t.Errorf("BT degradation %.1f%% should exceed FFT's %.1f%%",
+	// ordering: BT degrades more.
+	bt, fft := cell[[2]string{"BT", "CG"}], cell[[2]string{"FFT", "CG"}]
+	if bt.Degradation <= fft.Degradation {
+		t.Errorf("BT-on-CG degradation %.1f%% should exceed FFT-on-CG's %.1f%%",
 			100*bt.Degradation, 100*fft.Degradation)
 	}
+	// The CG column must reproduce, to the cycle, the two rows this
+	// experiment printed at Quick scale before it became a matrix (BT and
+	// FFT on the CG network only; its own.exec and onCG.exec columns).
+	for _, want := range []SensitivityRow{
+		{Trace: "BT", OwnExec: 17115, Exec: 20722},
+		{Trace: "FFT", OwnExec: 9109, Exec: 9972},
+	} {
+		got := cell[[2]string{want.Trace, "CG"}]
+		if got.OwnExec != want.OwnExec || got.Exec != want.Exec {
+			t.Errorf("%s on CG: exec %d (own %d), want %d (own %d)", want.Trace, got.Exec, got.OwnExec, want.Exec, want.OwnExec)
+		}
+	}
+	// MG is latency-bound: no foreign network hurts it as much as the
+	// worst one hurts any other trace.
+	for _, tr := range sensBenchmarks {
+		if tr != "MG" && worst["MG"] >= worst[tr] {
+			t.Errorf("MG's worst degradation %.1f%% not below %s's %.1f%%", 100*worst["MG"], tr, 100*worst[tr])
+		}
+	}
 	out := RenderSensitivityTable(rows)
-	if !strings.Contains(out, "BT") {
-		t.Errorf("table missing BT:\n%s", out)
+	if !strings.Contains(out, "20722") || !strings.Contains(out, "1.211") {
+		t.Errorf("table missing the BT-on-CG cell:\n%s", out)
 	}
 }
 

@@ -4,70 +4,96 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/nas"
 	"repro/internal/parallel"
 )
 
-// SensitivityRow is one entry of the Section 4.2 cross-pattern study: a
-// benchmark running on the network generated for CG, compared to running on
-// its own generated network.
+// SensitivityRow is one cell of the Section 4.2 cross-pattern matrix: one
+// benchmark's trace run on the network generated for another benchmark (or
+// for itself, on the diagonal), compared to running on its own network.
 type SensitivityRow struct {
-	Benchmark string
-	Procs     int
+	Trace   string // benchmark whose trace runs
+	Network string // benchmark the network was generated for
+	Procs   int
 
-	OwnExec  int64
-	OnCGExec int64
-	// Degradation is OnCGExec/OwnExec - 1; the paper reports <2% for FFT
-	// and ~20% for BT at 16 nodes.
+	OwnExec int64 // the trace on its own generated network
+	Exec    int64 // the trace on Network's generated network
+	// Degradation is Exec/OwnExec - 1, exactly 0 on the diagonal; the paper
+	// reports <2% for FFT and ~20% for BT on the CG network at 16 nodes.
 	Degradation float64
 }
 
-// Sensitivity reproduces the cross-pattern experiment: run the named
-// benchmarks' traces on the CG-generated network (the paper uses BT and FFT
-// at 16 nodes). The CG design is built once up front; the per-benchmark
-// cells then run on the Workers pool, each reading the shared CG design
-// (designs are immutable after synthesis, so concurrent reads are safe).
+// Sensitivity reproduces the cross-pattern experiment over the full matrix:
+// every named benchmark's trace on the network generated for every named
+// benchmark. The designs are built in one stage; the len² simulations then
+// run as independent cells, each reading two finished designs (designs are
+// immutable after synthesis, so concurrent reads are safe). Rows come back
+// trace-major, in the order of benchmarks.
 func (c Config) Sensitivity(benchmarks []string, procs int) ([]SensitivityRow, error) {
-	cg, err := c.BuildDesign("CG", procs)
-	if err != nil {
-		return nil, fmt.Errorf("sensitivity: CG design: %v", err)
-	}
-	return parallel.MapObserved(c.Obs, "harness.sensitivity", c.Workers, len(benchmarks), func(i int) (SensitivityRow, error) {
-		name := benchmarks[i]
-		pat, err := nas.Generate(name, procs, c.nasConfig())
+	designs, err := parallel.MapObserved(c.Obs, "harness.sensitivity.design", c.Workers, len(benchmarks), func(i int) (*Design, error) {
+		d, err := c.BuildDesign(benchmarks[i], procs)
 		if err != nil {
-			return SensitivityRow{}, err
+			return nil, fmt.Errorf("sensitivity: %s design: %v", benchmarks[i], err)
 		}
-		own, err := c.BuildDesign(name, procs)
-		if err != nil {
-			return SensitivityRow{}, fmt.Errorf("sensitivity: %s design: %v", name, err)
-		}
-		ownRes, err := c.simulateGenerated(pat, own)
-		if err != nil {
-			return SensitivityRow{}, fmt.Errorf("sensitivity: %s on own network: %v", name, err)
-		}
-		cgRes, err := c.simulateGenerated(pat, cg)
-		if err != nil {
-			return SensitivityRow{}, fmt.Errorf("sensitivity: %s on CG network: %v", name, err)
-		}
-		return SensitivityRow{
-			Benchmark:   name,
-			Procs:       procs,
-			OwnExec:     ownRes.ExecCycles,
-			OnCGExec:    cgRes.ExecCycles,
-			Degradation: float64(cgRes.ExecCycles)/float64(ownRes.ExecCycles) - 1,
-		}, nil
+		return d, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	n := len(benchmarks)
+	execs, err := parallel.MapObserved(c.Obs, "harness.sensitivity.cell", c.Workers, n*n, func(k int) (int64, error) {
+		tr, net := designs[k/n], designs[k%n]
+		res, err := c.simulateGenerated(tr.Pattern, net)
+		if err != nil {
+			return 0, fmt.Errorf("sensitivity: %s on %s network: %v", tr.Benchmark, net.Benchmark, err)
+		}
+		return res.ExecCycles, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SensitivityRow, n*n)
+	for k, exec := range execs {
+		i := k / n
+		own := execs[i*n+i]
+		rows[k] = SensitivityRow{
+			Trace:       benchmarks[i],
+			Network:     benchmarks[k%n],
+			Procs:       procs,
+			OwnExec:     own,
+			Exec:        exec,
+			Degradation: float64(exec)/float64(own) - 1,
+		}
+	}
+	return rows, nil
 }
 
-// RenderSensitivityTable formats the sensitivity rows.
+// RenderSensitivityTable formats the trace-major rows of Sensitivity as two
+// matrices, traces down and networks across: execution cycles (the diagonal
+// is each trace's own network), then execution normalized to the diagonal.
 func RenderSensitivityTable(rows []SensitivityRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Section 4.2 sensitivity: benchmark traces on the CG-generated network\n")
-	fmt.Fprintf(&b, "%-6s %5s | %12s %12s | %11s\n", "bench", "procs", "own.exec", "onCG.exec", "degradation")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6s %5d | %12d %12d | %10.1f%%\n",
-			r.Benchmark, r.Procs, r.OwnExec, r.OnCGExec, 100*r.Degradation)
+	if len(rows) == 0 {
+		return ""
 	}
+	n := 1 // networks per trace
+	for n < len(rows) && rows[n].Trace == rows[0].Trace {
+		n++
+	}
+	var b strings.Builder
+	matrix := func(title string, cell func(SensitivityRow) string) {
+		fmt.Fprintf(&b, "%-9s", title)
+		for _, r := range rows[:n] {
+			fmt.Fprintf(&b, " %9s", r.Network)
+		}
+		for k, r := range rows {
+			if k%n == 0 {
+				fmt.Fprintf(&b, "\n%-9s", r.Trace)
+			}
+			fmt.Fprintf(&b, " %9s", cell(r))
+		}
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "Section 4.2 sensitivity: each trace (row) on each generated network (column), %d procs\n", rows[0].Procs)
+	matrix("exec", func(r SensitivityRow) string { return fmt.Sprint(r.Exec) })
+	matrix("vs own", func(r SensitivityRow) string { return fmt.Sprintf("%.3f", float64(r.Exec)/float64(r.OwnExec)) })
 	return b.String()
 }
