@@ -150,14 +150,14 @@ func runHier(pat *model.Pattern, clusters string, opt hier.Options, out string) 
 		len(d.Assign.Clusters), d.TotalSwitches(), d.TotalLinks())
 	fmt.Printf("design constraints met at every level: %v\n", d.ConstraintsMet())
 	fmt.Printf("contention-free at every level (Theorem 1, C ∩ R = ∅): %v\n", d.ContentionFree())
-	for c, lv := range d.Chiplets {
-		fmt.Printf("  chiplet %d: procs %v, gateways %v, %d switches, %d links, constraints met %v, contention-free %v\n",
-			c, d.Assign.Clusters[c], d.Assign.Gateways[c],
+	for i, lv := range d.Levels() {
+		if i < len(d.Chiplets) {
+			fmt.Printf("  chiplet %d: procs %v, gateways %v", i, d.Assign.Clusters[i], d.Assign.Gateways[i])
+		} else {
+			fmt.Printf("  noi: %d gateway endpoints", d.Assign.NoIProcs)
+		}
+		fmt.Printf(", %d switches, %d links, constraints met %v, contention-free %v\n",
 			lv.Net.NumSwitches(), lv.Net.TotalLinks(), lv.Result.ConstraintsMet, lv.Result.ContentionFree)
-	}
-	if d.NoI != nil {
-		fmt.Printf("  noi: %d gateway endpoints, %d switches, %d links, constraints met %v, contention-free %v\n",
-			d.Assign.NoIProcs, d.NoI.Net.NumSwitches(), d.NoI.Net.TotalLinks(), d.NoI.Result.ConstraintsMet, d.NoI.Result.ContentionFree)
 	}
 	if out != "" {
 		save := func(w io.Writer) error { return hier.SaveDesign(w, d) }

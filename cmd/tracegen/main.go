@@ -5,13 +5,14 @@
 // Usage:
 //
 //	tracegen -bench CG -procs 16 [-iters 4] [-bytescale 1.0] [-skew 0] [-seed 1] [-o trace.txt] [-report run.json]
-//	tracegen -collective ring-allreduce -n 64 [-iters 2] [-bytescale 1.0] [-o trace.txt]
+//	tracegen -collective ring-allreduce -procs 64 [-iters 2] [-bytescale 1.0] [-o trace.txt]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/collective"
@@ -32,7 +33,6 @@ func main() {
 		out       = flag.String("o", "", "output file (default stdout)")
 		shared    cliutil.Flags
 	)
-	flag.IntVar(procs, "n", 16, "alias for -procs")
 	shared.RegisterSeed(flag.CommandLine, "seed for the skew model")
 	shared.RegisterReport(flag.CommandLine)
 	shared.RegisterHier(flag.CommandLine)
@@ -96,22 +96,18 @@ func emitSplit(pat *model.Pattern, shared *cliutil.Flags, out string) error {
 	if err != nil {
 		return err
 	}
-	for c, sub := range s.Chiplets {
-		sst := trace.Summarize(sub)
-		fmt.Fprintf(os.Stderr, "  chiplet %d (procs %v, gateways %v): %d messages, |C|=%d\n",
-			c, a.Clusters[c], a.Gateways[c], sst.Messages, sst.ContentionSz)
-		if out != "" {
-			if err := writeTrace(fmt.Sprintf("%s.c%d", out, c), sub); err != nil {
-				return err
-			}
+	for i, sub := range s.Levels() {
+		st := trace.Summarize(sub)
+		if i < len(s.Chiplets) {
+			fmt.Fprintf(os.Stderr, "  chiplet %d (procs %v, gateways %v): %d messages, |C|=%d\n",
+				i, a.Clusters[i], a.Gateways[i], st.Messages, st.ContentionSz)
+		} else {
+			fmt.Fprintf(os.Stderr, "  noi (%d gateway endpoints): %d messages (%d inter-cluster), |C|=%d\n",
+				a.NoIProcs, st.Messages, s.InterMessages, st.ContentionSz)
 		}
-	}
-	if s.NoI != nil {
-		nst := trace.Summarize(s.NoI)
-		fmt.Fprintf(os.Stderr, "  noi (%d gateway endpoints): %d messages (%d inter-cluster), |C|=%d\n",
-			a.NoIProcs, nst.Messages, s.InterMessages, nst.ContentionSz)
+		// Sub-pattern names extend the trace's: <name>.c<i>, <name>.noi.
 		if out != "" {
-			if err := writeTrace(out+".noi", s.NoI); err != nil {
+			if err := writeTrace(out+strings.TrimPrefix(sub.Name, pat.Name), sub); err != nil {
 				return err
 			}
 		}

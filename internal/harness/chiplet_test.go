@@ -29,20 +29,17 @@ func TestTheorem1InvariantHier(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%d: %v", cell.benchmark, cell.procs, err)
 		}
-		for ci, lv := range d.Chiplets {
+		levels := d.Levels()
+		if len(levels) != cell.clusters+1 {
+			t.Fatalf("%s/%d: %d levels at %d clusters, want every chiplet and the NoI", cell.benchmark, cell.procs, len(levels), cell.clusters)
+		}
+		for _, lv := range levels {
 			if lv.Result == nil || !lv.Result.ContentionFree {
-				t.Errorf("%s/%d chiplet %d: not reported contention-free", cell.benchmark, cell.procs, ci)
+				t.Errorf("%s/%d %s: not reported contention-free", cell.benchmark, cell.procs, lv.Pattern.Name)
 				continue
 			}
 			verifyTheorem1Routes(t, lv.Pattern.Name, lv.Pattern, lv.Table.Routes)
 		}
-		if d.NoI == nil {
-			t.Fatalf("%s/%d: no NoI level at %d clusters", cell.benchmark, cell.procs, cell.clusters)
-		}
-		if !d.NoI.Result.ContentionFree {
-			t.Errorf("%s/%d noi: not reported contention-free", cell.benchmark, cell.procs)
-		}
-		verifyTheorem1Routes(t, d.NoI.Pattern.Name, d.NoI.Pattern, d.NoI.Table.Routes)
 	}
 }
 

@@ -124,6 +124,42 @@ func TestFigure8ForCG(t *testing.T) {
 	}
 }
 
+// TestFigure8SmallShape pins Figure 8(a) at Quick scale: five benchmarks ×
+// four topologies in the paper's bar order, every crossbar row exactly 1.0
+// (the normalization base), and every generated row close to the crossbar
+// and no slower than the mesh. The slack is set from the measured rows —
+// generated exec/xbar at most 1.002 and comm/xbar at most 1.041 (MG) — with
+// room for a small search change, not for the mesh's 1.16–1.18 on CG/FFT.
+func TestFigure8SmallShape(t *testing.T) {
+	rows, err := Quick().Figure8("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := Topologies()
+	if len(rows) != 5*len(topos) {
+		t.Fatalf("got %d rows, want 5 benchmarks × %d topologies", len(rows), len(topos))
+	}
+	for i, r := range rows {
+		if want := topos[i%len(topos)]; r.Topology != want {
+			t.Fatalf("row %d is %s/%s, want topology %s", i, r.Benchmark, r.Topology, want)
+		}
+		switch r.Topology {
+		case "crossbar":
+			if r.ExecNorm != 1 || r.CommNorm != 1 {
+				t.Errorf("%s crossbar normalized to %.3f/%.3f, want 1/1", r.Benchmark, r.ExecNorm, r.CommNorm)
+			}
+		case "generated":
+			if r.ExecNorm > 1.01 || r.CommNorm > 1.10 {
+				t.Errorf("%s generated %.3f exec / %.3f comm of the crossbar, want ≤ 1.01 / 1.10",
+					r.Benchmark, r.ExecNorm, r.CommNorm)
+			}
+			if mesh := rows[i-2]; r.ExecCycles > mesh.ExecCycles {
+				t.Errorf("%s generated (%d) slower than mesh (%d)", r.Benchmark, r.ExecCycles, mesh.ExecCycles)
+			}
+		}
+	}
+}
+
 // sensBenchmarks is the matrix paperfigs -fig sens prints.
 var sensBenchmarks = []string{"BT", "CG", "FFT", "MG"}
 

@@ -55,31 +55,20 @@ func SaveDesign(w io.Writer, d *Design) error {
 			out.Gateways[i] = []int{}
 		}
 	}
-	for _, lv := range d.Chiplets {
-		raw, err := encodeLevel(lv)
-		if err != nil {
+	for i, lv := range d.Levels() {
+		var buf bytes.Buffer
+		if err := synth.SaveDesign(&buf, lv.Net, lv.Table); err != nil {
 			return err
 		}
-		out.Chiplets = append(out.Chiplets, raw)
-	}
-	if d.NoI != nil {
-		raw, err := encodeLevel(d.NoI)
-		if err != nil {
-			return err
+		if i < len(d.Chiplets) {
+			out.Chiplets = append(out.Chiplets, buf.Bytes())
+		} else {
+			out.NoI = buf.Bytes()
 		}
-		out.NoI = raw
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-func encodeLevel(lv *Level) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	if err := synth.SaveDesign(&buf, lv.Net, lv.Table); err != nil {
-		return nil, err
-	}
-	return json.RawMessage(buf.Bytes()), nil
 }
 
 // LoadDesign reads a design saved by SaveDesign, validating the clustering
@@ -116,30 +105,19 @@ func LoadDesign(r io.Reader) (*Design, error) {
 		GatewayWidth: in.GatewayWidth,
 		NoILinkDelay: in.NoILinkDelay,
 	}
-	if len(in.Chiplets) != len(assign.Clusters) {
-		return nil, fmt.Errorf("hier: design has %d chiplet levels for %d clusters", len(in.Chiplets), len(assign.Clusters))
+	raws := in.Chiplets
+	if len(in.NoI) > 0 {
+		raws = append(raws, in.NoI)
 	}
-	for c, raw := range in.Chiplets {
+	for i, raw := range raws {
 		net, table, err := synth.LoadDesign(bytes.NewReader(raw))
 		if err != nil {
-			return nil, fmt.Errorf("hier: chiplet %d: %v", c, err)
+			return nil, fmt.Errorf("hier: %s: %v", levelName(i, len(in.Chiplets)), err)
 		}
-		if net.Procs != len(assign.Clusters[c]) {
-			return nil, fmt.Errorf("hier: chiplet %d has %d procs, cluster has %d members", c, net.Procs, len(assign.Clusters[c]))
-		}
-		d.Chiplets = append(d.Chiplets, &Level{Net: net, Table: table})
+		d.addLevel(&Level{Net: net, Table: table}, i == len(in.Chiplets))
 	}
-	if len(in.NoI) > 0 {
-		net, table, err := synth.LoadDesign(bytes.NewReader(in.NoI))
-		if err != nil {
-			return nil, fmt.Errorf("hier: noi: %v", err)
-		}
-		if net.Procs != assign.NoIProcs {
-			return nil, fmt.Errorf("hier: noi has %d procs, assignment has %d gateways", net.Procs, assign.NoIProcs)
-		}
-		d.NoI = &Level{Net: net, Table: table}
-	} else if assign.NoIProcs > 0 {
-		return nil, fmt.Errorf("hier: assignment has %d gateways but design has no NoI level", assign.NoIProcs)
+	if err := d.checkLevels(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }

@@ -91,6 +91,26 @@ func TestDeterminismHierSingleClusterDegenerate(t *testing.T) {
 	if len(d.Chiplets) != 1 || d.NoI != nil {
 		t.Fatalf("degenerate design has %d chiplets, NoI=%v", len(d.Chiplets), d.NoI != nil)
 	}
+	// One level and no nil standing in for the NoI, before and after a
+	// LoadDesign round trip; appending to Levels never writes into Chiplets'
+	// spare capacity.
+	var saved bytes.Buffer
+	if err := SaveDesign(&saved, d); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDesign(&saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dd := range []*Design{d, loaded} {
+		if lv := dd.Levels(); len(lv) != 1 || lv[0] == nil || lv[0] != dd.Chiplets[0] {
+			t.Fatalf("single-cluster Levels() = %v, want [Chiplets[0]]", lv)
+		}
+	}
+	d.Chiplets = append(make([]*Level, 0, 2), d.Chiplets...)
+	if _ = append(d.Levels(), &Level{}); d.Chiplets[:2][1] != nil {
+		t.Error("appending to Levels() wrote into Chiplets' backing array")
+	}
 
 	// Flat reference: the chiplet sub-pattern is the original under the
 	// ".c0" name, so rename before synthesizing (the pattern name only

@@ -51,8 +51,8 @@ func Flatten(d *Design, p *model.Pattern) (*Flat, error) {
 	if p.Procs != d.Procs {
 		return nil, fmt.Errorf("hier: pattern has %d procs, design %d", p.Procs, d.Procs)
 	}
-	if len(d.Chiplets) != len(d.Assign.Clusters) {
-		return nil, fmt.Errorf("hier: design has %d chiplet levels for %d clusters", len(d.Chiplets), len(d.Assign.Clusters))
+	if err := d.checkLevels(); err != nil {
+		return nil, err
 	}
 	split, err := SplitPattern(p, d.Assign)
 	if err != nil {
@@ -61,20 +61,12 @@ func Flatten(d *Design, p *model.Pattern) (*Flat, error) {
 	a := d.Assign
 	flat := &Flat{NoILinkDelay: d.NoILinkDelay}
 	net := topology.New("hier."+d.Name, d.Procs)
-	for c, lv := range d.Chiplets {
-		if lv.Net.Procs != len(a.Clusters[c]) {
-			return nil, fmt.Errorf("hier: chiplet %d net has %d procs, cluster has %d members", c, lv.Net.Procs, len(a.Clusters[c]))
-		}
+	for _, lv := range d.Chiplets {
 		flat.ChipletOffset = append(flat.ChipletOffset, net.Graft(lv.Net))
 	}
 	flat.NoIOffset = topology.SwitchID(len(net.Switches))
 	if d.NoI != nil {
-		if d.NoI.Net.Procs != a.NoIProcs {
-			return nil, fmt.Errorf("hier: noi net has %d procs, assignment has %d gateways", d.NoI.Net.Procs, a.NoIProcs)
-		}
 		net.Graft(d.NoI.Net)
-	} else if a.NoIProcs > 0 {
-		return nil, fmt.Errorf("hier: assignment has %d gateways but design has no NoI level", a.NoIProcs)
 	}
 	for q := 0; q < d.Procs; q++ {
 		c := a.Of[q]

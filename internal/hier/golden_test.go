@@ -52,11 +52,8 @@ func goldenSummary(t *testing.T, d *Design) string {
 			label, lv.Net.NumSwitches(), lv.Net.TotalLinks(),
 			lv.Result != nil && lv.Result.ContentionFree, hex.EncodeToString(sum[:]))
 	}
-	for ci, lv := range d.Chiplets {
-		level(fmt.Sprintf("chiplet %d", ci), lv)
-	}
-	if d.NoI != nil {
-		level("noi", d.NoI)
+	for i, lv := range d.Levels() {
+		level(levelName(i, len(d.Chiplets)), lv)
 	}
 	var db bytes.Buffer
 	if err := SaveDesign(&db, d); err != nil {
@@ -155,6 +152,31 @@ func TestGoldenHierRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Error("save → load → save is not a fixed point")
+	}
+	// Levels is chiplet 0 … 3 then the NoI, and the loaded design keeps that
+	// order and count level for level.
+	levels, loaded := d.Levels(), d2.Levels()
+	if len(levels) != 5 || len(loaded) != len(levels) {
+		t.Fatalf("Levels: %d in memory, %d loaded, want 5", len(levels), len(loaded))
+	}
+	for i, lv := range levels {
+		want := pat.Name + ".noi"
+		if i < 4 {
+			want = fmt.Sprintf("%s.c%d", pat.Name, i)
+		}
+		if lv.Pattern.Name != want {
+			t.Errorf("level %d is %s, want %s", i, lv.Pattern.Name, want)
+		}
+		var a, b bytes.Buffer
+		if err := synth.SaveDesign(&a, lv.Net, lv.Table); err != nil {
+			t.Fatal(err)
+		}
+		if err := synth.SaveDesign(&b, loaded[i].Net, loaded[i].Table); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("loaded level %d differs from level %d in memory", i, i)
+		}
 	}
 	a, _, err := Simulate(d, pat, flitsim.Config{})
 	if err != nil {

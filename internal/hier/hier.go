@@ -87,7 +87,8 @@ type Level struct {
 }
 
 // Design is a composite two-level interconnect: one Level per chiplet plus
-// the NoI level (nil when the assignment has a single cluster).
+// the NoI level (nil when the assignment has a single cluster). Levels is
+// the one walk over both.
 type Design struct {
 	Name         string
 	Procs        int
@@ -98,53 +99,70 @@ type Design struct {
 	NoI          *Level
 }
 
+// Levels returns the design's levels in order: chiplet 0 … k−1, then the
+// NoI when there is one (more than one cluster). No entry is nil, and
+// appending to the result never writes into Chiplets.
+func (d *Design) Levels() []*Level { return levels(d.Chiplets, d.NoI) }
+
+// levels is the Levels order shared by designs and splits.
+func levels[T any](chiplets []*T, noi *T) []*T {
+	n := len(chiplets)
+	if noi == nil {
+		return chiplets[:n:n]
+	}
+	return append(chiplets[:n:n], noi)
+}
+
+// levelName names level i of a composite with k chiplets in errors and
+// reports: "chiplet i", or "noi" for the level past the last chiplet.
+func levelName(i, k int) string {
+	if i < k {
+		return fmt.Sprintf("chiplet %d", i)
+	}
+	return "noi"
+}
+
 // ContentionFree reports whether every synthesized level satisfies
 // Theorem 1 for its sub-pattern (false when any level is a baseline
 // without a synthesis result).
 func (d *Design) ContentionFree() bool {
-	for _, lv := range d.Chiplets {
-		if lv.Result == nil || !lv.Result.ContentionFree {
-			return false
-		}
-	}
-	if d.NoI != nil && (d.NoI.Result == nil || !d.NoI.Result.ContentionFree) {
-		return false
-	}
-	return true
+	return d.everyLevel(func(r *synth.Result) bool { return r.ContentionFree })
 }
 
 // ConstraintsMet reports whether every synthesized level met its own design
 // constraints — the chiplets the NoC budgets, the NoI the NoI's (false when
 // any level is a baseline without a synthesis result).
 func (d *Design) ConstraintsMet() bool {
-	for _, lv := range d.Chiplets {
-		if lv.Result == nil || !lv.Result.ConstraintsMet {
+	return d.everyLevel(func(r *synth.Result) bool { return r.ConstraintsMet })
+}
+
+// everyLevel reports whether every level has a synthesis result passing ok.
+func (d *Design) everyLevel(ok func(*synth.Result) bool) bool {
+	for _, lv := range d.Levels() {
+		if lv.Result == nil || !ok(lv.Result) {
 			return false
 		}
 	}
-	return d.NoI == nil || d.NoI.Result != nil && d.NoI.Result.ConstraintsMet
+	return true
 }
 
 // TotalSwitches sums switch counts across all levels.
 func (d *Design) TotalSwitches() int {
 	total := 0
-	for _, lv := range d.Chiplets {
+	for _, lv := range d.Levels() {
 		total += lv.Net.NumSwitches()
-	}
-	if d.NoI != nil {
-		total += d.NoI.Net.NumSwitches()
 	}
 	return total
 }
 
-// TotalLinks sums link counts across all levels plus the gateway pipes.
+// TotalLinks sums link counts across all levels plus the gateway pipes,
+// which exist only alongside a NoI.
 func (d *Design) TotalLinks() int {
 	total := 0
-	for _, lv := range d.Chiplets {
+	for _, lv := range d.Levels() {
 		total += lv.Net.TotalLinks()
 	}
 	if d.NoI != nil {
-		total += d.NoI.Net.TotalLinks()
 		for _, gws := range d.Assign.Gateways {
 			total += len(gws) * d.GatewayWidth
 		}
@@ -171,36 +189,84 @@ func Synthesize(p *model.Pattern, opt Options) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	split, err := SplitPattern(p, assign)
+	d, split, err := compose(p.Name, p, assign, opt,
+		func(sub *model.Pattern, lopt synth.Options) (*Level, error) {
+			res, err := synth.Synthesize(sub, lopt)
+			if err != nil {
+				return nil, err
+			}
+			return &Level{Pattern: sub, Net: res.Net, Table: res.Table, Result: res}, nil
+		})
 	if err != nil {
 		return nil, err
-	}
-	d := &Design{
-		Name:         p.Name,
-		Procs:        p.Procs,
-		Assign:       assign,
-		GatewayWidth: opt.GatewayWidth,
-		NoILinkDelay: opt.NoILinkDelay,
-	}
-	for c, sub := range split.Chiplets {
-		res, err := synth.Synthesize(sub, opt.NoC)
-		if err != nil {
-			return nil, fmt.Errorf("hier: chiplet %d: %v", c, err)
-		}
-		d.Chiplets = append(d.Chiplets, &Level{
-			Pattern: sub, Net: res.Net, Table: res.Table, Result: res,
-		})
-	}
-	if split.NoI != nil {
-		res, err := synth.Synthesize(split.NoI, opt.NoI)
-		if err != nil {
-			return nil, fmt.Errorf("hier: noi: %v", err)
-		}
-		d.NoI = &Level{Pattern: split.NoI, Net: res.Net, Table: res.Table, Result: res}
 	}
 	obs.Emit(opt.Obs, "hier.synthesized",
 		fmt.Sprintf("%s clusters=%d noi_procs=%d inter_msgs=%d cf=%t switches=%d links=%d",
 			p.Name, len(assign.Clusters), assign.NoIProcs, split.InterMessages,
 			d.ContentionFree(), d.TotalSwitches(), d.TotalLinks()))
 	return d, nil
+}
+
+// compose splits p under assign and builds the composite named name one
+// level at a time, in Levels order, with build and the level's options
+// (opt.NoC for a chiplet, opt.NoI for the NoI). Synthesize and MeshOfMeshes
+// differ only in build.
+func compose(name string, p *model.Pattern, assign *Assignment, opt Options,
+	build func(sub *model.Pattern, lopt synth.Options) (*Level, error)) (*Design, *Split, error) {
+	split, err := SplitPattern(p, assign)
+	if err != nil {
+		return nil, nil, err
+	}
+	d := &Design{
+		Name:         name,
+		Procs:        p.Procs,
+		Assign:       assign,
+		GatewayWidth: opt.GatewayWidth,
+		NoILinkDelay: opt.NoILinkDelay,
+	}
+	k := len(split.Chiplets)
+	for i, sub := range split.Levels() {
+		lopt := opt.NoC
+		if i == k {
+			lopt = opt.NoI
+		}
+		lv, err := build(sub, lopt)
+		if err != nil {
+			return nil, nil, fmt.Errorf("hier: %s: %v", levelName(i, k), err)
+		}
+		d.addLevel(lv, i == k)
+	}
+	return d, split, nil
+}
+
+// addLevel files lv as the next chiplet, or as the NoI.
+func (d *Design) addLevel(lv *Level, noi bool) {
+	if noi {
+		d.NoI = lv
+	} else {
+		d.Chiplets = append(d.Chiplets, lv)
+	}
+}
+
+// checkLevels holds the levels to the assignment: one chiplet per cluster,
+// serving the cluster's members, and a NoI serving the gateway endpoints
+// whenever there are any.
+func (d *Design) checkLevels() error {
+	a := d.Assign
+	if len(d.Chiplets) != len(a.Clusters) {
+		return fmt.Errorf("hier: design has %d chiplet levels for %d clusters", len(d.Chiplets), len(a.Clusters))
+	}
+	if d.NoI == nil && a.NoIProcs > 0 {
+		return fmt.Errorf("hier: assignment has %d gateways but design has no NoI level", a.NoIProcs)
+	}
+	for i, lv := range d.Levels() {
+		want := a.NoIProcs
+		if i < len(a.Clusters) {
+			want = len(a.Clusters[i])
+		}
+		if lv.Net.Procs != want {
+			return fmt.Errorf("hier: %s net has %d procs, its level serves %d", levelName(i, len(a.Clusters)), lv.Net.Procs, want)
+		}
+	}
+	return nil
 }

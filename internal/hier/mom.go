@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/routing"
+	"repro/internal/synth"
 	"repro/internal/topology"
 )
 
@@ -19,43 +20,14 @@ func MeshOfMeshes(p *model.Pattern, assign *Assignment, gatewayWidth, noiLinkDel
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("hier: %v", err)
 	}
-	if gatewayWidth <= 0 {
-		gatewayWidth = 1
-	}
-	if noiLinkDelay <= 0 {
-		noiLinkDelay = 2
-	}
-	split, err := SplitPattern(p, assign)
-	if err != nil {
-		return nil, err
-	}
-	d := &Design{
-		Name:         "mom." + p.Name,
-		Procs:        p.Procs,
-		Assign:       assign,
-		GatewayWidth: gatewayWidth,
-		NoILinkDelay: noiLinkDelay,
-	}
-	for c, sub := range split.Chiplets {
-		lv, err := meshLevel(sub)
-		if err != nil {
-			return nil, fmt.Errorf("hier: chiplet %d mesh: %v", c, err)
-		}
-		d.Chiplets = append(d.Chiplets, lv)
-	}
-	if split.NoI != nil {
-		lv, err := meshLevel(split.NoI)
-		if err != nil {
-			return nil, fmt.Errorf("hier: noi mesh: %v", err)
-		}
-		d.NoI = lv
-	}
-	return d, nil
+	opt := Options{GatewayWidth: gatewayWidth, NoILinkDelay: noiLinkDelay}.Normalized()
+	d, _, err := compose("mom."+p.Name, p, assign, opt, meshLevel)
+	return d, err
 }
 
 // meshLevel builds one mesh level: a near-square mesh over the sub-pattern's
-// processors with dimension-order routes for its flows.
-func meshLevel(sub *model.Pattern) (*Level, error) {
+// processors with dimension-order routes for its flows; it has no options.
+func meshLevel(sub *model.Pattern, _ synth.Options) (*Level, error) {
 	rows, cols := topology.GridDims(sub.Procs)
 	net, grid := topology.Mesh(rows, cols)
 	net.Name = "mesh." + sub.Name

@@ -39,6 +39,10 @@ type Split struct {
 	InterMessages int
 }
 
+// Levels returns the sub-patterns in Design.Levels order: chiplet 0 … k−1,
+// then the NoI when there is more than one cluster. No entry is nil.
+func (s *Split) Levels() []*model.Pattern { return levels(s.Chiplets, s.NoI) }
+
 // pathFor decomposes one flow. Gateway choice is per-flow deterministic: a
 // non-gateway endpoint forwards through its cluster's gateway selected by
 // the peer cluster's index, spreading concurrent inter-cluster flows across

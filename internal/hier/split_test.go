@@ -45,10 +45,7 @@ func TestSplitConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sub := range append(append([]*model.Pattern{}, s.Chiplets...), s.NoI) {
-			if sub == nil {
-				continue
-			}
+		for _, sub := range s.Levels() {
 			if err := sub.Validate(); err != nil {
 				t.Fatalf("%s %s: invalid sub-pattern: %v", tc.pat.Name, tc.spec, err)
 			}
@@ -252,36 +249,40 @@ func TestSplitMatchesProjection(t *testing.T) {
 			m.Src, m.Dst = f.Src, f.Dst
 			return &m
 		}
-		for c, got := range s.Chiplets {
-			want := projectRef(tc.pat, fmt.Sprintf("%s.c%d", tc.pat.Name, c), len(a.Clusters[c]), func(m model.Message) *model.Message {
-				switch fp := s.Flows[m.Flow()]; {
-				case fp.Intra && fp.Cluster == c:
-					return to(m, fp.Local)
-				case !fp.Intra && fp.SrcCluster == c && fp.LegOut != nil:
-					return to(m, *fp.LegOut)
-				case !fp.Intra && fp.DstCluster == c && fp.LegIn != nil:
-					return to(m, *fp.LegIn)
+		// Levels is chiplet 0 … k−1 then the NoI, each its own projection;
+		// a single cluster has one level and no nil entry for the NoI.
+		levels, want := s.Levels(), len(a.Clusters)
+		if want > 1 {
+			want++
+		}
+		if len(levels) != want {
+			t.Errorf("%s %s: %d levels for %d clusters", tc.pat.Name, tc.spec, len(levels), len(a.Clusters))
+		}
+		for i, got := range levels {
+			name, procs := tc.pat.Name+".noi", a.NoIProcs
+			keep := func(m model.Message) *model.Message {
+				if fp := s.Flows[m.Flow()]; !fp.Intra {
+					return to(m, fp.NoI)
 				}
 				return nil
-			})
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %s cap %d: chiplet %d differs from its projection", tc.pat.Name, tc.spec, tc.cap, c)
 			}
-		}
-		if len(a.Clusters) == 1 {
-			if s.NoI != nil || len(s.Chiplets) != 1 {
-				t.Errorf("%s %s: single cluster split into %d chiplets, NoI %v", tc.pat.Name, tc.spec, len(s.Chiplets), s.NoI)
+			if c := i; c < len(a.Clusters) {
+				name, procs = fmt.Sprintf("%s.c%d", tc.pat.Name, c), len(a.Clusters[c])
+				keep = func(m model.Message) *model.Message {
+					switch fp := s.Flows[m.Flow()]; {
+					case fp.Intra && fp.Cluster == c:
+						return to(m, fp.Local)
+					case !fp.Intra && fp.SrcCluster == c && fp.LegOut != nil:
+						return to(m, *fp.LegOut)
+					case !fp.Intra && fp.DstCluster == c && fp.LegIn != nil:
+						return to(m, *fp.LegIn)
+					}
+					return nil
+				}
 			}
-			continue
-		}
-		want := projectRef(tc.pat, tc.pat.Name+".noi", a.NoIProcs, func(m model.Message) *model.Message {
-			if fp := s.Flows[m.Flow()]; !fp.Intra {
-				return to(m, fp.NoI)
+			if want := projectRef(tc.pat, name, procs, keep); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s cap %d: level %d (%s) differs from its projection", tc.pat.Name, tc.spec, tc.cap, i, name)
 			}
-			return nil
-		})
-		if !reflect.DeepEqual(s.NoI, want) {
-			t.Errorf("%s %s cap %d: NoI differs from its projection", tc.pat.Name, tc.spec, tc.cap)
 		}
 	}
 }

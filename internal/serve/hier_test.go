@@ -71,7 +71,7 @@ func TestDesignHier(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want synth.Stats
-	for _, lv := range append(direct.Chiplets, direct.NoI) {
+	for _, lv := range direct.Levels() {
 		want.Add(lv.Result.Stats)
 	}
 	if want.Coloring == (coloring.Stats{}) {

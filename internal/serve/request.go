@@ -94,7 +94,8 @@ func (hp *hierParams) fingerprint() string {
 }
 
 // options builds the two-level synthesis options: both levels inherit the
-// flat request knobs, with the NoI overrides applied by hier.NoIOptions.
+// flat request knobs and observer, with the NoI overrides applied by
+// hier.NoIOptions.
 func (hp *hierParams) options(base synth.Options) hier.Options {
 	return hier.Options{
 		Spec:         hp.spec,
@@ -103,6 +104,7 @@ func (hp *hierParams) options(base synth.Options) hier.Options {
 		NoILinkDelay: hp.noiLinkDelay,
 		NoC:          base,
 		NoI:          hier.NoIOptions(base, hp.noiMaxDegree, hp.noiMaxProcs),
+		Obs:          base.Obs,
 	}
 }
 

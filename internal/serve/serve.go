@@ -672,16 +672,8 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 		return nil, err
 	}
 
-	var design bytes.Buffer
-	if err := synth.SaveDesign(&design, res.Net, res.Table); err != nil {
-		return nil, fmt.Errorf("serve: rendering design: %w", err)
-	}
-	rep := reqCol.Report("nocd")
-	rep.Pattern = trace.SummarizeCliques(pat, periods, cliques)
-	resp := DesignResponse{
-		Schema:         ResponseSchema,
-		Version:        ResponseVersion,
-		PatternHash:    key,
+	save := func(w io.Writer) error { return synth.SaveDesign(w, res.Net, res.Table) }
+	ent, stored, err := s.publish(&Entry{Key: key, Warm: warmHow, Fp: fp}, save, DesignResponse{
 		Name:           res.Net.Name,
 		Procs:          res.Net.Procs,
 		ConstraintsMet: res.ConstraintsMet,
@@ -689,25 +681,44 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 		ExactColoring:  res.ExactColoring,
 		Switches:       res.Net.NumSwitches(),
 		Links:          res.Net.TotalLinks(),
-		Design:         json.RawMessage(design.Bytes()),
 		Stats:          res.Stats,
-		Report:         rep,
-	}
-	body, err := json.MarshalIndent(&resp, "", "  ")
+	}, trace.SummarizeCliques(pat, periods, cliques), reqCol)
 	if err != nil {
-		return nil, fmt.Errorf("serve: rendering response: %w", err)
+		return nil, err
 	}
-	ent := &Entry{Key: key, Body: append(body, '\n'), Warm: warmHow, Fp: fp}
-	if s.store(ent) {
-		obs.Count(s.col, "serve.cache_store", 1)
-		if fp != nil {
-			if seed := synth.SeedFromDesign(res.Net, res.Table); seed != nil {
-				s.warm.add(key, fp, seed)
-				obs.Count(s.col, "serve.warm_store", 1)
-			}
+	if stored && fp != nil {
+		if seed := synth.SeedFromDesign(res.Net, res.Table); seed != nil {
+			s.warm.add(key, fp, seed)
+			obs.Count(s.col, "serve.warm_store", 1)
 		}
 	}
 	return ent, nil
+}
+
+// publish is the response tail both leader bodies share: it renders the
+// design with save, completes resp with the fixed fields, the design
+// document and the request's RunReport (carrying the pattern summary),
+// sets ent's body to the indented JSON, and writes ent through the stores.
+// It returns ent and whether the authoritative layer took it.
+func (s *Server) publish(ent *Entry, save func(io.Writer) error, resp DesignResponse, pattern trace.Stats, reqCol *obs.Collector) (*Entry, bool, error) {
+	var design bytes.Buffer
+	if err := save(&design); err != nil {
+		return nil, false, fmt.Errorf("serve: rendering design: %w", err)
+	}
+	resp.Schema, resp.Version, resp.PatternHash = ResponseSchema, ResponseVersion, ent.Key
+	resp.Design = design.Bytes()
+	resp.Report = reqCol.Report("nocd")
+	resp.Report.Pattern = pattern
+	body, err := json.MarshalIndent(&resp, "", "  ")
+	if err != nil {
+		return nil, false, fmt.Errorf("serve: rendering response: %w", err)
+	}
+	ent.Body = append(body, '\n')
+	if !s.store(ent) {
+		return ent, false, nil
+	}
+	obs.Count(s.col, "serve.cache_store", 1)
+	return ent, true, nil
 }
 
 // synthesizeHier is the two-level leader body: partition, per-level
@@ -717,9 +728,7 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 // Partition failures against the concrete pattern — an unsatisfiable
 // cluster count, members out of range — are client errors.
 func (s *Server) synthesizeHier(key string, pat *model.Pattern, opt synth.Options, hp *hierParams, reqCol *obs.Collector) (*Entry, error) {
-	hopt := hp.options(opt)
-	hopt.Obs = opt.Obs
-	d, err := hier.Synthesize(pat, hopt)
+	d, err := hier.Synthesize(pat, hp.options(opt))
 	if err != nil {
 		var se *hier.SpecError
 		if errors.As(err, &se) {
@@ -729,17 +738,9 @@ func (s *Server) synthesizeHier(key string, pat *model.Pattern, opt synth.Option
 	}
 	obs.Count(s.col, "serve.hier_designs", 1)
 
-	var design bytes.Buffer
-	if err := hier.SaveDesign(&design, d); err != nil {
-		return nil, fmt.Errorf("serve: rendering hier design: %w", err)
-	}
 	exact := true
 	var stats synth.Stats
-	levels := append([]*hier.Level{}, d.Chiplets...)
-	if d.NoI != nil {
-		levels = append(levels, d.NoI)
-	}
-	for _, lv := range levels {
+	for _, lv := range d.Levels() {
 		exact = exact && lv.Result.ExactColoring
 		stats.Add(lv.Result.Stats)
 	}
@@ -754,12 +755,8 @@ func (s *Server) synthesizeHier(key string, pat *model.Pattern, opt synth.Option
 		summary.NoISwitches = d.NoI.Net.NumSwitches()
 		summary.NoILinks = d.NoI.Net.TotalLinks()
 	}
-	rep := reqCol.Report("nocd")
-	rep.Pattern = trace.Summarize(pat)
-	resp := DesignResponse{
-		Schema:         ResponseSchema,
-		Version:        ResponseVersion,
-		PatternHash:    key,
+	save := func(w io.Writer) error { return hier.SaveDesign(w, d) }
+	ent, _, err := s.publish(&Entry{Key: key}, save, DesignResponse{
 		Name:           d.Name,
 		Procs:          d.Procs,
 		ConstraintsMet: d.ConstraintsMet(),
@@ -767,20 +764,10 @@ func (s *Server) synthesizeHier(key string, pat *model.Pattern, opt synth.Option
 		ExactColoring:  exact,
 		Switches:       d.TotalSwitches(),
 		Links:          d.TotalLinks(),
-		Design:         json.RawMessage(design.Bytes()),
 		Stats:          stats,
-		Report:         rep,
 		Hier:           summary,
-	}
-	body, err := json.MarshalIndent(&resp, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("serve: rendering response: %w", err)
-	}
-	ent := &Entry{Key: key, Body: append(body, '\n')}
-	if s.store(ent) {
-		obs.Count(s.col, "serve.cache_store", 1)
-	}
-	return ent, nil
+	}, trace.Summarize(pat), reqCol)
+	return ent, err
 }
 
 // handleGetDesign replays a cached design by its content-addressed key —

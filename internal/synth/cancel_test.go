@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/nas"
 	"repro/internal/obs"
 )
@@ -42,7 +43,7 @@ func TestSynthesizeContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := SynthesizeContext(ctx, pat, Options{
+	res, err := SynthesizeCliques(ctx, pat, model.MaxCliqueSet(pat), Options{
 		Seed:     1,
 		Restarts: 8,
 		Workers:  4,
@@ -82,7 +83,7 @@ func TestSynthesizeContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	col := obs.NewCollector()
-	res, err := SynthesizeContext(ctx, pat, Options{Seed: 1, Restarts: 4, Obs: col})
+	res, err := SynthesizeCliques(ctx, pat, model.MaxCliqueSet(pat), Options{Seed: 1, Restarts: 4, Obs: col})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -103,22 +104,21 @@ func TestSynthesizeContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err = SynthesizeContext(ctx, pat, Options{Seed: 1, Restarts: 2})
+	_, err = SynthesizeCliques(ctx, pat, model.MaxCliqueSet(pat), Options{Seed: 1, Restarts: 2})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // TestSynthesizeNilContext pins the compatibility contract: a nil context
-// behaves exactly like context.Background (Synthesize itself is routed
-// through this path).
+// behaves exactly like context.Background.
 func TestSynthesizeNilContext(t *testing.T) {
 	pat, err := nas.Generate("CG", 16, quickNASConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	//lint:ignore SA1012 the nil-tolerant contract is exactly what's under test
-	res, err := SynthesizeContext(nil, pat, Options{Seed: 1, Restarts: 2})
+	res, err := SynthesizeCliques(nil, pat, model.MaxCliqueSet(pat), Options{Seed: 1, Restarts: 2})
 	if err != nil {
 		t.Fatalf("nil context: %v", err)
 	}

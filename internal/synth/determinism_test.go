@@ -76,9 +76,9 @@ func TestDeterminismParallelSelfIdentical(t *testing.T) {
 	}
 }
 
-// TestDeterminismContextPlumbing guards the SynthesizeContext refactor: a
-// live (never-cancelled) context must be output-inert. For every NAS
-// pattern, Synthesize and SynthesizeContext with a non-nil context — plain,
+// TestDeterminismContextPlumbing guards the context plumbing: a live
+// (never-cancelled) context must be output-inert. For every NAS pattern,
+// Synthesize and SynthesizeCliques with a non-nil context — plain,
 // cancellable, and deadline-bearing — must return byte-identical designs.
 // The cancellation checks read ctx.Err() only; if one ever perturbs the RNG
 // stream or an iteration order, this test catches it.
@@ -101,7 +101,7 @@ func TestDeterminismContextPlumbing(t *testing.T) {
 			"cancelable": cancelCtx,
 			"deadline":   deadlineCtx,
 		} {
-			res, err := SynthesizeContext(ctx, pat, opt)
+			res, err := SynthesizeCliques(ctx, pat, model.MaxCliqueSet(pat), opt)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, label, err)
 			}

@@ -311,7 +311,7 @@ func (s *state) allSwitches() []int {
 
 // kernel is the immutable per-pattern half of the old state: flow interning,
 // the conflict relation, clique bitsets, and the proc→flow map. Built once
-// per SynthesizeContext and shared read-only by every concurrent restart.
+// per SynthesizeCliques call and shared read-only by every concurrent restart.
 type kernel struct {
 	procs      int
 	cliques    []model.Clique

@@ -236,25 +236,20 @@ func repairConnectivity(net *topology.Network) int {
 // every byte of the returned design) is identical to the serial loop's no
 // matter which worker finishes first.
 func Synthesize(p *model.Pattern, opt Options) (*Result, error) {
-	return SynthesizeContext(context.Background(), p, opt)
+	return SynthesizeCliques(context.Background(), p, model.MaxCliqueSet(p), opt)
 }
 
-// SynthesizeContext is Synthesize with cancellation: ctx is polled at every
-// restart boundary and at every bisection (partition-loop) boundary, so a
-// cancelled context aborts the run promptly — in-flight restarts return at
-// their next check, the pool drains, and the first restart's ctx error (in
-// restart-index order, matching the serial loop) is returned. A nil ctx is
-// treated as context.Background(). Threading a live but never-cancelled
+// SynthesizeCliques is Synthesize with cancellation, for a caller that
+// already holds the pattern's maximum clique set (model.MaxCliqueSet(p)),
+// which is all the search reads of the pattern's timing. ctx is polled at
+// every restart boundary and at every bisection (partition-loop) boundary,
+// so a cancelled context aborts the run promptly — in-flight restarts return
+// at their next check, the pool drains, and the first restart's ctx error
+// (in restart-index order, matching the serial loop) is returned. A nil ctx
+// is treated as context.Background(). Threading a live but never-cancelled
 // context is free of behavioral effect: the checks read ctx.Err() only, so
 // the RNG streams, the fold order, and every byte of the returned design are
 // identical to Synthesize's (pinned by TestDeterminismContextPlumbing).
-func SynthesizeContext(ctx context.Context, p *model.Pattern, opt Options) (*Result, error) {
-	return SynthesizeCliques(ctx, p, model.MaxCliqueSet(p), opt)
-}
-
-// SynthesizeCliques is SynthesizeContext for a caller that already holds the
-// pattern's maximum clique set (model.MaxCliqueSet(p)), which is all the
-// search reads of the pattern's timing.
 func SynthesizeCliques(ctx context.Context, p *model.Pattern, cliques []model.Clique, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
