@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -17,86 +18,87 @@ import (
 	"repro/internal/harness"
 )
 
-// figures is every -fig value in the order -fig all prints them.
+// figures is every -fig value in the order -fig all prints them; each
+// renders its tables to w.
 var figures = []struct {
 	name string
-	run  func(cfg harness.Config, quick bool) error
+	run  func(w io.Writer, cfg harness.Config, quick bool) error
 }{
-	{"1", func(cfg harness.Config, _ bool) error {
-		w, err := cfg.Walkthrough()
+	{"1", func(w io.Writer, cfg harness.Config, _ bool) error {
+		walk, err := cfg.Walkthrough()
 		if err != nil {
 			return err
 		}
-		fmt.Println(w.Render())
+		fmt.Fprintln(w, walk.Render())
 		return nil
 	}},
-	{"7a", func(cfg harness.Config, _ bool) error {
+	{"7a", func(w io.Writer, cfg harness.Config, _ bool) error {
 		rows, err := cfg.Figure7("small")
 		if err != nil {
 			return err
 		}
-		fmt.Println(harness.RenderResourceTable("Figure 7(a): resources, 8/9-node configurations (normalized to mesh)", rows))
+		fmt.Fprintln(w, harness.RenderResourceTable("Figure 7(a): resources, 8/9-node configurations (normalized to mesh)", rows))
 		return nil
 	}},
-	{"7b", func(cfg harness.Config, _ bool) error {
+	{"7b", func(w io.Writer, cfg harness.Config, _ bool) error {
 		rows, err := cfg.Figure7("large")
 		if err != nil {
 			return err
 		}
-		fmt.Println(harness.RenderResourceTable("Figure 7(b): resources, 16-node configurations (normalized to mesh)", rows))
+		fmt.Fprintln(w, harness.RenderResourceTable("Figure 7(b): resources, 16-node configurations (normalized to mesh)", rows))
 		return nil
 	}},
-	{"8a", func(cfg harness.Config, _ bool) error {
+	{"8a", func(w io.Writer, cfg harness.Config, _ bool) error {
 		rows, err := cfg.Figure8("small")
 		if err != nil {
 			return err
 		}
-		fmt.Println(harness.RenderPerfTable("Figure 8(a): performance, 8/9-node configurations (normalized to crossbar)", rows))
+		fmt.Fprintln(w, harness.RenderPerfTable("Figure 8(a): performance, 8/9-node configurations (normalized to crossbar)", rows))
 		return nil
 	}},
-	{"8b", func(cfg harness.Config, _ bool) error {
+	{"8b", func(w io.Writer, cfg harness.Config, _ bool) error {
 		rows, err := cfg.Figure8("large")
 		if err != nil {
 			return err
 		}
-		fmt.Println(harness.RenderPerfTable("Figure 8(b): performance, 16-node configurations (normalized to crossbar)", rows))
+		fmt.Fprintln(w, harness.RenderPerfTable("Figure 8(b): performance, 16-node configurations (normalized to crossbar)", rows))
 		return nil
 	}},
-	{"sens", func(cfg harness.Config, _ bool) error {
+	{"sens", func(w io.Writer, cfg harness.Config, _ bool) error {
 		rows, err := cfg.Sensitivity([]string{"BT", "CG", "FFT", "MG"}, 16)
 		if err != nil {
 			return err
 		}
-		fmt.Println(harness.RenderSensitivityTable(rows))
+		fmt.Fprintln(w, harness.RenderSensitivityTable(rows))
 		return nil
 	}},
-	{"color", func(cfg harness.Config, _ bool) error {
+	{"color", func(w io.Writer, cfg harness.Config, _ bool) error {
 		rows, err := cfg.ColoringQuality(nil)
 		if err != nil {
 			return err
 		}
-		fmt.Println(harness.RenderColoringQuality(rows))
+		fmt.Fprintln(w, harness.RenderColoringQuality(rows))
 		return nil
 	}},
-	{"ablation", func(cfg harness.Config, _ bool) error {
+	{"ablation", func(w io.Writer, cfg harness.Config, _ bool) error {
 		for _, bench := range []string{"CG", "BT"} {
 			rows, err := cfg.Ablations(bench, 16)
 			if err != nil {
 				return err
 			}
-			fmt.Println(harness.RenderAblations(rows))
+			fmt.Fprintln(w, harness.RenderAblations(rows))
 		}
 		return nil
 	}},
-	{"multi", func(cfg harness.Config, _ bool) error {
+	{"multi", func(w io.Writer, cfg harness.Config, _ bool) error {
 		res, err := cfg.MultiApp([]string{"CG", "FFT"}, 16)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Render())
+		fmt.Fprintln(w, res.Render())
 		return nil
 	}},
-	{"scale", func(cfg harness.Config, quick bool) error {
+	{"scale", func(w io.Writer, cfg harness.Config, quick bool) error {
 		sizes := []int{8, 16, 32, 64}
 		if quick {
 			sizes = []int{8, 16}
@@ -105,34 +107,34 @@ var figures = []struct {
 		if err != nil {
 			return err
 		}
-		fmt.Println(harness.RenderScaling("CG", rows))
+		fmt.Fprintln(w, harness.RenderScaling("CG", rows))
 		return nil
 	}},
-	{"warm", func(cfg harness.Config, _ bool) error {
+	{"warm", func(w io.Writer, cfg harness.Config, _ bool) error {
 		rows, err := cfg.WarmStart("CG", 16)
 		if err != nil {
 			return err
 		}
-		fmt.Println(harness.RenderWarmStart("CG", rows))
+		fmt.Fprintln(w, harness.RenderWarmStart("CG", rows))
 		return nil
 	}},
-	{"skew", func(cfg harness.Config, _ bool) error {
+	{"skew", func(w io.Writer, cfg harness.Config, _ bool) error {
 		rows, err := cfg.SkewRobustness("CG", 16, []float64{0, 0.25, 0.5, 1, 2, 4, 8, 16})
 		if err != nil {
 			return err
 		}
-		fmt.Println(harness.RenderSkewTable("CG", rows))
+		fmt.Fprintln(w, harness.RenderSkewTable("CG", rows))
 		return nil
 	}},
-	{"coll", func(cfg harness.Config, _ bool) error {
+	{"coll", func(w io.Writer, cfg harness.Config, _ bool) error {
 		rows, err := cfg.Collectives(16)
 		if err != nil {
 			return err
 		}
-		fmt.Println(harness.RenderPerfTable("Collectives: performance, 16-node schedules (normalized to crossbar)", rows))
+		fmt.Fprintln(w, harness.RenderPerfTable("Collectives: performance, 16-node schedules (normalized to crossbar)", rows))
 		return nil
 	}},
-	{"chiplet", func(cfg harness.Config, _ bool) error {
+	{"chiplet", func(w io.Writer, cfg harness.Config, _ bool) error {
 		for _, cell := range []struct {
 			bench string
 			procs int
@@ -141,7 +143,7 @@ var figures = []struct {
 			if err != nil {
 				return err
 			}
-			fmt.Println(harness.RenderChipletTable(fmt.Sprintf("Chiplet: %s-%d at 4 clusters (normalized to the flat design)", cell.bench, cell.procs), rows))
+			fmt.Fprintln(w, harness.RenderChipletTable(fmt.Sprintf("Chiplet: %s-%d at 4 clusters (normalized to the flat design)", cell.bench, cell.procs), rows))
 		}
 		return nil
 	}},
@@ -184,7 +186,7 @@ func main() {
 		if *fig != "all" && *fig != f.name {
 			continue
 		}
-		if err := f.run(cfg, *quick); err != nil {
+		if err := f.run(os.Stdout, cfg, *quick); err != nil {
 			fatal(fmt.Errorf("%s: %v", f.name, err))
 		}
 	}

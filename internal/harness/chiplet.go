@@ -60,8 +60,10 @@ func (c Config) twoLevel(pat *model.Pattern, clusters int) (*hier.Design, error)
 // three. The flat design runs with its floorplanned link delays; both
 // two-level organizations run with unit intra-chiplet delays and the
 // composite's NoI link delay on inter-chiplet links, so the baseline and
-// the synthesized composite face identical physics. Each row is emitted as
-// a harness.chiplet_row event.
+// the synthesized composite face identical physics. The flat half (design
+// and replay) and the two-level half (composite, mesh-of-meshes and both
+// replays) are independent tasks on the Workers pool. Each row is emitted
+// as a harness.chiplet_row event.
 func (c Config) Chiplet(benchmark string, procs, clusters int) ([]ChipletRow, error) {
 	sp := obs.Span(c.Obs, "harness.chiplet")
 	defer sp.End()
@@ -69,71 +71,75 @@ func (c Config) Chiplet(benchmark string, procs, clusters int) ([]ChipletRow, er
 	if err != nil {
 		return nil, fmt.Errorf("chiplet %s/%d: %v", benchmark, procs, err)
 	}
-	flat, err := c.designFor(benchmark, procs, pat)
+	halves := [...]func() cellTask[ChipletRow]{
+		func() cellTask[ChipletRow] {
+			flat, err := c.designFor(benchmark, procs, pat)
+			if err != nil {
+				return cellTask[ChipletRow]{buildErr: fmt.Errorf("flat: %v", err)}
+			}
+			res, err := c.simulateGenerated(pat, flat)
+			if err != nil {
+				return cellTask[ChipletRow]{replayErr: fmt.Errorf("on flat: %v", err)}
+			}
+			net := flat.Result.Net
+			return cellTask[ChipletRow]{rows: []ChipletRow{chipletRow(res, net.NumSwitches(), net.TotalLinks(), flat.Result.ContentionFree)}}
+		},
+		func() cellTask[ChipletRow] {
+			two, err := c.twoLevel(pat, clusters)
+			if err != nil {
+				return cellTask[ChipletRow]{buildErr: fmt.Errorf("two-level: %v", err)}
+			}
+			mom, err := hier.MeshOfMeshes(pat, two.Assign, two.GatewayWidth, two.NoILinkDelay)
+			if err != nil {
+				return cellTask[ChipletRow]{buildErr: fmt.Errorf("mesh-of-meshes: %v", err)}
+			}
+			var t cellTask[ChipletRow]
+			for _, org := range []struct {
+				topo string
+				d    *hier.Design
+				free bool
+			}{{"mesh-of-meshes", mom, false}, {"two-level", two, two.ContentionFree()}} {
+				res, _, err := hier.Simulate(org.d, pat, c.simConfig())
+				if err != nil {
+					return cellTask[ChipletRow]{replayErr: fmt.Errorf("on %s: %v", org.topo, err)}
+				}
+				t.rows = append(t.rows, chipletRow(res, org.d.TotalSwitches(), org.d.TotalLinks(), org.free))
+			}
+			return t
+		},
+	}
+	rows, err := runCellTasks(c.Workers, -1, len(halves), func(i int) cellTask[ChipletRow] { return halves[i]() })
 	if err != nil {
-		return nil, fmt.Errorf("chiplet %s/%d: flat: %v", benchmark, procs, err)
+		return nil, fmt.Errorf("chiplet %s/%d: %v", benchmark, procs, err)
 	}
-	two, err := c.twoLevel(pat, clusters)
-	if err != nil {
-		return nil, fmt.Errorf("chiplet %s/%d: two-level: %v", benchmark, procs, err)
-	}
-	mom, err := hier.MeshOfMeshes(pat, two.Assign, two.GatewayWidth, two.NoILinkDelay)
-	if err != nil {
-		return nil, fmt.Errorf("chiplet %s/%d: mesh-of-meshes: %v", benchmark, procs, err)
-	}
-
-	var rows []ChipletRow
-	var baseExec int64
-	var baseComm float64
-	for _, topo := range ChipletTopologies() {
-		var res flitsim.Result
-		var row ChipletRow
-		switch topo {
-		case "flat":
-			res, err = c.simulateGenerated(pat, flat)
-			row.Switches = flat.Result.Net.NumSwitches()
-			row.Links = flat.Result.Net.TotalLinks()
-			row.ContentionFree = flat.Result.ContentionFree
-		case "mesh-of-meshes":
-			res, _, err = hier.Simulate(mom, pat, c.simConfig())
-			row.Switches = mom.TotalSwitches()
-			row.Links = mom.TotalLinks()
-		case "two-level":
-			res, _, err = hier.Simulate(two, pat, c.simConfig())
-			row.Switches = two.TotalSwitches()
-			row.Links = two.TotalLinks()
-			row.ContentionFree = two.ContentionFree()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("chiplet %s/%d: on %s: %v", benchmark, procs, topo, err)
-		}
-		row.Benchmark = benchmark
-		row.Procs = procs
-		row.Clusters = clusters
-		row.Topology = topo
-		row.ExecCycles = res.ExecCycles
-		row.CommCycles = res.CommCycles
-		row.MeanLatency = res.MeanLatency
-		row.Kills = res.Kills
-		if topo == "flat" {
-			baseExec = res.ExecCycles
-			baseComm = res.CommCycles
-		}
-		if baseExec > 0 {
-			row.ExecNorm = float64(res.ExecCycles) / float64(baseExec)
-		}
-		if baseComm > 0 {
-			row.CommNorm = res.CommCycles / baseComm
-		}
-		rows = append(rows, row)
-	}
-	for _, r := range rows {
+	topos := ChipletTopologies()
+	for i := range rows {
+		r := &rows[i]
+		r.Topology = topos[i]
+		r.Benchmark = benchmark
+		r.Procs = procs
+		r.Clusters = clusters
+		r.ExecNorm, r.CommNorm = normalize(r.ExecCycles, r.CommCycles, rows[0].ExecCycles, rows[0].CommCycles)
 		obs.Emit(c.Obs, "harness.chiplet_row",
 			fmt.Sprintf("%s/%d k=%d %s exec=%d comm=%.0f lat=%.2f sw=%d links=%d cf=%t",
 				r.Benchmark, r.Procs, r.Clusters, r.Topology, r.ExecCycles, r.CommCycles,
 				r.MeanLatency, r.Switches, r.Links, r.ContentionFree))
 	}
 	return rows, nil
+}
+
+// chipletRow is one organization's simulated and resource columns; Chiplet
+// labels it and normalizes it to the flat row.
+func chipletRow(res flitsim.Result, switches, links int, free bool) ChipletRow {
+	return ChipletRow{
+		ExecCycles:     res.ExecCycles,
+		CommCycles:     res.CommCycles,
+		MeanLatency:    res.MeanLatency,
+		Kills:          res.Kills,
+		Switches:       switches,
+		Links:          links,
+		ContentionFree: free,
+	}
 }
 
 // BuildChipletDesign synthesizes just the two-level composite for a

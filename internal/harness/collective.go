@@ -59,13 +59,9 @@ func (c Config) Collectives(nodes int) ([]PerfRow, error) {
 
 // CollectiveFor runs the topology comparison for a single collective.
 func (c Config) CollectiveFor(name string, nodes int) ([]PerfRow, error) {
-	d, err := c.BuildCollectiveDesign(name, nodes)
+	pat, err := collective.Generate(name, nodes, c.collectiveConfig())
 	if err != nil {
 		return nil, fmt.Errorf("collectives %s/%d: %v", name, nodes, err)
 	}
-	rows, err := c.compareTopologies(d, CollectiveTopologies())
-	if err != nil {
-		return nil, fmt.Errorf("collectives %s/%d: %v", name, nodes, err)
-	}
-	return rows, nil
+	return c.compareTopologies("collectives", name, nodes, pat, CollectiveTopologies())
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -95,27 +94,6 @@ func TestCollectivesPipeline(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Errorf("table missing %s:\n%s", name, out)
 		}
-	}
-}
-
-// TestDeterminismCollectivesWorkers extends the worker-count determinism
-// gate to the collective experiment: the full row set of a Collectives run
-// is identical at -workers 1 and -workers 8. (The name joins the
-// `make determinism` sweep, which runs every TestDeterminism* twice.)
-func TestDeterminismCollectivesWorkers(t *testing.T) {
-	run := func(workers int) []PerfRow {
-		c := Quick()
-		c.Workers = workers
-		rows, err := c.Collectives(8)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return rows
-	}
-	serial := run(1)
-	wide := run(8)
-	if !reflect.DeepEqual(serial, wide) {
-		t.Errorf("collective rows differ across worker counts:\nworkers=1: %+v\nworkers=8: %+v", serial, wide)
 	}
 }
 

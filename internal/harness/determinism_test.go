@@ -6,51 +6,37 @@ import (
 )
 
 // TestDeterminismHarnessWorkers runs whole experiments at both ends of the
-// worker range and requires identical row sets: the fan-out must never
-// change a published table.
+// worker range and requires identical row sets: the fan-out — over cells,
+// and over the stages inside a Figure 8, collective or chiplet cell — must
+// never change a published table.
 func TestDeterminismHarnessWorkers(t *testing.T) {
-	serial := Quick()
-	serial.Workers = 1
-	par := Quick()
-	par.Workers = 8
-
-	t.Run("Figure7", func(t *testing.T) {
-		a, err := serial.Figure7("small")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.Figure7("small")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("Figure7 rows differ between Workers:1 and Workers:8\nserial:  %+v\nparallel: %+v", a, b)
-		}
-	})
-	t.Run("Sensitivity", func(t *testing.T) {
-		a, err := serial.Sensitivity(sensBenchmarks, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.Sensitivity(sensBenchmarks, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("Sensitivity rows differ between Workers:1 and Workers:8\nserial:  %+v\nparallel: %+v", a, b)
-		}
-	})
-	t.Run("Ablations", func(t *testing.T) {
-		a, err := serial.Ablations("CG", 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.Ablations("CG", 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("Ablation rows differ between Workers:1 and Workers:8\nserial:  %+v\nparallel: %+v", a, b)
-		}
-	})
+	for _, exp := range []struct {
+		name string
+		run  func(Config) (any, error)
+	}{
+		{"Figure7", func(c Config) (any, error) { return c.Figure7("small") }},
+		{"Sensitivity", func(c Config) (any, error) { return c.Sensitivity(sensBenchmarks, 16) }},
+		{"Ablations", func(c Config) (any, error) { return c.Ablations("CG", 16) }},
+		{"Figure8", func(c Config) (any, error) { return c.Figure8("small") }},
+		{"Collectives", func(c Config) (any, error) { return c.Collectives(8) }},
+		{"Chiplet", func(c Config) (any, error) { return c.Chiplet("CG", 16, 4) }},
+	} {
+		t.Run(exp.name, func(t *testing.T) {
+			serial := Quick()
+			serial.Workers = 1
+			par := Quick()
+			par.Workers = 8
+			a, err := exp.run(serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := exp.run(par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("%s rows differ between Workers:1 and Workers:8\nserial:  %+v\nparallel: %+v", exp.name, a, b)
+			}
+		})
+	}
 }

@@ -2,9 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/flitsim"
+	"repro/internal/model"
+	"repro/internal/nas"
 	"repro/internal/parallel"
 )
 
@@ -33,10 +36,9 @@ func Topologies() []string { return []string{"crossbar", "mesh", "torus", "gener
 // normalized to the crossbar, for each benchmark. size is "small" (8/9
 // nodes, Figure 8(a)) or "large" (16 nodes, Figure 8(b)).
 //
-// Each benchmark cell (one design plus four simulations) runs on the
-// Workers pool; the four replays within a cell stay sequential because cells,
-// not replays, are the fan-out unit (normalizing to the crossbar is
-// arithmetic on finished results, not a reason to order the runs).
+// Each benchmark cell runs on the Workers pool, and inside a cell the
+// baseline replays run while the generated network is synthesized (see
+// compareTopologies).
 func (c Config) Figure8(size string) ([]PerfRow, error) {
 	names := benchmarkNames()
 	cells, err := parallel.MapObserved(c.Obs, "harness.fig8", c.Workers, len(names), func(i int) ([]PerfRow, error) {
@@ -60,58 +62,116 @@ func (c Config) Figure8(size string) ([]PerfRow, error) {
 
 // Figure8For runs the four-topology comparison for a single benchmark.
 func (c Config) Figure8For(name string, procs int) ([]PerfRow, error) {
-	d, err := c.BuildDesign(name, procs)
+	pat, err := nas.Generate(name, procs, c.nasConfig())
 	if err != nil {
 		return nil, fmt.Errorf("figure8 %s/%d: %v", name, procs, err)
 	}
-	rows, err := c.compareTopologies(d, Topologies())
-	if err != nil {
-		return nil, fmt.Errorf("figure8 %s/%d: %v", name, procs, err)
-	}
-	return rows, nil
+	return c.compareTopologies("figure8", name, procs, pat, Topologies())
 }
 
-// compareTopologies simulates the design's pattern on each topology in
-// order, normalizing execution and communication time to the crossbar (the
-// list's crossbar entry must precede the rows normalized against it).
-func (c Config) compareTopologies(d *Design, topos []string) ([]PerfRow, error) {
-	var rows []PerfRow
-	var baseExec int64
-	var baseComm float64
-	for _, topo := range topos {
+// compareTopologies replays the pattern on each topology, one task per
+// entry on the Workers pool, and returns the rows in list order normalized
+// to the crossbar. The "generated" entry's task synthesizes and floorplans
+// the network (designFor) before replaying on it, so it is dispatched first;
+// every baseline needs only the pattern. Errors read
+// "<exp> <name>/<procs>: on <topo>: …" (no "on" for the design's).
+func (c Config) compareTopologies(exp, name string, procs int, pat *model.Pattern, topos []string) ([]PerfRow, error) {
+	rows, err := runCellTasks(c.Workers, slices.Index(topos, "generated"), len(topos), func(i int) cellTask[PerfRow] {
+		topo := topos[i]
 		var res flitsim.Result
 		var err error
 		if topo == "generated" {
-			res, err = c.simulateGenerated(d.Pattern, d)
+			d, derr := c.designFor(name, procs, pat)
+			if derr != nil {
+				return cellTask[PerfRow]{buildErr: derr}
+			}
+			res, err = c.simulateGenerated(pat, d)
 		} else {
-			res, err = c.simulateBaseline(d.Pattern, topo)
+			res, err = c.simulateBaseline(pat, topo)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("on %s: %v", topo, err)
+			return cellTask[PerfRow]{replayErr: fmt.Errorf("on %s: %v", topo, err)}
 		}
-		row := PerfRow{
-			Benchmark:   d.Benchmark,
-			Procs:       d.Procs,
+		return cellTask[PerfRow]{rows: []PerfRow{{
+			Benchmark:   name,
+			Procs:       procs,
 			Topology:    topo,
 			ExecCycles:  res.ExecCycles,
 			CommCycles:  res.CommCycles,
 			MeanLatency: res.MeanLatency,
 			Kills:       res.Kills,
 			EnergyUnits: res.EnergyUnits,
+		}}}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s %s/%d: %v", exp, name, procs, err)
+	}
+	if k := slices.Index(topos, "crossbar"); k >= 0 {
+		base := rows[k]
+		for i := range rows {
+			rows[i].ExecNorm, rows[i].CommNorm = normalize(rows[i].ExecCycles, rows[i].CommCycles, base.ExecCycles, base.CommCycles)
 		}
-		if topo == "crossbar" {
-			baseExec = res.ExecCycles
-			baseComm = res.CommCycles
-		}
-		if baseExec > 0 {
-			row.ExecNorm = float64(res.ExecCycles) / float64(baseExec)
-		}
-		if baseComm > 0 {
-			row.CommNorm = res.CommCycles / baseComm
-		}
-		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// cellTask is what one independent stage of a paper cell hands back: its
+// rows in row order, or the error it stopped on — building its design, or
+// replaying on it — already labeled for the cell's message.
+type cellTask[R any] struct {
+	rows      []R
+	buildErr  error
+	replayErr error
+}
+
+// runCellTasks runs a paper cell's n independent stages on the Workers pool
+// (first is dispatched ahead of the rest because it is the longest; -1 keeps
+// row order) and joins their rows in task order. The error is the one the
+// serial pipeline, which built every design before its first replay, would
+// have hit first: the first build error in task order, else the first replay
+// error.
+func runCellTasks[R any](workers, first, n int, task func(i int) cellTask[R]) ([]R, error) {
+	order := make([]int, 0, n)
+	if first >= 0 {
+		order = append(order, first)
+	}
+	for i := 0; i < n; i++ {
+		if i != first {
+			order = append(order, i)
+		}
+	}
+	done, _ := parallel.Map(workers, n, func(k int) (cellTask[R], error) {
+		return task(order[k]), nil
+	})
+	tasks := make([]cellTask[R], n)
+	for k, t := range done {
+		tasks[order[k]] = t
+	}
+	for _, t := range tasks {
+		if t.buildErr != nil {
+			return nil, t.buildErr
+		}
+	}
+	var rows []R
+	for _, t := range tasks {
+		if t.replayErr != nil {
+			return nil, t.replayErr
+		}
+		rows = append(rows, t.rows...)
+	}
+	return rows, nil
+}
+
+// normalize divides a row's execution and communication time by the base
+// row's; a zero base leaves the ratio zero.
+func normalize(exec int64, comm float64, baseExec int64, baseComm float64) (execNorm, commNorm float64) {
+	if baseExec > 0 {
+		execNorm = float64(exec) / float64(baseExec)
+	}
+	if baseComm > 0 {
+		commNorm = comm / baseComm
+	}
+	return execNorm, commNorm
 }
 
 // RenderPerfTable formats Figure 8 rows as a text table.

@@ -30,14 +30,17 @@ type Config struct {
 	ByteScale float64
 	// SynthRestarts overrides synthesis restarts (0 = default).
 	SynthRestarts int
-	// Workers bounds the fan-out of the experiment cells and of each
-	// cell's synthesis restarts: 0 selects GOMAXPROCS, 1 forces serial
-	// execution. Results are identical for every worker count — cells
-	// are independent, collected in input order, and the first error in
-	// cell order wins (see internal/parallel).
+	// Workers bounds the fan-out of the experiment cells, of the
+	// independent stages inside a Figure 8, collective or chiplet cell
+	// (the baseline replays run while the generated network is
+	// synthesized), and of each synthesis's restarts: 0 selects
+	// GOMAXPROCS, 1 forces serial execution. Results are identical for
+	// every worker count — cells and stages are independent, collected in
+	// input order, and the error the serial loop would hit first wins (see
+	// internal/parallel).
 	Workers int
 	// Obs receives telemetry from the harness itself (one span per
-	// experiment cell, pool-occupancy counters) and is propagated to the
+	// experiment cell, cell counts) and is propagated to the
 	// synthesis, floorplan, pattern-generation, and simulation stages it
 	// drives. Counter values are identical for every Workers setting; span
 	// timings are wall-clock and are not. Nil disables telemetry.
@@ -83,9 +86,10 @@ func (c Config) BuildDesign(benchmark string, procs int) (*Design, error) {
 }
 
 // designFor synthesizes and floorplans a network for an already generated
-// pattern: the one body behind BuildDesign, BuildCollectiveDesign, MultiApp's
-// shared network and the chiplet experiment's flat organization (which must
-// feed the same pattern to all three organizations).
+// pattern: the one body behind BuildDesign, BuildCollectiveDesign, the
+// generated row of Figure8For and CollectiveFor, MultiApp's shared network
+// and the chiplet experiment's flat organization (which must feed the same
+// pattern to all three organizations).
 func (c Config) designFor(name string, procs int, pat *model.Pattern) (*Design, error) {
 	res, err := synth.Synthesize(pat, c.synthOptions())
 	if err != nil {

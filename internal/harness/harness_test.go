@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -121,6 +122,53 @@ func TestFigure8ForCG(t *testing.T) {
 	out := RenderPerfTable("fig8", rows)
 	if !strings.Contains(out, "crossbar") {
 		t.Errorf("table missing crossbar:\n%s", out)
+	}
+}
+
+// TestCellErrorPrecedence pins the error a cell's concurrent stages report:
+// the one the serial pipeline would hit first, at every worker count. A
+// design error beats every replay error, though the generated row comes
+// last; with two unknown topologies in the list, the first in row order is
+// named, in the "<exp> <name>/<procs>: on <topo>: …" shape. The chiplet cell
+// reports its flat half's design error ahead of the two-level half's.
+func TestCellErrorPrecedence(t *testing.T) {
+	pat, err := nas.Generate("CG", 16, Quick().nasConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown := func(topo string) string {
+		return fmt.Sprintf("figure8 CG/16: on %s: harness: unknown baseline %q", topo, topo)
+	}
+	for _, tc := range []struct {
+		restarts int // -1 makes every synthesis fail
+		topos    []string
+		want     string
+	}{
+		{0, []string{"crossbar", "hypercube", "mesh", "butterfly", "generated"}, unknown("hypercube")},
+		{0, []string{"generated", "butterfly", "torus", "hypercube"}, unknown("butterfly")},
+		{0, []string{"mesh", "generated", "crossbar", "torus", "hypercube", "butterfly"}, unknown("hypercube")},
+		{-1, []string{"crossbar", "hypercube", "mesh", "generated"}, "figure8 CG/16: synth: negative Restarts -1"},
+	} {
+		for _, workers := range []int{1, 8} {
+			c := Quick()
+			c.Workers = workers
+			if tc.restarts != 0 {
+				c.SynthRestarts = tc.restarts
+			}
+			_, err := c.compareTopologies("figure8", "CG", 16, pat, tc.topos)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%v at workers=%d: err = %v, want %s", tc.topos, workers, err, tc.want)
+			}
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		c := Quick()
+		c.Workers = workers
+		c.SynthRestarts = -1
+		_, err := c.Chiplet("CG", 16, 4)
+		if want := "chiplet CG/16: flat: synth: negative Restarts -1"; err == nil || err.Error() != want {
+			t.Errorf("chiplet at workers=%d: err = %v, want %s", workers, err, want)
+		}
 	}
 }
 

@@ -7,16 +7,20 @@ import (
 	"repro/internal/obs"
 )
 
-// buildCounters runs the full CG-16 pipeline (generate, synthesize,
-// floorplan) under a Collector at the given worker count and returns the
-// counter snapshot.
-func buildCounters(t *testing.T, workers int) map[string]int64 {
+// experimentCounters runs Quick Figure 8(a) and the CG-16 chiplet cell —
+// generation, synthesis, floorplanning, flat and hierarchical replays, with
+// the experiment cells and the stages inside each cell on the pool — under
+// a Collector at the given worker count and returns the counter snapshot.
+func experimentCounters(t *testing.T, workers int) map[string]int64 {
 	t.Helper()
 	col := obs.NewCollector()
 	c := Quick()
 	c.Workers = workers
 	c.Obs = col
-	if _, err := c.BuildDesign("CG", 16); err != nil {
+	if _, err := c.Figure8("small"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Chiplet("CG", 16, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := col.Report("test").Validate(); err != nil {
@@ -26,13 +30,13 @@ func buildCounters(t *testing.T, workers int) map[string]int64 {
 }
 
 // TestCountersWorkerInvariant is the telemetry determinism contract:
-// counter-valued telemetry is emitted from the deterministic restart fold,
-// never from inside workers, so the full counter map of a CG-16 build is
+// counter-valued telemetry is emitted from deterministic folds, never as a
+// function of the pool's shape, so the full counter map of a run is
 // byte-identical at -workers 1 and -workers 8. (Span timings are
 // wall-clock and carry no such guarantee.)
 func TestCountersWorkerInvariant(t *testing.T) {
-	serial := buildCounters(t, 1)
-	wide := buildCounters(t, 8)
+	serial := experimentCounters(t, 1)
+	wide := experimentCounters(t, 8)
 	if !reflect.DeepEqual(serial, wide) {
 		for k, v := range serial {
 			if wide[k] != v {
@@ -46,9 +50,9 @@ func TestCountersWorkerInvariant(t *testing.T) {
 		}
 	}
 	// Sanity: the map is not trivially empty and covers every stage.
-	for _, want := range []string{"nas.patterns", "synth.runs", "synth.restarts_run", "floorplan.place_calls"} {
+	for _, want := range []string{"nas.patterns", "synth.runs", "synth.restarts_run", "floorplan.place_calls", "flitsim.flits", "harness.fig8.cells"} {
 		if serial[want] == 0 {
-			t.Errorf("counter %s = 0, want > 0 after a full build", want)
+			t.Errorf("counter %s = 0, want > 0 after a full run", want)
 		}
 	}
 }

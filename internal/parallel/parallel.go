@@ -137,9 +137,9 @@ func (p *Panic) String() string {
 
 // MapObserved is Map wrapped in telemetry. One span named label covers the
 // whole call (wall time); a span named label+".cell" closes per item (busy
-// time), so the pool's occupancy over the call is the cell spans' total
-// divided by label's wall time times label+".workers_used". Counters
-// label+".cells" and label+".workers_used" record the fan-out shape. A nil
+// time), so the cell spans' total divided by label's wall time is the mean
+// number of busy workers over the call. The counter label+".cells" records
+// the fan-out size; like every counter it is independent of workers. A nil
 // Observer falls straight through to Map.
 func MapObserved[T any](o obs.Observer, label string, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if o == nil {
@@ -147,12 +147,7 @@ func MapObserved[T any](o obs.Observer, label string, workers, n int, fn func(i 
 	}
 	sp := obs.Span(o, label)
 	defer sp.End()
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
 	obs.Count(o, label+".cells", int64(n))
-	obs.Count(o, label+".workers_used", int64(w))
 	cell := label + ".cell"
 	return Map(workers, n, func(i int) (T, error) {
 		cs := obs.Span(o, cell)
