@@ -4,7 +4,7 @@
 # schedules so an order-dependent reduction cannot pass by luck.
 GO ?= go
 
-.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-synth bench-obs bench-flitsim bench-warm bench-floorplan bench-all fuzz
+.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-flitsim bench-warm bench-floorplan bench-all fuzz
 
 verify: vet build race determinism
 
@@ -34,11 +34,11 @@ fleet:
 
 # cover-<pkg> is the coverage gate of internal/<pkg>: the package's own suite
 # must keep its line coverage at or above the floor, and the per-function
-# breakdown lands in COVER_<pkg>.txt for the CI artifact. serve (80%) is held
-# by the design server's e2e suite, collective (85%) by the golden, property,
-# error and determinism suites, hier (85%) by the spec/partition/split
-# suites, the golden designs, the flatten/replay tests and the determinism
-# pins.
+# breakdown lands in the untracked COVER_<pkg>.txt for the CI artifact. serve
+# (80%) is held by the design server's e2e suite, collective (85%) by the
+# golden, property, error and determinism suites, hier (85%) by the
+# spec/partition/split suites, the golden designs, the flatten/replay tests
+# and the determinism pins.
 COVER_FLOOR_serve = 80
 COVER_FLOOR_collective = 85
 COVER_FLOOR_hier = 85
@@ -50,43 +50,11 @@ cover-serve cover-collective cover-hier: cover-%:
 	echo "internal/$* line coverage: $$total% (floor $(COVER_FLOOR_$*)%)"; \
 	awk "BEGIN {exit !($$total >= $(COVER_FLOOR_$*))}" || { echo "FAIL: coverage $$total% below the $(COVER_FLOOR_$*)% floor"; exit 1; }
 
-# bench-synth runs the synthesis hot-path benchmarks with allocation stats
-# and writes BENCH_synth.json (a machine-readable summary) plus
-# BENCH_synth.txt (the raw benchstat-compatible text): one restart of
-# Figure 1 and CG/16, the default four of full-size BT/16 (the heaviest paper
-# cell, where mergeRefine's port bound has most to skip) and of the NoI level
-# of hier FFT/16 (every round of every restart and no merge sweep: the cost
-# is the what-if evaluator's), the restart fan-out sweep, the split of
-# ring-allreduce/64 into eight chiplets and a NoI, and the colouring and
-# contention-model kernels. It records and gates
-# nothing itself; its SynthesizeCG16 row is the baseline of bench-obs, so
-# re-record both together on one box whenever synthesis gets faster — a stale
-# slow baseline passes the 2% telemetry gate vacuously.
-bench-synth:
-	$(GO) test -run '^$$' -bench 'Synthesize|SplitPattern|FastColor|Coloring|ContentionPeriods|MaxClique' -benchmem \
-		./internal/synth ./internal/hier ./internal/coloring ./internal/model \
-		| $(GO) run ./cmd/benchjson -o BENCH_synth.json -raw BENCH_synth.txt
-
-# bench-obs is the telemetry overhead gate: it re-runs the synthesis
-# benchmark (Observer unset, i.e. the nil fast path) together with the
-# Observer microbenchmarks and fails if SynthesizeCG16 is more than 2%
-# slower than the BENCH_synth.json baseline. Run it standalone to compare
-# against the committed baseline, or via `make bench` to compare against a
-# fresh same-machine bench-synth run.
-bench-obs:
-	$(GO) test -run '^$$' -bench 'SynthesizeCG16$$|Observer' -benchmem \
-		./internal/synth ./internal/obs \
-		| $(GO) run ./cmd/benchjson -o BENCH_obs.json -raw BENCH_obs.txt \
-			-baseline BENCH_synth.json -budget 2
-
-# bench-<gate> is a same-machine speedup gate: it runs the gate's benchmarks,
-# writes BENCH_<gate>.json/.txt, and fails unless the numerator of every pair
-# in BENCH_RATIO_<gate> (a space-separated list of NUM:DEN) takes at least
-# BENCH_MIN_<gate> times the ns/op of its denominator.
-# Both sides run in the same invocation on the same machine, so the ratio
-# needs no committed baseline to be meaningful; the -baseline annotation (when
-# BENCH_<gate>.json exists) additionally flags absolute ns/op regressions
-# over 25%.
+# bench-<gate> is a same-machine speedup gate: it runs exactly the benchmarks
+# named in BENCH_RATIO_<gate> (a space-separated list of NUM:DEN) and fails
+# unless every numerator takes at least BENCH_MIN_<gate> times the ns/op of
+# its denominator. Both sides run in the same invocation on the same machine,
+# so the ratio needs no recorded baseline, and no target writes a file.
 #   flitsim:   the event-driven engine vs the cycle-stepping reference (the
 #              test oracle in engine_ref_test.go) in three pairs: the
 #              compute-gap-heavy CG on the mesh, where idle cycles are skipped;
@@ -94,7 +62,7 @@ bench-obs:
 #              is leapt; and full-size CG on the mesh, where worms taking
 #              turns on shared links make periodic states that are leapt
 #              whole periods at a time (the pair also bounds the period
-#              test's bookkeeping); next to the mesh/torus/crossbar workloads.
+#              test's bookkeeping).
 #   warm:      the same five CG-16 variants synthesized cold vs seeded from a
 #              prior design. The floor is 3, down from 5: the ratio measures
 #              what seeding saves, and the what-if evaluator halved the cold
@@ -103,40 +71,37 @@ bench-obs:
 #              Raise it by making seeded synthesis faster, never by slowing
 #              cold synthesis.
 #   floorplan: the array-backed delta search vs the map-based reference (the
-#              test oracle in placeref_test.go) on CG-16, next to FFT-16, the
-#              imperfect-matching ring-allreduce-64 and a constructed
-#              256-processor network.
+#              test oracle in placeref_test.go) on CG-16.
 BENCH_PKG_flitsim = ./internal/flitsim
-BENCH_RE_flitsim = Simulate|Simulation
 BENCH_RATIO_flitsim = BenchmarkSimulateCG16GapMeshReference:BenchmarkSimulateCG16GapMesh \
 	BenchmarkSimulateBT16StreamCrossbarReference:BenchmarkSimulateBT16StreamCrossbar \
 	BenchmarkSimulateCG16MeshReference:BenchmarkSimulateCG16Mesh
 BENCH_MIN_flitsim = 10
 
 BENCH_PKG_warm = ./internal/synth
-BENCH_RE_warm = WarmStartSweep
 BENCH_RATIO_warm = BenchmarkWarmStartSweepCold:BenchmarkWarmStartSweepSeeded
 BENCH_MIN_warm = 3
 
 BENCH_PKG_floorplan = ./internal/floorplan
-BENCH_RE_floorplan = Place
 BENCH_RATIO_floorplan = BenchmarkPlaceCG16Reference:BenchmarkPlaceCG16
 BENCH_MIN_floorplan = 10
 
+# bench_re anchors the -bench regex to exactly the names in the gate's pairs.
+empty :=
+space := $(empty) $(empty)
+bench_re = ^($(subst $(space),|,$(strip $(subst :, ,$(BENCH_RATIO_$*)))))$$
+
 bench-flitsim bench-warm bench-floorplan: bench-%:
-	$(GO) test -run '^$$' -bench '$(BENCH_RE_$*)' -benchmem $(BENCH_PKG_$*) \
-		| $(GO) run ./cmd/benchjson -o BENCH_$*.json -raw BENCH_$*.txt \
-			$(foreach r,$(BENCH_RATIO_$*),-ratio '$(r)') -min-ratio $(BENCH_MIN_$*) \
-			$(if $(wildcard BENCH_$*.json),-baseline BENCH_$*.json -budget 25)
+	$(GO) test -run '^$$' -bench '$(bench_re)' -benchmem $(BENCH_PKG_$*) \
+		| $(GO) run ./cmd/benchratio $(foreach r,$(BENCH_RATIO_$*),-ratio '$(r)') -min-ratio $(BENCH_MIN_$*)
 
-bench: bench-synth bench-obs bench-flitsim bench-warm bench-floorplan
+bench: bench-flitsim bench-warm bench-floorplan
 
-# bench-all is the one performance entry point: `bench`'s five gated
-# microbenchmark targets in sequence (each fails on its own ratio or budget
-# gate and refreshes its BENCH_*.json), then the end-to-end ledger —
-# BENCHMARK.json's four workloads, each with its per-layer breakdown. The
-# ledger builds and drives its own nocd and writes only under bench/out/;
-# about 35 s per workload. Run it on an otherwise idle box, without -j.
+# bench-all is the one performance entry point: `bench`'s three ratio gates in
+# sequence, then the end-to-end ledger — BENCHMARK.json's four workloads, each
+# with its per-layer breakdown. The ledger builds and drives its own nocd and
+# writes only under bench/out/; about 35 s per workload. Run it on an
+# otherwise idle box, without -j.
 LEDGER_WORKLOADS = cold_synth warm_variants hit_replay paper_cells
 
 bench-all: bench

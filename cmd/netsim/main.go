@@ -5,9 +5,11 @@
 //
 //	netsim -trace trace.txt -topo mesh|torus|ring|crossbar|generated [-net net.json] [-report run.json]
 //
-// For -topo generated, -net must point to a design saved by netgen; the
-// synthesized source routes and link assignments are used as-is, with
-// shortest-path fallback for any flow the design does not cover.
+// mesh, torus, ring and crossbar are the harness's baselines
+// (flitsim.RunBaseline), so the torus is Figure 8's folded one. For -topo
+// generated, -net must point to a design saved by netgen; the synthesized
+// source routes and link assignments are used as-is, with shortest-path
+// fallback for any flow the design does not cover.
 package main
 
 import (
@@ -48,16 +50,9 @@ func main() {
 	cfg := flitsim.Config{VCs: *vcs, Obs: shared.Observer()}
 
 	var res flitsim.Result
-	switch *topo {
-	case "mesh":
-		res, err = flitsim.RunMesh(pat, cfg)
-	case "torus":
-		res, err = flitsim.RunTorus(pat, cfg)
-	case "ring":
-		res, err = flitsim.RunRing(pat, cfg)
-	case "crossbar":
-		res, err = flitsim.RunCrossbar(pat, cfg)
-	case "generated":
+	if *topo != "generated" {
+		res, err = flitsim.RunBaseline(pat, *topo, cfg)
+	} else {
 		if *netPath == "" {
 			fatal(fmt.Errorf("-net is required for -topo generated"))
 		}
@@ -78,8 +73,6 @@ func main() {
 			cfg.LinkDelay = plan.LinkDelay
 		}
 		res, err = flitsim.RunGenerated(pat, net, table, cfg)
-	default:
-		fatal(fmt.Errorf("unknown topology %q", *topo))
 	}
 	if err != nil {
 		fatal(err)

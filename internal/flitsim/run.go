@@ -27,6 +27,26 @@ func Run(pat *model.Pattern, net *topology.Network, router Router, cfg Config) (
 	return Simulate(pat, router, fb)
 }
 
+// RunBaseline simulates the pattern on the regular baseline named topo:
+// "crossbar", "mesh", "ring", or "torus". The torus is the paper's folded
+// on-chip torus: every link spans two tiles, so a LinkDelay of 2 replaces
+// cfg's (Section 4.2 penalizes the torus's doubled wiring).
+func RunBaseline(pat *model.Pattern, topo string, cfg Config) (Result, error) {
+	switch topo {
+	case "crossbar":
+		return RunCrossbar(pat, cfg)
+	case "mesh":
+		return RunMesh(pat, cfg)
+	case "ring":
+		return RunRing(pat, cfg)
+	case "torus":
+		cfg.LinkDelay = func(a, b topology.SwitchID) int { return 2 }
+		return RunTorus(pat, cfg)
+	default:
+		return Result{}, fmt.Errorf("flitsim: unknown baseline %q", topo)
+	}
+}
+
 // RunMesh simulates the pattern on a mesh with dimension-order routing.
 func RunMesh(pat *model.Pattern, cfg Config) (Result, error) {
 	rows, cols := topology.GridDims(pat.Procs)
@@ -35,7 +55,7 @@ func RunMesh(pat *model.Pattern, cfg Config) (Result, error) {
 }
 
 // RunTorus simulates the pattern on a torus with true fully adaptive
-// minimal routing.
+// minimal routing, with cfg's link delays (RunBaseline folds it).
 func RunTorus(pat *model.Pattern, cfg Config) (Result, error) {
 	rows, cols := topology.GridDims(pat.Procs)
 	net, grid := topology.Torus(rows, cols)

@@ -87,7 +87,7 @@ func (c Config) compareTopologies(exp, name string, procs int, pat *model.Patter
 			}
 			res, err = c.simulateGenerated(pat, d)
 		} else {
-			res, err = c.simulateBaseline(pat, topo)
+			res, err = flitsim.RunBaseline(pat, topo, c.simConfig())
 		}
 		if err != nil {
 			return cellTask[PerfRow]{replayErr: fmt.Errorf("on %s: %v", topo, err)}

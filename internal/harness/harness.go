@@ -7,15 +7,12 @@
 package harness
 
 import (
-	"fmt"
-
 	"repro/internal/flitsim"
 	"repro/internal/floorplan"
 	"repro/internal/model"
 	"repro/internal/nas"
 	"repro/internal/obs"
 	"repro/internal/synth"
-	"repro/internal/topology"
 )
 
 // Config scales the experiments. The zero value reproduces the paper-scale
@@ -114,24 +111,4 @@ func (c Config) simulateGenerated(pat *model.Pattern, d *Design) (flitsim.Result
 // reporting to the harness's Observer.
 func (c Config) simConfig() flitsim.Config {
 	return flitsim.Config{Obs: c.Obs}
-}
-
-// simulateBaseline runs a pattern on one of the regular baselines.
-func (c Config) simulateBaseline(pat *model.Pattern, topo string) (flitsim.Result, error) {
-	switch topo {
-	case "crossbar":
-		return flitsim.RunCrossbar(pat, c.simConfig())
-	case "ring":
-		return flitsim.RunRing(pat, c.simConfig())
-	case "mesh":
-		return flitsim.RunMesh(pat, c.simConfig())
-	case "torus":
-		// Folded on-chip torus: every link spans two tiles
-		// (Section 4.2 penalizes the torus's doubled wiring).
-		cfg := c.simConfig()
-		cfg.LinkDelay = func(a, b topology.SwitchID) int { return 2 }
-		return flitsim.RunTorus(pat, cfg)
-	default:
-		return flitsim.Result{}, fmt.Errorf("harness: unknown baseline %q", topo)
-	}
 }

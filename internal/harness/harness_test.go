@@ -137,7 +137,7 @@ func TestCellErrorPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 	unknown := func(topo string) string {
-		return fmt.Sprintf("figure8 CG/16: on %s: harness: unknown baseline %q", topo, topo)
+		return fmt.Sprintf("figure8 CG/16: on %s: flitsim: unknown baseline %q", topo, topo)
 	}
 	for _, tc := range []struct {
 		restarts int // -1 makes every synthesis fail

@@ -8,7 +8,7 @@ import (
 // BenchmarkNopObserverCount measures the disabled telemetry path: a nil
 // Observer through the package helpers. This is the per-call overhead every
 // instrumented hot path pays when no -report sink is attached; it must stay
-// allocation-free (the ≤2% synthesis budget in ISSUE/DESIGN.md rides on it).
+// allocation-free, which TestDisabledPathAllocationFree holds (DESIGN.md §7).
 func BenchmarkNopObserverCount(b *testing.B) {
 	var o Observer
 	b.ReportAllocs()

@@ -106,12 +106,14 @@ func (s *Server) SetPeers(self string, peers []string) {
 	s.ring.Store(newPeerRing(self, peers))
 }
 
-// forward relays a design request to the key's owner when that owner is
-// another replica. ok=false means forwarding does not apply (no ring, we
-// own the key) or the owner was unreachable — the caller falls back to
-// local synthesis, so a down replica degrades the fleet to extra work,
-// never to unavailability.
-func (s *Server) forward(ctx context.Context, key string, raw []byte) (itemResult, bool) {
+// forward relays a request for key to the key's owner when that owner is
+// another replica: a design POST (body is the request) or a GET
+// /v1/design/{key} replay (body is nil), so a design cached anywhere in the
+// fleet is fetchable from every replica. ok=false means forwarding does not
+// apply (no ring, we own the key) or the owner was unreachable — the caller
+// falls back to local handling, so a down replica degrades the fleet to
+// extra work, never to unavailability.
+func (s *Server) forward(ctx context.Context, method, path, key string, body []byte) (itemResult, bool) {
 	ring := s.ring.Load()
 	if ring == nil {
 		return itemResult{}, false
@@ -120,29 +122,11 @@ func (s *Server) forward(ctx context.Context, key string, raw []byte) (itemResul
 	if owner == ring.self {
 		return itemResult{}, false
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/v1/design", bytes.NewReader(raw))
+	req, err := http.NewRequestWithContext(ctx, method, owner+path, bytes.NewReader(body))
 	if err != nil {
 		return itemResult{}, false
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return s.relay(req, ring.self, key)
-}
-
-// forwardGet relays a GET /v1/design/{key} replay to the key's owner, so a
-// design cached anywhere in the fleet is fetchable from every replica.
-func (s *Server) forwardGet(ctx context.Context, key string) (itemResult, bool) {
-	ring := s.ring.Load()
-	if ring == nil {
-		return itemResult{}, false
-	}
-	owner := ring.owner(key)
-	if owner == ring.self {
-		return itemResult{}, false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/v1/design/"+key, nil)
-	if err != nil {
-		return itemResult{}, false
-	}
 	return s.relay(req, ring.self, key)
 }
 

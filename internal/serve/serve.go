@@ -400,7 +400,7 @@ func (s *Server) resolve(ctx context.Context, raw []byte, alreadyForwarded bool)
 		return itemResult{status: http.StatusOK, key: ent.Key, cache: "hit", warm: ent.Warm, body: ent.Body}
 	}
 	if !alreadyForwarded {
-		if res, ok := s.forward(ctx, key, raw); ok {
+		if res, ok := s.forward(ctx, http.MethodPost, "/v1/design", key, raw); ok {
 			return res
 		}
 	}
@@ -783,7 +783,7 @@ func (s *Server) handleGetDesign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Header.Get(ForwardedHeader) == "" {
-		if res, ok := s.forwardGet(r.Context(), key); ok {
+		if res, ok := s.forward(r.Context(), http.MethodGet, "/v1/design/"+key, key, nil); ok {
 			s.writeResult(w, res)
 			return
 		}

@@ -74,9 +74,8 @@ func BenchmarkSynthesizeHierNoI(b *testing.B) {
 // gate enforced, as absolutes. That gate required the move engine to allocate
 // at least 5x less than the closure-based reference evaluator in the same
 // run; the reference's counts were deterministic — 124,578 allocs/op on
-// Figure 1 and 20,938 on CG/16 in the last recorded BENCH_perf_synth.txt —
-// so each ceiling is that count divided by 5. (The engine's own counts in
-// that file: 2,794 and 1,101.) The time half of the gate is carried by the
+// Figure 1 and 20,938 on CG/16 when last measured — so each ceiling is that
+// count divided by 5. (The engine's own counts then: 2,794 and 1,101.) The time half of the gate is carried by the
 // bench/ ledger's cold_synth and warm_variants workloads, which compare every
 // change with its real parent.
 func TestSynthesizeAllocCeiling(t *testing.T) {
@@ -105,7 +104,7 @@ func TestSynthesizeAllocCeiling(t *testing.T) {
 // warmSweepVariants are the warm-start sweep cells: the same NAS app (CG-16)
 // at varied payload and compute scales — the "many similar traces" shape the
 // warm-start path exists for. Shared by the Cold/Seeded benchmark pair so the
-// benchjson ratio compares identical work.
+// bench-warm ratio compares identical work.
 func warmSweepVariants(b *testing.B) []*model.Pattern {
 	b.Helper()
 	var pats []*model.Pattern
@@ -125,8 +124,8 @@ func warmSweepVariants(b *testing.B) []*model.Pattern {
 	return pats
 }
 
-// BenchmarkWarmStartSweepCold is the denominator-side of the bench-warm
-// gate: every sweep cell pays the full cold restart loop.
+// BenchmarkWarmStartSweepCold is the numerator of the bench-warm gate: every
+// sweep cell pays the full cold restart loop.
 func BenchmarkWarmStartSweepCold(b *testing.B) {
 	pats := warmSweepVariants(b)
 	b.ResetTimer()
@@ -143,11 +142,11 @@ func BenchmarkWarmStartSweepCold(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmStartSweepSeeded is the numerator side: one cold base run
+// BenchmarkWarmStartSweepSeeded is the denominator: one cold base run
 // outside the timer supplies the seed; each cell then pays fingerprinting,
 // the segment diff, and the seeded replay/refine path — everything a warm
 // server request pays after the nearest-design lookup. `make bench-warm`
-// gates Cold:Seeded at >= 5x.
+// gates Cold:Seeded at >= 3x.
 func BenchmarkWarmStartSweepSeeded(b *testing.B) {
 	pats := warmSweepVariants(b)
 	base, err := nas.Generate("CG", 16, nas.Config{Iterations: 1})
