@@ -281,9 +281,6 @@ func (e *engine) release() {
 func (e *engine) run() error {
 	for e.now = 0; ; {
 		if e.now > e.cfg.MaxCycles {
-			if dbgWedge {
-				dumpWedgeState(e.fb, e.nis, e.allPackets)
-			}
 			if e.cfg.Obs != nil {
 				obs.Emit(e.cfg.Obs, "flitsim.wedged",
 					fmt.Sprintf("%s on %s exceeded %d cycles", e.pat.Name, e.fb.net.Name, e.cfg.MaxCycles))
@@ -1217,40 +1214,4 @@ func (e *engine) emitObs() {
 	obs.Count(o, "flitsim.vc_stalls", e.vcStalls)
 	obs.Count(o, "flitsim.retries", int64(e.kills))
 	obs.Count(o, "flitsim.victims", int64(e.victims))
-}
-
-// dbgWedge dumps full fabric and NI state when a simulation exceeds its
-// cycle budget. Enable when chasing a wedge.
-const dbgWedge = false
-
-func dumpWedgeState(fb *fabric, nis []*niState, allPackets []*packet) {
-	fmt.Println("=== wedge dump ===")
-	for _, c := range fb.channels {
-		for _, v := range c.vcs {
-			if v.owner != nil {
-				p := v.owner
-				fmt.Printf("vc %v owner msg%d (%d->%d) delivered=%v sent=%d/%d arrived=%d buf=%d out=%v lastprog=%d retries=%d\n",
-					v, p.msgID, p.src, p.dst, p.delivered, p.sent, p.flits, p.arrived, len(v.buf), v.out, p.lastProgress, p.retries)
-			}
-		}
-	}
-	for _, pkt := range allPackets {
-		if !pkt.delivered {
-			fmt.Printf("undelivered msg%d (%d->%d) sent=%d/%d arrived=%d lastprog=%d retries=%d notbefore=%d\n",
-				pkt.msgID, pkt.src, pkt.dst, pkt.sent, pkt.flits, pkt.arrived, pkt.lastProgress, pkt.retries, pkt.notBefore)
-		}
-	}
-	for i, ni := range nis {
-		if !ni.done() || len(ni.queue) > 0 {
-			op := "-"
-			if !ni.done() {
-				op = fmt.Sprintf("op%d(kind=%d,msg=%d)", ni.pc, ni.script[ni.pc].kind, ni.script[ni.pc].msg)
-			}
-			fmt.Printf("ni %d pc=%d/%d %s queue=%d [", i, ni.pc, len(ni.script), op, len(ni.queue))
-			for _, q := range ni.queue {
-				fmt.Printf(" msg%d(sent=%d/%d del=%v nb=%d)", q.msgID, q.sent, q.flits, q.delivered, q.notBefore)
-			}
-			fmt.Println(" ]")
-		}
-	}
 }

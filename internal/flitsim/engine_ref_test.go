@@ -57,9 +57,6 @@ func simulateReference(pat *model.Pattern, router Router, fb *fabric) (Result, e
 	}
 	for e.now = 0; ; e.now++ {
 		if e.now > e.cfg.MaxCycles {
-			if dbgWedge {
-				dumpWedgeState(e.fb, e.nis, e.allPackets)
-			}
 			if e.cfg.Obs != nil {
 				obs.Emit(e.cfg.Obs, "flitsim.wedged",
 					fmt.Sprintf("%s on %s exceeded %d cycles", pat.Name, fb.net.Name, e.cfg.MaxCycles))

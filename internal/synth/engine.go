@@ -21,7 +21,7 @@ import (
 //     With no probe open a mutation is a commit and leaves no record. Inside
 //     one (between beginProbe and rollback/keep) it is journaled first.
 //     Only mergeRefine and backboneReroute (called from globalRefine,
-//     outside mergeRefine, and applySeed) open one, so scopes never nest.
+//     outside mergeRefine) open one, so scopes never nest.
 //   - rollback(m) reverse-replays the journal through the raw mutators and
 //     pops the route arena to the mark, restoring the state bit-for-bit
 //     except swProcs list order: a processor moved and moved back ends up at

@@ -461,9 +461,6 @@ func synthesizeOnce(ctx context.Context, p *model.Pattern, kern *kernel, opt Opt
 		// Estimates were optimistic: force-split every real violator
 		// and continue.
 		for _, i := range forced {
-			if len(s.swProcs[i]) < 2 {
-				continue
-			}
 			j := s.split(i)
 			if !opt.DisableBestRoute {
 				s.touchBuf[0], s.touchBuf[1] = i, j

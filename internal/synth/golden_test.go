@@ -23,8 +23,9 @@ var update = flag.Bool("update", false, "rewrite testdata/designs.golden")
 // against the reference move evaluator ran (default, annealed, DSATUR final
 // colouring, no Best_Route); the last two reach the paths those leave cold:
 // partitioning without the global polish, and constraints tight enough that
-// the violation-repair passes (eliminatePipes, backboneReroute,
-// rerouteAnneal) do real work.
+// the violation-repair passes (eliminatePipes, rerouteAnneal) do real work.
+// No corpus run lets backboneReroute commit; TestBackboneRerouteMeetsDegree
+// pins the runs that do.
 var goldenVariants = []struct {
 	name string
 	opt  synth.Options

@@ -9,9 +9,6 @@ package synth
 // first rearranging its neighbours'. Bounded and fully deterministic for a
 // given seed.
 func (s *state) rerouteAnneal(budget int) {
-	if s.opt.DisableBestRoute {
-		return
-	}
 	var candBuf [3]int
 	for step := 0; step < budget; step++ {
 		if !s.anyViolation() {

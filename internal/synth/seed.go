@@ -246,7 +246,6 @@ func (s *state) applySeed(sd *SeedDesign) bool {
 		// polish before partition() resorts to splitting.
 		s.bestRoute(s.allSwitches(), nil)
 		s.eliminatePipes()
-		s.backboneReroute()
 	}
 	return true
 }

@@ -2,8 +2,12 @@ package synth
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
+	"repro/internal/collective"
+	"repro/internal/model"
 	"repro/internal/nas"
 	"repro/internal/trace"
 )
@@ -155,6 +159,71 @@ func TestSeedExtensionRestartsAreCold(t *testing.T) {
 	if res.Stats.SeededRestarts > opt.Restarts {
 		t.Errorf("SeededRestarts %d exceeds configured Restarts %d — extension restarts were seeded",
 			res.Stats.SeededRestarts, opt.Restarts)
+	}
+}
+
+// withoutFlow returns a copy of p with every message of flow f dropped: a
+// structural variant whose fingerprint differs only at f's two endpoints.
+func withoutFlow(p *model.Pattern, f model.Flow) *model.Pattern {
+	v := &model.Pattern{Name: p.Name, Procs: p.Procs}
+	for _, m := range p.Messages {
+		if m.Flow() != f {
+			m.ID = len(v.Messages)
+			v.Messages = append(v.Messages, m)
+		}
+	}
+	return v
+}
+
+// TestSeedForeignDesign seeds runs under the golden corpus's seeded
+// constraints from designs that are not the run's own. A foreign seed
+// (BT/16's tree for tree-broadcast/16, every segment changed) replays a tree
+// that violates the constraints, so applySeed's fallback polish and the
+// partition loop repair it. The fallback does not run backboneReroute: on
+// this seed its proposal commits and the design costs 26. A near variant (tree-broadcast/16 without its
+// 3→11 flow, seeded from its own tree with two segments changed) re-runs
+// Best_Route only on the switches hosting the changed processors; without
+// that pass it costs 23.
+func TestSeedForeignDesign(t *testing.T) {
+	bt, err := nas.Generate("BT", 16, nas.Config{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := collective.Generate("tree-broadcast", 16, collective.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		seed, pat *model.Pattern
+		near      bool
+		cost      int
+		sha       string // pinned SHA-256 of the design bytes, when non-empty
+	}{
+		{name: "BT16-to-tree-broadcast16", seed: bt, pat: tree, cost: 23},
+		{name: "tree-broadcast16-near", seed: tree, pat: withoutFlow(tree, model.F(3, 11)), near: true, cost: 20,
+			sha: "58b0eb0b5d68620fdeef5137849840acc25cb9595fe835b512adab70ecc986d1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := synthOrDie(t, tc.seed, Options{Seed: 1, Restarts: 2})
+			sd := SeedFromDesign(base.Net, base.Table)
+			fp, seedFP := trace.FingerprintPattern(tc.pat), trace.FingerprintPattern(tc.seed)
+			sd.ChangedProcs = fp.ChangedSegments(seedFP)
+			if d, n := fp.Distance(seedFP), len(sd.ChangedProcs); tc.near != (d <= 0.4 && n > 0 && n < tc.pat.Procs) {
+				t.Fatalf("distance %.2f with %d changed processors; near = %v", d, n, tc.near)
+			}
+			res := synthOrDie(t, tc.pat, Options{Seed: 9, Restarts: 2, SeedDesign: sd,
+				Constraints: Constraints{MaxDegree: 4, MaxProcsPerSwitch: 3}})
+			if !res.ContentionFree || !res.ConstraintsMet {
+				t.Fatalf("ContentionFree %v, ConstraintsMet %v; want both", res.ContentionFree, res.ConstraintsMet)
+			}
+			if c := resourceCost(res); c != tc.cost {
+				t.Errorf("resourceCost = %d, want %d", c, tc.cost)
+			}
+			if sum := fmt.Sprintf("%x", sha256.Sum256(designBytes(t, res))); tc.sha != "" && sum != tc.sha {
+				t.Errorf("design sha256 %s, want %s", sum, tc.sha)
+			}
+		})
 	}
 }
 
