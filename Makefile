@@ -112,7 +112,9 @@ bench-all: bench
 
 # FuzzLoadDesign and FuzzHierLoadDesign cap minimization: their seeds are saved
 # designs of 8 to 14 KB, and the default 60 s minimizer would otherwise eat the
-# whole 30 s budget.
+# whole 30 s budget. FuzzDiskStoreLoad caps it too: every file it accepts is
+# re-Put (an fsync'd write) and reloaded once per byte it serves, so minimizing
+# an accepted input stalls the run for up to a minute at a time.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 30s ./internal/trace
@@ -121,7 +123,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHierLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/hier
 	$(GO) test -run '^$$' -fuzz FuzzContentionPeriods -fuzztime 30s ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s ./internal/serve
-	$(GO) test -run '^$$' -fuzz FuzzDiskStoreLoad -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDiskStoreLoad -fuzztime 30s -fuzzminimizetime 2s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzMoveEngine -fuzztime 30s ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/flitsim

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -249,5 +250,109 @@ func TestBatchStreamsBeforeCompletion(t *testing.T) {
 	}
 	if last.Index != 0 || last.Status != http.StatusOK {
 		t.Errorf("final row = %+v, want index 0 status 200", last)
+	}
+}
+
+// storedEntry resolves body on srv and returns the entry its memory store
+// then holds.
+func storedEntry(t *testing.T, srv *Server, body string) *Entry {
+	t.Helper()
+	res := srv.resolve(context.Background(), []byte(body), false)
+	if res.status != http.StatusOK {
+		t.Fatalf("%s: status %d (%s)", body, res.status, res.errMsg)
+	}
+	ent, ok := srv.mem.Get(res.key)
+	if !ok {
+		t.Fatalf("%s: no stored entry", body)
+	}
+	return ent
+}
+
+// TestPublishForms pins the one marshal's two forms on a flat and a hier
+// response: Row is Body compacted, and Body is Row indented plus a newline.
+func TestPublishForms(t *testing.T) {
+	srv := newTestServer(t, quickConfig())
+	for _, body := range []string{
+		`{"benchmark":"CG","procs":16}`,
+		`{"benchmark":"CG","procs":16,"hier":{"clusters":"blocks:4"}}`,
+	} {
+		ent := storedEntry(t, srv, body)
+		var compact, indented bytes.Buffer
+		if err := json.Compact(&compact, ent.Body); err != nil || !bytes.Equal(compact.Bytes(), ent.Row) {
+			t.Errorf("%s: json.Compact(Body) differs from Row (err %v)", body, err)
+		}
+		if err := json.Indent(&indented, ent.Row, "", "  "); err != nil {
+			t.Fatalf("%s: indenting Row: %v", body, err)
+		}
+		if indented.WriteByte('\n'); !bytes.Equal(indented.Bytes(), ent.Body) {
+			t.Errorf("%s: json.Indent(Row) + newline differs from Body", body)
+		}
+	}
+}
+
+// TestBatchRowBytes holds the direct row writer to BatchRow, the documented
+// schema: for every kind of item result, the row it writes is byte for byte
+// what json.Encoder, HTML escaping off, writes for batchRow(i, res) — whose
+// response is the indented body, compacted by the encoder.
+func TestBatchRowBytes(t *testing.T) {
+	const cg = `{"benchmark":"CG","procs":16}`
+	off := quickConfig()
+	off.WarmThreshold = -1
+	srv := newTestServer(t, quickConfig())
+	entries := []*Entry{
+		storedEntry(t, newTestServer(t, off), cg),
+		storedEntry(t, srv, cg),
+		// Twice the iterations, the same contention structure: seeded.
+		storedEntry(t, srv, `{"benchmark":"CG","procs":16,"iterations":2}`),
+	}
+	var results []itemResult
+	for i, warm := range []string{"", "cold", "seeded"} {
+		if entries[i].Warm != warm {
+			t.Fatalf("entry %d: warm %q, want %q", i, entries[i].Warm, warm)
+		}
+		for _, cache := range []string{"hit", "miss", "shared"} {
+			results = append(results, entryResult(entries[i], cache))
+		}
+	}
+
+	// A relayed item: the non-owner holds no entry, and its row is the
+	// owner's body compacted in relay.
+	servers, urls := newFleet(t, 2, nil)
+	relayed := servers[0].resolve(context.Background(), []byte(ownedBody(t, servers[0], urls[1], `{"benchmark":"FFT","procs":8,"seed":%d}`)), false)
+	if relayed.status != http.StatusOK || servers[0].mem.Len() != 0 || servers[0].Metrics().Counter("serve.forwarded") != 1 {
+		t.Fatalf("relayed item: status %d, %d local entries, %d forwards", relayed.status, servers[0].mem.Len(),
+			servers[0].Metrics().Counter("serve.forwarded"))
+	}
+	odd := relayed // a peer's headers may hold anything; one escape trigger each
+	odd.key, odd.cache, odd.warm = `sha256:"<&>"`, `hit\`, "\x01\x7f\tsé\u2028"
+	results = append(results, relayed, odd)
+
+	msg := "a <message> & \"quotes\" \\ é\n "
+	for _, e := range []struct {
+		status int
+		code   string
+	}{
+		{http.StatusBadRequest, CodeBadRequest}, {http.StatusNotFound, CodeNotFound},
+		{http.StatusRequestEntityTooLarge, CodeTooLarge}, {http.StatusTooManyRequests, CodeBulkSaturated},
+		{http.StatusServiceUnavailable, CodeQueueFull}, {http.StatusGatewayTimeout, CodeTimeout},
+		{http.StatusInternalServerError, CodeInternal}, {http.StatusMethodNotAllowed, "peer_error"},
+	} {
+		results = append(results, itemResult{status: e.status, key: relayed.key, errCode: e.code, errMsg: msg})
+	}
+	results = append(results, itemResult{status: StatusClientClosedRequest})
+
+	re := rowEncoders.Get().(*rowEncoder)
+	defer rowEncoders.Put(re)
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetEscapeHTML(false)
+	for i, res := range results {
+		want.Reset()
+		if err := enc.Encode(batchRow(i, res)); err != nil {
+			t.Fatalf("row %d: encoding the oracle: %v", i, err)
+		}
+		if got := re.encode(i, res); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("row %d (status %d, cache %q, warm %q):\n got %.300s\nwant %.300s", i, res.status, res.cache, res.warm, got, want.Bytes())
+		}
 	}
 }

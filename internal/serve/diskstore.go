@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -19,24 +20,30 @@ import (
 // misread.
 const (
 	storeSchema     = "nocd.design-store"
-	storeVersion    = 1
+	storeVersion    = 2
 	storeSuffix     = ".json"
 	storeTempPrefix = "tmp-"
 )
 
-// storeFile is the on-disk representation of one Entry: a self-describing
-// JSON document carrying the key, the exact response bytes (base64 via
-// encoding/json), the warm disposition, the trace fingerprint for warm-index
-// rebuild, and a body checksum so truncation or bit rot reads as corruption,
-// never as a plausible design.
-type storeFile struct {
+// storeHeader is the first line of an entry file. The file is this header
+// as one line of JSON, then the entry's raw Body, then its raw Row:
+//
+//	{"schema":…,"version":2,"key":…,"warm":…,"fingerprint":…,"body_len":…,"sha256":…}\n
+//	<Body: body_len bytes><Row: the rest>
+//
+// so a read decodes only the header and serves the rest as it lies, with
+// no base64 and no JSON pass over the response. SHA256 is the hex SHA-256
+// of Body‖Row — every byte a hit serves — so truncation or bit rot reads as
+// corruption, never as a plausible design. The file keeps the .json name
+// version 1 gave it, so rewriting a key replaces its v1 file in place.
+type storeHeader struct {
 	Schema      string             `json:"schema"`
 	Version     int                `json:"version"`
 	Key         string             `json:"key"`
 	Warm        string             `json:"warm,omitempty"`
 	Fingerprint *trace.Fingerprint `json:"fingerprint,omitempty"`
-	BodySHA256  string             `json:"body_sha256"`
-	Body        []byte             `json:"body"`
+	BodyLen     int                `json:"body_len"`
+	SHA256      string             `json:"sha256"`
 }
 
 // diskStore is the persistent content-addressed backend: one file per key
@@ -57,10 +64,11 @@ type diskStore struct {
 // openDiskStore opens (creating if needed) the store rooted at dir and scans
 // it: every valid entry file is loaded and returned so the caller can
 // rebuild secondary indexes (the warm-start fingerprint index); stray temp
-// files and truncated, mis-keyed, checksum-failing, or otherwise unreadable
-// files are skipped and counted on serve.store_disk_corrupt. The scan order
-// is the directory's sorted filename order, so index rebuilds are
-// deterministic for a given directory state.
+// files and truncated, mis-keyed, checksum-failing, older-version or
+// otherwise unreadable files are skipped and counted on
+// serve.store_disk_corrupt. The scan order is the directory's sorted
+// filename order, so index rebuilds are deterministic for a given directory
+// state.
 func openDiskStore(dir string, col *obs.Collector) (*diskStore, []*Entry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: creating data dir: %w", err)
@@ -117,38 +125,59 @@ func isLowerHex(s string) bool {
 
 func (d *diskStore) path(key string) string { return filepath.Join(d.dir, fileName(key)) }
 
-// load reads and verifies one entry file. Any mismatch — schema, version,
-// key↔filename binding, body checksum — is an error; the caller counts it
-// as corruption and skips the file.
+// load reads and verifies one entry file. Any mismatch — schema, version
+// (a v1 file is skipped here like any other corruption), key↔filename
+// binding, lengths, checksum, the shape of what the checksum does not cover,
+// or a header in any spelling but the one Put writes — is an error; the
+// caller counts it as corruption and skips the file.
 func (d *diskStore) load(path string) (*Entry, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var sf storeFile
-	if err := json.Unmarshal(b, &sf); err != nil {
+	line, data, ok := bytes.Cut(b, []byte{'\n'})
+	if !ok {
+		return nil, fmt.Errorf("serve: %s: no header line", path)
+	}
+	var h storeHeader
+	if err := json.Unmarshal(line, &h); err != nil {
 		return nil, err
 	}
-	if sf.Schema != storeSchema || sf.Version != storeVersion {
-		return nil, fmt.Errorf("serve: %s: unknown store schema %q v%d", path, sf.Schema, sf.Version)
+	if h.Schema != storeSchema || h.Version != storeVersion {
+		return nil, fmt.Errorf("serve: %s: unknown store schema %q v%d", path, h.Schema, h.Version)
 	}
-	if filepath.Base(path) != fileName(sf.Key) {
-		return nil, fmt.Errorf("serve: %s: key %q does not match filename", path, sf.Key)
+	if filepath.Base(path) != fileName(h.Key) {
+		return nil, fmt.Errorf("serve: %s: key %q does not match filename", path, h.Key)
 	}
-	if len(sf.Body) == 0 {
-		return nil, fmt.Errorf("serve: %s: empty body", path)
+	// The checksum covers the bytes but not where Body ends, so body_len is
+	// checked against the layout itself: a body ends in the newline publish
+	// gives it and a compact row holds none, which leaves exactly one place
+	// body_len can point.
+	if bl := h.BodyLen; bl <= 0 || bl >= len(data) || data[bl-1] != '\n' || bytes.IndexByte(data[bl:], '\n') >= 0 {
+		return nil, fmt.Errorf("serve: %s: body length %d does not split %d bytes into a body and a row", path, bl, len(data))
 	}
-	if sum := sha256.Sum256(sf.Body); hex.EncodeToString(sum[:]) != sf.BodySHA256 {
-		return nil, fmt.Errorf("serve: %s: body checksum mismatch", path)
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != h.SHA256 {
+		return nil, fmt.Errorf("serve: %s: checksum mismatch", path)
 	}
-	// The checksum does not cover the fingerprint. One not shaped like
+	// The checksum does not cover the header. A fingerprint not shaped like
 	// trace.FingerprintCliques builds them — a segment per processor, a
-	// signature per clique — is corruption: Distance loops over Procs, so
-	// a flipped digit there would stall every warm-start lookup.
-	if fp := sf.Fingerprint; fp != nil && (len(fp.Segments) != fp.Procs || len(fp.CliqueSigs) != fp.Cliques) {
+	// signature per clique — is corruption: Distance loops over Procs, so a
+	// flipped digit there would stall every warm-start lookup. Warm is
+	// served as X-Nocd-Warm, so it must be a disposition the server writes.
+	if fp := h.Fingerprint; fp != nil && (len(fp.Segments) != fp.Procs || len(fp.CliqueSigs) != fp.Cliques) {
 		return nil, fmt.Errorf("serve: %s: malformed fingerprint", path)
 	}
-	return &Entry{Key: sf.Key, Body: sf.Body, Warm: sf.Warm, Fp: sf.Fingerprint}, nil
+	if h.Warm != "" && h.Warm != "cold" && h.Warm != "seeded" {
+		return nil, fmt.Errorf("serve: %s: unknown warm disposition %q", path, h.Warm)
+	}
+	// Whitespace, escapes, field order or case the decoder forgives would
+	// make a file Put can never have written; such a header is corrupt, so
+	// every accepted file is exactly what Put writes for the entry it yields.
+	if canon, err := json.Marshal(&h); err != nil || !bytes.Equal(canon, line) {
+		return nil, fmt.Errorf("serve: %s: header not in canonical form", path)
+	}
+	// Body's capacity ends where Row begins.
+	return &Entry{Key: h.Key, Body: data[:h.BodyLen:h.BodyLen], Row: data[h.BodyLen:], Warm: h.Warm, Fp: h.Fingerprint}, nil
 }
 
 // Get returns the entry for key, re-reading and re-verifying its file. A
@@ -172,25 +201,33 @@ func (d *diskStore) Get(key string) (*Entry, bool) {
 	return ent, true
 }
 
-// Put persists an entry atomically: marshal, write to a temp file in the
-// same directory, fsync it, rename over the final name, and fsync the
-// directory so the rename itself is durable. A crash before the rename
-// leaves only a temp file the startup scan skips; a crash after it leaves
-// the complete entry. Never evicts; write failures count on
-// serve.store_disk_error and report stored=false.
+// Put persists an entry atomically: render the header line, write it and
+// the raw Body and Row to a temp file in the same directory, fsync it,
+// rename over the final name, and fsync the directory so the rename itself
+// is durable. A crash before the rename leaves only a temp file the startup
+// scan skips; a crash after it leaves the complete entry. Rewriting a key's
+// file — a v1 file the scan skipped, say — is the same rename over the same
+// name. Never evicts; write failures count on serve.store_disk_error and
+// report stored=false.
 func (d *diskStore) Put(e *Entry) (evicted []string, stored bool) {
-	sum := sha256.Sum256(e.Body)
-	buf, err := json.Marshal(storeFile{
+	sum := sha256.New()
+	sum.Write(e.Body)
+	sum.Write(e.Row)
+	line, err := json.Marshal(storeHeader{
 		Schema:      storeSchema,
 		Version:     storeVersion,
 		Key:         e.Key,
 		Warm:        e.Warm,
 		Fingerprint: e.Fp,
-		BodySHA256:  hex.EncodeToString(sum[:]),
-		Body:        e.Body,
+		BodyLen:     len(e.Body),
+		SHA256:      hex.EncodeToString(sum.Sum(nil)),
 	})
 	if err == nil {
-		err = d.writeAtomic(d.path(e.Key), buf)
+		buf := make([]byte, 0, len(line)+1+len(e.Body)+len(e.Row))
+		buf = append(buf, line...)
+		buf = append(buf, '\n')
+		buf = append(buf, e.Body...)
+		err = d.writeAtomic(d.path(e.Key), append(buf, e.Row...))
 	}
 	if err != nil {
 		obs.Count(d.col, "serve.store_disk_error", 1)

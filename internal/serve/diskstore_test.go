@@ -2,6 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -151,10 +155,10 @@ func TestDiskStoreGetRevalidates(t *testing.T) {
 	}
 	path := filepath.Join(dir, des[0].Name())
 	raw, _ := os.ReadFile(path)
-	// Flip the body checksum's first hex digit so the file parses but fails
-	// verification.
-	rotted := bytes.Replace(raw, []byte(`"body_sha256":"`), []byte(`"body_sha256":"0`), 1)
-	if err := os.WriteFile(path, rotted[:len(rotted)-1], 0o644); err != nil {
+	// Flip one bit of the first body byte: the header still parses, the
+	// checksum fails.
+	raw[bytes.IndexByte(raw, '\n')+1] ^= 1
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -238,39 +242,127 @@ func TestDiskWriteFailureNeverIndexed(t *testing.T) {
 	}
 }
 
+// v1File renders body under key as the version-1 store wrote it: one JSON
+// document, the body base64 inside it and checksummed on its own.
+func v1File(t testing.TB, key string, body []byte) []byte {
+	t.Helper()
+	sum := sha256.Sum256(body)
+	b, err := json.Marshal(struct {
+		Schema     string `json:"schema"`
+		Version    int    `json:"version"`
+		Key        string `json:"key"`
+		BodySHA256 string `json:"body_sha256"`
+		Body       []byte `json:"body"`
+	}{storeSchema, 1, key, hex.EncodeToString(sum[:]), body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDiskStoreUpgradesV1 pins the upgrade from the version-1 layout: a v1
+// file is skipped at start and counted as corrupt, its key misses and
+// re-synthesises what a fresh server returns, and the rewrite — the same
+// file name, now v2 — starts clean the next time.
+func TestDiskStoreUpgradesV1(t *testing.T) {
+	const body = `{"benchmark":"CG","procs":16}`
+	want := newTestServer(t, quickConfig()).resolve(context.Background(), []byte(body), false)
+	if want.status != http.StatusOK {
+		t.Fatalf("fresh server: status %d (%s)", want.status, want.errMsg)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, fileName(want.key))
+	if err := os.WriteFile(path, v1File(t, want.key, want.body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := quickConfig()
+	cfg.DataDir = dir
+	srv := newTestServer(t, cfg)
+	if got := srv.Metrics().Counter("serve.store_disk_corrupt"); got != 1 {
+		t.Errorf("serve.store_disk_corrupt = %d over a v1 file, want 1", got)
+	}
+	res := srv.resolve(context.Background(), []byte(body), false)
+	if res.status != http.StatusOK || res.cache != "miss" || res.key != want.key {
+		t.Fatalf("v1 key: status %d, cache %q, key %s; want a 200 miss under %s", res.status, res.cache, res.key, want.key)
+	}
+	if bodyDigest(t, res.body) != bodyDigest(t, want.body) {
+		t.Error("the re-synthesised design differs from a fresh server's")
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil || len(des) != 1 || des[0].Name() != filepath.Base(path) {
+		t.Fatalf("data dir after the rewrite: %v (err %v), want only %s", des, err, filepath.Base(path))
+	}
+	if raw, _ := os.ReadFile(path); !bytes.Contains(raw[:bytes.IndexByte(raw, '\n')+1], []byte(`"version":2,`)) {
+		t.Errorf("the rewrite is not a v2 file: %.120s", raw)
+	}
+
+	again := newTestServer(t, cfg)
+	col := again.Metrics()
+	if corrupt, scanned := col.Counter("serve.store_disk_corrupt"), col.Counter("serve.store_disk_scanned"); corrupt != 0 || scanned != 1 {
+		t.Errorf("next start: %d corrupt, %d scanned; want 0 and 1", corrupt, scanned)
+	}
+	if hit := again.resolve(context.Background(), []byte(body), false); hit.cache != "hit" || !bytes.Equal(hit.body, res.body) {
+		t.Errorf("next start: cache %q, byte-identical %t; want a hit on the rewritten bytes", hit.cache, bytes.Equal(hit.body, res.body))
+	}
+}
+
 // FuzzDiskStoreLoad feeds arbitrary bytes to the disk store's file parser
-// as the entry file of one fixed key, so mutations of the seeds — real
-// entries written by Put — keep the key↔filename binding and reach the
-// checks after it. A file load accepts must be one Put could have written:
-// its key is the file's, its body is not empty, and its fingerprint is
-// shaped like one trace.FingerprintCliques builds — a segment per processor,
-// a signature per clique — so the warm index's Distance scans cost no more
-// than the file's own length.
+// as the entry file of one fixed key, so mutations of the seeds — real v2
+// entries written by Put, with and without a fingerprint — keep the
+// key↔filename binding and reach the checks after it. The other seeds must
+// be rejected: a v1 document, and real entries with a respaced header, an
+// unknown warm disposition, or body_len moved by one. A file load accepts
+// must be one Put could have written: its key is the file's, its body and
+// row are not empty, its warm disposition is one the server writes, and
+// its fingerprint is shaped like one trace.FingerprintCliques builds — a
+// segment per processor, a signature per clique — so the warm index's
+// Distance scans cost no more than the file's own length. Three properties
+// hold of it: Put writes the entry load yields back byte for byte (a fixed
+// point); flipping any one byte of the body or row makes load fail (the
+// checksum covers every byte a hit serves); and so does any other body_len
+// (the layout pins where the body ends, which the checksum does not).
 func FuzzDiskStoreLoad(f *testing.F) {
 	key := "sha256:" + strings.Repeat("ab", 32)
 	fp := trace.FingerprintPattern(trace.BuildPhased("seed", 4, []trace.PhaseSpec{
 		{Flows: []model.Flow{model.F(0, 1), model.F(2, 3)}, Bytes: 64},
 		{Flows: []model.Flow{model.F(1, 2)}, Bytes: 64},
 	}))
-	seedDir := f.TempDir()
-	d := &diskStore{dir: seedDir, keys: make(map[string]struct{})}
+	d := &diskStore{dir: f.TempDir(), keys: make(map[string]struct{})}
+	path := d.path(key)
+	var real [][]byte
 	for _, e := range []*Entry{
-		{Key: key, Body: []byte(`{"design":{}}`), Warm: "seeded", Fp: fp},
-		{Key: key, Body: []byte("x")},
+		{Key: key, Body: []byte("{\n  \"design\": {}\n}\n"), Row: []byte(`{"design":{}}`), Warm: "seeded", Fp: fp},
+		{Key: key, Body: []byte("{}\n"), Row: []byte("{}")},
 	} {
 		if _, ok := d.Put(e); !ok {
 			f.Fatal("seed Put failed")
 		}
-		b, err := os.ReadFile(d.path(key))
+		b, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b)
+		if _, err := d.load(path); err != nil {
+			f.Fatalf("load rejects what Put wrote: %v", err)
+		}
+		real = append(real, b)
 	}
-	f.Add([]byte(`{"schema":"nocd.design-store","version":1}`))
+	for i, b := range append(real,
+		v1File(f, key, []byte("{}\n")),
+		bytes.Replace(real[0], []byte(`":`), []byte(`": `), 1),
+		bytes.Replace(real[0], []byte(`"warm":"seeded"`), []byte(`"warm":"seedex"`), 1),
+		withBodyLen(f, real[0], 1),
+	) {
+		f.Add(b)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := d.load(path); (err == nil) != (i < len(real)) {
+			f.Fatalf("seed %d: load error %v; want none for the %d Put wrote and one for every other", i, err, len(real))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		d := &diskStore{dir: dir, keys: make(map[string]struct{})}
+		d := &diskStore{dir: t.TempDir(), keys: make(map[string]struct{})}
 		path := d.path(key)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -279,8 +371,11 @@ func FuzzDiskStoreLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if ent.Key != key || len(ent.Body) == 0 {
-			t.Fatalf("load accepted key %q with a %d-byte body", ent.Key, len(ent.Body))
+		if ent.Key != key || len(ent.Body) == 0 || len(ent.Row) == 0 {
+			t.Fatalf("load accepted key %q with a %d-byte body and a %d-byte row", ent.Key, len(ent.Body), len(ent.Row))
+		}
+		if ent.Warm != "" && ent.Warm != "cold" && ent.Warm != "seeded" {
+			t.Fatalf("load accepted warm disposition %q", ent.Warm)
 		}
 		if fp := ent.Fp; fp != nil {
 			if len(fp.Segments) != fp.Procs || len(fp.CliqueSigs) != fp.Cliques {
@@ -291,5 +386,49 @@ func FuzzDiskStoreLoad(f *testing.F) {
 				t.Fatalf("fingerprint is %v from itself", dist)
 			}
 		}
+		if _, ok := d.Put(ent); !ok {
+			t.Fatal("Put failed")
+		}
+		if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("Put of the accepted entry wrote %q, not the file it came from (err %v)", again, err)
+		}
+		for i := len(data) - len(ent.Body) - len(ent.Row); i < len(data); i++ {
+			rotted := bytes.Clone(data)
+			rotted[i] ^= 0xff
+			if err := os.WriteFile(path, rotted, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.load(path); err == nil {
+				t.Fatalf("load accepted the file with byte %d of %d flipped", i, len(data))
+			}
+		}
+		for delta := -len(ent.Body) + 1; delta < len(ent.Row); delta++ {
+			if delta == 0 {
+				continue
+			}
+			if err := os.WriteFile(path, withBodyLen(t, data, delta), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.load(path); err == nil {
+				t.Fatalf("load accepted body_len %d for a %d-byte body", len(ent.Body)+delta, len(ent.Body))
+			}
+		}
 	})
+}
+
+// withBodyLen returns the v2 file b with its header's body_len moved by
+// delta and nothing else changed.
+func withBodyLen(t testing.TB, b []byte, delta int) []byte {
+	t.Helper()
+	line, data, _ := bytes.Cut(b, []byte{'\n'})
+	var h storeHeader
+	if err := json.Unmarshal(line, &h); err != nil {
+		t.Fatal(err)
+	}
+	h.BodyLen += delta
+	line, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append(line, '\n'), data...)
 }

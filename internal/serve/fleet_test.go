@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -31,6 +32,28 @@ func newFleet(t *testing.T, n int, mutate func(i int, cfg *Config)) (servers []*
 		srv.SetPeers(urls[i], urls)
 	}
 	return servers, urls
+}
+
+// ownedBody returns format — a design request with one %d, its seed — at
+// the first seed in 1..63 whose key srv's ring gives to the replica at url.
+func ownedBody(t *testing.T, srv *Server, url, format string) string {
+	t.Helper()
+	for seed := 1; seed < 64; seed++ {
+		body := fmt.Sprintf(format, seed)
+		plan, err := srv.planRequest([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _, err := srv.requestKey(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv.ring.Load().owner(key) == url {
+			return body
+		}
+	}
+	t.Fatalf("no seed in 1..63 lands on %s", url)
+	return ""
 }
 
 // sumCounter totals a counter across the fleet.

@@ -133,7 +133,9 @@ func (s *Server) forward(ctx context.Context, method, path, key string, body []b
 // relay executes a forwarded request and maps the peer's response onto an
 // itemResult. Transport failures count on serve.forward_error and report
 // ok=false (fall back locally); any HTTP response from the owner —
-// including its 4xx/5xx envelopes — is authoritative and relayed.
+// including its 4xx/5xx envelopes — is authoritative and relayed. A 200 body
+// is compacted here, once, into the form a batch row embeds; one that is not
+// JSON is no design and counts as a transport failure.
 func (s *Server) relay(req *http.Request, self, key string) (itemResult, bool) {
 	req.Header.Set(ForwardedHeader, self)
 	resp, err := s.client.Do(req)
@@ -162,12 +164,17 @@ func (s *Server) relay(req *http.Request, self, key string) (itemResult, bool) {
 		res.key = key
 	}
 	if resp.StatusCode == http.StatusOK {
+		var row bytes.Buffer
+		if err := json.Compact(&row, body); err != nil {
+			obs.Count(s.col, "serve.forward_error", 1)
+			return itemResult{}, false
+		}
 		if res.cache == "hit" {
 			obs.Count(s.col, "serve.store_peer_hit", 1)
 		} else {
 			obs.Count(s.col, "serve.store_peer_miss", 1)
 		}
-		res.body = body
+		res.body, res.row = body, row.Bytes()
 		return res, true
 	}
 	// Relay the owner's error envelope; a non-envelope body (e.g. a 405

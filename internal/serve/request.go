@@ -1,6 +1,6 @@
 // The request side of resolve: decoding a /v1/design body, validating its
-// knobs, and generating a named workload's pattern. Nothing here touches the
-// stores; a designPlan is everything resolve needs short of the pattern.
+// knobs, and building its pattern. Nothing here touches the stores; a
+// designPlan is everything resolve needs short of the pattern.
 package serve
 
 import (
@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/collective"
 	"repro/internal/hier"
@@ -15,13 +16,14 @@ import (
 	"repro/internal/nas"
 	"repro/internal/obs"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 // Bounds on requests, checked before any generator runs: a 60-byte body
 // naming a million iterations would otherwise build gigabytes of pattern
 // ahead of admission control, the timeout and the body cap. Past them the
 // request is a 413 too_large, not a 400. The procs bound also covers an
-// inline trace's header (requestKey); iterations exist only by name.
+// inline trace's header (buildPattern); iterations exist only by name.
 const (
 	maxRequestProcs      = 1024
 	maxRequestIterations = 4096
@@ -188,12 +190,36 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 	return pl, nil
 }
 
+// buildPattern builds the plan's pattern: an inline trace decoded, or a
+// named workload generated. Every pattern the server builds is built here —
+// by requestKey on a memo miss, or by a flight leader whose key came from
+// the memo — and counted on serve.pattern_generated.
+func (s *Server) buildPattern(plan *designPlan) (*model.Pattern, error) {
+	if plan.trace == "" {
+		p, err := s.generateWorkload(plan.workload)
+		if err == nil {
+			obs.Count(s.col, "serve.pattern_generated", 1)
+		}
+		return p, err
+	}
+	p, err := trace.Decode(strings.NewReader(plan.trace))
+	if err != nil {
+		return nil, badRequest("decoding trace: %v", err)
+	}
+	// The same bound by-name requests meet in planRequest: the decoder takes
+	// any procs header, and everything from here on allocates per processor.
+	if p.Procs > maxRequestProcs {
+		return nil, &tooLargeError{fmt.Sprintf("trace procs %d above the limit of %d", p.Procs, maxRequestProcs)}
+	}
+	obs.Count(s.col, "serve.pattern_generated", 1)
+	return p, nil
+}
+
 // generateWorkload resolves a named workload against the NAS registry
 // first, then the collective registry (the name sets are disjoint). Typed
 // generator errors — unknown names, shape-constrained processor counts —
 // surface as client errors; a name unknown to both registries reports the
-// full menu. Every pattern the server builds by name is built here, and
-// counted on serve.pattern_generated.
+// full menu.
 func (s *Server) generateWorkload(id workloadID) (*model.Pattern, error) {
 	cfg := s.cfg.NAS
 	cfg.Obs = nil // pattern generation is request work, not server telemetry
@@ -202,7 +228,6 @@ func (s *Server) generateWorkload(id workloadID) (*model.Pattern, error) {
 	}
 	p, err := nas.Generate(id.benchmark, id.procs, cfg)
 	if err == nil {
-		obs.Count(s.col, "serve.pattern_generated", 1)
 		return p, nil
 	}
 	var pce *nas.ProcCountError
@@ -221,7 +246,6 @@ func (s *Server) generateWorkload(id workloadID) (*model.Pattern, error) {
 	}
 	p, cerr := collective.Generate(id.benchmark, id.procs, ccfg)
 	if cerr == nil {
-		obs.Count(s.col, "serve.pattern_generated", 1)
 		return p, nil
 	}
 	var uce *collective.UnknownCollectiveError

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -8,6 +9,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -149,25 +152,7 @@ func TestHitBuildsNoPattern(t *testing.T) {
 
 	t.Run("forwarding non-owner", func(t *testing.T) {
 		servers, urls := newFleet(t, 2, nil)
-		// Find a seed whose key the second replica owns, then ask the first.
-		plan, err := servers[0].planRequest([]byte(cg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := ""
-		for seed := int64(1); seed < 64 && body == ""; seed++ {
-			plan.opt.Seed = seed
-			key, _, err := servers[0].requestKey(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if servers[0].ring.Load().owner(key) == urls[1] {
-				body = fmt.Sprintf(`{"benchmark":"CG","procs":16,"seed":%d}`, seed)
-			}
-		}
-		if body == "" {
-			t.Fatal("no seed in 1..63 lands on the second replica")
-		}
+		body := ownedBody(t, servers[0], urls[1], `{"benchmark":"CG","procs":16,"seed":%d}`)
 		before := servers[0].Metrics().Counter("serve.pattern_generated")
 		if resp, b := postDesign(t, urls[0], body); resp.StatusCode != http.StatusOK {
 			t.Fatalf("forwarded request: status %d (%s)", resp.StatusCode, b)
@@ -206,11 +191,106 @@ func TestHitBuildsNoPattern(t *testing.T) {
 	})
 }
 
+// TestInlineTraceMemo pins inline traces in the key memo, identified by a
+// digest of their raw text: a repeat decodes nothing, a respelling takes a
+// second entry but reaches the same key, a memo hit whose design was evicted
+// re-synthesises the same bytes, and a trace past the procs bound is a 413
+// every time and never memoised.
+func TestInlineTraceMemo(t *testing.T) {
+	p, err := nas.Generate("MG", 8, nas.Config{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := inlineRequest(t, p)
+	var req DesignRequest
+	if err := json.Unmarshal([]byte(inline), &req); err != nil {
+		t.Fatal(err)
+	}
+	respelled, err := json.Marshal(DesignRequest{Trace: "# respelled\n\n" + strings.ReplaceAll(req.Trace, "\n", "\n\n")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickConfig()
+	cfg.CacheSize = 1
+	cfg.WarmThreshold = -1 // cold every time, so bodies are comparable
+	srv := newTestServer(t, cfg)
+	col := srv.Metrics()
+	resolve := func(body string) itemResult {
+		t.Helper()
+		return srv.resolve(context.Background(), []byte(body), false)
+	}
+	counts := func() [3]int64 {
+		return [3]int64{col.Counter("serve.keymemo_hit"), col.Counter("serve.keymemo_miss"), col.Counter("serve.pattern_generated")}
+	}
+
+	first := resolve(inline)
+	if first.status != http.StatusOK || first.cache != "miss" {
+		t.Fatalf("first: status %d, cache %q (%s)", first.status, first.cache, first.errMsg)
+	}
+	if got := counts(); got != [3]int64{0, 1, 1} {
+		t.Fatalf("after the first request: memo hits, misses, patterns = %v, want [0 1 1]", got)
+	}
+
+	t.Run("repeat", func(t *testing.T) {
+		res := resolve(inline)
+		if res.cache != "hit" || res.key != first.key {
+			t.Errorf("repeat: cache %q, key %s; want a hit under %s", res.cache, res.key, first.key)
+		}
+		if got := counts(); got != [3]int64{1, 1, 1} {
+			t.Errorf("memo hits, misses, patterns = %v, want [1 1 1]: the repeat decoded its trace", got)
+		}
+	})
+
+	t.Run("respelled", func(t *testing.T) {
+		res := resolve(string(respelled))
+		if res.cache != "hit" || res.key != first.key {
+			t.Errorf("respelling: cache %q, key %s; want a hit under %s", res.cache, res.key, first.key)
+		}
+		if got := len(srv.memo.m); got != 2 {
+			t.Errorf("memo holds %d entries, want 2: one per spelling", got)
+		}
+	})
+
+	t.Run("memo hit, store evicted", func(t *testing.T) {
+		if res := resolve(`{"benchmark":"FFT","procs":8}`); res.status != http.StatusOK {
+			t.Fatalf("evicting request: status %d (%s)", res.status, res.errMsg)
+		}
+		before := counts()
+		res := resolve(inline)
+		if res.status != http.StatusOK || res.cache != "miss" {
+			t.Fatalf("after eviction: status %d, cache %q, want a 200 miss", res.status, res.cache)
+		}
+		if got := counts(); got[0] != before[0]+1 || got[2] != before[2]+1 {
+			t.Errorf("memo hits, patterns %v → %v: want one memo hit and the leader's one decode", before, got)
+		}
+		if bodyDigest(t, res.body) != bodyDigest(t, first.body) {
+			t.Error("the leader's synthesis from the decoded trace differs from the first")
+		}
+	})
+
+	t.Run("past the procs bound", func(t *testing.T) {
+		entries, before := len(srv.memo.m), counts()
+		for try := 0; try < 3; try++ {
+			if res := resolve(hugeProcsTrace); res.status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("try %d: status %d, want 413", try, res.status)
+			}
+		}
+		if got := len(srv.memo.m); got != entries {
+			t.Errorf("memo grew from %d to %d entries on a trace past the bound", entries, got)
+		}
+		if got := counts(); got != [3]int64{before[0], before[1] + 3, before[2]} {
+			t.Errorf("memo hits, misses, patterns %v → %v; want three misses and nothing else", before, got)
+		}
+	})
+}
+
 // TestKeyMemoBounded floods a memo with distinct identities: it never grows
 // past its capacity, evicts oldest first, and a re-saved identity takes no
 // second slot.
 func TestKeyMemoBounded(t *testing.T) {
-	id := func(i int) workloadID { return workloadID{benchmark: "CG", procs: 2 + i%50, iterations: 1 + i/50} }
+	id := func(i int) memoID {
+		return memoID{workload: workloadID{benchmark: "CG", procs: 2 + i%50, iterations: 1 + i/50}}
+	}
 	km := newKeyMemo()
 	h := sha256.New()
 	for i := 0; i < 5000; i++ {
@@ -265,7 +345,8 @@ func fuzzTooBig(raw []byte) bool {
 // FuzzDesignRequest drives raw /v1/design bodies through the request side of
 // resolve — decode, validate, memo, key; no synthesis. It must never panic,
 // fail only with the two client-error types, and any key it yields, cold or
-// through the memo, must equal Key of the pattern built outright.
+// through the memo, must equal Key of the pattern built outright. A second
+// pass, by name or inline, is a memo hit and builds no pattern.
 func FuzzDesignRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"benchmark":"CG","procs":16}`,
@@ -306,7 +387,7 @@ func FuzzDesignRequest(f *testing.F) {
 		if err != nil || key != want {
 			t.Fatalf("%q: key %s, Key %s (err %v)", raw, key, want, err)
 		}
-		if again, pat, err := srv.requestKey(plan); err != nil || again != want || (plan.trace == "" && pat != nil) {
+		if again, pat, err := srv.requestKey(plan); err != nil || again != want || pat != nil {
 			t.Fatalf("%q: second pass: key %s, want %s, pattern %v, err %v", raw, again, want, pat, err)
 		}
 	})
@@ -347,6 +428,95 @@ func BenchmarkResolveHitInline(b *testing.B) {
 	benchmarkResolveHit(b, inlineRequest(b, p))
 }
 
+// diskHitBodies are two designs a server with a one-entry memory LRU serves
+// alternately, so that every lookup misses memory and reads its file.
+var diskHitBodies = [][]byte{[]byte(`{"benchmark":"CG","procs":16}`), []byte(`{"benchmark":"FFT","procs":8}`)}
+
+// primedDiskHits returns a server over a fresh data dir, with a one-entry
+// memory LRU, holding the designs for diskHitBodies.
+func primedDiskHits(tb testing.TB) *Server {
+	tb.Helper()
+	cfg := quickConfig()
+	cfg.CacheSize = 1
+	cfg.DataDir = tb.TempDir()
+	srv := newTestServer(tb, cfg)
+	for _, body := range diskHitBodies {
+		if res := srv.resolve(context.Background(), body, false); res.status != http.StatusOK {
+			tb.Fatalf("priming %s: status %d (%s)", body, res.status, res.errMsg)
+		}
+	}
+	return srv
+}
+
+// BenchmarkResolveHitDisk is a by-name hit served from the disk store: read
+// the file, decode its header, check the layout and the checksum.
+func BenchmarkResolveHitDisk(b *testing.B) {
+	srv := primedDiskHits(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := srv.resolve(context.Background(), diskHitBodies[i%2], false); res.cache != "hit" {
+			b.Fatalf("disposition %q, want hit", res.cache)
+		}
+	}
+	b.StopTimer()
+	if got := srv.Metrics().Counter("serve.store_disk_hit"); got < int64(b.N) {
+		b.Fatalf("%d disk hits in %d lookups: memory served some", got, b.N)
+	}
+}
+
+// discardWriter is a flushable ResponseWriter that keeps nothing, so a
+// handler benchmark measures the handler and not a growing recorder.
+type discardWriter struct {
+	h http.Header
+	n int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Flush()                      {}
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// batchHit16 is a POST /v1/designs body of sixteen by-name hits over four
+// designs; primedBatchHit returns a server holding them.
+var batchHit16 = func() []byte {
+	items := make([]string, 16)
+	for i := range items {
+		items[i] = fmt.Sprintf(`{"benchmark":"CG","procs":16,"seed":%d}`, 1+i%4)
+	}
+	return []byte("[" + strings.Join(items, ",") + "]")
+}()
+
+func primedBatchHit(tb testing.TB) *Server {
+	tb.Helper()
+	srv := newTestServer(tb, quickConfig())
+	serveBatchHit16(tb, srv)
+	if got := srv.Metrics().Counter("synth.runs"); got != 4 {
+		tb.Fatalf("synth.runs = %d after priming, want 4", got)
+	}
+	return srv
+}
+
+// serveBatchHit16 sends batchHit16 through srv's handler.
+func serveBatchHit16(tb testing.TB, srv *Server) {
+	w := &discardWriter{h: http.Header{}}
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/designs", bytes.NewReader(batchHit16)))
+	if w.n == 0 {
+		tb.Fatal("the batch wrote nothing")
+	}
+}
+
+// BenchmarkBatchHit16 is a batch of sixteen memory hits through the handler:
+// sixteen resolves, each row written straight from the stored compact form.
+func BenchmarkBatchHit16(b *testing.B) {
+	srv := primedBatchHit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveBatchHit16(b, srv)
+	}
+}
+
 // TestResolveLargeHitAllocs holds a warm ring-allreduce/64 by-name hit
 // under a fixed allocation ceiling. Before the key memo the hit rebuilt the
 // 16,128-message pattern (1,332 allocations, 1.9 MB); now it decodes a
@@ -366,5 +536,79 @@ func TestResolveLargeHitAllocs(t *testing.T) {
 	}
 	if got := srv.Metrics().Counter("synth.runs"); got != 1 {
 		t.Errorf("synth.runs = %d, want 1", got)
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun that also reports the bytes.
+func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestResolveHitDiskAllocs holds a by-name hit served from the disk store
+// under fixed ceilings. When this was written it made 55 allocations and
+// 18.0 KB per hit against 12.6 KB files: the file read once, its header
+// decoded and re-encoded, and 2 KB of resolve. The version-1 layout, which
+// JSON-decoded the base64 body out of the file, made 25.1 KB against 11.9
+// KB files; any pass that copies the body out again breaks the byte
+// ceiling, the file's size plus 8 KB.
+func TestResolveHitDiskAllocs(t *testing.T) {
+	srv := primedDiskHits(t)
+	i := 0
+	allocs, bytes := allocsPerRun(100, func() {
+		if res := srv.resolve(context.Background(), diskHitBodies[i%2], false); res.cache != "hit" {
+			t.Fatalf("disposition %q, want hit", res.cache)
+		}
+		i++
+	})
+	des, err := os.ReadDir(srv.cfg.DataDir)
+	if err != nil || len(des) != len(diskHitBodies) {
+		t.Fatalf("data dir: %d files (err %v), want %d", len(des), err, len(diskHitBodies))
+	}
+	var files int64
+	for _, de := range des {
+		fi, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files += fi.Size()
+	}
+	const ceiling = 64
+	if allocs > ceiling {
+		t.Errorf("a disk hit allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+	if limit := float64(files)/float64(len(des)) + 8<<10; bytes > limit {
+		t.Errorf("a disk hit allocates %.0f bytes, ceiling %.0f (the file's size plus 8 KB)", bytes, limit)
+	}
+}
+
+// TestBatchHit16Allocs holds a batch of sixteen memory hits under a fixed
+// allocation ceiling — 413 allocations when this was written (439 under
+// -race), 16 resolves of 21 and the handler's own — and pins that writing a
+// 200 row allocates nothing. Encoding each such row through json.Encoder, as
+// a BatchRow, boxed the row: one allocation a row, 429 a batch.
+func TestBatchHit16Allocs(t *testing.T) {
+	srv := primedBatchHit(t)
+	allocs, _ := allocsPerRun(100, func() { serveBatchHit16(t, srv) })
+	const ceiling = 448
+	if allocs > ceiling {
+		t.Errorf("a batch of sixteen hits allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+	if got := srv.Metrics().Counter("synth.runs"); got != 4 {
+		t.Errorf("synth.runs = %d, want 4", got)
+	}
+	res := srv.resolve(context.Background(), []byte(`{"benchmark":"CG","procs":16,"seed":1}`), false)
+	re := rowEncoders.Get().(*rowEncoder)
+	defer rowEncoders.Put(re)
+	re.encode(0, res)
+	if allocs := testing.AllocsPerRun(100, func() { re.encode(1, res) }); allocs != 0 {
+		t.Errorf("writing a 200 row allocates %.0f times, want 0", allocs)
 	}
 }

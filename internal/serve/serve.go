@@ -32,15 +32,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"log"
 	"net"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -306,7 +305,7 @@ func (s *Server) rebuildWarm(entries []*Entry) {
 			continue
 		}
 		var dr DesignResponse
-		if json.Unmarshal(ent.Body, &dr) != nil {
+		if json.Unmarshal(ent.Row, &dr) != nil {
 			continue
 		}
 		net, table, err := synth.LoadDesign(bytes.NewReader(dr.Design))
@@ -379,11 +378,11 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 //	forward  relay to the key's owning peer
 //	flight   singleflight → admission → pattern → synthesis    (synthesize)
 //
-// The pattern is not a parse result: a by-name request whose workload the
-// key memo knows reaches its key without one, and only a flight leader —
-// behind the stores, the forward and admission — builds it. alreadyForwarded
-// marks a request a peer relayed here; it is then always handled locally
-// (single-hop loop protection).
+// The pattern is not a parse result: a request whose pattern the key memo
+// knows — by name or inline — reaches its key without one, and only a
+// flight leader — behind the stores, the forward and admission — builds it.
+// alreadyForwarded marks a request a peer relayed here; it is then always
+// handled locally (single-hop loop protection).
 func (s *Server) resolve(ctx context.Context, raw []byte, alreadyForwarded bool) itemResult {
 	plan, err := s.planRequest(raw)
 	if err != nil {
@@ -397,7 +396,7 @@ func (s *Server) resolve(ctx context.Context, raw []byte, alreadyForwarded bool)
 
 	if ent, ok := s.lookup(key); ok {
 		obs.Count(s.col, "serve.cache_hit", 1)
-		return itemResult{status: http.StatusOK, key: ent.Key, cache: "hit", warm: ent.Warm, body: ent.Body}
+		return entryResult(ent, "hit")
 	}
 	if !alreadyForwarded {
 		if res, ok := s.forward(ctx, http.MethodPost, "/v1/design", key, raw); ok {
@@ -417,38 +416,31 @@ func (s *Server) resolve(ctx context.Context, raw []byte, alreadyForwarded bool)
 		how = "shared"
 		obs.Count(s.col, "serve.singleflight_shared", 1)
 	}
-	return itemResult{status: http.StatusOK, key: ent.Key, cache: how, warm: ent.Warm, body: ent.Body}
+	return entryResult(ent, how)
 }
 
 // requestKey computes the plan's cache key — byte for byte Key of its
-// pattern. An inline trace is decoded, canonically re-encoded and hashed,
-// every time. A named workload goes through the key memo: on a hit the hash
-// resumes just past the trace bytes and no pattern exists yet (pat is nil;
-// the flight leader builds it if the stores miss too); on a miss the
-// pattern is generated once, hashed, memoised, and handed on.
+// pattern — through the key memo, for a named workload and an inline trace
+// alike. On a hit the hash resumes just past the trace bytes and no pattern
+// exists yet (pat is nil; the flight leader builds it if the stores miss
+// too); on a miss the pattern is built once, hashed, memoised, and handed
+// on. A pattern that fails to build — an unknown name, an undecodable trace,
+// one past the procs bound — is never memoised.
 func (s *Server) requestKey(plan *designPlan) (key string, pat *model.Pattern, err error) {
-	var h hash.Hash
+	id := memoID{workload: plan.workload}
 	if plan.trace != "" {
-		if pat, err = trace.Decode(strings.NewReader(plan.trace)); err != nil {
-			return "", nil, badRequest("decoding trace: %v", err)
-		}
-		// The same bound by-name requests meet in planRequest: the decoder
-		// takes any procs header, and everything from here on allocates per
-		// processor.
-		if pat.Procs > maxRequestProcs {
-			return "", nil, &tooLargeError{fmt.Sprintf("trace procs %d above the limit of %d", pat.Procs, maxRequestProcs)}
-		}
-		h = traceHash(pat)
-	} else if memo, ok := s.memo.restore(plan.workload); ok {
+		id.trace = sha256.Sum256([]byte(plan.trace))
+	}
+	h, ok := s.memo.restore(id)
+	if ok {
 		obs.Count(s.col, "serve.keymemo_hit", 1)
-		h = memo
 	} else {
 		obs.Count(s.col, "serve.keymemo_miss", 1)
-		if pat, err = s.generateWorkload(plan.workload); err != nil {
+		if pat, err = s.buildPattern(plan); err != nil {
 			return "", nil, err
 		}
 		h = traceHash(pat)
-		s.memo.save(plan.workload, h)
+		s.memo.save(id, h)
 	}
 	return finishKey(h, plan.opt, plan.keyExtras()...), pat, nil
 }
@@ -626,7 +618,7 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 	}
 	if pat == nil {
 		var err error
-		if pat, err = s.generateWorkload(plan.workload); err != nil {
+		if pat, err = s.buildPattern(plan); err != nil {
 			return nil, err
 		}
 	}
@@ -698,8 +690,11 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 // publish is the response tail both leader bodies share: it renders the
 // design with save, completes resp with the fixed fields, the design
 // document and the request's RunReport (carrying the pattern summary),
-// sets ent's body to the indented JSON, and writes ent through the stores.
-// It returns ent and whether the authoritative layer took it.
+// marshals it once, and writes ent through the stores. The one marshal
+// yields both of ent's forms: Row is the compact JSON, and Body is Row
+// indented plus a newline — byte for byte what MarshalIndent would write,
+// since MarshalIndent is Marshal followed by the same indenter. It returns
+// ent and whether the authoritative layer took it.
 func (s *Server) publish(ent *Entry, save func(io.Writer) error, resp DesignResponse, pattern trace.Stats, reqCol *obs.Collector) (*Entry, bool, error) {
 	var design bytes.Buffer
 	if err := save(&design); err != nil {
@@ -709,11 +704,19 @@ func (s *Server) publish(ent *Entry, save func(io.Writer) error, resp DesignResp
 	resp.Design = design.Bytes()
 	resp.Report = reqCol.Report("nocd")
 	resp.Report.Pattern = pattern
-	body, err := json.MarshalIndent(&resp, "", "  ")
+	row, err := json.Marshal(&resp)
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: rendering response: %w", err)
 	}
-	ent.Body = append(body, '\n')
+	var body bytes.Buffer
+	body.Grow(2*len(row) + 1)
+	if err := json.Indent(&body, row, "", "  "); err != nil {
+		return nil, false, fmt.Errorf("serve: rendering response: %w", err)
+	}
+	body.WriteByte('\n')
+	// Stored entries keep both forms for their lifetime; the clone drops the
+	// buffer's slack, which would otherwise outweigh Row.
+	ent.Body, ent.Row = bytes.Clone(body.Bytes()), row
 	if !s.store(ent) {
 		return ent, false, nil
 	}
@@ -779,7 +782,7 @@ func (s *Server) handleGetDesign(w http.ResponseWriter, r *http.Request) {
 	obs.Count(s.col, "serve.design_fetch", 1)
 	key := r.PathValue("key")
 	if ent, ok := s.lookup(key); ok {
-		s.writeResult(w, itemResult{status: http.StatusOK, key: ent.Key, cache: "hit", warm: ent.Warm, body: ent.Body})
+		s.writeResult(w, entryResult(ent, "hit"))
 		return
 	}
 	if r.Header.Get(ForwardedHeader) == "" {

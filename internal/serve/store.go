@@ -9,15 +9,19 @@ import (
 
 // Entry is one stored design response: the exact bytes served for the key,
 // replayed verbatim on every hit so repeated requests are byte-identical.
-// Warm records how the synthesis started ("cold" or "seeded"; empty when the
-// warm-start layer is disabled) and is surfaced as the X-Nocd-Warm header —
-// like the cache disposition, it is deliberately not part of the body. Fp is
-// the structural fingerprint of the request's trace (nil when warm starts
-// are disabled); the disk backend persists it so the warm index can be
-// rebuilt on restart without re-deriving the trace.
+// Body is the indented /v1/design body; Row is the same response compact,
+// the form a /v1/designs row embeds (json.Compact(Body) == Row), so neither
+// endpoint re-renders JSON on a hit. Warm records how the synthesis started
+// ("cold" or "seeded"; empty when the warm-start layer is disabled) and is
+// surfaced as the X-Nocd-Warm header — like the cache disposition, it is
+// deliberately not part of the body. Fp is the structural fingerprint of
+// the request's trace (nil when warm starts are disabled); the disk backend
+// persists it so the warm index can be rebuilt on restart without
+// re-deriving the trace.
 type Entry struct {
 	Key  string
 	Body []byte
+	Row  []byte
 	Warm string
 	Fp   *trace.Fingerprint
 }

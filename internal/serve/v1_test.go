@@ -184,13 +184,15 @@ func TestErrorEnvelope(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("at the bounds: status = %d, want the generator's 400 (%s)", resp.StatusCode, b)
 		}
-		// The bound runs before the memo and before any generator.
+		// The by-name bounds run before the memo and before any generator;
+		// the inline trace's runs on its decoded header, after a memo miss,
+		// and a trace past it is never memoised.
 		col := srv.Metrics()
 		for name, want := range map[string]int64{
 			"serve.too_large":         7,
 			"serve.keymemo_hit":       0,
-			"serve.keymemo_miss":      1, // the request at the bounds
-			"serve.bad_requests":      1, // likewise
+			"serve.keymemo_miss":      2, // the inline trace and the request at the bounds
+			"serve.bad_requests":      1, // the request at the bounds
 			"serve.pattern_generated": 0,
 		} {
 			if got := col.Counter(name); got != want {
