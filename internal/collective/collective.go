@@ -181,6 +181,22 @@ func Steps(name string, nodes int) (int, bool) {
 	return 0, false
 }
 
+// Messages returns the number of messages Generate(name, nodes, cfg) emits,
+// in closed form: nothing is built, so a caller can bound a request before
+// generating it. A ring step sends N messages; broadcast round r sends 2^r.
+// The second result is false for an unknown name.
+func Messages(name string, nodes int, cfg Config) (int, bool) {
+	steps, ok := Steps(name, nodes)
+	if !ok {
+		return 0, false
+	}
+	per := steps * nodes
+	if name == "tree-broadcast" {
+		per = 1<<steps - 1
+	}
+	return cfg.Normalized().Repeats * per, true
+}
+
 // Generate builds the named collective's pattern, validating it before
 // return.
 func Generate(name string, nodes int, cfg Config) (*model.Pattern, error) {

@@ -213,3 +213,27 @@ func TestGenerateTelemetry(t *testing.T) {
 		}
 	}
 }
+
+// TestMessagesClosedForm holds Messages, which bounds server requests without
+// building them, to the generators it counts, over every node count each
+// collective accepts up to 64 and a sweep of repeat counts, the default
+// included.
+func TestMessagesClosedForm(t *testing.T) {
+	for _, name := range Names() {
+		for nodes := MinNodes; nodes <= 64; nodes++ {
+			for _, repeats := range []int{0, 1, 3} {
+				cfg := Config{Repeats: repeats}
+				p, err := Generate(name, nodes, cfg)
+				if err != nil {
+					continue // a shape the collective rejects
+				}
+				if got, ok := Messages(name, nodes, cfg); !ok || got != len(p.Messages) {
+					t.Errorf("Messages(%s, %d, %d repeats) = %d, %t; the generator emits %d", name, nodes, repeats, got, ok, len(p.Messages))
+				}
+			}
+		}
+	}
+	if _, ok := Messages("all-to-all", 16, Config{}); ok {
+		t.Error("Messages counts an unknown collective")
+	}
+}

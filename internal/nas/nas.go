@@ -123,6 +123,10 @@ func (e *ProcCountError) Error() string {
 // Generator builds a pattern for a processor count.
 type Generator func(procs int, cfg Config) (*model.Pattern, error)
 
+// defaultIters is each benchmark's main-loop iteration count when
+// Config.Iterations is zero.
+var defaultIters = map[string]int{"BT": 3, "CG": 4, "FFT": 3, "MG": 3, "SP": 4}
+
 // Generators maps benchmark names to their generators.
 var Generators = map[string]Generator{
 	"BT":  BT,
@@ -167,6 +171,39 @@ func Generate(name string, procs int, cfg Config) (*model.Pattern, error) {
 	return p, nil
 }
 
+// Messages returns the number of messages Generate(name, procs, cfg) emits,
+// in closed form: nothing is built, so a caller can bound a request before
+// generating it. procs is assumed to have the benchmark's shape (Generate
+// rejects it otherwise). The second result is false for an unknown name.
+func Messages(name string, procs int, cfg Config) (int, bool) {
+	var per int
+	switch name {
+	case "CG":
+		// log₂(cols) full reduction rounds, then a transpose that leaves the
+		// cols processors on the grid's mirror line alone.
+		_, cols := cgGrid(procs)
+		per = log2(cols)*procs + procs - cols
+	case "FFT":
+		rows, cols := nearSquareGrid(procs)
+		per = (rows + cols - 2) * procs
+	case "MG":
+		// Two V-cycle passes and the reduce-to-all, log₂N full rounds each,
+		// then a broadcast reaching N−1 processors.
+		per = 3*log2(procs)*procs + procs - 1
+	case "BT", "SP":
+		// Four face exchanges (self-sends dropped: none unless k = 1), then
+		// six sweeps of k−1 wavefronts of k messages.
+		k := int(math.Round(math.Sqrt(float64(procs))))
+		per = 6 * k * (k - 1)
+		if k > 1 {
+			per += 4 * procs
+		}
+	default:
+		return 0, false
+	}
+	return cfg.iters(defaultIters[name]) * per, true
+}
+
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 func log2(n int) int {
@@ -202,7 +239,7 @@ func CG(procs int, cfg Config) (*model.Pattern, error) {
 		return nil, &ProcCountError{Benchmark: "CG", Procs: procs, Want: "power-of-two"}
 	}
 	rows, cols := cgGrid(procs)
-	iters := cfg.iters(4)
+	iters := cfg.iters(defaultIters["CG"])
 	var phases []trace.PhaseSpec
 	computeGap := cfg.compute(256.0 / float64(procs) * 16)
 	for it := 0; it < iters; it++ {
@@ -268,7 +305,7 @@ func FFT(procs int, cfg Config) (*model.Pattern, error) {
 		return nil, &ProcCountError{Benchmark: "FFT", Procs: procs, Want: "power-of-two"}
 	}
 	rows, cols := nearSquareGrid(procs)
-	iters := cfg.iters(3)
+	iters := cfg.iters(defaultIters["FFT"])
 	var phases []trace.PhaseSpec
 	computeGap := cfg.compute(512.0 / float64(procs) * 16)
 	for it := 0; it < iters; it++ {
@@ -316,7 +353,7 @@ func MG(procs int, cfg Config) (*model.Pattern, error) {
 		return nil, &ProcCountError{Benchmark: "MG", Procs: procs, Want: "power-of-two"}
 	}
 	levels := log2(procs)
-	iters := cfg.iters(3)
+	iters := cfg.iters(defaultIters["MG"])
 	var phases []trace.PhaseSpec
 	computeGap := cfg.compute(768.0 / float64(procs) * 16)
 	for it := 0; it < iters; it++ {
@@ -378,14 +415,14 @@ func MG(procs int, cfg Config) (*model.Pattern, error) {
 // and backward line sweeps along rows, columns, and wrapped diagonals (the
 // multipartition scheme). Requires a perfect-square processor count.
 func BT(procs int, cfg Config) (*model.Pattern, error) {
-	return sweepBenchmark("BT", procs, cfg, cfg.iters(3), 10240, 200)
+	return sweepBenchmark("BT", procs, cfg, cfg.iters(defaultIters["BT"]), 10240, 200)
 }
 
 // SP generates the Scalar Pentadiagonal pattern. Its structure mirrors BT
 // (the paper: "BT and SP ... are based on a similar algorithm") with more
 // iterations and smaller payloads.
 func SP(procs int, cfg Config) (*model.Pattern, error) {
-	return sweepBenchmark("SP", procs, cfg, cfg.iters(4), 4096, 120)
+	return sweepBenchmark("SP", procs, cfg, cfg.iters(defaultIters["SP"]), 4096, 120)
 }
 
 func sweepBenchmark(name string, procs int, cfg Config, iters, bytes int, computeUnit float64) (*model.Pattern, error) {

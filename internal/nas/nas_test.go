@@ -429,3 +429,38 @@ func TestGeneratorsScaleToLargerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestMessagesClosedForm holds Messages, which bounds server requests without
+// building them, to the generators it counts: every benchmark over a sweep of
+// the processor counts its shape allows and of iteration counts, the default
+// included.
+func TestMessagesClosedForm(t *testing.T) {
+	var pow2, squares []int
+	for n := 1; n <= 256; n *= 2 {
+		pow2 = append(pow2, n)
+	}
+	for k := 1; k <= 16; k++ {
+		squares = append(squares, k*k)
+	}
+	for _, name := range Names() {
+		procs := pow2
+		if name == "BT" || name == "SP" {
+			procs = squares
+		}
+		for _, n := range procs {
+			for _, iters := range []int{0, 1, 2, 5} {
+				cfg := Config{Iterations: iters}
+				p, err := Generate(name, n, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, ok := Messages(name, n, cfg); !ok || got != len(p.Messages) {
+					t.Errorf("Messages(%s, %d, %d iterations) = %d, %t; the generator emits %d", name, n, iters, got, ok, len(p.Messages))
+				}
+			}
+		}
+	}
+	if _, ok := Messages("LU", 16, Config{}); ok {
+		t.Error("Messages counts an unknown benchmark")
+	}
+}

@@ -23,10 +23,15 @@ import (
 // naming a million iterations would otherwise build gigabytes of pattern
 // ahead of admission control, the timeout and the body cap. Past them the
 // request is a 413 too_large, not a 400. The procs bound also covers an
-// inline trace's header (buildPattern); iterations exist only by name.
+// inline trace's header (buildPattern); iterations exist only by name. The
+// two bounds alone still admit FFT/1,024 × 4,096 iterations, about 260 M
+// messages, so a by-name request is also bounded by the message count its
+// generator would emit, computed in closed form (nas.Messages,
+// collective.Messages).
 const (
 	maxRequestProcs      = 1024
 	maxRequestIterations = 4096
+	maxRequestMessages   = 1 << 20
 )
 
 // badRequestError marks request-construction failures that map to 400.
@@ -145,6 +150,9 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 			return nil, &tooLargeError{fmt.Sprintf("iterations %d above the limit of %d", req.Iterations, maxRequestIterations)}
 		}
 		pl.workload = workloadID{benchmark: req.Benchmark, procs: req.Procs, iterations: max(req.Iterations, 0)}
+		if n := s.workloadMessages(pl.workload); n > maxRequestMessages {
+			return nil, &tooLargeError{fmt.Sprintf("%s at %d procs is %d messages, above the limit of %d", req.Benchmark, req.Procs, n, maxRequestMessages)}
+		}
 	case req.Trace == "":
 		return nil, badRequest("request needs a benchmark or an inline trace")
 	}
@@ -213,6 +221,21 @@ func (s *Server) buildPattern(plan *designPlan) (*model.Pattern, error) {
 	}
 	obs.Count(s.col, "serve.pattern_generated", 1)
 	return p, nil
+}
+
+// workloadMessages is the number of messages generateWorkload would build
+// for id, without building them; 0 for a name neither registry knows, which
+// generateWorkload rejects.
+func (s *Server) workloadMessages(id workloadID) int {
+	cfg, ccfg := s.cfg.NAS, s.cfg.Collective
+	if id.iterations > 0 {
+		cfg.Iterations, ccfg.Repeats = id.iterations, id.iterations
+	}
+	if n, ok := nas.Messages(id.benchmark, id.procs, cfg); ok {
+		return n
+	}
+	n, _ := collective.Messages(id.benchmark, id.procs, ccfg)
+	return n
 }
 
 // generateWorkload resolves a named workload against the NAS registry

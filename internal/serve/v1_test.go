@@ -169,6 +169,8 @@ func TestErrorEnvelope(t *testing.T) {
 			{"unknown name, still bounded first", `{"benchmark":"LU","procs":2048}`},
 			{"hier", `{"benchmark":"CG","procs":4096,"hier":{"clusters":"4"}}`},
 			{"inline trace header", hugeProcsTrace},
+			{"messages, NAS", `{"benchmark":"FFT","procs":1024,"iterations":4096}`},
+			{"messages, collective", `{"benchmark":"ring-allreduce","procs":1024,"iterations":4096}`},
 		} {
 			resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", tc.body)
 			if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -178,9 +180,9 @@ func TestErrorEnvelope(t *testing.T) {
 				t.Errorf("%s: code = %q, want %q", tc.name, code, CodeTooLarge)
 			}
 		}
-		// At the bounds the request is judged on its merits: 1,024 nodes is
-		// the collective generator's 400, not a 413.
-		resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", `{"benchmark":"ring-allreduce","procs":1024,"iterations":4096}`)
+		// Within the bounds the request is judged on its merits: 1,024 nodes
+		// is the collective generator's 400, not a 413.
+		resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", `{"benchmark":"tree-broadcast","procs":1024,"iterations":1}`)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("at the bounds: status = %d, want the generator's 400 (%s)", resp.StatusCode, b)
 		}
@@ -189,10 +191,10 @@ func TestErrorEnvelope(t *testing.T) {
 		// and a trace past it is never memoised.
 		col := srv.Metrics()
 		for name, want := range map[string]int64{
-			"serve.too_large":         7,
+			"serve.too_large":         9,
 			"serve.keymemo_hit":       0,
-			"serve.keymemo_miss":      2, // the inline trace and the request at the bounds
-			"serve.bad_requests":      1, // the request at the bounds
+			"serve.keymemo_miss":      2, // the inline trace and the request within the bounds
+			"serve.bad_requests":      1, // the request within the bounds
 			"serve.pattern_generated": 0,
 		} {
 			if got := col.Counter(name); got != want {

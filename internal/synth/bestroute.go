@@ -5,24 +5,24 @@ package synth
 type group [2]int
 
 // bestRoute implements the Appendix's Best_Route procedure, generalized:
-// every flow whose current route touches one of the `touch` switches is
-// offered its direct path and one-intermediate indirect paths through each
-// switch in `via`. A nil via selects, per flow, the switches that already
-// exchange traffic with either endpoint — rerouting through anything else
-// would create two pipes to save one and can never help. When the
-// reverse flow exists and mirrors the forward route, the pair is rerouted
-// together — the paper's exchanges are symmetric (e.g. Figure 5(e) redirects
-// (4,13) and (13,4) jointly), and moving only one direction cannot free a
-// full-duplex link. Improving alternatives — fewer constraint violations,
-// then fewer estimated links, then lower congestion load, then fewer hops —
-// are committed. Passes repeat until no route improves.
+// every flow whose current route touches one of the `touch` switches (nil:
+// every flow) is offered its direct path and one-intermediate indirect paths
+// through each switch in `via`. A nil via selects, per flow, the switches
+// that already exchange traffic with either endpoint — rerouting through
+// anything else would create two pipes to save one and can never help. When
+// the reverse flow exists and mirrors the forward route, the pair is
+// rerouted together — the paper's exchanges are symmetric (e.g. Figure 5(e)
+// redirects (4,13) and (13,4) jointly), and moving only one direction cannot
+// free a full-duplex link. Improving alternatives — fewer constraint
+// violations, then fewer estimated links, then lower congestion load, then
+// fewer hops — are committed. Passes repeat until no route improves.
 func (s *state) bestRoute(touch, via []int) {
 	var candBuf [3]int
 	for pass := 0; pass < 3; pass++ {
 		improved := false
 		for fi := range s.flows {
 			cur := s.routes[fi]
-			touched := false
+			touched := touch == nil
 			for _, sw := range touch {
 				if routeTouches(cur, sw) {
 					touched = true
@@ -46,12 +46,17 @@ func (s *state) bestRoute(touch, via []int) {
 			if vias == nil {
 				vias = s.trafficNeighbors(a, b)
 			}
+			// The group leaves its route once; the direct path and each via
+			// are joins on that frozen departure.
+			departed := false
 			bestDelta := 0
 			bestVia := -2 // -1 selects the direct path; -2 = keep current
 			cand := candBuf[:2]
 			cand[0], cand[1] = a, b
 			if !equalRoute(cand, cur) {
-				if delta := s.groupRouteDelta(g, cand); delta < bestDelta {
+				s.wiGroupDepart(g)
+				departed = true
+				if delta := s.wiGroupRoute(g, cand); delta < bestDelta {
 					bestDelta, bestVia = delta, -1
 				}
 			}
@@ -64,9 +69,16 @@ func (s *state) bestRoute(touch, via []int) {
 				if equalRoute(cand, cur) {
 					continue
 				}
-				if delta := s.groupRouteDelta(g, cand); delta < bestDelta {
+				if !departed {
+					s.wiGroupDepart(g)
+					departed = true
+				}
+				if delta := s.wiGroupRoute(g, cand); delta < bestDelta {
 					bestDelta, bestVia = delta, m
 				}
+			}
+			if departed {
+				s.wiRelease()
 			}
 			if bestVia != -2 {
 				cand = candBuf[:2]
@@ -132,20 +144,38 @@ func (s *state) applyGroupRoute(g group, cand []int) {
 	}
 }
 
-// groupRouteDelta is the cost change of rerouting a flow (and its mirrored
-// reverse, if grouped) onto cand. cand is not retained.
-func (s *state) groupRouteDelta(g group, cand []int) int {
+// wiGroupDepart states the group's flows leaving their routes and freezes the
+// family of the group's reroutes.
+func (s *state) wiGroupDepart(g group) {
 	s.wiLeave(g[0])
-	for i := 1; i < len(cand); i++ {
-		s.wiJoin(g[0], cand[i-1], cand[i])
-	}
 	if g[1] >= 0 {
 		s.wiLeave(g[1])
+	}
+	s.wiFreeze(-1)
+}
+
+// wiGroupRoute prices routing the group's first flow along cand, and any
+// paired reverse flow along its mirror, on the frozen departure. cand is not
+// retained.
+func (s *state) wiGroupRoute(g group, cand []int) int {
+	for i := 1; i < len(cand); i++ {
+		s.wiJoinCand(g[0], cand[i-1], cand[i])
+	}
+	if g[1] >= 0 {
 		for i := len(cand) - 1; i > 0; i-- {
-			s.wiJoin(g[1], cand[i], cand[i-1])
+			s.wiJoinCand(g[1], cand[i], cand[i-1])
 		}
 	}
-	return s.wiDelta(-1, -1)
+	return s.wiDeltaCand(-1)
+}
+
+// groupRouteDelta is the cost change of rerouting a flow (and its mirrored
+// reverse, if grouped) onto cand: a family of one.
+func (s *state) groupRouteDelta(g group, cand []int) int {
+	s.wiGroupDepart(g)
+	d := s.wiGroupRoute(g, cand)
+	s.wiRelease()
+	return d
 }
 
 // eliminatePipes targets degree violations directly: for every switch over
@@ -167,14 +197,23 @@ func (s *state) eliminatePipes() bool {
 			if len(ids) == 0 {
 				continue
 			}
+			// The pipe's flows leave and take their direct paths once; each
+			// intermediate adds only the joins of the flows that need it.
+			s.wiPipeDepart(ids, sw, other)
+			won := -2
 			for m := -1; m < len(s.swProcs); m++ {
 				if m == sw || m == other {
 					continue
 				}
-				if s.tryPipeElimination(ids, sw, other, m) {
-					changed = true
+				if s.wiPipeVia(m) < 0 {
+					won = m
 					break
 				}
+			}
+			s.wiRelease()
+			if won != -2 {
+				s.emptyPipe(ids, sw, other, won)
+				changed = true
 			}
 		}
 	}
@@ -214,14 +253,43 @@ func mergeSortedInts(ids []int, n int) []int {
 	return ids
 }
 
-// tryPipeElimination reroutes every flow crossing pipe (a,b): directly when
-// the direct path avoids the pipe, otherwise via intermediate m (m == -1
-// allows only direct replacements). The batch is committed only if the
-// weighted objective improves.
-func (s *state) tryPipeElimination(ids []int, a, b, m int) bool {
-	if s.pipeEliminationDelta(ids, a, b, m) >= 0 {
-		return false
+// wiPipeDepart states every flow crossing pipe (a,b) leaving its route and
+// taking its direct path where that avoids the pipe, and freezes the family
+// of the pipe's eliminations. The flows whose endpoints sit on a and b go to
+// wi.via: only an intermediate takes them off the pipe.
+func (s *state) wiPipeDepart(ids []int, a, b int) {
+	via := s.wi.via[:0]
+	for _, fi := range ids {
+		s.wiLeave(fi)
+		if ha, hb, direct := s.offPipe(fi, a, b); direct {
+			s.wiJoin(fi, ha, hb)
+		} else {
+			via = append(via, fi)
+		}
 	}
+	s.wi.via = via
+	s.wiFreeze(-1)
+}
+
+// wiPipeVia prices emptying the frozen pipe through intermediate m, which is
+// neither of its switches (-1 allows only direct paths), or returns 0 when
+// some flow cannot leave the pipe.
+func (s *state) wiPipeVia(m int) int {
+	if m < 0 && len(s.wi.via) > 0 {
+		return 0
+	}
+	for _, fi := range s.wi.via {
+		f := s.flows[fi]
+		ha, hb := s.home[f.Src], s.home[f.Dst]
+		s.wiJoinCand(fi, ha, m)
+		s.wiJoinCand(fi, m, hb)
+	}
+	return s.wiDeltaCand(-1)
+}
+
+// emptyPipe commits an elimination wiPipeVia priced: every flow crossing pipe
+// (a,b) goes direct when the direct path avoids the pipe, otherwise via m.
+func (s *state) emptyPipe(ids []int, a, b, m int) {
 	for _, fi := range ids {
 		if ha, hb, direct := s.offPipe(fi, a, b); direct {
 			s.setRoute(fi, s.directPair(ha, hb))
@@ -230,7 +298,6 @@ func (s *state) tryPipeElimination(ids []int, a, b, m int) bool {
 		}
 	}
 	s.stats.Reroutes += len(ids)
-	return true
 }
 
 // offPipe returns the home switches of fi's endpoints and whether the direct
@@ -239,26 +306,6 @@ func (s *state) offPipe(fi, a, b int) (ha, hb int, direct bool) {
 	f := s.flows[fi]
 	ha, hb = s.home[f.Src], s.home[f.Dst]
 	return ha, hb, pairKey(ha, hb) != pairKey(a, b)
-}
-
-// pipeEliminationDelta is the cost change tryPipeElimination's batch would
-// cause, or 0 when some flow cannot leave the pipe.
-func (s *state) pipeEliminationDelta(ids []int, a, b, m int) int {
-	for _, fi := range ids {
-		if ha, hb, direct := s.offPipe(fi, a, b); !direct && (m < 0 || m == ha || m == hb) {
-			return 0 // this flow cannot leave the pipe
-		}
-	}
-	for _, fi := range ids {
-		s.wiLeave(fi)
-		if ha, hb, direct := s.offPipe(fi, a, b); direct {
-			s.wiJoin(fi, ha, hb)
-		} else {
-			s.wiJoin(fi, ha, m)
-			s.wiJoin(fi, m, hb)
-		}
-	}
-	return s.wiDelta(-1, -1)
 }
 
 // directPair is the two-switch route [a, b] as a shared header.

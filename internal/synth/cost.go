@@ -98,7 +98,7 @@ func (s *state) penaltyOf(switches []int) int {
 
 // localCost evaluates the weighted objective restricted to the given pipes
 // and switches (the hop term is global: s.totalHops). globalCost sums it over
-// everything; the change a candidate would make to that sum is what wiDelta
+// everything; the change a candidate would make to that sum is what wiDeltaCand
 // returns, without applying the candidate.
 func (s *state) localCost(pairs [][2]int, switches []int) int {
 	links, quad := 0, 0

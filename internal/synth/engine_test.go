@@ -473,11 +473,12 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 // of engine operations — splits, moves, reroutes (including routes that cross
 // one pipe direction twice or hop from a switch to itself), swaps, a rolled-
 // back probe scope, Best_Route, eliminatePipes, merge sweeps. After every one
-// it prices a move, a swap, a group reroute and a pipe elimination with the
-// what-if evaluator and with the mutating oracle (whatif_test.go's compare
-// helpers) and requires equal deltas, then holds the cost tables to the
-// from-scratch oracle, portBound to the degree it bounds and the evaluator's
-// scratch to all-zero (checkStateInvariants).
+// it prices a move and a swap, and a whole family of each kind — a
+// processor's relocations, a group's reroutes, a pipe's eliminations, each
+// frozen once — with the what-if evaluator and with the mutating oracle
+// (whatif_test.go's compare helpers) and requires equal deltas, then holds the
+// cost tables to the from-scratch oracle, portBound to the degree it bounds
+// and the evaluator's released scratch to all-zero (checkStateInvariants).
 func FuzzMoveEngine(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		buf := make([]byte, 96)
@@ -555,12 +556,12 @@ func FuzzMoveEngine(f *testing.F) {
 			if sw != s.home[p] {
 				compareMove(t, s, p, sw)
 			}
+			compareRelocations(t, s, p)
 			if s.home[p] != s.home[q] {
 				compareSwap(t, s, p, q)
 			}
-			compareGroup(t, s, fi, sw)
-			comparePipe(t, s, s.home[p], sw, s.home[q])
-			comparePipe(t, s, s.home[p], sw, -1)
+			compareGroup(t, s, fi)
+			comparePipe(t, s, s.home[p], sw)
 			checkStateInvariants(t, s)
 		}
 	})

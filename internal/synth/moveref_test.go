@@ -201,9 +201,9 @@ func (s *state) groupRouteDeltaRef(g group, cand []int) int {
 	return after - before
 }
 
-// pipeEliminationDeltaRef is the mutate-and-measure pipeEliminationDelta:
-// every flow of ids is taken off pipe (a,b), the batch is costed, and every
-// route is put back.
+// pipeEliminationDeltaRef is the mutate-and-measure price of one pipe
+// elimination (wiPipeDepart, then wiPipeVia(m)): every flow of ids is taken
+// off pipe (a,b), the batch is costed, and every route is put back.
 func (s *state) pipeEliminationDeltaRef(ids []int, a, b, m int) int {
 	for _, fi := range ids {
 		f := s.flows[fi]

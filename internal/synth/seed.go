@@ -244,7 +244,7 @@ func (s *state) applySeed(sd *SeedDesign) bool {
 		// The replay left estimated violations (the trace diverged more
 		// than the segment diff suggested): fall back to the full route
 		// polish before partition() resorts to splitting.
-		s.bestRoute(s.allSwitches(), nil)
+		s.bestRoute(nil, nil)
 		s.eliminatePipes()
 	}
 	return true

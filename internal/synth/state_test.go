@@ -297,21 +297,26 @@ func checkStateInvariants(t *testing.T, s *state) {
 		}
 	}
 	checkTables(t, s)
-	// The what-if evaluator's scratch is all-zero between evaluations.
+	// The what-if evaluator's scratch is all-zero between families.
 	wi := &s.wi
-	if len(wi.dirs) != 0 || len(wi.sws) != 0 || wi.hops != 0 {
-		t.Fatalf("what-if scratch not cleared: %d directions, %d switches, %d hops pending", len(wi.dirs), len(wi.sws), wi.hops)
+	if len(wi.dirs) != 0 || len(wi.sws) != 0 || wi.hops != 0 || wi.nbase != 0 || wi.left != 0 || wi.base != 0 {
+		t.Fatalf("what-if base not released: %d directions, %d switches, %d hops, %d frozen directions, switch %d left, delta %d", len(wi.dirs), len(wi.sws), wi.hops, wi.nbase, wi.left-1, wi.base)
+	}
+	if wi.quad != 0 || len(wi.joins) != 0 || len(wi.cdirs) != 0 || len(wi.csws) != 0 {
+		t.Fatalf("what-if candidate not cleared: quad %d, %d joins, %d directions, %d switches", wi.quad, len(wi.joins), len(wi.cdirs), len(wi.csws))
 	}
 	for name, cells := range map[string][]int32{"slot": wi.slot, "overlay": wi.ov} {
 		if i := slices.IndexFunc(cells, func(n int32) bool { return n != 0 }); i >= 0 {
 			t.Fatalf("what-if %s[%d] = %d between evaluations", name, i, cells[i])
 		}
 	}
-	if i := slices.IndexFunc(wi.deg, func(n int64) bool { return n != 0 }); i >= 0 {
-		t.Fatalf("what-if deg[%d] = %d between evaluations", i, wi.deg[i])
+	for name, cells := range map[string][]int64{"deg": wi.deg, "fdeg": wi.fdeg} {
+		if i := slices.IndexFunc(cells, func(n int64) bool { return n != 0 }); i >= 0 {
+			t.Fatalf("what-if %s[%d] = %d between evaluations", name, i, cells[i])
+		}
 	}
-	if len(wi.slot) != len(s.dirW) || len(wi.deg) != len(s.sumW) {
-		t.Fatalf("what-if scratch sized %d/%d, tables %d/%d", len(wi.slot), len(wi.deg), len(s.dirW), len(s.sumW))
+	if len(wi.slot) != len(s.dirW) || len(wi.deg) != len(s.sumW) || len(wi.fdeg) != len(s.sumW) {
+		t.Fatalf("what-if scratch sized %d/%d/%d, tables %d/%d", len(wi.slot), len(wi.deg), len(wi.fdeg), len(s.dirW), len(s.sumW))
 	}
 }
 

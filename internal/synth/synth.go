@@ -243,7 +243,6 @@ type state struct {
 	idScratch    []int
 	nbrScratch   []int
 	candScratch  []int
-	revScratch   []int
 	allScratch   []int    // allSwitches
 	splitScratch []int    // split's shuffle copy
 	allProcs     []int    // backs swProcs[0] after reset
@@ -324,6 +323,7 @@ func (s *state) growStride(n int) {
 	// All-zero between evaluations, so nothing to carry over.
 	s.wi.slot = make([]int32, stride*stride)
 	s.wi.deg = make([]int64, stride)
+	s.wi.fdeg = make([]int64, stride)
 }
 
 // setRoute replaces a flow's route, maintaining the per-pipe flow sets,
@@ -505,12 +505,15 @@ func (s *state) globalRefine() {
 		}
 		changed := false
 		if !s.opt.DisableBestRoute {
-			s.bestRoute(s.allSwitches(), nil)
+			s.bestRoute(nil, nil)
 			if s.eliminatePipes() {
 				changed = true
 			}
 		}
 		for p := 0; p < s.procs; p++ {
+			// p's flows leave once; each target adds their direct paths
+			// and the arriving processor.
+			departed := false
 			bestDelta := 0
 			bestTo := -1
 			for to := range s.swProcs {
@@ -520,11 +523,18 @@ func (s *state) globalRefine() {
 				if len(s.swProcs[to]) >= s.opt.MaxProcsPerSwitch {
 					continue
 				}
-				delta := s.probeMove(p, to)
+				if !departed {
+					s.wiDepart(p)
+					departed = true
+				}
+				delta := s.wiArrive(p, to)
 				if delta < bestDelta {
 					bestDelta = delta
 					bestTo = to
 				}
+			}
+			if departed {
+				s.wiRelease()
 			}
 			if bestTo != -1 {
 				s.reattach(p, bestTo)

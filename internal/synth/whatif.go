@@ -1,11 +1,18 @@
 package synth
 
 // This file is the what-if evaluator: the one place a candidate — a processor
-// move, a swap, a group reroute, a pipe elimination — is priced. A caller
-// states the change as "this flow leaves its route" (wiLeave) and "joins this
-// hop" (wiJoin), then wiDelta returns the exact change of the weighted
-// objective (cost.go) that committing it through reattach/setRoute would
-// cause, and clears the scratch.
+// move, a swap, a group reroute, a pipe elimination — is priced. Candidates
+// come in families that share one departure: every Best_Route path of a group
+// leaves the group's current route, every intermediate of a pipe elimination
+// takes the pipe's flows off it, every relocation target of a processor takes
+// its flows off their routes. A caller states the shared part, the base, once
+// as "this flow leaves its route" (wiLeave) and "joins this hop" (wiJoin) and
+// prices it with wiFreeze. Then it states each candidate's joins on top
+// (wiJoinCand) and prices them with wiDeltaCand, which returns the exact
+// change of the weighted objective (cost.go) that committing base and
+// candidate through reattach/setRoute would cause. wiRelease clears the base.
+// A one-shot evaluation is a family with no candidate: a swap's price is its
+// base's (probeSwap).
 //
 // Contract (see DESIGN.md §13):
 //
@@ -14,63 +21,107 @@ package synth
 //     rejected candidate leaves behind is what the apply/undo round trip of
 //     the reference evaluator (moveref_test.go) leaves: the probed processors
 //     at the end of their home lists, and one MovesEvaluated tick.
+//   - A base may state leaves and joins, and one processor leaving a switch;
+//     a candidate only joins, never a self-loop (no relocation, Best_Route
+//     path or intermediate makes one), and may bring one processor to a
+//     switch. Each flow leaves its whole route before it joins anything. A
+//     route that crosses one direction twice leaves it once, as dirDel's Has
+//     guard counts it.
 //   - Per-clique count changes accumulate in an overlay row per touched
-//     direction. A direction's new width is the maximum of its count row with
-//     the overlay applied, over the whole row: a move can take the flow that
-//     held the maximum and add another clique's in the same breath.
+//     direction, and a direction's new width is the maximum of its count row
+//     with the overlay applied, over the whole row (wiScan): a move can take
+//     the flow that held the maximum and add another clique's in the same
+//     breath. wiFreeze scans each base direction once.
+//   - Because a candidate only adds, a base direction's width under it is the
+//     larger of its frozen width and the counts the candidate raised, read as
+//     it joins: no frozen row is rescanned. A direction the candidate opens
+//     has only the candidate's counts on it and is scanned whole. Only the
+//     pairs and switches the candidate touches are re-priced, and wiDeltaCand
+//     clears exactly the candidate's part of the scratch: its counts, the
+//     directions it opened, its marks.
 //   - A pair is priced once, from the new widths of both its directions (an
 //     untouched one reads dirW), into links and both switches' degree. A
 //     self-loop direction (pathological seed routes only) is priced as
 //     localCost prices the pair (a,a) — its width once, its quad twice — and
 //     stays out of the degrees, as foldWidth keeps it out of sumW.
-//   - Each flow is stated at most once per evaluation, and leaves its whole
-//     route before it joins anything. A route that crosses one direction
-//     twice leaves it once, as dirDel's Has guard counts it.
-//   - Between evaluations the scratch is all-zero and its lists are empty, so
-//     it survives pooling across kernels; slot and deg follow growStride.
+//   - A winner is committed only after wiRelease: the base reads the tables a
+//     commit rewrites.
+//   - Between families the scratch is all-zero and its lists are empty, so it
+//     survives pooling across kernels; slot, deg and fdeg follow growStride.
 
 // wiDir is one pipe direction a pending what-if touches.
 type wiDir struct {
 	from, to int32
 	rev      int32 // 1 + index of the reverse direction's entry, 0 if untouched
-	w        int32 // width with the overlay applied; set by wiDelta
+	w        int32 // width under the frozen base (dirW if the base leaves it alone)
+	cw       int32 // width under the pending candidate; 0 if it does not touch it
 }
+
+// wiJoined is a candidate's join on a base direction: the entry and the flow,
+// whose counts wiDeltaCand takes off the overlay again.
+type wiJoined struct{ k, fi int32 }
 
 // whatIf is the evaluator's scratch: the change stated so far.
 type whatIf struct {
-	slot []int32 // direction -> 1 + index in dirs, 0 if untouched
-	dirs []wiDir
-	ov   []int32 // per-clique count deltas of dirs[k] at [k·nc, (k+1)·nc)
-	deg  []int64 // switch -> pending change of its pair-width sum
-	sws  []int   // switches with a deg entry; repeats allowed
-	hops int
+	slot  []int32 // direction -> 1 + index in dirs, 0 if untouched
+	dirs  []wiDir // the base's directions, then the candidate's new ones
+	ov    []int32 // per-clique count deltas of dirs[k] at [k·nc, (k+1)·nc)
+	deg   []int64 // switch -> pending change of its pair-width sum
+	fdeg  []int64 // switch -> the frozen base's change of its pair-width sum
+	sws   []int   // switches with a deg entry (then an fdeg entry); repeats allowed
+	hops  int     // pending hop change: the base's, then the candidate's
+	nbase int     // len(dirs) when the base froze
+	left  int     // 1 + the switch a processor leaves in the base, 0 if none
+	base  int     // the frozen base's cost delta
+
+	// The pending candidate, on top of a frozen base.
+	quad  int        // its quad change so far
+	joins []wiJoined // its joins on base directions
+	cdirs []int32    // base entries it touches, each once; its own follow the base's
+	csws  []int      // switches with a deg entry; repeats allowed
+
+	arr []wiArr // the relocated processor's flows
+	via []int   // the eliminated pipe's flows that need an intermediate
+}
+
+// wiArr is one flow of a relocated processor: the home of its other endpoint
+// (-1: the flow is the processor's to itself), and whether it leaves the
+// processor.
+type wiArr struct {
+	fi, h int32
+	out   bool
 }
 
 // wiTouch adds sign to the overlay count of every clique holding fi on the
-// (from,to) direction.
+// (from,to) direction, opening the direction's entry if it is untouched. The
+// entry is filled field by field: a composite literal goes through a stack
+// temporary whose reload stalls on store forwarding.
 func (s *state) wiTouch(from, to, fi int, sign int32) {
 	wi, nc := &s.wi, len(s.cliques)
 	pi := from*s.stride + to
-	k := int(wi.slot[pi])
-	if k == 0 {
+	k := int(wi.slot[pi]) - 1
+	if k < 0 {
 		rev := wi.slot[to*s.stride+from]
-		wi.dirs = append(wi.dirs, wiDir{from: int32(from), to: int32(to), rev: rev})
-		k = len(wi.dirs)
-		wi.slot[pi] = int32(k)
+		wi.dirs = append(wi.dirs, wiDir{})
+		k = len(wi.dirs) - 1
+		e := &wi.dirs[k]
+		e.from, e.to, e.rev, e.w = int32(from), int32(to), rev, s.dirW[pi]
+		wi.slot[pi] = int32(k + 1)
 		if rev != 0 {
-			wi.dirs[rev-1].rev = int32(k)
+			wi.dirs[rev-1].rev = int32(k + 1)
 		}
-		if need := k * nc; need > len(wi.ov) {
+		if need := (k + 1) * nc; need > len(wi.ov) {
 			wi.ov = append(wi.ov, make([]int32, need-len(wi.ov))...)
 		}
 	}
-	row := wi.ov[(k-1)*nc : k*nc]
+	row := wi.ov[k*nc : (k+1)*nc]
 	for _, c := range s.flowCliques[fi] {
 		row[c] += sign
 	}
 }
 
-// wiLeave takes flow fi off every direction of its current route.
+// wiLeave takes flow fi off every direction of its current route. Only a
+// base leaves.
 func (s *state) wiLeave(fi int) {
 	r := s.routes[fi]
 	s.wi.hops -= len(r) - 1
@@ -85,44 +136,83 @@ hops:
 	}
 }
 
-// wiJoin puts flow fi, which has left its route, on the hop (from,to).
+// wiJoin puts flow fi, which has left its route, on the hop (from,to) in the
+// base.
 func (s *state) wiJoin(fi, from, to int) {
 	s.wi.hops++
 	s.wiTouch(from, to, fi, 1)
 }
 
-// wiRehome states that fi is rerouted directly between switches a and b.
-func (s *state) wiRehome(fi, a, b int) {
-	s.wiLeave(fi)
-	if a != b {
-		s.wiJoin(fi, a, b)
+// wiJoinCand puts flow fi on the hop (from,to) in the pending candidate, on
+// top of the frozen base. A direction the candidate opens is priced whole by
+// wiDeltaCand; on a base direction the join prices itself as it goes: each
+// count it raises is read with the base and the candidate's earlier joins
+// applied, so the maxima are the candidate's widths and the increments sum to
+// its quad change.
+func (s *state) wiJoinCand(fi, from, to int) {
+	wi, nc := &s.wi, len(s.cliques)
+	wi.hops++
+	pi := from*s.stride + to
+	k := int(wi.slot[pi]) - 1
+	if k < 0 || k >= wi.nbase {
+		s.wiTouch(from, to, fi, 1)
+		return
 	}
+	ov := wi.ov[k*nc : (k+1)*nc]
+	e := &wi.dirs[k]
+	if e.cw == 0 {
+		wi.cdirs = append(wi.cdirs, int32(k))
+	}
+	row := s.countRow(pi)
+	w, dq := max(e.w, e.cw), 0
+	for _, c := range s.flowCliques[fi] {
+		n := row[c] + ov[c]
+		ov[c]++
+		dq += int(2*n + 1) // (n+1)² − n²
+		w = max(w, n+1)
+	}
+	// Every flow is in some clique, so w ≥ 1 and cw != 0 marks the entry.
+	e.cw = w
+	wi.quad += dq
+	wi.joins = append(wi.joins, wiJoined{int32(k), int32(fi)})
 }
 
-// wiDelta prices the stated change, with one processor moving from switch
-// `from` to switch `to` (both -1: none moves), and clears the scratch.
-func (s *state) wiDelta(from, to int) int {
-	wi, nc := &s.wi, len(s.cliques)
+// countRow is the (from,to) direction's per-clique count row, pi its index.
+func (s *state) countRow(pi int) []int32 {
+	if at := int(s.rowAt[pi]); at != 0 {
+		return s.counts[at-1 : at-1+len(s.cliques)]
+	}
+	return s.boundCnt[:len(s.cliques)] // no row yet: all counts zero, as portBound leaves these
+}
+
+// wiScan returns entry k's width with its overlay applied, the maximum over
+// the direction's whole count row, and the quad change the overlay makes.
+func (s *state) wiScan(k int) (int32, int) {
+	nc, e := len(s.cliques), &s.wi.dirs[k]
+	ov := s.wi.ov[k*nc : (k+1)*nc]
+	w, dq := int32(0), 0
+	for c, n := range s.countRow(int(e.from)*s.stride + int(e.to)) {
+		if d := ov[c]; d != 0 {
+			dq += int(d) * int(2*n+d) // (n+d)² − n²
+			n += d
+		}
+		w = max(w, n)
+	}
+	return w, dq
+}
+
+// wiFreeze prices the stated change as the base of a family, with one
+// processor leaving switch `from` (-1: none does), and returns its cost
+// delta. The base's overlay, widths and degree changes stay in the scratch
+// for the candidates.
+func (s *state) wiFreeze(from int) int {
+	wi := &s.wi
 	links, quad := 0, 0
 	for k := range wi.dirs {
 		e := &wi.dirs[k]
 		a, b := int(e.from), int(e.to)
 		pi := a*s.stride + b
-		wi.slot[pi] = 0
-		row := s.boundCnt[:nc] // no row yet: all counts zero, as portBound leaves these
-		if at := int(s.rowAt[pi]); at != 0 {
-			row = s.counts[at-1 : at-1+nc]
-		}
-		ov := wi.ov[k*nc : (k+1)*nc]
-		w, dq := int32(0), 0
-		for c, n := range row {
-			if d := ov[c]; d != 0 {
-				ov[c] = 0
-				dq += int(d) * int(2*n+d) // (n+d)² − n²
-				n += d
-			}
-			w = max(w, n)
-		}
+		w, dq := s.wiScan(k)
 		e.w = w
 		if a == b {
 			links += int(w - s.dirW[pi])
@@ -146,26 +236,126 @@ func (s *state) wiDelta(from, to int) int {
 	}
 	pen := 0
 	if from >= 0 {
-		pen = s.wiExcess(from, -1) + s.wiExcess(to, 1)
+		wi.sws = append(wi.sws, from)
+		pen, wi.fdeg[from] = s.wiExcess(from, -1)
 	}
 	for _, sw := range wi.sws {
 		if wi.deg[sw] != 0 {
-			pen += s.wiExcess(sw, 0)
+			p, d := s.wiExcess(sw, 0)
+			pen += p
+			wi.fdeg[sw] = d
 		}
 	}
-	hops := wi.hops
-	wi.dirs, wi.sws, wi.hops = wi.dirs[:0], wi.sws[:0], 0
-	return pen*costPenaltyWeight + links*costLinkWeight + quad*costQuadWeight + hops*costHopWeight
+	wi.base = pen*costPenaltyWeight + links*costLinkWeight + quad*costQuadWeight + wi.hops*costHopWeight
+	wi.hops, wi.nbase, wi.left = 0, len(wi.dirs), from+1
+	return wi.base
+}
+
+// wiDeltaCand prices the base plus the joins stated since wiFreeze, with one
+// processor arriving at switch `to` (-1: none does), and clears the
+// candidate's part of the scratch.
+func (s *state) wiDeltaCand(to int) int {
+	wi, nc := &s.wi, len(s.cliques)
+	quad := wi.quad
+	for k := wi.nbase; k < len(wi.dirs); k++ {
+		w, dq := s.wiScan(k)
+		wi.dirs[k].cw = w
+		quad += dq
+	}
+	links := 0
+	for _, k := range wi.cdirs {
+		links += s.wiPairCand(int(k))
+	}
+	for k := wi.nbase; k < len(wi.dirs); k++ {
+		links += s.wiPairCand(k)
+	}
+	pen := 0
+	if to >= 0 {
+		pen, _ = s.wiExcess(to, 1)
+	}
+	for _, sw := range wi.csws {
+		if wi.deg[sw] != 0 {
+			p, _ := s.wiExcess(sw, 0)
+			pen += p
+		}
+	}
+	// Clear the candidate: its counts on base directions join by join, the
+	// directions it opened whole.
+	ov, fc := wi.ov, s.flowCliques
+	for _, j := range wi.joins {
+		row := ov[int(j.k)*nc:]
+		for _, c := range fc[j.fi] {
+			row[c]--
+		}
+	}
+	for _, k := range wi.cdirs {
+		wi.dirs[k].cw = 0
+	}
+	for _, e := range wi.dirs[wi.nbase:] {
+		wi.slot[int(e.from)*s.stride+int(e.to)] = 0
+		if e.rev != 0 && int(e.rev) <= wi.nbase {
+			wi.dirs[e.rev-1].rev = 0
+		}
+	}
+	clear(ov[wi.nbase*nc : len(wi.dirs)*nc])
+	d := wi.base + pen*costPenaltyWeight + links*costLinkWeight + quad*costQuadWeight + wi.hops*costHopWeight
+	wi.dirs = wi.dirs[:wi.nbase]
+	wi.joins, wi.cdirs, wi.csws = wi.joins[:0], wi.cdirs[:0], wi.csws[:0]
+	wi.quad, wi.hops = 0, 0
+	return d
+}
+
+// wiPairCand prices the change the pending candidate makes to the pair of
+// entry k's direction into links and both switches' degree, once per pair.
+func (s *state) wiPairCand(k int) int {
+	wi := &s.wi
+	e := &wi.dirs[k]
+	a, b := int(e.from), int(e.to)
+	rw := s.dirW[b*s.stride+a]
+	rcw := rw
+	if e.rev != 0 {
+		r := &wi.dirs[e.rev-1]
+		if r.cw != 0 && int(e.rev)-1 < k {
+			return 0 // the candidate touches both directions: priced at the reverse
+		}
+		rw, rcw = r.w, max(r.w, r.cw)
+	}
+	d := int(max(e.cw, rcw) - max(e.w, rw))
+	if d != 0 {
+		wi.deg[a] += int64(d)
+		wi.deg[b] += int64(d)
+		wi.csws = append(wi.csws, a, b)
+	}
+	return d
+}
+
+// wiRelease clears the frozen base, leaving the scratch all-zero.
+func (s *state) wiRelease() {
+	wi := &s.wi
+	for _, e := range wi.dirs {
+		wi.slot[int(e.from)*s.stride+int(e.to)] = 0
+	}
+	clear(wi.ov[:len(wi.dirs)*len(s.cliques)])
+	for _, sw := range wi.sws {
+		wi.fdeg[sw] = 0
+	}
+	wi.dirs, wi.sws = wi.dirs[:0], wi.sws[:0]
+	wi.hops, wi.nbase, wi.left, wi.base = 0, 0, 0, 0
 }
 
 // wiExcess is the change of switch sw's constraint excess under its pending
-// width-sum change and dn more processors; it consumes the deg entry.
-func (s *state) wiExcess(sw, dn int) int {
+// width-sum change and dn more processors, on top of the frozen base (none
+// while the base is being priced). It consumes the deg entry and returns it.
+func (s *state) wiExcess(sw, dn int) (int, int64) {
+	wi := &s.wi
 	n := len(s.swProcs[sw])
-	deg := n + int(s.sumW[sw])
-	d := int(s.wi.deg[sw])
-	s.wi.deg[sw] = 0
-	return s.excess(deg+dn+d, n+dn) - s.excess(deg, n)
+	if sw+1 == wi.left {
+		n--
+	}
+	deg := n + int(s.sumW[sw]) + int(wi.fdeg[sw])
+	d := wi.deg[sw]
+	wi.deg[sw] = 0
+	return s.excess(deg+dn+int(d), n+dn) - s.excess(deg, n), d
 }
 
 // procToEnd moves p to the end of its home switch's processor list, keeping
@@ -181,24 +371,52 @@ func (s *state) procToEnd(p int) {
 	}
 }
 
-// probeMove returns the cost delta of moving p to switch `to` with its flows
-// rerouted directly (step 7's "assuming direct routes").
-func (s *state) probeMove(p, to int) int {
-	from := s.home[p]
+// wiDepart states every flow of p leaving its route and freezes the family of
+// p's relocations (step 7's "assuming direct routes"). It lists, for
+// wiArrive, the home of each flow's other endpoint.
+func (s *state) wiDepart(p int) {
+	arr := s.wi.arr[:0]
 	for _, fi := range s.procFlows[p] {
+		s.wiLeave(fi)
 		f := s.flows[fi]
-		a, b := s.home[f.Src], s.home[f.Dst]
-		if f.Src == p {
-			a = to
+		a := wiArr{fi: int32(fi), h: -1, out: f.Src == p}
+		switch {
+		case f.Src == f.Dst:
+		case a.out:
+			a.h = int32(s.home[f.Dst])
+		default:
+			a.h = int32(s.home[f.Src])
 		}
-		if f.Dst == p {
-			b = to
+		arr = append(arr, a)
+	}
+	s.wi.arr = arr
+	s.wiFreeze(s.home[p])
+}
+
+// wiArrive prices relocating p to switch `to` on its frozen departure: each
+// of p's flows joins its direct path.
+func (s *state) wiArrive(p, to int) int {
+	for _, a := range s.wi.arr {
+		switch {
+		case a.h < 0 || int(a.h) == to: // local at the target
+		case a.out:
+			s.wiJoinCand(int(a.fi), to, int(a.h))
+		default:
+			s.wiJoinCand(int(a.fi), int(a.h), to)
 		}
-		s.wiRehome(fi, a, b)
 	}
 	s.procToEnd(p)
 	s.stats.MovesEvaluated++
-	return s.wiDelta(from, to)
+	return s.wiDeltaCand(to)
+}
+
+// probeMove returns the cost delta of moving p to switch `to` with its flows
+// rerouted directly.
+func (s *state) probeMove(p, to int) int {
+	s.wiDepart(p)
+	d := s.wiArrive(p, to)
+	s.wiRelease()
+	return d
 }
 
 // probeSwap returns the cost delta of exchanging the homes of p and q with
@@ -224,11 +442,16 @@ func (s *state) probeSwap(p, q int) int {
 			case q:
 				b = sp
 			}
-			s.wiRehome(fi, a, b)
+			s.wiLeave(fi)
+			if a != b {
+				s.wiJoin(fi, a, b)
+			}
 		}
 	}
 	s.procToEnd(p)
 	s.procToEnd(q)
 	s.stats.MovesEvaluated++
-	return s.wiDelta(-1, -1)
+	d := s.wiFreeze(-1)
+	s.wiRelease()
+	return d
 }

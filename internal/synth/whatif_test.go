@@ -12,15 +12,17 @@ import (
 )
 
 // The what-if evaluator against the mutate-and-measure oracle of
-// moveref_test.go, candidate by candidate. Each compare* helper prices one
-// candidate both ways on the same state, requires equal deltas, and requires
+// moveref_test.go, candidate by candidate. Each compare* helper prices
+// candidates both ways on the same state, requires equal deltas, and requires
 // the what-if to have left placement and routes alone and the processor lists
-// as the oracle's apply/undo round trip leaves them; callers finish with
-// checkStateInvariants, which holds the tables to a recomputation and the
-// evaluator's scratch to all-zero.
+// as the oracle's apply/undo round trip leaves them. A family helper freezes
+// the shared departure once and prices every candidate of the family on it,
+// the oracle's apply/undo running between candidates while the base stays
+// frozen. Callers finish with checkStateInvariants, which holds the tables to
+// a recomputation and the evaluator's scratch, released, to all-zero.
 
-// compareProbe prices one move or swap with probe, then with the oracle's
-// try function and its undo.
+// compareProbe prices one candidate with probe, then with the oracle's try
+// function and its undo.
 func compareProbe(t *testing.T, s *state, what string, probe func() int, try func() (int, func())) {
 	t.Helper()
 	before := snapshotFull(s)
@@ -51,10 +53,25 @@ func compareSwap(t *testing.T, s *state, p, q int) {
 		func() int { return s.probeSwap(p, q) }, func() (int, func()) { return s.trySwap(p, q) })
 }
 
+// compareRelocations freezes p's departure once and prices its relocation to
+// every other switch on it, as globalRefine does.
+func compareRelocations(t *testing.T, s *state, p int) {
+	t.Helper()
+	s.wiDepart(p)
+	for to := range s.swProcs {
+		if to != s.home[p] {
+			compareProbe(t, s, fmt.Sprintf("wiArrive(%d,%d)", p, to),
+				func() int { return s.wiArrive(p, to) }, func() (int, func()) { return s.tryMove(p, to) })
+		}
+	}
+	s.wiRelease()
+}
+
 // compareGroup prices rerouting flow fi — with its reverse when that mirrors
-// it, as bestRoute groups them — through via (directly when via is an
-// endpoint's home).
-func compareGroup(t *testing.T, s *state, fi, via int) {
+// it, as bestRoute groups them — onto its direct path alone, then freezes the
+// group's departure once and prices the direct path and every one-intermediate
+// path on it, as bestRoute does.
+func compareGroup(t *testing.T, s *state, fi int) {
 	t.Helper()
 	f := s.flows[fi]
 	a, b := s.home[f.Src], s.home[f.Dst]
@@ -65,35 +82,56 @@ func compareGroup(t *testing.T, s *state, fi, via int) {
 	if ri := s.revID[fi]; ri >= 0 && isMirror(s.routes[ri], s.routes[fi]) {
 		g[1] = ri
 	}
-	cand := []int{a, via, b}
-	if via == a || via == b {
-		cand = []int{a, b}
+	check := func(what string, cand []int, price func() int) {
+		t.Helper()
+		before := snapshotFull(s)
+		got := price()
+		if !equalSnapshots(before, snapshotFull(s)) {
+			t.Fatalf("%s(%v,%v) changed placement or routes", what, g, cand)
+		}
+		if want := s.groupRouteDeltaRef(g, cand); got != want {
+			t.Fatalf("%s(%v,%v) = %d from routes %v %v, the oracle's %d", what, g, cand, got, s.routes[fi], s.routes[max(g[1], 0)], want)
+		}
 	}
-	before := snapshotFull(s)
-	got := s.groupRouteDelta(g, cand)
-	if !equalSnapshots(before, snapshotFull(s)) {
-		t.Fatalf("groupRouteDelta(%v,%v) changed placement or routes", g, cand)
+	direct := []int{a, b}
+	check("groupRouteDelta", direct, func() int { return s.groupRouteDelta(g, direct) })
+	s.wiGroupDepart(g)
+	for m := -1; m < s.nsw(); m++ {
+		cand := direct
+		if m >= 0 {
+			if m == a || m == b {
+				continue
+			}
+			cand = []int{a, m, b}
+		}
+		check("wiGroupRoute", cand, func() int { return s.wiGroupRoute(g, cand) })
 	}
-	if want := s.groupRouteDeltaRef(g, cand); got != want {
-		t.Fatalf("groupRouteDelta(%v,%v) = %d from routes %v %v, the oracle's %d", g, cand, got, s.routes[fi], s.routes[max(g[1], 0)], want)
-	}
+	s.wiRelease()
 }
 
-// comparePipe prices emptying pipe (a,b) through m (-1: direct paths only).
-func comparePipe(t *testing.T, s *state, a, b, m int) {
+// comparePipe freezes the emptying of pipe (a,b) once and prices it through
+// every intermediate (-1: direct paths only) on it, as eliminatePipes does.
+func comparePipe(t *testing.T, s *state, a, b int) {
 	t.Helper()
-	if a == b || m == a || m == b {
+	if a == b {
 		return
 	}
 	ids := slices.Clone(s.pipeFlowIDs(a, b))
-	before := snapshotFull(s)
-	got := s.pipeEliminationDelta(ids, a, b, m)
-	if !equalSnapshots(before, snapshotFull(s)) {
-		t.Fatalf("pipeEliminationDelta(%v,%d,%d,%d) changed placement or routes", ids, a, b, m)
+	s.wiPipeDepart(ids, a, b)
+	for m := -1; m < s.nsw(); m++ {
+		if m == a || m == b {
+			continue
+		}
+		before := snapshotFull(s)
+		got := s.wiPipeVia(m)
+		if !equalSnapshots(before, snapshotFull(s)) {
+			t.Fatalf("wiPipeVia(%v,%d,%d,%d) changed placement or routes", ids, a, b, m)
+		}
+		if want := s.pipeEliminationDeltaRef(ids, a, b, m); got != want {
+			t.Fatalf("wiPipeVia(%v,%d,%d,%d) = %d, the oracle's %d", ids, a, b, m, got, want)
+		}
 	}
-	if want := s.pipeEliminationDeltaRef(ids, a, b, m); got != want {
-		t.Fatalf("pipeEliminationDelta(%v,%d,%d,%d) = %d, the oracle's %d", ids, a, b, m, got, want)
-	}
+	s.wiRelease()
 }
 
 // noiFFT16 is the NoI sub-pattern hier.SplitPattern cuts from FFT/16 under
@@ -128,9 +166,9 @@ func noiFFT16(t testing.TB) *model.Pattern {
 	return noi
 }
 
-// TestWhatIfMatchesOracle is the lockstep for the two evaluations
-// TestMoveEngineRandomEquivalence does not reach — groupRouteDelta and
-// pipeEliminationDelta — next to moves and swaps, on random and on refined
+// TestWhatIfMatchesOracle is the lockstep for every kind of what-if delta —
+// one-shot moves, swaps and group reroutes, and the relocation, Best_Route and
+// pipe-elimination families, each frozen once — on random and on refined
 // states of three kernels: BT/16 (two bitset words), the FFT/16 NoI level
 // (3 cliques, 48 flows, one word) and the jittered CG/16 trace (29 cliques,
 // flows in several cliques at once).
@@ -162,15 +200,16 @@ func TestWhatIfMatchesOracle(t *testing.T) {
 				t.Helper()
 				for i := 0; i < n; i++ {
 					p, q := rng.Intn(s.procs), rng.Intn(s.procs)
-					a, b, m := rng.Intn(s.nsw()), rng.Intn(s.nsw()), rng.Intn(s.nsw()+1)-1
+					a, b := rng.Intn(s.nsw()), rng.Intn(s.nsw())
 					if a != s.home[p] {
 						compareMove(t, s, p, a)
 					}
+					compareRelocations(t, s, p)
 					if s.home[p] != s.home[q] {
 						compareSwap(t, s, p, q)
 					}
-					compareGroup(t, s, rng.Intn(len(s.flows)), a)
-					comparePipe(t, s, a, b, m)
+					compareGroup(t, s, rng.Intn(len(s.flows)))
+					comparePipe(t, s, a, b)
 				}
 				checkStateInvariants(t, s)
 			}
@@ -245,7 +284,8 @@ func TestWhatIfPitfalls(t *testing.T) {
 			compareMove(t, s, 0, 1)
 			compareMove(t, s, 3, 2)
 			compareSwap(t, s, 3, 0)
-			compareGroup(t, s, fid(t, s, model.F(0, 3)), 2)
+			compareGroup(t, s, fid(t, s, model.F(0, 3)))
+			compareRelocations(t, s, 3)
 		}},
 		{"swap of two processors sharing a flow", func(t *testing.T, s *state) {
 			compareSwap(t, s, 0, 3) // (0,3) and (3,0) touch both
@@ -254,30 +294,101 @@ func TestWhatIfPitfalls(t *testing.T) {
 		{"route crossing one direction twice", func(t *testing.T, s *state) {
 			fi := fid(t, s, model.F(0, 3))
 			s.setRoute(fi, []int{0, 2, 0, 2, 1}) // A→C twice
-			compareGroup(t, s, fi, 0)
-			compareGroup(t, s, fi, 2)
+			compareGroup(t, s, fi)
 			compareMove(t, s, 0, 2)
+			compareRelocations(t, s, 0)
 			compareSwap(t, s, 0, 6)
-			comparePipe(t, s, 0, 2, 1)
-			comparePipe(t, s, 0, 2, -1)
+			comparePipe(t, s, 0, 2)
 		}},
 		{"self-loop hop", func(t *testing.T, s *state) {
 			fi := fid(t, s, model.F(1, 4))
 			s.setRoute(fi, []int{0, 0, 1}) // leaves over (A,A)
-			compareGroup(t, s, fi, 2)
+			compareGroup(t, s, fi)
 			compareMove(t, s, 1, 2)
+			compareRelocations(t, s, 1)
+		}},
+		{"direct self-loop join in pipe elimination", func(t *testing.T, s *state) {
 			// A flow whose endpoints share a switch but whose route leaves
-			// it: eliminating the pipe it crosses routes it onto [B,B].
+			// it: emptying the pipe it crosses routes it onto [B,B], a join
+			// of the frozen base (ha == hb) under every intermediate.
 			s.reattach(6, 1)
 			fj := fid(t, s, model.F(5, 6))
 			s.setRoute(fj, []int{1, 2, 1})
-			comparePipe(t, s, 1, 2, -1)
-			comparePipe(t, s, 1, 2, 0)
-			if !s.tryPipeElimination(slices.Clone(s.pipeFlowIDs(1, 2)), 1, 2, -1) {
+			comparePipe(t, s, 1, 2)
+			ids := slices.Clone(s.pipeFlowIDs(1, 2))
+			s.wiPipeDepart(ids, 1, 2)
+			d := s.wiPipeVia(-1)
+			s.wiRelease()
+			if d >= 0 {
 				t.Fatal("emptying the pipe a same-switch flow detours over does not pay")
 			}
-			compareGroup(t, s, fi, 2)
+			s.emptyPipe(ids, 1, 2, -1)
+			if r := s.routes[fj]; len(r) != 2 || r[0] != 1 || r[1] != 1 {
+				t.Fatalf("the detouring flow took %v, want [1 1]", r)
+			}
+			compareGroup(t, s, fj)
 			compareMove(t, s, 5, 0) // takes fj off (B,B)
+			compareRelocations(t, s, 5)
+		}},
+		{"empty departure", func(t *testing.T, s *state) {
+			// With 4 next to 1, processor 1's one flow is local: its
+			// departure states no direction, and the frozen base is the
+			// processor leaving A alone — which, with A one processor over
+			// its budget, is a change of excess every target must carry.
+			s.reattach(4, 0)
+			s.opt.MaxProcsPerSwitch = 3
+			s.wiDepart(1)
+			if n := len(s.wi.dirs); n != 0 {
+				t.Fatalf("processor 1's departure states %d directions, want none", n)
+			}
+			s.wiRelease()
+			compareRelocations(t, s, 1)
+			compareMove(t, s, 1, 2)
+		}},
+		{"candidate joins a frozen direction", func(t *testing.T, s *state) {
+			// (1,4) over [A,C,B]: its detour through C rejoins both
+			// directions the departure left. (6,3) over [C,A,B] crosses pipe
+			// A–B: the base re-homes it onto C→B, and the intermediate C
+			// puts A–B's own flows back on C→B and on C→A, which it left.
+			s.setRoute(fid(t, s, model.F(1, 4)), []int{0, 2, 1})
+			s.setRoute(fid(t, s, model.F(6, 3)), []int{2, 0, 1})
+			compareGroup(t, s, fid(t, s, model.F(1, 4)))
+			compareGroup(t, s, fid(t, s, model.F(6, 3)))
+			comparePipe(t, s, 0, 1)
+		}},
+		{"candidate opens the reverse of a frozen direction", func(t *testing.T, s *state) {
+			// (6,3) over [C,A,B] leaves C→A when pipe A–B empties, and the
+			// intermediate C opens A→C for (0,3) and (1,4). With 6 next to 3
+			// and (0,3) over [A,C,B], processor 3's departure leaves A→C,
+			// C→B and B→A; relocating it to C opens B→C for (6,3) and C→A
+			// for (3,0), the reverses of two of them.
+			s.setRoute(fid(t, s, model.F(6, 3)), []int{2, 0, 1})
+			comparePipe(t, s, 0, 1)
+			s.reattach(6, 1)
+			s.setRoute(fid(t, s, model.F(0, 3)), []int{0, 2, 1})
+			compareRelocations(t, s, 3)
+			compareGroup(t, s, fid(t, s, model.F(0, 3)))
+		}},
+		{"relocation target on a leaving route", func(t *testing.T, s *state) {
+			// (1,4) over [A,C,B]: relocating either endpoint to C lands it
+			// on a switch the departure takes a hop into and out of.
+			s.setRoute(fid(t, s, model.F(1, 4)), []int{0, 2, 1})
+			compareRelocations(t, s, 1)
+			compareRelocations(t, s, 4)
+			compareRelocations(t, s, 6)
+		}},
+		{"processor counts at the degree boundary", func(t *testing.T, s *state) {
+			// Every budget from below to above each switch's degree and
+			// processor count, so a departure and an arrival each cross
+			// (or just meet) a boundary at some setting.
+			for deg := 1; deg <= 7; deg++ {
+				for procs := 1; procs <= 4; procs++ {
+					s.opt.MaxDegree, s.opt.MaxProcsPerSwitch = deg, procs
+					for p := range s.procs {
+						compareRelocations(t, s, p)
+					}
+				}
+			}
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
