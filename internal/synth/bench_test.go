@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -175,6 +176,35 @@ func BenchmarkWarmStartSweepSeeded(b *testing.B) {
 			if res.Stats.SeededRestarts == 0 {
 				b.Fatal("seeded restart did not run")
 			}
+		}
+	}
+}
+
+// BenchmarkSynthesizeWarmMiss is a server warm miss in-process: a structural
+// variant of BT/9 seeded from its base's design, at the default four
+// restarts, serial. The replayed tree meets the constraints, so no restart
+// draws and the first one's result is folded for the other three
+// (restartKind).
+func BenchmarkSynthesizeWarmMiss(b *testing.B) {
+	base, err := nas.Generate("BT", 9, nas.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pat, err := nas.Generate("BT", 9, nas.Config{Iterations: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	baseRes, err := Synthesize(base, Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sd := SeedFromDesign(baseRes.Net, baseRes.Table)
+	sd.ChangedProcs = trace.FingerprintPattern(pat).ChangedSegments(trace.FingerprintPattern(base))
+	cliques := model.MaxCliqueSet(pat)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SynthesizeCliques(context.Background(), pat, cliques, Options{Seed: 1001, Workers: 1, SeedDesign: sd}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

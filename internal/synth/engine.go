@@ -368,7 +368,7 @@ func newState(k *kernel, opt Options, seed int64, stats *Stats) *state {
 	s.opt = opt
 	s.stats = stats
 	if s.src == nil {
-		s.src = rand.NewSource(seed)
+		s.src = &drawSource{Source: rand.NewSource(seed)}
 		s.rng = rand.New(s.src)
 	} else {
 		// Re-seeding the pooled source reproduces rand.New(rand.NewSource
@@ -376,6 +376,7 @@ func newState(k *kernel, opt Options, seed int64, stats *Stats) *state {
 		// own for the Int/Float64/Shuffle methods the search uses.
 		s.src.Seed(seed)
 	}
+	s.src.drew = false
 	s.reset()
 	return s
 }
@@ -387,7 +388,31 @@ func (s *state) release() {
 	s.ctx = nil
 	s.stats = nil
 	s.opt = Options{}
+	s.src.onFirst = nil
 	statePool.Put(s)
+}
+
+// drawSource is a restart's random source. It records whether the restart
+// has drawn at all: the seed reaches the search only through draws, so a
+// restart that never draws computes the same result under every seed, and
+// SynthesizeCliques computes such a restart once (restartKind). Every draw
+// the search makes (Intn, Shuffle, Float64) goes through Int63, so wrapping
+// the source leaves the stream unchanged.
+type drawSource struct {
+	rand.Source
+	drew bool
+	// onFirst, when set, runs at the restart's first draw.
+	onFirst func()
+}
+
+func (d *drawSource) Int63() int64 {
+	if !d.drew {
+		d.drew = true
+		if d.onFirst != nil {
+			d.onFirst()
+		}
+	}
+	return d.Source.Int63()
 }
 
 // reset rebuilds the mutable state for the current kernel: one megaswitch

@@ -234,7 +234,9 @@ func repairConnectivity(net *topology.Network) int {
 // alone and all mutable state lives in its private *state — and the
 // reduction folds results in restart-index order, so the chosen winner (and
 // every byte of the returned design) is identical to the serial loop's no
-// matter which worker finishes first.
+// matter which worker finishes first. A restart that never draws from its
+// RNG would compute the same result under every seed, so it runs once and
+// the other restarts of its kind fold its result (restartKind).
 func Synthesize(p *model.Pattern, opt Options) (*Result, error) {
 	return SynthesizeCliques(context.Background(), p, model.MaxCliqueSet(p), opt)
 }
@@ -266,54 +268,92 @@ func SynthesizeCliques(ctx context.Context, p *model.Pattern, cliques []model.Cl
 	// The immutable per-pattern half of the search state (flow interning,
 	// conflict matrix, clique bitsets) is built once and shared read-only by
 	// every restart; the mutable half is pooled per restart.
-	kern := newKernel(p, cliques)
+	best, totals, _, err := runRestarts(ctx, p, newKernel(p, cliques), opt)
+	if err != nil {
+		return nil, err
+	}
+	emitSynthObs(opt.Obs, totals, best)
+	return best, nil
+}
 
+// runRestarts runs and folds the restarts of one synthesis: the best result,
+// the folded restarts' summed Stats, and how many of them folded a drawless
+// leader's result instead of computing their own (restartKind).
+func runRestarts(ctx context.Context, p *model.Pattern, kern *kernel, opt Options) (best *Result, totals Stats, shared int, err error) {
+	// Seeded-ness is a pure function of the restart index: the configured
+	// restarts replay the seed, extension restarts (index >= Restarts, drawn
+	// only while constraints are unmet) start cold. That keeps the fold
+	// byte-deterministic for every worker count and makes cold fallback
+	// automatic. The first restart of each kind leads it.
+	cold, seeded := newRestartKind(0), newRestartKind(0)
+	if opt.SeedDesign != nil {
+		cold = newRestartKind(opt.Restarts)
+	}
 	// runBatch computes restarts [from, from+n) concurrently. Errors are
 	// carried per-run rather than through Map so the in-order fold below
 	// reports exactly the error the serial loop would have hit first.
 	type runOut struct {
-		res *Result
-		err error
+		res    *Result
+		shared bool
+		err    error
 	}
 	runBatch := func(from, n int) []runOut {
 		outs, _ := parallel.Map(opt.Workers, n, func(i int) (runOut, error) {
+			idx := from + i
+			sd, kind := opt.SeedDesign, seeded
+			if idx >= opt.Restarts || sd == nil {
+				sd, kind = nil, cold
+			}
+			leads := idx == kind.leader
+			var res *Result
+			if leads {
+				defer close(kind.done)
+			} else {
+				res = kind.wait(ctx)
+			}
 			if err := ctx.Err(); err != nil {
 				return runOut{err: err}, nil
 			}
-			// The span is emitted from the worker (wall time); all
+			// The span is emitted from the worker (wall time), also for a
+			// shared restart, so span counts do not depend on sharing; all
 			// counter-valued telemetry stays in res.Stats and is
 			// published by the in-order fold below, so speculative
 			// extension restarts never leak into the counters.
 			rsp := obs.Span(opt.Obs, "synth.restart")
-			// Seeded-ness is a pure function of the restart index: the
-			// configured restarts replay the seed, extension restarts
-			// (index >= Restarts, drawn only while constraints are
-			// unmet) start cold. That keeps the fold byte-deterministic
-			// for every worker count and makes cold fallback automatic.
-			sd := opt.SeedDesign
-			if from+i >= opt.Restarts {
-				sd = nil
+			defer rsp.End()
+			if res != nil {
+				return runOut{res: res, shared: true}, nil
 			}
-			res, err := synthesizeOnce(ctx, p, kern, opt, sd, opt.Seed+int64(from+i)*7919)
-			rsp.End()
+			var firstDraw func()
+			if leads {
+				firstDraw = func() { close(kind.drew) }
+			}
+			res, drew, err := synthesizeOnce(ctx, p, kern, opt, sd, opt.Seed+int64(idx)*7919, firstDraw)
+			if leads && err == nil && !drew {
+				kind.res = res
+			}
 			return runOut{res: res, err: err}, nil
 		})
 		return outs
 	}
 
 	// The configured restarts always all run and all fold.
-	var best *Result
-	var totals Stats
 	run := 0
-	for _, out := range runBatch(0, opt.Restarts) {
-		if out.err != nil {
-			return nil, out.err
-		}
+	fold := func(out runOut) {
 		run++
+		if out.shared {
+			shared++
+		}
 		totals.Add(out.res.Stats)
 		if better(out.res, best) {
 			best = out.res
 		}
+	}
+	for _, out := range runBatch(0, opt.Restarts) {
+		if out.err != nil {
+			return nil, Stats{}, 0, out.err
+		}
+		fold(out)
 	}
 	// After the configured restarts, keep drawing fresh seeds (up to
 	// three times as many) while no run has met the design constraints —
@@ -329,13 +369,9 @@ func SynthesizeCliques(ctx context.Context, p *model.Pattern, cliques []model.Cl
 		}
 		for _, out := range runBatch(run, n) {
 			if out.err != nil {
-				return nil, out.err
+				return nil, Stats{}, 0, out.err
 			}
-			run++
-			totals.Add(out.res.Stats)
-			if better(out.res, best) {
-				best = out.res
-			}
+			fold(out)
 			if best.ConstraintsMet {
 				break
 			}
@@ -343,8 +379,41 @@ func SynthesizeCliques(ctx context.Context, p *model.Pattern, cliques []model.Cl
 	}
 	best.Stats.RestartsRun = run
 	totals.RestartsRun = run
-	emitSynthObs(opt.Obs, totals, best)
-	return best, nil
+	return best, totals, shared, nil
+}
+
+// restartKind lets the restarts that start alike — the seeded ones, or the
+// cold ones — share a restart that never draws. A restart's seed reaches the
+// search only through its draws (drawSource), so if the kind's first restart
+// (its leader) returns without drawing, every restart of the kind would
+// compute its result byte for byte, Stats included. The others wait for the
+// leader's first draw or its return: after a draw they compute as before,
+// after a drawless return they fold the leader's result as theirs. Cold
+// restarts draw at their first split, so waiting costs them next to nothing.
+// Which restarts share is a function of the pattern and options alone, never
+// of timing, so the fold and every counter stay worker-invariant.
+type restartKind struct {
+	leader int           // restart index of the kind's first restart
+	drew   chan struct{} // closed at the leader's first draw
+	done   chan struct{} // closed when the leader returns, even by panic
+	res    *Result       // the leader's result if it never drew; set before done
+}
+
+func newRestartKind(leader int) *restartKind {
+	return &restartKind{leader: leader, drew: make(chan struct{}), done: make(chan struct{})}
+}
+
+// wait blocks until the leader draws or returns, or ctx ends, and returns
+// the leader's result if the caller may fold it instead of computing its own.
+func (k *restartKind) wait(ctx context.Context) *Result {
+	select {
+	case <-ctx.Done():
+		return nil
+	case <-k.drew:
+		return nil
+	case <-k.done:
+		return k.res
+	}
 }
 
 // emitSynthObs publishes one synthesis run's aggregate effort. It runs once
@@ -413,11 +482,22 @@ func totalHops(t *routing.Table) int {
 // maxRounds bounds the outer partition-finalize loop.
 const maxRounds = 16
 
-func synthesizeOnce(ctx context.Context, p *model.Pattern, kern *kernel, opt Options, sd *SeedDesign, seed int64) (*Result, error) {
+// synthesizeOnce runs one restart. drew reports whether it drew from its
+// random source at all; firstDraw, when non-nil, runs at its first draw.
+func synthesizeOnce(ctx context.Context, p *model.Pattern, kern *kernel, opt Options, sd *SeedDesign, seed int64, firstDraw func()) (res *Result, drew bool, err error) {
 	stats := &Stats{}
 	s := newState(kern, opt, seed, stats)
 	defer s.release()
 	s.ctx = ctx
+	s.src.onFirst = firstDraw
+	res, err = s.run(p, sd)
+	return res, s.src.drew, err
+}
+
+// run is one restart's search on a fresh state: the seed replay, then
+// partition and finalize rounds until the real degrees meet the budget.
+func (s *state) run(p *model.Pattern, sd *SeedDesign) (*Result, error) {
+	ctx, opt, stats, kern := s.ctx, s.opt, s.stats, s.kernel
 	if s.applySeed(sd) {
 		stats.SeededRestarts++
 	}

@@ -218,7 +218,7 @@ type state struct {
 	pairRoute [][]int
 
 	totalHops int
-	src       rand.Source
+	src       *drawSource
 	rng       *rand.Rand
 	opt       Options
 	stats     *Stats

@@ -50,7 +50,7 @@ func TestReachable(t *testing.T) {
 
 // stdlibMethods are the method names through which the standard library
 // calls back into a value it was handed (fmt, sort, container/heap, flag,
-// io, net/http, encoding, errors).
+// io, net/http, encoding, errors, math/rand).
 var stdlibMethods = map[string]bool{
 	"String": true, "Error": true, "Format": true, "GoString": true,
 	"Unwrap": true, "Is": true, "As": true,
@@ -60,6 +60,7 @@ var stdlibMethods = map[string]bool{
 	"Header": true, "WriteHeader": true,
 	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
 	"MarshalBinary": true, "UnmarshalBinary": true,
+	"Int63": true,
 }
 
 const modulePrefix = "repro/"
