@@ -27,10 +27,11 @@ determinism:
 
 # fleet is the design-fleet gate: the multi-replica e2e suite (consistent-
 # hash sharding, forwarding, owner-down fallback, loop protection), the
-# disk-store crash-safety suite, and the batch/lane/v1-surface tests, all
-# under the race detector.
+# disk-store crash-safety suite, the batch/lane/v1-surface tests, and
+# client-disconnect cancellation for flat and hier requests, all under the
+# race detector.
 fleet:
-	$(GO) test -race -count=1 -run 'TestFleet|TestPeerRing|TestDiskStore|TestBatch|TestBulk|TestV1|TestErrorEnvelope|TestLane|TestMemStore' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestFleet|TestPeerRing|TestDiskStore|TestBatch|TestBulk|TestV1|TestErrorEnvelope|TestLane|TestMemStore|TestClientDisconnect' ./internal/serve/
 
 # cover-<pkg> is the coverage gate of internal/<pkg>: the package's own suite
 # must keep its line coverage at or above the floor, and the per-function

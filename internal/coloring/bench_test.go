@@ -81,7 +81,7 @@ func BenchmarkExactColoring(b *testing.B) {
 	g := BuildConflictGraphBits(ix.Bits(universe), model.ConflictMatrixFromCliques(ix, cliques))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := g.Exact(); !ok {
+		if _, _, ok := g.Exact(nil); !ok {
 			b.Fatal("budget exhausted")
 		}
 	}

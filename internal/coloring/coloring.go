@@ -262,16 +262,10 @@ const ExactBudget = 2_000_000
 
 // Exact computes the chromatic number and an optimal assignment by
 // branch-and-bound (iterative deepening between the clique lower bound and
-// the DSATUR upper bound). The boolean result reports whether the answer is
-// provably optimal; on budget exhaustion the greedy coloring is returned
-// with false.
-func (g *ConflictGraph) Exact() (int, []int, bool) {
-	return g.ExactStats(nil)
-}
-
-// ExactStats is Exact with solver-effort accounting recorded into st (which
-// may be nil).
-func (g *ConflictGraph) ExactStats(st *Stats) (int, []int, bool) {
+// the DSATUR upper bound), recording solver effort into st (which may be
+// nil). The boolean result reports whether the answer is provably optimal;
+// on budget exhaustion the greedy coloring is returned with false.
+func (g *ConflictGraph) Exact(st *Stats) (int, []int, bool) {
 	n := g.N()
 	if n == 0 {
 		return 0, nil, true
@@ -358,18 +352,8 @@ type Assignment map[model.Flow]int
 // returns the color count and flow→color assignment: members selects the
 // direction's flow IDs over cm's FlowIndex.
 func ColorPipeDirectionBits(members model.BitSet, cm *model.ConflictMatrix) (int, Assignment, bool) {
-	return ColorPipeDirectionBitsStats(members, cm, nil)
-}
-
-// ColorPipeDirectionBitsStats is ColorPipeDirectionBits with solver-effort
-// accounting recorded into st (which may be nil).
-func ColorPipeDirectionBitsStats(members model.BitSet, cm *model.ConflictMatrix, st *Stats) (int, Assignment, bool) {
 	g := BuildConflictGraphBits(members, cm)
-	return colorGraph(g, st)
-}
-
-func colorGraph(g *ConflictGraph, st *Stats) (int, Assignment, bool) {
-	k, assign, exact := g.ExactStats(st)
+	k, assign, exact := g.Exact(nil)
 	out := make(Assignment, len(g.Flows))
 	for i, f := range g.Flows {
 		out[f] = assign[i]

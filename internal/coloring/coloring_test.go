@@ -94,7 +94,7 @@ func TestGreedyZeroVertices(t *testing.T) {
 	if k, _ := g.Greedy(); k != 0 {
 		t.Fatalf("empty graph colors = %d", k)
 	}
-	if k, _, exact := g.Exact(); k != 0 || !exact {
+	if k, _, exact := g.Exact(nil); k != 0 || !exact {
 		t.Fatalf("empty graph exact = %d", k)
 	}
 }
@@ -107,7 +107,7 @@ func TestExactOddCycle(t *testing.T) {
 		c.Add(fs[i], fs[(i+1)%5])
 	}
 	g := graph(fs, c)
-	k, assign, exact := g.Exact()
+	k, assign, exact := g.Exact(nil)
 	if k != 3 || !exact {
 		t.Fatalf("C5 chromatic = %d (exact=%v), want 3", k, exact)
 	}
@@ -124,7 +124,7 @@ func TestExactBipartite(t *testing.T) {
 		}
 	}
 	g := graph(fs, c)
-	k, assign, exact := g.Exact()
+	k, assign, exact := g.Exact(nil)
 	if k != 2 || !exact {
 		t.Fatalf("K3,3 chromatic = %d (exact=%v), want 2", k, exact)
 	}
@@ -194,7 +194,7 @@ func TestFastColorIsLowerBoundProperty(t *testing.T) {
 		pipe := ix.Bits(pipeList)
 		lb := FastColorBits(ix.CliqueBits(cliques), pipe)
 		g := BuildConflictGraphBits(pipe, model.ConflictMatrixFromCliques(ix, cliques))
-		chrom, assign, exact := g.Exact()
+		chrom, assign, exact := g.Exact(nil)
 		if !exact {
 			t.Fatalf("trial %d: exact coloring exhausted on a 10-vertex graph", trial)
 		}
@@ -230,7 +230,7 @@ func TestExactMatchesBruteForceSmall(t *testing.T) {
 			}
 		}
 		g := graph(fs, c)
-		k, assign, exact := g.Exact()
+		k, assign, exact := g.Exact(nil)
 		if !exact {
 			t.Fatalf("budget exhausted on %d vertices", n)
 		}

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/model"
@@ -170,12 +171,19 @@ func (d *Design) TotalLinks() int {
 	return total
 }
 
-// Synthesize partitions the pattern, splits its flows, and runs the
+// Synthesize is SynthesizeContext without cancellation.
+func Synthesize(p *model.Pattern, opt Options) (*Design, error) {
+	return SynthesizeContext(context.Background(), p, opt)
+}
+
+// SynthesizeContext partitions the pattern, splits its flows, and runs the
 // single-level synthesizer once per chiplet and once for the NoI under the
 // per-level budgets. The result is deterministic for fixed options and any
 // worker counts, level by level, because each level inherits synth's
-// worker-invariance.
-func Synthesize(p *model.Pattern, opt Options) (*Design, error) {
+// worker-invariance. Every level runs under ctx (synth.SynthesizeCliques
+// polls it), so a cancelled or expired ctx aborts the level in progress and
+// the returned error wraps ctx's.
+func SynthesizeContext(ctx context.Context, p *model.Pattern, opt Options) (*Design, error) {
 	if p == nil {
 		return nil, fmt.Errorf("hier: Synthesize needs a pattern")
 	}
@@ -191,7 +199,7 @@ func Synthesize(p *model.Pattern, opt Options) (*Design, error) {
 	}
 	d, split, err := compose(p.Name, p, assign, opt,
 		func(sub *model.Pattern, lopt synth.Options) (*Level, error) {
-			res, err := synth.Synthesize(sub, lopt)
+			res, err := synth.SynthesizeCliques(ctx, sub, model.MaxCliqueSet(sub), lopt)
 			if err != nil {
 				return nil, err
 			}
@@ -232,7 +240,7 @@ func compose(name string, p *model.Pattern, assign *Assignment, opt Options,
 		}
 		lv, err := build(sub, lopt)
 		if err != nil {
-			return nil, nil, fmt.Errorf("hier: %s: %v", levelName(i, k), err)
+			return nil, nil, fmt.Errorf("hier: %s: %w", levelName(i, k), err)
 		}
 		d.addLevel(lv, i == k)
 	}

@@ -150,9 +150,9 @@ func (d *diskStore) load(path string) (*Entry, error) {
 		return nil, fmt.Errorf("serve: %s: key %q does not match filename", path, h.Key)
 	}
 	// The checksum covers the bytes but not where Body ends, so body_len is
-	// checked against the layout itself: a body ends in the newline publish
-	// gives it and a compact row holds none, which leaves exactly one place
-	// body_len can point.
+	// checked against the layout itself: a body ends in the newline the
+	// flight leader gives it and a compact row holds none, which leaves
+	// exactly one place body_len can point.
 	if bl := h.BodyLen; bl <= 0 || bl >= len(data) || data[bl-1] != '\n' || bytes.IndexByte(data[bl:], '\n') >= 0 {
 		return nil, fmt.Errorf("serve: %s: body length %d does not split %d bytes into a body and a row", path, bl, len(data))
 	}
@@ -207,9 +207,9 @@ func (d *diskStore) Get(key string) (*Entry, bool) {
 // is durable. A crash before the rename leaves only a temp file the startup
 // scan skips; a crash after it leaves the complete entry. Rewriting a key's
 // file — a v1 file the scan skipped, say — is the same rename over the same
-// name. Never evicts; write failures count on serve.store_disk_error and
-// report stored=false.
-func (d *diskStore) Put(e *Entry) (evicted []string, stored bool) {
+// name. Never evicts; it reports whether the entry was stored, and write
+// failures count on serve.store_disk_error.
+func (d *diskStore) Put(e *Entry) bool {
 	sum := sha256.New()
 	sum.Write(e.Body)
 	sum.Write(e.Row)
@@ -231,12 +231,12 @@ func (d *diskStore) Put(e *Entry) (evicted []string, stored bool) {
 	}
 	if err != nil {
 		obs.Count(d.col, "serve.store_disk_error", 1)
-		return nil, false
+		return false
 	}
 	d.mu.Lock()
 	d.keys[e.Key] = struct{}{}
 	d.mu.Unlock()
-	return nil, true
+	return true
 }
 
 func (d *diskStore) writeAtomic(path string, buf []byte) error {

@@ -335,7 +335,7 @@ func FuzzDiskStoreLoad(f *testing.F) {
 		{Key: key, Body: []byte("{\n  \"design\": {}\n}\n"), Row: []byte(`{"design":{}}`), Warm: "seeded", Fp: fp},
 		{Key: key, Body: []byte("{}\n"), Row: []byte("{}")},
 	} {
-		if _, ok := d.Put(e); !ok {
+		if !d.Put(e) {
 			f.Fatal("seed Put failed")
 		}
 		b, err := os.ReadFile(path)
@@ -386,7 +386,7 @@ func FuzzDiskStoreLoad(f *testing.F) {
 				t.Fatalf("fingerprint is %v from itself", dist)
 			}
 		}
-		if _, ok := d.Put(ent); !ok {
+		if !d.Put(ent) {
 			t.Fatal("Put failed")
 		}
 		if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, data) {

@@ -66,7 +66,7 @@ func TestDesignHier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := hier.Synthesize(pat, plan.hp.options(plan.opt))
+	direct, err := hier.Synthesize(pat, plan.hierOptions(plan.opt))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,56 +61,42 @@ type workloadID struct {
 
 // designPlan is a decoded, validated request: exactly one pattern source
 // (workload or trace), the effective synthesis options, the optional hier
-// block, and the admission lane.
+// block with its parsed cluster spec, and the admission lane.
 type designPlan struct {
 	workload workloadID // by-name source; zero for an inline trace
 	trace    string     // inline noctrace v1 source; empty for a workload
 	opt      synth.Options
-	hp       *hierParams
+	hier     *HierRequest // validated at the grammar level; nil for a flat request
+	spec     *hier.Spec   // hier.Clusters parsed; nil for a flat request
 	lane     string
 }
 
 // keyExtras lists the fingerprint components the plan appends to Key beyond
-// the pattern and the flat options.
-func (pl *designPlan) keyExtras() []string {
-	if pl.hp == nil {
-		return nil
-	}
-	return []string{pl.hp.fingerprint()}
-}
-
-// hierParams is the parsed form of a request's hier block: the cluster spec
-// plus the per-level knobs, already validated at the grammar level (the
-// partition itself can still fail against the concrete pattern, which the
-// synthesis path maps to a client error).
-type hierParams struct {
-	spec         *hier.Spec
-	maxGateways  int
-	gatewayWidth int
-	noiLinkDelay int
-	noiMaxDegree int
-	noiMaxProcs  int
-}
-
-// fingerprint renders the hier knobs for the cache key. The spec goes in
+// the pattern and the flat options: the hier knobs, with the spec rendered
 // canonically, so "4", "flow:4", and a reordered explicit spelling of the
 // same groups share an entry.
-func (hp *hierParams) fingerprint() string {
-	return fmt.Sprintf("hier=%s maxgw=%d gww=%d noidelay=%d noimaxdeg=%d noimaxprocs=%d",
-		hp.spec.Canonical(), hp.maxGateways, hp.gatewayWidth, hp.noiLinkDelay, hp.noiMaxDegree, hp.noiMaxProcs)
+func (pl *designPlan) keyExtras() []string {
+	h := pl.hier
+	if h == nil {
+		return nil
+	}
+	return []string{fmt.Sprintf("hier=%s maxgw=%d gww=%d noidelay=%d noimaxdeg=%d noimaxprocs=%d",
+		pl.spec.Canonical(), h.MaxGateways, h.GatewayWidth, h.NoILinkDelay, h.NoIMaxDegree, h.NoIMaxProcs)}
 }
 
-// options builds the two-level synthesis options: both levels inherit the
-// flat request knobs and observer, with the NoI overrides applied by
-// hier.NoIOptions.
-func (hp *hierParams) options(base synth.Options) hier.Options {
+// hierOptions builds the two-level synthesis options: both levels inherit
+// base, the flat request knobs and observer, with the NoI overrides applied
+// by hier.NoIOptions. The partition itself can still fail against the
+// concrete pattern, which the synthesis path maps to a client error.
+func (pl *designPlan) hierOptions(base synth.Options) hier.Options {
+	h := pl.hier
 	return hier.Options{
-		Spec:         hp.spec,
-		MaxGateways:  hp.maxGateways,
-		GatewayWidth: hp.gatewayWidth,
-		NoILinkDelay: hp.noiLinkDelay,
+		Spec:         pl.spec,
+		MaxGateways:  h.MaxGateways,
+		GatewayWidth: h.GatewayWidth,
+		NoILinkDelay: h.NoILinkDelay,
 		NoC:          base,
-		NoI:          hier.NoIOptions(base, hp.noiMaxDegree, hp.noiMaxProcs),
+		NoI:          hier.NoIOptions(base, h.NoIMaxDegree, h.NoIMaxProcs),
 		Obs:          base.Obs,
 	}
 }
@@ -186,14 +172,7 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 			h.NoIMaxDegree < 0 || h.NoIMaxProcs < 0 {
 			return nil, badRequest("hier knobs must be non-negative")
 		}
-		pl.hp = &hierParams{
-			spec:         spec,
-			maxGateways:  h.MaxGateways,
-			gatewayWidth: h.GatewayWidth,
-			noiLinkDelay: h.NoILinkDelay,
-			noiMaxDegree: h.NoIMaxDegree,
-			noiMaxProcs:  h.NoIMaxProcs,
-		}
+		pl.hier, pl.spec = h, spec
 	}
 	return pl, nil
 }

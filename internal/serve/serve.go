@@ -247,7 +247,7 @@ type Server struct {
 	flights *flightGroup
 	mux     *http.ServeMux
 	sem     chan struct{}
-	bulkSem chan struct{} // nil when the bulk lane is disabled
+	bulkSem chan struct{} // no slots when the bulk lane is disabled
 	queued  atomic.Int64
 	ring    atomic.Pointer[peerRing]
 	client  *http.Client
@@ -268,10 +268,8 @@ func New(cfg Config) (*Server, error) {
 		flights: newFlightGroup(),
 		mux:     http.NewServeMux(),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
+		bulkSem: make(chan struct{}, max(cfg.BulkMaxInFlight, 0)),
 		client:  &http.Client{},
-	}
-	if cfg.BulkMaxInFlight > 0 {
-		s.bulkSem = make(chan struct{}, cfg.BulkMaxInFlight)
 	}
 	if cfg.DataDir != "" {
 		disk, entries, err := openDiskStore(cfg.DataDir, s.col)
@@ -544,7 +542,7 @@ func (s *Server) store(ent *Entry) bool {
 		s.warm.remove(evicted...)
 		return stored
 	}
-	_, stored = s.disk.Put(ent)
+	stored = s.disk.Put(ent)
 	if stored {
 		obs.Count(s.col, "serve.store_disk_write", 1)
 	}
@@ -574,11 +572,9 @@ func (s *Server) acquire(ctx context.Context) error {
 func (s *Server) release() { <-s.sem }
 
 // acquireBulk claims a bulk-lane slot without blocking: bulk work at the
-// watermark fails fast rather than queueing ahead of interactive traffic.
+// watermark fails fast rather than queueing ahead of interactive traffic. A
+// disabled lane has no slots, so every bulk request fails here.
 func (s *Server) acquireBulk() error {
-	if s.bulkSem == nil {
-		return errBulkSaturated // bulk lane disabled
-	}
 	select {
 	case s.bulkSem <- struct{}{}:
 		return nil
@@ -589,12 +585,14 @@ func (s *Server) acquireBulk() error {
 
 func (s *Server) releaseBulk() { <-s.bulkSem }
 
-// synthesize is the singleflight leader body: lane and queue admission, the
-// synthesis itself under the request context plus server budget, response
-// rendering, and the write-through store. The lane is the leader's — a
-// request joining an in-flight call shares its result regardless of lane.
-// pat is nil when the key came from the memo: this leader is then the first
-// to need the pattern and builds it here, inside its admission slot.
+// synthesize is the singleflight leader body, for flat and hier requests
+// alike: lane and queue admission, the synthesis under the request context
+// plus server budget, response rendering, and the write-through store. The
+// lane is the leader's — a request joining an in-flight call shares its
+// result regardless of lane. pat is nil when the key came from the memo:
+// this leader is then the first to need the pattern and builds it here,
+// inside its admission slot. The body branches only where the two kinds
+// differ: the synthesis and the response fields it yields.
 func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan, pat *model.Pattern, reqCol *obs.Collector) (*Entry, error) {
 	obs.Count(s.col, "serve.cache_miss", 1)
 	if plan.lane == LaneBulk {
@@ -625,152 +623,136 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 	opt := plan.opt
 	opt.Obs = obs.Tee(s.col, reqCol, s.cfg.Synth.Obs)
 
-	if plan.hp != nil {
-		return s.synthesizeHier(key, pat, opt, plan.hp, reqCol)
-	}
-
-	// The contention model is computed once per miss: the fingerprint, the
-	// synthesis and the report's pattern summary all read these two sets.
+	// The contention model is computed once per miss: the report's pattern
+	// summary reads these two sets, and so do a flat miss's fingerprint and
+	// synthesis. Each hier level derives its own sub-pattern's.
 	msp := obs.Span(s.col, "serve.model")
 	periods := model.ContentionPeriods(pat)
 	cliques := model.MaxCliques(periods)
 	msp.End()
 
-	// Warm-start: on this exact-key miss, seed from the structurally nearest
-	// cached design when one is close enough. The key was computed from the
-	// request's own options (no seed), so the response is stored and replayed
-	// under the cold identity — see warm.go for the determinism contract.
-	warmHow := ""
-	var fp *trace.Fingerprint
-	if s.warm != nil {
-		fp = trace.FingerprintCliques(pat.Procs, cliques)
-		warmHow = "cold"
-		if ne, _, ok := s.warm.nearest(fp); ok {
-			sd := *ne.seed
-			sd.ChangedProcs = fp.ChangedSegments(ne.fp)
-			opt.SeedDesign = &sd
-			warmHow = "seeded"
-			obs.Count(s.col, "serve.warm_seeded", 1)
-		} else {
-			obs.Count(s.col, "serve.warm_cold", 1)
+	ent := &Entry{Key: key}
+	var resp DesignResponse
+	var save func(io.Writer) error
+	var res *synth.Result
+	var err error
+	if plan.hier == nil {
+		// Warm-start: on this exact-key miss, seed from the structurally
+		// nearest cached design when one is close enough. The key was
+		// computed from the request's own options (no seed), so the response
+		// is stored and replayed under the cold identity — see warm.go for
+		// the determinism contract.
+		if s.warm != nil {
+			ent.Fp = trace.FingerprintCliques(pat.Procs, cliques)
+			ent.Warm = "cold"
+			if ne, _, ok := s.warm.nearest(ent.Fp); ok {
+				sd := *ne.seed
+				sd.ChangedProcs = ent.Fp.ChangedSegments(ne.fp)
+				opt.SeedDesign = &sd
+				ent.Warm = "seeded"
+				obs.Count(s.col, "serve.warm_seeded", 1)
+			} else {
+				obs.Count(s.col, "serve.warm_cold", 1)
+			}
+		}
+		if res, err = synth.SynthesizeCliques(ctx, pat, cliques, opt); err == nil {
+			save = func(w io.Writer) error { return synth.SaveDesign(w, res.Net, res.Table) }
+			resp = DesignResponse{
+				Name:           res.Net.Name,
+				Procs:          res.Net.Procs,
+				ConstraintsMet: res.ConstraintsMet,
+				ContentionFree: res.ContentionFree,
+				ExactColoring:  res.ExactColoring,
+				Switches:       res.Net.NumSwitches(),
+				Links:          res.Net.TotalLinks(),
+				Stats:          res.Stats,
+			}
+		}
+	} else {
+		// A hier entry skips the warm-start index (its seeds describe flat
+		// switch trees, not composites) and is stored with a nil fingerprint
+		// so it never seeds a flat request.
+		var d *hier.Design
+		if d, err = hier.SynthesizeContext(ctx, pat, plan.hierOptions(opt)); err == nil {
+			obs.Count(s.col, "serve.hier_designs", 1)
+			save = func(w io.Writer) error { return hier.SaveDesign(w, d) }
+			resp = DesignResponse{
+				Name:           d.Name,
+				Procs:          d.Procs,
+				ConstraintsMet: d.ConstraintsMet(),
+				ContentionFree: d.ContentionFree(),
+				ExactColoring:  true,
+				Switches:       d.TotalSwitches(),
+				Links:          d.TotalLinks(),
+				Hier: &HierSummary{
+					Clusters:     plan.spec.Canonical(),
+					ClusterCount: len(d.Assign.Clusters),
+					Gateways:     d.Assign.Gateways,
+					GatewayWidth: d.GatewayWidth,
+					NoILinkDelay: d.NoILinkDelay,
+				},
+			}
+			for _, lv := range d.Levels() {
+				resp.ExactColoring = resp.ExactColoring && lv.Result.ExactColoring
+				resp.Stats.Add(lv.Result.Stats)
+			}
+			if d.NoI != nil {
+				resp.Hier.NoISwitches = d.NoI.Net.NumSwitches()
+				resp.Hier.NoILinks = d.NoI.Net.TotalLinks()
+			}
 		}
 	}
-
-	res, err := synth.SynthesizeCliques(ctx, pat, cliques, opt)
 	if err != nil {
+		// A partition that fails against the concrete pattern — an
+		// unsatisfiable cluster count, members out of range — is a client
+		// error.
+		var se *hier.SpecError
+		if errors.As(err, &se) {
+			return nil, &badRequestError{err: err}
+		}
 		if ctx.Err() != nil {
 			obs.Count(s.col, "serve.synth_aborted", 1)
 		}
 		return nil, err
 	}
 
-	save := func(w io.Writer) error { return synth.SaveDesign(w, res.Net, res.Table) }
-	ent, stored, err := s.publish(&Entry{Key: key, Warm: warmHow, Fp: fp}, save, DesignResponse{
-		Name:           res.Net.Name,
-		Procs:          res.Net.Procs,
-		ConstraintsMet: res.ConstraintsMet,
-		ContentionFree: res.ContentionFree,
-		ExactColoring:  res.ExactColoring,
-		Switches:       res.Net.NumSwitches(),
-		Links:          res.Net.TotalLinks(),
-		Stats:          res.Stats,
-	}, trace.SummarizeCliques(pat, periods, cliques), reqCol)
-	if err != nil {
-		return nil, err
-	}
-	if stored && fp != nil {
-		if seed := synth.SeedFromDesign(res.Net, res.Table); seed != nil {
-			s.warm.add(key, fp, seed)
-			obs.Count(s.col, "serve.warm_store", 1)
-		}
-	}
-	return ent, nil
-}
-
-// publish is the response tail both leader bodies share: it renders the
-// design with save, completes resp with the fixed fields, the design
-// document and the request's RunReport (carrying the pattern summary),
-// marshals it once, and writes ent through the stores. The one marshal
-// yields both of ent's forms: Row is the compact JSON, and Body is Row
-// indented plus a newline — byte for byte what MarshalIndent would write,
-// since MarshalIndent is Marshal followed by the same indenter. It returns
-// ent and whether the authoritative layer took it.
-func (s *Server) publish(ent *Entry, save func(io.Writer) error, resp DesignResponse, pattern trace.Stats, reqCol *obs.Collector) (*Entry, bool, error) {
+	// Render: the design document, then the response with the request's
+	// RunReport, marshalled once. The one marshal yields both of ent's
+	// forms: Row is the compact JSON, and Body is Row indented plus a
+	// newline — byte for byte what MarshalIndent would write, since
+	// MarshalIndent is Marshal followed by the same indenter.
 	var design bytes.Buffer
 	if err := save(&design); err != nil {
-		return nil, false, fmt.Errorf("serve: rendering design: %w", err)
+		return nil, fmt.Errorf("serve: rendering design: %w", err)
 	}
-	resp.Schema, resp.Version, resp.PatternHash = ResponseSchema, ResponseVersion, ent.Key
+	resp.Schema, resp.Version, resp.PatternHash = ResponseSchema, ResponseVersion, key
 	resp.Design = design.Bytes()
 	resp.Report = reqCol.Report("nocd")
-	resp.Report.Pattern = pattern
+	resp.Report.Pattern = trace.SummarizeCliques(pat, periods, cliques)
 	row, err := json.Marshal(&resp)
 	if err != nil {
-		return nil, false, fmt.Errorf("serve: rendering response: %w", err)
+		return nil, fmt.Errorf("serve: rendering response: %w", err)
 	}
 	var body bytes.Buffer
 	body.Grow(2*len(row) + 1)
 	if err := json.Indent(&body, row, "", "  "); err != nil {
-		return nil, false, fmt.Errorf("serve: rendering response: %w", err)
+		return nil, fmt.Errorf("serve: rendering response: %w", err)
 	}
 	body.WriteByte('\n')
 	// Stored entries keep both forms for their lifetime; the clone drops the
 	// buffer's slack, which would otherwise outweigh Row.
 	ent.Body, ent.Row = bytes.Clone(body.Bytes()), row
 	if !s.store(ent) {
-		return ent, false, nil
+		return ent, nil
 	}
 	obs.Count(s.col, "serve.cache_store", 1)
-	return ent, true, nil
-}
-
-// synthesizeHier is the two-level leader body: partition, per-level
-// synthesis, and a hier-design v1 response. Hierarchical entries skip the
-// warm-start index (its seeds describe flat switch trees, not composites)
-// and are stored with a nil fingerprint so they never seed flat requests.
-// Partition failures against the concrete pattern — an unsatisfiable
-// cluster count, members out of range — are client errors.
-func (s *Server) synthesizeHier(key string, pat *model.Pattern, opt synth.Options, hp *hierParams, reqCol *obs.Collector) (*Entry, error) {
-	d, err := hier.Synthesize(pat, hp.options(opt))
-	if err != nil {
-		var se *hier.SpecError
-		if errors.As(err, &se) {
-			return nil, &badRequestError{err: err}
+	if ent.Fp != nil {
+		if seed := synth.SeedFromDesign(res.Net, res.Table); seed != nil {
+			s.warm.add(key, ent.Fp, seed)
+			obs.Count(s.col, "serve.warm_store", 1)
 		}
-		return nil, err
 	}
-	obs.Count(s.col, "serve.hier_designs", 1)
-
-	exact := true
-	var stats synth.Stats
-	for _, lv := range d.Levels() {
-		exact = exact && lv.Result.ExactColoring
-		stats.Add(lv.Result.Stats)
-	}
-	summary := &HierSummary{
-		Clusters:     hp.spec.Canonical(),
-		ClusterCount: len(d.Assign.Clusters),
-		Gateways:     d.Assign.Gateways,
-		GatewayWidth: d.GatewayWidth,
-		NoILinkDelay: d.NoILinkDelay,
-	}
-	if d.NoI != nil {
-		summary.NoISwitches = d.NoI.Net.NumSwitches()
-		summary.NoILinks = d.NoI.Net.TotalLinks()
-	}
-	save := func(w io.Writer) error { return hier.SaveDesign(w, d) }
-	ent, _, err := s.publish(&Entry{Key: key}, save, DesignResponse{
-		Name:           d.Name,
-		Procs:          d.Procs,
-		ConstraintsMet: d.ConstraintsMet(),
-		ContentionFree: d.ContentionFree(),
-		ExactColoring:  exact,
-		Switches:       d.TotalSwitches(),
-		Links:          d.TotalLinks(),
-		Stats:          stats,
-		Hier:           summary,
-	}, trace.Summarize(pat), reqCol)
-	return ent, err
+	return ent, nil
 }
 
 // handleGetDesign replays a cached design by its content-addressed key —

@@ -337,47 +337,53 @@ func TestDesignInlineTrace(t *testing.T) {
 }
 
 // TestClientDisconnectAbortsSynthesis pins the cancellation path end to
-// end: a client that hangs up mid-synthesis releases its handler promptly
-// and — once no other request waits on the key — aborts the synthesis
-// itself, observed via serve.synth_aborted.
+// end, for a flat and a hier request: a client that hangs up mid-synthesis
+// releases its handler promptly and — once no other request waits on the
+// key — aborts the synthesis itself, observed via serve.synth_aborted. The
+// gate on Config.Synth.Obs reaches a hier request's level restarts through
+// the NoC and NoI observers.
 func TestClientDisconnectAbortsSynthesis(t *testing.T) {
-	gate := newGate()
-	cfg := quickConfig()
-	cfg.Synth.Obs = gate
-	srv := newTestServer(t, cfg)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	for _, body := range []string{
+		`{"benchmark":"CG","procs":16}`,
+		`{"benchmark":"CG","procs":16,"hier":{"clusters":"4"}}`,
+	} {
+		gate := newGate()
+		cfg := quickConfig()
+		cfg.Synth.Obs = gate
+		srv := newTestServer(t, cfg)
+		ts := httptest.NewServer(srv)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/design",
-		strings.NewReader(`{"benchmark":"CG","procs":16}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	errc := make(chan error, 1)
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			resp.Body.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/design", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		errc <- err
-	}()
+		req.Header.Set("Content-Type", "application/json")
+		errc := make(chan error, 1)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			errc <- err
+		}()
 
-	// Synthesis is provably in flight; hang up.
-	<-gate.started
-	cancel()
-	if err := <-errc; err == nil {
-		t.Error("cancelled request returned a response")
-	}
-	// The handler must notice without waiting for the synthesis.
-	waitCounter(t, srv.Metrics(), "serve.client_gone", 1)
-	// Let the (now orphaned) synthesis proceed to its next cancellation
-	// check; it must abort rather than complete.
-	close(gate.release)
-	waitCounter(t, srv.Metrics(), "serve.synth_aborted", 1)
-	if got := srv.mem.Len(); got != 0 {
-		t.Errorf("aborted synthesis was cached (%d entries)", got)
+		// Synthesis is provably in flight; hang up.
+		<-gate.started
+		cancel()
+		if err := <-errc; err == nil {
+			t.Errorf("%s: cancelled request returned a response", body)
+		}
+		// The handler must notice without waiting for the synthesis.
+		waitCounter(t, srv.Metrics(), "serve.client_gone", 1)
+		// Let the (now orphaned) synthesis proceed to its next cancellation
+		// check; it must abort rather than complete.
+		close(gate.release)
+		waitCounter(t, srv.Metrics(), "serve.synth_aborted", 1)
+		if got := srv.mem.Len(); got != 0 {
+			t.Errorf("%s: aborted synthesis was cached (%d entries)", body, got)
+		}
+		ts.Close()
 	}
 }
 

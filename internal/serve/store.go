@@ -32,8 +32,8 @@ type Entry struct {
 // Put refresh recency; when Put pushes the store past capacity the least
 // recently used entries are evicted, and Put returns their keys so the
 // warm-start fingerprint index stays in lockstep with the store's contents
-// (diskStore.Put has the same shape and never evicts). Safe for concurrent
-// use.
+// (diskStore.Put never evicts, so it reports only whether it stored). Safe
+// for concurrent use.
 type memStore struct {
 	mu  sync.Mutex
 	cap int

@@ -247,21 +247,30 @@ func TestErrorEnvelope(t *testing.T) {
 		}
 	})
 
+	// The budget binds a hier miss as it does a flat one: every level
+	// synthesizes under the leader's context.
 	t.Run("504 timeout", func(t *testing.T) {
-		cfg := quickConfig()
-		cfg.Timeout = time.Nanosecond
-		srv := newTestServer(t, cfg)
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", `{"benchmark":"CG","procs":16}`)
-		if resp.StatusCode != http.StatusGatewayTimeout {
-			t.Fatalf("status = %d, want 504 (%s)", resp.StatusCode, b)
-		}
-		if code := decodeEnvelope(t, resp, b); code != CodeTimeout {
-			t.Errorf("code = %q, want %q", code, CodeTimeout)
-		}
-		if got := srv.Metrics().Counter("serve.timeout"); got != 1 {
-			t.Errorf("serve.timeout = %d, want 1", got)
+		for _, body := range []string{
+			`{"benchmark":"CG","procs":16}`,
+			`{"benchmark":"CG","procs":16,"hier":{"clusters":"4"}}`,
+		} {
+			cfg := quickConfig()
+			cfg.Timeout = time.Nanosecond
+			srv := newTestServer(t, cfg)
+			ts := httptest.NewServer(srv)
+			resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", body)
+			ts.Close()
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("%s: status = %d, want 504 (%s)", body, resp.StatusCode, b)
+			}
+			if code := decodeEnvelope(t, resp, b); code != CodeTimeout {
+				t.Errorf("%s: code = %q, want %q", body, code, CodeTimeout)
+			}
+			for _, name := range []string{"serve.timeout", "serve.synth_aborted"} {
+				if got := srv.Metrics().Counter(name); got != 1 {
+					t.Errorf("%s: %s = %d, want 1", body, name, got)
+				}
+			}
 		}
 	})
 }

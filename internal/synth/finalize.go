@@ -86,21 +86,20 @@ func (s *state) finalize(name string) (*topology.Network, *routing.Table, []int,
 			}
 			set := s.pipeAt(from, to)
 			fast := coloring.FastColorBits(s.cliqueBits, set)
+			g := coloring.BuildConflictGraphBits(set, s.conflict)
 			var k int
-			var assign coloring.Assignment
+			var colors []int
 			if s.opt.GreedyFinalColoring {
-				g := coloring.BuildConflictGraphBits(set, s.conflict)
-				var raw []int
-				k, raw = g.Greedy()
+				k, colors = g.Greedy()
 				s.stats.Coloring.DSATUR++
-				assign = make(coloring.Assignment, len(g.Flows))
-				for i, f := range g.Flows {
-					assign[f] = raw[i]
-				}
 			} else {
 				var exact bool
-				k, assign, exact = coloring.ColorPipeDirectionBitsStats(set, s.conflict, &s.stats.Coloring)
+				k, colors, exact = g.Exact(&s.stats.Coloring)
 				allExact = allExact && exact
+			}
+			assign := make(coloring.Assignment, len(g.Flows))
+			for i, f := range g.Flows {
+				assign[f] = colors[i]
 			}
 			if k > fast {
 				s.stats.FastColorGap += k - fast
@@ -541,12 +540,7 @@ func (s *state) run(p *model.Pattern, sd *SeedDesign) (*Result, error) {
 		// Estimates were optimistic: force-split every real violator
 		// and continue.
 		for _, i := range forced {
-			j := s.split(i)
-			if !opt.DisableBestRoute {
-				s.touchBuf[0], s.touchBuf[1] = i, j
-				s.bestRoute(s.touchBuf[:], s.touchBuf[:])
-			}
-			s.optimizeMoves(i, j)
+			s.splitAndOptimize(i)
 		}
 	}
 	res := &Result{

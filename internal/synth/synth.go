@@ -405,6 +405,17 @@ func (s *state) balancedAfterMove(p, to int, i, j int) bool {
 	return d <= 2
 }
 
+// splitAndOptimize splits switch i, runs Best_Route on the new pair, and
+// optimizes the processor moves between the halves.
+func (s *state) splitAndOptimize(i int) {
+	j := s.split(i)
+	if !s.opt.DisableBestRoute {
+		s.touchBuf[0], s.touchBuf[1] = i, j
+		s.bestRoute(s.touchBuf[:], s.touchBuf[:])
+	}
+	s.optimizeMoves(i, j)
+}
+
 // optimizeMoves runs the Appendix's step 7-9 loop on a fresh split (i, j):
 // repeatedly commit the best improving processor move between the halves
 // (or, with annealing enabled, a temperature-accepted random move), calling
@@ -602,13 +613,7 @@ func (s *state) partition() bool {
 			s.globalRefine()
 			return !s.anyViolation()
 		}
-		i := splittable[s.rng.Intn(len(splittable))]
-		j := s.split(i)
-		if !s.opt.DisableBestRoute {
-			s.touchBuf[0], s.touchBuf[1] = i, j
-			s.bestRoute(s.touchBuf[:], s.touchBuf[:])
-		}
-		s.optimizeMoves(i, j)
+		s.splitAndOptimize(splittable[s.rng.Intn(len(splittable))])
 	}
 	s.globalRefine()
 	return !s.anyViolation()
