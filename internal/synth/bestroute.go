@@ -198,11 +198,12 @@ func (s *state) eliminatePipes() bool {
 				continue
 			}
 			// The pipe's flows leave and take their direct paths once; each
-			// intermediate adds only the joins of the flows that need it.
+			// intermediate adds only the joins of the flows that need it. A
+			// dead intermediate after the first prices as the first does.
 			s.wiPipeDepart(ids, sw, other)
-			won := -2
+			won, firstDead := -2, -1
 			for m := -1; m < len(s.swProcs); m++ {
-				if m == sw || m == other {
+				if m == sw || m == other || m >= 0 && s.twinDead(m, &firstDead) {
 					continue
 				}
 				if s.wiPipeVia(m) < 0 {

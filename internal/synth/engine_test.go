@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -479,12 +480,30 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 // (whatif_test.go's compare helpers) and requires equal deltas, then holds the
 // cost tables to the from-scratch oracle, portBound to the degree it bounds
 // and the evaluator's released scratch to all-zero (checkStateInvariants).
+// When two or more switches are dead it requires every one to price p's
+// relocation and a pipe's elimination as the lowest one does
+// (compareDeadTwins).
 func FuzzMoveEngine(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		buf := make([]byte, 96)
 		rand.New(rand.NewSource(seed)).Read(buf)
 		f.Add(buf)
 	}
+	// Eight processors and six flows, each between an odd and an even one;
+	// six splits, then every processor moves onto switch 0 or 1, which
+	// leaves the other switches dead. The second seed then routes processor
+	// 0's flow to 1 through a dead switch, which lives on with no processor,
+	// prices processor 4's relocations (whose flow shares the clique), and
+	// runs Best_Route, eliminatePipes and a merge sweep.
+	empty := []byte{4, 0, 5, 0, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 0}
+	for i := 0; i < 6; i++ {
+		empty = append(empty, 0, 0, 0, byte(i%3), 0)
+	}
+	for p := 0; p < 8; p++ {
+		empty = append(empty, 1, byte(p), 0, byte(p%2), 0)
+	}
+	f.Add(empty)
+	f.Add(append(slices.Clone(empty), 2, 0, 1, 3, 0, 0, 4, 0, 0, 0, 7, 0, 1, 4, 1, 8, 2, 3, 5, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -562,6 +581,7 @@ func FuzzMoveEngine(f *testing.F) {
 			}
 			compareGroup(t, s, fi)
 			comparePipe(t, s, s.home[p], sw)
+			compareDeadTwins(t, s, p, s.home[p], sw)
 			checkStateInvariants(t, s)
 		}
 	})

@@ -1,0 +1,129 @@
+package synth_test
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"repro/internal/collective"
+	"repro/internal/hier"
+	"repro/internal/model"
+	"repro/internal/nas"
+	"repro/internal/obs"
+	"repro/internal/synth"
+)
+
+// everyTarget synthesizes p with every dead switch priced: each relocation
+// target and each pipe's intermediate, as the scans did before dead switches
+// were priced once. It returns the winner and the summed counters.
+func everyTarget(t *testing.T, p *model.Pattern, opt synth.Options) (*synth.Result, map[string]int64) {
+	t.Helper()
+	synth.PriceEveryTarget(true)
+	defer synth.PriceEveryTarget(false)
+	return synthCounted(t, p, opt)
+}
+
+// synthCounted synthesizes p and returns the winner and the summed counters
+// of every restart.
+func synthCounted(t *testing.T, p *model.Pattern, opt synth.Options) (*synth.Result, map[string]int64) {
+	t.Helper()
+	col := obs.NewCollector()
+	opt.Obs = col
+	res, err := synth.Synthesize(p, opt)
+	if err != nil {
+		t.Fatalf("Synthesize(%s): %v", p.Name, err)
+	}
+	return res, col.Counters()
+}
+
+// noiLevel is the NoI sub-pattern hier synthesizes for p under clusters.
+func noiLevel(t *testing.T, p *model.Pattern, clusters string) *model.Pattern {
+	t.Helper()
+	spec, err := hier.ParseSpec(clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := hier.Partition(p, spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := hier.SplitPattern(p, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return split.NoI
+}
+
+// TestDeadTwinsMatchEveryTarget holds the collapsed scans to everyTarget:
+// the same design byte for byte, the same winner Stats (MovesEvaluated
+// included, whose skipped ticks are added in closed form) and the same summed
+// counters. It runs the NoI levels of the three hier classes the server
+// benchmark requests, where the NoI loop leaves most switch indices dead, at
+// seeds 1–8 under the server's constraints, and the 63 runs of the golden
+// corpus.
+func TestDeadTwinsMatchEveryTarget(t *testing.T) {
+	type run struct {
+		name string
+		pat  *model.Pattern
+		opt  synth.Options
+	}
+	var runs []run
+	cg16, err := nas.Generate("CG", 16, nas.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fft16, err := nas.Generate("FFT", 16, nas.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring64, err := collective.Generate("ring-allreduce", 64, collective.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pat      *model.Pattern
+		clusters string
+	}{{cg16, "4"}, {fft16, "4"}, {ring64, "8"}} {
+		noi := noiLevel(t, c.pat, c.clusters)
+		for seed := int64(1); seed <= 8; seed++ {
+			runs = append(runs, run{noi.Name, noi, synth.Options{Seed: seed, Workers: 2}})
+		}
+	}
+	for _, p := range goldenWorkloads(t) {
+		for _, v := range goldenVariants {
+			runs = append(runs, run{p.Name + "/" + v.name, p, v.opt})
+		}
+		base, err := synth.Synthesize(p, goldenVariants[0].opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{p.Name + "/seeded", p, synth.Options{Seed: 9, Restarts: 2, Workers: 2,
+			SeedDesign:  synth.SeedFromDesign(base.Net, base.Table),
+			Constraints: synth.Constraints{MaxDegree: 4, MaxProcsPerSwitch: 3}}})
+	}
+	if len(runs) != 24+63 {
+		t.Fatalf("%d runs, want 24 NoI runs and the 63 golden ones", len(runs))
+	}
+	for _, r := range runs {
+		want, wantCounts := everyTarget(t, r.pat, r.opt)
+		got, gotCounts := synthCounted(t, r.pat, r.opt)
+		if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+			t.Errorf("%s seed %d: design differs from pricing every target", r.name, r.opt.Seed)
+		}
+		if !reflect.DeepEqual(got.Stats, want.Stats) {
+			t.Errorf("%s seed %d: winner Stats %+v, want %+v", r.name, r.opt.Seed, got.Stats, want.Stats)
+		}
+		if !reflect.DeepEqual(gotCounts, wantCounts) {
+			t.Errorf("%s seed %d: counters %v, want %v", r.name, r.opt.Seed, gotCounts, wantCounts)
+		}
+	}
+}
+
+func saveBytes(t *testing.T, res *synth.Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := synth.SaveDesign(&buf, res.Net, res.Table); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}

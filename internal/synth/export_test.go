@@ -1,0 +1,6 @@
+package synth
+
+// PriceEveryTarget makes the relocation and pipe-elimination scans price
+// every dead switch they meet (on) or only the first (off, the default), for
+// the external tests' everyTarget reference.
+func PriceEveryTarget(on bool) { priceEveryTarget = on }

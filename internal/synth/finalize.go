@@ -48,22 +48,12 @@ type dirAssignment struct {
 // real (post-coloring) degree of each internal switch so the outer loop can
 // keep partitioning if estimates were optimistic.
 func (s *state) finalize(name string) (*topology.Network, *routing.Table, []int, bool, error) {
-	// Live switches: those holding processors or carrying any flow.
-	live := make([]bool, len(s.swProcs))
-	for sw, ps := range s.swProcs {
-		if len(ps) > 0 {
-			live[sw] = true
-		}
-	}
-	for _, r := range s.routes {
-		for _, sw := range r {
-			live[sw] = true
-		}
-	}
+	// Only live switches, those holding processors or carrying any flow,
+	// become network switches; a dead one maps to -1.
 	remap := make([]topology.SwitchID, len(s.swProcs))
 	net := topology.New(name, s.procs)
 	for sw := range s.swProcs {
-		if !live[sw] {
+		if s.dead(sw) {
 			remap[sw] = -1
 			continue
 		}
@@ -137,7 +127,7 @@ func (s *state) finalize(name string) (*topology.Network, *routing.Table, []int,
 	// including exact pipe widths and any repair pipes.
 	realDeg := make([]int, len(s.swProcs))
 	for sw := range s.swProcs {
-		if live[sw] {
+		if remap[sw] >= 0 {
 			realDeg[sw] = net.Degree(remap[sw])
 		}
 	}

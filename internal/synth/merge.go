@@ -8,39 +8,15 @@ import "sort"
 // objective minimizes "the required number of links and switches".
 const costSwitchWeight = 2 * costLinkWeight
 
-// liveSwitches counts switches that hold processors or carry traffic.
+// liveSwitches counts the switches that are not dead.
 func (s *state) liveSwitches() int {
-	n := len(s.swProcs)
-	live := s.liveScratch
-	if cap(live) < n {
-		live = make([]bool, n)
-		s.liveScratch = live
-	} else {
-		live = live[:n]
-		for i := range live {
-			live[i] = false
+	n := 0
+	for sw := range s.swProcs {
+		if !s.dead(sw) {
+			n++
 		}
 	}
-	for sw, ps := range s.swProcs {
-		if len(ps) > 0 {
-			live[sw] = true
-		}
-	}
-	for a := range s.swProcs {
-		for b := range s.swProcs {
-			if a != b && s.pipeUsed(a, b) {
-				live[a] = true
-				live[b] = true
-			}
-		}
-	}
-	c := 0
-	for _, l := range live {
-		if l {
-			c++
-		}
-	}
-	return c
+	return n
 }
 
 // consolidationScore is the merge objective: the global weighted cost plus a

@@ -248,7 +248,6 @@ type state struct {
 	allProcs     []int    // backs swProcs[0] after reset
 	touchBuf     [2]int   // bestRoute touch/via list of split and merge callers
 	gcPairs      [][2]int // globalCost's traffic-pair list
-	liveScratch  []bool   // liveSwitches
 	mergeProcs   []int
 	boundCnt     []int32 // portBound's per-clique out/in counts
 }
@@ -262,6 +261,32 @@ func pairKey(a, b int) [2]int {
 
 // nsw is the current switch count (live or not).
 func (s *state) nsw() int { return len(s.swProcs) }
+
+// dead reports whether switch sw holds no processor and carries no flow: a
+// hop off sw raises a pair width at sw and so sumW, a self-loop hop raises
+// the diagonal's width, and a route starts and ends at its endpoints' homes.
+// Dead switches price alike as a relocation target or a pipe's intermediate
+// (DESIGN.md §13), so the scans price only the first (twinDead).
+func (s *state) dead(sw int) bool {
+	return len(s.swProcs[sw]) == 0 && s.sumW[sw] == 0 && s.dirW[sw*s.stride+sw] == 0
+}
+
+// priceEveryTarget, set only by tests, prices every dead switch a scan meets:
+// the reference the collapsed scans are held to.
+var priceEveryTarget bool
+
+// twinDead reports whether sw is a dead switch after the first one a
+// candidate scan met (*first, -1 until then), which it records instead.
+func (s *state) twinDead(sw int, first *int) bool {
+	if priceEveryTarget || !s.dead(sw) {
+		return false
+	}
+	if *first < 0 {
+		*first = sw
+		return false
+	}
+	return true
+}
 
 // pipeAt returns the ordered direction's flow set, or nil if never used.
 func (s *state) pipeAt(from, to int) model.BitSet { return s.pipes[from*s.stride+to] }
@@ -523,15 +548,19 @@ func (s *state) globalRefine() {
 		}
 		for p := 0; p < s.procs; p++ {
 			// p's flows leave once; each target adds their direct paths
-			// and the arriving processor.
+			// and the arriving processor. A dead target after the first
+			// prices as the first does, so it cannot strictly improve on
+			// it: only its MovesEvaluated tick remains.
 			departed := false
 			bestDelta := 0
 			bestTo := -1
+			firstDead, twins := -1, 0
 			for to := range s.swProcs {
-				if to == s.home[p] {
+				if to == s.home[p] || len(s.swProcs[to]) >= s.opt.MaxProcsPerSwitch {
 					continue
 				}
-				if len(s.swProcs[to]) >= s.opt.MaxProcsPerSwitch {
+				if s.twinDead(to, &firstDead) {
+					twins++
 					continue
 				}
 				if !departed {
@@ -547,6 +576,7 @@ func (s *state) globalRefine() {
 			if departed {
 				s.wiRelease()
 			}
+			s.stats.MovesEvaluated += twins
 			if bestTo != -1 {
 				s.reattach(p, bestTo)
 				s.stats.GlobalMoves++

@@ -67,6 +67,46 @@ func compareRelocations(t *testing.T, s *state, p int) {
 	s.wiRelease()
 }
 
+// compareDeadTwins holds the premise the collapsed scans rest on (twinDead):
+// every dead switch prices p's relocation, and the elimination of pipe (a,b)
+// through it, as the lowest dead switch does.
+func compareDeadTwins(t *testing.T, s *state, p, a, b int) {
+	t.Helper()
+	var dead []int
+	for sw := range s.swProcs {
+		if s.dead(sw) {
+			dead = append(dead, sw)
+		}
+	}
+	if len(dead) < 2 {
+		return
+	}
+	s.wiDepart(p)
+	first := s.wiArrive(p, dead[0])
+	for _, sw := range dead[1:] {
+		if got := s.wiArrive(p, sw); got != first {
+			t.Fatalf("relocating %d to dead switch %d prices %d, to dead switch %d %d", p, sw, got, dead[0], first)
+		}
+	}
+	s.wiRelease()
+	if a == b {
+		return
+	}
+	s.wiPipeDepart(slices.Clone(s.pipeFlowIDs(a, b)), a, b)
+	first, firstM := 0, -1
+	for _, m := range dead {
+		if m == a || m == b {
+			continue
+		}
+		if got := s.wiPipeVia(m); firstM < 0 {
+			first, firstM = got, m
+		} else if got != first {
+			t.Fatalf("emptying pipe (%d,%d) via dead switch %d prices %d, via dead switch %d %d", a, b, m, got, firstM, first)
+		}
+	}
+	s.wiRelease()
+}
+
 // compareGroup prices rerouting flow fi — with its reverse when that mirrors
 // it, as bestRoute groups them — onto its direct path alone, then freezes the
 // group's departure once and prices the direct path and every one-intermediate
