@@ -120,6 +120,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCollectiveConfig -fuzztime 30s ./internal/collective
+	$(GO) test -run '^$$' -fuzz FuzzWorkload -fuzztime 30s ./internal/workloads
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 30s ./internal/hier
 	$(GO) test -run '^$$' -fuzz FuzzHierLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/hier
 	$(GO) test -run '^$$' -fuzz FuzzContentionPeriods -fuzztime 30s ./internal/model

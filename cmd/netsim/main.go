@@ -9,10 +9,15 @@
 // (flitsim.RunBaseline), so the torus is Figure 8's folded one. For -topo
 // generated, -net must point to a design saved by netgen; the synthesized
 // source routes and link assignments are used as-is, with shortest-path
-// fallback for any flow the design does not cover.
+// fallback for any flow the design does not cover. A two-level design
+// (netgen -clusters) is recognized by its schema and replayed through
+// hier.Simulate under its own chiplet and NoI link delays; -floorplan
+// applies to single-level designs only.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -20,6 +25,8 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/flitsim"
 	"repro/internal/floorplan"
+	"repro/internal/hier"
+	"repro/internal/model"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
@@ -50,29 +57,16 @@ func main() {
 	cfg := flitsim.Config{VCs: *vcs, Obs: shared.Observer()}
 
 	var res flitsim.Result
-	if *topo != "generated" {
+	switch {
+	case *topo != "generated":
 		res, err = flitsim.RunBaseline(pat, *topo, cfg)
-	} else {
-		if *netPath == "" {
-			fatal(fmt.Errorf("-net is required for -topo generated"))
+	case *netPath == "":
+		err = fmt.Errorf("-net is required for -topo generated")
+	default:
+		var raw []byte
+		if raw, err = os.ReadFile(*netPath); err == nil {
+			res, err = replayDesign(pat, raw, cfg, *useFloor)
 		}
-		nf, err2 := os.Open(*netPath)
-		if err2 != nil {
-			fatal(err2)
-		}
-		net, table, err2 := synth.LoadDesign(nf)
-		nf.Close()
-		if err2 != nil {
-			fatal(err2)
-		}
-		if *useFloor {
-			plan, err3 := floorplan.Place(net, floorplan.Options{Obs: shared.Observer()})
-			if err3 != nil {
-				fatal(err3)
-			}
-			cfg.LinkDelay = plan.LinkDelay
-		}
-		res, err = flitsim.RunGenerated(pat, net, table, cfg)
 	}
 	if err != nil {
 		fatal(err)
@@ -91,6 +85,35 @@ func main() {
 	if err := shared.WriteReport("netsim", trace.Summarize(pat)); err != nil {
 		fatal(err)
 	}
+}
+
+// replayDesign replays pat on a saved design: a hier-design document through
+// hier.Simulate, anything else as a single-level synth design, under its
+// floorplanned link delays when useFloor is set.
+func replayDesign(pat *model.Pattern, raw []byte, cfg flitsim.Config, useFloor bool) (flitsim.Result, error) {
+	var head struct {
+		Schema string `json:"schema"`
+	}
+	if json.Unmarshal(raw, &head) == nil && head.Schema == hier.DesignSchema {
+		d, err := hier.LoadDesign(bytes.NewReader(raw))
+		if err != nil {
+			return flitsim.Result{}, err
+		}
+		res, _, err := hier.Simulate(d, pat, cfg)
+		return res, err
+	}
+	net, table, err := synth.LoadDesign(bytes.NewReader(raw))
+	if err != nil {
+		return flitsim.Result{}, err
+	}
+	if useFloor {
+		plan, err := floorplan.Place(net, floorplan.Options{Obs: cfg.Obs})
+		if err != nil {
+			return flitsim.Result{}, err
+		}
+		cfg.LinkDelay = plan.LinkDelay
+	}
+	return flitsim.RunGenerated(pat, net, table, cfg)
 }
 
 func fatal(err error) {

@@ -1,11 +1,11 @@
 // Command tracegen emits a synthetic communication trace in noctrace v1
-// format: one of the five NAS-style benchmarks, or — with -collective — one
-// of the ML collective workloads.
+// format: any workload internal/workloads names — one of the five NAS-style
+// benchmarks or one of the ML collectives.
 //
 // Usage:
 //
 //	tracegen -bench CG -procs 16 [-iters 4] [-bytescale 1.0] [-skew 0] [-seed 1] [-o trace.txt] [-report run.json]
-//	tracegen -collective ring-allreduce -procs 64 [-iters 2] [-bytescale 1.0] [-o trace.txt]
+//	tracegen -bench ring-allreduce -procs 64 [-iters 2] [-bytescale 1.0] [-o trace.txt]
 package main
 
 import (
@@ -15,17 +15,15 @@ import (
 	"strings"
 
 	"repro/internal/cliutil"
-	"repro/internal/collective"
 	"repro/internal/hier"
 	"repro/internal/model"
-	"repro/internal/nas"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 func main() {
 	var (
-		bench     = flag.String("bench", "CG", "NAS benchmark: BT, CG, FFT, MG, SP")
-		coll      = flag.String("collective", "", "collective workload (overrides -bench): ring-allreduce, reduce-scatter, all-gather, tree-broadcast")
+		bench     = flag.String("bench", "CG", "workload: "+strings.Join(workloads.Names(), ", "))
 		procs     = flag.Int("procs", 16, "processor count")
 		iters     = flag.Int("iters", 0, "main-loop iterations / collective repeats (0 = workload default)")
 		byteScale = flag.Float64("bytescale", 0, "message size multiplier (0 = 1.0)")
@@ -38,21 +36,11 @@ func main() {
 	shared.RegisterHier(flag.CommandLine)
 	flag.Parse()
 
-	var pat *model.Pattern
-	var err error
-	if *coll != "" {
-		pat, err = collective.Generate(*coll, *procs, collective.Config{
-			Repeats:   *iters,
-			ByteScale: *byteScale,
-			Obs:       shared.Observer(),
-		})
-	} else {
-		pat, err = nas.Generate(*bench, *procs, nas.Config{
-			Iterations: *iters,
-			ByteScale:  *byteScale,
-			Obs:        shared.Observer(),
-		})
-	}
+	pat, err := workloads.Generate(*bench, *procs, workloads.Config{
+		Iterations: *iters,
+		ByteScale:  *byteScale,
+		Obs:        shared.Observer(),
+	})
 	if err != nil {
 		fatal(err)
 	}

@@ -105,10 +105,7 @@ func computeGap(nodes int) float64 {
 }
 
 // UnknownCollectiveError reports a request for a collective outside the
-// registry. Callers that accept untrusted workload names (the nocd design
-// server, tracegen) detect it with errors.As and surface it as a client
-// error instead of an internal failure — the same contract as
-// nas.UnknownBenchmarkError.
+// registry — the same contract as nas.UnknownBenchmarkError.
 type UnknownCollectiveError struct {
 	Name string
 }

@@ -29,12 +29,12 @@ type ColoringQualityRow struct {
 // generated network at the given size. Benchmark cells run on the Workers
 // pool.
 func (c Config) ColoringQuality(procs map[string]int) ([]ColoringQualityRow, error) {
-	names := benchmarkNames()
+	names := nas.Names()
 	return parallel.MapObserved(c.Obs, "harness.coloring_quality", c.Workers, len(names), func(i int) (ColoringQualityRow, error) {
 		name := names[i]
 		n := procs[name]
 		if n == 0 {
-			_, n = paperProcs(name)
+			_, n = nas.PaperProcs(name)
 		}
 		d, err := c.BuildDesign(name, n)
 		if err != nil {
@@ -97,7 +97,7 @@ type AblationRow struct {
 // methodology, Best_Route disabled, global refinement disabled, greedy
 // final coloring, and annealed moves.
 func (c Config) Ablations(benchmark string, procs int) ([]AblationRow, error) {
-	pat, err := nas.Generate(benchmark, procs, c.nasConfig())
+	pat, err := c.generate(benchmark, procs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,15 +1,12 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
-	"repro/internal/collective"
 	"repro/internal/flitsim"
 	"repro/internal/hier"
 	"repro/internal/model"
-	"repro/internal/nas"
 	"repro/internal/obs"
 )
 
@@ -67,7 +64,7 @@ func (c Config) twoLevel(pat *model.Pattern, clusters int) (*hier.Design, error)
 func (c Config) Chiplet(benchmark string, procs, clusters int) ([]ChipletRow, error) {
 	sp := obs.Span(c.Obs, "harness.chiplet")
 	defer sp.End()
-	pat, err := c.chipletPattern(benchmark, procs)
+	pat, err := c.generate(benchmark, procs)
 	if err != nil {
 		return nil, fmt.Errorf("chiplet %s/%d: %v", benchmark, procs, err)
 	}
@@ -145,25 +142,11 @@ func chipletRow(res flitsim.Result, switches, links int, free bool) ChipletRow {
 // BuildChipletDesign synthesizes just the two-level composite for a
 // benchmark — the entry the invariant suite drives.
 func (c Config) BuildChipletDesign(benchmark string, procs, clusters int) (*hier.Design, error) {
-	pat, err := c.chipletPattern(benchmark, procs)
+	pat, err := c.generate(benchmark, procs)
 	if err != nil {
 		return nil, fmt.Errorf("chiplet %s/%d: %v", benchmark, procs, err)
 	}
 	return c.twoLevel(pat, clusters)
-}
-
-// chipletPattern resolves a benchmark name against the NAS registry first,
-// then the collectives — the same resolution order the design server uses.
-func (c Config) chipletPattern(benchmark string, procs int) (*model.Pattern, error) {
-	pat, err := nas.Generate(benchmark, procs, c.nasConfig())
-	if err == nil {
-		return pat, nil
-	}
-	var ube *nas.UnknownBenchmarkError
-	if !errors.As(err, &ube) {
-		return nil, err
-	}
-	return collective.Generate(benchmark, procs, c.collectiveConfig())
 }
 
 // RenderChipletTable formats chiplet rows as a text table.

@@ -2,29 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/collective"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
-
-// collectiveConfig maps the harness knobs onto the collective generators:
-// Iterations becomes the repeat count and ByteScale scales chunk sizes, so
-// Quick() shrinks collective cells exactly as it shrinks NAS cells.
-func (c Config) collectiveConfig() collective.Config {
-	return collective.Config{Repeats: c.Iterations, ByteScale: c.ByteScale, Obs: c.Obs}
-}
-
-// BuildCollectiveDesign generates the named collective's pattern,
-// synthesizes a network for it, and floorplans the result — the collective
-// counterpart of BuildDesign.
-func (c Config) BuildCollectiveDesign(name string, nodes int) (*Design, error) {
-	pat, err := collective.Generate(name, nodes, c.collectiveConfig())
-	if err != nil {
-		return nil, err
-	}
-	return c.designFor(name, nodes, pat)
-}
 
 // CollectiveTopologies lists the comparison bars for the collective
 // experiment: the crossbar (the normalization baseline, first), the ring
@@ -45,10 +28,7 @@ func (c Config) Collectives(nodes int) ([]PerfRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []PerfRow
-	for _, cell := range cells {
-		rows = append(rows, cell...)
-	}
+	rows := slices.Concat(cells...)
 	for _, r := range rows {
 		obs.Emit(c.Obs, "harness.collective_row",
 			fmt.Sprintf("%s/%d %s exec=%d comm=%.0f lat=%.2f kills=%d",
@@ -59,9 +39,5 @@ func (c Config) Collectives(nodes int) ([]PerfRow, error) {
 
 // CollectiveFor runs the topology comparison for a single collective.
 func (c Config) CollectiveFor(name string, nodes int) ([]PerfRow, error) {
-	pat, err := collective.Generate(name, nodes, c.collectiveConfig())
-	if err != nil {
-		return nil, fmt.Errorf("collectives %s/%d: %v", name, nodes, err)
-	}
-	return c.compareTopologies("collectives", name, nodes, pat, CollectiveTopologies())
+	return c.compareTopologies("collectives", name, nodes, CollectiveTopologies())
 }

@@ -98,15 +98,15 @@ func TestCollectivesPipeline(t *testing.T) {
 }
 
 // TestBuildCollectiveDesignErrors pins that the collective package's typed
-// errors survive the harness layer, mirroring TestBuildDesignInvalidBenchmark
-// — servers built on BuildCollectiveDesign map them to client errors.
+// errors survive the harness layer when BuildDesign resolves a collective
+// name, mirroring TestBuildDesignInvalidBenchmark.
 func TestBuildCollectiveDesignErrors(t *testing.T) {
-	_, err := Quick().BuildCollectiveDesign("allreduce", 8)
+	_, err := Quick().BuildDesign("allreduce", 8)
 	var uce *collective.UnknownCollectiveError
 	if !errors.As(err, &uce) {
 		t.Fatalf("got %v, want *collective.UnknownCollectiveError", err)
 	}
-	_, err = Quick().BuildCollectiveDesign("tree-broadcast", 12)
+	_, err = Quick().BuildDesign("tree-broadcast", 12)
 	var nce *collective.NodeCountError
 	if !errors.As(err, &nce) {
 		t.Fatalf("got %v, want *collective.NodeCountError", err)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/floorplan"
+	"repro/internal/nas"
 	"repro/internal/parallel"
 )
 
@@ -36,10 +37,10 @@ type ResourceRow struct {
 // panel: "small" is Figure 7(a) (8/9 nodes), "large" Figure 7(b) (16 nodes).
 // The five benchmark cells are independent and run on the Workers pool.
 func (c Config) Figure7(size string) ([]ResourceRow, error) {
-	names := benchmarkNames()
+	names := nas.Names()
 	return parallel.MapObserved(c.Obs, "harness.fig7", c.Workers, len(names), func(i int) (ResourceRow, error) {
 		name := names[i]
-		small, large := paperProcs(name)
+		small, large := nas.PaperProcs(name)
 		procs := small
 		if size == "large" {
 			procs = large
@@ -81,13 +82,4 @@ func RenderResourceTable(title string, rows []ResourceRow) string {
 			r.ConstraintsMet, r.ContentionFree)
 	}
 	return b.String()
-}
-
-func benchmarkNames() []string { return []string{"BT", "CG", "FFT", "MG", "SP"} }
-
-func paperProcs(name string) (int, int) {
-	if name == "BT" || name == "SP" {
-		return 9, 16
-	}
-	return 8, 16
 }

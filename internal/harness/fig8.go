@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/flitsim"
-	"repro/internal/model"
 	"repro/internal/nas"
 	"repro/internal/parallel"
 )
@@ -40,42 +39,36 @@ func Topologies() []string { return []string{"crossbar", "mesh", "torus", "gener
 // baseline replays run while the generated network is synthesized (see
 // compareTopologies).
 func (c Config) Figure8(size string) ([]PerfRow, error) {
-	names := benchmarkNames()
+	names := nas.Names()
 	cells, err := parallel.MapObserved(c.Obs, "harness.fig8", c.Workers, len(names), func(i int) ([]PerfRow, error) {
 		name := names[i]
-		small, large := paperProcs(name)
+		small, large := nas.PaperProcs(name)
 		procs := small
 		if size == "large" {
 			procs = large
 		}
 		return c.Figure8For(name, procs)
 	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []PerfRow
-	for _, cell := range cells {
-		rows = append(rows, cell...)
-	}
-	return rows, nil
+	return slices.Concat(cells...), err
 }
 
 // Figure8For runs the four-topology comparison for a single benchmark.
 func (c Config) Figure8For(name string, procs int) ([]PerfRow, error) {
-	pat, err := nas.Generate(name, procs, c.nasConfig())
-	if err != nil {
-		return nil, fmt.Errorf("figure8 %s/%d: %v", name, procs, err)
-	}
-	return c.compareTopologies("figure8", name, procs, pat, Topologies())
+	return c.compareTopologies("figure8", name, procs, Topologies())
 }
 
-// compareTopologies replays the pattern on each topology, one task per
-// entry on the Workers pool, and returns the rows in list order normalized
-// to the crossbar. The "generated" entry's task synthesizes and floorplans
-// the network (designFor) before replaying on it, so it is dispatched first;
-// every baseline needs only the pattern. Errors read
-// "<exp> <name>/<procs>: on <topo>: …" (no "on" for the design's).
-func (c Config) compareTopologies(exp, name string, procs int, pat *model.Pattern, topos []string) ([]PerfRow, error) {
+// compareTopologies generates the named workload and replays it on each
+// topology, one task per entry on the Workers pool, and returns the rows in
+// list order normalized to the crossbar. The "generated" entry's task
+// synthesizes and floorplans the network (designFor) before replaying on
+// it, so it is dispatched first; every baseline needs only the pattern.
+// Errors read "<exp> <name>/<procs>: on <topo>: …" (no "on" for the
+// generator's or the design's).
+func (c Config) compareTopologies(exp, name string, procs int, topos []string) ([]PerfRow, error) {
+	pat, err := c.generate(name, procs)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s/%d: %v", exp, name, procs, err)
+	}
 	rows, err := runCellTasks(c.Workers, slices.Index(topos, "generated"), len(topos), func(i int) cellTask[PerfRow] {
 		topo := topos[i]
 		var res flitsim.Result

@@ -13,6 +13,7 @@ import (
 	"repro/internal/nas"
 	"repro/internal/obs"
 	"repro/internal/synth"
+	"repro/internal/workloads"
 )
 
 // Config scales the experiments. The zero value reproduces the paper-scale
@@ -54,8 +55,17 @@ func Quick() Config {
 // benchmarks.
 func Paper() Config { return Config{Seed: 1} }
 
+// nasConfig is the NAS generator config at the harness's scale, for the
+// warm-start sweep that varies its ComputeScale.
 func (c Config) nasConfig() nas.Config {
 	return nas.Config{Iterations: c.Iterations, ByteScale: c.ByteScale, Obs: c.Obs}
+}
+
+// generate builds a named workload's pattern (a NAS benchmark or a
+// collective) at the harness's scale: Iterations is a collective's repeat
+// count, and ByteScale scales every message.
+func (c Config) generate(name string, procs int) (*model.Pattern, error) {
+	return workloads.Generate(name, procs, workloads.Config{Iterations: c.Iterations, ByteScale: c.ByteScale, Obs: c.Obs})
 }
 
 func (c Config) synthOptions() synth.Options {
@@ -72,10 +82,10 @@ type Design struct {
 	Plan      *floorplan.Plan
 }
 
-// BuildDesign generates the pattern, synthesizes the network, and
-// floorplans it.
+// BuildDesign generates the named workload's pattern, synthesizes the
+// network, and floorplans it.
 func (c Config) BuildDesign(benchmark string, procs int) (*Design, error) {
-	pat, err := nas.Generate(benchmark, procs, c.nasConfig())
+	pat, err := c.generate(benchmark, procs)
 	if err != nil {
 		return nil, err
 	}
@@ -83,8 +93,7 @@ func (c Config) BuildDesign(benchmark string, procs int) (*Design, error) {
 }
 
 // designFor synthesizes and floorplans a network for an already generated
-// pattern: the one body behind BuildDesign, BuildCollectiveDesign, the
-// generated row of Figure8For and CollectiveFor, MultiApp's shared network
+// pattern: the one body behind BuildDesign, the generated row of Figure8For and CollectiveFor, MultiApp's shared network
 // and the chiplet experiment's flat organization (which must feed the same
 // pattern to all three organizations).
 func (c Config) designFor(name string, procs int, pat *model.Pattern) (*Design, error) {

@@ -132,10 +132,6 @@ func TestFigure8ForCG(t *testing.T) {
 // named, in the "<exp> <name>/<procs>: on <topo>: …" shape. The chiplet cell
 // reports its flat half's design error ahead of the two-level half's.
 func TestCellErrorPrecedence(t *testing.T) {
-	pat, err := nas.Generate("CG", 16, Quick().nasConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	unknown := func(topo string) string {
 		return fmt.Sprintf("figure8 CG/16: on %s: flitsim: unknown baseline %q", topo, topo)
 	}
@@ -155,7 +151,7 @@ func TestCellErrorPrecedence(t *testing.T) {
 			if tc.restarts != 0 {
 				c.SynthRestarts = tc.restarts
 			}
-			_, err := c.compareTopologies("figure8", "CG", 16, pat, tc.topos)
+			_, err := c.compareTopologies("figure8", "CG", 16, tc.topos)
 			if err == nil || err.Error() != tc.want {
 				t.Errorf("%v at workers=%d: err = %v, want %s", tc.topos, workers, err, tc.want)
 			}

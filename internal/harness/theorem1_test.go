@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/model"
+	"repro/internal/nas"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -99,8 +100,8 @@ func verifyTheorem1Routes(t *testing.T, label string, pat *model.Pattern, routes
 // benchmark/size cell.
 func TestTheorem1InvariantAllCells(t *testing.T) {
 	c := Quick()
-	for _, name := range benchmarkNames() {
-		small, large := paperProcs(name)
+	for _, name := range nas.Names() {
+		small, large := nas.PaperProcs(name)
 		for _, procs := range []int{small, large} {
 			d, err := c.BuildDesign(name, procs)
 			if err != nil {
@@ -121,7 +122,7 @@ func TestTheorem1InvariantCollectives(t *testing.T) {
 	for _, name := range collective.Names() {
 		small, large := collective.PaperNodes(name)
 		for _, nodes := range []int{small, large} {
-			d, err := c.BuildCollectiveDesign(name, nodes)
+			d, err := c.BuildDesign(name, nodes)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, nodes, err)
 			}

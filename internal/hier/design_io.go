@@ -27,10 +27,11 @@ type hierDesignJSON struct {
 	NoI          json.RawMessage   `json:"noi,omitempty"`
 }
 
-const (
-	designSchema  = "hier-design"
-	designVersion = 1
-)
+// DesignSchema is the "schema" field of a SaveDesign document, which tells
+// it apart from a single-level synth.SaveDesign one.
+const DesignSchema = "hier-design"
+
+const designVersion = 1
 
 // SaveDesign writes the composite design as hier-design v1 JSON. The bytes
 // are deterministic for a deterministic design: cluster and gateway lists
@@ -38,7 +39,7 @@ const (
 // encoding.
 func SaveDesign(w io.Writer, d *Design) error {
 	out := hierDesignJSON{
-		Schema:       designSchema,
+		Schema:       DesignSchema,
 		Version:      designVersion,
 		Name:         d.Name,
 		Procs:        d.Procs,
@@ -81,7 +82,7 @@ func LoadDesign(r io.Reader) (*Design, error) {
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("hier: decoding design: %v", err)
 	}
-	if in.Schema != designSchema || in.Version != designVersion {
+	if in.Schema != DesignSchema || in.Version != designVersion {
 		return nil, fmt.Errorf("hier: unsupported design schema %q v%d", in.Schema, in.Version)
 	}
 	gateways := in.Gateways

@@ -59,6 +59,8 @@ func TestGenerateProcCountError(t *testing.T) {
 		{"MG", 10, "power-of-two"},
 		{"BT", 8, "perfect-square"},
 		{"SP", 10, "perfect-square"},
+		{"SP", 0, "perfect-square"}, // 0 = 0²: once an invalid pattern, not a shape error
+		{"BT", -4, "perfect-square"},
 	}
 	for _, tc := range cases {
 		_, err := Generate(tc.name, tc.procs, Config{Iterations: 1})

@@ -20,10 +20,8 @@
 // The methodology consumes only (src, dst, start, finish, size) tuples
 // grouped into synchronized library calls, so these generators exercise the
 // same code paths as real traces. All generators are deterministic.
-//
-// Package collective provides the ML collective workloads (ring allreduce,
-// reduce-scatter, all-gather, tree broadcast) behind the same registry
-// shape; the design server resolves workload names against both sets.
+// Package workloads resolves a name against this registry and the
+// collectives of internal/collective.
 package nas
 
 import (
@@ -95,9 +93,8 @@ func (c Config) compute(t float64) float64 {
 }
 
 // UnknownBenchmarkError reports a request for a benchmark outside the NAS
-// set. Callers that accept untrusted benchmark names (the nocd design
-// server, the harness CLIs) detect it with errors.As and surface it as a
-// client error instead of an internal failure.
+// set. Callers that accept untrusted names go through internal/workloads,
+// whose *workloads.Error classifies it as a client error.
 type UnknownBenchmarkError struct {
 	Name string
 }
@@ -427,7 +424,7 @@ func SP(procs int, cfg Config) (*model.Pattern, error) {
 
 func sweepBenchmark(name string, procs int, cfg Config, iters, bytes int, computeUnit float64) (*model.Pattern, error) {
 	k := int(math.Round(math.Sqrt(float64(procs))))
-	if k*k != procs {
+	if procs < 1 || k*k != procs {
 		return nil, &ProcCountError{Benchmark: name, Procs: procs, Want: "perfect-square"}
 	}
 	var phases []trace.PhaseSpec

@@ -10,6 +10,7 @@ import (
 	"repro/internal/coloring"
 	"repro/internal/hier"
 	"repro/internal/synth"
+	"repro/internal/workloads"
 )
 
 // TestDesignHier posts a two-level request and checks the full surface: a
@@ -62,7 +63,7 @@ func TestDesignHier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat, err := srv.generateWorkload(plan.workload)
+	pat, err := workloads.Generate(plan.workload.benchmark, plan.workload.procs, srv.workloadConfig(plan.workload))
 	if err != nil {
 		t.Fatal(err)
 	}

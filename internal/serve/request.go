@@ -10,13 +10,12 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/collective"
 	"repro/internal/hier"
 	"repro/internal/model"
-	"repro/internal/nas"
 	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // Bounds on requests, checked before any generator runs: a 60-byte body
@@ -26,8 +25,7 @@ import (
 // inline trace's header (buildPattern); iterations exist only by name. The
 // two bounds alone still admit FFT/1,024 × 4,096 iterations, about 260 M
 // messages, so a by-name request is also bounded by the message count its
-// generator would emit, computed in closed form (nas.Messages,
-// collective.Messages).
+// generator would emit, computed in closed form (workloads.Messages).
 const (
 	maxRequestProcs      = 1024
 	maxRequestIterations = 4096
@@ -51,8 +49,8 @@ type tooLargeError struct{ msg string }
 func (e *tooLargeError) Error() string { return e.msg }
 
 // workloadID is a by-name request's workload identity. With the server's
-// NAS and Collective configs fixed for its lifetime, it determines the
-// generated pattern — which is what lets the key memo stand in for it.
+// workload config fixed for its lifetime, it determines the generated
+// pattern — which is what lets the key memo stand in for it.
 type workloadID struct {
 	benchmark  string
 	procs      int
@@ -136,7 +134,7 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 			return nil, &tooLargeError{fmt.Sprintf("iterations %d above the limit of %d", req.Iterations, maxRequestIterations)}
 		}
 		pl.workload = workloadID{benchmark: req.Benchmark, procs: req.Procs, iterations: max(req.Iterations, 0)}
-		if n := s.workloadMessages(pl.workload); n > maxRequestMessages {
+		if n := workloads.Messages(req.Benchmark, req.Procs, s.workloadConfig(pl.workload)); n > maxRequestMessages {
 			return nil, &tooLargeError{fmt.Sprintf("%s at %d procs is %d messages, above the limit of %d", req.Benchmark, req.Procs, n, maxRequestMessages)}
 		}
 	case req.Trace == "":
@@ -183,7 +181,11 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 // the memo — and counted on serve.pattern_generated.
 func (s *Server) buildPattern(plan *designPlan) (*model.Pattern, error) {
 	if plan.trace == "" {
-		p, err := s.generateWorkload(plan.workload)
+		id := plan.workload
+		p, err := workloads.Generate(id.benchmark, id.procs, s.workloadConfig(id))
+		if errors.As(err, new(*workloads.Error)) {
+			return nil, &badRequestError{err: err}
+		}
 		if err == nil {
 			obs.Count(s.col, "serve.pattern_generated", 1)
 		}
@@ -202,62 +204,14 @@ func (s *Server) buildPattern(plan *designPlan) (*model.Pattern, error) {
 	return p, nil
 }
 
-// workloadMessages is the number of messages generateWorkload would build
-// for id, without building them; 0 for a name neither registry knows, which
-// generateWorkload rejects.
-func (s *Server) workloadMessages(id workloadID) int {
-	cfg, ccfg := s.cfg.NAS, s.cfg.Collective
-	if id.iterations > 0 {
-		cfg.Iterations, ccfg.Repeats = id.iterations, id.iterations
-	}
-	if n, ok := nas.Messages(id.benchmark, id.procs, cfg); ok {
-		return n
-	}
-	n, _ := collective.Messages(id.benchmark, id.procs, ccfg)
-	return n
-}
-
-// generateWorkload resolves a named workload against the NAS registry
-// first, then the collective registry (the name sets are disjoint). Typed
-// generator errors — unknown names, shape-constrained processor counts —
-// surface as client errors; a name unknown to both registries reports the
-// full menu.
-func (s *Server) generateWorkload(id workloadID) (*model.Pattern, error) {
-	cfg := s.cfg.NAS
-	cfg.Obs = nil // pattern generation is request work, not server telemetry
+// workloadConfig is the generator config of a by-name request: the server's
+// defaults with the request's iterations, if it names any. Obs stays nil:
+// pattern generation is request work, not server telemetry.
+func (s *Server) workloadConfig(id workloadID) workloads.Config {
+	cfg := s.cfg.Workload
+	cfg.Obs = nil
 	if id.iterations > 0 {
 		cfg.Iterations = id.iterations
 	}
-	p, err := nas.Generate(id.benchmark, id.procs, cfg)
-	if err == nil {
-		return p, nil
-	}
-	var pce *nas.ProcCountError
-	if errors.As(err, &pce) {
-		return nil, &badRequestError{err: err}
-	}
-	var ube *nas.UnknownBenchmarkError
-	if !errors.As(err, &ube) {
-		return nil, err
-	}
-
-	ccfg := s.cfg.Collective
-	ccfg.Obs = nil
-	if id.iterations > 0 {
-		ccfg.Repeats = id.iterations
-	}
-	p, cerr := collective.Generate(id.benchmark, id.procs, ccfg)
-	if cerr == nil {
-		return p, nil
-	}
-	var uce *collective.UnknownCollectiveError
-	if errors.As(cerr, &uce) {
-		return nil, badRequest("unknown benchmark or collective %q (benchmarks %v, collectives %v)",
-			id.benchmark, nas.Names(), collective.Names())
-	}
-	var nce *collective.NodeCountError
-	if errors.As(cerr, &nce) {
-		return nil, &badRequestError{err: cerr}
-	}
-	return nil, cerr
+	return cfg
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/nas"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // slowKey is what requestKey must equal: the plan's pattern built outright
@@ -30,7 +31,7 @@ func slowKey(t testing.TB, srv *Server, plan *designPlan) (string, error) {
 	if plan.trace != "" {
 		pat, err = trace.Decode(strings.NewReader(plan.trace))
 	} else {
-		pat, err = srv.generateWorkload(plan.workload)
+		pat, err = workloads.Generate(plan.workload.benchmark, plan.workload.procs, srv.workloadConfig(plan.workload))
 	}
 	if err != nil {
 		return "", err
@@ -105,7 +106,7 @@ func TestMemoKeyEqualsKey(t *testing.T) {
 	// The identity leaves the generator configs out, so a memo must not
 	// outlive its server: another config, another key.
 	other := quickConfig()
-	other.NAS.ByteScale = 0.5
+	other.Workload.ByteScale = 0.5
 	plan, err := srv.planRequest([]byte(`{"benchmark":"CG","procs":16}`))
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestMemoKeyEqualsKey(t *testing.T) {
 	k1, _, _ := srv.requestKey(plan)
 	k2, _, _ := newTestServer(t, other).requestKey(plan)
 	if k1 == "" || k1 == k2 {
-		t.Errorf("servers with different NAS.ByteScale share key %q", k1)
+		t.Errorf("servers with different Workload.ByteScale share key %q", k1)
 	}
 }
 

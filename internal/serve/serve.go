@@ -43,13 +43,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/collective"
 	"repro/internal/hier"
 	"repro/internal/model"
-	"repro/internal/nas"
 	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // ResponseSchema identifies the /v1/design response artifact;
@@ -110,11 +109,9 @@ type Config struct {
 	// operator-only. Obs, when set, is teed into every synthesis (test
 	// hook and operator escape hatch).
 	Synth synth.Options
-	// NAS supplies pattern-generation defaults for NAS benchmark requests.
-	NAS nas.Config
-	// Collective supplies pattern-generation defaults for collective
-	// workload requests (names resolved after the NAS registry).
-	Collective collective.Config
+	// Workload supplies pattern-generation defaults for by-name requests
+	// (a request's iterations override Iterations; Obs is ignored).
+	Workload workloads.Config
 	// WarmThreshold is the structural-distance ceiling for warm-start
 	// seeding: on an exact-key cache miss, the structurally nearest cached
 	// design within this distance seeds the synthesis instead of a cold
@@ -150,7 +147,7 @@ func (c Config) Normalized() Config {
 type DesignRequest struct {
 	// Benchmark names a workload: a NAS benchmark (BT, CG, FFT, MG, SP)
 	// or a collective (ring-allreduce, reduce-scatter, all-gather,
-	// tree-broadcast). NAS names are tried first; the sets are disjoint.
+	// tree-broadcast), resolved by internal/workloads.
 	Benchmark string `json:"benchmark,omitempty"`
 	// Procs is the processor count for a benchmark pattern.
 	Procs int `json:"procs,omitempty"`
@@ -340,7 +337,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(append(nas.Names(), collective.Names()...))
+	json.NewEncoder(w).Encode(workloads.Names())
 }
 
 // readBody drains a bounded request body.

@@ -18,14 +18,14 @@ import (
 	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // quickConfig keeps test syntheses at unit-test scale.
 func quickConfig() Config {
 	return Config{
-		Synth:      synth.Options{Seed: 1, Restarts: 2},
-		NAS:        nas.Config{Iterations: 1, ByteScale: 0.25},
-		Collective: collective.Config{Repeats: 1, ByteScale: 0.25},
+		Synth:    synth.Options{Seed: 1, Restarts: 2},
+		Workload: workloads.Config{Iterations: 1, ByteScale: 0.25},
 	}
 }
 

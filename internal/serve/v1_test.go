@@ -141,6 +141,33 @@ func TestErrorEnvelope(t *testing.T) {
 		}
 	})
 
+	// A name the workload registry refuses, or a size its shape rejects, is
+	// a 400 carrying the registry's message byte for byte.
+	t.Run("400 workload", func(t *testing.T) {
+		srv := newTestServer(t, quickConfig())
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		for _, tc := range []struct{ body, message string }{
+			{`{"benchmark":"LU","procs":16}`, `unknown benchmark or collective "LU" (benchmarks [BT CG FFT MG SP], collectives [ring-allreduce reduce-scatter all-gather tree-broadcast])`},
+			{`{"benchmark":"CG","procs":7}`, `nas: CG requires a power-of-two processor count, got 7`},
+			{`{"benchmark":"BT","procs":8}`, `nas: BT requires a perfect-square processor count, got 8`},
+			{`{"benchmark":"ring-allreduce","procs":512}`, `collective: ring-allreduce requires a node count between 2 and 256, got 512`},
+			{`{"benchmark":"tree-broadcast","procs":12}`, `collective: tree-broadcast requires a node count that is a power of two between 2 and 256, got 12`},
+		} {
+			resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: status = %d, want 400 (%s)", tc.body, resp.StatusCode, b)
+			}
+			var env ErrorResponse
+			if err := json.Unmarshal(b, &env); err != nil {
+				t.Fatalf("%s: error body is not the envelope: %v (%q)", tc.body, err, b)
+			}
+			if want := (ErrorDetail{Code: CodeBadRequest, Message: tc.message}); env.Error != want {
+				t.Errorf("%s: envelope = %+v, want %+v", tc.body, env.Error, want)
+			}
+		}
+	})
+
 	t.Run("404 not_found", func(t *testing.T) {
 		srv := newTestServer(t, quickConfig())
 		ts := httptest.NewServer(srv)

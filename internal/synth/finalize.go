@@ -163,29 +163,13 @@ func (s *state) finalize(name string) (*topology.Network, *routing.Table, []int,
 // number of pipes added.
 func repairConnectivity(net *topology.Network) int {
 	n := net.NumSwitches()
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
+	adj := make([][]int, n)
+	for _, p := range net.Pipes {
+		adj[p.A] = append(adj[p.A], int(p.B))
+		adj[p.B] = append(adj[p.B], int(p.A))
 	}
-	nc := 0
-	for start := 0; start < n; start++ {
-		if comp[start] != -1 {
-			continue
-		}
-		queue := []topology.SwitchID{topology.SwitchID(start)}
-		comp[start] = nc
-		for len(queue) > 0 {
-			sw := queue[0]
-			queue = queue[1:]
-			for _, nb := range net.Neighbors(sw) {
-				if comp[nb] == -1 {
-					comp[nb] = nc
-					queue = append(queue, nb)
-				}
-			}
-		}
-		nc++
-	}
+	comp := components(adj, n)
+	nc := maxComp(comp) + 1
 	if nc <= 1 {
 		return 0
 	}

@@ -350,6 +350,7 @@ func readAllowlist(t *testing.T, path string) map[string]string {
 var knobStructs = []string{
 	"synth.Options", "harness.Config", "flitsim.Config", "floorplan.Options",
 	"nas.Config", "collective.Config", "hier.Options", "serve.Config",
+	"workloads.Config",
 }
 
 // TestKnobsWritten holds the rule that every knob has a caller: each field of
