@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cliutil"
@@ -32,27 +33,36 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fatal(err)
+	}
+}
+
+// run is netsim on the command-line arguments args, printing its report to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("netsim", flag.ExitOnError)
 	var (
-		tracePath = flag.String("trace", "", "input noctrace file (required)")
-		topo      = flag.String("topo", "mesh", "mesh, torus, ring, crossbar, or generated")
-		netPath   = flag.String("net", "", "topology JSON for -topo generated")
-		vcs       = flag.Int("vcs", 3, "virtual channels per link")
-		useFloor  = flag.Bool("floorplan", true, "derive per-link delays from a floorplan (generated topologies)")
+		tracePath = fs.String("trace", "", "input noctrace file (required)")
+		topo      = fs.String("topo", "mesh", "mesh, torus, ring, crossbar, or generated")
+		netPath   = fs.String("net", "", "topology JSON for -topo generated")
+		vcs       = fs.Int("vcs", 3, "virtual channels per link")
+		useFloor  = fs.Bool("floorplan", true, "derive per-link delays from a floorplan (generated topologies)")
 		shared    cliutil.Flags
 	)
-	shared.RegisterReport(flag.CommandLine)
-	flag.Parse()
+	shared.RegisterReport(fs)
+	fs.Parse(args)
 	if *tracePath == "" {
-		fatal(fmt.Errorf("-trace is required"))
+		return fmt.Errorf("-trace is required")
 	}
 	f, err := os.Open(*tracePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	pat, err := trace.Decode(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := flitsim.Config{VCs: *vcs, Obs: shared.Observer()}
 
@@ -69,22 +79,20 @@ func main() {
 		}
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("pattern:            %s (%d procs, %d messages)\n", pat.Name, pat.Procs, len(pat.Messages))
-	fmt.Printf("topology:           %s\n", *topo)
-	fmt.Printf("execution time:     %d cycles (%.1f us at %g MHz)\n",
+	fmt.Fprintf(stdout, "pattern:            %s (%d procs, %d messages)\n", pat.Name, pat.Procs, len(pat.Messages))
+	fmt.Fprintf(stdout, "topology:           %s\n", *topo)
+	fmt.Fprintf(stdout, "execution time:     %d cycles (%.1f us at %g MHz)\n",
 		res.ExecCycles, res.ExecTimeNs()/1e3, flitsim.ClockMHz)
-	fmt.Printf("mean comm time:     %.0f cycles/processor\n", res.CommCycles)
-	fmt.Printf("message latency:    mean %.1f, max %d cycles\n", res.MeanLatency, res.MaxLatency)
-	fmt.Printf("flit-hops:          %d\n", res.FlitHops)
-	fmt.Printf("peak link util:     %.3f\n", res.PeakLinkUtil)
-	fmt.Printf("energy estimate:    %.0f units\n", res.EnergyUnits)
-	fmt.Printf("deadlock recoveries: %d (%d victims)\n", res.Kills, res.Victims)
-	fmt.Printf("vc stalls:          %d\n", res.VCStalls)
-	if err := shared.WriteReport("netsim", trace.Summarize(pat)); err != nil {
-		fatal(err)
-	}
+	fmt.Fprintf(stdout, "mean comm time:     %.0f cycles/processor\n", res.CommCycles)
+	fmt.Fprintf(stdout, "message latency:    mean %.1f, max %d cycles\n", res.MeanLatency, res.MaxLatency)
+	fmt.Fprintf(stdout, "flit-hops:          %d\n", res.FlitHops)
+	fmt.Fprintf(stdout, "peak link util:     %.3f\n", res.PeakLinkUtil)
+	fmt.Fprintf(stdout, "energy estimate:    %.0f units\n", res.EnergyUnits)
+	fmt.Fprintf(stdout, "deadlock recoveries: %d (%d victims)\n", res.Kills, res.Victims)
+	fmt.Fprintf(stdout, "vc stalls:          %d\n", res.VCStalls)
+	return shared.WriteReport("netsim", trace.Summarize(pat))
 }
 
 // replayDesign replays pat on a saved design: a hier-design document through

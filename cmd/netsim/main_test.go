@@ -2,14 +2,60 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/flitsim"
 	"repro/internal/hier"
 	"repro/internal/nas"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
+
+// TestNegativeVCsRejected: -vcs -1 is an error netsim reports (main prints
+// it and exits 1), on a baseline and on a generated design alike, where it
+// used to panic allocating the buffers.
+func TestNegativeVCsRejected(t *testing.T) {
+	pat, err := nas.Generate("CG", 8, nas.Config{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "cg8.trace")
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, pat); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tracePath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := synth.Synthesize(pat, synth.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := synth.SaveDesign(&buf, res.Net, res.Table); err != nil {
+		t.Fatal(err)
+	}
+	netPath := filepath.Join(dir, "cg8.json")
+	if err := os.WriteFile(netPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-topo", "mesh"},
+		{"-topo", "torus"},
+		{"-topo", "generated", "-net", netPath},
+	} {
+		err := run(append([]string{"-trace", tracePath, "-vcs", "-1"}, args...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "virtual channels") {
+			t.Errorf("netsim %v -vcs -1: error %v, want the virtual-channel count rejected", args, err)
+		}
+	}
+}
 
 // TestReplayHierDesign: a two-level design saved as netgen -clusters writes
 // it replays through hier.Simulate, cycle for cycle, instead of failing as a

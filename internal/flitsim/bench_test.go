@@ -81,9 +81,10 @@ func BenchmarkSimulateCG16GapMeshReference(b *testing.B) {
 	pat := gapHeavyCG(b)
 	rows, cols := topology.GridDims(pat.Procs)
 	net, grid := topology.Mesh(rows, cols)
+	rt := meshRouter(b, net, grid)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReference(pat, net, DOR{Grid: grid}, Config{}); err != nil {
+		if _, err := runReference(pat, net, rt, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -115,9 +116,10 @@ func BenchmarkSimulateBT16StreamCrossbar(b *testing.B) {
 func BenchmarkSimulateBT16StreamCrossbarReference(b *testing.B) {
 	pat := streamingBT(b)
 	net := topology.Crossbar(pat.Procs)
+	rt := crossbarRouter(b, net)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReference(pat, net, XBar{}, Config{}); err != nil {
+		if _, err := runReference(pat, net, rt, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,9 +153,10 @@ func BenchmarkSimulateCG16MeshReference(b *testing.B) {
 	pat := arbitratingCG(b)
 	rows, cols := topology.GridDims(pat.Procs)
 	net, grid := topology.Mesh(rows, cols)
+	rt := meshRouter(b, net, grid)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReference(pat, net, DOR{Grid: grid}, Config{}); err != nil {
+		if _, err := runReference(pat, net, rt, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

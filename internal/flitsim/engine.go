@@ -27,7 +27,7 @@ import (
 type engine struct {
 	fb     *fabric
 	cfg    Config
-	router Router
+	router router
 	pat    *model.Pattern
 
 	nis        []*niState
@@ -137,12 +137,12 @@ const farFuture = int64(1) << 62
 
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
-// Simulate runs the pattern on the network under the given router and
-// returns aggregate results. Deterministic: identical inputs produce
-// identical results.
-func Simulate(pat *model.Pattern, router Router, fb *fabric) (Result, error) {
+// simulate runs the pattern on the fabric under the router rt and returns
+// aggregate results. Deterministic: identical inputs produce identical
+// results.
+func simulate(pat *model.Pattern, rt router, fb *fabric) (Result, error) {
 	e := enginePool.Get().(*engine)
-	e.reset(pat, router, fb)
+	e.reset(pat, rt, fb)
 	err := e.run()
 	res := e.results()
 	e.release()
@@ -151,8 +151,8 @@ func Simulate(pat *model.Pattern, router Router, fb *fabric) (Result, error) {
 
 // reset prepares a pooled engine for one simulation, pre-sizing every dense
 // slice from the pattern and fabric instead of growing by append.
-func (e *engine) reset(pat *model.Pattern, router Router, fb *fabric) {
-	e.fb, e.cfg, e.router, e.pat = fb, fb.cfg, router, pat
+func (e *engine) reset(pat *model.Pattern, rt router, fb *fabric) {
+	e.fb, e.cfg, e.router, e.pat = fb, fb.cfg, rt, pat
 	e.now, e.kills, e.victims, e.vcStalls, e.flitHops = 0, 0, 0, 0, 0
 	e.latSum, e.latMax, e.latN = 0, 0, 0
 	e.usedStamp = 0
@@ -245,8 +245,9 @@ func (e *engine) reset(pat *model.Pattern, router Router, fb *fabric) {
 // observers) while preserving slice capacity, then returns it to the pool.
 func (e *engine) release() {
 	for i := range e.pktArena {
-		rl := e.pktArena[i].routeLink
-		e.pktArena[i] = packet{routeLink: rl[:0]}
+		rc := e.pktArena[i].routeCh
+		clear(rc)
+		e.pktArena[i] = packet{routeCh: rc[:0]}
 	}
 	clear(e.packets)
 	clear(e.allPackets)
@@ -831,7 +832,7 @@ func (e *engine) postSend(ni *niState, msgID int) {
 	m := e.pat.Messages[msgID]
 	flits := 1 + (m.Bytes+flitBytes-1)/flitBytes
 	pkt := &e.pktArena[msgID]
-	rl := pkt.routeLink[:0]
+	rc := pkt.routeCh[:0]
 	*pkt = packet{
 		msgID:        msgID,
 		src:          m.Src,
@@ -839,7 +840,7 @@ func (e *engine) postSend(ni *niState, msgID int) {
 		flits:        flits,
 		postedAt:     e.now,
 		lastProgress: e.now,
-		routeLink:    rl,
+		routeCh:      rc,
 	}
 	e.packets[msgID] = pkt
 	e.allPackets = append(e.allPackets, pkt)
@@ -849,10 +850,10 @@ func (e *engine) postSend(ni *niState, msgID int) {
 		e.readyAt[msgID] = e.now
 		return
 	}
-	if err := e.router.Prepare(e.fb, pkt); err != nil {
+	if err := e.router.prepare(e.fb, pkt); err != nil {
 		// Unroutable packets indicate a construction bug; deliver a
 		// poisoned result by stalling forever would be worse, so halt
-		// loudly via panic — Simulate callers validate routes first.
+		// loudly via panic — run's callers validate routes first.
 		panic(err)
 	}
 	e.undelivered++
@@ -937,8 +938,8 @@ func (e *engine) allocate() {
 				}
 				continue
 			}
-			for _, cand := range e.router.Candidates(e.fb, pkt, sw) {
-				if fv := cand.Ch.freeVCOf(cand.VCs); fv != nil {
+			for _, cand := range e.router.candidates(e.fb, pkt, sw) {
+				if fv := cand.ch.freeVCOf(cand.vcs); fv != nil {
 					fv.owner = pkt
 					v.out = fv
 					e.routeIn(v)

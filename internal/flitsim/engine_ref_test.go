@@ -17,7 +17,7 @@ import (
 type refEngine struct {
 	fb     *fabric
 	cfg    Config
-	router Router
+	router router
 	pat    *model.Pattern
 
 	nis        []*niState
@@ -39,13 +39,13 @@ type refEngine struct {
 
 // simulateReference runs the pattern on the network under the given router
 // with the cycle-stepping reference engine. Deterministic: identical inputs
-// produce identical results, and the event-driven Simulate must return the
+// produce identical results, and the event-driven simulate must return the
 // same Result and emit the same Observer counters and events.
-func simulateReference(pat *model.Pattern, router Router, fb *fabric) (Result, error) {
+func simulateReference(pat *model.Pattern, rt router, fb *fabric) (Result, error) {
 	e := &refEngine{
 		fb:        fb,
 		cfg:       fb.cfg,
-		router:    router,
+		router:    rt,
 		pat:       pat,
 		packets:   make(map[int]*packet),
 		readyAt:   make(map[int]int64),
@@ -166,10 +166,10 @@ func (e *refEngine) postSend(ni *niState, msgID int) {
 		e.readyAt[msgID] = e.now
 		return
 	}
-	if err := e.router.Prepare(e.fb, pkt); err != nil {
+	if err := e.router.prepare(e.fb, pkt); err != nil {
 		// Unroutable packets indicate a construction bug; deliver a
 		// poisoned result by stalling forever would be worse, so halt
-		// loudly via panic — Simulate callers validate routes first.
+		// loudly via panic — run's callers validate routes first.
 		panic(err)
 	}
 	ni.queue = append(ni.queue, pkt)
@@ -240,8 +240,8 @@ func (e *refEngine) allocate() {
 				}
 				continue
 			}
-			for _, cand := range e.router.Candidates(e.fb, pkt, sw) {
-				if fv := cand.Ch.freeVCOf(cand.VCs); fv != nil {
+			for _, cand := range e.router.candidates(e.fb, pkt, sw) {
+				if fv := cand.ch.freeVCOf(cand.vcs); fv != nil {
 					fv.owner = pkt
 					v.out = fv
 					break

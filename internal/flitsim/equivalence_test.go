@@ -9,32 +9,73 @@ import (
 	"repro/internal/model"
 	"repro/internal/nas"
 	"repro/internal/obs"
+	"repro/internal/routing"
 	"repro/internal/synth"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
-// runReference is Run on the cycle-stepping oracle of engine_ref_test.go: the
-// same normalised configuration and fabric, simulateReference in place of
-// Simulate. Every suite that needs the reference goes through here.
-func runReference(pat *model.Pattern, net *topology.Network, router Router, cfg Config) (Result, error) {
+// runWith is run under the fixed router rt.
+func runWith(pat *model.Pattern, net *topology.Network, rt router, cfg Config) (Result, error) {
+	return run(pat, net, cfg, func() (router, error) { return rt, nil })
+}
+
+// runReference is runWith on the cycle-stepping oracle of engine_ref_test.go:
+// the same normalised configuration and fabric, simulateReference in place
+// of simulate. Every suite that needs the reference goes through here.
+func runReference(pat *model.Pattern, net *topology.Network, rt router, cfg Config) (Result, error) {
 	cfg = cfg.Normalized()
-	return simulateReference(pat, router, buildFabric(net, cfg))
+	return simulateReference(pat, rt, buildFabric(net, cfg))
+}
+
+// meshRouter and crossbarRouter replay the mesh's and the crossbar's
+// routing tables as RunMesh and RunCrossbar do, built over every flow of the
+// network's processors so that one router serves any pattern on it.
+func meshRouter(tb testing.TB, net *topology.Network, grid topology.Grid) router {
+	tb.Helper()
+	table, err := routing.DORMesh(net, grid, everyFlow(net.Procs))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sourceRouted{table}
+}
+
+func crossbarRouter(tb testing.TB, net *topology.Network) router {
+	tb.Helper()
+	table, err := routing.CrossbarTable(net, everyFlow(net.Procs))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sourceRouted{table}
+}
+
+// everyFlow lists the flows between every ordered pair of distinct
+// processors.
+func everyFlow(procs int) []model.Flow {
+	var flows []model.Flow
+	for s := 0; s < procs; s++ {
+		for d := 0; d < procs; d++ {
+			if s != d {
+				flows = append(flows, model.F(s, d))
+			}
+		}
+	}
+	return flows
 }
 
 // runBoth runs the same workload through the event-driven engine and the
 // cycle-stepping reference and requires byte-identical Results, identical
 // error behavior, identical Observer counter maps, and an identical
 // flitsim.kill event sequence. It returns the (shared) Result.
-func runBoth(t *testing.T, name string, pat *model.Pattern, net *topology.Network, router Router, cfg Config) Result {
+func runBoth(t *testing.T, name string, pat *model.Pattern, net *topology.Network, rt router, cfg Config) Result {
 	t.Helper()
 	fastCol, refCol := obs.NewCollector(), obs.NewCollector()
 	fcfg := cfg
 	fcfg.Obs = fastCol
-	fastRes, fastErr := Run(pat, net, router, fcfg)
+	fastRes, fastErr := runWith(pat, net, rt, fcfg)
 	rcfg := cfg
 	rcfg.Obs = refCol
-	refRes, refErr := runReference(pat, net, router, rcfg)
+	refRes, refErr := runReference(pat, net, rt, rcfg)
 
 	switch {
 	case (fastErr == nil) != (refErr == nil):
@@ -89,16 +130,16 @@ func TestEngineEquivalenceNAS(t *testing.T) {
 
 			rows, cols := topology.GridDims(pat.Procs)
 			mnet, mgrid := topology.Mesh(rows, cols)
-			runBoth(t, bench+"/mesh", pat, mnet, DOR{Grid: mgrid}, Config{})
+			runBoth(t, bench+"/mesh", pat, mnet, meshRouter(t, mnet, mgrid), Config{})
 
 			tnet, tgrid := topology.Torus(rows, cols)
-			runBoth(t, bench+"/torus", pat, tnet, TFAR{Grid: tgrid}, Config{})
+			runBoth(t, bench+"/torus", pat, tnet, tfar{tgrid}, Config{})
 
 			syn, err := synth.Synthesize(pat, synth.Options{Seed: 1, Restarts: 2, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			runBoth(t, bench+"/synth", pat, syn.Net, SourceRouted{Table: syn.Table}, Config{})
+			runBoth(t, bench+"/synth", pat, syn.Net, sourceRouted{syn.Table}, Config{})
 		})
 	}
 }
@@ -120,7 +161,7 @@ func TestEngineEquivalenceDeadlockRecovery(t *testing.T) {
 		phases = append(phases, trace.PhaseSpec{Flows: fs, Bytes: 4096})
 	}
 	storm := trace.BuildPhased("storm", 4, phases)
-	res := runBoth(t, "ring-storm", storm, net, SourceRouted{Table: table}, Config{
+	res := runBoth(t, "ring-storm", storm, net, sourceRouted{table}, Config{
 		VCs: 1, BufFlits: 2, DeadlockTimeout: 128, MaxCycles: 5_000_000,
 	})
 	if res.Kills == 0 {
@@ -131,7 +172,7 @@ func TestEngineEquivalenceDeadlockRecovery(t *testing.T) {
 	starve := trace.BuildPhased("starve", 4, []trace.PhaseSpec{
 		{Flows: []model.Flow{model.F(0, 2), model.F(1, 3)}, Bytes: 16384},
 	})
-	res = runBoth(t, "pair-starve", starve, pnet, SourceRouted{Table: ptable}, Config{
+	res = runBoth(t, "pair-starve", starve, pnet, sourceRouted{ptable}, Config{
 		VCs: 1, BufFlits: 4, DeadlockTimeout: 256, MaxCycles: 2_000_000,
 	})
 	if res.Kills < 2 {
@@ -142,7 +183,7 @@ func TestEngineEquivalenceDeadlockRecovery(t *testing.T) {
 	// loser lands inside what would otherwise be one leap of the winner —
 	// also with deeper link pipelines and a timeout off the 32-cycle grid.
 	for _, c := range []struct{ delay, buf, timeout int }{{3, 4, 100}, {2, 2, 256}, {4, 8, 1000}} {
-		res = runBoth(t, fmt.Sprintf("pair-starve/delay%d", c.delay), starve, pnet, SourceRouted{Table: ptable}, Config{
+		res = runBoth(t, fmt.Sprintf("pair-starve/delay%d", c.delay), starve, pnet, sourceRouted{ptable}, Config{
 			VCs: 1, BufFlits: c.buf, DeadlockTimeout: c.timeout, MaxCycles: 2_000_000,
 			LinkDelay: func(a, b topology.SwitchID) int { return c.delay },
 		})
@@ -163,7 +204,7 @@ func TestEngineEquivalenceWedged(t *testing.T) {
 		fs = append(fs, model.F(i, (i+2)%4))
 	}
 	pat := trace.BuildPhased("wedge", 4, []trace.PhaseSpec{{Flows: fs, Bytes: 4096}})
-	res := runBoth(t, "wedge", pat, net, SourceRouted{Table: table}, Config{
+	res := runBoth(t, "wedge", pat, net, sourceRouted{table}, Config{
 		VCs: 1, BufFlits: 2, DeadlockTimeout: 40_000, MaxCycles: 30_000,
 	})
 	if res.Messages == len(fs) {
@@ -174,7 +215,7 @@ func TestEngineEquivalenceWedged(t *testing.T) {
 	// at MaxCycles with the same partial flit counts.
 	lnet, ltable := lineNet(4)
 	long := trace.BuildPhased("long", 4, []trace.PhaseSpec{{Flows: []model.Flow{model.F(0, 3)}, Bytes: 64 << 10}})
-	res = runBoth(t, "horizon", long, lnet, SourceRouted{Table: ltable}, Config{MaxCycles: 5_000})
+	res = runBoth(t, "horizon", long, lnet, sourceRouted{ltable}, Config{MaxCycles: 5_000})
 	if res.Messages != 0 || res.FlitHops == 0 {
 		t.Errorf("horizon workload: Messages = %d, FlitHops = %d, want a worm cut off mid-stream", res.Messages, res.FlitHops)
 	}
@@ -204,6 +245,7 @@ func TestEngineEquivalenceStreaming(t *testing.T) {
 	pat := shiftPattern(procs, 16<<10, 1, 3, 4)
 	rows, cols := topology.GridDims(procs)
 	mnet, mgrid := topology.Mesh(rows, cols)
+	mdor := meshRouter(t, mnet, mgrid)
 	tnet, tgrid := topology.Torus(rows, cols)
 	rnet, rgrid := topology.Ring(procs)
 
@@ -226,15 +268,16 @@ func TestEngineEquivalenceStreaming(t *testing.T) {
 		t.Run(fmt.Sprintf("delay%d", delay), func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{LinkDelay: func(a, b topology.SwitchID) int { return delay }}
-			runBoth(t, "mesh", pat, mnet, DOR{Grid: mgrid}, cfg)
-			runBoth(t, "torus", pat, tnet, TFAR{Grid: tgrid}, cfg)
-			runBoth(t, "synth", all, syn.Net, SourceRouted{Table: syn.Table}, cfg)
+			runBoth(t, "mesh", pat, mnet, mdor, cfg)
+			runBoth(t, "torus", pat, tnet, tfar{tgrid}, cfg)
+			runBoth(t, "synth", all, syn.Net, sourceRouted{syn.Table}, cfg)
 		})
 	}
 	t.Run("crossbar", func(t *testing.T) {
 		t.Parallel()
 		xnet := topology.Crossbar(procs)
-		runBoth(t, "crossbar", pat, xnet, XBar{}, Config{})
+		xbar := crossbarRouter(t, xnet)
+		runBoth(t, "crossbar", pat, xnet, xbar, Config{})
 		// One hot destination: three worms rotate for p7's ejection
 		// channel, the short ones finish, the long one leaps alone until
 		// a fourth joins the arbitration — whose rr the leap must have
@@ -245,12 +288,12 @@ func TestEngineEquivalenceStreaming(t *testing.T) {
 		})
 		hot.Messages[1].Bytes, hot.Messages[2].Bytes, hot.Messages[3].Bytes = 256, 1024, 64
 		for vcs := 1; vcs <= 3; vcs++ {
-			runBoth(t, fmt.Sprintf("hot/vc%d", vcs), hot, xnet, XBar{}, Config{VCs: vcs})
+			runBoth(t, fmt.Sprintf("hot/vc%d", vcs), hot, xnet, xbar, Config{VCs: vcs})
 		}
 	})
 	t.Run("ring", func(t *testing.T) {
 		t.Parallel()
-		runBoth(t, "ring", pat, rnet, TFAR{Grid: rgrid}, Config{})
+		runBoth(t, "ring", pat, rnet, tfar{rgrid}, Config{})
 	})
 }
 
@@ -293,17 +336,19 @@ func TestEngineEquivalencePeriodic(t *testing.T) {
 	}
 	rows, cols := topology.GridDims(procs)
 	mnet, mgrid := topology.Mesh(rows, cols)
+	mdor := meshRouter(t, mnet, mgrid)
 	rnet, rgrid := topology.Ring(procs)
 	xnet := topology.Crossbar(procs)
+	xbar := crossbarRouter(t, xnet)
 	for _, p := range pats {
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
 			for vcs := 1; vcs <= 3; vcs++ {
-				runBoth(t, fmt.Sprintf("crossbar/vc%d", vcs), p.pat, xnet, XBar{}, Config{VCs: vcs})
+				runBoth(t, fmt.Sprintf("crossbar/vc%d", vcs), p.pat, xnet, xbar, Config{VCs: vcs})
 				for delay := 1; delay <= 4; delay++ {
 					cfg := Config{VCs: vcs, LinkDelay: func(a, b topology.SwitchID) int { return delay }}
-					runBoth(t, fmt.Sprintf("mesh/vc%d/delay%d", vcs, delay), p.pat, mnet, DOR{Grid: mgrid}, cfg)
-					runBoth(t, fmt.Sprintf("ring/vc%d/delay%d", vcs, delay), p.pat, rnet, TFAR{Grid: rgrid}, cfg)
+					runBoth(t, fmt.Sprintf("mesh/vc%d/delay%d", vcs, delay), p.pat, mnet, mdor, cfg)
+					runBoth(t, fmt.Sprintf("ring/vc%d/delay%d", vcs, delay), p.pat, rnet, tfar{rgrid}, cfg)
 				}
 			}
 		})
@@ -317,9 +362,9 @@ func TestEngineEquivalencePeriodic(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		net    *topology.Network
-		router Router
+		router router
 		delay  int
-	}{{"ring", rnet, TFAR{Grid: rgrid}, 1}, {"mesh", mnet, DOR{Grid: mgrid}, 2}} {
+	}{{"ring", rnet, tfar{rgrid}, 1}, {"mesh", mnet, mdor, 2}} {
 		cfg := Config{LinkDelay: func(a, b topology.SwitchID) int { return c.delay }}
 		if exec, stepped := steppedCycles(t, lcm6, c.net, c.router, cfg); stepped*10 > exec {
 			t.Errorf("lcm6 on the %s: stepped %d of %d cycles, want the period leap to fire", c.name, stepped, exec)
@@ -328,7 +373,7 @@ func TestEngineEquivalencePeriodic(t *testing.T) {
 	t.Run("horizon", func(t *testing.T) {
 		t.Parallel()
 		for mc := int64(2000); mc < 2006; mc++ {
-			res := runBoth(t, fmt.Sprintf("horizon%d", mc), lcm6, rnet, TFAR{Grid: rgrid}, Config{MaxCycles: mc})
+			res := runBoth(t, fmt.Sprintf("horizon%d", mc), lcm6, rnet, tfar{rgrid}, Config{MaxCycles: mc})
 			if res.Messages == len(lcm6.Messages) {
 				t.Fatalf("horizon %d: every message delivered; the wedge path was not exercised", mc)
 			}
@@ -341,7 +386,7 @@ func TestEngineEquivalencePeriodic(t *testing.T) {
 		// the 32-cycle grid — ends each leap at a recovery tick.
 		three := pats[1].pat
 		for _, timeout := range []int{64, 100, 333} {
-			res := runBoth(t, fmt.Sprintf("stalled/timeout%d", timeout), three, xnet, XBar{}, Config{VCs: 2, DeadlockTimeout: timeout})
+			res := runBoth(t, fmt.Sprintf("stalled/timeout%d", timeout), three, xnet, xbar, Config{VCs: 2, DeadlockTimeout: timeout})
 			if res.Kills == 0 {
 				t.Errorf("stalled/timeout%d: no kill landed inside the rotation", timeout)
 			}
@@ -359,8 +404,8 @@ func TestEngineEquivalencePeriodic(t *testing.T) {
 					for vcs := 1; vcs <= 3; vcs++ {
 						cfg.VCs = vcs
 						name := fmt.Sprintf("credits/%s/buf%d/salt%d/vc%d", p.name, buf, salt, vcs)
-						runBoth(t, name+"/mesh", p.pat, mnet, DOR{Grid: mgrid}, cfg)
-						runBoth(t, name+"/ring", p.pat, rnet, TFAR{Grid: rgrid}, cfg)
+						runBoth(t, name+"/mesh", p.pat, mnet, mdor, cfg)
+						runBoth(t, name+"/ring", p.pat, rnet, tfar{rgrid}, cfg)
 					}
 				}
 			}
@@ -372,8 +417,8 @@ func TestEngineEquivalencePeriodic(t *testing.T) {
 		// different offset into a period.
 		short := hotPattern(procs, [][]int{{0, 1, 2, 3, 7}}, 16<<10, 260, 1028, 2052)
 		for vcs := 2; vcs <= 3; vcs++ {
-			runBoth(t, fmt.Sprintf("tails/vc%d", vcs), short, xnet, XBar{}, Config{VCs: vcs})
-			runBoth(t, fmt.Sprintf("tails/mesh/vc%d", vcs), short, mnet, DOR{Grid: mgrid}, Config{VCs: vcs})
+			runBoth(t, fmt.Sprintf("tails/vc%d", vcs), short, xnet, xbar, Config{VCs: vcs})
+			runBoth(t, fmt.Sprintf("tails/mesh/vc%d", vcs), short, mnet, mdor, Config{VCs: vcs})
 		}
 	})
 }
@@ -418,6 +463,7 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 	const procs = 8
 	rows, cols := topology.GridDims(procs)
 	mnet, mgrid := topology.Mesh(rows, cols)
+	mdor := meshRouter(t, mnet, mgrid)
 	tnet, tgrid := topology.Torus(rows, cols)
 	trials := 64
 	if testing.Short() {
@@ -433,8 +479,8 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 			salt, depth := rng.Intn(64), 1+rng.Intn(4)
 			cfg.LinkDelay = func(a, b topology.SwitchID) int { return 1 + (int(a)*5+int(b)*3+salt)%depth }
 		}
-		runBoth(t, "rand-mesh", pat, mnet, DOR{Grid: mgrid}, cfg)
-		runBoth(t, "rand-torus", pat, tnet, TFAR{Grid: tgrid}, cfg)
+		runBoth(t, "rand-mesh", pat, mnet, mdor, cfg)
+		runBoth(t, "rand-torus", pat, tnet, tfar{tgrid}, cfg)
 	}
 }
 
@@ -459,9 +505,11 @@ func FuzzEngineEquivalence(f *testing.F) {
 	const procs = 8
 	rows, cols := topology.GridDims(procs)
 	mnet, mgrid := topology.Mesh(rows, cols)
+	mdor := meshRouter(f, mnet, mgrid)
 	tnet, tgrid := topology.Torus(rows, cols)
 	rnet, rgrid := topology.Ring(procs)
 	xnet := topology.Crossbar(procs)
+	xbar := crossbarRouter(f, xnet)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		draw := func(n int) int {
 			if len(data) == 0 {
@@ -477,13 +525,13 @@ func FuzzEngineEquivalence(f *testing.F) {
 		cfg.LinkDelay = func(a, b topology.SwitchID) int { return 1 + (int(a)+int(b))%depth }
 		switch topo {
 		case 0:
-			runBoth(t, "fuzz-mesh", pat, mnet, DOR{Grid: mgrid}, cfg)
+			runBoth(t, "fuzz-mesh", pat, mnet, mdor, cfg)
 		case 1:
-			runBoth(t, "fuzz-torus", pat, tnet, TFAR{Grid: tgrid}, cfg)
+			runBoth(t, "fuzz-torus", pat, tnet, tfar{tgrid}, cfg)
 		case 2:
-			runBoth(t, "fuzz-ring", pat, rnet, TFAR{Grid: rgrid}, cfg)
+			runBoth(t, "fuzz-ring", pat, rnet, tfar{rgrid}, cfg)
 		case 3:
-			runBoth(t, "fuzz-crossbar", pat, xnet, XBar{}, cfg)
+			runBoth(t, "fuzz-crossbar", pat, xnet, xbar, cfg)
 		}
 	})
 }

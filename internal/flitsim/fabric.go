@@ -95,12 +95,13 @@ type fabric struct {
 	// link[(a,b,idx)] resolves a specific directed link.
 	link map[[3]int]*channel
 
-	// Router scratch, reused across Candidates calls. A fabric is owned by
-	// one simulation goroutine; slices returned by channelsBetween/anyVC
-	// are valid only until the next call (callers consume immediately).
+	// Router scratch, reused across candidates calls. A fabric is owned by
+	// one simulation goroutine; slices returned by channelsBetween and
+	// candidates are valid only until the next call (callers consume
+	// immediately).
 	btwScratch   []*channel
 	adScratch    []*channel
-	allocScratch []Alloc
+	allocScratch []alloc
 	adaptiveVCs  []int // 1..VCs-1, shared by every TFAR candidate set
 	escapeVC     []int // {0}
 }
@@ -235,10 +236,11 @@ type packet struct {
 	msgID    int
 	src, dst int
 	flits    int
-	// route holds the source route (switch sequence plus per-hop link
-	// index); nil for networks with algorithmic routing.
-	routeSw   []topology.SwitchID
-	routeLink []int
+	// routeSw is the source route's switch sequence and routeCh the
+	// channel of each of its hops, resolved once by sourceRouted.prepare;
+	// both are empty under tfar.
+	routeSw []topology.SwitchID
+	routeCh []*channel
 
 	sent, arrived int
 	injVC         *vcBuf
@@ -248,18 +250,4 @@ type packet struct {
 	lastProgress  int64
 	notBefore     int64
 	retries       int
-}
-
-// routeNext returns the source-routed next switch and link index after
-// switch sw, or ok=false if sw is the final switch.
-func (p *packet) routeNext(sw int) (next topology.SwitchID, linkIdx int, ok bool) {
-	for i, s := range p.routeSw {
-		if int(s) == sw {
-			if i+1 >= len(p.routeSw) {
-				return 0, 0, false
-			}
-			return p.routeSw[i+1], p.routeLink[i], true
-		}
-	}
-	return 0, 0, false
 }

@@ -6,10 +6,13 @@
 // internal crossbars, virtual channels with credit-based flow control,
 // pipelined links whose delay equals their floorplanned length in tiles, and
 // script-driven end nodes that replay a communication pattern phase by phase
-// with fixed send/receive overheads. Routing is pluggable:
-// dimension-order for meshes, true fully adaptive (minimal) for tori, source
-// routing for generated irregular networks, and trivial routing for the
-// single-switch crossbar. Deadlocks — possible under adaptive and irregular
+// with fixed send/receive overheads. There are two routers. The table router
+// replays a routing.Table, the paper's source-based routing function: the
+// synthesized table of a generated network, dimension-order routes on the
+// mesh (routing.DORMesh) and the one-switch routes of the crossbar
+// (routing.CrossbarTable). True fully adaptive minimal routing (TFAR) serves
+// the torus and ring, with a dimension-order escape channel
+// (routing.DORNext). Deadlocks — possible under adaptive and irregular
 // source routing — are handled as in the paper by timeout detection and
 // regressive recovery: the stalled packet is killed, drained, and
 // retransmitted from its source.

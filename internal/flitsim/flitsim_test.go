@@ -243,14 +243,11 @@ func TestComputeGapsExtendExecution(t *testing.T) {
 
 func TestLinkDelayLengthensLatency(t *testing.T) {
 	pat := onePhase(4, 256, model.F(0, 3))
-	rows, cols := topology.GridDims(4)
-	net, grid := topology.Mesh(rows, cols)
-	short, err := Run(pat, net, DOR{Grid: grid}, Config{})
+	short, err := RunMesh(pat, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	net2, grid2 := topology.Mesh(rows, cols)
-	long, err := Run(pat, net2, DOR{Grid: grid2}, Config{
+	long, err := RunMesh(pat, Config{
 		LinkDelay: func(a, b topology.SwitchID) int { return 5 },
 	})
 	if err != nil {
@@ -290,7 +287,7 @@ func TestDeadlockRecoveryOnRing(t *testing.T) {
 		flows = append(flows, model.F(i, (i+2)%4))
 	}
 	pat := onePhase(4, 4096, flows...)
-	res, err := Run(pat, net, SourceRouted{Table: table}, Config{
+	res, err := runWith(pat, net, sourceRouted{table}, Config{
 		VCs: 1, BufFlits: 2, DeadlockTimeout: 256,
 	})
 	if err != nil {
@@ -339,7 +336,7 @@ func TestPeakLinkUtilBounded(t *testing.T) {
 func TestMismatchedProcsRejected(t *testing.T) {
 	pat := onePhase(4, 64, model.F(0, 1))
 	net := topology.Crossbar(8)
-	if _, err := Run(pat, net, XBar{}, Config{}); err == nil {
+	if _, err := runWith(pat, net, crossbarRouter(t, net), Config{}); err == nil {
 		t.Fatal("proc-count mismatch accepted")
 	}
 }
@@ -375,16 +372,7 @@ func TestPhaselessPatternFallback(t *testing.T) {
 	}
 }
 
-func TestRouterNamesAndExecTime(t *testing.T) {
-	names := map[string]bool{}
-	for _, n := range []string{
-		DOR{}.Name(), TFAR{}.Name(), SourceRouted{}.Name(), XBar{}.Name(),
-	} {
-		if n == "" || names[n] {
-			t.Fatalf("router names must be unique and non-empty: %v", names)
-		}
-		names[n] = true
-	}
+func TestExecTimeNs(t *testing.T) {
 	r := Result{ExecCycles: 800}
 	if ns := r.ExecTimeNs(); ns != 1000 {
 		t.Errorf("800 cycles at 800 MHz = %f ns, want 1000", ns)
@@ -446,6 +434,27 @@ func TestEnergyAccounting(t *testing.T) {
 		}
 		if res.Kills != 0 || res.EnergyUnits != tc.want {
 			t.Errorf("link delay %d: %.1f energy units (%d kills), want %.1f", tc.delay, res.EnergyUnits, res.Kills, tc.want)
+		}
+	}
+}
+
+// TestNegativeBuffersRejected: a negative VC count or buffer depth is an
+// error from every Run*, not a panic sizing the buffers.
+func TestNegativeBuffersRejected(t *testing.T) {
+	pat := onePhase(4, 64, model.F(0, 3))
+	net := topology.Crossbar(4)
+	table, err := routing.CrossbarTable(net, pat.Flows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{VCs: -1}, {BufFlits: -1}} {
+		for _, topo := range []string{"crossbar", "mesh", "ring", "torus"} {
+			if _, err := RunBaseline(pat, topo, cfg); err == nil {
+				t.Errorf("%s accepted VCs %d, BufFlits %d", topo, cfg.VCs, cfg.BufFlits)
+			}
+		}
+		if _, err := RunGenerated(pat, net, table, cfg); err == nil {
+			t.Errorf("generated accepted VCs %d, BufFlits %d", cfg.VCs, cfg.BufFlits)
 		}
 	}
 }

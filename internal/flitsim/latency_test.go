@@ -52,13 +52,13 @@ func TestLatencyAccountingGolden(t *testing.T) {
 	})
 	for _, eng := range []struct {
 		name string
-		run  func(*model.Pattern, *topology.Network, Router, Config) (Result, error)
+		run  func(*model.Pattern, *topology.Network, router, Config) (Result, error)
 	}{
-		{"event-driven", Run},
+		{"event-driven", runWith},
 		{"reference", runReference},
 	} {
 		t.Run(eng.name, func(t *testing.T) {
-			res, err := eng.run(pat, net, SourceRouted{Table: table}, Config{})
+			res, err := eng.run(pat, net, sourceRouted{table}, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,11 +102,11 @@ func TestFlitHopConservation(t *testing.T) {
 	}
 	rows, cols := topology.GridDims(pat.Procs)
 	net, grid := topology.Mesh(rows, cols)
-	fast, err := Run(pat, net, DOR{Grid: grid}, Config{})
+	fast, err := runWith(pat, net, meshRouter(t, net, grid), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := runReference(pat, net, DOR{Grid: grid}, Config{})
+	ref, err := runReference(pat, net, meshRouter(t, net, grid), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@ import (
 // simulated length next to the number of cycles run() processed in full.
 // stepped has no Observer counter on purpose: runBoth compares counter maps
 // with the cycle-stepping oracle, which steps every cycle.
-func steppedCycles(t *testing.T, pat *model.Pattern, net *topology.Network, router Router, cfg Config) (exec, stepped int64) {
+func steppedCycles(t *testing.T, pat *model.Pattern, net *topology.Network, rt router, cfg Config) (exec, stepped int64) {
 	t.Helper()
 	e := new(engine)
-	e.reset(pat, router, buildFabric(net, cfg.Normalized()))
+	e.reset(pat, rt, buildFabric(net, cfg.Normalized()))
 	if err := e.run(); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestLeapFires(t *testing.T) {
 	// A moving worm never stalls, so the deadlock timeout must not cap its leap.
 	for _, delay := range []int{1, 3} {
 		cfg := Config{DeadlockTimeout: 32, LinkDelay: func(a, b topology.SwitchID) int { return delay }}
-		exec, stepped := steppedCycles(t, one, net, SourceRouted{Table: table}, cfg)
+		exec, stepped := steppedCycles(t, one, net, sourceRouted{table}, cfg)
 		if exec <= 16_000 || stepped >= 200 {
 			t.Errorf("64 KB over 3 hops, link delay %d: stepped %d of %d cycles, want < 200 of > 16,000", delay, stepped, exec)
 		}
@@ -46,7 +46,8 @@ func TestLeapFires(t *testing.T) {
 	// state, leapt like a repeating cycle. Stepping it instead costs a cycle
 	// per flit, about 8,200.
 	two := trace.BuildPhased("two", 4, []trace.PhaseSpec{{Flows: []model.Flow{model.F(0, 2), model.F(1, 2)}, Bytes: 16 << 10}})
-	exec, stepped := steppedCycles(t, two, topology.Crossbar(4), XBar{}, Config{})
+	xnet := topology.Crossbar(4)
+	exec, stepped := steppedCycles(t, two, xnet, crossbarRouter(t, xnet), Config{})
 	if exec <= 8_000 || stepped >= 200 {
 		t.Errorf("two 16 KB worms rotating on one output: stepped %d of %d cycles, want < 200 of > 8,000", stepped, exec)
 	}
@@ -58,7 +59,8 @@ func TestLeapFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, stepped = steppedCycles(t, bt, topology.Crossbar(16), XBar{}, Config{})
+	xnet = topology.Crossbar(16)
+	exec, stepped = steppedCycles(t, bt, xnet, crossbarRouter(t, xnet), Config{})
 	if exec != 164_592 || stepped >= 4_000 {
 		t.Errorf("BT/16 on the crossbar: stepped %d of %d cycles, want < 4,000 of 164,592", stepped, exec)
 	}
@@ -70,7 +72,7 @@ func TestLeapFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	rnet, rgrid := topology.Ring(16)
-	exec, stepped = steppedCycles(t, tb, rnet, TFAR{Grid: rgrid}, Config{})
+	exec, stepped = steppedCycles(t, tb, rnet, tfar{rgrid}, Config{})
 	if exec != 111_863 || stepped >= 4_000 {
 		t.Errorf("tree-broadcast/16 on the ring: stepped %d of %d cycles, want < 4,000 of 111,863", stepped, exec)
 	}

@@ -41,7 +41,7 @@ func TestTimeoutRetryCountersMatchPacketState(t *testing.T) {
 		{Flows: []model.Flow{model.F(0, 2), model.F(1, 3)}, Bytes: 16384},
 	})
 	col := obs.NewCollector()
-	res, err := Run(pat, net, SourceRouted{Table: table}, Config{
+	res, err := runWith(pat, net, sourceRouted{table}, Config{
 		VCs: 1, BufFlits: 4, DeadlockTimeout: 256, MaxCycles: 2_000_000, Obs: col,
 	})
 	if err != nil {

@@ -47,7 +47,7 @@ func TestRecoveryStormCompletes(t *testing.T) {
 		phases = append(phases, trace.PhaseSpec{Flows: fs, Bytes: 4096})
 	}
 	pat := trace.BuildPhased("storm", 4, phases)
-	res, err := Run(pat, net, SourceRouted{Table: table}, Config{
+	res, err := runWith(pat, net, sourceRouted{table}, Config{
 		VCs: 1, BufFlits: 2, DeadlockTimeout: 128, MaxCycles: 5_000_000,
 	})
 	if err != nil {

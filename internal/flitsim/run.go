@@ -9,8 +9,10 @@ import (
 	"repro/internal/topology"
 )
 
-// Run simulates the pattern on the network with the given router.
-func Run(pat *model.Pattern, net *topology.Network, router Router, cfg Config) (Result, error) {
+// run is the simulator's single entry point: every Run* function comes
+// through it. It checks the pattern, the network and the configuration, and
+// only then builds the router with route, so route may trust the pattern.
+func run(pat *model.Pattern, net *topology.Network, cfg Config, route func() (router, error)) (Result, error) {
 	if err := pat.Validate(); err != nil {
 		return Result{}, fmt.Errorf("flitsim: %v", err)
 	}
@@ -21,10 +23,33 @@ func Run(pat *model.Pattern, net *topology.Network, router Router, cfg Config) (
 		return Result{}, fmt.Errorf("flitsim: pattern has %d procs, network %d", pat.Procs, net.Procs)
 	}
 	cfg = cfg.Normalized()
+	if cfg.VCs < 0 || cfg.BufFlits < 0 {
+		return Result{}, fmt.Errorf("flitsim: %d virtual channels of %d flits each; both must be positive", cfg.VCs, cfg.BufFlits)
+	}
+	rt, err := route()
+	if err != nil {
+		return Result{}, fmt.Errorf("flitsim: %v", err)
+	}
 	sp := obs.Span(cfg.Obs, "flitsim.run")
 	defer sp.End()
-	fb := buildFabric(net, cfg)
-	return Simulate(pat, router, fb)
+	return simulate(pat, rt, buildFabric(net, cfg))
+}
+
+// replay builds the table router: it replays the table build makes over the
+// pattern's flows.
+func replay(pat *model.Pattern, build func(flows []model.Flow) (*routing.Table, error)) func() (router, error) {
+	return func() (router, error) {
+		table, err := build(pat.Flows())
+		if err != nil {
+			return nil, err
+		}
+		return sourceRouted{table}, nil
+	}
+}
+
+// adaptive builds the TFAR router on grid.
+func adaptive(grid topology.Grid) func() (router, error) {
+	return func() (router, error) { return tfar{grid}, nil }
 }
 
 // RunBaseline simulates the pattern on the regular baseline named topo:
@@ -47,11 +72,14 @@ func RunBaseline(pat *model.Pattern, topo string, cfg Config) (Result, error) {
 	}
 }
 
-// RunMesh simulates the pattern on a mesh with dimension-order routing.
+// RunMesh simulates the pattern on a mesh, replaying its dimension-order
+// routes (routing.DORMesh).
 func RunMesh(pat *model.Pattern, cfg Config) (Result, error) {
 	rows, cols := topology.GridDims(pat.Procs)
 	net, grid := topology.Mesh(rows, cols)
-	return Run(pat, net, DOR{Grid: grid}, cfg)
+	return run(pat, net, cfg, replay(pat, func(flows []model.Flow) (*routing.Table, error) {
+		return routing.DORMesh(net, grid, flows)
+	}))
 }
 
 // RunTorus simulates the pattern on a torus with true fully adaptive
@@ -59,7 +87,7 @@ func RunMesh(pat *model.Pattern, cfg Config) (Result, error) {
 func RunTorus(pat *model.Pattern, cfg Config) (Result, error) {
 	rows, cols := topology.GridDims(pat.Procs)
 	net, grid := topology.Torus(rows, cols)
-	return Run(pat, net, TFAR{Grid: grid}, cfg)
+	return run(pat, net, cfg, adaptive(grid))
 }
 
 // RunRing simulates the pattern on a bidirectional ring — the conventional
@@ -67,13 +95,16 @@ func RunTorus(pat *model.Pattern, cfg Config) (Result, error) {
 // (the 1×N degenerate case of the torus router).
 func RunRing(pat *model.Pattern, cfg Config) (Result, error) {
 	net, grid := topology.Ring(pat.Procs)
-	return Run(pat, net, TFAR{Grid: grid}, cfg)
+	return run(pat, net, cfg, adaptive(grid))
 }
 
-// RunCrossbar simulates the pattern on the ideal non-blocking crossbar.
+// RunCrossbar simulates the pattern on the ideal non-blocking crossbar,
+// replaying its one-switch routes (routing.CrossbarTable).
 func RunCrossbar(pat *model.Pattern, cfg Config) (Result, error) {
 	net := topology.Crossbar(pat.Procs)
-	return Run(pat, net, XBar{}, cfg)
+	return run(pat, net, cfg, replay(pat, func(flows []model.Flow) (*routing.Table, error) {
+		return routing.CrossbarTable(net, flows)
+	}))
 }
 
 // RunGenerated simulates the pattern on a synthesized network using its
@@ -81,23 +112,25 @@ func RunCrossbar(pat *model.Pattern, cfg Config) (Result, error) {
 // table (e.g. when running a different application on the network, as in the
 // paper's sensitivity study) are routed by shortest path.
 func RunGenerated(pat *model.Pattern, net *topology.Network, table *routing.Table, cfg Config) (Result, error) {
-	var missing []model.Flow
-	for _, f := range pat.Flows() {
-		if _, ok := table.Routes[f]; !ok {
-			missing = append(missing, f)
+	return run(pat, net, cfg, replay(pat, func(flows []model.Flow) (*routing.Table, error) {
+		var missing []model.Flow
+		for _, f := range flows {
+			if _, ok := table.Routes[f]; !ok {
+				missing = append(missing, f)
+			}
 		}
-	}
-	if len(missing) == 0 {
-		return Run(pat, net, SourceRouted{Table: table}, cfg)
-	}
-	merged, err := shortestPathRoutes(net, missing)
-	if err != nil {
-		return Result{}, err
-	}
-	for f, r := range table.Routes {
-		merged.Routes[f] = r
-	}
-	return Run(pat, net, SourceRouted{Table: merged}, cfg)
+		if len(missing) == 0 {
+			return table, nil
+		}
+		merged, err := shortestPathRoutes(net, missing)
+		if err != nil {
+			return nil, err
+		}
+		for f, r := range table.Routes {
+			merged.Routes[f] = r
+		}
+		return merged, nil
+	}))
 }
 
 // shortestPathRoutes builds shortest-path source routes for the flows,

@@ -12,7 +12,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -140,7 +142,9 @@ func (p *Pattern) Flows() []Flow {
 		seen[f] = true
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, func(f, g Flow) int {
+		return cmp.Or(cmp.Compare(f.Src, g.Src), cmp.Compare(f.Dst, g.Dst))
+	})
 	return out
 }
 

@@ -167,36 +167,42 @@ func singleSwitchRoute(s topology.SwitchID) Route {
 // DORMesh builds dimension-order (X then Y) routes on a mesh for the given
 // flows — the routing the paper assumes for the mesh baseline.
 func DORMesh(net *topology.Network, g topology.Grid, flows []model.Flow) (*Table, error) {
-	t := NewTable(net)
+	t := &Table{Net: net, Routes: make(map[model.Flow]Route, len(flows))}
 	for _, f := range flows {
 		if f.Src == f.Dst {
 			continue
 		}
-		src, dst := net.Home[f.Src], net.Home[f.Dst]
-		r1, c1 := g.Coord(src)
+		sw, dst := net.Home[f.Src], net.Home[f.Dst]
+		r1, c1 := g.Coord(sw)
 		r2, c2 := g.Coord(dst)
-		route := Route{Switches: []topology.SwitchID{src}}
-		rr, cc := r1, c1
-		for cc != c2 {
-			cc += step(cc, c2)
-			route.Switches = append(route.Switches, g.At(rr, cc))
-			route.Links = append(route.Links, 0)
-		}
-		for rr != r2 {
-			rr += step(rr, r2)
-			route.Switches = append(route.Switches, g.At(rr, cc))
-			route.Links = append(route.Links, 0)
+		hops := max(r2-r1, r1-r2) + max(c2-c1, c1-c2)
+		route := Route{Switches: append(make([]topology.SwitchID, 0, hops+1), sw), Links: make([]int, hops)}
+		for next, ok := DORNext(g, sw, dst); ok; next, ok = DORNext(g, sw, dst) {
+			route.Switches = append(route.Switches, next)
+			sw = next
 		}
 		t.Routes[f] = route
 	}
 	return t, t.Validate()
 }
 
-func step(from, to int) int {
-	if to > from {
-		return 1
+// DORNext is the X-then-Y dimension-order next hop from switch sw toward
+// switch dst on grid g, never using wrap links; ok is false at dst. It is
+// the mesh baseline's routing function and the torus router's escape path.
+func DORNext(g topology.Grid, sw, dst topology.SwitchID) (next topology.SwitchID, ok bool) {
+	r, c := g.Coord(sw)
+	dr, dc := g.Coord(dst)
+	switch {
+	case c < dc:
+		return g.At(r, c+1), true
+	case c > dc:
+		return g.At(r, c-1), true
+	case r < dr:
+		return g.At(r+1, c), true
+	case r > dr:
+		return g.At(r-1, c), true
 	}
-	return -1
+	return 0, false
 }
 
 // ShortestPath builds BFS shortest-path routes over an arbitrary switch
@@ -257,17 +263,19 @@ func ShortestPath(net *topology.Network, flows []model.Flow) (*Table, error) {
 	return t, t.Validate()
 }
 
-// CrossbarTable routes all flows through the single megaswitch.
+// CrossbarTable routes all flows through the single megaswitch. Every
+// route shares one read-only switch list.
 func CrossbarTable(net *topology.Network, flows []model.Flow) (*Table, error) {
 	if net.NumSwitches() != 1 {
 		return nil, fmt.Errorf("routing: crossbar table needs a single switch, have %d", net.NumSwitches())
 	}
-	t := NewTable(net)
+	t := &Table{Net: net, Routes: make(map[model.Flow]Route, len(flows))}
+	route := singleSwitchRoute(0)
 	for _, f := range flows {
 		if f.Src == f.Dst {
 			continue
 		}
-		t.Routes[f] = singleSwitchRoute(0)
+		t.Routes[f] = route
 	}
 	return t, t.Validate()
 }

@@ -141,6 +141,9 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 		return nil, badRequest("request needs a benchmark or an inline trace")
 	}
 
+	if req.MaxDegree < 0 || req.MaxProcs < 0 {
+		return nil, badRequest("max_degree and max_procs must be non-negative")
+	}
 	pl.opt = s.cfg.Synth
 	if req.Seed != 0 {
 		pl.opt.Seed = req.Seed

@@ -362,6 +362,8 @@ func FuzzDesignRequest(f *testing.F) {
 		`{"trace":"noctrace v1","benchmark":"CG"}`,
 		hugeProcsTrace,
 		`{"benchmark":"LU","procs":-1,"restarts":1000}`,
+		`{"benchmark":"CG","procs":16,"max_degree":-1}`,
+		`{"benchmark":"FFT","procs":8,"max_procs":-3}`,
 		`{"bench":1}`, `[]`, ``,
 	} {
 		f.Add([]byte(seed))
@@ -383,6 +385,9 @@ func FuzzDesignRequest(f *testing.F) {
 				t.Fatalf("%q: error %v (%T) is neither client-error type", raw, err, err)
 			}
 			return
+		}
+		if plan.opt.MaxDegree < 0 || plan.opt.MaxProcsPerSwitch < 0 {
+			t.Fatalf("%q: accepted negative constraints %+v", raw, plan.opt.Constraints)
 		}
 		want, err := slowKey(t, srv, plan)
 		if err != nil || key != want {

@@ -168,6 +168,34 @@ func TestErrorEnvelope(t *testing.T) {
 		}
 	})
 
+	// A negative constraint is a client error, flat or hier: the server
+	// neither synthesizes nor stores an unmeetable design.
+	t.Run("400 negative knobs", func(t *testing.T) {
+		srv := newTestServer(t, quickConfig())
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		for _, tc := range []struct{ body, message string }{
+			{`{"benchmark":"CG","procs":16,"max_degree":-1}`, "max_degree and max_procs must be non-negative"},
+			{`{"benchmark":"CG","procs":16,"max_procs":-2}`, "max_degree and max_procs must be non-negative"},
+			{`{"benchmark":"CG","procs":16,"hier":{"clusters":"4","noi_max_degree":-1}}`, "hier knobs must be non-negative"},
+		} {
+			resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: status = %d, want 400 (%s)", tc.body, resp.StatusCode, b)
+			}
+			var env ErrorResponse
+			if err := json.Unmarshal(b, &env); err != nil {
+				t.Fatalf("%s: error body is not the envelope: %v (%q)", tc.body, err, b)
+			}
+			if want := (ErrorDetail{Code: CodeBadRequest, Message: tc.message}); env.Error != want {
+				t.Errorf("%s: envelope = %+v, want %+v", tc.body, env.Error, want)
+			}
+		}
+		if n := srv.Metrics().Counter("synth.runs"); n != 0 {
+			t.Errorf("synth.runs = %d after three rejected requests, want 0", n)
+		}
+	})
+
 	t.Run("404 not_found", func(t *testing.T) {
 		srv := newTestServer(t, quickConfig())
 		ts := httptest.NewServer(srv)

@@ -4,3 +4,6 @@ package synth
 // every dead switch they meet (on) or only the first (off, the default), for
 // the external tests' everyTarget reference.
 func PriceEveryTarget(on bool) { priceEveryTarget = on }
+
+// WithoutFlow is withoutFlow for the external tests' drop-one-flow runs.
+var WithoutFlow = withoutFlow

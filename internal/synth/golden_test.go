@@ -16,7 +16,7 @@ import (
 	"repro/internal/synth"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/designs.golden")
+var update = flag.Bool("update", false, "rewrite testdata/designs.golden and testdata/verdicts.golden")
 
 // goldenVariants are the option sets every corpus workload is synthesized
 // under. The first four are the variants the retired full-run comparison

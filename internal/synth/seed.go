@@ -240,13 +240,6 @@ func (s *state) applySeed(sd *SeedDesign) bool {
 	if len(touch) > 0 {
 		s.bestRoute(touch, nil)
 	}
-	if s.anyViolation() {
-		// The replay left estimated violations (the trace diverged more
-		// than the segment diff suggested): fall back to the full route
-		// polish before partition() resorts to splitting.
-		s.bestRoute(nil, nil)
-		s.eliminatePipes()
-	}
 	return true
 }
 

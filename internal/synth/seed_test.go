@@ -178,12 +178,12 @@ func withoutFlow(p *model.Pattern, f model.Flow) *model.Pattern {
 // TestSeedForeignDesign seeds runs under the golden corpus's seeded
 // constraints from designs that are not the run's own. A foreign seed
 // (BT/16's tree for tree-broadcast/16, every segment changed) replays a tree
-// that violates the constraints, so applySeed's fallback polish and the
-// partition loop repair it. The fallback does not run backboneReroute: on
-// this seed its proposal commits and the design costs 26. A near variant (tree-broadcast/16 without its
-// 3→11 flow, seeded from its own tree with two segments changed) re-runs
-// Best_Route only on the switches hosting the changed processors; without
-// that pass it costs 23.
+// that violates the constraints, so the partition loop repairs it; applySeed
+// runs no polish of its own on a violating replay, and a backboneReroute
+// there commits on this seed and makes the design cost 26. A near variant
+// (tree-broadcast/16 without its 3→11 flow, seeded from its own tree with
+// two segments changed) re-runs Best_Route only on the switches hosting the
+// changed processors; without that pass it costs 23.
 func TestSeedForeignDesign(t *testing.T) {
 	bt, err := nas.Generate("BT", 16, nas.Config{Iterations: 1})
 	if err != nil {
@@ -202,7 +202,7 @@ func TestSeedForeignDesign(t *testing.T) {
 	}{
 		{name: "BT16-to-tree-broadcast16", seed: bt, pat: tree, cost: 23},
 		{name: "tree-broadcast16-near", seed: tree, pat: withoutFlow(tree, model.F(3, 11)), near: true, cost: 20,
-			sha: "58b0eb0b5d68620fdeef5137849840acc25cb9595fe835b512adab70ecc986d1"},
+			sha: "0f1099fe4fc5872d452e96c758ddc86343ec193343cc5414c5add4c55dee3fd6"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := synthOrDie(t, tc.seed, Options{Seed: 1, Restarts: 2})
