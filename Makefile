@@ -4,7 +4,7 @@
 # schedules so an order-dependent reduction cannot pass by luck.
 GO ?= go
 
-.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-flitsim bench-warm bench-floorplan bench-all fuzz
+.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-flitsim bench-warm bench-floorplan bench-synth bench-all fuzz
 
 verify: vet build race determinism
 
@@ -69,10 +69,18 @@ cover-serve cover-collective cover-hier: cover-%:
 #              what seeding saves, and the what-if evaluator halved the cold
 #              side (8x became about 4x) while the seeded side, which skips
 #              globalRefine and so prices almost no candidates, stood still.
-#              Raise it by making seeded synthesis faster, never by slowing
-#              cold synthesis.
+#              Skipping candidates whose floor already loses made cold
+#              synthesis faster again (about 4.9x fell to 3.5-4.0x); the
+#              floor of 3 holds and is not lowered. Raise it by making seeded
+#              synthesis faster, never by slowing cold synthesis.
 #   floorplan: the array-backed delta search vs the map-based reference (the
 #              test oracle in placeref_test.go) on CG-16.
+#   synth:     full-size BT/16 synthesis with every candidate priced (the
+#              test-only priceEveryTarget reference: no dead switch priced
+#              for all, no candidate skipped on its floor) vs production.
+#              Measured at about 1.65x on a 2-core box; the floor of 1.3
+#              leaves room for a noisy runner, and a floor that stops pruning
+#              falls to about 1.
 BENCH_PKG_flitsim = ./internal/flitsim
 BENCH_RATIO_flitsim = BenchmarkSimulateCG16GapMeshReference:BenchmarkSimulateCG16GapMesh \
 	BenchmarkSimulateBT16StreamCrossbarReference:BenchmarkSimulateBT16StreamCrossbar \
@@ -87,18 +95,22 @@ BENCH_PKG_floorplan = ./internal/floorplan
 BENCH_RATIO_floorplan = BenchmarkPlaceCG16Reference:BenchmarkPlaceCG16
 BENCH_MIN_floorplan = 10
 
+BENCH_PKG_synth = ./internal/synth
+BENCH_RATIO_synth = BenchmarkSynthesizeBT16Reference:BenchmarkSynthesizeBT16
+BENCH_MIN_synth = 1.3
+
 # bench_re anchors the -bench regex to exactly the names in the gate's pairs.
 empty :=
 space := $(empty) $(empty)
 bench_re = ^($(subst $(space),|,$(strip $(subst :, ,$(BENCH_RATIO_$*)))))$$
 
-bench-flitsim bench-warm bench-floorplan: bench-%:
+bench-flitsim bench-warm bench-floorplan bench-synth: bench-%:
 	$(GO) test -run '^$$' -bench '$(bench_re)' -benchmem $(BENCH_PKG_$*) \
 		| $(GO) run ./cmd/benchratio $(foreach r,$(BENCH_RATIO_$*),-ratio '$(r)') -min-ratio $(BENCH_MIN_$*)
 
-bench: bench-flitsim bench-warm bench-floorplan
+bench: bench-flitsim bench-warm bench-floorplan bench-synth
 
-# bench-all is the one performance entry point: `bench`'s three ratio gates in
+# bench-all is the one performance entry point: `bench`'s four ratio gates in
 # sequence, then the end-to-end ledger — BENCHMARK.json's four workloads, each
 # with its per-layer breakdown. The ledger builds and drives its own nocd and
 # writes only under bench/out/; about 35 s per workload. Run it on an

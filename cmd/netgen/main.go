@@ -25,44 +25,53 @@ import (
 )
 
 func main() {
-	var (
-		tracePath = flag.String("trace", "", "input noctrace file (required)")
-		maxDeg    = flag.Int("maxdegree", 5, "maximum switch degree (ports)")
-		maxProcs  = flag.Int("maxprocs", 4, "maximum processors per switch")
-		restarts  = flag.Int("restarts", 4, "synthesis restarts")
-		out       = flag.String("o", "", "write topology JSON to this file")
-		gwWidth   = flag.Int("gateway-width", 0, "links per gateway pipe between a chiplet and the NoI (0 = 1)")
-		noiDelay  = flag.Int("noi-link-delay", 0, "cycles per flit hop on NoI and gateway links (0 = 2)")
-		noiDeg    = flag.Int("noi-maxdegree", 0, "maximum NoI switch degree (0 = same as the chiplet level)")
-		noiProcs  = flag.Int("noi-maxprocs", 0, "maximum gateway endpoints per NoI switch (0 = same as the chiplet level)")
-		shared    cliutil.Flags
-	)
-	shared.RegisterSeed(flag.CommandLine, "synthesis seed")
-	shared.RegisterWorkers(flag.CommandLine)
-	shared.RegisterProfiles(flag.CommandLine)
-	shared.RegisterReport(flag.CommandLine)
-	shared.RegisterHier(flag.CommandLine)
-	flag.Parse()
-	stopProfiles, err := shared.StartProfiles()
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fatal(err)
 	}
+}
+
+// run is netgen on the command-line arguments args, printing its report to
+// stdout.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("netgen", flag.ExitOnError)
+	var (
+		tracePath = fs.String("trace", "", "input noctrace file (required)")
+		maxDeg    = fs.Int("maxdegree", 5, "maximum switch degree (ports)")
+		maxProcs  = fs.Int("maxprocs", 4, "maximum processors per switch")
+		restarts  = fs.Int("restarts", 4, "synthesis restarts")
+		out       = fs.String("o", "", "write topology JSON to this file")
+		gwWidth   = fs.Int("gateway-width", 0, "links per gateway pipe between a chiplet and the NoI (0 = 1)")
+		noiDelay  = fs.Int("noi-link-delay", 0, "cycles per flit hop on NoI and gateway links (0 = 2)")
+		noiDeg    = fs.Int("noi-maxdegree", 0, "maximum NoI switch degree (0 = same as the chiplet level)")
+		noiProcs  = fs.Int("noi-maxprocs", 0, "maximum gateway endpoints per NoI switch (0 = same as the chiplet level)")
+		shared    cliutil.Flags
+	)
+	shared.RegisterSeed(fs, "synthesis seed")
+	shared.RegisterWorkers(fs)
+	shared.RegisterProfiles(fs)
+	shared.RegisterReport(fs)
+	shared.RegisterHier(fs)
+	fs.Parse(args)
+	stopProfiles, err := shared.StartProfiles()
+	if err != nil {
+		return err
+	}
 	defer func() {
-		if err := stopProfiles(); err != nil {
-			fatal(err)
+		if serr := stopProfiles(); err == nil {
+			err = serr
 		}
 	}()
 	if *tracePath == "" {
-		fatal(fmt.Errorf("-trace is required"))
+		return fmt.Errorf("-trace is required")
 	}
 	f, err := os.Open(*tracePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	pat, err := trace.Decode(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	opt := synth.Options{
@@ -81,61 +90,56 @@ func main() {
 			NoI:          hier.NoIOptions(opt, *noiDeg, *noiProcs),
 			Obs:          shared.Observer(),
 		}
-		if err := runHier(pat, shared.Clusters, hopt, *out); err != nil {
-			fatal(err)
+		if err := runHier(stdout, pat, shared.Clusters, hopt, *out); err != nil {
+			return err
 		}
-		if err := shared.WriteReport("netgen", trace.Summarize(pat)); err != nil {
-			fatal(err)
-		}
-		return
+		return shared.WriteReport("netgen", trace.Summarize(pat))
 	}
 
 	res, err := synth.Synthesize(pat, opt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("pattern %s: %d processors, %d flows, %d maximal contention periods\n",
+	fmt.Fprintf(stdout, "pattern %s: %d processors, %d flows, %d maximal contention periods\n",
 		pat.Name, pat.Procs, len(pat.Flows()), len(res.Cliques))
-	fmt.Printf("generated network: %d switches, %d links, max degree %d\n",
+	fmt.Fprintf(stdout, "generated network: %d switches, %d links, max degree %d\n",
 		res.Net.NumSwitches(), res.Net.TotalLinks(), res.Net.MaxDegree())
-	fmt.Printf("design constraints met: %v\n", res.ConstraintsMet)
-	fmt.Printf("contention-free (Theorem 1, C ∩ R = ∅): %v", res.ContentionFree)
+	fmt.Fprintf(stdout, "design constraints met: %v\n", res.ConstraintsMet)
+	fmt.Fprintf(stdout, "contention-free (Theorem 1, C ∩ R = ∅): %v", res.ContentionFree)
 	if !res.ContentionFree {
-		fmt.Printf(" (%d witnesses)", len(res.Witnesses))
+		fmt.Fprintf(stdout, " (%d witnesses)", len(res.Witnesses))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for _, sw := range res.Net.Switches {
-		fmt.Printf("  switch %d: procs %v, degree %d\n", sw.ID, sw.Procs, res.Net.Degree(sw.ID))
+		fmt.Fprintf(stdout, "  switch %d: procs %v, degree %d\n", sw.ID, sw.Procs, res.Net.Degree(sw.ID))
 	}
 	for _, p := range res.Net.Pipes {
-		fmt.Printf("  pipe %d-%d: %d link(s)\n", p.A, p.B, p.Width)
+		fmt.Fprintf(stdout, "  pipe %d-%d: %d link(s)\n", p.A, p.B, p.Width)
 	}
 
 	plan, err := floorplan.Place(res.Net, floorplan.Options{Obs: shared.Observer()})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	meshSw, meshLink := floorplan.MeshBaseline(pat.Procs)
-	fmt.Printf("floorplan: switch area %d (mesh %d), link area %d (mesh %d)\n",
+	fmt.Fprintf(stdout, "floorplan: switch area %d (mesh %d), link area %d (mesh %d)\n",
 		plan.SwitchArea, meshSw, plan.TotalArea(), meshLink)
-	fmt.Println(plan.Render(res.Net))
+	fmt.Fprintln(stdout, plan.Render(res.Net))
 
 	if *out != "" {
 		save := func(w io.Writer) error { return synth.SaveDesign(w, res.Net, res.Table) }
 		if err := writeFile(*out, save); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("design (topology + routes) written to %s\n", *out)
+		fmt.Fprintf(stdout, "design (topology + routes) written to %s\n", *out)
 	}
-	if err := shared.WriteReport("netgen", trace.Summarize(pat)); err != nil {
-		fatal(err)
-	}
+	return shared.WriteReport("netgen", trace.Summarize(pat))
 }
 
 // runHier synthesizes and reports a two-level chiplet design for the
-// -clusters spec: one NoC per cluster, one NoI over the gateways,
+// -clusters spec on stdout: one NoC per cluster, one NoI over the gateways,
 // hier-design v1 on -o.
-func runHier(pat *model.Pattern, clusters string, opt hier.Options, out string) error {
+func runHier(stdout io.Writer, pat *model.Pattern, clusters string, opt hier.Options, out string) error {
 	spec, err := hier.ParseSpec(clusters)
 	if err != nil {
 		return err
@@ -145,18 +149,18 @@ func runHier(pat *model.Pattern, clusters string, opt hier.Options, out string) 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pattern %s: %d processors, %d flows\n", pat.Name, pat.Procs, len(pat.Flows()))
-	fmt.Printf("two-level design: %d clusters, %d switches, %d links (gateway pipes included)\n",
+	fmt.Fprintf(stdout, "pattern %s: %d processors, %d flows\n", pat.Name, pat.Procs, len(pat.Flows()))
+	fmt.Fprintf(stdout, "two-level design: %d clusters, %d switches, %d links (gateway pipes included)\n",
 		len(d.Assign.Clusters), d.TotalSwitches(), d.TotalLinks())
-	fmt.Printf("design constraints met at every level: %v\n", d.ConstraintsMet())
-	fmt.Printf("contention-free at every level (Theorem 1, C ∩ R = ∅): %v\n", d.ContentionFree())
+	fmt.Fprintf(stdout, "design constraints met at every level: %v\n", d.ConstraintsMet())
+	fmt.Fprintf(stdout, "contention-free at every level (Theorem 1, C ∩ R = ∅): %v\n", d.ContentionFree())
 	for i, lv := range d.Levels() {
 		if i < len(d.Chiplets) {
-			fmt.Printf("  chiplet %d: procs %v, gateways %v", i, d.Assign.Clusters[i], d.Assign.Gateways[i])
+			fmt.Fprintf(stdout, "  chiplet %d: procs %v, gateways %v", i, d.Assign.Clusters[i], d.Assign.Gateways[i])
 		} else {
-			fmt.Printf("  noi: %d gateway endpoints", d.Assign.NoIProcs)
+			fmt.Fprintf(stdout, "  noi: %d gateway endpoints", d.Assign.NoIProcs)
 		}
-		fmt.Printf(", %d switches, %d links, constraints met %v, contention-free %v\n",
+		fmt.Fprintf(stdout, ", %d switches, %d links, constraints met %v, contention-free %v\n",
 			lv.Net.NumSwitches(), lv.Net.TotalLinks(), lv.Result.ConstraintsMet, lv.Result.ContentionFree)
 	}
 	if out != "" {
@@ -164,7 +168,7 @@ func runHier(pat *model.Pattern, clusters string, opt hier.Options, out string) 
 		if err := writeFile(out, save); err != nil {
 			return err
 		}
-		fmt.Printf("hier-design (all levels + clustering) written to %s\n", out)
+		fmt.Fprintf(stdout, "hier-design (all levels + clustering) written to %s\n", out)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/flitsim"
+	"repro/internal/synth"
 	"repro/internal/topology"
 )
 
@@ -145,6 +146,29 @@ func TestSynthesizeErrors(t *testing.T) {
 	}
 	if _, err := Synthesize(nil, Options{Spec: spec}); err == nil {
 		t.Error("Synthesize accepted a nil pattern")
+	}
+	// A negative knob is an error, not a default: zero selects the default.
+	spec = mustSpec(t, "blocks:4")
+	for name, opt := range map[string]Options{
+		"MaxGateways":           {Spec: spec, MaxGateways: -1},
+		"GatewayWidth":          {Spec: spec, GatewayWidth: -1},
+		"NoILinkDelay":          {Spec: spec, NoILinkDelay: -2},
+		"NoI MaxDegree":         {Spec: spec, NoI: synth.Options{Constraints: synth.Constraints{MaxDegree: -1}}},
+		"NoC MaxProcsPerSwitch": {Spec: spec, NoC: synth.Options{Constraints: synth.Constraints{MaxProcsPerSwitch: -1}}},
+	} {
+		if _, err := Synthesize(pat, opt); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("negative %s: error %v, want it rejected", name, err)
+		}
+	}
+	if _, err := Partition(pat, spec, -1); err == nil {
+		t.Error("Partition accepted a negative gateway cap")
+	}
+	assign, err := Partition(pat, spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MeshOfMeshes(pat, assign, -1, 0); err == nil {
+		t.Error("MeshOfMeshes accepted a negative gateway width")
 	}
 }
 

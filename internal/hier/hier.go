@@ -55,6 +55,15 @@ func NoIOptions(noc synth.Options, maxDegree, maxProcsPerSwitch int) synth.Optio
 	return noc
 }
 
+// checkLinks rejects a negative gateway width or NoI link delay; zero selects
+// the default (Normalized).
+func checkLinks(gatewayWidth, noiLinkDelay int) error {
+	if gatewayWidth < 0 || noiLinkDelay < 0 {
+		return fmt.Errorf("hier: negative GatewayWidth %d or NoILinkDelay %d", gatewayWidth, noiLinkDelay)
+	}
+	return nil
+}
+
 // Normalized resolves defaults.
 func (o Options) Normalized() Options {
 	if o.GatewayWidth <= 0 {
@@ -189,6 +198,9 @@ func SynthesizeContext(ctx context.Context, p *model.Pattern, opt Options) (*Des
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("hier: %v", err)
+	}
+	if err := checkLinks(opt.GatewayWidth, opt.NoILinkDelay); err != nil {
+		return nil, err
 	}
 	opt = opt.Normalized()
 	sp := obs.Span(opt.Obs, "hier.synthesize")

@@ -20,6 +20,9 @@ func MeshOfMeshes(p *model.Pattern, assign *Assignment, gatewayWidth, noiLinkDel
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("hier: %v", err)
 	}
+	if err := checkLinks(gatewayWidth, noiLinkDelay); err != nil {
+		return nil, err
+	}
 	opt := Options{GatewayWidth: gatewayWidth, NoILinkDelay: noiLinkDelay}.Normalized()
 	d, _, err := compose("mom."+p.Name, p, assign, opt, meshLevel)
 	return d, err

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/model"
@@ -121,6 +122,9 @@ func NewAssignment(procs int, clusters, gateways [][]int) (*Assignment, error) {
 func Partition(p *model.Pattern, spec *Spec, maxGateways int) (*Assignment, error) {
 	if spec == nil {
 		return nil, specErrf("", "nil spec")
+	}
+	if maxGateways < 0 {
+		return nil, fmt.Errorf("hier: negative MaxGateways %d", maxGateways)
 	}
 	var clusters [][]int
 	var gateways [][]int

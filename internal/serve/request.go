@@ -42,6 +42,20 @@ func badRequest(format string, args ...any) error {
 	return &badRequestError{err: fmt.Errorf(format, args...)}
 }
 
+// checkSynth holds synthesis knobs to the bounds the server accepts: a
+// request's knobs merged over the server's defaults (planRequest), and those
+// defaults themselves (New), so a bad default fails at start instead of
+// blaming every client. Zero selects the synth default.
+func checkSynth(opt synth.Options) error {
+	if opt.MaxDegree < 0 || opt.MaxProcsPerSwitch < 0 {
+		return badRequest("max_degree and max_procs must be non-negative")
+	}
+	if opt.Restarts < 0 || opt.Restarts > 64 {
+		return badRequest("restarts %d outside [1, 64]", opt.Restarts)
+	}
+	return nil
+}
+
 // tooLargeError marks a well-formed request that asks for more than the
 // server will build; it maps to 413.
 type tooLargeError struct{ msg string }
@@ -141,9 +155,6 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 		return nil, badRequest("request needs a benchmark or an inline trace")
 	}
 
-	if req.MaxDegree < 0 || req.MaxProcs < 0 {
-		return nil, badRequest("max_degree and max_procs must be non-negative")
-	}
 	pl.opt = s.cfg.Synth
 	if req.Seed != 0 {
 		pl.opt.Seed = req.Seed
@@ -157,8 +168,8 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 	if req.Restarts != 0 {
 		pl.opt.Restarts = req.Restarts
 	}
-	if pl.opt.Restarts < 0 || pl.opt.Restarts > 64 {
-		return nil, badRequest("restarts %d outside [1, 64]", pl.opt.Restarts)
+	if err := checkSynth(pl.opt); err != nil {
+		return nil, err
 	}
 
 	if h := req.Hier; h != nil {

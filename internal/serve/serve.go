@@ -255,6 +255,9 @@ type Server struct {
 // surviving designs — so a scan failure (an unusable directory) fails
 // construction rather than silently serving without durability.
 func New(cfg Config) (*Server, error) {
+	if err := checkSynth(cfg.Synth); err != nil {
+		return nil, fmt.Errorf("serve: default synthesis options: %v", err)
+	}
 	cfg = cfg.Normalized()
 	s := &Server{
 		cfg:     cfg,

@@ -30,7 +30,7 @@ func quickConfig() Config {
 }
 
 // newTestServer builds a Server, failing the test on construction errors
-// (the only source is an unusable -data-dir).
+// (an unusable -data-dir, or synthesis defaults a request could not carry).
 func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	srv, err := New(cfg)
@@ -518,4 +518,27 @@ func TestDesignCollective(t *testing.T) {
 	if got := srv.Metrics().Counter("synth.runs"); got != 1 {
 		t.Errorf("synth.runs = %d, want 1", got)
 	}
+}
+
+// TestNewRejectsBadSynthDefaults: the server's synthesis defaults are held to
+// the bounds planRequest holds a request to, so nocd fails at start instead
+// of answering every plain request 400 (restarts out of range) or 200 with an
+// unmeetable design (a negative constraint).
+func TestNewRejectsBadSynthDefaults(t *testing.T) {
+	for name, mutate := range map[string]func(*synth.Options){
+		"restarts 100":     func(o *synth.Options) { o.Restarts = 100 },
+		"restarts -1":      func(o *synth.Options) { o.Restarts = -1 },
+		"max degree -2":    func(o *synth.Options) { o.MaxDegree = -2 },
+		"max procs -1":     func(o *synth.Options) { o.MaxProcsPerSwitch = -1 },
+		"degree, restarts": func(o *synth.Options) { o.MaxDegree, o.Restarts = -1, 65 },
+	} {
+		cfg := quickConfig()
+		mutate(&cfg.Synth)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted the synthesis defaults %+v", name, cfg.Synth)
+		}
+	}
+	cfg := quickConfig()
+	cfg.Synth.Restarts = 64
+	newTestServer(t, cfg)
 }

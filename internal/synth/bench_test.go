@@ -39,8 +39,20 @@ func BenchmarkSynthesizeCG16(b *testing.B) {
 
 // BenchmarkSynthesizeBT16 is the heaviest paper cell at full size (the
 // default 4 restarts, serial): the pattern whose merge sweeps dominate a cold
-// synthesis, so the one where mergeRefine's port bound has most to skip.
-func BenchmarkSynthesizeBT16(b *testing.B) {
+// synthesis, so the one where mergeRefine's port bound has most to skip and
+// Best_Route's floors have most to prune.
+func BenchmarkSynthesizeBT16(b *testing.B) { benchSynthesizeBT16(b) }
+
+// BenchmarkSynthesizeBT16Reference is BenchmarkSynthesizeBT16 with every
+// candidate priced (priceEveryTarget): each dead switch, and each candidate
+// whose floor already loses. make bench-synth gates the ratio of the two.
+func BenchmarkSynthesizeBT16Reference(b *testing.B) {
+	priceEveryTarget = true
+	defer func() { priceEveryTarget = false }()
+	benchSynthesizeBT16(b)
+}
+
+func benchSynthesizeBT16(b *testing.B) {
 	pat, err := nas.Generate("BT", 16, nas.Config{})
 	if err != nil {
 		b.Fatal(err)

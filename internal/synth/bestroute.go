@@ -56,7 +56,7 @@ func (s *state) bestRoute(touch, via []int) {
 			if !equalRoute(cand, cur) {
 				s.wiGroupDepart(g)
 				departed = true
-				if delta := s.wiGroupRoute(g, cand); delta < bestDelta {
+				if delta := s.wiGroupRoute(g, cand, bestDelta); delta < bestDelta {
 					bestDelta, bestVia = delta, -1
 				}
 			}
@@ -73,7 +73,7 @@ func (s *state) bestRoute(touch, via []int) {
 					s.wiGroupDepart(g)
 					departed = true
 				}
-				if delta := s.wiGroupRoute(g, cand); delta < bestDelta {
+				if delta := s.wiGroupRoute(g, cand, bestDelta); delta < bestDelta {
 					bestDelta, bestVia = delta, m
 				}
 			}
@@ -155,9 +155,9 @@ func (s *state) wiGroupDepart(g group) {
 }
 
 // wiGroupRoute prices routing the group's first flow along cand, and any
-// paired reverse flow along its mirror, on the frozen departure. cand is not
-// retained.
-func (s *state) wiGroupRoute(g group, cand []int) int {
+// paired reverse flow along its mirror, on the frozen departure, bound as
+// wiDeltaCand. cand is not retained.
+func (s *state) wiGroupRoute(g group, cand []int, bound int) int {
 	for i := 1; i < len(cand); i++ {
 		s.wiJoinCand(g[0], cand[i-1], cand[i])
 	}
@@ -166,14 +166,14 @@ func (s *state) wiGroupRoute(g group, cand []int) int {
 			s.wiJoinCand(g[1], cand[i], cand[i-1])
 		}
 	}
-	return s.wiDeltaCand(-1)
+	return s.wiDeltaCand(-1, bound)
 }
 
 // groupRouteDelta is the cost change of rerouting a flow (and its mirrored
 // reverse, if grouped) onto cand: a family of one.
 func (s *state) groupRouteDelta(g group, cand []int) int {
 	s.wiGroupDepart(g)
-	d := s.wiGroupRoute(g, cand)
+	d := s.wiGroupRoute(g, cand, noBound)
 	s.wiRelease()
 	return d
 }
@@ -206,7 +206,7 @@ func (s *state) eliminatePipes() bool {
 				if m == sw || m == other || m >= 0 && s.twinDead(m, &firstDead) {
 					continue
 				}
-				if s.wiPipeVia(m) < 0 {
+				if s.wiPipeVia(m, 0) < 0 {
 					won = m
 					break
 				}
@@ -273,9 +273,9 @@ func (s *state) wiPipeDepart(ids []int, a, b int) {
 }
 
 // wiPipeVia prices emptying the frozen pipe through intermediate m, which is
-// neither of its switches (-1 allows only direct paths), or returns 0 when
-// some flow cannot leave the pipe.
-func (s *state) wiPipeVia(m int) int {
+// neither of its switches (-1 allows only direct paths), bound as
+// wiDeltaCand, or returns 0 when some flow cannot leave the pipe.
+func (s *state) wiPipeVia(m, bound int) int {
 	if m < 0 && len(s.wi.via) > 0 {
 		return 0
 	}
@@ -285,7 +285,7 @@ func (s *state) wiPipeVia(m int) int {
 		s.wiJoinCand(fi, ha, m)
 		s.wiJoinCand(fi, m, hb)
 	}
-	return s.wiDeltaCand(-1)
+	return s.wiDeltaCand(-1, bound)
 }
 
 // emptyPipe commits an elimination wiPipeVia priced: every flow crossing pipe

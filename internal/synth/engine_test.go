@@ -438,7 +438,7 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 				if to != sref.home[p] {
 					d1, undo := sref.tryMove(p, to)
 					undo()
-					d2 := snew.probeMove(p, to)
+					d2 := snew.probeMove(p, to, noBound)
 					if d1 != d2 {
 						t.Fatalf("trial %d: tryMove(%d,%d) delta %d, probeMove %d", trial, p, to, d1, d2)
 					}
@@ -477,9 +477,11 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 // it prices a move and a swap, and a whole family of each kind — a
 // processor's relocations, a group's reroutes, a pipe's eliminations, each
 // frozen once — with the what-if evaluator and with the mutating oracle
-// (whatif_test.go's compare helpers) and requires equal deltas, then holds the
-// cost tables to the from-scratch oracle, portBound to the degree it bounds
-// and the evaluator's released scratch to all-zero (checkStateInvariants).
+// (whatif_test.go's compare helpers) and requires equal deltas, and holds
+// every one of those candidates' floors to its exact price (checkBounds). It
+// then holds the cost tables to the from-scratch oracle, portBound to the
+// degree it bounds and the evaluator's released scratch to all-zero
+// (checkStateInvariants).
 // When two or more switches are dead it requires every one to price p's
 // relocation and a pipe's elimination as the lowest one does
 // (compareDeadTwins).

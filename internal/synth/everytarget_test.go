@@ -13,9 +13,10 @@ import (
 	"repro/internal/synth"
 )
 
-// everyTarget synthesizes p with every dead switch priced: each relocation
-// target and each pipe's intermediate, as the scans did before dead switches
-// were priced once. It returns the winner and the summed counters.
+// everyTarget synthesizes p with every candidate priced: each dead
+// relocation target and pipe intermediate, as the scans did before dead
+// switches were priced once, and each candidate whose floor already loses.
+// It returns the winner and the summed counters.
 func everyTarget(t *testing.T, p *model.Pattern, opt synth.Options) (*synth.Result, map[string]int64) {
 	t.Helper()
 	synth.PriceEveryTarget(true)
@@ -54,13 +55,15 @@ func noiLevel(t *testing.T, p *model.Pattern, clusters string) *model.Pattern {
 	return split.NoI
 }
 
-// TestDeadTwinsMatchEveryTarget holds the collapsed scans to everyTarget:
-// the same design byte for byte, the same winner Stats (MovesEvaluated
-// included, whose skipped ticks are added in closed form) and the same summed
-// counters. It runs the NoI levels of the three hier classes the server
-// benchmark requests, where the NoI loop leaves most switch indices dead, at
-// seeds 1–8 under the server's constraints, and the 63 runs of the golden
-// corpus.
+// TestDeadTwinsMatchEveryTarget holds both shortcuts of the candidate scans
+// — one dead switch priced for all, and no candidate priced whose floor
+// already loses — to everyTarget: the same design byte for byte, the same
+// winner Stats (MovesEvaluated included, whose skipped ticks are added in
+// closed form) and the same summed counters. It runs the NoI levels of the
+// three hier classes the server benchmark requests, where the NoI loop leaves
+// most switch indices dead, at seeds 1–8 under the server's constraints, and
+// the 63 runs of the golden corpus. The shortcut side alternates between 1
+// and 8 workers, so the counters are held across worker counts as well.
 func TestDeadTwinsMatchEveryTarget(t *testing.T) {
 	type run struct {
 		name string
@@ -104,9 +107,11 @@ func TestDeadTwinsMatchEveryTarget(t *testing.T) {
 	if len(runs) != 24+63 {
 		t.Fatalf("%d runs, want 24 NoI runs and the 63 golden ones", len(runs))
 	}
-	for _, r := range runs {
+	for i, r := range runs {
 		want, wantCounts := everyTarget(t, r.pat, r.opt)
-		got, gotCounts := synthCounted(t, r.pat, r.opt)
+		opt := r.opt
+		opt.Workers = []int{1, 8}[i%2]
+		got, gotCounts := synthCounted(t, r.pat, opt)
 		if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
 			t.Errorf("%s seed %d: design differs from pricing every target", r.name, r.opt.Seed)
 		}

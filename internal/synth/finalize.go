@@ -236,6 +236,9 @@ func SynthesizeCliques(ctx context.Context, p *model.Pattern, cliques []model.Cl
 	if opt.Restarts < 0 {
 		return nil, fmt.Errorf("synth: negative Restarts %d", opt.Restarts)
 	}
+	if opt.MaxDegree < 0 || opt.MaxProcsPerSwitch < 0 {
+		return nil, fmt.Errorf("synth: negative MaxDegree %d or MaxProcsPerSwitch %d", opt.MaxDegree, opt.MaxProcsPerSwitch)
+	}
 	sp := obs.Span(opt.Obs, "synth.run")
 	defer sp.End()
 	// The immutable per-pattern half of the search state (flow interning,

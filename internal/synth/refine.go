@@ -63,7 +63,7 @@ func (s *state) swapRefine() bool {
 			if s.home[p] == s.home[q] {
 				continue
 			}
-			if s.probeSwap(p, q) < 0 {
+			if s.probeSwap(p, q, 0) < 0 {
 				s.swapHomes(p, q)
 				s.stats.MovesCommitted++
 				changed = true

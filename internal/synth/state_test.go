@@ -302,8 +302,11 @@ func checkStateInvariants(t *testing.T, s *state) {
 	if len(wi.dirs) != 0 || len(wi.sws) != 0 || wi.hops != 0 || wi.nbase != 0 || wi.left != 0 || wi.base != 0 {
 		t.Fatalf("what-if base not released: %d directions, %d switches, %d hops, %d frozen directions, switch %d left, delta %d", len(wi.dirs), len(wi.sws), wi.hops, wi.nbase, wi.left-1, wi.base)
 	}
-	if wi.quad != 0 || len(wi.joins) != 0 || len(wi.cdirs) != 0 || len(wi.csws) != 0 {
-		t.Fatalf("what-if candidate not cleared: quad %d, %d joins, %d directions, %d switches", wi.quad, len(wi.joins), len(wi.cdirs), len(wi.csws))
+	if wi.quad != 0 || len(wi.cand) != 0 || len(wi.cdirs) != 0 || len(wi.csws) != 0 {
+		t.Fatalf("what-if candidate not cleared: quad %d, %d joins, %d directions, %d switches", wi.quad, len(wi.cand), len(wi.cdirs), len(wi.csws))
+	}
+	if i := slices.Index(wi.seen, true); i >= 0 {
+		t.Fatalf("what-if seen[%d] set between evaluations", i)
 	}
 	for name, cells := range map[string][]int32{"slot": wi.slot, "overlay": wi.ov} {
 		if i := slices.IndexFunc(cells, func(n int32) bool { return n != 0 }); i >= 0 {
@@ -315,8 +318,8 @@ func checkStateInvariants(t *testing.T, s *state) {
 			t.Fatalf("what-if %s[%d] = %d between evaluations", name, i, cells[i])
 		}
 	}
-	if len(wi.slot) != len(s.dirW) || len(wi.deg) != len(s.sumW) || len(wi.fdeg) != len(s.sumW) {
-		t.Fatalf("what-if scratch sized %d/%d/%d, tables %d/%d", len(wi.slot), len(wi.deg), len(wi.fdeg), len(s.dirW), len(s.sumW))
+	if len(wi.slot) != len(s.dirW) || len(wi.seen) != len(s.pairW) || len(wi.deg) != len(s.sumW) || len(wi.fdeg) != len(s.sumW) {
+		t.Fatalf("what-if scratch sized %d/%d/%d/%d, tables %d/%d/%d", len(wi.slot), len(wi.seen), len(wi.deg), len(wi.fdeg), len(s.dirW), len(s.pairW), len(s.sumW))
 	}
 }
 

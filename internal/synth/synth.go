@@ -271,8 +271,9 @@ func (s *state) dead(sw int) bool {
 	return len(s.swProcs[sw]) == 0 && s.sumW[sw] == 0 && s.dirW[sw*s.stride+sw] == 0
 }
 
-// priceEveryTarget, set only by tests, prices every dead switch a scan meets:
-// the reference the collapsed scans are held to.
+// priceEveryTarget, set only by tests, prices every candidate: every dead
+// switch a scan meets (twinDead) and every candidate whose floor already
+// loses (wiDeltaCand). It is the reference both shortcuts are held to.
 var priceEveryTarget bool
 
 // twinDead reports whether sw is a dead switch after the first one a
@@ -347,6 +348,7 @@ func (s *state) growStride(n int) {
 	s.selfRoute = selfRoute
 	// All-zero between evaluations, so nothing to carry over.
 	s.wi.slot = make([]int32, stride*stride)
+	s.wi.seen = make([]bool, stride*stride)
 	s.wi.deg = make([]int64, stride)
 	s.wi.fdeg = make([]int64, stride)
 }
@@ -466,7 +468,7 @@ func (s *state) optimizeMoves(i, j int) {
 			if !s.balancedAfterMove(p, to, i, j) {
 				continue
 			}
-			if delta := s.probeMove(p, to); delta < bestDelta {
+			if delta := s.probeMove(p, to, bestDelta); delta < bestDelta {
 				bestDelta = delta
 				bestProc, bestTo = p, to
 			}
@@ -511,7 +513,7 @@ func (s *state) annealMoves(i, j int) {
 			temp *= s.opt.Anneal.Cooling
 			continue
 		}
-		delta := s.probeMove(p, to)
+		delta := s.probeMove(p, to, noBound)
 		accept := delta < 0 || s.rng.Float64() < math.Exp(-float64(delta)/temp)
 		if accept {
 			s.reattach(p, to)
@@ -567,7 +569,7 @@ func (s *state) globalRefine() {
 					s.wiDepart(p)
 					departed = true
 				}
-				delta := s.wiArrive(p, to)
+				delta := s.wiArrive(p, to, bestDelta)
 				if delta < bestDelta {
 					bestDelta = delta
 					bestTo = to

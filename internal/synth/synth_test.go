@@ -232,6 +232,8 @@ func TestSynthesizeRejectsInvalidPattern(t *testing.T) {
 	}{
 		{"no processors", &model.Pattern{Name: "bad", Procs: 0}, Options{}, "synth: "},
 		{"negative restarts", nas.Figure1Pattern(), Options{Restarts: -1}, "synth: negative Restarts -1"},
+		{"negative degree", nas.Figure1Pattern(), Options{Constraints: Constraints{MaxDegree: -1}}, "synth: negative MaxDegree -1"},
+		{"negative processors", nas.Figure1Pattern(), Options{Constraints: Constraints{MaxProcsPerSwitch: -2}}, "or MaxProcsPerSwitch -2"},
 	} {
 		_, err := Synthesize(tc.pat, tc.opt)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

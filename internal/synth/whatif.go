@@ -1,5 +1,7 @@
 package synth
 
+import "math"
+
 // This file is the what-if evaluator: the one place a candidate — a processor
 // move, a swap, a group reroute, a pipe elimination — is priced. Candidates
 // come in families that share one departure: every Best_Route path of a group
@@ -10,9 +12,11 @@ package synth
 // prices it with wiFreeze. Then it states each candidate's joins on top
 // (wiJoinCand) and prices them with wiDeltaCand, which returns the exact
 // change of the weighted objective (cost.go) that committing base and
-// candidate through reattach/setRoute would cause. wiRelease clears the base.
-// A one-shot evaluation is a family with no candidate: a swap's price is its
-// base's (probeSwap).
+// candidate through reattach/setRoute would cause — unless the candidate's
+// floor (wiFloor) already reaches the family's bound, the price a candidate
+// must beat to be kept: then it returns the floor unpriced. wiRelease clears
+// the base. A one-shot evaluation is a family of one: a swap's leaves are its
+// base and its joins its candidate (probeSwap).
 //
 // Contract (see DESIGN.md §13):
 //
@@ -46,8 +50,12 @@ package synth
 //     stays out of the degrees, as foldWidth keeps it out of sumW.
 //   - A winner is committed only after wiRelease: the base reads the tables a
 //     commit rewrites.
+//   - wiDeltaCand(to, bound) returns the exact price when it is below bound;
+//     a result at or above bound is a lower bound on the exact price, which
+//     therefore reaches bound too. noBound always prices exactly.
 //   - Between families the scratch is all-zero and its lists are empty, so it
-//     survives pooling across kernels; slot, deg and fdeg follow growStride.
+//     survives pooling across kernels; slot, seen, deg and fdeg follow
+//     growStride.
 
 // wiDir is one pipe direction a pending what-if touches.
 type wiDir struct {
@@ -57,9 +65,13 @@ type wiDir struct {
 	cw       int32 // width under the pending candidate; 0 if it does not touch it
 }
 
-// wiJoined is a candidate's join on a base direction: the entry and the flow,
-// whose counts wiDeltaCand takes off the overlay again.
-type wiJoined struct{ k, fi int32 }
+// wiHop is a join the pending candidate states: flow fi on the (from,to)
+// direction.
+type wiHop struct{ fi, from, to int32 }
+
+// noBound is the bound of a caller that reads the exact price whatever it is
+// (annealMoves' Metropolis test, rerouteAnneal's plateau moves).
+const noBound = math.MaxInt
 
 // whatIf is the evaluator's scratch: the change stated so far.
 type whatIf struct {
@@ -75,10 +87,11 @@ type whatIf struct {
 	base  int     // the frozen base's cost delta
 
 	// The pending candidate, on top of a frozen base.
-	quad  int        // its quad change so far
-	joins []wiJoined // its joins on base directions
-	cdirs []int32    // base entries it touches, each once; its own follow the base's
-	csws  []int      // switches with a deg entry; repeats allowed
+	cand  []wiHop // its joins as stated; wiDeltaCand applies them
+	seen  []bool  // pair -> counted by the running wiFloor; all false between calls
+	quad  int     // its quad change so far
+	cdirs []int32 // base entries it touches, each once; its own follow the base's
+	csws  []int   // switches with a deg entry; repeats allowed
 
 	arr []wiArr // the relocated processor's flows
 	via []int   // the eliminated pipe's flows that need an intermediate
@@ -144,12 +157,20 @@ func (s *state) wiJoin(fi, from, to int) {
 }
 
 // wiJoinCand puts flow fi on the hop (from,to) in the pending candidate, on
-// top of the frozen base. A direction the candidate opens is priced whole by
-// wiDeltaCand; on a base direction the join prices itself as it goes: each
-// count it raises is read with the base and the candidate's earlier joins
-// applied, so the maxima are the candidate's widths and the increments sum to
-// its quad change.
+// top of the frozen base. The join is only recorded: wiDeltaCand reads the
+// candidate's floor from the recorded joins and applies them (wiRaise) only
+// when the floor is below its bound. So a family of one may record its
+// candidate's joins before it freezes the base (probeSwap).
 func (s *state) wiJoinCand(fi, from, to int) {
+	s.wi.cand = append(s.wi.cand, wiHop{int32(fi), int32(from), int32(to)})
+}
+
+// wiRaise applies a recorded join of the pending candidate. A direction the
+// candidate opens is priced whole by wiDeltaCand; on a base direction the
+// join prices itself as it goes: each count it raises is read with the base
+// and the candidate's earlier joins applied, so the maxima are the
+// candidate's widths and the increments sum to its quad change.
+func (s *state) wiRaise(fi, from, to int) {
 	wi, nc := &s.wi, len(s.cliques)
 	wi.hops++
 	pi := from*s.stride + to
@@ -174,7 +195,6 @@ func (s *state) wiJoinCand(fi, from, to int) {
 	// Every flow is in some clique, so w ≥ 1 and cw != 0 marks the entry.
 	e.cw = w
 	wi.quad += dq
-	wi.joins = append(wi.joins, wiJoined{int32(k), int32(fi)})
 }
 
 // countRow is the (from,to) direction's per-clique count row, pi its index.
@@ -251,11 +271,64 @@ func (s *state) wiFreeze(from int) int {
 	return wi.base
 }
 
+// wiFloor is a lower bound on what wiDeltaCand prices the pending candidate
+// at, read in O(joins) from the frozen widths. A candidate only joins, so on
+// top of the base's delta it adds at least
+//
+//   - one hop per join, exactly;
+//   - one quad unit per clique of the joining flow: each count it raises goes
+//     from n ≥ 0 to n+1, so its square rises by 2n+1 ≥ 1;
+//   - one link per distinct pair whose width under the frozen base is zero:
+//     the join raises it to at least one, and no pair's width falls;
+//   - no penalty: degrees and processor counts only rise, and excess is
+//     monotone in both.
+//
+// The terms only add, so the joins are read only until the floor reaches
+// bound; the pair marks are cleared before it returns.
+func (s *state) wiFloor(bound int) int {
+	wi := &s.wi
+	fl, n := wi.base+len(wi.cand)*costHopWeight, 0
+	for ; n < len(wi.cand) && fl < bound; n++ {
+		h := wi.cand[n]
+		fl += len(s.flowCliques[h.fi]) * costQuadWeight
+		a, b := int(h.from), int(h.to)
+		pi := s.widthIdx(a, b)
+		if !wi.seen[pi] && s.frozenW(a, b) == 0 && s.frozenW(b, a) == 0 {
+			wi.seen[pi] = true
+			fl += costLinkWeight
+		}
+	}
+	for _, h := range wi.cand[:n] {
+		wi.seen[s.widthIdx(int(h.from), int(h.to))] = false
+	}
+	return fl
+}
+
+// frozenW is the (from,to) direction's width under the frozen base, while no
+// candidate join is applied.
+func (s *state) frozenW(from, to int) int32 {
+	pi := from*s.stride + to
+	if k := s.wi.slot[pi]; k != 0 {
+		return s.wi.dirs[k-1].w
+	}
+	return s.dirW[pi]
+}
+
 // wiDeltaCand prices the base plus the joins stated since wiFreeze, with one
 // processor arriving at switch `to` (-1: none does), and clears the
-// candidate's part of the scratch.
-func (s *state) wiDeltaCand(to int) int {
+// candidate's part of the scratch. A candidate whose floor reaches bound is
+// not priced: the floor is returned instead (the contract above).
+func (s *state) wiDeltaCand(to, bound int) int {
 	wi, nc := &s.wi, len(s.cliques)
+	if !priceEveryTarget {
+		if fl := s.wiFloor(bound); fl >= bound {
+			wi.cand = wi.cand[:0]
+			return fl
+		}
+	}
+	for _, h := range wi.cand {
+		s.wiRaise(int(h.fi), int(h.from), int(h.to))
+	}
 	quad := wi.quad
 	for k := wi.nbase; k < len(wi.dirs); k++ {
 		w, dq := s.wiScan(k)
@@ -282,10 +355,12 @@ func (s *state) wiDeltaCand(to int) int {
 	// Clear the candidate: its counts on base directions join by join, the
 	// directions it opened whole.
 	ov, fc := wi.ov, s.flowCliques
-	for _, j := range wi.joins {
-		row := ov[int(j.k)*nc:]
-		for _, c := range fc[j.fi] {
-			row[c]--
+	for _, h := range wi.cand {
+		if k := int(wi.slot[int(h.from)*s.stride+int(h.to)]) - 1; k < wi.nbase {
+			row := ov[k*nc:]
+			for _, c := range fc[h.fi] {
+				row[c]--
+			}
 		}
 	}
 	for _, k := range wi.cdirs {
@@ -300,7 +375,7 @@ func (s *state) wiDeltaCand(to int) int {
 	clear(ov[wi.nbase*nc : len(wi.dirs)*nc])
 	d := wi.base + pen*costPenaltyWeight + links*costLinkWeight + quad*costQuadWeight + wi.hops*costHopWeight
 	wi.dirs = wi.dirs[:wi.nbase]
-	wi.joins, wi.cdirs, wi.csws = wi.joins[:0], wi.cdirs[:0], wi.csws[:0]
+	wi.cand, wi.cdirs, wi.csws = wi.cand[:0], wi.cdirs[:0], wi.csws[:0]
 	wi.quad, wi.hops = 0, 0
 	return d
 }
@@ -393,9 +468,10 @@ func (s *state) wiDepart(p int) {
 	s.wiFreeze(s.home[p])
 }
 
-// wiArrive prices relocating p to switch `to` on its frozen departure: each
-// of p's flows joins its direct path.
-func (s *state) wiArrive(p, to int) int {
+// wiArrive prices relocating p to switch `to` on its frozen departure, bound
+// as wiDeltaCand: each of p's flows joins its direct path. Priced or not, p
+// goes to the end of its home list and the move is counted evaluated.
+func (s *state) wiArrive(p, to, bound int) int {
 	for _, a := range s.wi.arr {
 		switch {
 		case a.h < 0 || int(a.h) == to: // local at the target
@@ -407,21 +483,24 @@ func (s *state) wiArrive(p, to int) int {
 	}
 	s.procToEnd(p)
 	s.stats.MovesEvaluated++
-	return s.wiDeltaCand(to)
+	return s.wiDeltaCand(to, bound)
 }
 
 // probeMove returns the cost delta of moving p to switch `to` with its flows
-// rerouted directly.
-func (s *state) probeMove(p, to int) int {
+// rerouted directly, bound as wiDeltaCand.
+func (s *state) probeMove(p, to, bound int) int {
 	s.wiDepart(p)
-	d := s.wiArrive(p, to)
+	d := s.wiArrive(p, to, bound)
 	s.wiRelease()
 	return d
 }
 
 // probeSwap returns the cost delta of exchanging the homes of p and q with
-// both processors' flows rerouted directly. No switch's processor count moves.
-func (s *state) probeSwap(p, q int) int {
+// both processors' flows rerouted directly, bound as wiDeltaCand. It is a
+// family of one: the flows' leaves are the base, their direct paths the
+// candidate, whose joins wiDeltaCand applies after the base froze. No
+// switch's processor count moves.
+func (s *state) probeSwap(p, q, bound int) int {
 	sp, sq := s.home[p], s.home[q]
 	for _, proc := range [2]int{p, q} {
 		for _, fi := range s.procFlows[proc] {
@@ -444,14 +523,15 @@ func (s *state) probeSwap(p, q int) int {
 			}
 			s.wiLeave(fi)
 			if a != b {
-				s.wiJoin(fi, a, b)
+				s.wiJoinCand(fi, a, b)
 			}
 		}
 	}
 	s.procToEnd(p)
 	s.procToEnd(q)
 	s.stats.MovesEvaluated++
-	d := s.wiFreeze(-1)
+	s.wiFreeze(-1)
+	d := s.wiDeltaCand(-1, bound)
 	s.wiRelease()
 	return d
 }

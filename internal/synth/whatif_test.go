@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -18,15 +19,34 @@ import (
 // as the oracle's apply/undo round trip leaves them. A family helper freezes
 // the shared departure once and prices every candidate of the family on it,
 // the oracle's apply/undo running between candidates while the base stays
-// frozen. Callers finish with checkStateInvariants, which holds the tables to
-// a recomputation and the evaluator's scratch, released, to all-zero.
+// frozen. Every candidate is priced exactly (noBound) and then at the bounds
+// of checkBounds, which hold the floor and the bounded pricer to the
+// contract. Callers finish with checkStateInvariants, which holds the tables
+// to a recomputation and the evaluator's scratch, released, to all-zero.
+
+// checkBounds prices a candidate whose exact price is exact at bounds on both
+// sides of the pricer's contract (whatif.go): math.MinInt, where the floor
+// stops at the base and the hops; 0, the bound of eliminatePipes and
+// swapRefine; the exact price; and one above it. Below its bound a result
+// must be the exact price; at or above it, no more than the exact price,
+// which therefore reaches the bound too. One above the exact price is where
+// an unsound floor shows: wiFloor reads joins until the floor reaches the
+// bound, so a floor above the exact price is returned there.
+func checkBounds(t *testing.T, what string, exact int, price func(bound int) int) {
+	t.Helper()
+	for _, bound := range []int{math.MinInt, 0, exact, exact + 1} {
+		if got := price(bound); got < bound && got != exact || got >= bound && got > exact {
+			t.Fatalf("%s at bound %d = %d, the exact price %d", what, bound, got, exact)
+		}
+	}
+}
 
 // compareProbe prices one candidate with probe, then with the oracle's try
-// function and its undo.
-func compareProbe(t *testing.T, s *state, what string, probe func() int, try func() (int, func())) {
+// function and its undo, then at checkBounds' bounds.
+func compareProbe(t *testing.T, s *state, what string, probe func(bound int) int, try func() (int, func())) {
 	t.Helper()
 	before := snapshotFull(s)
-	got := probe()
+	got := probe(noBound)
 	lists := listsOf(s)
 	if !equalSnapshots(before, snapshotFull(s)) {
 		t.Fatalf("%s changed placement or routes", what)
@@ -39,18 +59,19 @@ func compareProbe(t *testing.T, s *state, what string, probe func() int, try fun
 	if after := listsOf(s); after != lists {
 		t.Fatalf("%s left lists %s, the oracle's round trip %s", what, lists, after)
 	}
+	checkBounds(t, what, want, probe)
 }
 
 func compareMove(t *testing.T, s *state, p, to int) {
 	t.Helper()
 	compareProbe(t, s, fmt.Sprintf("probeMove(%d,%d)", p, to),
-		func() int { return s.probeMove(p, to) }, func() (int, func()) { return s.tryMove(p, to) })
+		func(bound int) int { return s.probeMove(p, to, bound) }, func() (int, func()) { return s.tryMove(p, to) })
 }
 
 func compareSwap(t *testing.T, s *state, p, q int) {
 	t.Helper()
 	compareProbe(t, s, fmt.Sprintf("probeSwap(%d,%d)", p, q),
-		func() int { return s.probeSwap(p, q) }, func() (int, func()) { return s.trySwap(p, q) })
+		func(bound int) int { return s.probeSwap(p, q, bound) }, func() (int, func()) { return s.trySwap(p, q) })
 }
 
 // compareRelocations freezes p's departure once and prices its relocation to
@@ -61,7 +82,7 @@ func compareRelocations(t *testing.T, s *state, p int) {
 	for to := range s.swProcs {
 		if to != s.home[p] {
 			compareProbe(t, s, fmt.Sprintf("wiArrive(%d,%d)", p, to),
-				func() int { return s.wiArrive(p, to) }, func() (int, func()) { return s.tryMove(p, to) })
+				func(bound int) int { return s.wiArrive(p, to, bound) }, func() (int, func()) { return s.tryMove(p, to) })
 		}
 	}
 	s.wiRelease()
@@ -82,9 +103,9 @@ func compareDeadTwins(t *testing.T, s *state, p, a, b int) {
 		return
 	}
 	s.wiDepart(p)
-	first := s.wiArrive(p, dead[0])
+	first := s.wiArrive(p, dead[0], noBound)
 	for _, sw := range dead[1:] {
-		if got := s.wiArrive(p, sw); got != first {
+		if got := s.wiArrive(p, sw, noBound); got != first {
 			t.Fatalf("relocating %d to dead switch %d prices %d, to dead switch %d %d", p, sw, got, dead[0], first)
 		}
 	}
@@ -98,7 +119,7 @@ func compareDeadTwins(t *testing.T, s *state, p, a, b int) {
 		if m == a || m == b {
 			continue
 		}
-		if got := s.wiPipeVia(m); firstM < 0 {
+		if got := s.wiPipeVia(m, noBound); firstM < 0 {
 			first, firstM = got, m
 		} else if got != first {
 			t.Fatalf("emptying pipe (%d,%d) via dead switch %d prices %d, via dead switch %d %d", a, b, m, got, firstM, first)
@@ -122,19 +143,21 @@ func compareGroup(t *testing.T, s *state, fi int) {
 	if ri := s.revID[fi]; ri >= 0 && isMirror(s.routes[ri], s.routes[fi]) {
 		g[1] = ri
 	}
-	check := func(what string, cand []int, price func() int) {
+	check := func(what string, cand []int, price func(bound int) int) {
 		t.Helper()
 		before := snapshotFull(s)
-		got := price()
+		got := price(noBound)
 		if !equalSnapshots(before, snapshotFull(s)) {
 			t.Fatalf("%s(%v,%v) changed placement or routes", what, g, cand)
 		}
-		if want := s.groupRouteDeltaRef(g, cand); got != want {
+		want := s.groupRouteDeltaRef(g, cand)
+		if got != want {
 			t.Fatalf("%s(%v,%v) = %d from routes %v %v, the oracle's %d", what, g, cand, got, s.routes[fi], s.routes[max(g[1], 0)], want)
 		}
+		checkBounds(t, fmt.Sprintf("%s(%v,%v)", what, g, cand), want, price)
 	}
 	direct := []int{a, b}
-	check("groupRouteDelta", direct, func() int { return s.groupRouteDelta(g, direct) })
+	check("groupRouteDelta", direct, func(int) int { return s.groupRouteDelta(g, direct) })
 	s.wiGroupDepart(g)
 	for m := -1; m < s.nsw(); m++ {
 		cand := direct
@@ -144,7 +167,7 @@ func compareGroup(t *testing.T, s *state, fi int) {
 			}
 			cand = []int{a, m, b}
 		}
-		check("wiGroupRoute", cand, func() int { return s.wiGroupRoute(g, cand) })
+		check("wiGroupRoute", cand, func(bound int) int { return s.wiGroupRoute(g, cand, bound) })
 	}
 	s.wiRelease()
 }
@@ -163,13 +186,16 @@ func comparePipe(t *testing.T, s *state, a, b int) {
 			continue
 		}
 		before := snapshotFull(s)
-		got := s.wiPipeVia(m)
+		got := s.wiPipeVia(m, noBound)
 		if !equalSnapshots(before, snapshotFull(s)) {
 			t.Fatalf("wiPipeVia(%v,%d,%d,%d) changed placement or routes", ids, a, b, m)
 		}
-		if want := s.pipeEliminationDeltaRef(ids, a, b, m); got != want {
+		want := s.pipeEliminationDeltaRef(ids, a, b, m)
+		if got != want {
 			t.Fatalf("wiPipeVia(%v,%d,%d,%d) = %d, the oracle's %d", ids, a, b, m, got, want)
 		}
+		checkBounds(t, fmt.Sprintf("wiPipeVia(%v,%d,%d,%d)", ids, a, b, m), want,
+			func(bound int) int { return s.wiPipeVia(m, bound) })
 	}
 	s.wiRelease()
 }
@@ -208,8 +234,9 @@ func noiFFT16(t testing.TB) *model.Pattern {
 
 // TestWhatIfMatchesOracle is the lockstep for every kind of what-if delta —
 // one-shot moves, swaps and group reroutes, and the relocation, Best_Route and
-// pipe-elimination families, each frozen once — on random and on refined
-// states of three kernels: BT/16 (two bitset words), the FFT/16 NoI level
+// pipe-elimination families, each frozen once — and for the bounded pricer's
+// contract against the oracle (checkBounds), on random and on refined states
+// of three kernels: BT/16 (two bitset words), the FFT/16 NoI level
 // (3 cliques, 48 flows, one word) and the jittered CG/16 trace (29 cliques,
 // flows in several cliques at once).
 func TestWhatIfMatchesOracle(t *testing.T) {
@@ -357,7 +384,7 @@ func TestWhatIfPitfalls(t *testing.T) {
 			comparePipe(t, s, 1, 2)
 			ids := slices.Clone(s.pipeFlowIDs(1, 2))
 			s.wiPipeDepart(ids, 1, 2)
-			d := s.wiPipeVia(-1)
+			d := s.wiPipeVia(-1, noBound)
 			s.wiRelease()
 			if d >= 0 {
 				t.Fatal("emptying the pipe a same-switch flow detours over does not pay")
