@@ -34,11 +34,12 @@ func main() {
 // stdout.
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("netgen", flag.ExitOnError)
+	def := synth.Options{}.Normalized()
 	var (
 		tracePath = fs.String("trace", "", "input noctrace file (required)")
-		maxDeg    = fs.Int("maxdegree", 5, "maximum switch degree (ports)")
-		maxProcs  = fs.Int("maxprocs", 4, "maximum processors per switch")
-		restarts  = fs.Int("restarts", 4, "synthesis restarts")
+		maxDeg    = fs.Int("maxdegree", def.MaxDegree, "maximum switch degree (ports)")
+		maxProcs  = fs.Int("maxprocs", def.MaxProcsPerSwitch, "maximum processors per switch")
+		restarts  = fs.Int("restarts", def.Restarts, "synthesis restarts")
 		out       = fs.String("o", "", "write topology JSON to this file")
 		gwWidth   = fs.Int("gateway-width", 0, "links per gateway pipe between a chiplet and the NoI (0 = 1)")
 		noiDelay  = fs.Int("noi-link-delay", 0, "cycles per flit hop on NoI and gateway links (0 = 2)")

@@ -50,12 +50,13 @@ import (
 )
 
 func main() {
+	synthDef, serveDef := synth.Options{}.Normalized(), serve.Config{}.Normalized()
 	var (
-		maxDeg   = flag.Int("maxdegree", 5, "default maximum switch degree (ports)")
-		maxProcs = flag.Int("maxprocs", 4, "default maximum processors per switch")
-		restarts = flag.Int("restarts", 4, "default synthesis restarts")
-		inflight = flag.Int("max-inflight", 2, "concurrently executing syntheses")
-		queue    = flag.Int("max-queue", 64, "syntheses waiting for a slot before 503")
+		maxDeg   = flag.Int("maxdegree", synthDef.MaxDegree, "default maximum switch degree (ports)")
+		maxProcs = flag.Int("maxprocs", synthDef.MaxProcsPerSwitch, "default maximum processors per switch")
+		restarts = flag.Int("restarts", synthDef.Restarts, "default synthesis restarts")
+		inflight = flag.Int("max-inflight", serveDef.MaxInFlight, "concurrently executing syntheses")
+		queue    = flag.Int("max-queue", serveDef.MaxQueue, "syntheses waiting for a slot before 503")
 		drain    = flag.Duration("drain-timeout", 10*time.Second,
 			"how long shutdown waits for in-flight requests")
 		pprofAddr = flag.String("pprof-addr", "",

@@ -53,19 +53,18 @@ func finishKey(h hash.Hash, opt synth.Options, extra ...string) string {
 // synthesized bytes. Workers is deliberately absent — the determinism
 // contract guarantees byte-identical designs for every worker count — and
 // Obs is telemetry, so requests differing only in those collapse onto one
-// cache entry. SeedDesign IS included (a warm start changes where the search
-// begins, hence the bytes); the server computes request keys before
-// injecting a seed, so warm-started responses are stored under the cold
-// request's key — see the warm-index determinism note in warm.go.
+// cache entry. A key names the request, not the seed: the server keys a
+// request before it injects a warm-start SeedDesign, so a seeded response is
+// stored under the cold request's key (see the warm-index determinism note
+// in warm.go), and "seedfp=none" is the text every key has always carried.
 // Fields are spelled out (not reflected) so adding an option later forces a
 // conscious decision about whether it belongs in the key. "maxrounds=16" is
 // the text a former option's only value ever wrote; it stays so every stored
 // key stays valid.
 func OptionsFingerprint(opt synth.Options) string {
 	o := opt.Normalized()
-	return fmt.Sprintf("maxdeg=%d maxprocs=%d seed=%d restarts=%d anneal=%g/%g/%d nobestroute=%t noglobalrefine=%t greedycolor=%t maxrounds=16 seedfp=%s",
+	return fmt.Sprintf("maxdeg=%d maxprocs=%d seed=%d restarts=%d anneal=%g/%g/%d nobestroute=%t noglobalrefine=%t greedycolor=%t maxrounds=16 seedfp=none",
 		o.MaxDegree, o.MaxProcsPerSwitch, o.Seed, o.Restarts,
 		o.Anneal.InitialTemp, o.Anneal.Cooling, o.Anneal.Steps,
-		o.DisableBestRoute, o.DisableGlobalRefine, o.GreedyFinalColoring,
-		o.SeedDesign.Fingerprint())
+		o.DisableBestRoute, o.DisableGlobalRefine, o.GreedyFinalColoring)
 }

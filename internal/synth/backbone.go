@@ -4,20 +4,34 @@ import "sort"
 
 // backboneReroute is a restructuring move used when marginal optimization is
 // plateau-locked on degree violations: it proposes an entirely new routing
-// over a degree-budgeted backbone graph and keeps it only if the global
-// objective (violations, links, load, hops) strictly improves.
-//
-// The backbone is chosen greedily by direct-traffic demand: each switch may
-// spend MaxDegree minus its processor count on links, the heaviest
-// demand pairs claim edges first, and remaining components are joined by the
-// cheapest feasible edges. All flows are then rerouted over backbone
-// shortest paths (which may be longer than the one-intermediate routes the
-// local optimizer produces — the final topology supports arbitrary source
-// routes).
+// over a degree-budgeted backbone graph (backboneProposal) and commits it only
+// if the global objective (violations, links, load, hops) strictly improves.
+// The proposal is priced like every other reroute, by the what-if evaluator
+// (wiBackbone), so nothing is applied unless it wins.
 func (s *state) backboneReroute() bool {
+	paths := s.backboneProposal()
+	if paths == nil || s.wiBackbone(paths, 0) >= 0 {
+		return false
+	}
+	for fi, path := range paths {
+		s.setRoute(fi, path)
+	}
+	s.stats.Reroutes += len(s.flows)
+	return true
+}
+
+// backboneProposal returns every flow's route, by flow ID, over a backbone
+// chosen greedily by direct-traffic demand, or nil when there is none (fewer
+// than three switches, or components that cannot be joined): each switch may
+// spend MaxDegree minus its processor count on links, the heaviest demand
+// pairs claim edges first, and remaining components are joined by the
+// cheapest feasible edges. Each route is a backbone shortest path (which may
+// be longer than the one-intermediate routes the local optimizer produces —
+// the final topology supports arbitrary source routes).
+func (s *state) backboneProposal() [][]int {
 	n := len(s.swProcs)
 	if n < 3 {
-		return false
+		return nil
 	}
 	budget := make([]int, n)
 	for sw := range s.swProcs {
@@ -97,36 +111,41 @@ func (s *state) backboneReroute() bool {
 			}
 		}
 		if bestA == -1 {
-			return false // cannot connect; abandon the proposal
+			return nil // cannot connect; abandon the proposal
 		}
 		addEdge(bestA, bestB)
 	}
 
-	// Reroute everything over backbone shortest paths inside a probe scope,
-	// so a rejected proposal rolls back exactly the routes it replaced.
-	before := s.globalCost()
-	m := s.beginProbe()
-	ok := true
+	// The backbone is connected now, so every flow has a path.
+	paths := make([][]int, len(s.flows))
 	for fi, f := range s.flows {
 		a, b := s.home[f.Src], s.home[f.Dst]
 		if a == b {
-			s.setRoute(fi, []int{a})
-			continue
+			paths[fi] = s.cachedDirect(a, a)
+		} else {
+			paths[fi] = bfsPath(adj, a, b)
 		}
-		path := bfsPath(adj, a, b)
-		if path == nil {
-			ok = false
-			break
+	}
+	return paths
+}
+
+// wiBackbone prices installing paths, one route per flow, bound as
+// wiDeltaCand. It is a family of one: every flow leaves its route as the
+// base, and each path joins as the candidate. With every route a simple
+// path, the price is exactly the change of globalCost.
+func (s *state) wiBackbone(paths [][]int, bound int) int {
+	for fi := range paths {
+		s.wiLeave(fi)
+	}
+	s.wiFreeze(-1)
+	for fi, path := range paths {
+		for i := 1; i < len(path); i++ {
+			s.wiJoinCand(fi, path[i-1], path[i])
 		}
-		s.setRoute(fi, path)
 	}
-	if ok && s.globalCost() < before {
-		s.keep()
-		s.stats.Reroutes += len(s.flows)
-		return true
-	}
-	s.rollback(m)
-	return false
+	d := s.wiDeltaCand(-1, bound)
+	s.wiRelease()
+	return d
 }
 
 func components(adj [][]int, n int) []int {

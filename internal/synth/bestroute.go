@@ -224,21 +224,13 @@ func (s *state) eliminatePipes() bool {
 // pipeFlowIDs lists, into idScratch, the flows on either direction of pipe
 // (a,b) in ascending flow order (IDs ascend in Flow.Less order).
 func (s *state) pipeFlowIDs(a, b int) []int {
-	fwd, bwd := s.pipeAt(a, b), s.pipeAt(b, a)
 	ids := s.idScratch[:0]
-	if fwd != nil {
+	if fwd := s.pipeAt(a, b); fwd != nil {
 		ids = fwd.Elems(ids)
 	}
-	if bwd != nil {
-		n := len(ids)
-		bwd.ForEach(func(fi int) {
-			if fwd == nil || !fwd.Has(fi) {
-				ids = append(ids, fi)
-			}
-		})
-		if n > 0 && len(ids) > n {
-			ids = mergeSortedInts(ids, n)
-		}
+	if bwd := s.pipeAt(b, a); bwd != nil {
+		// A simple route crosses the pipe one way at most: no flow is in both.
+		ids = mergeSortedInts(bwd.Elems(ids), len(ids))
 	}
 	s.idScratch = ids
 	return ids
@@ -293,7 +285,7 @@ func (s *state) wiPipeVia(m, bound int) int {
 func (s *state) emptyPipe(ids []int, a, b, m int) {
 	for _, fi := range ids {
 		if ha, hb, direct := s.offPipe(fi, a, b); direct {
-			s.setRoute(fi, s.directPair(ha, hb))
+			s.setRoute(fi, s.cachedDirect(ha, hb))
 		} else {
 			s.setRoute(fi, s.viaRoute(ha, m, hb))
 		}
@@ -307,19 +299,6 @@ func (s *state) offPipe(fi, a, b int) (ha, hb int, direct bool) {
 	f := s.flows[fi]
 	ha, hb = s.home[f.Src], s.home[f.Dst]
 	return ha, hb, pairKey(ha, hb) != pairKey(a, b)
-}
-
-// directPair is the two-switch route [a, b] as a shared header.
-func (s *state) directPair(a, b int) []int {
-	if a == b {
-		// Pathological but possible via seed-replayed routes that revisit
-		// their origin: mirror the reference's two-element [a, a] exactly
-		// (cachedDirect would collapse it to the one-switch route).
-		r := s.arena.alloc(2)
-		r[0], r[1] = a, b
-		return r
-	}
-	return s.cachedDirect(a, b)
 }
 
 // viaRoute is the one-intermediate route [a, m, b], arena-backed.

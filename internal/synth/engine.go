@@ -8,10 +8,10 @@ import (
 )
 
 // This file is the allocation-free incremental move engine: the raw mutators
-// that keep the count tables exact, an undo journal for the scopes that
-// still apply before they decide (merge attempts and backbone proposals), a
-// per-state route arena (replacing per-move route copies), and a state pool
-// that recycles every matrix and scratch buffer across restarts.
+// that keep the count tables exact, an undo journal for the one scope that
+// still applies before it decides (a merge attempt), a per-state route arena
+// (replacing per-move route copies), and a state pool that recycles every
+// matrix and scratch buffer across restarts.
 //
 // Contract (see DESIGN.md §13):
 //
@@ -20,14 +20,16 @@ import (
 //   - All pipe/placement mutations go through setRoute/reattachNoReroute.
 //     With no probe open a mutation is a commit and leaves no record. Inside
 //     one (between beginProbe and rollback/keep) it is journaled first.
-//     Only mergeRefine and backboneReroute (called from globalRefine,
-//     outside mergeRefine) open one, so scopes never nest.
+//     Only mergeRefine opens one, so scopes never nest.
 //   - rollback(m) reverse-replays the journal through the raw mutators and
 //     pops the route arena to the mark, restoring the state bit-for-bit
 //     except swProcs list order: a processor moved and moved back ends up at
 //     the end of its home list.
 //   - keep() retains the mutations and drops the journal. It never pops the
 //     arena: committed routes own their arena bytes until reset().
+//   - Every installed route is a simple path: it visits no switch twice, so
+//     it crosses no direction twice and hops from no switch to itself.
+//     applySeed, the one entry for routes from outside, admits no other.
 //   - Route slices are immutable headers once installed: direct one- and
 //     two-switch routes are shared cached headers, longer routes live in the
 //     arena (or on the heap for rare oversized paths). Nothing ever writes
@@ -133,9 +135,7 @@ func (s *state) setRouteRaw(fi int, route []int) {
 
 // dirAdd puts flow fi on the (from,to) direction: one more in the count of
 // every clique holding fi, so quad grows by (n+1)²−n² = 2n+1 per clique and
-// the width rises to any count that passes it. A route that crosses the
-// direction twice (possible only via pathological seed routes) is counted
-// once, as the flow set counts it.
+// the width rises to any count that passes it.
 func (s *state) dirAdd(from, to, fi int) {
 	pi := from*s.stride + to
 	set := s.pipes[pi]
@@ -144,9 +144,6 @@ func (s *state) dirAdd(from, to, fi int) {
 		// sets across patterns that fit, so all must share one capacity.
 		set = make(model.BitSet, s.bsWords)
 		s.pipes[pi] = set
-	}
-	if set.Has(fi) {
-		return
 	}
 	set.Set(fi)
 	at := int(s.rowAt[pi])
@@ -174,11 +171,7 @@ func (s *state) dirAdd(from, to, fi int) {
 // the width, and then by exactly one, unless another clique also holds it.
 func (s *state) dirDel(from, to, fi int) {
 	pi := from*s.stride + to
-	set := s.pipes[pi]
-	if !set.Has(fi) {
-		return
-	}
-	set.Clear(fi)
+	s.pipes[pi].Clear(fi)
 	at := int(s.rowAt[pi])
 	row := s.counts[at-1 : at-1+len(s.cliques)]
 	w, q := s.dirW[pi], s.dirQ[pi]
@@ -221,13 +214,6 @@ func (s *state) newCountRow(pi int) int {
 // foldWidth folds a direction's new width w into the unordered pair's width
 // and both endpoints' width sums.
 func (s *state) foldWidth(from, to int, w int32) {
-	if from == to {
-		// Self-loop pipes (possible only via pathological seed routes)
-		// never contribute to a switch's degree: estDegree has always
-		// summed widths over *other* switches only, so the diagonal stays
-		// out of sumW.
-		return
-	}
 	wi := s.widthIdx(from, to)
 	pw := max(w, s.dirW[to*s.stride+from])
 	if d := int64(pw - s.pairW[wi]); d != 0 {

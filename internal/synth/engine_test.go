@@ -471,17 +471,16 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 
 // FuzzMoveEngine decodes its input into a small phased pattern (flows may
 // repeat across phases, so a flow can sit in several cliques) and a sequence
-// of engine operations — splits, moves, reroutes (including routes that cross
-// one pipe direction twice or hop from a switch to itself), swaps, a rolled-
-// back probe scope, Best_Route, eliminatePipes, merge sweeps. After every one
-// it prices a move and a swap, and a whole family of each kind — a
+// of engine operations — splits, moves, one-intermediate reroutes, swaps, a
+// rolled-back probe scope, Best_Route, eliminatePipes, merge sweeps. After
+// every one it prices a move and a swap, a whole family of each kind — a
 // processor's relocations, a group's reroutes, a pipe's eliminations, each
-// frozen once — with the what-if evaluator and with the mutating oracle
-// (whatif_test.go's compare helpers) and requires equal deltas, and holds
-// every one of those candidates' floors to its exact price (checkBounds). It
-// then holds the cost tables to the from-scratch oracle, portBound to the
-// degree it bounds and the evaluator's released scratch to all-zero
-// (checkStateInvariants).
+// frozen once — and the backbone proposal with the what-if evaluator and with
+// the mutating oracle (whatif_test.go's compare helpers) and requires equal
+// deltas, and holds every one of those candidates' floors to its exact price
+// (checkBounds). It then holds the cost tables to the from-scratch oracle,
+// portBound to the degree it bounds, every route to a simple path and the
+// evaluator's released scratch to all-zero (checkStateInvariants).
 // When two or more switches are dead it requires every one to price p's
 // relocation and a pipe's elimination as the lowest one does
 // (compareDeadTwins).
@@ -505,7 +504,7 @@ func FuzzMoveEngine(f *testing.F) {
 		empty = append(empty, 1, byte(p), 0, byte(p%2), 0)
 	}
 	f.Add(empty)
-	f.Add(append(slices.Clone(empty), 2, 0, 1, 3, 0, 0, 4, 0, 0, 0, 7, 0, 1, 4, 1, 8, 2, 3, 5, 2))
+	f.Add(append(slices.Clone(empty), 2, 0, 1, 3, 0, 0, 4, 0, 0, 0, 5, 0, 1, 4, 1, 6, 2, 3, 5, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -531,7 +530,7 @@ func FuzzMoveEngine(f *testing.F) {
 			return
 		}
 		for op := 0; op < 48 && len(data) > 0; op++ {
-			kind := next() % 9
+			kind := next() % 7
 			p, q := next()%procs, next()%procs
 			sw := next() % len(s.swProcs)
 			fi := next() % len(s.flows)
@@ -550,28 +549,20 @@ func FuzzMoveEngine(f *testing.F) {
 					s.setRoute(fi, []int{a, sw, b})
 				}
 			case 3:
-				if a != b && sw != a && sw != b {
-					s.setRoute(fi, []int{a, sw, a, sw, b}) // (a,sw) twice
-				}
-			case 4:
-				if a != b && sw != a {
-					s.setRoute(fi, []int{a, a, sw, b}) // (a,a), a self-loop hop
-				}
-			case 5:
 				if s.home[p] != s.home[q] {
 					s.swapHomes(p, q)
 				}
-			case 6:
+			case 4:
 				m := s.beginProbe()
 				if sw != s.home[p] {
 					s.reattach(p, sw)
 				}
 				s.bestRoute(s.allSwitches(), nil)
 				s.rollback(m)
-			case 7:
+			case 5:
 				s.bestRoute(s.allSwitches(), nil)
 				s.eliminatePipes()
-			case 8:
+			case 6:
 				s.mergeRefine()
 			}
 			if sw != s.home[p] {
@@ -584,6 +575,7 @@ func FuzzMoveEngine(f *testing.F) {
 			compareGroup(t, s, fi)
 			comparePipe(t, s, s.home[p], sw)
 			compareDeadTwins(t, s, p, s.home[p], sw)
+			compareBackbone(t, s)
 			checkStateInvariants(t, s)
 		}
 	})

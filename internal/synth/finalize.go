@@ -71,7 +71,7 @@ func (s *state) finalize(name string) (*topology.Network, *routing.Table, []int,
 	widths := make(map[[2]int]int)                // unordered pair
 	for from := 0; from < s.nsw(); from++ {
 		for to := 0; to < s.nsw(); to++ {
-			if from == to || !s.pipeUsed(from, to) {
+			if !s.pipeUsed(from, to) {
 				continue
 			}
 			set := s.pipeAt(from, to)

@@ -9,8 +9,9 @@ import (
 // The reference move evaluator, kept as a test oracle: every candidate is
 // applied, measured and undone. It holds the original closure-based
 // tryMove/trySwap with their apply/undo/recost/reapply round trip, the same
-// mutate-and-measure pricing of a group reroute and of a pipe elimination
-// (groupRouteDeltaRef, pipeEliminationDeltaRef), the affected-pair and
+// mutate-and-measure pricing of a group reroute, a pipe elimination and a
+// backbone proposal (groupRouteDeltaRef, pipeEliminationDeltaRef,
+// backboneDeltaRef), the affected-pair and
 // affected-switch lists those measure over (addPair, addRoutePairs,
 // switchesOf), the step 7-9 loops that rebuild and re-probe every candidate
 // each iteration, cost functions that recompute every width and degree from
@@ -242,6 +243,30 @@ func (s *state) pipeEliminationDeltaRef(ids []int, a, b, m int) int {
 		s.setRoute(u.fi, u.route)
 	}
 	return after - before
+}
+
+// backboneDeltaRef is the mutate-and-measure price of a backbone proposal
+// (wiBackbone): every flow is routed over its path and the objective is
+// recomputed over every switch pair and switch, as globalCost prices it. The
+// routes stay installed until the returned undo puts the old ones back.
+func (s *state) backboneDeltaRef(paths [][]int) (int, func()) {
+	var pairs [][2]int
+	for a := range s.nsw() {
+		for b := a + 1; b < s.nsw(); b++ {
+			pairs = append(pairs, [2]int{a, b})
+		}
+	}
+	sws := slices.Clone(s.allSwitches())
+	before := s.localCostRef(pairs, sws)
+	old := slices.Clone(s.routes)
+	for fi, r := range paths {
+		s.setRoute(fi, r)
+	}
+	return s.localCostRef(pairs, sws) - before, func() {
+		for fi, r := range old {
+			s.setRoute(fi, r)
+		}
+	}
 }
 
 // optimizeMovesRef is the reference step 7-9 loop: the candidate slice is

@@ -1,7 +1,7 @@
 package synth
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -31,8 +31,9 @@ type SeedDesign struct {
 	Assign [][]int
 	// Routes optionally maps each seed flow to its switch path, expressed
 	// in Assign indices. Replayed verbatim for flows whose endpoints kept
-	// their seed placement; flows the seed never routed (or whose replay
-	// is inconsistent) fall back to their direct path.
+	// their seed placement; flows the seed never routed, or whose replay
+	// is inconsistent — a path that revisits a switch among them — fall
+	// back to their direct path.
 	Routes map[model.Flow][]int
 	// ChangedProcs optionally lists processors whose structural traffic
 	// segment differs between the new trace and the seed's (see
@@ -68,53 +69,6 @@ func SeedFromDesign(net *topology.Network, table *routing.Table) *SeedDesign {
 		}
 	}
 	return sd
-}
-
-// Fingerprint returns a short stable digest of the seed, for inclusion in
-// cache keys: two Options values with different seeds must never collide.
-func (sd *SeedDesign) Fingerprint() string {
-	if sd == nil {
-		return "none"
-	}
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(x uint64) {
-		h ^= x
-		h *= prime
-	}
-	for _, g := range sd.Assign {
-		mix(uint64(len(g)))
-		for _, p := range g {
-			mix(uint64(p))
-		}
-	}
-	mix(0xfeed)
-	if sd.Routes != nil {
-		flows := make([]model.Flow, 0, len(sd.Routes))
-		for f := range sd.Routes {
-			flows = append(flows, f)
-		}
-		sort.Slice(flows, func(i, j int) bool { return flows[i].Less(flows[j]) })
-		for _, f := range flows {
-			mix(uint64(f.Src))
-			mix(uint64(f.Dst))
-			for _, g := range sd.Routes[f] {
-				mix(uint64(g))
-			}
-		}
-	}
-	mix(0xfeed)
-	if sd.ChangedProcs == nil {
-		mix(0xa11)
-	} else {
-		for _, p := range sd.ChangedProcs {
-			mix(uint64(p))
-		}
-	}
-	return fmt.Sprintf("%016x", h)
 }
 
 // applySeed replays the seed's switch tree (and routes) onto a fresh state
@@ -193,7 +147,9 @@ func (s *state) applySeed(sd *SeedDesign) bool {
 	}
 
 	// Replay the seed's routes for flows whose endpoints kept their seed
-	// placement; anything inconsistent stays on its direct path.
+	// placement; anything inconsistent stays on its direct path. A route
+	// that revisits a switch is inconsistent: every installed route is a
+	// simple path (engine.go).
 	if sd.Routes != nil {
 		var buf []int
 		for fi, f := range s.flows {
@@ -203,17 +159,12 @@ func (s *state) applySeed(sd *SeedDesign) bool {
 			}
 			buf = buf[:0]
 			valid := true
-			for i, g := range r {
-				if g < 0 || g >= len(groupSwitch) {
+			for _, g := range r {
+				if g < 0 || g >= len(groupSwitch) || slices.Contains(buf, groupSwitch[g]) {
 					valid = false
 					break
 				}
-				sw := groupSwitch[g]
-				if i > 0 && buf[len(buf)-1] == sw {
-					valid = false
-					break
-				}
-				buf = append(buf, sw)
+				buf = append(buf, groupSwitch[g])
 			}
 			if !valid || buf[0] != s.home[f.Src] || buf[len(buf)-1] != s.home[f.Dst] {
 				continue

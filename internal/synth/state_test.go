@@ -252,12 +252,17 @@ func checkStateInvariants(t *testing.T, s *state) {
 	if count != s.procs {
 		t.Fatalf("%d processors accounted, want %d", count, s.procs)
 	}
-	// Routes match homes and pipes match routes.
+	// Routes are simple paths, match homes, and pipes match routes.
 	hops := 0
 	for fi, f := range s.flows {
 		r := s.routes[fi]
 		if r[0] != s.home[f.Src] || r[len(r)-1] != s.home[f.Dst] {
 			t.Fatalf("flow %v route %v vs homes %d->%d", f, r, s.home[f.Src], s.home[f.Dst])
+		}
+		for i, sw := range r {
+			if slices.Contains(r[:i], sw) {
+				t.Fatalf("flow %v route %v revisits switch %d", f, r, sw)
+			}
 		}
 		hops += len(r) - 1
 		for i := 1; i < len(r); i++ {

@@ -263,12 +263,12 @@ func pairKey(a, b int) [2]int {
 func (s *state) nsw() int { return len(s.swProcs) }
 
 // dead reports whether switch sw holds no processor and carries no flow: a
-// hop off sw raises a pair width at sw and so sumW, a self-loop hop raises
-// the diagonal's width, and a route starts and ends at its endpoints' homes.
-// Dead switches price alike as a relocation target or a pipe's intermediate
-// (DESIGN.md §13), so the scans price only the first (twinDead).
+// hop off sw raises a pair width at sw and so sumW, and a route starts and
+// ends at its endpoints' homes. Dead switches price alike as a relocation
+// target or a pipe's intermediate (DESIGN.md §13), so the scans price only
+// the first (twinDead).
 func (s *state) dead(sw int) bool {
-	return len(s.swProcs[sw]) == 0 && s.sumW[sw] == 0 && s.dirW[sw*s.stride+sw] == 0
+	return len(s.swProcs[sw]) == 0 && s.sumW[sw] == 0
 }
 
 // priceEveryTarget, set only by tests, prices every candidate: every dead

@@ -26,11 +26,10 @@ import "math"
 //     the reference evaluator (moveref_test.go) leaves: the probed processors
 //     at the end of their home lists, and one MovesEvaluated tick.
 //   - A base may state leaves and joins, and one processor leaving a switch;
-//     a candidate only joins, never a self-loop (no relocation, Best_Route
-//     path or intermediate makes one), and may bring one processor to a
-//     switch. Each flow leaves its whole route before it joins anything. A
-//     route that crosses one direction twice leaves it once, as dirDel's Has
-//     guard counts it.
+//     a candidate only joins, and may bring one processor to a switch. Each
+//     flow leaves its whole route before it joins anything. Routes are
+//     simple paths (engine.go), so no leave or join is a self-loop and a
+//     leaving flow crosses each direction once.
 //   - Per-clique count changes accumulate in an overlay row per touched
 //     direction, and a direction's new width is the maximum of its count row
 //     with the overlay applied, over the whole row (wiScan): a move can take
@@ -44,10 +43,7 @@ import "math"
 //     clears exactly the candidate's part of the scratch: its counts, the
 //     directions it opened, its marks.
 //   - A pair is priced once, from the new widths of both its directions (an
-//     untouched one reads dirW), into links and both switches' degree. A
-//     self-loop direction (pathological seed routes only) is priced as
-//     localCost prices the pair (a,a) — its width once, its quad twice — and
-//     stays out of the degrees, as foldWidth keeps it out of sumW.
+//     untouched one reads dirW), into links and both switches' degree.
 //   - A winner is committed only after wiRelease: the base reads the tables a
 //     commit rewrites.
 //   - wiDeltaCand(to, bound) returns the exact price when it is below bound;
@@ -138,13 +134,7 @@ func (s *state) wiTouch(from, to, fi int, sign int32) {
 func (s *state) wiLeave(fi int) {
 	r := s.routes[fi]
 	s.wi.hops -= len(r) - 1
-hops:
 	for i := 1; i < len(r); i++ {
-		for j := 1; j < i; j++ {
-			if r[j-1] == r[i-1] && r[j] == r[i] {
-				continue hops
-			}
-		}
 		s.wiTouch(r[i-1], r[i], fi, -1)
 	}
 }
@@ -231,14 +221,8 @@ func (s *state) wiFreeze(from int) int {
 	for k := range wi.dirs {
 		e := &wi.dirs[k]
 		a, b := int(e.from), int(e.to)
-		pi := a*s.stride + b
 		w, dq := s.wiScan(k)
 		e.w = w
-		if a == b {
-			links += int(w - s.dirW[pi])
-			quad += 2 * dq
-			continue
-		}
 		quad += dq
 		if int(e.rev) > k+1 {
 			continue // the reverse direction's entry, further on, prices the pair

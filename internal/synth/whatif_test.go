@@ -200,6 +200,18 @@ func comparePipe(t *testing.T, s *state, a, b int) {
 	s.wiRelease()
 }
 
+// compareBackbone prices backboneReroute's proposal, when the state has one,
+// with the what-if evaluator (wiBackbone) and with the oracle
+// (backboneDeltaRef: install every path, recompute the whole objective, put
+// the routes back), then at checkBounds' bounds.
+func compareBackbone(t *testing.T, s *state) {
+	t.Helper()
+	if paths := s.backboneProposal(); paths != nil {
+		compareProbe(t, s, "wiBackbone", func(bound int) int { return s.wiBackbone(paths, bound) },
+			func() (int, func()) { return s.backboneDeltaRef(paths) })
+	}
+}
+
 // noiFFT16 is the NoI sub-pattern hier.SplitPattern cuts from FFT/16 under
 // four clusters of four: every message that crosses a cluster boundary, all
 // sixteen processors being boundary gateways. It is the probe-bound case of
@@ -278,6 +290,7 @@ func TestWhatIfMatchesOracle(t *testing.T) {
 					compareGroup(t, s, rng.Intn(len(s.flows)))
 					comparePipe(t, s, a, b)
 				}
+				compareBackbone(t, s)
 				checkStateInvariants(t, s)
 			}
 			for op := 0; op < 24; op++ {
@@ -358,45 +371,6 @@ func TestWhatIfPitfalls(t *testing.T) {
 			compareSwap(t, s, 0, 3) // (0,3) and (3,0) touch both
 			compareSwap(t, s, 6, 5) // (5,6)
 		}},
-		{"route crossing one direction twice", func(t *testing.T, s *state) {
-			fi := fid(t, s, model.F(0, 3))
-			s.setRoute(fi, []int{0, 2, 0, 2, 1}) // A→C twice
-			compareGroup(t, s, fi)
-			compareMove(t, s, 0, 2)
-			compareRelocations(t, s, 0)
-			compareSwap(t, s, 0, 6)
-			comparePipe(t, s, 0, 2)
-		}},
-		{"self-loop hop", func(t *testing.T, s *state) {
-			fi := fid(t, s, model.F(1, 4))
-			s.setRoute(fi, []int{0, 0, 1}) // leaves over (A,A)
-			compareGroup(t, s, fi)
-			compareMove(t, s, 1, 2)
-			compareRelocations(t, s, 1)
-		}},
-		{"direct self-loop join in pipe elimination", func(t *testing.T, s *state) {
-			// A flow whose endpoints share a switch but whose route leaves
-			// it: emptying the pipe it crosses routes it onto [B,B], a join
-			// of the frozen base (ha == hb) under every intermediate.
-			s.reattach(6, 1)
-			fj := fid(t, s, model.F(5, 6))
-			s.setRoute(fj, []int{1, 2, 1})
-			comparePipe(t, s, 1, 2)
-			ids := slices.Clone(s.pipeFlowIDs(1, 2))
-			s.wiPipeDepart(ids, 1, 2)
-			d := s.wiPipeVia(-1, noBound)
-			s.wiRelease()
-			if d >= 0 {
-				t.Fatal("emptying the pipe a same-switch flow detours over does not pay")
-			}
-			s.emptyPipe(ids, 1, 2, -1)
-			if r := s.routes[fj]; len(r) != 2 || r[0] != 1 || r[1] != 1 {
-				t.Fatalf("the detouring flow took %v, want [1 1]", r)
-			}
-			compareGroup(t, s, fj)
-			compareMove(t, s, 5, 0) // takes fj off (B,B)
-			compareRelocations(t, s, 5)
-		}},
 		{"empty departure", func(t *testing.T, s *state) {
 			// With 4 next to 1, processor 1's one flow is local: its
 			// departure states no direction, and the frozen base is the
@@ -443,6 +417,18 @@ func TestWhatIfPitfalls(t *testing.T) {
 			compareRelocations(t, s, 1)
 			compareRelocations(t, s, 4)
 			compareRelocations(t, s, 6)
+		}},
+		{"backbone proposal on a violating state", func(t *testing.T, s *state) {
+			// Under a degree budget of 3, A and B have no link to spend and C
+			// two: the backbone sends A–B traffic through C, over one-hop and
+			// two-hop paths alike, and drops the direct A–B pipe.
+			s.opt.MaxDegree = 3
+			if !s.anyViolation() {
+				t.Fatal("the state meets a degree budget of 3")
+			}
+			compareBackbone(t, s)
+			s.setRoute(fid(t, s, model.F(1, 4)), []int{0, 2, 1})
+			compareBackbone(t, s)
 		}},
 		{"processor counts at the degree boundary", func(t *testing.T, s *state) {
 			// Every budget from below to above each switch's degree and
