@@ -222,19 +222,3 @@ func bfsPath(adj [][]int, a, b int) []int {
 	}
 	return rev
 }
-
-// globalCost evaluates the full weighted objective over every pipe and
-// switch.
-func (s *state) globalCost() int {
-	n := s.nsw()
-	pairs := s.gcPairs[:0]
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if s.pipeUsed(a, b) || s.pipeUsed(b, a) {
-				pairs = append(pairs, [2]int{a, b})
-			}
-		}
-	}
-	s.gcPairs = pairs
-	return s.localCost(pairs, s.allSwitches())
-}

@@ -16,25 +16,20 @@ package synth
 // Evaluation reads tables that setRouteRaw keeps exact: per pipe direction a
 // row of per-clique flow counts, its maximum (dirW, the Fast_Color width) and
 // sum of squares (dirQ), per pair the larger direction width (pairW), per
-// switch the sum of its pair widths (sumW). Every raw mutation leaves them
-// equal to a from-scratch recomputation, hence so does every rollback; they
-// are held to one (dirStatsCompute/estDegreeRef/localCostRef in
-// moveref_test.go) after every operation of TestMoveEngineRandomEquivalence.
-// Candidates are priced from the same tables without mutating them
-// (whatif.go).
+// switch the sum of its pair widths (sumW), and the objective's totals —
+// penalty (excess summed over switches), links (Σ pairW), quad (Σ dirQ),
+// totalHops, and live, the switches that are not dead — so globalCost is a
+// read. Every raw mutation leaves them equal to a from-scratch recomputation,
+// hence so does every rollback; they are held to one (checkTables in
+// state_test.go, localCostRef in moveref_test.go) after every operation of
+// TestMoveEngineRandomEquivalence. Candidates are priced from the same tables
+// without mutating them (whatif.go).
 const (
 	costHopWeight     = 1
 	costQuadWeight    = 1 << 4
 	costLinkWeight    = 1 << 16
 	costPenaltyWeight = 1 << 28
 )
-
-// dirStats returns one pipe direction's Fast_Color width bound — the most
-// flows any one clique has on it — and its quadratic clique load.
-func (s *state) dirStats(from, to int) (width, quad int) {
-	pi := from*s.stride + to
-	return int(s.dirW[pi]), int(s.dirQ[pi])
-}
 
 // portBound is a lower bound, from placement alone, on the port count of one
 // switch hosting every processor of a and b (a == b: of a as it stands): its
@@ -87,41 +82,24 @@ func (s *state) excess(deg, n int) int {
 	return max(0, deg-s.opt.MaxDegree) + max(0, n-s.opt.MaxProcsPerSwitch)
 }
 
-// penaltyOf sums constraint violations over a set of switches.
-func (s *state) penaltyOf(switches []int) int {
-	total := 0
-	for _, sw := range switches {
-		total += s.excess(s.estDegree(sw), len(s.swProcs[sw]))
+// tally adds (sign 1) or removes (sign -1) switch sw's part of the totals:
+// its excess and its liveness. A mutator removes a switch's part before it
+// changes the switch's processors or width sum and adds it back after.
+func (s *state) tally(sw, sign int) {
+	s.penalty += sign * s.excess(s.estDegree(sw), len(s.swProcs[sw]))
+	if !s.dead(sw) {
+		s.live += sign
 	}
-	return total
 }
 
-// localCost evaluates the weighted objective restricted to the given pipes
-// and switches (the hop term is global: s.totalHops). globalCost sums it over
-// everything; the change a candidate would make to that sum is what wiDeltaCand
-// returns, without applying the candidate.
-func (s *state) localCost(pairs [][2]int, switches []int) int {
-	links, quad := 0, 0
-	for _, p := range pairs {
-		wf, qf := s.dirStats(p[0], p[1])
-		wb, qb := s.dirStats(p[1], p[0])
-		if wb > wf {
-			wf = wb
-		}
-		links += wf
-		quad += qf + qb
-	}
-	return s.penaltyOf(switches)*costPenaltyWeight +
-		links*costLinkWeight +
-		quad*costQuadWeight +
-		s.totalHops*costHopWeight
+// globalCost is the weighted objective over every pipe and switch.
+func (s *state) globalCost() int {
+	return s.penalty*costPenaltyWeight + s.links*costLinkWeight +
+		s.quad*costQuadWeight + s.totalHops*costHopWeight
 }
 
 // violates reports whether a switch breaks the design constraints under the
 // current width estimates.
 func (s *state) violates(sw int) bool {
-	if len(s.swProcs[sw]) > s.opt.MaxProcsPerSwitch {
-		return true
-	}
-	return s.estDegree(sw) > s.opt.MaxDegree
+	return s.excess(s.estDegree(sw), len(s.swProcs[sw])) > 0
 }

@@ -27,6 +27,11 @@ import (
 //     the end of its home list.
 //   - keep() retains the mutations and drops the journal. It never pops the
 //     arena: committed routes own their arena bytes until reset().
+//   - The raw mutators (setRouteRaw through dirAdd/dirDel and foldWidth,
+//     and moveProcRaw) and reset keep the objective's totals — penalty,
+//     links, quad, live and totalHops — exact, so globalCost,
+//     consolidationScore and anyViolation are reads, and a rollback restores
+//     the totals with the tables.
 //   - Every installed route is a simple path: it visits no switch twice, so
 //     it crosses no direction twice and hops from no switch to itself.
 //     applySeed, the one entry for routes from outside, admits no other.
@@ -118,7 +123,8 @@ func (s *state) keep() {
 
 // setRouteRaw is the journal-free route mutator: it maintains the pipe flow
 // sets, the per-direction count tables (and through them every width, pair
-// width and degree sum), and the total hop count, and installs the new header.
+// width and degree sum) and the objective's totals, and installs the new
+// header.
 func (s *state) setRouteRaw(fi int, route []int) {
 	if old := s.routes[fi]; old != nil {
 		for i := 1; i < len(old); i++ {
@@ -160,6 +166,7 @@ func (s *state) dirAdd(from, to, fi int) {
 			w = n + 1
 		}
 	}
+	s.quad += int(q - s.dirQ[pi])
 	s.dirQ[pi] = q
 	if w != s.dirW[pi] {
 		s.dirW[pi] = w
@@ -182,6 +189,7 @@ func (s *state) dirDel(from, to, fi int) {
 		q -= int64(2*n - 1)
 		heldMax = heldMax || n == w
 	}
+	s.quad += int(q - s.dirQ[pi])
 	s.dirQ[pi] = q
 	if !heldMax {
 		return
@@ -211,27 +219,38 @@ func (s *state) newCountRow(pi int) int {
 	return n + 1
 }
 
-// foldWidth folds a direction's new width w into the unordered pair's width
-// and both endpoints' width sums.
+// foldWidth folds a direction's new width w into the unordered pair's width,
+// the link total, and both endpoints' width sums and their part of the
+// totals.
 func (s *state) foldWidth(from, to int, w int32) {
 	wi := s.widthIdx(from, to)
 	pw := max(w, s.dirW[to*s.stride+from])
 	if d := int64(pw - s.pairW[wi]); d != 0 {
+		s.tally(from, -1)
+		s.tally(to, -1)
 		s.pairW[wi] = pw
+		s.links += int(d)
 		s.sumW[from] += d
 		s.sumW[to] += d
+		s.tally(from, 1)
+		s.tally(to, 1)
 	}
 }
 
 // moveProcRaw is the journal-free placement mutator (the old
 // reattachNoReroute body): order-preserving removal from the current home
-// list, append to the end of the target's.
+// list, append to the end of the target's, and both switches' part of the
+// totals.
 func (s *state) moveProcRaw(p, to int) {
 	from := s.home[p]
+	s.tally(from, -1)
+	s.tally(to, -1)
 	s.procToEnd(p)
 	s.swProcs[from] = s.swProcs[from][:len(s.swProcs[from])-1]
 	s.home[p] = to
 	s.swProcs[to] = append(s.swProcs[to], p)
+	s.tally(from, 1)
+	s.tally(to, 1)
 }
 
 // cachedDirect returns the shared immutable header for the one- or two-
@@ -269,13 +288,11 @@ func (s *state) persistRoute(cand []int) []int {
 	return out
 }
 
-// persistReversed is persistRoute of cand walked backwards.
+// persistReversed is persistRoute of cand walked backwards. cand joins two
+// distinct switches: Best_Route groups only flows whose homes differ.
 func (s *state) persistReversed(cand []int) []int {
 	n := len(cand)
-	if n <= 2 {
-		if n == 1 {
-			return s.cachedDirect(cand[0], cand[0])
-		}
+	if n == 2 {
 		return s.cachedDirect(cand[1], cand[0])
 	}
 	out := s.arena.alloc(n)
@@ -335,9 +352,7 @@ func newKernel(p *model.Pattern, cliques []model.Clique) *kernel {
 			k.revID[fi] = -1
 		}
 		k.procFlows[f.Src] = append(k.procFlows[f.Src], fi)
-		if f.Dst != f.Src {
-			k.procFlows[f.Dst] = append(k.procFlows[f.Dst], fi)
-		}
+		k.procFlows[f.Dst] = append(k.procFlows[f.Dst], fi)
 	}
 	return k
 }
@@ -403,7 +418,7 @@ func (d *drawSource) Int63() int64 {
 
 // reset rebuilds the mutable state for the current kernel: one megaswitch
 // holding every processor, every flow on the shared single-switch route,
-// all tables zero, journal and arena empty.
+// all tables zero and the totals the megaswitch's, journal and arena empty.
 func (s *state) reset() {
 	s.growStride(8)
 	nf := len(s.flows)
@@ -476,6 +491,7 @@ func (s *state) reset() {
 	for fi := range s.routes {
 		s.routes[fi] = r0
 	}
-	s.totalHops = 0
+	s.totalHops, s.penalty, s.links, s.quad, s.live = 0, 0, 0, 0, 0
+	s.tally(0, 1) // the megaswitch
 	s.seedFast = false
 }

@@ -353,10 +353,10 @@ func TestStatePoolMixedWidths(t *testing.T) {
 // optimizeMoves, swapRefine) — and requires identical deltas, stats, and full
 // state at every step. After every operation the cost tables of both states
 // are also held to a from-scratch recomputation: estDegree against
-// estDegreeRef for every switch, localCost against localCostRef over every
+// estDegreeRef for every switch, globalCost against localCostRef over every
 // switch pair, and through checkStateInvariants every direction's count row,
-// width and quad, every pair width and width sum, and portBound against the
-// degree it bounds.
+// width and quad, every pair width and width sum, the objective's totals, and
+// portBound against the degree it bounds.
 func TestMoveEngineRandomEquivalence(t *testing.T) {
 	phases := []trace.PhaseSpec{
 		{Flows: []model.Flow{model.F(0, 1), model.F(2, 3), model.F(4, 5), model.F(6, 7), model.F(8, 9)}, Bytes: 64},
@@ -386,8 +386,8 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 					pairs = append(pairs, [2]int{a, b})
 				}
 			}
-			if got, want := s.localCost(pairs, all), s.localCostRef(pairs, all); got != want {
-				t.Fatalf("trial %d: %s localCost = %d after %s, recomputed %d", trial, who, got, op, want)
+			if got, want := s.globalCost(), s.localCostRef(pairs, all); got != want {
+				t.Fatalf("trial %d: %s globalCost = %d after %s, recomputed %d", trial, who, got, op, want)
 			}
 		}
 		check := func(op string) {

@@ -437,10 +437,11 @@ func better(a, b *Result) bool {
 	if a.ContentionFree != b.ContentionFree {
 		return a.ContentionFree
 	}
-	// Combined resource cost mirrors the merge objective: a switch is
-	// priced at two links.
-	ra := a.Net.TotalLinks() + 2*a.Net.NumSwitches()
-	rb := b.Net.TotalLinks() + 2*b.Net.NumSwitches()
+	// Combined resource cost, a switch priced as the merge objective
+	// prices it in links.
+	const switchLinks = costSwitchWeight / costLinkWeight
+	ra := a.Net.TotalLinks() + switchLinks*a.Net.NumSwitches()
+	rb := b.Net.TotalLinks() + switchLinks*b.Net.NumSwitches()
 	if ra != rb {
 		return ra < rb
 	}

@@ -8,22 +8,9 @@ import "sort"
 // objective minimizes "the required number of links and switches".
 const costSwitchWeight = 2 * costLinkWeight
 
-// liveSwitches counts the switches that are not dead.
-func (s *state) liveSwitches() int {
-	n := 0
-	for sw := range s.swProcs {
-		if !s.dead(sw) {
-			n++
-		}
-	}
-	return n
-}
-
 // consolidationScore is the merge objective: the global weighted cost plus a
 // price per live switch.
-func (s *state) consolidationScore() int {
-	return s.globalCost() + s.liveSwitches()*costSwitchWeight
-}
+func (s *state) consolidationScore() int { return s.globalCost() + s.live*costSwitchWeight }
 
 // mergeRefine tries to consolidate switches once the constraints are met:
 // for every ordered pair, move all of one switch's processors onto the other

@@ -41,7 +41,7 @@ func singletons(t *testing.T, k *kernel, seed int64) *state {
 	if !s.partition() {
 		t.Fatalf("seed %d: no legal all-singleton placement", seed)
 	}
-	s.opt.MaxProcsPerSwitch = 4
+	s.setBudgets(s.opt.MaxDegree, 4)
 	return s
 }
 

@@ -362,6 +362,13 @@ func (s *state) swapRefineRef() bool {
 	return changed
 }
 
+// dirStats reads one pipe direction's Fast_Color width bound — the most flows
+// any one clique has on it — and its quadratic clique load off the tables.
+func (s *state) dirStats(from, to int) (width, quad int) {
+	pi := from*s.stride + to
+	return int(s.dirW[pi]), int(s.dirQ[pi])
+}
+
 // dirStatsCompute computes, for one pipe direction, the Fast_Color width
 // bound and the quadratic clique load from the pipe's flow set: per clique,
 // the popcount of the AND with the clique's membership bitset. It is what the
@@ -399,7 +406,8 @@ func (s *state) estDegreeRef(sw int) int {
 	return d
 }
 
-// penaltyOfRef is penaltyOf over estDegreeRef.
+// penaltyOfRef sums the constraint excess of a set of switches, their
+// degrees rebuilt by estDegreeRef. Over every switch it is the penalty total.
 func (s *state) penaltyOfRef(switches []int) int {
 	total := 0
 	for _, sw := range switches {
@@ -413,9 +421,11 @@ func (s *state) penaltyOfRef(switches []int) int {
 	return total
 }
 
-// localCostRef is localCost evaluated the pre-incremental way: direction
-// stats recomputed per pair, degrees rebuilt by scanning every switch pair.
-// Values are identical to localCost's.
+// localCostRef is the weighted objective restricted to the given pipes and
+// switches (the hop term is global: s.totalHops), evaluated the
+// pre-incremental way: direction stats recomputed per pair, degrees rebuilt
+// by scanning every switch pair. Over every pair and switch it is
+// globalCost.
 func (s *state) localCostRef(pairs [][2]int, switches []int) int {
 	links, quad := 0, 0
 	for _, p := range pairs {

@@ -253,7 +253,6 @@ func checkStateInvariants(t *testing.T, s *state) {
 		t.Fatalf("%d processors accounted, want %d", count, s.procs)
 	}
 	// Routes are simple paths, match homes, and pipes match routes.
-	hops := 0
 	for fi, f := range s.flows {
 		r := s.routes[fi]
 		if r[0] != s.home[f.Src] || r[len(r)-1] != s.home[f.Dst] {
@@ -264,15 +263,11 @@ func checkStateInvariants(t *testing.T, s *state) {
 				t.Fatalf("flow %v route %v revisits switch %d", f, r, sw)
 			}
 		}
-		hops += len(r) - 1
 		for i := 1; i < len(r); i++ {
 			if !pipeHasFlow(s, r[i-1], r[i], fi) {
 				t.Fatalf("flow %v hop %d missing from pipe set", f, i)
 			}
 		}
-	}
-	if hops != s.totalHops {
-		t.Fatalf("totalHops %d, recomputed %d", s.totalHops, hops)
 	}
 	// No stale pipe entries, and pipeUsed agrees with the set.
 	for a := 0; a < s.nsw(); a++ {
@@ -328,16 +323,31 @@ func checkStateInvariants(t *testing.T, s *state) {
 	}
 }
 
+// setBudgets changes a live state's design constraints, re-tallying the
+// penalty total they price. Synthesis fixes them for a state's lifetime.
+func (s *state) setBudgets(degree, procs int) {
+	for sw := range s.nsw() {
+		s.tally(sw, -1)
+	}
+	s.opt.MaxDegree, s.opt.MaxProcsPerSwitch = degree, procs
+	for sw := range s.nsw() {
+		s.tally(sw, 1)
+	}
+}
+
 // checkTables holds every maintained cost table to a from-scratch
 // recomputation, over the whole stride (cells past the live switches must
 // read as empty): each direction's count row against the AND-popcount of its
 // flow set with each clique (all zero, or no row at all, for an empty pipe),
 // dirW/dirQ against dirStatsCompute, pairW against the larger direction,
-// sumW against the sum of the switch's pair widths — and portBound, for every
-// switch as it stands, against the degree it must not exceed.
+// sumW against the sum of the switch's pair widths, the objective's totals
+// against penaltyOfRef, the pair-width and quad sums and a recount of hops
+// and live switches — and portBound, for every switch as it stands, against
+// the degree it must not exceed.
 func checkTables(t *testing.T, s *state) {
 	t.Helper()
 	nc := len(s.cliques)
+	links, quad := 0, 0
 	for a := 0; a < s.stride; a++ {
 		sum := 0
 		for b := 0; b < s.stride; b++ {
@@ -346,6 +356,7 @@ func checkTables(t *testing.T, s *state) {
 			if gw, gq := s.dirStats(a, b); gw != w || gq != q {
 				t.Fatalf("direction (%d,%d): tables say width %d quad %d, flow set says %d %d", a, b, gw, gq, w, q)
 			}
+			quad += q
 			if at := int(s.rowAt[pi]); at != 0 {
 				for c, n := range s.counts[at-1 : at-1+nc] {
 					want := 0
@@ -369,9 +380,37 @@ func checkTables(t *testing.T, s *state) {
 				t.Fatalf("pair (%d,%d): pairW %d, recomputed %d", a, b, got, w)
 			}
 			sum += w
+			if a < b {
+				links += w
+			}
 		}
 		if int(s.sumW[a]) != sum {
 			t.Fatalf("switch %d: sumW %d, recomputed %d", a, s.sumW[a], sum)
+		}
+	}
+	hops, live := 0, 0
+	for _, r := range s.routes {
+		hops += len(r) - 1
+	}
+	sws := make([]int, s.nsw())
+	for sw := range sws {
+		sws[sw] = sw
+		if len(s.swProcs[sw]) > 0 || s.sumW[sw] > 0 {
+			live++
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"penalty", s.penalty, s.penaltyOfRef(sws)},
+		{"links", s.links, links},
+		{"quad", s.quad, quad},
+		{"totalHops", s.totalHops, hops},
+		{"live", s.live, live},
+	} {
+		if c.got != c.want {
+			t.Fatalf("total %s %d, recomputed %d", c.name, c.got, c.want)
 		}
 	}
 	for sw := range s.swProcs {

@@ -217,11 +217,20 @@ type state struct {
 	selfRoute [][]int
 	pairRoute [][]int
 
+	// The objective's totals (cost.go), kept exact by the raw mutators
+	// (engine.go): totalHops the routes' hop count, penalty the switches'
+	// excess summed, links the sum of pairW, quad the sum of dirQ, and live
+	// the count of switches that are not dead.
 	totalHops int
-	src       *drawSource
-	rng       *rand.Rand
-	opt       Options
-	stats     *Stats
+	penalty   int
+	links     int
+	quad      int
+	live      int
+
+	src   *drawSource
+	rng   *rand.Rand
+	opt   Options
+	stats *Stats
 	// bsWords is the word capacity every pooled pipe bitset has (the widest
 	// flow universe this state has served); reset() drops the sets when a
 	// new kernel needs more, and setRouteRaw creates new ones at it.
@@ -243,11 +252,10 @@ type state struct {
 	idScratch    []int
 	nbrScratch   []int
 	candScratch  []int
-	allScratch   []int    // allSwitches
-	splitScratch []int    // split's shuffle copy
-	allProcs     []int    // backs swProcs[0] after reset
-	touchBuf     [2]int   // bestRoute touch/via list of split and merge callers
-	gcPairs      [][2]int // globalCost's traffic-pair list
+	allScratch   []int  // allSwitches
+	splitScratch []int  // split's shuffle copy
+	allProcs     []int  // backs swProcs[0] after reset
+	touchBuf     [2]int // bestRoute touch/via list of split and merge callers
 	mergeProcs   []int
 	boundCnt     []int32 // portBound's per-clique out/in counts
 }
@@ -623,23 +631,19 @@ func (s *state) partition() bool {
 		if s.cancelled() {
 			return false
 		}
-		var splittable []int
-		anyViolation := false
-		for sw := range s.swProcs {
-			if s.violates(sw) {
-				anyViolation = true
-				if len(s.swProcs[sw]) >= 2 {
-					splittable = append(splittable, sw)
-				}
-			}
-		}
-		if !anyViolation {
+		if !s.anyViolation() {
 			if s.seedFast {
 				s.seedFast = false
 				return true
 			}
 			s.globalRefine()
 			return true
+		}
+		var splittable []int
+		for sw := range s.swProcs {
+			if s.violates(sw) && len(s.swProcs[sw]) >= 2 {
+				splittable = append(splittable, sw)
+			}
 		}
 		if len(splittable) == 0 {
 			s.globalRefine()
@@ -651,14 +655,8 @@ func (s *state) partition() bool {
 	return !s.anyViolation()
 }
 
-func (s *state) anyViolation() bool {
-	for sw := range s.swProcs {
-		if s.violates(sw) {
-			return true
-		}
-	}
-	return false
-}
+// anyViolation reports whether some switch breaks the design constraints.
+func (s *state) anyViolation() bool { return s.penalty > 0 }
 
 // routeTouches reports whether a route visits switch sw.
 func routeTouches(route []int, sw int) bool {

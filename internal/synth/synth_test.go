@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -143,6 +145,38 @@ func TestSynthesizeNoCommunication(t *testing.T) {
 	}
 	if res.Stats.Repairs == 0 {
 		t.Error("expected connectivity repairs for a silent pattern")
+	}
+}
+
+// TestSynthesizeIgnoresSelfMessages holds the engine's assumption that no
+// flow joins a processor to itself (model.NewFlowIndex drops them): a pattern
+// with a self-message beside every message, overlapping it, synthesizes to
+// the same design bytes as the pattern without them.
+func TestSynthesizeIgnoresSelfMessages(t *testing.T) {
+	pats := []*model.Pattern{nas.Figure1Pattern()}
+	for _, name := range []string{"CG", "BT"} {
+		pat, err := nas.Generate(name, 16, quickNASConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pats = append(pats, pat)
+	}
+	for _, pat := range pats {
+		selfish := *pat
+		selfish.Messages = slices.Clone(pat.Messages)
+		for i, m := range pat.Messages {
+			m.ID = len(pat.Messages) + i
+			m.Dst = m.Src
+			if i%2 == 1 {
+				m.Src, m.Dst = pat.Messages[i].Dst, pat.Messages[i].Dst
+			}
+			selfish.Messages = append(selfish.Messages, m)
+		}
+		opt := Options{Seed: 1, Restarts: 2}
+		want := designBytes(t, synthOrDie(t, pat, opt))
+		if got := designBytes(t, synthOrDie(t, &selfish, opt)); !bytes.Equal(got, want) {
+			t.Errorf("%s: self-messages changed the design\nwithout:\n%s\nwith:\n%s", pat.Name, want, got)
+		}
 	}
 }
 

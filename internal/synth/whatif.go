@@ -93,9 +93,8 @@ type whatIf struct {
 	via []int   // the eliminated pipe's flows that need an intermediate
 }
 
-// wiArr is one flow of a relocated processor: the home of its other endpoint
-// (-1: the flow is the processor's to itself), and whether it leaves the
-// processor.
+// wiArr is one flow of a relocated processor: the home of its other endpoint,
+// and whether it leaves the processor.
 type wiArr struct {
 	fi, h int32
 	out   bool
@@ -438,13 +437,9 @@ func (s *state) wiDepart(p int) {
 	for _, fi := range s.procFlows[p] {
 		s.wiLeave(fi)
 		f := s.flows[fi]
-		a := wiArr{fi: int32(fi), h: -1, out: f.Src == p}
-		switch {
-		case f.Src == f.Dst:
-		case a.out:
+		a := wiArr{fi: int32(fi), h: int32(s.home[f.Src]), out: f.Src == p}
+		if a.out {
 			a.h = int32(s.home[f.Dst])
-		default:
-			a.h = int32(s.home[f.Src])
 		}
 		arr = append(arr, a)
 	}
@@ -458,7 +453,7 @@ func (s *state) wiDepart(p int) {
 func (s *state) wiArrive(p, to, bound int) int {
 	for _, a := range s.wi.arr {
 		switch {
-		case a.h < 0 || int(a.h) == to: // local at the target
+		case int(a.h) == to: // local at the target
 		case a.out:
 			s.wiJoinCand(int(a.fi), to, int(a.h))
 		default:

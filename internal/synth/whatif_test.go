@@ -377,7 +377,7 @@ func TestWhatIfPitfalls(t *testing.T) {
 			// processor leaving A alone — which, with A one processor over
 			// its budget, is a change of excess every target must carry.
 			s.reattach(4, 0)
-			s.opt.MaxProcsPerSwitch = 3
+			s.setBudgets(s.opt.MaxDegree, 3)
 			s.wiDepart(1)
 			if n := len(s.wi.dirs); n != 0 {
 				t.Fatalf("processor 1's departure states %d directions, want none", n)
@@ -422,7 +422,7 @@ func TestWhatIfPitfalls(t *testing.T) {
 			// Under a degree budget of 3, A and B have no link to spend and C
 			// two: the backbone sends A–B traffic through C, over one-hop and
 			// two-hop paths alike, and drops the direct A–B pipe.
-			s.opt.MaxDegree = 3
+			s.setBudgets(3, s.opt.MaxProcsPerSwitch)
 			if !s.anyViolation() {
 				t.Fatal("the state meets a degree budget of 3")
 			}
@@ -436,7 +436,7 @@ func TestWhatIfPitfalls(t *testing.T) {
 			// (or just meet) a boundary at some setting.
 			for deg := 1; deg <= 7; deg++ {
 				for procs := 1; procs <= 4; procs++ {
-					s.opt.MaxDegree, s.opt.MaxProcsPerSwitch = deg, procs
+					s.setBudgets(deg, procs)
 					for p := range s.procs {
 						compareRelocations(t, s, p)
 					}
