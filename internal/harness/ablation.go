@@ -102,22 +102,22 @@ func (c Config) Ablations(benchmark string, procs int) ([]AblationRow, error) {
 		return nil, err
 	}
 	variants := []struct {
-		name string
-		opts synth.Options
+		name    string
+		variant synth.Variant
 	}{
-		{"full", c.synthOptions()},
-		{"no-bestroute", withFlag(c.synthOptions(), func(o *synth.Options) { o.DisableBestRoute = true })},
-		{"no-refine", withFlag(c.synthOptions(), func(o *synth.Options) { o.DisableGlobalRefine = true })},
-		{"greedy-color", withFlag(c.synthOptions(), func(o *synth.Options) { o.GreedyFinalColoring = true })},
-		{"annealed", withFlag(c.synthOptions(), func(o *synth.Options) {
-			o.Anneal = synth.AnnealConfig{InitialTemp: 1 << 18, Cooling: 0.85, Steps: 24}
-		})},
+		{"full", synth.Full},
+		{"no-bestroute", synth.NoBestRoute},
+		{"no-refine", synth.NoGlobalRefine},
+		{"greedy-color", synth.GreedyColoring},
+		{"annealed", synth.Annealed},
 	}
 	// Every variant synthesizes from the same immutable pattern; the
 	// variant cells run on the Workers pool.
 	return parallel.MapObserved(c.Obs, "harness.ablation", c.Workers, len(variants), func(i int) (AblationRow, error) {
 		v := variants[i]
-		res, err := synth.Synthesize(pat, v.opts)
+		opt := c.synthOptions()
+		opt.Variant = v.variant
+		res, err := synth.Synthesize(pat, opt)
 		if err != nil {
 			return AblationRow{}, fmt.Errorf("ablation %s: %v", v.name, err)
 		}
@@ -131,11 +131,6 @@ func (c Config) Ablations(benchmark string, procs int) ([]AblationRow, error) {
 			Free:      res.ContentionFree,
 		}, nil
 	})
-}
-
-func withFlag(o synth.Options, f func(*synth.Options)) synth.Options {
-	f(&o)
-	return o
 }
 
 // RenderAblations formats ablation rows.

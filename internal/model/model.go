@@ -14,6 +14,7 @@ package model
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -109,6 +110,9 @@ func (p *Pattern) Validate() error {
 		if m.Dst < 0 || m.Dst >= p.Procs {
 			return fmt.Errorf("pattern %q: message %d destination %d out of range [0,%d)", p.Name, i, m.Dst, p.Procs)
 		}
+		if math.IsNaN(m.Start) || math.IsNaN(m.Finish) {
+			return fmt.Errorf("pattern %q: message %d has a NaN time (%g to %g)", p.Name, i, m.Start, m.Finish)
+		}
 		if m.Finish < m.Start {
 			return fmt.Errorf("pattern %q: message %d finishes (%g) before it starts (%g)", p.Name, i, m.Finish, m.Start)
 		}
@@ -122,8 +126,8 @@ func (p *Pattern) Validate() error {
 				return fmt.Errorf("pattern %q: phase %d references message %d, have %d messages", p.Name, pi, mi, len(p.Messages))
 			}
 		}
-		if ph.ComputeAfter < 0 {
-			return fmt.Errorf("pattern %q: phase %d has negative compute gap %g", p.Name, pi, ph.ComputeAfter)
+		if ph.ComputeAfter < 0 || math.IsNaN(ph.ComputeAfter) {
+			return fmt.Errorf("pattern %q: phase %d has negative or NaN compute gap %g", p.Name, pi, ph.ComputeAfter)
 		}
 	}
 	return nil

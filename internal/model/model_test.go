@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -40,6 +41,11 @@ func TestPatternValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid pattern rejected: %v", err)
 	}
+	// An infinite time is legal: a message that never finishes.
+	open := &Pattern{Name: "inf", Procs: 2, Messages: []Message{msg(0, 0, 1, math.Inf(-1), math.Inf(1))}}
+	if err := open.Validate(); err != nil {
+		t.Fatalf("infinite times rejected: %v", err)
+	}
 	bad := []*Pattern{
 		{Name: "zero procs", Procs: 0},
 		{Name: "src range", Procs: 2, Messages: []Message{msg(0, 2, 0, 0, 1)}},
@@ -49,6 +55,11 @@ func TestPatternValidate(t *testing.T) {
 		{Name: "phase index", Procs: 2, Phases: []Phase{{Messages: []int{0}}}},
 		{Name: "neg gap", Procs: 2, Messages: []Message{msg(0, 0, 1, 0, 1)},
 			Phases: []Phase{{Messages: []int{0}, ComputeAfter: -1}}},
+		{Name: "NaN start", Procs: 2, Messages: []Message{msg(0, 0, 1, math.NaN(), 1)}},
+		{Name: "NaN finish", Procs: 2, Messages: []Message{msg(0, 0, 1, 0, math.NaN())}},
+		{Name: "NaN times", Procs: 2, Messages: []Message{msg(0, 0, 1, math.NaN(), math.NaN())}},
+		{Name: "NaN gap", Procs: 2, Messages: []Message{msg(0, 0, 1, 0, 1)},
+			Phases: []Phase{{Messages: []int{0}, ComputeAfter: math.NaN()}}},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {

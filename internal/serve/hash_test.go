@@ -88,3 +88,20 @@ func TestOptionsFingerprintNormalizes(t *testing.T) {
 		t.Errorf("fingerprint missing fields: %s", zero)
 	}
 }
+
+// TestOptionsFingerprintVariants pins each Variant's key text to what the
+// per-ablation fields it replaced rendered, so no stored key changes.
+func TestOptionsFingerprintVariants(t *testing.T) {
+	const full = "maxdeg=5 maxprocs=4 seed=0 restarts=4 anneal=0/0.9/32 nobestroute=false noglobalrefine=false greedycolor=false maxrounds=16 seedfp=none"
+	for v, want := range map[synth.Variant]string{
+		synth.Full:           full,
+		synth.NoBestRoute:    strings.Replace(full, "nobestroute=false", "nobestroute=true", 1),
+		synth.NoGlobalRefine: strings.Replace(full, "noglobalrefine=false", "noglobalrefine=true", 1),
+		synth.GreedyColoring: strings.Replace(full, "greedycolor=false", "greedycolor=true", 1),
+		synth.Annealed:       strings.Replace(full, "anneal=0/0.9/32", "anneal=262144/0.85/24", 1),
+	} {
+		if got := OptionsFingerprint(synth.Options{Variant: v}); got != want {
+			t.Errorf("variant %d:\n got %s\nwant %s", v, got, want)
+		}
+	}
+}

@@ -53,6 +53,9 @@ func checkSynth(opt synth.Options) error {
 	if opt.Restarts < 0 || opt.Restarts > 64 {
 		return badRequest("restarts %d outside [1, 64]", opt.Restarts)
 	}
+	if !opt.Variant.Valid() {
+		return badRequest("unknown synthesis variant %d", opt.Variant)
+	}
 	return nil
 }
 

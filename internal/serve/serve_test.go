@@ -276,6 +276,7 @@ func TestDesignBadRequests(t *testing.T) {
 		{"collective nodes range", `{"benchmark":"ring-allreduce","procs":512}`, "between 2 and 256"},
 		{"tree non-power-of-two", `{"benchmark":"tree-broadcast","procs":12}`, "power of two"},
 		{"bad trace", `{"trace":"not a noctrace"}`, "decoding trace"},
+		{"NaN trace time", `{"trace":"noctrace v1\nprocs 2\nmsg 0 0 1 NaN NaN 64\n"}`, "decoding trace"},
 		{"restarts too big", `{"benchmark":"CG","procs":16,"restarts":1000}`, "restarts"},
 	}
 	for _, tc := range cases {
@@ -531,6 +532,7 @@ func TestNewRejectsBadSynthDefaults(t *testing.T) {
 		"max degree -2":    func(o *synth.Options) { o.MaxDegree = -2 },
 		"max procs -1":     func(o *synth.Options) { o.MaxProcsPerSwitch = -1 },
 		"degree, restarts": func(o *synth.Options) { o.MaxDegree, o.Restarts = -1, 65 },
+		"unknown variant":  func(o *synth.Options) { o.Variant = synth.Annealed + 1 },
 	} {
 		cfg := quickConfig()
 		mutate(&cfg.Synth)

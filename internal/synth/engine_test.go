@@ -369,7 +369,7 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 		cliques := model.MaxCliqueSet(pat)
 		opt := Options{Seed: seed}
 		if trial%2 == 1 {
-			opt.Anneal = AnnealConfig{InitialTemp: 2, Cooling: 0.9, Steps: 24}
+			opt.Variant = Annealed
 		}
 		sref := newState(newKernel(pat, cliques), opt.Normalized(), seed, &Stats{})
 		snew := newState(newKernel(pat, cliques), opt.Normalized(), seed, &Stats{})

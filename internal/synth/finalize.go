@@ -79,7 +79,7 @@ func (s *state) finalize(name string) (*topology.Network, *routing.Table, []int,
 			g := coloring.BuildConflictGraphBits(set, s.conflict)
 			var k int
 			var colors []int
-			if s.opt.GreedyFinalColoring {
+			if s.opt.Variant == GreedyColoring {
 				k, colors = g.Greedy()
 				s.stats.Coloring.DSATUR++
 			} else {
@@ -235,6 +235,9 @@ func SynthesizeCliques(ctx context.Context, p *model.Pattern, cliques []model.Cl
 	opt = opt.Normalized()
 	if opt.Restarts < 0 {
 		return nil, fmt.Errorf("synth: negative Restarts %d", opt.Restarts)
+	}
+	if !opt.Variant.Valid() {
+		return nil, fmt.Errorf("synth: unknown Variant %d", opt.Variant)
 	}
 	if opt.MaxDegree < 0 || opt.MaxProcsPerSwitch < 0 {
 		return nil, fmt.Errorf("synth: negative MaxDegree %d or MaxProcsPerSwitch %d", opt.MaxDegree, opt.MaxProcsPerSwitch)

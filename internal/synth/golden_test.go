@@ -31,10 +31,10 @@ var goldenVariants = []struct {
 	opt  synth.Options
 }{
 	{"default", synth.Options{Seed: 1, Restarts: 2, Workers: 2}},
-	{"anneal", synth.Options{Seed: 2, Restarts: 2, Workers: 2, Anneal: synth.AnnealConfig{InitialTemp: 2, Cooling: 0.95, Steps: 40}}},
-	{"greedy", synth.Options{Seed: 3, Restarts: 2, Workers: 2, GreedyFinalColoring: true}},
-	{"nobest", synth.Options{Seed: 4, Restarts: 2, Workers: 2, DisableBestRoute: true}},
-	{"norefine", synth.Options{Seed: 5, Restarts: 2, Workers: 2, DisableGlobalRefine: true}},
+	{"anneal", synth.Options{Seed: 2, Restarts: 2, Workers: 2, Variant: synth.Annealed}},
+	{"greedy", synth.Options{Seed: 3, Restarts: 2, Workers: 2, Variant: synth.GreedyColoring}},
+	{"nobest", synth.Options{Seed: 4, Restarts: 2, Workers: 2, Variant: synth.NoBestRoute}},
+	{"norefine", synth.Options{Seed: 5, Restarts: 2, Workers: 2, Variant: synth.NoGlobalRefine}},
 	{"tight", synth.Options{Seed: 6, Restarts: 2, Workers: 2, Constraints: synth.Constraints{MaxDegree: 4, MaxProcsPerSwitch: 2}}},
 }
 

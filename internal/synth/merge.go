@@ -50,7 +50,7 @@ func (s *state) mergeRefine() bool {
 			for _, p := range procs {
 				s.reattach(p, a)
 			}
-			if !s.opt.DisableBestRoute {
+			if s.opt.Variant != NoBestRoute {
 				s.touchBuf[0] = a
 				s.bestRoute(s.touchBuf[:1], nil)
 				s.eliminatePipes()

@@ -273,7 +273,7 @@ func (s *state) backboneDeltaRef(paths [][]int) (int, func()) {
 // rebuilt and re-sorted every iteration and every candidate is re-probed
 // from scratch with tryMove's apply/undo/recost/reapply round trip.
 func (s *state) optimizeMovesRef(i, j int) {
-	if s.opt.Anneal.InitialTemp > 0 {
+	if s.opt.Variant == Annealed {
 		s.annealMovesRef(i, j)
 	}
 	for iter := 0; iter < 4*s.procs; iter++ {
@@ -302,7 +302,7 @@ func (s *state) optimizeMovesRef(i, j int) {
 		}
 		s.reattach(bestProc, bestTo)
 		s.stats.MovesCommitted++
-		if !s.opt.DisableBestRoute {
+		if s.opt.Variant != NoBestRoute {
 			s.bestRoute([]int{i, j}, []int{i, j})
 		}
 	}
@@ -311,8 +311,8 @@ func (s *state) optimizeMovesRef(i, j int) {
 // annealMovesRef rebuilds the unsorted candidate slice on every step, even
 // when the step was a balance skip and nothing changed.
 func (s *state) annealMovesRef(i, j int) {
-	temp := s.opt.Anneal.InitialTemp
-	for step := 0; step < s.opt.Anneal.Steps && temp > 1e-3; step++ {
+	temp := float64(annealTemp)
+	for step := 0; step < annealSteps; step++ {
 		candidates := append(append(s.candScratch[:0], s.swProcs[i]...), s.swProcs[j]...)
 		s.candScratch = candidates
 		if len(candidates) == 0 {
@@ -324,21 +324,19 @@ func (s *state) annealMovesRef(i, j int) {
 			to = i
 		}
 		if !s.balancedAfterMove(p, to, i, j) {
-			temp *= s.opt.Anneal.Cooling
+			temp *= annealCooling
 			continue
 		}
 		delta, undo := s.tryMove(p, to)
 		accept := delta < 0 || s.rng.Float64() < math.Exp(-float64(delta)/temp)
 		if accept {
 			s.stats.MovesCommitted++
-			if !s.opt.DisableBestRoute {
-				s.bestRoute([]int{i, j}, []int{i, j})
-			}
+			s.bestRoute([]int{i, j}, []int{i, j})
 		} else {
 			s.stats.MovesRejected++
 			undo()
 		}
-		temp *= s.opt.Anneal.Cooling
+		temp *= annealCooling
 	}
 }
 
@@ -496,7 +494,7 @@ func (s *state) mergeRefineRef() (tried []mergeAttempt) {
 			for _, p := range procs {
 				s.reattach(p, a)
 			}
-			if !s.opt.DisableBestRoute {
+			if s.opt.Variant != NoBestRoute {
 				s.bestRoute([]int{a}, nil)
 				s.eliminatePipes()
 			}

@@ -173,7 +173,7 @@ func (s *state) applySeed(sd *SeedDesign) bool {
 		}
 	}
 
-	if s.opt.DisableBestRoute {
+	if s.opt.Variant == NoBestRoute {
 		return true
 	}
 	if sd.ChangedProcs != nil && len(sd.ChangedProcs) == 0 && !s.anyViolation() {

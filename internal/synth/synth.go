@@ -37,18 +37,23 @@ type Constraints struct {
 	MaxProcsPerSwitch int
 }
 
-// AnnealConfig tunes the move-acceptance schedule. The zero value selects
-// pure greedy improving moves, which is what the Appendix's step 8-9
-// describe; a positive InitialTemp enables classic simulated annealing on
-// top (kept as a documented ablation).
-type AnnealConfig struct {
-	InitialTemp float64
-	// Cooling is the per-step temperature multiplier (default 0.9).
-	Cooling float64
-	// Steps is the number of annealed move attempts per split
-	// (default 32).
-	Steps int
-}
+// Variant selects the paper's method (Full, the zero value) or one ablation
+// of it (DESIGN.md §4): NoBestRoute skips indirect-path optimization,
+// NoGlobalRefine the cross-switch polish, GreedyColoring finalizes with
+// DSATUR instead of exact coloring, and Annealed precedes each split's
+// greedy descent with annealMoves.
+type Variant int
+
+const (
+	Full Variant = iota
+	NoBestRoute
+	NoGlobalRefine
+	GreedyColoring
+	Annealed
+)
+
+// Valid reports whether v is a named variant.
+func (v Variant) Valid() bool { return v >= Full && v <= Annealed }
 
 // Options configures a synthesis run.
 type Options struct {
@@ -63,15 +68,8 @@ type Options struct {
 	// bit-identical results — each restart owns a derived-seed RNG and
 	// private state, and the reduction scans restart indices in order.
 	Workers int
-	// Anneal selects the move-acceptance schedule.
-	Anneal AnnealConfig
-	// DisableBestRoute skips indirect-path optimization (ablation).
-	DisableBestRoute bool
-	// DisableGlobalRefine skips the cross-switch polish pass (ablation).
-	DisableGlobalRefine bool
-	// GreedyFinalColoring replaces the formal (exact) coloring at
-	// finalization with DSATUR (ablation).
-	GreedyFinalColoring bool
+	// Variant selects the method or one ablation of it (default Full).
+	Variant Variant
 	// SeedDesign, when non-nil, warm-starts the configured restarts from a
 	// prior design's switch tree instead of the root megaswitch (see
 	// SeedDesign). Extension restarts — the ones drawn only while no run
@@ -98,12 +96,6 @@ func (o Options) Normalized() Options {
 	}
 	if o.Restarts == 0 {
 		o.Restarts = 4
-	}
-	if o.Anneal.Cooling == 0 {
-		o.Anneal.Cooling = 0.9
-	}
-	if o.Anneal.Steps == 0 {
-		o.Anneal.Steps = 32
 	}
 	return o
 }
@@ -444,7 +436,7 @@ func (s *state) balancedAfterMove(p, to int, i, j int) bool {
 // optimizes the processor moves between the halves.
 func (s *state) splitAndOptimize(i int) {
 	j := s.split(i)
-	if !s.opt.DisableBestRoute {
+	if s.opt.Variant != NoBestRoute {
 		s.touchBuf[0], s.touchBuf[1] = i, j
 		s.bestRoute(s.touchBuf[:], s.touchBuf[:])
 	}
@@ -456,7 +448,7 @@ func (s *state) splitAndOptimize(i int) {
 // (or, with annealing enabled, a temperature-accepted random move), calling
 // Best_Route after each commit.
 func (s *state) optimizeMoves(i, j int) {
-	if s.opt.Anneal.InitialTemp > 0 {
+	if s.opt.Variant == Annealed {
 		s.annealMoves(i, j)
 	}
 	// The candidate set is the union of the two halves, which commits can
@@ -486,12 +478,20 @@ func (s *state) optimizeMoves(i, j int) {
 		}
 		s.reattach(bestProc, bestTo)
 		s.stats.MovesCommitted++
-		if !s.opt.DisableBestRoute {
+		if s.opt.Variant != NoBestRoute {
 			s.touchBuf[0], s.touchBuf[1] = i, j
 			s.bestRoute(s.touchBuf[:], s.touchBuf[:])
 		}
 	}
 }
+
+// annealMoves' schedule starts at four links' worth of cost, far below one
+// unit of violation penalty.
+const (
+	annealTemp    = 1 << 18
+	annealCooling = 0.85
+	annealSteps   = 24
+)
 
 // annealMoves performs temperature-accepted random moves before the greedy
 // descent — the "simulated annealing technique" of Section 3 generalizing
@@ -500,10 +500,10 @@ func (s *state) optimizeMoves(i, j int) {
 // the end of its home list, so only balance-skipped steps leave the concat
 // order (and hence the RNG-indexed draw) unchanged.
 func (s *state) annealMoves(i, j int) {
-	temp := s.opt.Anneal.InitialTemp
+	temp := float64(annealTemp)
 	refresh := true
 	var candidates []int
-	for step := 0; step < s.opt.Anneal.Steps && temp > 1e-3; step++ {
+	for step := 0; step < annealSteps; step++ {
 		if refresh {
 			candidates = append(append(s.candScratch[:0], s.swProcs[i]...), s.swProcs[j]...)
 			s.candScratch = candidates
@@ -518,7 +518,7 @@ func (s *state) annealMoves(i, j int) {
 			to = i
 		}
 		if !s.balancedAfterMove(p, to, i, j) {
-			temp *= s.opt.Anneal.Cooling
+			temp *= annealCooling
 			continue
 		}
 		delta := s.probeMove(p, to, noBound)
@@ -526,15 +526,13 @@ func (s *state) annealMoves(i, j int) {
 		if accept {
 			s.reattach(p, to)
 			s.stats.MovesCommitted++
-			if !s.opt.DisableBestRoute {
-				s.touchBuf[0], s.touchBuf[1] = i, j
-				s.bestRoute(s.touchBuf[:], s.touchBuf[:])
-			}
+			s.touchBuf[0], s.touchBuf[1] = i, j
+			s.bestRoute(s.touchBuf[:], s.touchBuf[:])
 		} else {
 			s.stats.MovesRejected++
 		}
 		refresh = true
-		temp *= s.opt.Anneal.Cooling
+		temp *= annealCooling
 	}
 }
 
@@ -542,7 +540,7 @@ func (s *state) annealMoves(i, j int) {
 // processor relocations across any switch pair and global Best_Route passes,
 // committing strict improvements until a fixed point (bounded sweeps).
 func (s *state) globalRefine() {
-	if s.opt.DisableGlobalRefine {
+	if s.opt.Variant == NoGlobalRefine {
 		return
 	}
 	for sweep := 0; sweep < 6; sweep++ {
@@ -550,7 +548,7 @@ func (s *state) globalRefine() {
 			return
 		}
 		changed := false
-		if !s.opt.DisableBestRoute {
+		if s.opt.Variant != NoBestRoute {
 			s.bestRoute(nil, nil)
 			if s.eliminatePipes() {
 				changed = true
@@ -596,7 +594,7 @@ func (s *state) globalRefine() {
 		if s.swapRefine() {
 			changed = true
 		}
-		if s.anyViolation() && !s.opt.DisableBestRoute {
+		if s.anyViolation() && s.opt.Variant != NoBestRoute {
 			if s.eliminatePipes() {
 				changed = true
 			}

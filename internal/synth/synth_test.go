@@ -218,10 +218,7 @@ func TestSynthesizeResourcesBelowMesh(t *testing.T) {
 
 func TestAnnealedModeStillValid(t *testing.T) {
 	pat := nas.Figure1Pattern()
-	res := synthOrDie(t, pat, Options{
-		Seed:   4,
-		Anneal: AnnealConfig{InitialTemp: 2048, Cooling: 0.85, Steps: 24},
-	})
+	res := synthOrDie(t, pat, Options{Seed: 4, Variant: Annealed})
 	if !res.ConstraintsMet || !res.ContentionFree {
 		t.Fatalf("annealed synthesis invalid: met=%v free=%v", res.ConstraintsMet, res.ContentionFree)
 	}
@@ -233,7 +230,7 @@ func TestDisableBestRouteAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	with := synthOrDie(t, pat, Options{Seed: 6, Restarts: 2})
-	without := synthOrDie(t, pat, Options{Seed: 6, Restarts: 2, DisableBestRoute: true})
+	without := synthOrDie(t, pat, Options{Seed: 6, Restarts: 2, Variant: NoBestRoute})
 	// Both configurations must still produce valid, contention-free
 	// networks; the quality comparison itself is benchmarked (see
 	// BenchmarkAblationBestRoute), not asserted, because the two searches
@@ -247,7 +244,7 @@ func TestDisableBestRouteAblation(t *testing.T) {
 func TestGreedyFinalColoringAblation(t *testing.T) {
 	pat := nas.Figure1Pattern()
 	exact := synthOrDie(t, pat, Options{Seed: 8})
-	greedy := synthOrDie(t, pat, Options{Seed: 8, GreedyFinalColoring: true})
+	greedy := synthOrDie(t, pat, Options{Seed: 8, Variant: GreedyColoring})
 	if !greedy.ContentionFree {
 		t.Fatal("greedy coloring must still be proper (contention-free)")
 	}
@@ -268,6 +265,7 @@ func TestSynthesizeRejectsInvalidPattern(t *testing.T) {
 		{"negative restarts", nas.Figure1Pattern(), Options{Restarts: -1}, "synth: negative Restarts -1"},
 		{"negative degree", nas.Figure1Pattern(), Options{Constraints: Constraints{MaxDegree: -1}}, "synth: negative MaxDegree -1"},
 		{"negative processors", nas.Figure1Pattern(), Options{Constraints: Constraints{MaxProcsPerSwitch: -2}}, "or MaxProcsPerSwitch -2"},
+		{"unknown variant", nas.Figure1Pattern(), Options{Variant: Annealed + 1}, "synth: unknown Variant 5"},
 	} {
 		_, err := Synthesize(tc.pat, tc.opt)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

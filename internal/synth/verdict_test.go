@@ -13,9 +13,6 @@ import (
 	"repro/internal/synth"
 )
 
-// annealed is the harness ablation's annealed schedule.
-var annealed = synth.AnnealConfig{InitialTemp: 1 << 18, Cooling: 0.85, Steps: 24}
-
 // annealFlips are the flows whose drop-one-flow runs of BT/9 and SP/9 (the
 // two benchmarks have the same list) change their ConstraintsMet verdict
 // between the default greedy schedule and annealed, at MaxDegree 4 with
@@ -71,7 +68,7 @@ func TestVerdictCorpus(t *testing.T) {
 		return p
 	}
 	var got strings.Builder
-	run := func(label string, p *model.Pattern, drop *model.Flow, maxProcs int, anneal synth.AnnealConfig) {
+	run := func(label string, p *model.Pattern, drop *model.Flow, maxProcs int, v synth.Variant) {
 		t.Helper()
 		name, c := "whole", synth.Constraints{}
 		if drop != nil {
@@ -81,7 +78,7 @@ func TestVerdictCorpus(t *testing.T) {
 		if maxProcs > 0 {
 			c = synth.Constraints{MaxDegree: 4, MaxProcsPerSwitch: maxProcs}
 		}
-		res, err := synth.Synthesize(p, synth.Options{Seed: 9, Restarts: 2, Workers: 2, Constraints: c, Anneal: anneal})
+		res, err := synth.Synthesize(p, synth.Options{Seed: 9, Restarts: 2, Workers: 2, Constraints: c, Variant: v})
 		if err != nil {
 			t.Fatalf("%s %s/%s: %v", label, p.Name, name, err)
 		}
@@ -92,13 +89,13 @@ func TestVerdictCorpus(t *testing.T) {
 		p := gen(bench, 9)
 		for _, set := range annealFlips {
 			for _, drop := range set.drops {
-				run("greedy", p, &drop, set.maxProcs, synth.AnnealConfig{})
-				run("annealed", p, &drop, set.maxProcs, annealed)
+				run("greedy", p, &drop, set.maxProcs, synth.Full)
+				run("annealed", p, &drop, set.maxProcs, synth.Annealed)
 			}
 		}
 	}
 	for _, w := range phaseWitnesses {
-		run(w.site, gen(w.bench, w.procs), w.drop, w.maxProcs, synth.AnnealConfig{})
+		run(w.site, gen(w.bench, w.procs), w.drop, w.maxProcs, synth.Full)
 	}
 
 	path := filepath.Join("testdata", "verdicts.golden")

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
-// FuzzParseTrace checks two properties of the noctrace v1 codec on
-// arbitrary input: Decode never panics, and on every input it accepts,
+// FuzzParseTrace checks three properties of the noctrace v1 codec on
+// arbitrary input: Decode never panics, no pattern it accepts holds a NaN
+// message time or phase compute gap, and on every input it accepts,
 // parse → serialize → parse is a fixed point (the second encoding is
 // byte-identical to the first).
 func FuzzParseTrace(f *testing.F) {
@@ -24,6 +26,8 @@ func FuzzParseTrace(f *testing.F) {
 		"noctrace v1\nprocs 2\nphase a 0 1 0 99\n",
 		"noctrace v1\nbogus directive\n",
 		"noctrace v1\nprocs 2\nmsg 0 0 1 NaN 1 8\n",
+		"noctrace v1\nprocs 2\nmsg 0 0 1 NaN NaN 64\n",
+		"noctrace v1\nprocs 2\nmsg 0 0 1 0 +Inf 8\nphase a 0 1 NaN 0\n",
 		"",
 	}
 	for _, s := range seeds {
@@ -33,6 +37,16 @@ func FuzzParseTrace(f *testing.F) {
 		p, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for _, m := range p.Messages {
+			if math.IsNaN(m.Start) || math.IsNaN(m.Finish) {
+				t.Fatalf("accepted message %d with a NaN time (%g to %g)", m.ID, m.Start, m.Finish)
+			}
+		}
+		for i, ph := range p.Phases {
+			if math.IsNaN(ph.ComputeAfter) {
+				t.Fatalf("accepted phase %d with a NaN compute gap", i)
+			}
 		}
 		var first bytes.Buffer
 		if err := Encode(&first, p); err != nil {
