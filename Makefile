@@ -4,7 +4,7 @@
 # schedules so an order-dependent reduction cannot pass by luck.
 GO ?= go
 
-.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-flitsim bench-warm bench-floorplan bench-synth bench-all fuzz
+.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-all fuzz
 
 verify: vet build race determinism
 
@@ -81,6 +81,15 @@ cover-serve cover-collective cover-hier: cover-%:
 #              Measured at about 1.65x on a 2-core box; the floor of 1.3
 #              leaves room for a noisy runner, and a floor that stops pruning
 #              falls to about 1.
+#   rounds:    the FFT/16 NoI level (16 restarts of 16 rounds, all unmet)
+#              with every round's network and routing table assembled and
+#              validated (the test-only assembleEveryRound) vs production,
+#              where a round only colours and counts degrees and a restart
+#              assembles once. Median 1.27x over 5 runs on a 2-core box
+#              (1.23-1.48x); the floor of 1.05 is about 80% of it, and a
+#              production path that assembles every round falls to about 1.
+#              TestSynthesizeAllocCeiling holds the same run to 15,000
+#              allocations (about 7,300; 33,300 assembling every round).
 BENCH_PKG_flitsim = ./internal/flitsim
 BENCH_RATIO_flitsim = BenchmarkSimulateCG16GapMeshReference:BenchmarkSimulateCG16GapMesh \
 	BenchmarkSimulateBT16StreamCrossbarReference:BenchmarkSimulateBT16StreamCrossbar \
@@ -99,18 +108,22 @@ BENCH_PKG_synth = ./internal/synth
 BENCH_RATIO_synth = BenchmarkSynthesizeBT16Reference:BenchmarkSynthesizeBT16
 BENCH_MIN_synth = 1.3
 
+BENCH_PKG_rounds = ./internal/synth
+BENCH_RATIO_rounds = BenchmarkSynthesizeHierNoIEveryRound:BenchmarkSynthesizeHierNoI
+BENCH_MIN_rounds = 1.05
+
 # bench_re anchors the -bench regex to exactly the names in the gate's pairs.
 empty :=
 space := $(empty) $(empty)
 bench_re = ^($(subst $(space),|,$(strip $(subst :, ,$(BENCH_RATIO_$*)))))$$
 
-bench-flitsim bench-warm bench-floorplan bench-synth: bench-%:
+bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds: bench-%:
 	$(GO) test -run '^$$' -bench '$(bench_re)' -benchmem $(BENCH_PKG_$*) \
 		| $(GO) run ./cmd/benchratio $(foreach r,$(BENCH_RATIO_$*),-ratio '$(r)') -min-ratio $(BENCH_MIN_$*)
 
-bench: bench-flitsim bench-warm bench-floorplan bench-synth
+bench: bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds
 
-# bench-all is the one performance entry point: `bench`'s four ratio gates in
+# bench-all is the one performance entry point: `bench`'s five ratio gates in
 # sequence, then the end-to-end ledger — BENCHMARK.json's four workloads, each
 # with its per-layer breakdown. The ledger builds and drives its own nocd and
 # writes only under bench/out/; about 35 s per workload. Run it on an

@@ -238,27 +238,24 @@ func flowPartition(p *model.Pattern, k int) [][]int {
 	for q := 0; q < n; q++ {
 		groups[q] = []int{q}
 	}
-	weight := make(map[[2]int]int64)
+	// weight is the dense symmetric n×n matrix of pair weights: the merge
+	// scan reads it O(groups²·|gi|·|gj|) times per merge.
+	weight := make([]int64, n*n)
 	for _, m := range p.Messages {
 		if m.Src == m.Dst {
 			continue
 		}
-		a, b := m.Src, m.Dst
-		if b < a {
-			a, b = b, a
-		}
-		weight[[2]int{a, b}] += int64(m.Bytes) + 1 // +1 so zero-byte messages still attract
+		w := int64(m.Bytes) + 1 // +1 so zero-byte messages still attract
+		weight[m.Src*n+m.Dst] += w
+		weight[m.Dst*n+m.Src] += w
 	}
 	sizeCap := (n + k - 1) / k
 	groupWeight := func(i, j int) int64 {
 		var w int64
 		for _, u := range groups[i] {
+			row := weight[u*n : (u+1)*n]
 			for _, v := range groups[j] {
-				a, b := u, v
-				if b < a {
-					a, b = b, a
-				}
-				w += weight[[2]int{a, b}]
+				w += row[v]
 			}
 		}
 		return w

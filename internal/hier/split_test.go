@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/model"
+	"repro/internal/nas"
 )
 
 func ring64(t testing.TB) *model.Pattern {
@@ -305,5 +306,37 @@ func BenchmarkSplitPattern(b *testing.B) {
 		if _, err := SplitPattern(pat, a); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPartition is the flow partition every hier request runs serially
+// before its first level: ring-allreduce/64 over eight clusters (the largest
+// hier ledger class) and CG/16 over four.
+func BenchmarkPartition(b *testing.B) {
+	cg16, err := nas.Generate("CG", 16, nas.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		pat      *model.Pattern
+		clusters string
+	}{
+		{"ring64", ring64(b), "8"},
+		{"cg16", cg16, "4"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sp, err := ParseSpec(c.clusters)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Partition(c.pat, sp, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -36,6 +36,16 @@ func (b BitSet) Count() int {
 	return n
 }
 
+// Rank returns the number of elements below i: i's position among b's
+// elements in ascending order when i is present.
+func (b BitSet) Rank(i int) int {
+	n := 0
+	for _, w := range b[:i>>6] {
+		n += bits.OnesCount64(w)
+	}
+	return n + bits.OnesCount64(b[i>>6]&(1<<(uint(i)&63)-1))
+}
+
 // AndCount returns |b ∩ c| without materializing the intersection.
 func (b BitSet) AndCount(c BitSet) int {
 	n := len(b)

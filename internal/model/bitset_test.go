@@ -65,6 +65,11 @@ func TestBitSetAgainstMapReference(t *testing.T) {
 		if a.Count() != len(ma) || b.Count() != len(mb) {
 			t.Fatal("Count disagrees with map size")
 		}
+		for i, x := range a.Elems(nil) {
+			if r := a.Rank(x); r != i {
+				t.Fatalf("Rank(%d) = %d, want its position %d", x, r, i)
+			}
+		}
 		u := NewBitSet(n)
 		u.Or(a)
 		u.Or(b)

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nas"
+	"repro/internal/routing"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -69,7 +71,19 @@ func benchSynthesizeBT16(b *testing.B) {
 // clusters (default restarts, serial): no restart ever meets the degree
 // budget, so every one runs all its rounds and no merge sweep — the
 // probe-bound case, where the candidate evaluator is the whole cost.
-func BenchmarkSynthesizeHierNoI(b *testing.B) {
+func BenchmarkSynthesizeHierNoI(b *testing.B) { benchSynthesizeHierNoI(b) }
+
+// BenchmarkSynthesizeHierNoIEveryRound is BenchmarkSynthesizeHierNoI with
+// every round assembled and validated (assembleEveryRound), as every round
+// was before a round only coloured and counted degrees. make bench-rounds
+// gates the ratio of the two.
+func BenchmarkSynthesizeHierNoIEveryRound(b *testing.B) {
+	assembleEveryRound = func([]int, *topology.Network, *routing.Table) {}
+	defer func() { assembleEveryRound = nil }()
+	benchSynthesizeHierNoI(b)
+}
+
+func benchSynthesizeHierNoI(b *testing.B) {
 	pat := noiFFT16(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,9 +102,14 @@ func BenchmarkSynthesizeHierNoI(b *testing.B) {
 // at least 5x less than the closure-based reference evaluator in the same
 // run; the reference's counts were deterministic — 124,578 allocs/op on
 // Figure 1 and 20,938 on CG/16 when last measured — so each ceiling is that
-// count divided by 5. (The engine's own counts then: 2,794 and 1,101.) The time half of the gate is carried by the
-// bench/ ledger's cold_synth and warm_variants workloads, which compare every
-// change with its real parent.
+// count divided by 5. (The engine's own counts then: 2,794 and 1,101.) The
+// FFT/16 NoI level (BenchmarkSynthesizeHierNoI's run) holds the per-round
+// check to colouring: 16 restarts of 16 rounds each allocated about 33,300
+// times when every round built and validated its network and table, and
+// about 7,300 with one assembly per restart (up to about 9,900 under -race,
+// whose sync.Pool drops pooled states at random). The time half of the gate is
+// carried by the bench/ ledger's cold_synth and warm_variants workloads,
+// which compare every change with its real parent.
 func TestSynthesizeAllocCeiling(t *testing.T) {
 	cg16, err := nas.Generate("CG", 16, nas.Config{Iterations: 1})
 	if err != nil {
@@ -98,13 +117,15 @@ func TestSynthesizeAllocCeiling(t *testing.T) {
 	}
 	for _, c := range []struct {
 		pat     *model.Pattern
+		opt     Options
 		ceiling float64
 	}{
-		{nas.Figure1Pattern(), 24915}, // 124,578 / 5
-		{cg16, 4187},                  // 20,938 / 5
+		{nas.Figure1Pattern(), Options{Seed: 1, Restarts: 1, Workers: 1}, 24915}, // 124,578 / 5
+		{cg16, Options{Seed: 1, Restarts: 1, Workers: 1}, 4187},                  // 20,938 / 5
+		{noiFFT16(t), Options{Seed: 1, Workers: 1}, 15000},                       // ~7,300 measured
 	} {
 		got := testing.AllocsPerRun(5, func() {
-			if _, err := Synthesize(c.pat, Options{Seed: 1, Restarts: 1, Workers: 1}); err != nil {
+			if _, err := Synthesize(c.pat, c.opt); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -37,22 +37,44 @@ func synthCounted(t *testing.T, p *model.Pattern, opt synth.Options) (*synth.Res
 	return res, col.Counters()
 }
 
-// noiLevel is the NoI sub-pattern hier synthesizes for p under clusters.
-func noiLevel(t *testing.T, p *model.Pattern, clusters string) *model.Pattern {
+// noiLevels are the NoI sub-patterns hier synthesizes for the three hier
+// classes the server benchmark requests: CG/16 and FFT/16 under four
+// clusters and ring-allreduce/64 under eight. None meets its degree budget,
+// so every restart runs all its rounds.
+func noiLevels(t *testing.T) []*model.Pattern {
 	t.Helper()
-	spec, err := hier.ParseSpec(clusters)
+	cg16, err := nas.Generate("CG", 16, nas.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := hier.Partition(p, spec, 0)
+	fft16, err := nas.Generate("FFT", 16, nas.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := hier.SplitPattern(p, assign)
+	ring64, err := collective.Generate("ring-allreduce", 64, collective.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return split.NoI
+	var levels []*model.Pattern
+	for _, c := range []struct {
+		pat      *model.Pattern
+		clusters string
+	}{{cg16, "4"}, {fft16, "4"}, {ring64, "8"}} {
+		spec, err := hier.ParseSpec(c.clusters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assign, err := hier.Partition(c.pat, spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split, err := hier.SplitPattern(c.pat, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels = append(levels, split.NoI)
+	}
+	return levels
 }
 
 // TestDeadTwinsMatchEveryTarget holds both shortcuts of the candidate scans
@@ -71,23 +93,7 @@ func TestDeadTwinsMatchEveryTarget(t *testing.T) {
 		opt  synth.Options
 	}
 	var runs []run
-	cg16, err := nas.Generate("CG", 16, nas.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fft16, err := nas.Generate("FFT", 16, nas.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring64, err := collective.Generate("ring-allreduce", 64, collective.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		pat      *model.Pattern
-		clusters string
-	}{{cg16, "4"}, {fft16, "4"}, {ring64, "8"}} {
-		noi := noiLevel(t, c.pat, c.clusters)
+	for _, noi := range noiLevels(t) {
 		for seed := int64(1); seed <= 8; seed++ {
 			runs = append(runs, run{noi.Name, noi, synth.Options{Seed: seed, Workers: 2}})
 		}

@@ -3,7 +3,6 @@ package synth
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/coloring"
 	"repro/internal/model"
@@ -36,41 +35,26 @@ type Result struct {
 	Stats Stats
 }
 
-// dirAssignment records the link assignment for one pipe direction.
-type dirAssignment struct {
-	colors int
-	assign coloring.Assignment
-}
-
-// finalize runs step 3 of the main algorithm: formal coloring of every
-// pipe's two conflict graphs, yielding exact widths and per-flow link
-// indices, then assembles the topology and routing table. It returns the
-// real (post-coloring) degree of each internal switch so the outer loop can
-// keep partitioning if estimates were optimistic.
-func (s *state) finalize(name string) (*topology.Network, *routing.Table, []int, bool, error) {
-	// Only live switches, those holding processors or carrying any flow,
-	// become network switches; a dead one maps to -1.
-	remap := make([]topology.SwitchID, len(s.swProcs))
-	net := topology.New(name, s.procs)
-	for sw := range s.swProcs {
-		if s.dead(sw) {
-			remap[sw] = -1
-			continue
-		}
-		remap[sw] = net.AddSwitch()
+// colour runs step 3 of the main algorithm on the round's configuration:
+// formal colouring of every used pipe direction's conflict graph, iterating
+// the dense pipe matrix in ascending (from, to) order (vertices reach the
+// colorers in sorted flow order because flow IDs ascend in Flow.Less order),
+// then the connectivity repair. It keeps each direction's width and link
+// colours for assemble and returns the real (post-colouring) degree of every
+// switch index, repair pipes included, which is all the outer loop reads of a
+// round, and whether every pipe was coloured provably optimally. A dead
+// switch's degree is 0 and a live one's at least 1.
+func (s *state) colour() (realDeg []int, allExact bool) {
+	n, st := s.nsw(), s.stride
+	if len(s.finK) < st*st {
+		s.finK = make([]int32, st*st)
+		s.finColors = make([][]int, st*st)
 	}
-	for p := 0; p < s.procs; p++ {
-		net.AttachProc(p, remap[s.home[p]])
-	}
-
-	// Formal coloring per pipe direction, iterating the dense pipe matrix in
-	// ascending (from, to) order. Vertices reach the colorers in sorted flow
-	// order because flow IDs ascend in Flow.Less order.
-	allExact := true
-	assignments := make(map[[2]int]dirAssignment) // ordered (from,to)
-	widths := make(map[[2]int]int)                // unordered pair
-	for from := 0; from < s.nsw(); from++ {
-		for to := 0; to < s.nsw(); to++ {
+	allExact = true
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			d := from*st + to
+			s.finK[d], s.finColors[d] = 0, nil
 			if !s.pipeUsed(from, to) {
 				continue
 			}
@@ -87,52 +71,121 @@ func (s *state) finalize(name string) (*topology.Network, *routing.Table, []int,
 				k, colors, exact = g.Exact(&s.stats.Coloring)
 				allExact = allExact && exact
 			}
-			assign := make(coloring.Assignment, len(g.Flows))
-			for i, f := range g.Flows {
-				assign[f] = colors[i]
-			}
 			if k > fast {
 				s.stats.FastColorGap += k - fast
 			}
-			assignments[[2]int{from, to}] = dirAssignment{colors: k, assign: assign}
-			pk := pairKey(from, to)
-			if k > widths[pk] {
-				widths[pk] = k
+			s.finK[d], s.finColors[d] = int32(k), colors
+		}
+	}
+	realDeg = s.finDeg[:0]
+	for sw := 0; sw < n; sw++ {
+		realDeg = append(realDeg, len(s.swProcs[sw]))
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			w := s.finWidth(a, b)
+			realDeg[a] += w
+			realDeg[b] += w
+		}
+	}
+	s.finDeg = realDeg
+	s.repairConnectivity(realDeg)
+	return realDeg, allExact
+}
+
+// finWidth is the coloured width of the pipe between switches a and b: the
+// larger of its two directions' colour counts (Section 3.1).
+func (s *state) finWidth(a, b int) int {
+	return int(max(s.finK[a*s.stride+b], s.finK[b*s.stride+a]))
+}
+
+// repairConnectivity makes the round's switch graph connected, as
+// Definition 1 requires: patterns whose flows do not span all switches leave
+// islands. It chains the components of the live switches and coloured pipes,
+// in order of their lowest switch index, each to the next with a unit pipe
+// attached at the least-loaded (lowest-index among equals) switch of each,
+// so it manufactures no degree violation it can avoid. It records the pipes
+// in s.repairs for assemble and adds their ports to deg.
+func (s *state) repairConnectivity(deg []int) {
+	n := s.nsw()
+	comp := s.compScratch[:0]
+	for sw := 0; sw < n; sw++ {
+		comp = append(comp, -1)
+	}
+	s.compScratch = comp
+	nc := 0
+	for start := 0; start < n; start++ {
+		if comp[start] != -1 || s.dead(start) {
+			continue
+		}
+		comp[start] = nc
+		stack := append(s.idScratch[:0], start)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for u := 0; u < n; u++ {
+				if comp[u] == -1 && s.finWidth(v, u) > 0 {
+					comp[u] = nc
+					stack = append(stack, u)
+				}
+			}
+		}
+		s.idScratch = stack
+		nc++
+	}
+	s.repairs = s.repairs[:0]
+	minDeg := func(c int) int {
+		best := -1
+		for sw := 0; sw < n; sw++ {
+			if comp[sw] == c && (best == -1 || deg[sw] < deg[best]) {
+				best = sw
+			}
+		}
+		return best
+	}
+	for c := 1; c < nc; c++ {
+		a, b := minDeg(c-1), minDeg(c)
+		deg[a]++
+		deg[b]++
+		s.repairs = append(s.repairs, [2]int{a, b})
+	}
+	s.stats.Repairs += len(s.repairs)
+}
+
+// assemble builds the design of the round colour last checked: a network of
+// the live switches (a dead one becomes no switch), its coloured pipes in
+// ascending (a, b) order and then the repair pipes, and the routing table
+// with each hop's link. A restart assembles once, on the round it exits
+// (DESIGN.md §6); it validates the network and the table it returns.
+func (s *state) assemble(name string) (*topology.Network, *routing.Table, error) {
+	n, st := s.nsw(), s.stride
+	remap := make([]topology.SwitchID, n)
+	net := topology.New(name, s.procs)
+	for sw := 0; sw < n; sw++ {
+		if s.dead(sw) {
+			remap[sw] = -1
+			continue
+		}
+		remap[sw] = net.AddSwitch()
+	}
+	for p := 0; p < s.procs; p++ {
+		net.AttachProc(p, remap[s.home[p]])
+	}
+	// Downstream consumers (serialization, the simulator's channel
+	// numbering and arbitration) iterate net.Pipes in this order.
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if w := s.finWidth(a, b); w > 0 {
+				net.SetPipe(remap[a], remap[b], w)
 			}
 		}
 	}
-	// Deterministic pipe order: downstream consumers (serialization, the
-	// simulator's channel numbering and arbitration) iterate net.Pipes.
-	pairs := make([][2]int, 0, len(widths))
-	for pk := range widths {
-		pairs = append(pairs, pk)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	for _, pk := range pairs {
-		net.SetPipe(remap[pk[0]], remap[pk[1]], widths[pk])
+	for _, r := range s.repairs {
+		net.SetPipe(remap[r[0]], remap[r[1]], 1)
 	}
 
-	// Connectivity repair: Definition 1 requires a strongly connected
-	// system. Patterns whose flows do not span all switches leave
-	// islands; join them with unit-width pipes attached at the least-
-	// loaded switches.
-	s.stats.Repairs += repairConnectivity(net)
-
-	// Real degrees in the internal switch ID space (for the outer loop),
-	// including exact pipe widths and any repair pipes.
-	realDeg := make([]int, len(s.swProcs))
-	for sw := range s.swProcs {
-		if remap[sw] >= 0 {
-			realDeg[sw] = net.Degree(remap[sw])
-		}
-	}
-
-	// Routing table with per-hop link assignments.
+	// A hop's link is the colour of the flow's vertex in the direction's
+	// conflict graph, whose vertices are the direction's flows in ID order.
 	table := routing.NewTable(net)
 	for fi, f := range s.flows {
 		r := s.routes[fi]
@@ -141,61 +194,28 @@ func (s *state) finalize(name string) (*topology.Network, *routing.Table, []int,
 			route.Switches[i] = remap[sw]
 		}
 		for i := 1; i < len(r); i++ {
-			da, ok := assignments[[2]int{r[i-1], r[i]}]
-			if !ok {
-				return nil, nil, nil, false, fmt.Errorf("synth: flow %v hop %d has no link assignment", f, i-1)
+			d := r[i-1]*st + r[i]
+			if s.finK[d] == 0 {
+				return nil, nil, fmt.Errorf("synth: flow %v hop %d has no link assignment", f, i-1)
 			}
-			route.Links = append(route.Links, da.assign[f])
+			route.Links = append(route.Links, s.finColors[d][s.pipes[d].Rank(fi)])
 		}
 		table.Routes[f] = route
 	}
 	if err := net.Validate(); err != nil {
-		return nil, nil, nil, false, fmt.Errorf("synth: generated network invalid: %v", err)
+		return nil, nil, fmt.Errorf("synth: generated network invalid: %v", err)
 	}
 	if err := table.Validate(); err != nil {
-		return nil, nil, nil, false, fmt.Errorf("synth: generated routes invalid: %v", err)
+		return nil, nil, fmt.Errorf("synth: generated routes invalid: %v", err)
 	}
-	return net, table, realDeg, allExact, nil
+	return net, table, nil
 }
 
-// repairConnectivity links disconnected components of the switch graph with
-// unit pipes (chaining component representatives in ID order). Returns the
-// number of pipes added.
-func repairConnectivity(net *topology.Network) int {
-	n := net.NumSwitches()
-	adj := make([][]int, n)
-	for _, p := range net.Pipes {
-		adj[p.A] = append(adj[p.A], int(p.B))
-		adj[p.B] = append(adj[p.B], int(p.A))
-	}
-	comp := components(adj, n)
-	nc := maxComp(comp) + 1
-	if nc <= 1 {
-		return 0
-	}
-	// Join each component to the next, attaching at the least-loaded
-	// switch of each to avoid manufacturing degree violations.
-	minDegSwitch := func(c int) topology.SwitchID {
-		best := topology.SwitchID(-1)
-		bestDeg := 0
-		for sw := 0; sw < n; sw++ {
-			if comp[sw] != c {
-				continue
-			}
-			d := net.Degree(topology.SwitchID(sw))
-			if best == -1 || d < bestDeg {
-				best, bestDeg = topology.SwitchID(sw), d
-			}
-		}
-		return best
-	}
-	added := 0
-	for c := 1; c < nc; c++ {
-		net.SetPipe(minDegSwitch(c-1), minDegSwitch(c), 1)
-		added++
-	}
-	return added
-}
+// assembleEveryRound, set only by tests, assembles every round, not only the
+// one a restart exits on, and hands it the round's real degrees (by switch
+// index) and its network and table. TestRoundDegreesMatchAssembly holds the
+// degrees colour counts to the assembled network's.
+var assembleEveryRound func(realDeg []int, net *topology.Network, table *routing.Table)
 
 // Synthesize runs the full design methodology on a pattern and returns the
 // best result over the configured restarts (fewest links, then fewest
@@ -459,7 +479,7 @@ func totalHops(t *routing.Table) int {
 	return h
 }
 
-// maxRounds bounds the outer partition-finalize loop.
+// maxRounds bounds the outer partition-colour loop.
 const maxRounds = 16
 
 // synthesizeOnce runs one restart. drew reports whether it drew from its
@@ -475,7 +495,8 @@ func synthesizeOnce(ctx context.Context, p *model.Pattern, kern *kernel, opt Opt
 }
 
 // run is one restart's search on a fresh state: the seed replay, then
-// partition and finalize rounds until the real degrees meet the budget.
+// partition and colour rounds until the real degrees meet the budget, and
+// one assembly of the design, on the round it exits.
 func (s *state) run(p *model.Pattern, sd *SeedDesign) (*Result, error) {
 	ctx, opt, stats, kern := s.ctx, s.opt, s.stats, s.kernel
 	if s.applySeed(sd) {
@@ -489,6 +510,7 @@ func (s *state) run(p *model.Pattern, sd *SeedDesign) (*Result, error) {
 		realDeg []int
 		err     error
 	)
+	name := fmt.Sprintf("generated.%s", p.Name)
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -498,10 +520,7 @@ func (s *state) run(p *model.Pattern, sd *SeedDesign) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		net, table, realDeg, exact, err = s.finalize(fmt.Sprintf("generated.%s", p.Name))
-		if err != nil {
-			return nil, err
-		}
+		realDeg, exact = s.colour()
 		met = true
 		var forced []int
 		for sw := range s.swProcs {
@@ -512,7 +531,19 @@ func (s *state) run(p *model.Pattern, sd *SeedDesign) (*Result, error) {
 				}
 			}
 		}
-		if met || len(forced) == 0 || !estOK {
+		last := met || len(forced) == 0 || !estOK
+		// The design returned is the exiting round's: the last round's
+		// forced splits below still run (they count in Stats) but reach
+		// no design.
+		if last || round == maxRounds-1 || assembleEveryRound != nil {
+			if net, table, err = s.assemble(name); err != nil {
+				return nil, err
+			}
+			if assembleEveryRound != nil {
+				assembleEveryRound(realDeg, net, table)
+			}
+		}
+		if last {
 			if !estOK {
 				met = false
 			}

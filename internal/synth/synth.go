@@ -250,6 +250,18 @@ type state struct {
 	touchBuf     [2]int // bestRoute touch/via list of split and merge callers
 	mergeProcs   []int
 	boundCnt     []int32 // portBound's per-clique out/in counts
+	compScratch  []int   // repairConnectivity's component labels
+
+	// The last round's colouring (finalize.go), which assemble reads:
+	// finK the direction's colour count (its width; 0 = unused) and
+	// finColors its members' colours in flow-ID order, both at
+	// from*stride+to; finDeg backs the real degrees colour returns, and
+	// repairs lists the connectivity repair pipes in the order they were
+	// added.
+	finK      []int32
+	finColors [][]int
+	finDeg    []int
+	repairs   [][2]int
 }
 
 func pairKey(a, b int) [2]int {

@@ -47,15 +47,19 @@ var phaseWitnesses = []struct {
 	{"greedyMove-bestRoute", "SP", 9, &model.Flow{Src: 2, Dst: 8}, 2},
 }
 
-// TestVerdictCorpus pins (ConstraintsMet, switches, links) on runs whose
-// verdict a single synthesis phase decides, which the golden designs never
-// show: no golden row moves a verdict. It holds every annealFlips run under
-// both schedules and every phaseWitnesses run under the default one, all
-// with Iterations 1, Seed 9 and Restarts 2, so stubbing annealMoves or any
-// witnessed call site fails it. Regenerate testdata/verdicts.golden with
-// `go test ./internal/synth -run TestVerdictCorpus -update`, and say which
-// verdicts moved and why.
-func TestVerdictCorpus(t *testing.T) {
+// verdictRun is one run of the verdict corpus.
+type verdictRun struct {
+	label string // the schedule or the witnessed call site
+	pat   *model.Pattern
+	drop  string // "whole", or the dropped flow
+	opt   synth.Options
+}
+
+// verdictRuns are the verdict corpus: every annealFlips run under both
+// schedules and every phaseWitnesses run under the default one, all with
+// Iterations 1, Seed 9 and Restarts 2.
+func verdictRuns(t *testing.T) []verdictRun {
+	t.Helper()
 	gen := func(bench string, procs int) *model.Pattern {
 		t.Helper()
 		p, err := nas.Generate(bench, procs, nas.Config{Iterations: 1})
@@ -67,9 +71,8 @@ func TestVerdictCorpus(t *testing.T) {
 		}
 		return p
 	}
-	var got strings.Builder
-	run := func(label string, p *model.Pattern, drop *model.Flow, maxProcs int, v synth.Variant) {
-		t.Helper()
+	var runs []verdictRun
+	add := func(label string, p *model.Pattern, drop *model.Flow, maxProcs int, v synth.Variant) {
 		name, c := "whole", synth.Constraints{}
 		if drop != nil {
 			name = fmt.Sprintf("-%d→%d", drop.Src, drop.Dst)
@@ -78,24 +81,40 @@ func TestVerdictCorpus(t *testing.T) {
 		if maxProcs > 0 {
 			c = synth.Constraints{MaxDegree: 4, MaxProcsPerSwitch: maxProcs}
 		}
-		res, err := synth.Synthesize(p, synth.Options{Seed: 9, Restarts: 2, Workers: 2, Constraints: c, Variant: v})
-		if err != nil {
-			t.Fatalf("%s %s/%s: %v", label, p.Name, name, err)
-		}
-		fmt.Fprintf(&got, "%s %s/%s/{%d,%d} met=%v switches=%d links=%d\n", label, p.Name, name,
-			c.MaxDegree, c.MaxProcsPerSwitch, res.ConstraintsMet, res.Net.NumSwitches(), res.Net.TotalLinks())
+		runs = append(runs, verdictRun{label, p, name, synth.Options{Seed: 9, Restarts: 2, Workers: 2, Constraints: c, Variant: v}})
 	}
 	for _, bench := range []string{"BT", "SP"} {
 		p := gen(bench, 9)
 		for _, set := range annealFlips {
 			for _, drop := range set.drops {
-				run("greedy", p, &drop, set.maxProcs, synth.Full)
-				run("annealed", p, &drop, set.maxProcs, synth.Annealed)
+				add("greedy", p, &drop, set.maxProcs, synth.Full)
+				add("annealed", p, &drop, set.maxProcs, synth.Annealed)
 			}
 		}
 	}
 	for _, w := range phaseWitnesses {
-		run(w.site, gen(w.bench, w.procs), w.drop, w.maxProcs, synth.Full)
+		add(w.site, gen(w.bench, w.procs), w.drop, w.maxProcs, synth.Full)
+	}
+	return runs
+}
+
+// TestVerdictCorpus pins (ConstraintsMet, switches, links) on runs whose
+// verdict a single synthesis phase decides, which the golden designs never
+// show: no golden row moves a verdict. It holds every verdictRuns run, so
+// stubbing annealMoves or any witnessed call site fails it. Regenerate
+// testdata/verdicts.golden with
+// `go test ./internal/synth -run TestVerdictCorpus -update`, and say which
+// verdicts moved and why.
+func TestVerdictCorpus(t *testing.T) {
+	var got strings.Builder
+	for _, r := range verdictRuns(t) {
+		res, err := synth.Synthesize(r.pat, r.opt)
+		if err != nil {
+			t.Fatalf("%s %s/%s: %v", r.label, r.pat.Name, r.drop, err)
+		}
+		c := r.opt.Constraints
+		fmt.Fprintf(&got, "%s %s/%s/{%d,%d} met=%v switches=%d links=%d\n", r.label, r.pat.Name, r.drop,
+			c.MaxDegree, c.MaxProcsPerSwitch, res.ConstraintsMet, res.Net.NumSwitches(), res.Net.TotalLinks())
 	}
 
 	path := filepath.Join("testdata", "verdicts.golden")
