@@ -72,21 +72,31 @@ cover-serve cover-collective cover-hier: cover-%:
 #              Skipping candidates whose floor already loses made cold
 #              synthesis faster again (about 4.9x fell to 3.5-4.0x); the
 #              floor of 3 holds and is not lowered. Raise it by making seeded
-#              synthesis faster, never by slowing cold synthesis.
+#              synthesis faster, never by slowing cold synthesis. With sealed
+#              processors unprobed it read 3.49-4.16x over five runs (median
+#              3.73x; the parent 3.82-4.13x in the same alternation).
 #   floorplan: the array-backed delta search vs the map-based reference (the
 #              test oracle in placeref_test.go) on CG-16.
-#   synth:     full-size BT/16 synthesis with every candidate priced (the
-#              test-only priceEveryTarget reference: no dead switch priced
-#              for all, no candidate skipped on its floor) vs production.
-#              Measured at about 1.65x on a 2-core box; the floor of 1.3
-#              leaves room for a noisy runner, and a floor that stops pruning
-#              falls to about 1.
+#   synth:     synthesis with every candidate priced (the test-only
+#              priceEveryTarget reference: no dead switch priced for all, no
+#              candidate skipped on its floor, every probe of a sealed
+#              processor priced and the lists moved at every swap probe) vs
+#              production, in two pairs: full-size BT/16, the merge- and
+#              Best_Route-bound case (1.54-1.84x over five runs on a 2-core
+#              box, median 1.81x), and the FFT/16 NoI level, the probe-bound
+#              case (5.22-6.31x, median 5.95x). The floor of 1.3 leaves room
+#              for a noisy runner. Production that stops pruning falls to
+#              about 1 on BT/16; the parent commit, which probed sealed
+#              processors, ran the NoI level in 25-28 ms against this
+#              reference's 73 ms (about 2.7x).
 #   rounds:    the FFT/16 NoI level (16 restarts of 16 rounds, all unmet)
 #              with every round's network and routing table assembled and
 #              validated (the test-only assembleEveryRound) vs production,
 #              where a round only colours and counts degrees and a restart
 #              assembles once. Median 1.27x over 5 runs on a 2-core box
-#              (1.23-1.48x); the floor of 1.05 is about 80% of it, and a
+#              (1.23-1.48x) when it landed; 1.48-1.63x (median 1.61x) once
+#              sealed processors went unprobed, since production got faster
+#              and assembly did not. The floor of 1.05 stays, and a
 #              production path that assembles every round falls to about 1.
 #              TestSynthesizeAllocCeiling holds the same run to 15,000
 #              allocations (about 7,300; 33,300 assembling every round).
@@ -105,7 +115,8 @@ BENCH_RATIO_floorplan = BenchmarkPlaceCG16Reference:BenchmarkPlaceCG16
 BENCH_MIN_floorplan = 10
 
 BENCH_PKG_synth = ./internal/synth
-BENCH_RATIO_synth = BenchmarkSynthesizeBT16Reference:BenchmarkSynthesizeBT16
+BENCH_RATIO_synth = BenchmarkSynthesizeBT16Reference:BenchmarkSynthesizeBT16 \
+	BenchmarkSynthesizeHierNoIReference:BenchmarkSynthesizeHierNoI
 BENCH_MIN_synth = 1.3
 
 BENCH_PKG_rounds = ./internal/synth

@@ -46,8 +46,9 @@ func BenchmarkSynthesizeCG16(b *testing.B) {
 func BenchmarkSynthesizeBT16(b *testing.B) { benchSynthesizeBT16(b) }
 
 // BenchmarkSynthesizeBT16Reference is BenchmarkSynthesizeBT16 with every
-// candidate priced (priceEveryTarget): each dead switch, and each candidate
-// whose floor already loses. make bench-synth gates the ratio of the two.
+// candidate priced (priceEveryTarget): each dead switch, each candidate
+// whose floor already loses and each probe of a sealed processor. make
+// bench-synth gates the ratio of the two.
 func BenchmarkSynthesizeBT16Reference(b *testing.B) {
 	priceEveryTarget = true
 	defer func() { priceEveryTarget = false }()
@@ -72,6 +73,17 @@ func benchSynthesizeBT16(b *testing.B) {
 // budget, so every one runs all its rounds and no merge sweep — the
 // probe-bound case, where the candidate evaluator is the whole cost.
 func BenchmarkSynthesizeHierNoI(b *testing.B) { benchSynthesizeHierNoI(b) }
+
+// BenchmarkSynthesizeHierNoIReference is BenchmarkSynthesizeHierNoI with
+// every candidate priced (priceEveryTarget): each dead switch, each
+// candidate whose floor already loses and each probe of a sealed processor,
+// with the processor lists moved at every swap probe. make bench-synth gates
+// the ratio of the two.
+func BenchmarkSynthesizeHierNoIReference(b *testing.B) {
+	priceEveryTarget = true
+	defer func() { priceEveryTarget = false }()
+	benchSynthesizeHierNoI(b)
+}
 
 // BenchmarkSynthesizeHierNoIEveryRound is BenchmarkSynthesizeHierNoI with
 // every round assembled and validated (assembleEveryRound), as every round

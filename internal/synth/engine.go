@@ -29,9 +29,9 @@ import (
 //     arena: committed routes own their arena bytes until reset().
 //   - The raw mutators (setRouteRaw through dirAdd/dirDel and foldWidth,
 //     and moveProcRaw) and reset keep the objective's totals — penalty,
-//     links, quad, live and totalHops — exact, so globalCost,
-//     consolidationScore and anyViolation are reads, and a rollback restores
-//     the totals with the tables.
+//     links, quad, live and totalHops — and the per-processor cross counts
+//     exact, so globalCost, consolidationScore, anyViolation and sealed are
+//     reads, and a rollback restores the totals with the tables.
 //   - Every installed route is a simple path: it visits no switch twice, so
 //     it crosses no direction twice and hops from no switch to itself.
 //     applySeed, the one entry for routes from outside, admits no other.
@@ -123,14 +123,23 @@ func (s *state) keep() {
 
 // setRouteRaw is the journal-free route mutator: it maintains the pipe flow
 // sets, the per-direction count tables (and through them every width, pair
-// width and degree sum) and the objective's totals, and installs the new
-// header.
+// width and degree sum), both endpoints' cross counts and the objective's
+// totals, and installs the new header.
 func (s *state) setRouteRaw(fi int, route []int) {
-	if old := s.routes[fi]; old != nil {
+	old := s.routes[fi]
+	if old != nil {
 		for i := 1; i < len(old); i++ {
 			s.dirDel(old[i-1], old[i], fi)
 		}
 		s.totalHops -= len(old) - 1
+	}
+	if long := len(route) > 1; long != (len(old) > 1) {
+		f, d := s.flows[fi], int32(1)
+		if !long {
+			d = -1
+		}
+		s.cross[f.Src] += d
+		s.cross[f.Dst] += d
 	}
 	s.routes[fi] = route
 	for i := 1; i < len(route); i++ {
@@ -468,6 +477,12 @@ func (s *state) reset() {
 		for i := range s.home {
 			s.home[i] = 0
 		}
+	}
+	if cap(s.cross) < s.procs {
+		s.cross = make([]int32, s.procs)
+	} else {
+		s.cross = s.cross[:s.procs]
+		clear(s.cross)
 	}
 	if cap(s.allProcs) < s.procs {
 		s.allProcs = make([]int, s.procs)

@@ -351,21 +351,33 @@ func TestStatePoolMixedWidths(t *testing.T) {
 // entry points in moveref_test.go (tryMove+undo, optimizeMovesRef,
 // swapRefineRef), snew through the production ones (probeMove,
 // optimizeMoves, swapRefine) — and requires identical deltas, stats, and full
-// state at every step. After every operation the cost tables of both states
-// are also held to a from-scratch recomputation: estDegree against
-// estDegreeRef for every switch, globalCost against localCostRef over every
-// switch pair, and through checkStateInvariants every direction's count row,
-// width and quad, every pair width and width sum, the objective's totals, and
-// portBound against the degree it bounds.
+// state, every switch's processor list in order included, at every step.
+// After every operation the cost tables of both states are also held to a
+// from-scratch recomputation: estDegree against estDegreeRef for every
+// switch, globalCost against localCostRef over every switch pair, and
+// through checkStateInvariants every direction's count row, width and quad,
+// every pair width and width sum, the objective's totals, the cross counts,
+// and portBound against the degree it bounds. The last two trials run a
+// pattern of disjoint pairs and one crossing flow, whose refined states seal
+// most processors, so the unpriced probes of sealed ones (sealed, stuck) and
+// the swap passes that commit nothing are held to the oracle too.
 func TestMoveEngineRandomEquivalence(t *testing.T) {
 	phases := []trace.PhaseSpec{
 		{Flows: []model.Flow{model.F(0, 1), model.F(2, 3), model.F(4, 5), model.F(6, 7), model.F(8, 9)}, Bytes: 64},
 		{Flows: []model.Flow{model.F(1, 4), model.F(3, 6), model.F(5, 8), model.F(7, 0), model.F(9, 2)}, Bytes: 64},
 		{Flows: []model.Flow{model.F(0, 5), model.F(1, 6), model.F(2, 7), model.F(3, 8)}, Bytes: 32},
 	}
-	for trial := 0; trial < 8; trial++ {
+	sealedPhases := []trace.PhaseSpec{
+		{Flows: []model.Flow{model.F(0, 1), model.F(2, 3), model.F(4, 5), model.F(6, 7), model.F(8, 9)}, Bytes: 64},
+		{Flows: []model.Flow{model.F(1, 2)}, Bytes: 64},
+	}
+	sealedProbes := 0
+	for trial := 0; trial < 10; trial++ {
 		seed := int64(trial)
 		pat := trace.BuildPhased("eq", 10, phases)
+		if trial >= 8 {
+			pat = trace.BuildPhased("sealed", 10, sealedPhases)
+		}
 		cliques := model.MaxCliqueSet(pat)
 		opt := Options{Seed: seed}
 		if trial%2 == 1 {
@@ -396,6 +408,9 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 			checkCosts(snew, "new", op)
 			if !equalSnapshots(snapshotFull(sref), snapshotFull(snew)) {
 				t.Fatalf("trial %d: state diverged after %s", trial, op)
+			}
+			if got, want := listsOf(snew), listsOf(sref); got != want {
+				t.Fatalf("trial %d: processor lists diverged after %s:\nref=%s\nnew=%s", trial, op, want, got)
 			}
 			if *sref.stats != *snew.stats {
 				t.Fatalf("trial %d: stats diverged after %s:\nref=%+v\nnew=%+v",
@@ -455,6 +470,13 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 					}
 				}
 			case 4:
+				for p := range snew.procs {
+					for q := p + 1; q < snew.procs; q++ {
+						if snew.home[p] != snew.home[q] && snew.sealed(p) && snew.sealed(q) {
+							sealedProbes++
+						}
+					}
+				}
 				sref.swapRefineRef()
 				snew.swapRefine()
 				check("swapRefine")
@@ -466,6 +488,38 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 		}
 		sref.release()
 		snew.release()
+	}
+	if sealedProbes == 0 {
+		t.Fatal("no swap pass met a pair of sealed processors")
+	}
+}
+
+// TestStuckRelocationsLeaveLists holds globalRefine's unpriced relocations
+// of stuck processors to the priced ones (priceEveryTarget) in the state
+// where the list order they leave outlives the sweep: every processor on one
+// switch, within budget, with every flow local, so the swap pass probes
+// nothing and leaves the lists as the relocations did. Anywhere else the
+// swap pass that follows rewrites every list.
+func TestStuckRelocationsLeaveLists(t *testing.T) {
+	run := func(every bool) string {
+		priceEveryTarget = every
+		defer func() { priceEveryTarget = false }()
+		s := testState(t, 4, []trace.PhaseSpec{{Flows: []model.Flow{model.F(0, 1), model.F(2, 3)}, Bytes: 64}}, 1)
+		defer s.release()
+		s.split(0)
+		for _, p := range slices.Clone(s.swProcs[1]) {
+			s.reattach(p, 0)
+		}
+		slices.Reverse(s.swProcs[0])
+		if got := listsOf(s); got == "[[0 1 2 3] []]" {
+			t.Fatalf("lists %s already ascending", got)
+		}
+		s.globalRefine()
+		checkStateInvariants(t, s)
+		return listsOf(s)
+	}
+	if got, want := run(false), run(true); got != want {
+		t.Fatalf("lists %s, the priced relocations leave %s", got, want)
 	}
 }
 
@@ -483,12 +537,14 @@ func TestMoveEngineRandomEquivalence(t *testing.T) {
 // evaluator's released scratch to all-zero (checkStateInvariants).
 // When two or more switches are dead it requires every one to price p's
 // relocation and a pipe's elimination as the lowest one does
-// (compareDeadTwins).
+// (compareDeadTwins). A globalRefine op runs its relocations and swap
+// passes, the unpriced probes of sealed processors among them, under the
+// same checks.
 func FuzzMoveEngine(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		buf := make([]byte, 96)
 		rand.New(rand.NewSource(seed)).Read(buf)
-		f.Add(buf)
+		f.Add(sevenKinds(buf))
 	}
 	// Eight processors and six flows, each between an odd and an even one;
 	// six splits, then every processor moves onto switch 0 or 1, which
@@ -505,6 +561,11 @@ func FuzzMoveEngine(f *testing.F) {
 	}
 	f.Add(empty)
 	f.Add(append(slices.Clone(empty), 2, 0, 1, 3, 0, 0, 4, 0, 0, 0, 5, 0, 1, 4, 1, 6, 2, 3, 5, 2))
+	// Disjoint pairs (0,1), (2,3), (4,5) and one crossing flow (1,2) on six
+	// processors; three splits, then two global refinements, which leave
+	// most processors sealed and probe them.
+	f.Add([]byte{2, 1, 2, 0, 1, 2, 3, 4, 5, 0, 1, 2,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 7, 0, 0, 0, 0, 7, 1, 2, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -530,7 +591,7 @@ func FuzzMoveEngine(f *testing.F) {
 			return
 		}
 		for op := 0; op < 48 && len(data) > 0; op++ {
-			kind := next() % 7
+			kind := next() % 8
 			p, q := next()%procs, next()%procs
 			sw := next() % len(s.swProcs)
 			fi := next() % len(s.flows)
@@ -564,6 +625,8 @@ func FuzzMoveEngine(f *testing.F) {
 				s.eliminatePipes()
 			case 6:
 				s.mergeRefine()
+			case 7:
+				s.globalRefine()
 			}
 			if sw != s.home[p] {
 				compareMove(t, s, p, sw)
@@ -579,4 +642,24 @@ func FuzzMoveEngine(f *testing.F) {
 			checkStateInvariants(t, s)
 		}
 	})
+}
+
+// sevenKinds rewrites the op kinds of a FuzzMoveEngine input to their value
+// modulo 7, so a seed drawn before the globalRefine op was added runs the
+// ops it ran then.
+func sevenKinds(buf []byte) []byte {
+	at := func(i int) int {
+		if i < len(buf) {
+			return int(buf[i])
+		}
+		return 0
+	}
+	i := 2
+	for ph := 0; ph < 1+at(1)%4; ph++ {
+		i += 1 + 2*(1+at(i)%6)
+	}
+	for ; i < len(buf); i += 5 {
+		buf[i] %= 7
+	}
+	return buf
 }

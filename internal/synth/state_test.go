@@ -342,8 +342,9 @@ func (s *state) setBudgets(degree, procs int) {
 // dirW/dirQ against dirStatsCompute, pairW against the larger direction,
 // sumW against the sum of the switch's pair widths, the objective's totals
 // against penaltyOfRef, the pair-width and quad sums and a recount of hops
-// and live switches — and portBound, for every switch as it stands, against
-// the degree it must not exceed.
+// and live switches, each processor's cross count against a recount of its
+// flows routed off its switch — and portBound, for every switch as it
+// stands, against the degree it must not exceed.
 func checkTables(t *testing.T, s *state) {
 	t.Helper()
 	nc := len(s.cliques)
@@ -389,8 +390,16 @@ func checkTables(t *testing.T, s *state) {
 		}
 	}
 	hops, live := 0, 0
-	for _, r := range s.routes {
+	cross := make([]int32, s.procs)
+	for fi, r := range s.routes {
 		hops += len(r) - 1
+		if f := s.flows[fi]; len(r) > 1 {
+			cross[f.Src]++
+			cross[f.Dst]++
+		}
+	}
+	if !slices.Equal(s.cross, cross) {
+		t.Fatalf("cross counts %v, recounted %v", s.cross, cross)
 	}
 	sws := make([]int, s.nsw())
 	for sw := range sws {

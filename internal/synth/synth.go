@@ -177,6 +177,9 @@ type state struct {
 	swProcs [][]int // switch -> processors
 	swDepth []int   // switch -> bisection level (root megaswitch = 0)
 	routes  [][]int // flow ID -> switch path (immutable headers)
+	// cross counts, per processor, its flows whose route is longer than one
+	// switch (setRouteRaw keeps it); zero seals the processor (sealed).
+	cross []int32
 
 	// Pipes and the incremental cost caches are dense stride×stride
 	// matrices over switch indices (grown as splits add switches), indexed
@@ -284,9 +287,23 @@ func (s *state) dead(sw int) bool {
 }
 
 // priceEveryTarget, set only by tests, prices every candidate: every dead
-// switch a scan meets (twinDead) and every candidate whose floor already
-// loses (wiDeltaCand). It is the reference both shortcuts are held to.
+// switch a scan meets (twinDead), every candidate whose floor already loses
+// (wiDeltaCand) and every probe of a sealed processor (sealed), and moves
+// the processor lists at every swap probe (swapRefine). It is the reference
+// the shortcuts are held to.
 var priceEveryTarget bool
+
+// sealed reports whether every flow of p has its other endpoint on p's
+// switch, so each route p owns is one switch long. A swap of two sealed
+// processors frees no hop and puts each of their flows on one, so it prices
+// at 0 or more and is not probed. Always false under priceEveryTarget.
+func (s *state) sealed(p int) bool { return !priceEveryTarget && s.cross[p] == 0 }
+
+// stuck reports whether no relocation of p can price below 0, so none is
+// probed: p is sealed, so leaving frees no hop, and its home is within
+// budget, so leaving lowers no penalty; arriving adds a hop per flow and
+// can only raise a penalty.
+func (s *state) stuck(p int) bool { return s.sealed(p) && !s.violates(s.home[p]) }
 
 // twinDead reports whether sw is a dead switch after the first one a
 // candidate scan met (*first, -1 until then), which it records instead.
@@ -480,6 +497,11 @@ func (s *state) optimizeMoves(i, j int) {
 			if !s.balancedAfterMove(p, to, i, j) {
 				continue
 			}
+			if s.stuck(p) {
+				s.procToEnd(p) // what a priced probe leaves
+				s.stats.MovesEvaluated++
+				continue
+			}
 			if delta := s.probeMove(p, to, bestDelta); delta < bestDelta {
 				bestDelta = delta
 				bestProc, bestTo = p, to
@@ -570,17 +592,19 @@ func (s *state) globalRefine() {
 			// p's flows leave once; each target adds their direct paths
 			// and the arriving processor. A dead target after the first
 			// prices as the first does, so it cannot strictly improve on
-			// it: only its MovesEvaluated tick remains.
-			departed := false
+			// it, and no target of a stuck p can: only their MovesEvaluated
+			// ticks remain, and p goes to the end of its list as a priced
+			// probe leaves it.
+			departed, stuck := false, s.stuck(p)
 			bestDelta := 0
 			bestTo := -1
-			firstDead, twins := -1, 0
+			firstDead, skipped := -1, 0
 			for to := range s.swProcs {
 				if to == s.home[p] || len(s.swProcs[to]) >= s.opt.MaxProcsPerSwitch {
 					continue
 				}
-				if s.twinDead(to, &firstDead) {
-					twins++
+				if stuck || s.twinDead(to, &firstDead) {
+					skipped++
 					continue
 				}
 				if !departed {
@@ -596,7 +620,10 @@ func (s *state) globalRefine() {
 			if departed {
 				s.wiRelease()
 			}
-			s.stats.MovesEvaluated += twins
+			if stuck && skipped > 0 {
+				s.procToEnd(p)
+			}
+			s.stats.MovesEvaluated += skipped
 			if bestTo != -1 {
 				s.reattach(p, bestTo)
 				s.stats.GlobalMoves++

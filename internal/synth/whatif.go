@@ -22,9 +22,12 @@ import "math"
 //
 //   - Evaluation reads counts, rowAt, dirW, pairW, sumW and len(swProcs) and
 //     writes none of them, nor pipes, routes, home or the journal. What a
-//     rejected candidate leaves behind is what the apply/undo round trip of
-//     the reference evaluator (moveref_test.go) leaves: the probed processors
-//     at the end of their home lists, and one MovesEvaluated tick.
+//     rejected relocation leaves behind is what the apply/undo round trip of
+//     the reference evaluator (moveref_test.go) leaves: the probed processor
+//     at the end of its home list, and one MovesEvaluated tick. For swaps
+//     that holds per pass, not per probe: probeSwap only prices, and
+//     swapRefine leaves every list and the tick count as the probes' round
+//     trips would, deferring the list moves while no swap commits.
 //   - A base may state leaves and joins, and one processor leaving a switch;
 //     a candidate only joins, and may bring one processor to a switch. Each
 //     flow leaves its whole route before it joins anything. Routes are
@@ -478,7 +481,8 @@ func (s *state) probeMove(p, to, bound int) int {
 // both processors' flows rerouted directly, bound as wiDeltaCand. It is a
 // family of one: the flows' leaves are the base, their direct paths the
 // candidate, whose joins wiDeltaCand applies after the base froze. No
-// switch's processor count moves.
+// switch's processor count moves, and neither do the lists: swapRefine
+// leaves them as the probes would.
 func (s *state) probeSwap(p, q, bound int) int {
 	sp, sq := s.home[p], s.home[q]
 	for _, proc := range [2]int{p, q} {
@@ -506,9 +510,6 @@ func (s *state) probeSwap(p, q, bound int) int {
 			}
 		}
 	}
-	s.procToEnd(p)
-	s.procToEnd(q)
-	s.stats.MovesEvaluated++
 	s.wiFreeze(-1)
 	d := s.wiDeltaCand(-1, bound)
 	s.wiRelease()

@@ -68,10 +68,15 @@ func compareMove(t *testing.T, s *state, p, to int) {
 		func(bound int) int { return s.probeMove(p, to, bound) }, func() (int, func()) { return s.tryMove(p, to) })
 }
 
+// compareSwap prices a swap with probeSwap, after the list moves swapRefine
+// makes for it (probeSwap itself moves none).
 func compareSwap(t *testing.T, s *state, p, q int) {
 	t.Helper()
-	compareProbe(t, s, fmt.Sprintf("probeSwap(%d,%d)", p, q),
-		func(bound int) int { return s.probeSwap(p, q, bound) }, func() (int, func()) { return s.trySwap(p, q) })
+	compareProbe(t, s, fmt.Sprintf("probeSwap(%d,%d)", p, q), func(bound int) int {
+		s.procToEnd(p)
+		s.procToEnd(q)
+		return s.probeSwap(p, q, bound)
+	}, func() (int, func()) { return s.trySwap(p, q) })
 }
 
 // compareRelocations freezes p's departure once and prices its relocation to
@@ -244,14 +249,15 @@ func noiFFT16(t testing.TB) *model.Pattern {
 	return noi
 }
 
-// TestWhatIfMatchesOracle is the lockstep for every kind of what-if delta —
-// one-shot moves, swaps and group reroutes, and the relocation, Best_Route and
-// pipe-elimination families, each frozen once — and for the bounded pricer's
-// contract against the oracle (checkBounds), on random and on refined states
-// of three kernels: BT/16 (two bitset words), the FFT/16 NoI level
-// (3 cliques, 48 flows, one word) and the jittered CG/16 trace (29 cliques,
-// flows in several cliques at once).
-func TestWhatIfMatchesOracle(t *testing.T) {
+// whatIfStates builds random and refined states of three kernels: BT/16 (two
+// bitset words), the FFT/16 NoI level (3 cliques, 48 flows, one word) and
+// the jittered CG/16 trace (29 cliques, flows in several cliques at once).
+// Each state takes 24 random splits, relocations and one-intermediate
+// reroutes, handing itself to visit after each with n = 8, then partition
+// refines it and visit gets it once more with n = 64. visit may draw from
+// rng, which also draws the operations.
+func whatIfStates(t *testing.T, visit func(s *state, rng *rand.Rand, n int)) {
+	t.Helper()
 	bt, err := nas.Generate("BT", 16, nas.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -275,24 +281,6 @@ func TestWhatIfMatchesOracle(t *testing.T) {
 		for seed := int64(1); seed <= 2; seed++ {
 			s := newState(k, Options{Seed: seed}.Normalized(), seed, &Stats{})
 			rng := rand.New(rand.NewSource(seed))
-			candidates := func(n int) {
-				t.Helper()
-				for i := 0; i < n; i++ {
-					p, q := rng.Intn(s.procs), rng.Intn(s.procs)
-					a, b := rng.Intn(s.nsw()), rng.Intn(s.nsw())
-					if a != s.home[p] {
-						compareMove(t, s, p, a)
-					}
-					compareRelocations(t, s, p)
-					if s.home[p] != s.home[q] {
-						compareSwap(t, s, p, q)
-					}
-					compareGroup(t, s, rng.Intn(len(s.flows)))
-					comparePipe(t, s, a, b)
-				}
-				compareBackbone(t, s)
-				checkStateInvariants(t, s)
-			}
 			for op := 0; op < 24; op++ {
 				switch sw := rng.Intn(s.nsw()); {
 				case op%3 == 0 && len(s.swProcs[sw]) >= 2 && s.nsw() < 8:
@@ -308,13 +296,79 @@ func TestWhatIfMatchesOracle(t *testing.T) {
 						s.setRoute(fi, []int{a, sw, b})
 					}
 				}
-				candidates(8)
+				visit(s, rng, 8)
 			}
 			s.partition()
-			candidates(64)
+			visit(s, rng, 64)
 			s.release()
 		}
 	}
+}
+
+// TestWhatIfMatchesOracle is the lockstep for every kind of what-if delta —
+// one-shot moves, swaps and group reroutes, and the relocation, Best_Route and
+// pipe-elimination families, each frozen once — and for the bounded pricer's
+// contract against the oracle (checkBounds), on whatIfStates' random and
+// refined states.
+func TestWhatIfMatchesOracle(t *testing.T) {
+	whatIfStates(t, func(s *state, rng *rand.Rand, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			p, q := rng.Intn(s.procs), rng.Intn(s.procs)
+			a, b := rng.Intn(s.nsw()), rng.Intn(s.nsw())
+			if a != s.home[p] {
+				compareMove(t, s, p, a)
+			}
+			compareRelocations(t, s, p)
+			if s.home[p] != s.home[q] {
+				compareSwap(t, s, p, q)
+			}
+			compareGroup(t, s, rng.Intn(len(s.flows)))
+			comparePipe(t, s, a, b)
+		}
+		compareBackbone(t, s)
+		checkStateInvariants(t, s)
+	})
+}
+
+// TestSealedProbesCannotWin holds the premise of the unpriced probes (sealed,
+// stuck) on whatIfStates' states: a swap of two sealed processors on
+// different switches prices at 0 or more, and so does every relocation of a
+// stuck processor — sealed, on a home within budget. Both are priced exactly
+// (noBound), and each kind must occur.
+func TestSealedProbesCannotWin(t *testing.T) {
+	swaps, moves := 0, 0
+	whatIfStates(t, func(s *state, _ *rand.Rand, _ int) {
+		t.Helper()
+		for p := range s.procs {
+			for q := p + 1; q < s.procs; q++ {
+				if s.home[p] == s.home[q] || !s.sealed(p) || !s.sealed(q) {
+					continue
+				}
+				if d := s.probeSwap(p, q, noBound); d < 0 {
+					t.Fatalf("swapping sealed processors %d and %d prices %d", p, q, d)
+				}
+				swaps++
+			}
+			if !s.stuck(p) {
+				continue
+			}
+			for to := range s.nsw() {
+				if to == s.home[p] {
+					continue
+				}
+				if d := s.probeMove(p, to, noBound); d < 0 {
+					t.Fatalf("relocating stuck processor %d to switch %d prices %d", p, to, d)
+				}
+				moves++
+			}
+		}
+		checkStateInvariants(t, s)
+	})
+	if swaps == 0 || moves == 0 {
+		t.Fatalf("%d sealed swaps and %d stuck relocations priced; the states must hold both", swaps, moves)
+	}
+	t.Logf("%d sealed swaps, %d stuck relocations", swaps, moves)
 }
 
 // TestWhatIfPitfalls drives the evaluator through the shapes a first version
