@@ -4,7 +4,7 @@
 # schedules so an order-dependent reduction cannot pass by luck.
 GO ?= go
 
-.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-all fuzz
+.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-workers bench-all fuzz
 
 verify: vet build race determinism
 
@@ -88,7 +88,11 @@ cover-serve cover-collective cover-hier: cover-%:
 #              for a noisy runner. Production that stops pruning falls to
 #              about 1 on BT/16; the parent commit, which probed sealed
 #              processors, ran the NoI level in 25-28 ms against this
-#              reference's 73 ms (about 2.7x).
+#              reference's 73 ms (about 2.7x). Since production walks only
+#              the live switches and the reference still walks every
+#              index, the pairs read 1.82-2.27x (median 2.00x) and
+#              5.68-7.05x (median 6.63x) over five runs on a loaded 2-core
+#              box.
 #   rounds:    the FFT/16 NoI level (16 restarts of 16 rounds, all unmet)
 #              with every round's network and routing table assembled and
 #              validated (the test-only assembleEveryRound) vs production,
@@ -96,10 +100,21 @@ cover-serve cover-collective cover-hier: cover-%:
 #              assembles once. Median 1.27x over 5 runs on a 2-core box
 #              (1.23-1.48x) when it landed; 1.48-1.63x (median 1.61x) once
 #              sealed processors went unprobed, since production got faster
-#              and assembly did not. The floor of 1.05 stays, and a
+#              and assembly did not; 1.27-2.43x (median 1.50x) over five
+#              runs on a loaded box once both sides walked only the live
+#              switches. The floor of 1.05 stays, and a
 #              production path that assembles every round falls to about 1.
 #              TestSynthesizeAllocCeiling holds the same run to 15,000
 #              allocations (about 7,300; 33,300 assembling every round).
+#   workers:   the FFT/16 NoI level on one worker vs two, the first gate on
+#              a -workers speedup: its four configured restarts and twelve
+#              streamed extension restarts all run, so two workers halve
+#              the wall time at best. 1.40-2.14x over five runs on a 2-core
+#              box (median 1.55x, on a box shared with other load); the
+#              floor of 1.2 leaves room for a noisy runner, and a restart
+#              loop that stops overlapping restarts falls to about 1. It
+#              needs two CPUs: BENCH_CPUS_workers makes the gate print SKIP
+#              and pass where nproc is lower.
 BENCH_PKG_flitsim = ./internal/flitsim
 BENCH_RATIO_flitsim = BenchmarkSimulateCG16GapMeshReference:BenchmarkSimulateCG16GapMesh \
 	BenchmarkSimulateBT16StreamCrossbarReference:BenchmarkSimulateBT16StreamCrossbar \
@@ -123,18 +138,31 @@ BENCH_PKG_rounds = ./internal/synth
 BENCH_RATIO_rounds = BenchmarkSynthesizeHierNoIEveryRound:BenchmarkSynthesizeHierNoI
 BENCH_MIN_rounds = 1.05
 
+BENCH_PKG_workers = ./internal/synth
+BENCH_RATIO_workers = BenchmarkSynthesizeHierNoI:BenchmarkSynthesizeHierNoIWorkers2
+BENCH_MIN_workers = 1.2
+BENCH_CPUS_workers = 2
+
 # bench_re anchors the -bench regex to exactly the names in the gate's pairs.
 empty :=
 space := $(empty) $(empty)
 bench_re = ^($(subst $(space),|,$(strip $(subst :, ,$(BENCH_RATIO_$*)))))$$
 
-bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds: bench-%:
-	$(GO) test -run '^$$' -bench '$(bench_re)' -benchmem $(BENCH_PKG_$*) \
-		| $(GO) run ./cmd/benchratio $(foreach r,$(BENCH_RATIO_$*),-ratio '$(r)') -min-ratio $(BENCH_MIN_$*)
+# A gate whose BENCH_CPUS_<gate> (default 1) exceeds nproc prints SKIP and
+# passes.
+bench_cpus = $(or $(BENCH_CPUS_$*),1)
 
-bench: bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds
+bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-workers: bench-%:
+	if [ "$$(nproc)" -lt $(bench_cpus) ]; then \
+		echo "SKIP bench-$*: needs $(bench_cpus) CPUs, nproc is $$(nproc)"; \
+	else \
+		$(GO) test -run '^$$' -bench '$(bench_re)' -benchmem $(BENCH_PKG_$*) \
+			| $(GO) run ./cmd/benchratio $(foreach r,$(BENCH_RATIO_$*),-ratio '$(r)') -min-ratio $(BENCH_MIN_$*); \
+	fi
 
-# bench-all is the one performance entry point: `bench`'s five ratio gates in
+bench: bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-workers
+
+# bench-all is the one performance entry point: `bench`'s six ratio gates in
 # sequence, then the end-to-end ledger — BENCHMARK.json's four workloads, each
 # with its per-layer breakdown. The ledger builds and drives its own nocd and
 # writes only under bench/out/; about 35 s per workload. Run it on an

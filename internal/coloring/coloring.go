@@ -31,7 +31,7 @@ import (
 // Stats counts solver invocations so callers can account DSATUR versus
 // branch-and-bound effort. Counting rides in plain struct fields (rather
 // than an Observer threaded into every solver call) because synthesis runs
-// speculative restart batches whose solver work must not leak into the
+// speculative extension restarts whose solver work must not leak into the
 // deterministic counter section of a report; callers merge the Stats of the
 // restarts they actually fold and emit once (see synth.Synthesize).
 type Stats struct {

@@ -12,7 +12,7 @@
 //     "flitsim.vc_stalls", "harness.fig7.cell").
 //   - Counters are monotonic sums. Everything counter-valued must be
 //     deterministic for a given input: packages whose work fans out over
-//     speculative workers (synthesis restart extension batches) accumulate
+//     speculative workers (synthesis extension restarts) accumulate
 //     into private state and emit only from the deterministic reduction.
 //   - Spans carry wall-clock time and are therefore NOT deterministic;
 //     reports separate them from counters so artifacts can be diffed on the

@@ -72,7 +72,13 @@ func benchSynthesizeBT16(b *testing.B) {
 // clusters (default restarts, serial): no restart ever meets the degree
 // budget, so every one runs all its rounds and no merge sweep — the
 // probe-bound case, where the candidate evaluator is the whole cost.
-func BenchmarkSynthesizeHierNoI(b *testing.B) { benchSynthesizeHierNoI(b) }
+func BenchmarkSynthesizeHierNoI(b *testing.B) { benchSynthesizeHierNoI(b, 1) }
+
+// BenchmarkSynthesizeHierNoIWorkers2 is BenchmarkSynthesizeHierNoI on two
+// workers: the four configured restarts, then the twelve extension restarts
+// streamed, all unmet, so both workers stay busy to the end. make
+// bench-workers gates the ratio of the two.
+func BenchmarkSynthesizeHierNoIWorkers2(b *testing.B) { benchSynthesizeHierNoI(b, 2) }
 
 // BenchmarkSynthesizeHierNoIReference is BenchmarkSynthesizeHierNoI with
 // every candidate priced (priceEveryTarget): each dead switch, each
@@ -82,7 +88,7 @@ func BenchmarkSynthesizeHierNoI(b *testing.B) { benchSynthesizeHierNoI(b) }
 func BenchmarkSynthesizeHierNoIReference(b *testing.B) {
 	priceEveryTarget = true
 	defer func() { priceEveryTarget = false }()
-	benchSynthesizeHierNoI(b)
+	benchSynthesizeHierNoI(b, 1)
 }
 
 // BenchmarkSynthesizeHierNoIEveryRound is BenchmarkSynthesizeHierNoI with
@@ -92,14 +98,14 @@ func BenchmarkSynthesizeHierNoIReference(b *testing.B) {
 func BenchmarkSynthesizeHierNoIEveryRound(b *testing.B) {
 	assembleEveryRound = func([]int, *topology.Network, *routing.Table) {}
 	defer func() { assembleEveryRound = nil }()
-	benchSynthesizeHierNoI(b)
+	benchSynthesizeHierNoI(b, 1)
 }
 
-func benchSynthesizeHierNoI(b *testing.B) {
+func benchSynthesizeHierNoI(b *testing.B, workers int) {
 	pat := noiFFT16(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Synthesize(pat, Options{Seed: 1, Workers: 1})
+		res, err := Synthesize(pat, Options{Seed: 1, Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}

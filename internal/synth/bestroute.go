@@ -1,5 +1,7 @@
 package synth
 
+import "math/bits"
+
 // group is a flow ID plus optionally its mirrored reverse flow's ID (-1 if
 // the pair is rerouted alone).
 type group [2]int
@@ -106,15 +108,19 @@ func groupLen(g group) int {
 }
 
 // trafficNeighbors lists switches that currently exchange traffic with a or
-// b, in ascending order, reusing the state's scratch buffer.
+// b, in ascending order, reusing the state's scratch buffer. A switch with a
+// used pipe is live, so it walks the live set's words.
 func (s *state) trafficNeighbors(a, b int) []int {
 	out := s.nbrScratch[:0]
-	for m := range s.swProcs {
-		if m == a || m == b {
-			continue
-		}
-		if s.pipeUsed(a, m) || s.pipeUsed(m, a) || s.pipeUsed(b, m) || s.pipeUsed(m, b) {
-			out = append(out, m)
+	for w, word := range s.walkSet() {
+		for ; word != 0; word &= word - 1 {
+			m := w<<6 | bits.TrailingZeros64(word)
+			if m == a || m == b {
+				continue
+			}
+			if s.pipeUsed(a, m) || s.pipeUsed(m, a) || s.pipeUsed(b, m) || s.pipeUsed(m, b) {
+				out = append(out, m)
+			}
 		}
 	}
 	s.nbrScratch = out
@@ -185,11 +191,15 @@ func (s *state) groupRouteDelta(g group, cand []int) int {
 // any elimination was committed.
 func (s *state) eliminatePipes() bool {
 	changed := false
-	for sw := range s.swProcs {
+	// An elimination commits as the walk goes, so both loops step through
+	// the live set as it stands (nextIn): a switch over its budget, or at
+	// the end of a used pipe, is live.
+	sws := s.walkSet()
+	for sw := nextIn(sws, 0); sw >= 0; sw = nextIn(sws, sw+1) {
 		if s.estDegree(sw) <= s.opt.MaxDegree {
 			continue
 		}
-		for other := range s.swProcs {
+		for other := nextIn(sws, 0); other >= 0; other = nextIn(sws, other+1) {
 			if other == sw {
 				continue
 			}
@@ -199,16 +209,18 @@ func (s *state) eliminatePipes() bool {
 			}
 			// The pipe's flows leave and take their direct paths once; each
 			// intermediate adds only the joins of the flows that need it. A
-			// dead intermediate after the first prices as the first does.
+			// dead intermediate prices as the lowest dead one does.
 			s.wiPipeDepart(ids, sw, other)
-			won, firstDead := -2, -1
-			for m := -1; m < len(s.swProcs); m++ {
-				if m == sw || m == other || m >= 0 && s.twinDead(m, &firstDead) {
-					continue
-				}
-				if s.wiPipeVia(m, 0) < 0 {
-					won = m
-					break
+			won := -2
+			if s.wiPipeVia(-1, 0) < 0 {
+				won = -1
+			} else {
+				targets, _ := s.twinTargets()
+				for _, m := range targets {
+					if m != sw && m != other && s.wiPipeVia(m, 0) < 0 {
+						won = m
+						break
+					}
 				}
 			}
 			s.wiRelease()

@@ -13,11 +13,14 @@ import (
 	"repro/internal/obs"
 )
 
-// cancelOnRestart is an Observer that fires a CancelFunc the first time a
-// restart begins, so cancellation deterministically lands mid-synthesis.
+// cancelOnRestart is an Observer that fires a CancelFunc when restart
+// number after+1 begins (the first, by default), so cancellation
+// deterministically lands mid-synthesis.
 type cancelOnRestart struct {
-	once   sync.Once
-	cancel context.CancelFunc
+	mu      sync.Mutex
+	after   int
+	started int
+	cancel  context.CancelFunc
 }
 
 func (*cancelOnRestart) Count(string, int64)   {}
@@ -26,9 +29,33 @@ func (*cancelOnRestart) Event(string, string)  {}
 
 func (c *cancelOnRestart) SpanStart(name string) int64 {
 	if name == "synth.restart" {
-		c.once.Do(c.cancel)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.started++; c.started == c.after+1 {
+			c.cancel()
+		}
 	}
 	return 0
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to before:
+// it polls, because goroutine exits lag the channel operations that release
+// them.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if n := runtime.NumGoroutine(); n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: before=%d after=%d\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestSynthesizeContextCancel pins prompt cancellation: a context cancelled
@@ -56,20 +83,38 @@ func TestSynthesizeContextCancel(t *testing.T) {
 		t.Errorf("cancelled synthesis returned a result: %+v", res)
 	}
 
-	// The restart pool must be fully drained: poll because goroutine exits
-	// lag the channel operations that release them.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before {
-			break
+	// The restart pool must be fully drained.
+	waitGoroutines(t, before)
+}
+
+// TestSynthesizeContextCancelExtension cancels once the extension restarts
+// stream: no configured restart of CG/16 meets a degree budget of 2 with one
+// processor per switch, and the cancel lands as the first extension restart
+// begins. The run returns the context's error, not the best configured
+// result, and the stream's pool drains.
+func TestSynthesizeContextCancelExtension(t *testing.T) {
+	pat, err := nas.Generate("CG", 16, quickNASConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Seed: 1, Restarts: 2, Constraints: Constraints{MaxDegree: 2, MaxProcsPerSwitch: 1}}
+	if res := synthOrDie(t, pat, opt); res.ConstraintsMet || res.Stats.RestartsRun != 4*opt.Restarts {
+		t.Fatalf("met %v after %d restarts: want every extension restart to run", res.ConstraintsMet, res.Stats.RestartsRun)
+	}
+	for _, w := range []int{1, 2, 4} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		opt.Workers = w
+		opt.Obs = &cancelOnRestart{after: opt.Restarts, cancel: cancel}
+		res, err := SynthesizeCliques(ctx, pat, model.MaxCliqueSet(pat), opt)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Workers:%d: err = %v, want context.Canceled", w, err)
 		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: before=%d after=%d\n%s",
-				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		if res != nil {
+			t.Errorf("Workers:%d: cancelled synthesis returned a result: %+v", w, res)
 		}
-		time.Sleep(5 * time.Millisecond)
+		waitGoroutines(t, before)
 	}
 }
 

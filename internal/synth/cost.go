@@ -84,11 +84,21 @@ func (s *state) excess(deg, n int) int {
 
 // tally adds (sign 1) or removes (sign -1) switch sw's part of the totals:
 // its excess and its liveness. A mutator removes a switch's part before it
-// changes the switch's processors or width sum and adds it back after.
+// changes the switch's processors or width sum and adds it back after, so
+// adding it back is where sw's bit of liveSet is set or cleared: the one
+// place liveness changes.
 func (s *state) tally(sw, sign int) {
 	s.penalty += sign * s.excess(s.estDegree(sw), len(s.swProcs[sw]))
-	if !s.dead(sw) {
+	dead := s.dead(sw)
+	if !dead {
 		s.live += sign
+	}
+	if sign > 0 {
+		if dead {
+			s.liveSet.Clear(sw)
+		} else {
+			s.liveSet.Set(sw)
+		}
 	}
 }
 

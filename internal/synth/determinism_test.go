@@ -3,11 +3,13 @@ package synth
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/nas"
+	"repro/internal/obs"
 )
 
 // quickNASConfig mirrors harness.Quick()'s workload scale (the harness
@@ -145,17 +147,52 @@ func TestDeterminismSynthesizeCliques(t *testing.T) {
 }
 
 // TestDeterminismWorkerCountSweep pins the invariant across intermediate
-// worker counts, including counts exceeding the restart count.
+// worker counts, including counts exceeding the restart count: the design
+// bytes, the winner's Stats and every counter. In the BT/9 case no configured
+// restart meets the constraints and the first extension restart that does is
+// index 8, five past the configured three: no multiple of 2, 3 or 8, so at
+// those worker counts it is not the first of a round of workers, and
+// restarts 9 to 11 start or are skipped behind it depending on timing.
 func TestDeterminismWorkerCountSweep(t *testing.T) {
-	pat, err := nas.Generate("CG", 16, quickNASConfig())
+	cg16, err := nas.Generate("CG", 16, quickNASConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := designBytes(t, synthOrDie(t, pat, Options{Seed: 2, Restarts: 3, Workers: 1}))
-	for _, w := range []int{0, 2, 3, 5, 16} {
-		got := designBytes(t, synthOrDie(t, pat, Options{Seed: 2, Restarts: 3, Workers: w}))
-		if !bytes.Equal(got, want) {
-			t.Errorf("Workers:%d design differs from Workers:1", w)
+	bt9, err := nas.Generate("BT", 9, quickNASConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pat *model.Pattern
+		opt Options
+		// run is Stats.RestartsRun: the configured restarts when one of
+		// them meets the constraints, else one past the first that does.
+		run int
+	}{
+		{cg16, Options{Seed: 2, Restarts: 3}, 3},
+		{bt9, Options{Seed: 6, Restarts: 3, Constraints: Constraints{MaxDegree: 4, MaxProcsPerSwitch: 2}}, 9},
+	} {
+		run := func(w int) (*Result, map[string]int64) {
+			col := obs.NewCollector()
+			opt := c.opt
+			opt.Workers, opt.Obs = w, col
+			return synthOrDie(t, c.pat, opt), col.Counters()
+		}
+		want, wantCounters := run(1)
+		if !want.ConstraintsMet || want.Stats.RestartsRun != c.run {
+			t.Fatalf("%s: met %v after %d restarts, want met after %d", c.pat.Name, want.ConstraintsMet, want.Stats.RestartsRun, c.run)
+		}
+		for _, w := range []int{0, 2, 3, 5, 8, 16} {
+			got, counters := run(w)
+			if !bytes.Equal(designBytes(t, got), designBytes(t, want)) {
+				t.Errorf("%s Workers:%d design differs from Workers:1", c.pat.Name, w)
+			}
+			if !reflect.DeepEqual(got.Stats, want.Stats) {
+				t.Errorf("%s Workers:%d Stats %+v, Workers:1 %+v", c.pat.Name, w, got.Stats, want.Stats)
+			}
+			if !reflect.DeepEqual(counters, wantCounters) {
+				t.Errorf("%s Workers:%d counters %v, Workers:1 %v", c.pat.Name, w, counters, wantCounters)
+			}
 		}
 	}
 }

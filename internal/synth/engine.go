@@ -311,16 +311,6 @@ func (s *state) persistReversed(cand []int) []int {
 	return out
 }
 
-// allSwitches fills the reusable all-switch list [0, nsw).
-func (s *state) allSwitches() []int {
-	all := s.allScratch[:0]
-	for i := range s.swProcs {
-		all = append(all, i)
-	}
-	s.allScratch = all
-	return all
-}
-
 // kernel is the immutable per-pattern half of the old state: flow interning,
 // the conflict relation, clique bitsets, and the proc→flow map. Built once
 // per SynthesizeCliques call and shared read-only by every concurrent restart.
@@ -507,6 +497,7 @@ func (s *state) reset() {
 		s.routes[fi] = r0
 	}
 	s.totalHops, s.penalty, s.links, s.quad, s.live = 0, 0, 0, 0, 0
+	s.liveSet.Reset()
 	s.tally(0, 1) // the megaswitch
 	s.seedFast = false
 }

@@ -227,8 +227,9 @@ func TestArenaRoutesSurviveGrowStride(t *testing.T) {
 	s.setRoute(fi, r)
 	direct := s.cachedDirect(a, b)
 
+	// Past 64 switches, so the live set needs a second word.
 	oldStride := s.stride
-	s.growStride(oldStride * 2)
+	s.growStride(max(2*oldStride, 65))
 	if s.stride <= oldStride {
 		t.Fatalf("stride did not grow: %d", s.stride)
 	}

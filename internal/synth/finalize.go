@@ -3,6 +3,8 @@ package synth
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"repro/internal/coloring"
 	"repro/internal/model"
@@ -44,6 +46,11 @@ type Result struct {
 // switch index, repair pipes included, which is all the outer loop reads of a
 // round, and whether every pipe was coloured provably optimally. A dead
 // switch's degree is 0 and a live one's at least 1.
+//
+// A used direction joins two live switches, so colour, repairConnectivity
+// and assemble walk the live switches only (liveSwitches). They write and
+// read finK and finColors between live switches only: a cell that touches a
+// dead switch may hold an earlier round's colouring, and nothing reads it.
 func (s *state) colour() (realDeg []int, allExact bool) {
 	n, st := s.nsw(), s.stride
 	if len(s.finK) < st*st {
@@ -51,8 +58,9 @@ func (s *state) colour() (realDeg []int, allExact bool) {
 		s.finColors = make([][]int, st*st)
 	}
 	allExact = true
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
+	sws := s.liveSwitches()
+	for _, from := range sws {
+		for _, to := range sws {
 			d := from*st + to
 			s.finK[d], s.finColors[d] = 0, nil
 			if !s.pipeUsed(from, to) {
@@ -81,15 +89,15 @@ func (s *state) colour() (realDeg []int, allExact bool) {
 	for sw := 0; sw < n; sw++ {
 		realDeg = append(realDeg, len(s.swProcs[sw]))
 	}
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
+	for i, a := range sws {
+		for _, b := range sws[i+1:] {
 			w := s.finWidth(a, b)
 			realDeg[a] += w
 			realDeg[b] += w
 		}
 	}
 	s.finDeg = realDeg
-	s.repairConnectivity(realDeg)
+	s.repairConnectivity(realDeg, sws)
 	return realDeg, allExact
 }
 
@@ -105,8 +113,9 @@ func (s *state) finWidth(a, b int) int {
 // in order of their lowest switch index, each to the next with a unit pipe
 // attached at the least-loaded (lowest-index among equals) switch of each,
 // so it manufactures no degree violation it can avoid. It records the pipes
-// in s.repairs for assemble and adds their ports to deg.
-func (s *state) repairConnectivity(deg []int) {
+// in s.repairs for assemble and adds their ports to deg. sws are the
+// switches colour walked, ascending.
+func (s *state) repairConnectivity(deg, sws []int) {
 	n := s.nsw()
 	comp := s.compScratch[:0]
 	for sw := 0; sw < n; sw++ {
@@ -114,7 +123,7 @@ func (s *state) repairConnectivity(deg []int) {
 	}
 	s.compScratch = comp
 	nc := 0
-	for start := 0; start < n; start++ {
+	for _, start := range sws {
 		if comp[start] != -1 || s.dead(start) {
 			continue
 		}
@@ -123,7 +132,7 @@ func (s *state) repairConnectivity(deg []int) {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for u := 0; u < n; u++ {
+			for _, u := range sws {
 				if comp[u] == -1 && s.finWidth(v, u) > 0 {
 					comp[u] = nc
 					stack = append(stack, u)
@@ -136,7 +145,7 @@ func (s *state) repairConnectivity(deg []int) {
 	s.repairs = s.repairs[:0]
 	minDeg := func(c int) int {
 		best := -1
-		for sw := 0; sw < n; sw++ {
+		for _, sw := range sws {
 			if comp[sw] == c && (best == -1 || deg[sw] < deg[best]) {
 				best = sw
 			}
@@ -173,8 +182,9 @@ func (s *state) assemble(name string) (*topology.Network, *routing.Table, error)
 	}
 	// Downstream consumers (serialization, the simulator's channel
 	// numbering and arbitration) iterate net.Pipes in this order.
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
+	sws := s.liveSwitches()
+	for i, a := range sws {
+		for _, b := range sws[i+1:] {
 			if w := s.finWidth(a, b); w > 0 {
 				net.SetPipe(remap[a], remap[b], w)
 			}
@@ -288,52 +298,48 @@ func runRestarts(ctx context.Context, p *model.Pattern, kern *kernel, opt Option
 	if opt.SeedDesign != nil {
 		cold = newRestartKind(opt.Restarts)
 	}
-	// runBatch computes restarts [from, from+n) concurrently. Errors are
-	// carried per-run rather than through Map so the in-order fold below
-	// reports exactly the error the serial loop would have hit first.
+	// runOne computes restart idx. Errors are carried per run rather than
+	// through Map so the in-order folds below report exactly the error the
+	// serial loop would have hit first.
 	type runOut struct {
 		res    *Result
 		shared bool
 		err    error
 	}
-	runBatch := func(from, n int) []runOut {
-		outs, _ := parallel.Map(opt.Workers, n, func(i int) (runOut, error) {
-			idx := from + i
-			sd, kind := opt.SeedDesign, seeded
-			if idx >= opt.Restarts || sd == nil {
-				sd, kind = nil, cold
-			}
-			leads := idx == kind.leader
-			var res *Result
-			if leads {
-				defer close(kind.done)
-			} else {
-				res = kind.wait(ctx)
-			}
-			if err := ctx.Err(); err != nil {
-				return runOut{err: err}, nil
-			}
-			// The span is emitted from the worker (wall time), also for a
-			// shared restart, so span counts do not depend on sharing; all
-			// counter-valued telemetry stays in res.Stats and is
-			// published by the in-order fold below, so speculative
-			// extension restarts never leak into the counters.
-			rsp := obs.Span(opt.Obs, "synth.restart")
-			defer rsp.End()
-			if res != nil {
-				return runOut{res: res, shared: true}, nil
-			}
-			var firstDraw func()
-			if leads {
-				firstDraw = func() { close(kind.drew) }
-			}
-			res, drew, err := synthesizeOnce(ctx, p, kern, opt, sd, opt.Seed+int64(idx)*7919, firstDraw)
-			if leads && err == nil && !drew {
-				kind.res = res
-			}
-			return runOut{res: res, err: err}, nil
-		})
-		return outs
+	runOne := func(idx int) runOut {
+		sd, kind := opt.SeedDesign, seeded
+		if idx >= opt.Restarts || sd == nil {
+			sd, kind = nil, cold
+		}
+		leads := idx == kind.leader
+		var res *Result
+		if leads {
+			defer close(kind.done)
+		} else {
+			res = kind.wait(ctx)
+		}
+		if err := ctx.Err(); err != nil {
+			return runOut{err: err}
+		}
+		// The span is emitted from the worker (wall time), also for a
+		// shared restart, so span counts do not depend on sharing; all
+		// counter-valued telemetry stays in res.Stats and is published by
+		// the in-order fold below, so speculative extension restarts never
+		// leak into the counters.
+		rsp := obs.Span(opt.Obs, "synth.restart")
+		defer rsp.End()
+		if res != nil {
+			return runOut{res: res, shared: true}
+		}
+		var firstDraw func()
+		if leads {
+			firstDraw = func() { close(kind.drew) }
+		}
+		res, drew, err := synthesizeOnce(ctx, p, kern, opt, sd, opt.Seed+int64(idx)*7919, firstDraw)
+		if leads && err == nil && !drew {
+			kind.res = res
+		}
+		return runOut{res: res, err: err}
 	}
 
 	// The configured restarts always all run and all fold.
@@ -348,32 +354,50 @@ func runRestarts(ctx context.Context, p *model.Pattern, kern *kernel, opt Option
 			best = out.res
 		}
 	}
-	for _, out := range runBatch(0, opt.Restarts) {
+	outs, _ := parallel.Map(opt.Workers, opt.Restarts, func(i int) (runOut, error) { return runOne(i), nil })
+	for _, out := range outs {
 		if out.err != nil {
 			return nil, Stats{}, 0, out.err
 		}
 		fold(out)
 	}
-	// After the configured restarts, keep drawing fresh seeds (up to
-	// three times as many) while no run has met the design constraints —
-	// random bisection quality varies and a failed run is much worse
-	// than a slightly slower one. Extension batches are speculative: the
-	// fold stops at the first restart index that satisfies the
-	// constraints, discarding any later speculative results, which keeps
-	// the winner and Stats.RestartsRun identical to the serial loop.
-	for !best.ConstraintsMet && run < 4*opt.Restarts {
-		n := parallel.Workers(opt.Workers)
-		if rem := 4*opt.Restarts - run; n > rem {
-			n = rem
+	// After the configured restarts, keep drawing fresh seeds (up to three
+	// times as many) while no run has met the design constraints — random
+	// bisection quality varies and a failed run is much worse than a
+	// slightly slower one. The extension restarts stream through one pool,
+	// a worker taking the next index as soon as it is free. The fold stops
+	// at the first restart that meets the constraints or fails, so no
+	// restart starts above the lowest such index seen so far (stop), and one
+	// that was already running past it is discarded: the winner and
+	// Stats.RestartsRun are the serial loop's.
+	extension := 0
+	if !best.ConstraintsMet {
+		extension = 3 * opt.Restarts
+	}
+	var stop atomic.Int64
+	stop.Store(math.MaxInt64)
+	outs, _ = parallel.Map(opt.Workers, extension, func(i int) (runOut, error) {
+		idx := int64(opt.Restarts + i)
+		if idx > stop.Load() {
+			return runOut{}, nil
 		}
-		for _, out := range runBatch(run, n) {
-			if out.err != nil {
-				return nil, Stats{}, 0, out.err
+		out := runOne(int(idx))
+		if out.err != nil || out.res.ConstraintsMet {
+			for cur := stop.Load(); idx < cur; cur = stop.Load() {
+				if stop.CompareAndSwap(cur, idx) {
+					break
+				}
 			}
-			fold(out)
-			if best.ConstraintsMet {
-				break
-			}
+		}
+		return out, nil
+	})
+	for _, out := range outs {
+		if out.err != nil {
+			return nil, Stats{}, 0, out.err
+		}
+		fold(out)
+		if best.ConstraintsMet {
+			break
 		}
 	}
 	best.Stats.RestartsRun = run
@@ -419,7 +443,7 @@ func (k *restartKind) wait(ctx context.Context) *Result {
 // per Synthesize, after the deterministic in-order restart fold, with the
 // totals of exactly the restarts that folded — so every counter is
 // identical for any Options.Workers value even when speculative extension
-// batches over-ran (their discarded results never reach totals).
+// restarts over-ran (their discarded results never reach totals).
 func emitSynthObs(o obs.Observer, totals Stats, best *Result) {
 	if o == nil {
 		return
@@ -523,7 +547,7 @@ func (s *state) run(p *model.Pattern, sd *SeedDesign) (*Result, error) {
 		realDeg, exact = s.colour()
 		met = true
 		var forced []int
-		for sw := range s.swProcs {
+		for _, sw := range s.liveSwitches() {
 			if len(s.swProcs[sw]) > opt.MaxProcsPerSwitch || realDeg[sw] > opt.MaxDegree {
 				met = false
 				if len(s.swProcs[sw]) >= 2 {

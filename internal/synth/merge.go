@@ -26,11 +26,14 @@ func (s *state) consolidationScore() int { return s.globalCost() + s.live*costSw
 // shuffles read.
 func (s *state) mergeRefine() bool {
 	changed := false
-	for a := range s.swProcs {
+	// A merge keeps or rolls back as the walk goes, so it steps through
+	// the live set as it stands (nextIn); a switch with processors is live.
+	sws := s.walkSet()
+	for a := nextIn(sws, 0); a >= 0; a = nextIn(sws, a+1) {
 		if len(s.swProcs[a]) == 0 {
 			continue
 		}
-		for b := range s.swProcs {
+		for b := nextIn(sws, 0); b >= 0; b = nextIn(sws, b+1) {
 			if a == b || len(s.swProcs[b]) == 0 {
 				continue
 			}

@@ -195,10 +195,11 @@ func (s *state) applySeed(sd *SeedDesign) bool {
 }
 
 // changedSwitches maps changed processors to the switches hosting them.
-// nil means "unknown" and selects every switch.
+// nil means "unknown" and selects every live switch: no route visits a dead
+// one.
 func (s *state) changedSwitches(changed []int) []int {
 	if changed == nil {
-		return s.allSwitches()
+		return s.walkSet().Elems(nil)
 	}
 	seen := make(map[int]bool, len(changed))
 	var sws []int

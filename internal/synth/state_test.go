@@ -323,6 +323,15 @@ func checkStateInvariants(t *testing.T, s *state) {
 	}
 }
 
+// allSwitches lists every switch index, dead or not.
+func (s *state) allSwitches() []int {
+	all := make([]int, s.nsw())
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
 // setBudgets changes a live state's design constraints, re-tallying the
 // penalty total they price. Synthesis fixes them for a state's lifetime.
 func (s *state) setBudgets(degree, procs int) {
@@ -342,7 +351,8 @@ func (s *state) setBudgets(degree, procs int) {
 // dirW/dirQ against dirStatsCompute, pairW against the larger direction,
 // sumW against the sum of the switch's pair widths, the objective's totals
 // against penaltyOfRef, the pair-width and quad sums and a recount of hops
-// and live switches, each processor's cross count against a recount of its
+// and live switches, the live set's bits against the same recount (clear past
+// the switch count), each processor's cross count against a recount of its
 // flows routed off its switch — and portBound, for every switch as it
 // stands, against the degree it must not exceed.
 func checkTables(t *testing.T, s *state) {
@@ -406,6 +416,15 @@ func checkTables(t *testing.T, s *state) {
 		sws[sw] = sw
 		if len(s.swProcs[sw]) > 0 || s.sumW[sw] > 0 {
 			live++
+		}
+	}
+	if len(s.liveSet) < (s.stride+63)/64 {
+		t.Fatalf("live set of %d words for stride %d", len(s.liveSet), s.stride)
+	}
+	for sw := range 64 * len(s.liveSet) {
+		want := sw < s.nsw() && (len(s.swProcs[sw]) > 0 || s.sumW[sw] > 0)
+		if got := s.liveSet.Has(sw); got != want {
+			t.Fatalf("switch %d: live set says %v, recounted %v", sw, got, want)
 		}
 	}
 	for _, c := range []struct {

@@ -19,6 +19,7 @@ package synth
 import (
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -221,6 +222,10 @@ type state struct {
 	links     int
 	quad      int
 	live      int
+	// liveSet holds the switches that are not dead (bit sw), sized to the
+	// stride; only tally writes it, beside live. The switch scans walk it
+	// (walkSet) instead of every index.
+	liveSet model.BitSet
 
 	src   *drawSource
 	rng   *rand.Rand
@@ -247,10 +252,12 @@ type state struct {
 	idScratch    []int
 	nbrScratch   []int
 	candScratch  []int
-	allScratch   []int  // allSwitches
-	splitScratch []int  // split's shuffle copy
-	allProcs     []int  // backs swProcs[0] after reset
-	touchBuf     [2]int // bestRoute touch/via list of split and merge callers
+	liveScratch  []int        // liveSwitches
+	twinScratch  []int        // twinTargets
+	everySet     model.BitSet // walkSet's every-index set under priceEveryTarget
+	splitScratch []int        // split's shuffle copy
+	allProcs     []int        // backs swProcs[0] after reset
+	touchBuf     [2]int       // bestRoute touch/via list of split and merge callers
 	mergeProcs   []int
 	boundCnt     []int32 // portBound's per-clique out/in counts
 	compScratch  []int   // repairConnectivity's component labels
@@ -279,19 +286,86 @@ func (s *state) nsw() int { return len(s.swProcs) }
 
 // dead reports whether switch sw holds no processor and carries no flow: a
 // hop off sw raises a pair width at sw and so sumW, and a route starts and
-// ends at its endpoints' homes. Dead switches price alike as a relocation
-// target or a pipe's intermediate (DESIGN.md §13), so the scans price only
-// the first (twinDead).
+// ends at its endpoints' homes. A dead switch has no port and no pipe, so the
+// switch scans walk only the live ones (walkSet). Dead switches price alike
+// as a relocation target or a pipe's intermediate (DESIGN.md §13), so those
+// two scans price only the lowest (twinTargets).
 func (s *state) dead(sw int) bool {
 	return len(s.swProcs[sw]) == 0 && s.sumW[sw] == 0
 }
 
-// priceEveryTarget, set only by tests, prices every candidate: every dead
-// switch a scan meets (twinDead), every candidate whose floor already loses
-// (wiDeltaCand) and every probe of a sealed processor (sealed), and moves
-// the processor lists at every swap probe (swapRefine). It is the reference
-// the shortcuts are held to.
+// priceEveryTarget, set only by tests, prices every candidate: every switch
+// index a scan meets, dead or not (walkSet, twinTargets), every candidate
+// whose floor already loses (wiDeltaCand) and every probe of a sealed
+// processor (sealed), and moves the processor lists at every swap probe
+// (swapRefine). It is the reference the shortcuts are held to.
 var priceEveryTarget bool
+
+// walkSet is the set of switches a scan visits: the live ones, or every
+// index under priceEveryTarget. In production it is liveSet itself, so a scan
+// that commits as it goes and steps with nextIn sees liveness as it stands.
+func (s *state) walkSet() model.BitSet {
+	if !priceEveryTarget {
+		return s.liveSet
+	}
+	if len(s.everySet) < len(s.liveSet) {
+		s.everySet = make(model.BitSet, len(s.liveSet))
+	}
+	s.everySet.Reset()
+	for sw := range s.nsw() {
+		s.everySet.Set(sw)
+	}
+	return s.everySet
+}
+
+// liveSwitches lists walkSet ascending, into a buffer its caller consumes
+// before the next call.
+func (s *state) liveSwitches() []int {
+	s.liveScratch = s.walkSet().Elems(s.liveScratch[:0])
+	return s.liveScratch
+}
+
+// nextIn returns the lowest switch of set at or above sw, or -1.
+func nextIn(set model.BitSet, sw int) int {
+	for w := sw >> 6; w < len(set); w++ {
+		word := set[w]
+		if w == sw>>6 {
+			word &= ^uint64(0) << (uint(sw) & 63)
+		}
+		if word != 0 {
+			return w<<6 | bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// twinTargets lists, ascending, the switches a relocation or pipe-
+// intermediate scan prices: the live ones and the lowest dead one, which
+// prices as every dead switch does, or every index under priceEveryTarget.
+// It also returns how many dead switches it leaves out. The lowest dead
+// switch is the set's first zero below the switch count.
+func (s *state) twinTargets() (targets []int, twins int) {
+	set, n := s.walkSet(), s.nsw()
+	w := 0
+	for w < len(set) && set[w] == ^uint64(0) {
+		w++
+	}
+	firstDead := n
+	if w < len(set) {
+		firstDead = min(n, w<<6|bits.TrailingZeros64(^set[w]))
+	}
+	targets = s.twinScratch[:0]
+	for w, word := range set {
+		if w == firstDead>>6 && firstDead < n {
+			word |= 1 << (uint(firstDead) & 63)
+		}
+		for ; word != 0; word &= word - 1 {
+			targets = append(targets, w<<6|bits.TrailingZeros64(word))
+		}
+	}
+	s.twinScratch = targets
+	return targets, n - len(targets)
+}
 
 // sealed reports whether every flow of p has its other endpoint on p's
 // switch, so each route p owns is one switch long. A swap of two sealed
@@ -304,19 +378,6 @@ func (s *state) sealed(p int) bool { return !priceEveryTarget && s.cross[p] == 0
 // budget, so leaving lowers no penalty; arriving adds a hop per flow and
 // can only raise a penalty.
 func (s *state) stuck(p int) bool { return s.sealed(p) && !s.violates(s.home[p]) }
-
-// twinDead reports whether sw is a dead switch after the first one a
-// candidate scan met (*first, -1 until then), which it records instead.
-func (s *state) twinDead(sw int, first *int) bool {
-	if priceEveryTarget || !s.dead(sw) {
-		return false
-	}
-	if *first < 0 {
-		*first = sw
-		return false
-	}
-	return true
-}
 
 // pipeAt returns the ordered direction's flow set, or nil if never used.
 func (s *state) pipeAt(from, to int) model.BitSet { return s.pipes[from*s.stride+to] }
@@ -375,6 +436,9 @@ func (s *state) growStride(n int) {
 	selfRoute := make([][]int, stride)
 	copy(selfRoute, s.selfRoute)
 	s.selfRoute = selfRoute
+	liveSet := make(model.BitSet, (stride+63)/64)
+	copy(liveSet, s.liveSet)
+	s.liveSet = liveSet
 	// All-zero between evaluations, so nothing to carry over.
 	s.wi.slot = make([]int32, stride*stride)
 	s.wi.seen = make([]bool, stride*stride)
@@ -588,22 +652,24 @@ func (s *state) globalRefine() {
 				changed = true
 			}
 		}
+		// p's flows leave once; each target adds their direct paths and
+		// the arriving processor. A dead target prices as the lowest dead
+		// one does, so it cannot strictly improve on it, and no target of a
+		// stuck p can: only their MovesEvaluated ticks remain — the dead
+		// ones twinTargets leaves out pass the processor budget, holding
+		// none — and p goes to the end of its list as a priced probe leaves
+		// it. Only a relocation changes the targets.
+		targets, twins := s.twinTargets()
 		for p := 0; p < s.procs; p++ {
-			// p's flows leave once; each target adds their direct paths
-			// and the arriving processor. A dead target after the first
-			// prices as the first does, so it cannot strictly improve on
-			// it, and no target of a stuck p can: only their MovesEvaluated
-			// ticks remain, and p goes to the end of its list as a priced
-			// probe leaves it.
 			departed, stuck := false, s.stuck(p)
 			bestDelta := 0
 			bestTo := -1
-			firstDead, skipped := -1, 0
-			for to := range s.swProcs {
+			skipped := twins
+			for _, to := range targets {
 				if to == s.home[p] || len(s.swProcs[to]) >= s.opt.MaxProcsPerSwitch {
 					continue
 				}
-				if stuck || s.twinDead(to, &firstDead) {
+				if stuck {
 					skipped++
 					continue
 				}
@@ -628,6 +694,7 @@ func (s *state) globalRefine() {
 				s.reattach(p, bestTo)
 				s.stats.GlobalMoves++
 				changed = true
+				targets, twins = s.twinTargets()
 			}
 		}
 		if s.swapRefine() {
@@ -677,7 +744,7 @@ func (s *state) partition() bool {
 			return true
 		}
 		var splittable []int
-		for sw := range s.swProcs {
+		for _, sw := range s.liveSwitches() {
 			if s.violates(sw) && len(s.swProcs[sw]) >= 2 {
 				splittable = append(splittable, sw)
 			}

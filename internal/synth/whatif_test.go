@@ -93,7 +93,7 @@ func compareRelocations(t *testing.T, s *state, p int) {
 	s.wiRelease()
 }
 
-// compareDeadTwins holds the premise the collapsed scans rest on (twinDead):
+// compareDeadTwins holds the premise the collapsed scans rest on (twinTargets):
 // every dead switch prices p's relocation, and the elimination of pipe (a,b)
 // through it, as the lowest dead switch does.
 func compareDeadTwins(t *testing.T, s *state, p, a, b int) {
