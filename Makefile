@@ -4,7 +4,7 @@
 # schedules so an order-dependent reduction cannot pass by luck.
 GO ?= go
 
-.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-workers bench-all fuzz
+.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-workers bench-decode bench-all fuzz
 
 verify: vet build race determinism
 
@@ -115,6 +115,15 @@ cover-serve cover-collective cover-hier: cover-%:
 #              loop that stops overlapping restarts falls to about 1. It
 #              needs two CPUs: BENCH_CPUS_workers makes the gate print SKIP
 #              and pass where nproc is lower.
+#   decode:    the noctrace decoder that read each line as a string and split
+#              it with strings.Fields (the test oracle decodeFields in
+#              decode_ref_test.go) vs Decode, which reads and parses each line
+#              in place, on the jitter trace the warm_variants ledger decodes
+#              on every miss (CG/16, 39 skewed iterations, about 100 KB).
+#              1.44-1.89x over five runs on a loaded 2-core box (median
+#              1.75x; five earlier runs read 1.34-2.32x); the floor of 1.2 is
+#              about two-thirds of that median, and a decoder that goes back
+#              to a string per line falls to about 1.
 BENCH_PKG_flitsim = ./internal/flitsim
 BENCH_RATIO_flitsim = BenchmarkSimulateCG16GapMeshReference:BenchmarkSimulateCG16GapMesh \
 	BenchmarkSimulateBT16StreamCrossbarReference:BenchmarkSimulateBT16StreamCrossbar \
@@ -138,6 +147,10 @@ BENCH_PKG_rounds = ./internal/synth
 BENCH_RATIO_rounds = BenchmarkSynthesizeHierNoIEveryRound:BenchmarkSynthesizeHierNoI
 BENCH_MIN_rounds = 1.05
 
+BENCH_PKG_decode = ./internal/trace
+BENCH_RATIO_decode = BenchmarkDecodeJitterFields:BenchmarkDecodeJitter
+BENCH_MIN_decode = 1.2
+
 BENCH_PKG_workers = ./internal/synth
 BENCH_RATIO_workers = BenchmarkSynthesizeHierNoI:BenchmarkSynthesizeHierNoIWorkers2
 BENCH_MIN_workers = 1.2
@@ -152,7 +165,7 @@ bench_re = ^($(subst $(space),|,$(strip $(subst :, ,$(BENCH_RATIO_$*)))))$$
 # passes.
 bench_cpus = $(or $(BENCH_CPUS_$*),1)
 
-bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-workers: bench-%:
+bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-workers bench-decode: bench-%:
 	if [ "$$(nproc)" -lt $(bench_cpus) ]; then \
 		echo "SKIP bench-$*: needs $(bench_cpus) CPUs, nproc is $$(nproc)"; \
 	else \
@@ -160,9 +173,9 @@ bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-workers:
 			| $(GO) run ./cmd/benchratio $(foreach r,$(BENCH_RATIO_$*),-ratio '$(r)') -min-ratio $(BENCH_MIN_$*); \
 	fi
 
-bench: bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-workers
+bench: bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-workers bench-decode
 
-# bench-all is the one performance entry point: `bench`'s six ratio gates in
+# bench-all is the one performance entry point: `bench`'s seven ratio gates in
 # sequence, then the end-to-end ledger — BENCHMARK.json's four workloads, each
 # with its per-layer breakdown. The ledger builds and drives its own nocd and
 # writes only under bench/out/; about 35 s per workload. Run it on an

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -91,26 +92,43 @@ func TestBitSetEqualIgnoresUniverseSize(t *testing.T) {
 	}
 }
 
+// TestFlowIndexRoundTrip interns flow lists whose nodes all pack into a key
+// and lists with a node that does not (negative, or past 32 bits), and holds
+// each index to the map-and-sort interning it replaced: the same flows in
+// Flow.Less order, every ID resolved back, and no other flow resolved.
 func TestFlowIndexRoundTrip(t *testing.T) {
-	flows := []Flow{F(3, 1), F(0, 2), F(3, 1), F(5, 5), F(1, 3)}
-	ix := NewFlowIndex(flows)
-	if ix.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (dedup + self-flow excluded)", ix.Len())
+	const big = 1 << 40
+	cases := [][]Flow{
+		{F(3, 1), F(0, 2), F(3, 1), F(5, 5), F(1, 3)},
+		{F(3, 1), F(0, 2), F(big, 1), F(5, 5), F(-2, 3), F(1, big), F(0, 2), F(big, big)},
+		{F(1<<32-1, 0), F(0, 1<<32-1), F(1<<32, 0), F(0, -1)},
+		{F(7, 7)},
+		nil,
 	}
-	// IDs ascend in Flow.Less order.
-	for i := 1; i < ix.Len(); i++ {
-		if !ix.Flow(i - 1).Less(ix.Flow(i)) {
-			t.Fatalf("IDs not in Less order: %v, %v", ix.Flow(i-1), ix.Flow(i))
+	for _, flows := range cases {
+		ix := NewFlowIndex(flows)
+		seen := map[Flow]bool{}
+		var want []Flow
+		for _, f := range flows {
+			if f.Src != f.Dst && !seen[f] {
+				seen[f] = true
+				want = append(want, f)
+			}
 		}
-	}
-	for i := 0; i < ix.Len(); i++ {
-		id, ok := ix.ID(ix.Flow(i))
-		if !ok || id != i {
-			t.Fatalf("round trip failed for ID %d", i)
+		sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+		if !slices.Equal(ix.Flows(), want) {
+			t.Fatalf("%v: interned %v, want %v", flows, ix.Flows(), want)
 		}
-	}
-	if _, ok := ix.ID(F(9, 9)); ok {
-		t.Fatal("unknown flow resolved")
+		for i := 0; i < ix.Len(); i++ {
+			if id, ok := ix.ID(ix.Flow(i)); !ok || id != i {
+				t.Fatalf("%v: ID(%v) = %d, %t; want %d", flows, ix.Flow(i), id, ok, i)
+			}
+		}
+		for _, f := range []Flow{F(9, 9), F(2, 0), F(-1, 0), F(big, 0), F(0, big+1)} {
+			if id, ok := ix.ID(f); ok || id != 0 {
+				t.Fatalf("%v: unknown flow %v resolved to %d, %t", flows, f, id, ok)
+			}
+		}
 	}
 }
 

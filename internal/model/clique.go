@@ -148,8 +148,8 @@ func ContentionPeriods(p *Pattern) []Clique {
 			t = starts[i].t
 		}
 		// The comparisons are phrased as !(x > t) so that a NaN time, which
-		// Pattern.Validate admits, is consumed like any other and the loop
-		// always advances j.
+		// Pattern.Validate rejects but a caller may still pass here, is
+		// consumed like any other and the loop always advances j.
 		for ; i < n && !(starts[i].t > t); i++ {
 			id := starts[i].id
 			if id < 0 {

@@ -1,8 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // FlowIndex interns a pattern's flows into dense integer IDs so the
@@ -13,38 +14,85 @@ import (
 // Interning contract: IDs are per-pattern. A FlowIndex built from one
 // pattern's flow universe must never be used to interpret IDs or bitsets
 // produced against another pattern's index.
+//
+// The index hashes nothing: it sorts the flows' packed keys (flowKey) and
+// finds an ID by binary search over them, so a flow's ID is its key's rank.
 type FlowIndex struct {
 	flows []Flow
-	id    map[Flow]int
+	// keys holds the flows' packed keys, ascending, or is nil when some
+	// flow has a node outside [0, 2^32) (wide); ID then searches flows.
+	keys []uint64
+	wide bool
+}
+
+// flowKey packs f into one word, Src above Dst, so that key order is
+// Flow.Less order. ok is false when a node falls outside [0, 2^32): no
+// pattern the server admits has one, but Validate bounds nodes only by
+// Procs.
+func flowKey(f Flow) (key uint64, ok bool) {
+	if uint64(f.Src)|uint64(f.Dst) >= 1<<32 {
+		return 0, false
+	}
+	return uint64(f.Src)<<32 | uint64(f.Dst), true
 }
 
 // NewFlowIndex builds an index over the given flows (deduplicated and
 // sorted; self-flows are excluded, matching Pattern.Flows).
 func NewFlowIndex(flows []Flow) *FlowIndex {
-	fs := make([]Flow, 0, len(flows))
-	seen := make(map[Flow]bool, len(flows))
+	keys := make([]uint64, 0, len(flows))
 	for _, f := range flows {
-		if f.Src == f.Dst || seen[f] {
+		if f.Src == f.Dst {
 			continue
 		}
-		seen[f] = true
-		fs = append(fs, f)
+		k, ok := flowKey(f)
+		if !ok {
+			return newWideFlowIndex(flows)
+		}
+		keys = append(keys, k)
 	}
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Less(fs[j]) })
-	ix := &FlowIndex{flows: fs, id: make(map[Flow]int, len(fs))}
-	for i, f := range fs {
-		ix.id[f] = i
+	slices.Sort(keys)
+	keys = slices.Clip(slices.Compact(keys))
+	fs := make([]Flow, len(keys))
+	for i, k := range keys {
+		fs[i] = Flow{Src: Node(k >> 32), Dst: Node(uint32(k))}
 	}
-	return ix
+	return &FlowIndex{flows: fs, keys: keys}
+}
+
+// newWideFlowIndex is NewFlowIndex over flows that do not all pack into a
+// key: it sorts and searches the flows themselves.
+func newWideFlowIndex(flows []Flow) *FlowIndex {
+	fs := make([]Flow, 0, len(flows))
+	for _, f := range flows {
+		if f.Src != f.Dst {
+			fs = append(fs, f)
+		}
+	}
+	slices.SortFunc(fs, compareFlows)
+	return &FlowIndex{flows: slices.Clip(slices.Compact(fs)), wide: true}
+}
+
+// compareFlows orders flows as Flow.Less does.
+func compareFlows(f, g Flow) int {
+	return cmp.Or(cmp.Compare(f.Src, g.Src), cmp.Compare(f.Dst, g.Dst))
 }
 
 // Len returns the number of interned flows.
 func (ix *FlowIndex) Len() int { return len(ix.flows) }
 
-// ID returns the dense ID of f and whether f is interned.
+// ID returns the dense ID of f and whether f is interned (0 if not).
 func (ix *FlowIndex) ID(f Flow) (int, bool) {
-	id, ok := ix.id[f]
-	return id, ok
+	var id int
+	var ok bool
+	if ix.wide {
+		id, ok = slices.BinarySearchFunc(ix.flows, f, compareFlows)
+	} else if k, packs := flowKey(f); packs {
+		id, ok = slices.BinarySearch(ix.keys, k)
+	}
+	if !ok {
+		return 0, false
+	}
+	return id, true
 }
 
 // Flow returns the flow with the given ID.
@@ -59,7 +107,7 @@ func (ix *FlowIndex) Flows() []Flow { return ix.flows }
 func (ix *FlowIndex) Bits(flows []Flow) BitSet {
 	b := NewBitSet(len(ix.flows))
 	for _, f := range flows {
-		if id, ok := ix.id[f]; ok {
+		if id, ok := ix.ID(f); ok {
 			b.Set(id)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/hier"
@@ -126,6 +127,12 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 	var req DesignRequest
 	if err := dec.Decode(&req); err != nil {
 		return nil, badRequest("decoding request: %v", err)
+	}
+	// The body is one object: anything after it but whitespace — trailing
+	// garbage, a second object — is rejected, not silently dropped, as
+	// json.Unmarshal rejects it on /v1/designs.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, badRequest("decoding request: unexpected data after the request object")
 	}
 
 	pl := &designPlan{lane: req.Lane, trace: req.Trace}

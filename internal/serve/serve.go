@@ -67,6 +67,10 @@ const StatusClientClosedRequest = 499
 // it are rejected with 400.
 const maxRequestBytes = 16 << 20
 
+// maxPresizedBody caps the buffer readBody allocates on a request's
+// Content-Length before any of its bytes arrive.
+const maxPresizedBody = 1 << 20
+
 // Lane names for DesignRequest.Lane.
 const (
 	LaneInteractive = "interactive"
@@ -343,13 +347,19 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(workloads.Names())
 }
 
-// readBody drains a bounded request body.
+// readBody drains a bounded request body. The buffer starts at the declared
+// Content-Length, up to maxPresizedBody, so a 100 KB inline trace is read
+// into one allocation instead of through io.ReadAll's doublings from 512
+// bytes. A header alone commits no more than that cap: past it, or with no
+// length declared, the buffer grows as bytes arrive, and MaxBytesReader
+// bounds what is read whatever the header says.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
+	size := min(max(r.ContentLength, 0), maxPresizedBody) + bytes.MinRead
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes)); err != nil {
 		return nil, badRequest("reading request body: %v", err)
 	}
-	return b, nil
+	return buf.Bytes(), nil
 }
 
 func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {

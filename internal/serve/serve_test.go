@@ -278,6 +278,8 @@ func TestDesignBadRequests(t *testing.T) {
 		{"bad trace", `{"trace":"not a noctrace"}`, "decoding trace"},
 		{"NaN trace time", `{"trace":"noctrace v1\nprocs 2\nmsg 0 0 1 NaN NaN 64\n"}`, "decoding trace"},
 		{"restarts too big", `{"benchmark":"CG","procs":16,"restarts":1000}`, "restarts"},
+		{"trailing garbage", `{"benchmark":"FFT","procs":8} trailing garbage`, "after the request object"},
+		{"two objects", `{"benchmark":"FFT","procs":8}` + "\n" + `{"benchmark":"CG","procs":16}`, "after the request object"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -292,6 +294,10 @@ func TestDesignBadRequests(t *testing.T) {
 	}
 	if got := srv.Metrics().Counter("serve.bad_requests"); got != int64(len(cases)) {
 		t.Errorf("serve.bad_requests = %d, want %d", got, len(cases))
+	}
+	// Whitespace after the object is not trailing data.
+	if resp, b := postDesign(t, ts.URL, `{"benchmark":"FFT","procs":8}`+" \r\n\t"); resp.StatusCode != http.StatusOK {
+		t.Errorf("object then whitespace: status = %d, want 200 (body %q)", resp.StatusCode, b)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/design")

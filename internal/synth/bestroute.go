@@ -1,6 +1,10 @@
 package synth
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/model"
+)
 
 // group is a flow ID plus optionally its mirrored reverse flow's ID (-1 if
 // the pair is rerouted alone).
@@ -18,11 +22,19 @@ type group [2]int
 // free a full-duplex link. Improving alternatives — fewer constraint
 // violations, then fewer estimated links, then lower congestion load, then
 // fewer hops — are committed. Passes repeat until no route improves.
+//
+// A pass visits, in flow order, only the flows touchedFlows collects at its
+// start, and checks each route again on the visit: committing a pair moves
+// its later mirror, which may then touch no switch of the list.
 func (s *state) bestRoute(touch, via []int) {
 	var candBuf [3]int
 	for pass := 0; pass < 3; pass++ {
 		improved := false
+		visit := s.touchedFlows(touch)
 		for fi := range s.flows {
+			if visit != nil && !visit.Has(fi) {
+				continue
+			}
 			cur := s.routes[fi]
 			touched := touch == nil
 			for _, sw := range touch {
@@ -98,6 +110,38 @@ func (s *state) bestRoute(touch, via []int) {
 			return
 		}
 	}
+}
+
+// touchedFlows collects, into flowScratch, the flows whose route crosses a
+// pipe at one of the touch switches: the union of their pipe sets, both
+// directions, over the live switches (a switch at a used pipe is live). A
+// route through sw that crosses no pipe at sw is sw alone, a local flow,
+// which bestRoute never reroutes. It returns nil, every flow, for a nil
+// touch list and under priceEveryTarget, whose full scan the union is held
+// to.
+func (s *state) touchedFlows(touch []int) model.BitSet {
+	if touch == nil || priceEveryTarget {
+		return nil
+	}
+	if len(s.flowScratch) < s.bsWords {
+		s.flowScratch = make(model.BitSet, s.bsWords)
+	}
+	u := s.flowScratch
+	u.Reset()
+	for _, sw := range touch {
+		for w, word := range s.walkSet() {
+			for ; word != 0; word &= word - 1 {
+				o := w<<6 | bits.TrailingZeros64(word)
+				if out := s.pipeAt(sw, o); out != nil {
+					u.Or(out)
+				}
+				if in := s.pipeAt(o, sw); in != nil {
+					u.Or(in)
+				}
+			}
+		}
+	}
+	return u
 }
 
 func groupLen(g group) int {

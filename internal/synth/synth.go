@@ -251,6 +251,7 @@ type state struct {
 	// before returning (no nesting), so one buffer each suffices.
 	idScratch    []int
 	nbrScratch   []int
+	flowScratch  model.BitSet // bestRoute's flows to visit (touchedFlows)
 	candScratch  []int
 	liveScratch  []int        // liveSwitches
 	twinScratch  []int        // twinTargets
@@ -297,8 +298,9 @@ func (s *state) dead(sw int) bool {
 // priceEveryTarget, set only by tests, prices every candidate: every switch
 // index a scan meets, dead or not (walkSet, twinTargets), every candidate
 // whose floor already loses (wiDeltaCand) and every probe of a sealed
-// processor (sealed), and moves the processor lists at every swap probe
-// (swapRefine). It is the reference the shortcuts are held to.
+// processor (sealed), moves the processor lists at every swap probe
+// (swapRefine), and has bestRoute walk every flow's route (touchedFlows). It
+// is the reference the shortcuts are held to.
 var priceEveryTarget bool
 
 // walkSet is the set of switches a scan visits: the live ones, or every

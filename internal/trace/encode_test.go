@@ -43,7 +43,10 @@ func encodeFmt(p *model.Pattern) []byte {
 	return buf.Bytes()
 }
 
-func TestEncodeMatchesFmtRendering(t *testing.T) {
+// codecCorpus is the codec tests' pattern set: every NAS benchmark at the
+// paper's sizes and every collective at 8 and 64 nodes, each also skewed
+// three ways, plus one pattern of values no generator emits.
+func codecCorpus(t testing.TB) []*model.Pattern {
 	var pats []*model.Pattern
 	for _, name := range nas.Names() {
 		small, large := nas.PaperProcs(name)
@@ -81,7 +84,11 @@ func TestEncodeMatchesFmtRendering(t *testing.T) {
 		{Label: "two words", Start: 100000, Finish: 1e20, ComputeAfter: 0.1, Messages: []int{0, 1}},
 		{Messages: nil},
 	}})
-	for _, p := range pats {
+	return pats
+}
+
+func TestEncodeMatchesFmtRendering(t *testing.T) {
+	for _, p := range codecCorpus(t) {
 		var got bytes.Buffer
 		if err := trace.Encode(&got, p); err != nil {
 			t.Fatal(err)
