@@ -54,8 +54,12 @@ cover-serve cover-collective cover-hier: cover-%:
 # bench-<gate> is a same-machine speedup gate: it runs exactly the benchmarks
 # named in BENCH_RATIO_<gate> (a space-separated list of NUM:DEN) and fails
 # unless every numerator takes at least BENCH_MIN_<gate> times the ns/op of
-# its denominator. Both sides run in the same invocation on the same machine,
-# so the ratio needs no recorded baseline, and no target writes a file.
+# its denominator, each side the median of BENCH_COUNT samples. Both sides run
+# in the same invocation on the same machine, so the ratio needs no recorded
+# baseline, and no target writes a file. With five samples a side the seven
+# gates take about 3.3 minutes on a loaded 2-core box (each gate's time and
+# its ratios over three such runs are given below); one sample a side took
+# about 45 s and let a single noisy sample decide a gate.
 #   flitsim:   the event-driven engine vs the cycle-stepping reference (the
 #              test oracle in engine_ref_test.go) in three pairs: the
 #              compute-gap-heavy CG on the mesh, where idle cycles are skipped;
@@ -63,7 +67,8 @@ cover-serve cover-collective cover-hier: cover-%:
 #              is leapt; and full-size CG on the mesh, where worms taking
 #              turns on shared links make periodic states that are leapt
 #              whole periods at a time (the pair also bounds the period
-#              test's bookkeeping).
+#              test's bookkeeping). Five samples a side: 49-63 s; 201-322x,
+#              219-295x and 43-56x.
 #   warm:      the same five CG-16 variants synthesized cold vs seeded from a
 #              prior design. The floor is 3, down from 5: the ratio measures
 #              what seeding saves, and the what-if evaluator halved the cold
@@ -74,14 +79,18 @@ cover-serve cover-collective cover-hier: cover-%:
 #              floor of 3 holds and is not lowered. Raise it by making seeded
 #              synthesis faster, never by slowing cold synthesis. With sealed
 #              processors unprobed it read 3.49-4.16x over five runs (median
-#              3.73x; the parent 3.82-4.13x in the same alternation).
+#              3.73x; the parent 3.82-4.13x in the same alternation). Five
+#              samples a side: 17-21 s; 3.11-5.48x (median 4.50x) on a
+#              loaded box, the low run with the floor's penalty term making
+#              cold synthesis faster again.
 #   floorplan: the array-backed delta search vs the map-based reference (the
-#              test oracle in placeref_test.go) on CG-16.
+#              test oracle in placeref_test.go) on CG-16. Five samples a
+#              side: 16-18 s; 39-52x.
 #   synth:     synthesis with every candidate priced (the test-only
 #              priceEveryTarget reference: no dead switch priced for all, no
 #              candidate skipped on its floor, every probe of a sealed
 #              processor priced and the lists moved at every swap probe) vs
-#              production, in two pairs: full-size BT/16, the merge- and
+#              production, in three pairs: full-size BT/16, the merge- and
 #              Best_Route-bound case (1.54-1.84x over five runs on a 2-core
 #              box, median 1.81x), and the FFT/16 NoI level, the probe-bound
 #              case (5.22-6.31x, median 5.95x). The floor of 1.3 leaves room
@@ -92,7 +101,14 @@ cover-serve cover-collective cover-hier: cover-%:
 #              the live switches and the reference still walks every
 #              index, the pairs read 1.82-2.27x (median 2.00x) and
 #              5.68-7.05x (median 6.63x) over five runs on a loaded 2-core
-#              box.
+#              box. The third pair is full-size FFT/16 under the paper
+#              harness's synthesis options on one worker, the paper_cells
+#              focus cell, where the floor's penalty term and
+#              rerouteAnneal's bound cut the exact pricings 5.3x: 1.65-2.39x
+#              over seven runs of five samples a side (median 1.89x), so
+#              the gate's floor of 1.3 is about two-thirds of it. Five
+#              samples a side: 42-53 s; BT/16 2.06-2.15x, the NoI level
+#              7.05-7.47x.
 #   rounds:    the FFT/16 NoI level (16 restarts of 16 rounds, all unmet)
 #              with every round's network and routing table assembled and
 #              validated (the test-only assembleEveryRound) vs production,
@@ -106,6 +122,7 @@ cover-serve cover-collective cover-hier: cover-%:
 #              production path that assembles every round falls to about 1.
 #              TestSynthesizeAllocCeiling holds the same run to 15,000
 #              allocations (about 7,300; 33,300 assembling every round).
+#              Five samples a side: 15-18 s; 1.56-1.88x.
 #   workers:   the FFT/16 NoI level on one worker vs two, the first gate on
 #              a -workers speedup: its four configured restarts and twelve
 #              streamed extension restarts all run, so two workers halve
@@ -114,7 +131,8 @@ cover-serve cover-collective cover-hier: cover-%:
 #              floor of 1.2 leaves room for a noisy runner, and a restart
 #              loop that stops overlapping restarts falls to about 1. It
 #              needs two CPUs: BENCH_CPUS_workers makes the gate print SKIP
-#              and pass where nproc is lower.
+#              and pass where nproc is lower. Five samples a side: 18-20 s;
+#              1.36-1.91x.
 #   decode:    the noctrace decoder that read each line as a string and split
 #              it with strings.Fields (the test oracle decodeFields in
 #              decode_ref_test.go) vs Decode, which reads and parses each line
@@ -123,7 +141,8 @@ cover-serve cover-collective cover-hier: cover-%:
 #              1.44-1.89x over five runs on a loaded 2-core box (median
 #              1.75x; five earlier runs read 1.34-2.32x); the floor of 1.2 is
 #              about two-thirds of that median, and a decoder that goes back
-#              to a string per line falls to about 1.
+#              to a string per line falls to about 1. Five samples a side:
+#              17-20 s; 1.36-2.18x.
 BENCH_PKG_flitsim = ./internal/flitsim
 BENCH_RATIO_flitsim = BenchmarkSimulateCG16GapMeshReference:BenchmarkSimulateCG16GapMesh \
 	BenchmarkSimulateBT16StreamCrossbarReference:BenchmarkSimulateBT16StreamCrossbar \
@@ -140,7 +159,8 @@ BENCH_MIN_floorplan = 10
 
 BENCH_PKG_synth = ./internal/synth
 BENCH_RATIO_synth = BenchmarkSynthesizeBT16Reference:BenchmarkSynthesizeBT16 \
-	BenchmarkSynthesizeHierNoIReference:BenchmarkSynthesizeHierNoI
+	BenchmarkSynthesizeHierNoIReference:BenchmarkSynthesizeHierNoI \
+	BenchmarkSynthesizeFFT16Reference:BenchmarkSynthesizeFFT16
 BENCH_MIN_synth = 1.3
 
 BENCH_PKG_rounds = ./internal/synth
@@ -156,6 +176,10 @@ BENCH_RATIO_workers = BenchmarkSynthesizeHierNoI:BenchmarkSynthesizeHierNoIWorke
 BENCH_MIN_workers = 1.2
 BENCH_CPUS_workers = 2
 
+# Every gate runs each benchmark BENCH_COUNT times and gates the ratio of the
+# medians (cmd/benchratio), so one noisy sample on either side cannot decide it.
+BENCH_COUNT = 5
+
 # bench_re anchors the -bench regex to exactly the names in the gate's pairs.
 empty :=
 space := $(empty) $(empty)
@@ -169,7 +193,7 @@ bench-flitsim bench-warm bench-floorplan bench-synth bench-rounds bench-workers 
 	if [ "$$(nproc)" -lt $(bench_cpus) ]; then \
 		echo "SKIP bench-$*: needs $(bench_cpus) CPUs, nproc is $$(nproc)"; \
 	else \
-		$(GO) test -run '^$$' -bench '$(bench_re)' -benchmem $(BENCH_PKG_$*) \
+		$(GO) test -run '^$$' -bench '$(bench_re)' -benchmem -count $(BENCH_COUNT) $(BENCH_PKG_$*) \
 			| $(GO) run ./cmd/benchratio $(foreach r,$(BENCH_RATIO_$*),-ratio '$(r)') -min-ratio $(BENCH_MIN_$*); \
 	fi
 

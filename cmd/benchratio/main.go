@@ -1,10 +1,12 @@
 // Command benchratio is the same-run speedup gate. It echoes `go test -bench`
-// text from stdin to stdout, then prints ns(NUM)/ns(DEN) for every -ratio
-// pair, and exits 1 when a named benchmark is missing from the input or a
-// ratio is below -min-ratio. Both sides run in the same invocation on the
-// same machine, so no recorded baseline is needed.
+// text from stdin to stdout, then prints, for every -ratio pair, the median
+// ns/op of NUM over the median ns/op of DEN, each taken over every sample of
+// that name (go test -count N prints N), and exits 1 when a named benchmark
+// is missing from the input or a ratio is below -min-ratio. Both sides run in
+// the same invocation on the same machine, so no recorded baseline is
+// needed.
 //
-//	go test -run '^$' -bench '^(BenchmarkA|BenchmarkB)$' ./pkg | benchratio -ratio BenchmarkA:BenchmarkB -min-ratio 10
+//	go test -run '^$' -bench '^(BenchmarkA|BenchmarkB)$' -count 5 ./pkg | benchratio -ratio BenchmarkA:BenchmarkB -min-ratio 10
 package main
 
 import (
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -32,11 +35,11 @@ func main() {
 	}
 }
 
-// gate echoes in to out, prints every pair's ratio, and returns every failure
-// joined. Names match with the GOMAXPROCS suffix stripped on both sides; other
-// lines, and every metric after ns/op, are ignored.
+// gate echoes in to out, prints every pair's ratio of medians, and returns
+// every failure joined. Names match with the GOMAXPROCS suffix stripped on
+// both sides; other lines, and every metric after ns/op, are ignored.
 func gate(in io.Reader, out io.Writer, pairs []string, minRatio float64) error {
-	ns := map[string]float64{}
+	ns := map[string][]float64{}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
@@ -46,7 +49,8 @@ func gate(in io.Reader, out io.Writer, pairs []string, minRatio float64) error {
 			continue
 		}
 		if v, err := strconv.ParseFloat(f[2], 64); err == nil {
-			ns[stripProcs(f[0])] = v
+			name := stripProcs(f[0])
+			ns[name] = append(ns[name], v)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -55,18 +59,29 @@ func gate(in io.Reader, out io.Writer, pairs []string, minRatio float64) error {
 	var errs []error
 	for _, p := range pairs {
 		num, den, ok := strings.Cut(p, ":")
-		n, nok := ns[stripProcs(num)]
-		d, dok := ns[stripProcs(den)]
-		if !ok || !nok || !dok {
+		nums, dens := ns[stripProcs(num)], ns[stripProcs(den)]
+		if !ok || len(nums) == 0 || len(dens) == 0 {
 			errs = append(errs, fmt.Errorf("-ratio %q: want NUM:DEN, both benchmarks in the input", p))
 			continue
 		}
-		fmt.Fprintf(out, "ratio %s / %s = %.2fx (floor %.2fx)\n", num, den, n/d, minRatio)
+		n, d := median(nums), median(dens)
+		fmt.Fprintf(out, "ratio %s / %s = %.2fx (medians of %d and %d samples; floor %.2fx)\n", num, den, n/d, len(nums), len(dens), minRatio)
 		if n/d < minRatio {
 			errs = append(errs, fmt.Errorf("-ratio %s: %.2fx is below the floor %.2fx", p, n/d, minRatio))
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// median is the middle of xs, or the mean of the two middle values; it sorts
+// xs.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[m-1] + xs[m]) / 2
+	}
+	return xs[m]
 }
 
 // stripProcs drops the -N GOMAXPROCS suffix go test appends to a name.

@@ -27,10 +27,10 @@ func TestGate(t *testing.T) {
 		wantErr  string // "" for a pass
 		wantOut  string
 	}{
-		{"suffix stripped on both sides", []string{ref + "-2:" + fast}, 10, "", "ratio " + ref + "-2 / " + fast + " = 25.00x (floor 10.00x)"},
+		{"suffix stripped on both sides", []string{ref + "-2:" + fast}, 10, "", "ratio " + ref + "-2 / " + fast + " = 25.00x (medians of 1 and 1 samples; floor 10.00x)"},
 		{"missing benchmark", []string{ref + ":BenchmarkSimulateCG16Torus"}, 0, "both benchmarks in the input", ""},
 		{"malformed pair", []string{ref}, 0, "want NUM:DEN", ""},
-		{"below the floor", []string{ref + ":" + fast}, 30, "25.00x is below the floor 30.00x", "= 25.00x (floor 30.00x)"},
+		{"below the floor", []string{ref + ":" + fast}, 30, "25.00x is below the floor 30.00x", "= 25.00x (medians of 1 and 1 samples; floor 30.00x)"},
 	} {
 		var out strings.Builder
 		err := gate(strings.NewReader(benchText), &out, tc.pairs, tc.minRatio)
@@ -45,6 +45,44 @@ func TestGate(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), tc.wantOut) {
 			t.Errorf("%s: output lacks %q:\n%s", tc.name, tc.wantOut, out.String())
+		}
+	}
+}
+
+// TestGateRepeatedNames gates the ratio of medians over every sample of a
+// name, as go test -count N prints them: neither the last sample nor an
+// outlier decides it.
+func TestGateRepeatedNames(t *testing.T) {
+	const in = `BenchmarkSlow-2   	10	 400 ns/op
+BenchmarkFast-2   	10	 100 ns/op
+BenchmarkSlow-2   	10	 600 ns/op
+BenchmarkFast-2   	10	 900 ns/op
+BenchmarkSlow-2   	10	 500 ns/op
+BenchmarkFast-2   	10	 110 ns/op
+BenchmarkSlow-2   	10	 100 ns/op
+BenchmarkFast-2   	10	 90 ns/op
+BenchmarkSlow-2   	10	 450 ns/op
+`
+	for _, tc := range []struct {
+		minRatio float64
+		wantErr  string
+		wantOut  string
+	}{
+		// Slow's median is 450 of five, Fast's (100+110)/2 of four: 4.29x.
+		// The last samples alone read 450/90 = 5.00x, the means 410/300 = 1.37x.
+		{4, "", "ratio BenchmarkSlow / BenchmarkFast = 4.29x (medians of 5 and 4 samples; floor 4.00x)"},
+		{4.5, "4.29x is below the floor 4.50x", "= 4.29x"},
+	} {
+		var out strings.Builder
+		err := gate(strings.NewReader(in), &out, []string{"BenchmarkSlow:BenchmarkFast"}, tc.minRatio)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("floor %.2f: unexpected error %v", tc.minRatio, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("floor %.2f: err = %v, want it to contain %q", tc.minRatio, err, tc.wantErr)
+		}
+		if !strings.Contains(out.String(), tc.wantOut) {
+			t.Errorf("floor %.2f: output lacks %q:\n%s", tc.minRatio, tc.wantOut, out.String())
 		}
 	}
 }

@@ -1,8 +1,7 @@
 package model
 
 import (
-	"cmp"
-	"slices"
+	"math"
 	"sort"
 	"strconv"
 )
@@ -104,7 +103,12 @@ type periodEvent struct {
 // flows whose count is positive. Only an instant at which some count crossed
 // 0<->1 can show a new set; the bitset is then looked up by hash and Equal
 // among the sets seen so far, and a Clique is built only for a new one.
-func ContentionPeriods(p *Pattern) []Clique {
+func ContentionPeriods(p *Pattern) []Clique { return contentionPeriods(p, sortByTime) }
+
+// contentionPeriods is ContentionPeriods with its two event lists sorted by
+// sortEvents, which gets a scratch list and returns it, grown if it needed a
+// longer one.
+func contentionPeriods(p *Pattern, sortEvents func(evs, buf []periodEvent) []periodEvent) []Clique {
 	flows := make([]Flow, len(p.Messages))
 	for i, m := range p.Messages {
 		flows[i] = m.Flow()
@@ -113,19 +117,18 @@ func ContentionPeriods(p *Pattern) []Clique {
 	if ix.Len() == 0 {
 		return nil
 	}
-	starts := make([]periodEvent, 0, len(p.Messages))
-	finishes := make([]periodEvent, 0, len(p.Messages))
+	n := len(p.Messages)
+	evs := make([]periodEvent, 2*n)
+	starts, finishes := evs[:n], evs[n:]
 	for i, m := range p.Messages {
 		id := int32(-1)
 		if fid, ok := ix.ID(flows[i]); ok {
 			id = int32(fid)
 		}
-		starts = append(starts, periodEvent{m.Start, id})
-		finishes = append(finishes, periodEvent{m.Finish, id})
+		starts[i] = periodEvent{m.Start, id}
+		finishes[i] = periodEvent{m.Finish, id}
 	}
-	byTime := func(a, b periodEvent) int { return cmp.Compare(a.t, b.t) }
-	slices.SortFunc(starts, byTime)
-	slices.SortFunc(finishes, byTime)
+	sortEvents(finishes, sortEvents(starts, nil))
 
 	words := (ix.Len() + 63) / 64
 	active := make(BitSet, words)
@@ -141,7 +144,6 @@ func ContentionPeriods(p *Pattern) []Clique {
 	var prev []int32
 	head := make(map[uint64]int32)
 
-	n := len(starts)
 	for i, j := 0, 0; j < n; {
 		t := finishes[j].t
 		if i < n && starts[i].t < t {
@@ -192,6 +194,80 @@ func ContentionPeriods(p *Pattern) []Clique {
 		}
 	}
 	return out
+}
+
+// sortByTime sorts evs by time in the order cmp.Compare gives times — every
+// NaN first, −0 equal to +0 — and returns buf, its scratch, allocated or
+// grown if evs needed a longer one. The sweep consumes all events at one
+// instant together, so it does not depend on their order within an instant,
+// and any sort in that order serves. A list already in order is left alone;
+// any other is LSD radix sorted on timeKey, a byte a pass, skipping each
+// byte that every key shares.
+func sortByTime(evs, buf []periodEvent) []periodEvent {
+	if sortedByTime(evs) {
+		return buf
+	}
+	if len(buf) < len(evs) {
+		buf = make([]periodEvent, len(evs))
+	}
+	var counts [8][256]int32
+	for _, e := range evs {
+		k := timeKey(e.t)
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	src, dst := evs, buf[:len(evs)]
+	first := timeKey(evs[0].t)
+	for b := range counts {
+		c, shift := &counts[b], 8*b
+		if int(c[byte(first>>shift)]) == len(evs) {
+			continue // every key has this byte
+		}
+		var at int32
+		for d, cnt := range c {
+			c[d], at = at, at+cnt
+		}
+		for _, e := range src {
+			d := byte(timeKey(e.t) >> shift)
+			dst[c[d]] = e
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &evs[0] {
+		copy(evs, src)
+	}
+	return buf
+}
+
+// sortedByTime reports whether evs is already in sortByTime's order, as a
+// generated trace's starts are: its messages are listed by start time.
+func sortedByTime(evs []periodEvent) bool {
+	for i := 1; i < len(evs); i++ {
+		if timeKey(evs[i].t) < timeKey(evs[i-1].t) {
+			return false
+		}
+	}
+	return true
+}
+
+// timeKey maps a time to a key whose unsigned order is cmp.Compare's order
+// of times: every NaN is 0, below −Inf, and −0 keys as +0. A non-negative
+// time sets the top bit over its bits; a negative one inverts its bits, so
+// its larger magnitudes key lower.
+func timeKey(t float64) uint64 {
+	switch {
+	case t != t:
+		return 0
+	case t == 0:
+		return 1 << 63
+	}
+	b := math.Float64bits(t)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // hashBits hashes a flow set for ContentionPeriods' dedup table: a

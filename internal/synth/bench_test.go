@@ -68,6 +68,35 @@ func benchSynthesizeBT16(b *testing.B) {
 	}
 }
 
+// BenchmarkSynthesizeFFT16 is the paper harness's focus cell, FFT/16 at full
+// size, under its synthesis options (harness.Paper(): seed 1, the default
+// restarts) on one worker: the median 16-processor NAS cell, whose
+// globalRefine is merge-, Best_Route- and rerouteAnneal-bound, so the one
+// where the floor's penalty term and rerouteAnneal's bound prune most.
+func BenchmarkSynthesizeFFT16(b *testing.B) { benchSynthesizeFFT16(b) }
+
+// BenchmarkSynthesizeFFT16Reference is BenchmarkSynthesizeFFT16 with every
+// candidate priced (priceEveryTarget). make bench-synth gates the ratio of
+// the two.
+func BenchmarkSynthesizeFFT16Reference(b *testing.B) {
+	priceEveryTarget = true
+	defer func() { priceEveryTarget = false }()
+	benchSynthesizeFFT16(b)
+}
+
+func benchSynthesizeFFT16(b *testing.B) {
+	pat, err := nas.Generate("FFT", 16, nas.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Synthesize(pat, Options{Seed: 1, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSynthesizeHierNoI is the NoI level of hier FFT/16 under four
 // clusters (default restarts, serial): no restart ever meets the degree
 // budget, so every one runs all its rounds and no merge sweep — the

@@ -220,10 +220,10 @@ func (s *state) wiGroupRoute(g group, cand []int, bound int) int {
 }
 
 // groupRouteDelta is the cost change of rerouting a flow (and its mirrored
-// reverse, if grouped) onto cand: a family of one.
-func (s *state) groupRouteDelta(g group, cand []int) int {
+// reverse, if grouped) onto cand, bound as wiDeltaCand: a family of one.
+func (s *state) groupRouteDelta(g group, cand []int, bound int) int {
 	s.wiGroupDepart(g)
-	d := s.wiGroupRoute(g, cand, noBound)
+	d := s.wiGroupRoute(g, cand, bound)
 	s.wiRelease()
 	return d
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/collective"
+	"repro/internal/harness"
 	"repro/internal/hier"
 	"repro/internal/model"
 	"repro/internal/nas"
@@ -83,9 +84,12 @@ func noiLevels(t *testing.T) []*model.Pattern {
 // winner Stats (MovesEvaluated included, whose skipped ticks are added in
 // closed form) and the same summed counters. It runs the NoI levels of the
 // three hier classes the server benchmark requests, where the NoI loop leaves
-// most switch indices dead, at seeds 1–8 under the server's constraints, and
-// the 63 runs of the golden corpus. The shortcut side alternates between 1
-// and 8 workers, so the counters are held across worker counts as well.
+// most switch indices dead, at seeds 1–8 under the server's constraints, the
+// 63 runs of the golden corpus, and the five 16-processor NAS cells at full
+// size under the paper harness's synthesis options, where the floor's
+// penalty term and rerouteAnneal's bound prune most. The shortcut side
+// alternates between 1 and 8 workers, so the counters are held across worker
+// counts as well.
 func TestDeadTwinsMatchEveryTarget(t *testing.T) {
 	type run struct {
 		name string
@@ -110,8 +114,16 @@ func TestDeadTwinsMatchEveryTarget(t *testing.T) {
 			SeedDesign:  synth.SeedFromDesign(base.Net, base.Table),
 			Constraints: synth.Constraints{MaxDegree: 4, MaxProcsPerSwitch: 3}}})
 	}
-	if len(runs) != 24+63 {
-		t.Fatalf("%d runs, want 24 NoI runs and the 63 golden ones", len(runs))
+	paper := harness.Paper()
+	for _, name := range []string{"BT", "CG", "FFT", "MG", "SP"} {
+		p, err := nas.Generate(name, 16, nas.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{p.Name, p, synth.Options{Seed: paper.Seed, Restarts: paper.SynthRestarts, Workers: 2}})
+	}
+	if len(runs) != 24+63+5 {
+		t.Fatalf("%d runs, want 24 NoI runs, the 63 golden ones and 5 paper cells", len(runs))
 	}
 	for i, r := range runs {
 		want, wantCounts := everyTarget(t, r.pat, r.opt)

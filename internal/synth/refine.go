@@ -38,14 +38,14 @@ func (s *state) rerouteAnneal(budget int) {
 		if equalRoute(cand, s.routes[fi]) {
 			continue
 		}
-		delta := s.groupRouteDelta(g, cand)
 		// Accept improvements and plateaus; accept small regressions
-		// in the first quarter of the budget.
+		// in the first quarter of the budget. Only a price at or under the
+		// limit is read, so one above it bounds the pricing.
 		limit := 0
 		if step < budget/4 {
 			limit = costQuadWeight * 4
 		}
-		if delta <= limit {
+		if delta := s.groupRouteDelta(g, cand, limit+1); delta <= limit {
 			s.applyGroupRoute(g, cand)
 			s.stats.Reroutes += groupLen(g)
 			if delta < 0 {

@@ -201,7 +201,7 @@ func TestRouteDeltaIsNeutralOnRestore(t *testing.T) {
 		if a == b {
 			continue
 		}
-		s.groupRouteDelta(group{fi, -1}, []int{a, b})
+		s.groupRouteDelta(group{fi, -1}, []int{a, b}, noBound)
 	}
 	if !equalSnapshots(before, snapshotFull(s)) {
 		t.Fatal("routeDelta mutated state")

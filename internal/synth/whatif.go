@@ -69,7 +69,7 @@ type wiDir struct {
 type wiHop struct{ fi, from, to int32 }
 
 // noBound is the bound of a caller that reads the exact price whatever it is
-// (annealMoves' Metropolis test, rerouteAnneal's plateau moves).
+// (annealMoves' Metropolis test).
 const noBound = math.MaxInt
 
 // whatIf is the evaluator's scratch: the change stated so far.
@@ -77,7 +77,7 @@ type whatIf struct {
 	slot  []int32 // direction -> 1 + index in dirs, 0 if untouched
 	dirs  []wiDir // the base's directions, then the candidate's new ones
 	ov    []int32 // per-clique count deltas of dirs[k] at [k·nc, (k+1)·nc)
-	deg   []int64 // switch -> pending change of its pair-width sum
+	deg   []int64 // switch -> pending change of its pair-width sum (wiFloor: opened pairs)
 	fdeg  []int64 // switch -> the frozen base's change of its pair-width sum
 	sws   []int   // switches with a deg entry (then an fdeg entry); repeats allowed
 	hops  int     // pending hop change: the base's, then the candidate's
@@ -258,20 +258,26 @@ func (s *state) wiFreeze(from int) int {
 }
 
 // wiFloor is a lower bound on what wiDeltaCand prices the pending candidate
-// at, read in O(joins) from the frozen widths. A candidate only joins, so on
-// top of the base's delta it adds at least
+// at, with one processor arriving at switch `to` (-1: none does), read in
+// O(joins) from the frozen widths. A candidate only joins, so on top of the
+// base's delta it adds at least
 //
 //   - one hop per join, exactly;
 //   - one quad unit per clique of the joining flow: each count it raises goes
 //     from n ≥ 0 to n+1, so its square rises by 2n+1 ≥ 1;
 //   - one link per distinct pair whose width under the frozen base is zero:
 //     the join raises it to at least one, and no pair's width falls;
-//   - no penalty: degrees and processor counts only rise, and excess is
-//     monotone in both.
+//   - the excess such pairs force: each one the candidate opens raises both
+//     its switches' width sums by at least one, and `to` gains a processor
+//     and a port. A switch with k opened pairs therefore ends at least k+dn
+//     ports up, dn = 1 at `to`, and excess is monotone in degree and
+//     processor count; no other switch's excess falls.
 //
-// The terms only add, so the joins are read only until the floor reaches
-// bound; the pair marks are cleared before it returns.
-func (s *state) wiFloor(bound int) int {
+// The terms only add, so the joins are read, and the penalty priced, only
+// until the floor reaches bound. The opened pairs are counted per switch in
+// deg, which wiExcess consumes; the pair marks and every count are cleared
+// before it returns.
+func (s *state) wiFloor(to, bound int) int {
 	wi := &s.wi
 	fl, n := wi.base+len(wi.cand)*costHopWeight, 0
 	for ; n < len(wi.cand) && fl < bound; n++ {
@@ -281,11 +287,33 @@ func (s *state) wiFloor(bound int) int {
 		pi := s.widthIdx(a, b)
 		if !wi.seen[pi] && s.frozenW(a, b) == 0 && s.frozenW(b, a) == 0 {
 			wi.seen[pi] = true
+			wi.deg[a]++
+			wi.deg[b]++
 			fl += costLinkWeight
 		}
 	}
+	if to >= 0 && fl < bound {
+		p, _ := s.wiExcess(to, 1)
+		fl += p * costPenaltyWeight
+	}
 	for _, h := range wi.cand[:n] {
-		wi.seen[s.widthIdx(int(h.from), int(h.to))] = false
+		a, b := int(h.from), int(h.to)
+		pi := s.widthIdx(a, b)
+		if !wi.seen[pi] {
+			continue
+		}
+		wi.seen[pi] = false
+		for _, sw := range [2]int{a, b} {
+			if wi.deg[sw] == 0 {
+				continue // consumed: at `to` or at an earlier pair
+			}
+			if fl < bound {
+				p, _ := s.wiExcess(sw, 0)
+				fl += p * costPenaltyWeight
+			} else {
+				wi.deg[sw] = 0
+			}
+		}
 	}
 	return fl
 }
@@ -307,10 +335,13 @@ func (s *state) frozenW(from, to int) int32 {
 func (s *state) wiDeltaCand(to, bound int) int {
 	wi, nc := &s.wi, len(s.cliques)
 	if !priceEveryTarget {
-		if fl := s.wiFloor(bound); fl >= bound {
+		if fl := s.wiFloor(to, bound); fl >= bound {
 			wi.cand = wi.cand[:0]
 			return fl
 		}
+	}
+	if exactPricing != nil {
+		exactPricing(s, to)
 	}
 	for _, h := range wi.cand {
 		s.wiRaise(int(h.fi), int(h.from), int(h.to))
@@ -365,6 +396,11 @@ func (s *state) wiDeltaCand(to, bound int) int {
 	wi.quad, wi.hops = 0, 0
 	return d
 }
+
+// exactPricing, set only by tests, is called with the state and the arriving
+// switch of every candidate wiDeltaCand prices exactly, before it prices it:
+// the candidate's joins are stated and none is applied.
+var exactPricing func(s *state, to int)
 
 // wiPairCand prices the change the pending candidate makes to the pair of
 // entry k's direction into links and both switches' degree, once per pair.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
@@ -162,7 +163,7 @@ func compareGroup(t *testing.T, s *state, fi int) {
 		checkBounds(t, fmt.Sprintf("%s(%v,%v)", what, g, cand), want, price)
 	}
 	direct := []int{a, b}
-	check("groupRouteDelta", direct, func(int) int { return s.groupRouteDelta(g, direct) })
+	check("groupRouteDelta", direct, func(bound int) int { return s.groupRouteDelta(g, direct, bound) })
 	s.wiGroupDepart(g)
 	for m := -1; m < s.nsw(); m++ {
 		cand := direct
@@ -371,6 +372,105 @@ func TestSealedProbesCannotWin(t *testing.T) {
 	t.Logf("%d sealed swaps, %d stuck relocations", swaps, moves)
 }
 
+// TestWhatIfFloorSound holds the floor (wiFloor) to the price it bounds on
+// whatIfStates' states, for every kind of candidate: moves, relocation
+// families, swaps, group routes, pipe intermediates and the backbone
+// proposal. Read over every join (noBound), the floor must be at most the
+// exact price, and equal to it for a candidate that states no join, whose
+// price is the base and the arrival's excess alone. The states must hold
+// candidates whose floor has a penalty term (it reads lower with the
+// budgets lifted) and joinless arrivals that add excess, or the test fails.
+func TestWhatIfFloorSound(t *testing.T) {
+	const unpriced = math.MinInt
+	floor, base, joinless := unpriced, 0, false
+	priced, penalised, arrivals := 0, 0, 0
+	exactPricing = func(s *state, to int) {
+		floor, base, joinless = s.wiFloor(to, noBound), s.wi.base, len(s.wi.cand) == 0
+		deg, procs := s.opt.MaxDegree, s.opt.MaxProcsPerSwitch
+		s.opt.MaxDegree, s.opt.MaxProcsPerSwitch = math.MaxInt32, math.MaxInt32
+		if s.wiFloor(to, noBound) < floor {
+			penalised++
+		}
+		s.opt.MaxDegree, s.opt.MaxProcsPerSwitch = deg, procs
+	}
+	defer func() { exactPricing = nil }()
+	check := func(what string, price func() int) {
+		t.Helper()
+		floor = unpriced
+		got := price()
+		switch {
+		case floor == unpriced: // returned without pricing (wiPipeVia's stuck flows)
+			return
+		case floor > got:
+			t.Fatalf("%s: floor %d above the exact price %d", what, floor, got)
+		case joinless && floor != got:
+			t.Fatalf("%s states no join: floor %d, the exact price %d", what, floor, got)
+		}
+		priced++
+		if joinless && got > base {
+			arrivals++
+		}
+	}
+	whatIfStates(t, func(s *state, rng *rand.Rand, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			p, q := rng.Intn(s.procs), rng.Intn(s.procs)
+			a, b := rng.Intn(s.nsw()), rng.Intn(s.nsw())
+			if a != s.home[p] {
+				check(fmt.Sprintf("probeMove(%d,%d)", p, a), func() int { return s.probeMove(p, a, noBound) })
+			}
+			s.wiDepart(p)
+			for to := range s.nsw() {
+				if to != s.home[p] {
+					check(fmt.Sprintf("wiArrive(%d,%d)", p, to), func() int { return s.wiArrive(p, to, noBound) })
+				}
+			}
+			s.wiRelease()
+			if s.home[p] != s.home[q] {
+				check(fmt.Sprintf("probeSwap(%d,%d)", p, q), func() int { return s.probeSwap(p, q, noBound) })
+			}
+			fi := rng.Intn(len(s.flows))
+			f := s.flows[fi]
+			if ha, hb := s.home[f.Src], s.home[f.Dst]; ha != hb {
+				g := group{fi, -1}
+				if ri := s.revID[fi]; ri >= 0 && isMirror(s.routes[ri], s.routes[fi]) {
+					g[1] = ri
+				}
+				s.wiGroupDepart(g)
+				for m := -1; m < s.nsw(); m++ {
+					cand := []int{ha, hb}
+					if m >= 0 {
+						if m == ha || m == hb {
+							continue
+						}
+						cand = []int{ha, m, hb}
+					}
+					check(fmt.Sprintf("wiGroupRoute(%v,%v)", g, cand), func() int { return s.wiGroupRoute(g, cand, noBound) })
+				}
+				s.wiRelease()
+			}
+			if a != b {
+				s.wiPipeDepart(slices.Clone(s.pipeFlowIDs(a, b)), a, b)
+				for m := -1; m < s.nsw(); m++ {
+					if m != a && m != b {
+						check(fmt.Sprintf("wiPipeVia(%d,%d,%d)", a, b, m), func() int { return s.wiPipeVia(m, noBound) })
+					}
+				}
+				s.wiRelease()
+			}
+		}
+		if paths := s.backboneProposal(); paths != nil {
+			check("wiBackbone", func() int { return s.wiBackbone(paths, noBound) })
+		}
+		checkStateInvariants(t, s)
+	})
+	if penalised == 0 || arrivals == 0 {
+		t.Fatalf("%d candidates priced, %d with a penalty term in the floor, %d joinless arrivals adding excess; the states must hold both",
+			priced, penalised, arrivals)
+	}
+	t.Logf("%d candidates priced, %d with a penalty term in the floor, %d joinless arrivals adding excess", priced, penalised, arrivals)
+}
+
 // TestWhatIfPitfalls drives the evaluator through the shapes a first version
 // gets wrong, each on a hand-built state, against the oracle.
 func TestWhatIfPitfalls(t *testing.T) {
@@ -505,4 +605,33 @@ func TestWhatIfPitfalls(t *testing.T) {
 			checkStateInvariants(t, s)
 		})
 	}
+}
+
+// TestExactPricingCeiling holds FFT/16, the median 16-processor NAS cell, to
+// a ceiling on the candidates priced exactly (exactPricing) per synthesis at
+// the default options, seeds 1–4. Every other candidate is returned on its
+// floor. The floor without its penalty term, with rerouteAnneal pricing
+// exactly, let 34,936 through; with both, 6,561. The ceiling is about 1.5×
+// that: a floor or a bound that stops pruning fails here, not only in a
+// benchmark.
+func TestExactPricingCeiling(t *testing.T) {
+	const ceiling = 10000
+	fft, err := nas.Generate("FFT", 16, nas.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var priced atomic.Int64
+	exactPricing = func(*state, int) { priced.Add(1) }
+	defer func() { exactPricing = nil }()
+	const seeds = 4
+	for seed := int64(1); seed <= seeds; seed++ {
+		if _, err := Synthesize(fft, Options{Seed: seed, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := priced.Load() / seeds
+	if per > ceiling {
+		t.Fatalf("FFT/16: %d exact pricings per synthesis, ceiling %d", per, ceiling)
+	}
+	t.Logf("FFT/16: %d exact pricings per synthesis (ceiling %d)", per, ceiling)
 }
