@@ -7,7 +7,8 @@ import (
 	"repro/internal/model"
 )
 
-// flowsN builds n distinct flows (i, i+100).
+// flowsN builds n distinct flows (i, i+100), in sorted order, so flow i is
+// vertex i of any conflict graph over all of them.
 func flowsN(n int) []model.Flow {
 	fs := make([]model.Flow, n)
 	for i := range fs {
@@ -22,8 +23,8 @@ type edges [][2]model.Flow
 func (e *edges) Add(a, b model.Flow) { *e = append(*e, [2]model.Flow{a, b}) }
 
 // contention builds the relation C over fs that marks exactly the listed
-// pairs.
-func contention(fs []model.Flow, c edges) *model.ConflictMatrix {
+// pairs, and the index it is defined over.
+func contention(fs []model.Flow, c edges) (*model.FlowIndex, *model.ConflictMatrix) {
 	ix := model.NewFlowIndex(fs)
 	cm := model.NewConflictMatrix(ix)
 	for _, p := range c {
@@ -31,13 +32,13 @@ func contention(fs []model.Flow, c edges) *model.ConflictMatrix {
 		j, _ := ix.ID(p[1])
 		cm.Add(i, j)
 	}
-	return cm
+	return ix, cm
 }
 
 // graph builds the conflict graph with vertices fs and the listed edges.
-func graph(fs []model.Flow, c edges) *ConflictGraph {
-	cm := contention(fs, c)
-	return BuildConflictGraphBits(cm.Index().Bits(fs), cm)
+func graph(fs []model.Flow, c edges) *conflictGraph {
+	ix, cm := contention(fs, c)
+	return buildConflictGraph(ix.Bits(fs), cm)
 }
 
 func fullContention(fs []model.Flow) edges {
@@ -50,21 +51,28 @@ func fullContention(fs []model.Flow) edges {
 	return c
 }
 
+// edge reports whether vertices i and j conflict.
+func (g *conflictGraph) edge(i, j int) bool { return g.adj[i].Has(j) }
+
+// edgeCount counts the graph's edges.
+func (g *conflictGraph) edgeCount() int {
+	e := 0
+	for _, d := range g.degree {
+		e += d
+	}
+	return e / 2
+}
+
 func TestBuildConflictGraph(t *testing.T) {
 	fs := flowsN(4)
 	var c edges
 	c.Add(fs[0], fs[1])
 	c.Add(fs[2], fs[3])
 	g := graph(fs, c)
-	if g.N() != 4 || g.Edges() != 2 {
-		t.Fatalf("graph: n=%d e=%d", g.N(), g.Edges())
+	if g.n() != 4 || g.edgeCount() != 2 {
+		t.Fatalf("graph: n=%d e=%d", g.n(), g.edgeCount())
 	}
-	// Vertices are sorted; find indices by flow.
-	idx := map[model.Flow]int{}
-	for i, f := range g.Flows {
-		idx[f] = i
-	}
-	if !g.Edge(idx[fs[0]], idx[fs[1]]) || g.Edge(idx[fs[0]], idx[fs[2]]) {
+	if !g.edge(0, 1) || !g.edge(3, 2) || g.edge(0, 2) {
 		t.Fatal("wrong adjacency")
 	}
 }
@@ -72,50 +80,62 @@ func TestBuildConflictGraph(t *testing.T) {
 func TestGreedyOnCompleteGraph(t *testing.T) {
 	fs := flowsN(5)
 	g := graph(fs, fullContention(fs))
-	k, assign := g.Greedy()
+	k, assign := g.dsatur()
 	if k != 5 {
 		t.Fatalf("K5 greedy colors = %d, want 5", k)
 	}
-	checkProper(t, g, assign)
+	checkProper(t, g, k, assign)
 }
 
 func TestGreedyOnEmptyGraph(t *testing.T) {
 	fs := flowsN(6)
 	g := graph(fs, nil)
-	k, assign := g.Greedy()
+	k, assign := g.dsatur()
 	if k != 1 {
 		t.Fatalf("edgeless graph colors = %d, want 1", k)
 	}
-	checkProper(t, g, assign)
+	checkProper(t, g, k, assign)
 }
 
 func TestGreedyZeroVertices(t *testing.T) {
 	g := graph(nil, nil)
-	if k, _ := g.Greedy(); k != 0 {
+	if k, _ := g.dsatur(); k != 0 {
 		t.Fatalf("empty graph colors = %d", k)
 	}
-	if k, _, exact := g.Exact(nil); k != 0 || !exact {
-		t.Fatalf("empty graph exact = %d", k)
+	if k, _ := g.chromatic(); k != 0 {
+		t.Fatalf("empty graph chromatic = %d", k)
+	}
+	ix, cm := contention(nil, nil)
+	if k, _, certified := Color(ix.Bits(nil), cm); k != 0 || !certified {
+		t.Fatalf("empty direction: k=%d certified=%v, want 0, certified", k, certified)
 	}
 }
 
+// TestExactOddCycle pins the case the certificate cannot settle: C5 needs 3
+// colours and DSATUR finds 3, but its largest clique is an edge, so Color
+// returns the optimum uncertified. Only the oracle proves it optimal.
 func TestExactOddCycle(t *testing.T) {
-	// C5 needs 3 colors; DSATUR may also find 3, but exact must prove it.
 	fs := flowsN(5)
 	var c edges
 	for i := 0; i < 5; i++ {
 		c.Add(fs[i], fs[(i+1)%5])
 	}
 	g := graph(fs, c)
-	k, assign, exact := g.Exact(nil)
-	if k != 3 || !exact {
-		t.Fatalf("C5 chromatic = %d (exact=%v), want 3", k, exact)
+	chi, assign := g.chromatic()
+	if chi != 3 {
+		t.Fatalf("C5 chromatic = %d, want 3", chi)
 	}
-	checkProper(t, g, assign)
+	checkProper(t, g, chi, assign)
+	ix, cm := contention(fs, c)
+	k, colors, certified := Color(ix.Bits(fs), cm)
+	if k != 3 || certified {
+		t.Fatalf("C5 Color: k=%d certified=%v, want 3 uncertified", k, certified)
+	}
+	checkProper(t, g, k, colors)
 }
 
 func TestExactBipartite(t *testing.T) {
-	// K3,3 is 2-chromatic; greedy may or may not see it, exact must.
+	// K3,3 is 2-chromatic, and one edge certifies it.
 	fs := flowsN(6)
 	var c edges
 	for i := 0; i < 3; i++ {
@@ -124,21 +144,30 @@ func TestExactBipartite(t *testing.T) {
 		}
 	}
 	g := graph(fs, c)
-	k, assign, exact := g.Exact(nil)
-	if k != 2 || !exact {
-		t.Fatalf("K3,3 chromatic = %d (exact=%v), want 2", k, exact)
+	chi, assign := g.chromatic()
+	if chi != 2 {
+		t.Fatalf("K3,3 chromatic = %d, want 2", chi)
 	}
-	checkProper(t, g, assign)
+	checkProper(t, g, chi, assign)
+	ix, cm := contention(fs, c)
+	if k, _, certified := Color(ix.Bits(fs), cm); k != 2 || !certified {
+		t.Fatalf("K3,3 Color: k=%d certified=%v, want 2 certified", k, certified)
+	}
 }
 
-func checkProper(t *testing.T, g *ConflictGraph, assign []int) {
+// checkProper fails unless assign gives every vertex a colour in [0, k) and
+// no edge two ends of one colour.
+func checkProper(t testing.TB, g *conflictGraph, k int, assign []int) {
 	t.Helper()
-	for i := 0; i < g.N(); i++ {
-		if assign[i] < 0 {
-			t.Fatalf("vertex %d uncolored", i)
+	if len(assign) != g.n() {
+		t.Fatalf("%d colours for %d vertices", len(assign), g.n())
+	}
+	for i := 0; i < g.n(); i++ {
+		if assign[i] < 0 || assign[i] >= k {
+			t.Fatalf("vertex %d coloured %d, outside [0, %d)", i, assign[i], k)
 		}
-		for j := i + 1; j < g.N(); j++ {
-			if g.Edge(i, j) && assign[i] == assign[j] {
+		for j := i + 1; j < g.n(); j++ {
+			if g.edge(i, j) && assign[i] == assign[j] {
 				t.Fatalf("improper coloring: %d and %d share color %d", i, j, assign[i])
 			}
 		}
@@ -165,7 +194,7 @@ func TestFastColor(t *testing.T) {
 
 // The paper's key property: Fast_Color is a lower bound on the chromatic
 // number of the conflict graph, and often tight. Verify the bound over
-// random clique structures; also sanity-check greedy as an upper bound.
+// random clique structures; also sanity-check DSATUR as an upper bound.
 func TestFastColorIsLowerBoundProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tight := 0
@@ -193,16 +222,13 @@ func TestFastColorIsLowerBoundProperty(t *testing.T) {
 		ix := model.NewFlowIndex(universe)
 		pipe := ix.Bits(pipeList)
 		lb := FastColorBits(ix.CliqueBits(cliques), pipe)
-		g := BuildConflictGraphBits(pipe, model.ConflictMatrixFromCliques(ix, cliques))
-		chrom, assign, exact := g.Exact(nil)
-		if !exact {
-			t.Fatalf("trial %d: exact coloring exhausted on a 10-vertex graph", trial)
-		}
-		checkProper(t, g, assign)
+		g := buildConflictGraph(pipe, model.ConflictMatrixFromCliques(ix, cliques))
+		chrom, assign := g.chromatic()
+		checkProper(t, g, chrom, assign)
 		if lb > chrom {
 			t.Fatalf("trial %d: FastColorBits %d exceeds chromatic number %d", trial, lb, chrom)
 		}
-		gk, _ := g.Greedy()
+		gk, _ := g.dsatur()
 		if gk < chrom {
 			t.Fatalf("trial %d: greedy %d below chromatic %d", trial, gk, chrom)
 		}
@@ -230,19 +256,16 @@ func TestExactMatchesBruteForceSmall(t *testing.T) {
 			}
 		}
 		g := graph(fs, c)
-		k, assign, exact := g.Exact(nil)
-		if !exact {
-			t.Fatalf("budget exhausted on %d vertices", n)
-		}
-		checkProper(t, g, assign)
+		k, assign := g.chromatic()
+		checkProper(t, g, k, assign)
 		if bf := bruteChromatic(g); bf != k {
 			t.Fatalf("trial %d: exact=%d brute=%d", trial, k, bf)
 		}
 	}
 }
 
-func bruteChromatic(g *ConflictGraph) int {
-	n := g.N()
+func bruteChromatic(g *conflictGraph) int {
+	n := g.n()
 	for k := 1; k <= n; k++ {
 		assign := make([]int, n)
 		if bruteTry(g, assign, 0, k) {
@@ -252,14 +275,14 @@ func bruteChromatic(g *ConflictGraph) int {
 	return n
 }
 
-func bruteTry(g *ConflictGraph, assign []int, v, k int) bool {
-	if v == g.N() {
+func bruteTry(g *conflictGraph, assign []int, v, k int) bool {
+	if v == g.n() {
 		return true
 	}
 	for c := 1; c <= k; c++ {
 		ok := true
 		for u := 0; u < v; u++ {
-			if g.Edge(u, v) && assign[u] == c {
+			if g.edge(u, v) && assign[u] == c {
 				ok = false
 				break
 			}
@@ -277,19 +300,18 @@ func bruteTry(g *ConflictGraph, assign []int, v, k int) bool {
 
 func TestColorPipeDirection(t *testing.T) {
 	fs := flowsN(4)
-	cm := contention(fs, fullContention(fs[:3])) // first three mutually conflict
-	k, assign, exact := ColorPipeDirectionBits(cm.Index().Bits(fs), cm)
-	if k != 3 || !exact {
-		t.Fatalf("k=%d exact=%v, want 3", k, exact)
+	ix, cm := contention(fs, fullContention(fs[:3])) // first three mutually conflict
+	k, colors, certified := Color(ix.Bits(fs), cm)
+	if k != 3 || !certified {
+		t.Fatalf("k=%d certified=%v, want 3 certified", k, certified)
 	}
-	if len(assign) != 4 {
-		t.Fatalf("assignment size %d", len(assign))
+	if len(colors) != 4 {
+		t.Fatalf("%d colours for 4 flows", len(colors))
 	}
 	seen := map[int]bool{}
-	for _, f := range fs[:3] {
-		col := assign[f]
+	for _, col := range colors[:3] {
 		if col < 0 || col >= 3 || seen[col] {
-			t.Fatalf("bad assignment %v", assign)
+			t.Fatalf("bad colouring %v", colors)
 		}
 		seen[col] = true
 	}

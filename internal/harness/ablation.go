@@ -58,7 +58,7 @@ func (c Config) ColoringQuality(procs map[string]int) ([]ColoringQualityRow, err
 		}
 		for _, flows := range dirFlows {
 			fast := coloring.FastColorBits(cliqueBits, flows)
-			chrom, _, _ := coloring.ColorPipeDirectionBits(flows, contention)
+			chrom, _, _ := coloring.Color(flows, contention)
 			row.Pipes++
 			if fast == chrom {
 				row.Tight++
@@ -94,8 +94,8 @@ type AblationRow struct {
 }
 
 // Ablations runs the design-choice ablations on one benchmark: the full
-// methodology, Best_Route disabled, global refinement disabled, greedy
-// final coloring, and annealed moves.
+// methodology, Best_Route disabled, global refinement disabled, and annealed
+// moves.
 func (c Config) Ablations(benchmark string, procs int) ([]AblationRow, error) {
 	pat, err := c.generate(benchmark, procs)
 	if err != nil {
@@ -108,7 +108,6 @@ func (c Config) Ablations(benchmark string, procs int) ([]AblationRow, error) {
 		{"full", synth.Full},
 		{"no-bestroute", synth.NoBestRoute},
 		{"no-refine", synth.NoGlobalRefine},
-		{"greedy-color", synth.GreedyColoring},
 		{"annealed", synth.Annealed},
 	}
 	// Every variant synthesizes from the same immutable pattern; the

@@ -286,7 +286,7 @@ func TestAblationsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
+	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {

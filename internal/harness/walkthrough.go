@@ -66,7 +66,7 @@ func (c Config) Walkthrough() (*WalkthroughResult, error) {
 			if k := coloring.FastColorBits(cliqueBits, dir); k > fast {
 				fast = k
 			}
-			if k, _, _ := coloring.ColorPipeDirectionBits(dir, contention); k > exact {
+			if k, _, _ := coloring.Color(dir, contention); k > exact {
 				exact = k
 			}
 		}

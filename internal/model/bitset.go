@@ -59,20 +59,6 @@ func (b BitSet) AndCount(c BitSet) int {
 	return count
 }
 
-// Intersects reports whether b and c share an element.
-func (b BitSet) Intersects(c BitSet) bool {
-	n := len(b)
-	if len(c) < n {
-		n = len(c)
-	}
-	for i := 0; i < n; i++ {
-		if b[i]&c[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Or adds every element of c to b. c must not be longer than b.
 func (b BitSet) Or(c BitSet) {
 	for i, w := range c {

@@ -152,9 +152,6 @@ func NewConflictMatrix(ix *FlowIndex) *ConflictMatrix {
 	return &ConflictMatrix{ix: ix, rows: rows}
 }
 
-// Index returns the FlowIndex the matrix is defined over.
-func (m *ConflictMatrix) Index() *FlowIndex { return m.ix }
-
 // Row returns flow i's conflict row. The row is shared; callers must not
 // mutate it.
 func (m *ConflictMatrix) Row(i int) BitSet { return m.rows[i] }

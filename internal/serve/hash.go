@@ -59,16 +59,18 @@ func finishKey(h hash.Hash, opt synth.Options, extra ...string) string {
 // in warm.go), and "seedfp=none" is the text every key has always carried.
 // Fields are spelled out (not reflected) so adding an option later forces a
 // conscious decision about whether it belongs in the key. "maxrounds=16" is
-// the text a former option's only value ever wrote, and the anneal schedule
-// and three booleans are the text the former per-ablation fields wrote for
-// each Variant; they stay so every stored key stays valid.
+// the text a former option's only value ever wrote, "greedycolor=false" the
+// text of a former DSATUR-only colouring ablation, now the same run as Full,
+// and the anneal schedule and two booleans are the text the former
+// per-ablation fields wrote for each Variant; they stay so every stored key
+// stays valid.
 func OptionsFingerprint(opt synth.Options) string {
 	o := opt.Normalized()
 	anneal := "0/0.9/32"
 	if o.Variant == synth.Annealed {
 		anneal = "262144/0.85/24"
 	}
-	return fmt.Sprintf("maxdeg=%d maxprocs=%d seed=%d restarts=%d anneal=%s nobestroute=%t noglobalrefine=%t greedycolor=%t maxrounds=16 seedfp=none",
+	return fmt.Sprintf("maxdeg=%d maxprocs=%d seed=%d restarts=%d anneal=%s nobestroute=%t noglobalrefine=%t greedycolor=false maxrounds=16 seedfp=none",
 		o.MaxDegree, o.MaxProcsPerSwitch, o.Seed, o.Restarts, anneal,
-		o.Variant == synth.NoBestRoute, o.Variant == synth.NoGlobalRefine, o.Variant == synth.GreedyColoring)
+		o.Variant == synth.NoBestRoute, o.Variant == synth.NoGlobalRefine)
 }

@@ -97,7 +97,6 @@ func TestOptionsFingerprintVariants(t *testing.T) {
 		synth.Full:           full,
 		synth.NoBestRoute:    strings.Replace(full, "nobestroute=false", "nobestroute=true", 1),
 		synth.NoGlobalRefine: strings.Replace(full, "noglobalrefine=false", "noglobalrefine=true", 1),
-		synth.GreedyColoring: strings.Replace(full, "greedycolor=false", "greedycolor=true", 1),
 		synth.Annealed:       strings.Replace(full, "anneal=0/0.9/32", "anneal=262144/0.85/24", 1),
 	} {
 		if got := OptionsFingerprint(synth.Options{Variant: v}); got != want {

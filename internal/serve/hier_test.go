@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/coloring"
 	"repro/internal/hier"
 	"repro/internal/synth"
 	"repro/internal/workloads"
@@ -75,7 +74,7 @@ func TestDesignHier(t *testing.T) {
 	for _, lv := range direct.Levels() {
 		want.Add(lv.Result.Stats)
 	}
-	if want.Coloring == (coloring.Stats{}) {
+	if want.DSATUR == 0 {
 		t.Fatal("no level of the workload ran the colourer: the check below has no power")
 	}
 	if dr.Stats != want {
@@ -159,16 +158,18 @@ func TestDesignHierBadRequests(t *testing.T) {
 // response (bodyDigest) are those of the commit before hier.NoIOptions —
 // the digests plus the synth.Stats MergesTried/MergesSkipped fields and
 // counters the bodies have carried since (no other difference; CHANGES.md,
-// PR 22).
+// PR 22), and with the stats.Coloring object folded into stats.DSATUR and
+// the always-zero coloring.branch_and_bound and coloring.fallbacks counters
+// gone, as branch-and-bound colouring left production.
 func TestHierNoIInheritsNoCPinned(t *testing.T) {
 	srv := newTestServer(t, quickConfig())
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	for _, c := range []struct{ name, body, key, digest string }{
 		{"inherited", `{"benchmark":"CG","procs":16,"max_degree":6,"hier":{"clusters":"blocks:4"}}`,
-			"sha256:1c85893346c9e6db03971e895a97fb532b82a4ab82d0b79d22b476c2a96acc42", "a5935a3a46497251129c90c3afe5d9bc404c25a0ab39be96ab5b575079d3c619"},
+			"sha256:1c85893346c9e6db03971e895a97fb532b82a4ab82d0b79d22b476c2a96acc42", "bbaffb49221466975954c1905f33a42ed621df10980c6c2cd42a915d6c66b7f5"},
 		{"overridden", `{"benchmark":"CG","procs":16,"max_degree":6,"hier":{"clusters":"blocks:4","noi_max_degree":4,"noi_max_procs":2}}`,
-			"sha256:02ba64506b2c9587e3c04d04cd87222d5f10c8665228aab186de4a7b7f7e12f4", "44cb6ac5b9cd3bbe5c42266bd2e77f555517ca7e7002fa8e2cb17ada5ea56cba"},
+			"sha256:02ba64506b2c9587e3c04d04cd87222d5f10c8665228aab186de4a7b7f7e12f4", "fecf25222f6aae9fa28bf332c2804570de08d2025029997583316027c645cf94"},
 	} {
 		resp, body := postDesign(t, ts.URL, c.body)
 		if resp.StatusCode != http.StatusOK {

@@ -89,20 +89,23 @@ func bodyDigest(t *testing.T, body []byte) string {
 // what comes out is what came out when each of the three derived its own.
 // The digests were taken from the commit before that change, with
 // bodyDigest, on a quickConfig server sent these three requests in order,
-// and re-based once since: when mergeRefine began to skip merges its port
+// and re-based twice since: when mergeRefine began to skip merges its port
 // bound rules out, the canonical bodies changed in stats.Reroutes and the
 // synth.reroutes counter (reroutes made inside discarded attempts are
 // counted, and a skipped attempt makes none) and gained the
 // MergesTried/MergesSkipped fields and counters — nothing else (CHANGES.md,
-// PR 22, has the diff).
+// PR 22, has the diff); and when branch-and-bound colouring left
+// production, the stats.Coloring object became the one stats.DSATUR count
+// and the always-zero coloring.branch_and_bound and coloring.fallbacks
+// counters went — nothing else.
 func TestFlatMissComputesModelOnce(t *testing.T) {
 	srv := newTestServer(t, quickConfig())
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	for i, c := range []struct{ name, body, digest string }{
-		{"CG/16", `{"benchmark":"CG","procs":16}`, "2b59c5bd4ce702c273a3a45354a351b3500c4c351a1d54ada94d9836304a71af"},
-		{"jitter", jitterRequest(t), "5c699725aad405ce17cf4c07164bda676d3bcb623acf1f0daa4d900fbd61d2bc"},
-		{"ring-allreduce/64", `{"benchmark":"ring-allreduce","procs":64}`, "06c0e53d56de3fee0e19c3a3c26aa1a408f1e2091bd0008f3ac5ea11160483d6"},
+		{"CG/16", `{"benchmark":"CG","procs":16}`, "a929b93ccf1030104ef870ae1c966a5e427d6b8f6a94e470fbde8b706b0cf345"},
+		{"jitter", jitterRequest(t), "18417b659fba7e60b20adea77831dcd50e9e8c96e1d7c099f8c1a930c89c7add"},
+		{"ring-allreduce/64", `{"benchmark":"ring-allreduce","procs":64}`, "7ccde0be3c9e97efa8376c490df40cd20ae1670325677f4559e6441b4ed282b4"},
 	} {
 		resp, body := postDesign(t, ts.URL, c.body)
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Nocd-Cache") != "miss" {

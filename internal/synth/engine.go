@@ -425,7 +425,7 @@ func (s *state) reset() {
 	if words > s.bsWords {
 		// Pooled bitsets sized for a smaller flow universe cannot index
 		// this pattern's flow IDs; drop them and let setRouteRaw rebuild.
-		// Oversized sets are value-safe (AndCount/Intersects zero-extend).
+		// Oversized sets are value-safe (AndCount zero-extends).
 		for i := range s.pipes {
 			s.pipes[i] = nil
 		}

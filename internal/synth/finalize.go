@@ -30,8 +30,8 @@ type Result struct {
 	ContentionFree bool
 	// Witnesses lists any C ∩ R violations (empty when ContentionFree).
 	Witnesses []model.FlowPair
-	// ExactColoring reports whether every pipe was colored provably
-	// optimally.
+	// ExactColoring reports whether every pipe direction's width is
+	// certified minimal by a clique.
 	ExactColoring bool
 	// Stats summarizes the search effort.
 	Stats Stats
@@ -44,8 +44,8 @@ type Result struct {
 // then the connectivity repair. It keeps each direction's width and link
 // colours for assemble and returns the real (post-colouring) degree of every
 // switch index, repair pipes included, which is all the outer loop reads of a
-// round, and whether every pipe was coloured provably optimally. A dead
-// switch's degree is 0 and a live one's at least 1.
+// round, and whether every direction's width is certified minimal by a
+// clique. A dead switch's degree is 0 and a live one's at least 1.
 //
 // A used direction joins two live switches, so colour, repairConnectivity
 // and assemble walk the live switches only (liveSwitches). They write and
@@ -67,19 +67,10 @@ func (s *state) colour() (realDeg []int, allExact bool) {
 				continue
 			}
 			set := s.pipeAt(from, to)
-			fast := coloring.FastColorBits(s.cliqueBits, set)
-			g := coloring.BuildConflictGraphBits(set, s.conflict)
-			var k int
-			var colors []int
-			if s.opt.Variant == GreedyColoring {
-				k, colors = g.Greedy()
-				s.stats.Coloring.DSATUR++
-			} else {
-				var exact bool
-				k, colors, exact = g.Exact(&s.stats.Coloring)
-				allExact = allExact && exact
-			}
-			if k > fast {
+			k, colors, certified := coloring.Color(set, s.conflict)
+			s.stats.DSATUR++
+			allExact = allExact && certified
+			if fast := coloring.FastColorBits(s.cliqueBits, set); k > fast {
 				s.stats.FastColorGap += k - fast
 			}
 			s.finK[d], s.finColors[d] = int32(k), colors
@@ -463,7 +454,7 @@ func emitSynthObs(o obs.Observer, totals Stats, best *Result) {
 	obs.Count(o, "synth.repairs", int64(totals.Repairs))
 	obs.Count(o, "synth.bisection_depth", int64(totals.MaxDepth))
 	obs.Count(o, "synth.fastcolor_width_gap", int64(totals.FastColorGap))
-	totals.Coloring.Emit(o)
+	obs.Count(o, "coloring.dsatur", int64(totals.DSATUR))
 	obs.Count(o, "synth.switches", int64(best.Net.NumSwitches()))
 	obs.Count(o, "synth.links", int64(best.Net.TotalLinks()))
 	if !best.ConstraintsMet {

@@ -21,7 +21,9 @@ var update = flag.Bool("update", false, "rewrite testdata/designs.golden and tes
 // goldenVariants are the option sets every corpus workload is synthesized
 // under. The first four are the variants the retired full-run comparison
 // against the reference move evaluator ran (default, annealed, DSATUR final
-// colouring, no Best_Route); the last two reach the paths those leave cold:
+// colouring, no Best_Route; the third has been the Full method at its seed
+// since DSATUR became the only final colouring, and its hashes held); the
+// last two reach the paths those leave cold:
 // partitioning without the global polish, and constraints tight enough that
 // the violation-repair passes (eliminatePipes, rerouteAnneal) do real work.
 // No corpus run lets backboneReroute commit; TestBackboneRerouteMeetsDegree
@@ -32,7 +34,7 @@ var goldenVariants = []struct {
 }{
 	{"default", synth.Options{Seed: 1, Restarts: 2, Workers: 2}},
 	{"anneal", synth.Options{Seed: 2, Restarts: 2, Workers: 2, Variant: synth.Annealed}},
-	{"greedy", synth.Options{Seed: 3, Restarts: 2, Workers: 2, Variant: synth.GreedyColoring}},
+	{"seed3", synth.Options{Seed: 3, Restarts: 2, Workers: 2}},
 	{"nobest", synth.Options{Seed: 4, Restarts: 2, Workers: 2, Variant: synth.NoBestRoute}},
 	{"norefine", synth.Options{Seed: 5, Restarts: 2, Workers: 2, Variant: synth.NoGlobalRefine}},
 	{"tight", synth.Options{Seed: 6, Restarts: 2, Workers: 2, Constraints: synth.Constraints{MaxDegree: 4, MaxProcsPerSwitch: 2}}},

@@ -23,7 +23,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/coloring"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -40,8 +39,7 @@ type Constraints struct {
 
 // Variant selects the paper's method (Full, the zero value) or one ablation
 // of it (DESIGN.md §4): NoBestRoute skips indirect-path optimization,
-// NoGlobalRefine the cross-switch polish, GreedyColoring finalizes with
-// DSATUR instead of exact coloring, and Annealed precedes each split's
+// NoGlobalRefine the cross-switch polish, and Annealed precedes each split's
 // greedy descent with annealMoves.
 type Variant int
 
@@ -49,7 +47,6 @@ const (
 	Full Variant = iota
 	NoBestRoute
 	NoGlobalRefine
-	GreedyColoring
 	Annealed
 )
 
@@ -131,8 +128,9 @@ type Stats struct {
 	// coloring's width minus the Fast_Color estimate — how optimistic the
 	// partitioning-time width bound was.
 	FastColorGap int
-	// Coloring accounts the finalization solvers' effort.
-	Coloring coloring.Stats
+	// DSATUR counts formal colourings: one per used pipe direction per
+	// round (the coloring.dsatur counter).
+	DSATUR int
 }
 
 // Add merges another run's counts — a restart's into its run's totals, a
@@ -155,7 +153,7 @@ func (s *Stats) Add(t Stats) {
 		s.MaxDepth = t.MaxDepth
 	}
 	s.FastColorGap += t.FastColorGap
-	s.Coloring.Add(t.Coloring)
+	s.DSATUR += t.DSATUR
 }
 
 // state is the mutable partitioning state. Switches are dense indices; the

@@ -241,19 +241,6 @@ func TestDisableBestRouteAblation(t *testing.T) {
 	t.Logf("links with Best_Route: %d, without: %d", with.Net.TotalLinks(), without.Net.TotalLinks())
 }
 
-func TestGreedyFinalColoringAblation(t *testing.T) {
-	pat := nas.Figure1Pattern()
-	exact := synthOrDie(t, pat, Options{Seed: 8})
-	greedy := synthOrDie(t, pat, Options{Seed: 8, Variant: GreedyColoring})
-	if !greedy.ContentionFree {
-		t.Fatal("greedy coloring must still be proper (contention-free)")
-	}
-	if exact.Net.TotalLinks() > greedy.Net.TotalLinks() {
-		t.Errorf("exact coloring used more links (%d) than greedy (%d)",
-			exact.Net.TotalLinks(), greedy.Net.TotalLinks())
-	}
-}
-
 func TestSynthesizeRejectsInvalidPattern(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -265,7 +252,7 @@ func TestSynthesizeRejectsInvalidPattern(t *testing.T) {
 		{"negative restarts", nas.Figure1Pattern(), Options{Restarts: -1}, "synth: negative Restarts -1"},
 		{"negative degree", nas.Figure1Pattern(), Options{Constraints: Constraints{MaxDegree: -1}}, "synth: negative MaxDegree -1"},
 		{"negative processors", nas.Figure1Pattern(), Options{Constraints: Constraints{MaxProcsPerSwitch: -2}}, "or MaxProcsPerSwitch -2"},
-		{"unknown variant", nas.Figure1Pattern(), Options{Variant: Annealed + 1}, "synth: unknown Variant 5"},
+		{"unknown variant", nas.Figure1Pattern(), Options{Variant: Annealed + 1}, "synth: unknown Variant 4"},
 	} {
 		_, err := Synthesize(tc.pat, tc.opt)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -300,7 +287,7 @@ func TestTheoremOneByConstruction(t *testing.T) {
 		}
 		res := synthOrDie(t, pat, Options{Seed: 13, Restarts: 1})
 		if !res.ExactColoring {
-			t.Logf("%s: coloring fell back to greedy (budget)", name)
+			t.Logf("%s: a width is not certified minimal by a clique", name)
 		}
 		ix := model.NewFlowIndex(pat.Flows())
 		c := model.ConflictMatrixFromCliques(ix, res.Cliques)
