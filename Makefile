@@ -1,10 +1,11 @@
 # Tier-1 verification gate (see README.md): vet (go vet plus a gofmt -l that
 # must print nothing), build, the full suite under the race detector, and the
 # determinism suite twice — the second -count exercises fresh goroutine
-# schedules so an order-dependent reduction cannot pass by luck.
+# schedules so an order-dependent reduction cannot pass by luck. `make census`
+# (outside verify) lists the functions the production corpus never runs.
 GO ?= go
 
-.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier fuzz
+.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier census fuzz
 
 verify: vet build race determinism
 
@@ -50,6 +51,19 @@ cover-serve cover-collective cover-hier: cover-%:
 	@total=$$(awk '/^total:/ {sub(/%/, "", $$3); print $$3}' COVER_$*.txt); \
 	echo "internal/$* line coverage: $$total% (floor $(COVER_FLOOR_$*)%)"; \
 	awk "BEGIN {exit !($$total >= $(COVER_FLOOR_$*))}" || { echo "FAIL: coverage $$total% below the $(COVER_FLOOR_$*)% floor"; exit 1; }
+
+# census is the coverage census, the dynamic half of TestReachable
+# (census.sh): it builds every cmd/ binary with -cover -coverpkg=repro/...,
+# runs the production corpus (full-scale and -quick paperfigs, tracegen,
+# netgen over flat and hier cells, netsim on every topology, benchratio, and
+# the four ledger workloads with -trace 1 against a coverage-built nocd), and
+# fails unless the functions that never ran (Error, Unwrap, String and
+# GoString methods, fatal and reach_allow.txt's names left out) are exactly
+# testdata/census.txt's. The fresh list lands in the untracked CENSUS.txt for
+# the CI artifact; everything else goes to a removed temporary directory.
+# About 1.5 minutes on a 2-core box.
+census:
+	GO=$(GO) sh census.sh
 
 # bench-<gate> is a same-machine speedup gate, one per name in BENCH_GATES:
 # it runs exactly the benchmarks named in BENCH_RATIO_<gate> (a

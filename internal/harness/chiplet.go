@@ -139,16 +139,6 @@ func chipletRow(res flitsim.Result, switches, links int, free bool) ChipletRow {
 	}
 }
 
-// BuildChipletDesign synthesizes just the two-level composite for a
-// benchmark — the entry the invariant suite drives.
-func (c Config) BuildChipletDesign(benchmark string, procs, clusters int) (*hier.Design, error) {
-	pat, err := c.generate(benchmark, procs)
-	if err != nil {
-		return nil, fmt.Errorf("chiplet %s/%d: %v", benchmark, procs, err)
-	}
-	return c.twoLevel(pat, clusters)
-}
-
 // RenderChipletTable formats chiplet rows as a text table.
 func RenderChipletTable(title string, rows []ChipletRow) string {
 	var b strings.Builder

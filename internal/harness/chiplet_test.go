@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/hier"
 	"repro/internal/obs"
 )
 
@@ -120,4 +122,14 @@ func TestChipletRowsAndEvents(t *testing.T) {
 			t.Errorf("rendered table missing %q:\n%s", topo, table)
 		}
 	}
+}
+
+// BuildChipletDesign synthesizes just the two-level composite for a
+// benchmark — the entry the invariant suite drives.
+func (c Config) BuildChipletDesign(benchmark string, procs, clusters int) (*hier.Design, error) {
+	pat, err := c.generate(benchmark, procs)
+	if err != nil {
+		return nil, fmt.Errorf("chiplet %s/%d: %v", benchmark, procs, err)
+	}
+	return c.twoLevel(pat, clusters)
 }

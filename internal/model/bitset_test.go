@@ -89,16 +89,17 @@ func TestBitSetEqualIgnoresUniverseSize(t *testing.T) {
 	}
 }
 
-// TestFlowIndexRoundTrip interns flow lists whose nodes all pack into a key
-// and lists with a node that does not (negative, or past 32 bits), and holds
-// each index to the map-and-sort interning it replaced: the same flows in
-// Flow.Less order, every ID resolved back, and no other flow resolved.
+// TestFlowIndexRoundTrip interns flow lists, up to the widest nodes a flow
+// key packs, and holds each index to the map-and-sort interning it replaced:
+// the same flows in Flow.Less order, every ID resolved back, and no other
+// flow resolved, one whose nodes do not pack included. A flow that does not
+// pack is a caller bug, since Validate bounds Procs by 2^32: NewFlowIndex
+// panics on it.
 func TestFlowIndexRoundTrip(t *testing.T) {
 	const big = 1 << 40
 	cases := [][]Flow{
 		{F(3, 1), F(0, 2), F(3, 1), F(5, 5), F(1, 3)},
-		{F(3, 1), F(0, 2), F(big, 1), F(5, 5), F(-2, 3), F(1, big), F(0, 2), F(big, big)},
-		{F(1<<32-1, 0), F(0, 1<<32-1), F(1<<32, 0), F(0, -1)},
+		{F(1<<32-1, 0), F(0, 1<<32-1), F(1<<32-1, 1<<32-2), F(0, 1<<32-1)},
 		{F(7, 7)},
 		nil,
 	}
@@ -126,6 +127,16 @@ func TestFlowIndexRoundTrip(t *testing.T) {
 				t.Fatalf("%v: unknown flow %v resolved to %d, %t", flows, f, id, ok)
 			}
 		}
+	}
+	for _, f := range []Flow{F(-2, 3), F(1, 1<<32), F(big, 0)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewFlowIndex accepted %v, whose nodes do not pack", f)
+				}
+			}()
+			NewFlowIndex([]Flow{F(0, 1), f})
+		}()
 	}
 }
 

@@ -3,7 +3,6 @@ package model
 import (
 	"math"
 	"sort"
-	"strconv"
 )
 
 // Clique is a set of flows that are all simultaneously in flight at some
@@ -63,22 +62,6 @@ func (c Clique) Equal(d Clique) bool {
 		}
 	}
 	return true
-}
-
-// Key returns a canonical string key for map deduplication.
-func (c Clique) Key() string {
-	return string(c.appendKey(make([]byte, 0, 8*len(c))))
-}
-
-// appendKey appends the canonical key to dst without fmt.
-func (c Clique) appendKey(dst []byte) []byte {
-	for _, f := range c {
-		dst = strconv.AppendInt(dst, int64(f.Src), 10)
-		dst = append(dst, '>')
-		dst = strconv.AppendInt(dst, int64(f.Dst), 10)
-		dst = append(dst, ';')
-	}
-	return dst
 }
 
 // periodEvent is one endpoint (start or finish) of a message: its time and

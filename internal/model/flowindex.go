@@ -1,7 +1,6 @@
 package model
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -19,16 +18,12 @@ import (
 // finds an ID by binary search over them, so a flow's ID is its key's rank.
 type FlowIndex struct {
 	flows []Flow
-	// keys holds the flows' packed keys, ascending, or is nil when some
-	// flow has a node outside [0, 2^32) (wide); ID then searches flows.
-	keys []uint64
-	wide bool
+	keys  []uint64 // the flows' packed keys, ascending
 }
 
 // flowKey packs f into one word, Src above Dst, so that key order is
-// Flow.Less order. ok is false when a node falls outside [0, 2^32): no
-// pattern the server admits has one, but Validate bounds nodes only by
-// Procs.
+// Flow.Less order. ok is false when a node falls outside [0, 2^32), which no
+// valid pattern has: Validate bounds Procs by 2^32.
 func flowKey(f Flow) (key uint64, ok bool) {
 	if uint64(f.Src)|uint64(f.Dst) >= 1<<32 {
 		return 0, false
@@ -37,7 +32,8 @@ func flowKey(f Flow) (key uint64, ok bool) {
 }
 
 // NewFlowIndex builds an index over the given flows (deduplicated and
-// sorted; self-flows are excluded, matching Pattern.Flows).
+// sorted; self-flows are excluded, matching Pattern.Flows). It panics on a
+// flow with a node outside [0, 2^32): no valid pattern has one.
 func NewFlowIndex(flows []Flow) *FlowIndex {
 	keys := make([]uint64, 0, len(flows))
 	for _, f := range flows {
@@ -46,7 +42,7 @@ func NewFlowIndex(flows []Flow) *FlowIndex {
 		}
 		k, ok := flowKey(f)
 		if !ok {
-			return newWideFlowIndex(flows)
+			panic(fmt.Sprintf("model: flow %v has a node outside [0, 2^32)", f))
 		}
 		keys = append(keys, k)
 	}
@@ -59,36 +55,16 @@ func NewFlowIndex(flows []Flow) *FlowIndex {
 	return &FlowIndex{flows: fs, keys: keys}
 }
 
-// newWideFlowIndex is NewFlowIndex over flows that do not all pack into a
-// key: it sorts and searches the flows themselves.
-func newWideFlowIndex(flows []Flow) *FlowIndex {
-	fs := make([]Flow, 0, len(flows))
-	for _, f := range flows {
-		if f.Src != f.Dst {
-			fs = append(fs, f)
-		}
-	}
-	slices.SortFunc(fs, compareFlows)
-	return &FlowIndex{flows: slices.Clip(slices.Compact(fs)), wide: true}
-}
-
-// compareFlows orders flows as Flow.Less does.
-func compareFlows(f, g Flow) int {
-	return cmp.Or(cmp.Compare(f.Src, g.Src), cmp.Compare(f.Dst, g.Dst))
-}
-
 // Len returns the number of interned flows.
 func (ix *FlowIndex) Len() int { return len(ix.flows) }
 
 // ID returns the dense ID of f and whether f is interned (0 if not).
 func (ix *FlowIndex) ID(f Flow) (int, bool) {
-	var id int
-	var ok bool
-	if ix.wide {
-		id, ok = slices.BinarySearchFunc(ix.flows, f, compareFlows)
-	} else if k, packs := flowKey(f); packs {
-		id, ok = slices.BinarySearch(ix.keys, k)
+	k, packs := flowKey(f)
+	if !packs {
+		return 0, false
 	}
+	id, ok := slices.BinarySearch(ix.keys, k)
 	if !ok {
 		return 0, false
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Node identifies a processor (end node). Nodes are 0-based indices into the
@@ -97,11 +96,15 @@ type Pattern struct {
 	Phases []Phase
 }
 
-// Validate checks structural invariants: endpoint ranges, non-negative
-// durations, and phase indices.
+// Validate checks structural invariants: a processor count in [1, 2^32], so
+// every node packs into a flow key, endpoint ranges, non-negative durations,
+// and phase indices.
 func (p *Pattern) Validate() error {
 	if p.Procs <= 0 {
 		return fmt.Errorf("pattern %q: Procs must be positive, got %d", p.Name, p.Procs)
+	}
+	if int64(p.Procs) > 1<<32 {
+		return fmt.Errorf("pattern %q: Procs %d exceeds 2^32, the node range a flow key packs", p.Name, p.Procs)
 	}
 	for i, m := range p.Messages {
 		if m.Src < 0 || m.Src >= p.Procs {
@@ -177,37 +180,4 @@ func (p *Pattern) Span() (start, finish float64) {
 		}
 	}
 	return start, finish
-}
-
-// OverlapPairs enumerates the overlap relation O (Definition 3) as index
-// pairs (i, j) with i < j into p.Messages. It runs in O(M log M + |O|) via a
-// sweep over start times.
-func (p *Pattern) OverlapPairs() [][2]int {
-	n := len(p.Messages)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return p.Messages[order[a]].Start < p.Messages[order[b]].Start
-	})
-	var pairs [][2]int
-	// active holds messages whose interval may still overlap later starts.
-	var active []int
-	for _, idx := range order {
-		m := p.Messages[idx]
-		kept := active[:0]
-		for _, a := range active {
-			if p.Messages[a].Finish >= m.Start {
-				kept = append(kept, a)
-				i, j := a, idx
-				if i > j {
-					i, j = j, i
-				}
-				pairs = append(pairs, [2]int{i, j})
-			}
-		}
-		active = append(kept, idx)
-	}
-	return pairs
 }

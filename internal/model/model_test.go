@@ -48,6 +48,7 @@ func TestPatternValidate(t *testing.T) {
 	}
 	bad := []*Pattern{
 		{Name: "zero procs", Procs: 0},
+		{Name: "procs past 2^32", Procs: 1<<32 + 1},
 		{Name: "src range", Procs: 2, Messages: []Message{msg(0, 2, 0, 0, 1)}},
 		{Name: "dst range", Procs: 2, Messages: []Message{msg(0, 0, -1, 0, 1)}},
 		{Name: "time order", Procs: 2, Messages: []Message{msg(0, 0, 1, 5, 1)}},
@@ -376,4 +377,37 @@ func TestCliqueFlowsSorted(t *testing.T) {
 	if len(flows) != 3 {
 		t.Fatalf("CliqueFlows = %v, want 3 distinct flows", flows)
 	}
+}
+
+// OverlapPairs enumerates the overlap relation O (Definition 3) as index
+// pairs (i, j) with i < j into p.Messages. It runs in O(M log M + |O|) via a
+// sweep over start times.
+func (p *Pattern) OverlapPairs() [][2]int {
+	n := len(p.Messages)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		return p.Messages[order[a]].Start < p.Messages[order[b]].Start
+	})
+	var pairs [][2]int
+	// active holds messages whose interval may still overlap later starts.
+	var active []int
+	for _, idx := range order {
+		m := p.Messages[idx]
+		kept := active[:0]
+		for _, a := range active {
+			if p.Messages[a].Finish >= m.Start {
+				kept = append(kept, a)
+				i, j := a, idx
+				if i > j {
+					i, j = j, i
+				}
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+		active = append(kept, idx)
+	}
+	return pairs
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -278,4 +279,20 @@ func FuzzContentionPeriods(f *testing.F) {
 		}
 		assertSamePeriods(t, "fuzz", p)
 	})
+}
+
+// Key returns a canonical string key for map deduplication.
+func (c Clique) Key() string {
+	return string(c.appendKey(make([]byte, 0, 8*len(c))))
+}
+
+// appendKey appends the canonical key to dst without fmt.
+func (c Clique) appendKey(dst []byte) []byte {
+	for _, f := range c {
+		dst = strconv.AppendInt(dst, int64(f.Src), 10)
+		dst = append(dst, '>')
+		dst = strconv.AppendInt(dst, int64(f.Dst), 10)
+		dst = append(dst, ';')
+	}
+	return dst
 }

@@ -265,10 +265,3 @@ func (d *diskStore) writeAtomic(path string, buf []byte) error {
 	}
 	return nil
 }
-
-// Len reports the number of valid entries known to the store.
-func (d *diskStore) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.keys)
-}

@@ -321,10 +321,6 @@ func (s *Server) rebuildWarm(entries []*Entry) {
 	}
 }
 
-// Metrics exposes the server-lifetime Collector (the /v1/metrics source)
-// for embedders and tests.
-func (s *Server) Metrics() *obs.Collector { return s.col }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)

@@ -550,3 +550,7 @@ func TestNewRejectsBadSynthDefaults(t *testing.T) {
 	cfg.Synth.Restarts = 64
 	newTestServer(t, cfg)
 }
+
+// Metrics exposes the server-lifetime Collector (the /v1/metrics source)
+// that the suites assert counters on.
+func (s *Server) Metrics() *obs.Collector { return s.col }

@@ -84,10 +84,3 @@ func (c *memStore) Put(e *Entry) (evicted []string, stored bool) {
 	}
 	return evicted, true
 }
-
-// Len returns the number of stored entries.
-func (c *memStore) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

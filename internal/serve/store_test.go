@@ -99,3 +99,10 @@ func TestMemStoreConcurrent(t *testing.T) {
 	}
 	close(done)
 }
+
+// Len returns the number of stored entries.
+func (c *memStore) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}

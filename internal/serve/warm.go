@@ -102,12 +102,3 @@ func (w *warmIndex) nearest(fp *trace.Fingerprint) (*warmEntry, float64, bool) {
 	}
 	return best, bestDist, true
 }
-
-func (w *warmIndex) size() int {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.m)
-}

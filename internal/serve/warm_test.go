@@ -274,3 +274,13 @@ func TestFingerprintCorpusDistinct(t *testing.T) {
 		}
 	}
 }
+
+// size is the warm index's entry count.
+func (w *warmIndex) size() int {
+	if w == nil {
+		return 0
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.m)
+}

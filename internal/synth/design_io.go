@@ -84,7 +84,7 @@ func LoadDesign(r io.Reader) (*topology.Network, *routing.Table, error) {
 	}
 	for i := range in.Pipes {
 		p := &in.Pipes[i]
-		if n := len(in.Switches); p.A < 0 || p.B < 0 || p.A >= n || p.B >= n || p.A == p.B || p.Width < 0 {
+		if n := len(in.Switches); p.A < 0 || p.B < 0 || p.A >= n || p.B >= n || p.A == p.B || p.Width <= 0 {
 			return nil, nil, fmt.Errorf("synth: pipe (%d,%d) of width %d is not a link between two of %d switches", p.A, p.B, p.Width, n)
 		}
 		if p.B < p.A {

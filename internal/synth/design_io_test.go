@@ -78,10 +78,12 @@ func TestLoadDesignRejectsBad(t *testing.T) {
 		`{"name":"x","procs":2,"switches":[[0],[1]],"pipes":[{"a":0,"b":1,"width":1}],
 		  "routes":[{"src":0,"dst":1,"switches":[1,0],"links":[0]}]}`,
 		// More processors declared than attached, a pipe to a missing
-		// switch, a negative width, a route for a processor out of range.
+		// switch, a negative or zero width, a route for a processor out of
+		// range.
 		`{"procs":99999999999,"switches":[[0]]}`,
 		`{"procs":2,"switches":[[0],[1]],"pipes":[{"a":0,"b":-1,"width":1}]}`,
 		`{"procs":2,"switches":[[0],[1]],"pipes":[{"a":0,"b":1,"width":-1}]}`,
+		`{"procs":2,"switches":[[0],[1]],"pipes":[{"a":0,"b":1,"width":0}]}`,
 		`{"procs":2,"switches":[[0],[1]],"pipes":[{"a":0,"b":1,"width":1}],
 		  "routes":[{"src":0,"dst":2,"switches":[0,1],"links":[0]}]}`,
 	}, loadDesignPanics...)

@@ -93,26 +93,18 @@ func pipeKey(a, b SwitchID) [2]SwitchID {
 	return [2]SwitchID{a, b}
 }
 
-// SetPipe creates or resizes the pipe between a and b. Width 0 removes it.
+// SetPipe creates or resizes the pipe between a and b. It panics on a self
+// pipe and on a width below 1: a pipe is never removed.
 func (n *Network) SetPipe(a, b SwitchID, width int) {
 	if a == b {
 		panic("topology: self pipe")
 	}
+	if width <= 0 {
+		panic(fmt.Sprintf("topology: pipe (%d,%d) of width %d", a, b, width))
+	}
 	key := pipeKey(a, b)
 	if idx, ok := n.pipeIdx[key]; ok {
-		if width == 0 {
-			last := len(n.Pipes) - 1
-			moved := n.Pipes[last]
-			n.Pipes[idx] = moved
-			n.pipeIdx[pipeKey(moved.A, moved.B)] = idx
-			n.Pipes = n.Pipes[:last]
-			delete(n.pipeIdx, key)
-			return
-		}
 		n.Pipes[idx].Width = width
-		return
-	}
-	if width == 0 {
 		return
 	}
 	n.pipeIdx[key] = len(n.Pipes)

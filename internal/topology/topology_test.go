@@ -123,21 +123,22 @@ func TestSetPipeLifecycle(t *testing.T) {
 	if p, _ := n.PipeBetween(a, b); p.Width != 5 {
 		t.Fatalf("resize failed: %+v", p)
 	}
-	n.SetPipe(a, b, 0)
-	if _, ok := n.PipeBetween(a, b); ok {
-		t.Fatal("pipe not removed")
-	}
-	// Removal must keep index consistent for remaining pipe.
-	if p, ok := n.PipeBetween(a, c); !ok || p.Width != 1 {
-		t.Fatalf("surviving pipe corrupted: %+v %v", p, ok)
-	}
-	if len(n.Pipes) != 1 {
+	if len(n.Pipes) != 2 {
 		t.Fatalf("pipes = %v", n.Pipes)
 	}
-	// Removing a nonexistent pipe is a no-op.
-	n.SetPipe(b, c, 0)
-	if len(n.Pipes) != 1 {
-		t.Fatal("no-op removal changed pipes")
+	// A pipe is never removed: a width below 1 is a caller bug.
+	for _, w := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetPipe(a, b, %d) did not panic", w)
+				}
+			}()
+			n.SetPipe(a, b, w)
+		}()
+	}
+	if p, ok := n.PipeBetween(a, b); !ok || p.Width != 5 {
+		t.Fatalf("a rejected width changed the pipe: %+v %v", p, ok)
 	}
 }
 

@@ -149,6 +149,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"invalid pattern", "noctrace v1\nprocs 2\nmsg 0 0 5 0 1 4\n"},
 		{"bad phase ref", "noctrace v1\nprocs 2\nphase p 0 1 0 9\n"},
 		{"procs arity", "noctrace v1\nprocs 4 4\n"},
+		{"procs past 2^32", "noctrace v1\nprocs 4294967297\n"},
 	}
 	for _, c := range cases {
 		if _, err := Decode(strings.NewReader(c.input)); err == nil {

@@ -48,6 +48,39 @@ func TestReachable(t *testing.T) {
 	}
 }
 
+// TestCensusList holds testdata/census.txt, the never-run functions `make
+// census` (census.sh) compares its coverage census with, to the static walk:
+// each line names a declaration that exists, that some main or init reaches,
+// and that reach_allow.txt does not list, with its reason. So a rename or a
+// deletion cannot leave a stale line behind until the next census runs.
+func TestCensusList(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module from source")
+	}
+	m := loadModule(t)
+	allow := readAllowlist(t, "testdata/reach_allow.txt")
+	census := readAllowlist(t, "testdata/census.txt")
+
+	exists := map[string]bool{}
+	for obj := range m.declOf {
+		exists[qualified(obj)] = true
+	}
+	unreached := map[string]bool{}
+	for _, d := range m.unreachable(nil) {
+		unreached[d.name] = true
+	}
+	for name := range census {
+		switch _, allowed := allow[name]; {
+		case !exists[name]:
+			t.Errorf("testdata/census.txt lists %s, which does not exist: drop the line", name)
+		case allowed:
+			t.Errorf("testdata/census.txt lists %s, which testdata/reach_allow.txt lists too: the census already leaves it out, drop the line", name)
+		case unreached[name]:
+			t.Errorf("testdata/census.txt lists %s, which no main or init reaches: delete it, or move it to reach_allow.txt if tests use it", name)
+		}
+	}
+}
+
 // stdlibMethods are the method names through which the standard library
 // calls back into a value it was handed (fmt, sort, container/heap, flag,
 // io, net/http, encoding, errors, math/rand).
