@@ -87,7 +87,9 @@ census:
 #              prior design. The ratio measures what seeding saves, so
 #              pruning that speeds up cold synthesis lowers it; raise the
 #              floor of 3 by making seeded synthesis faster, never by slowing
-#              cold synthesis. 17-21 s; 3.11-5.48x (median 4.50x).
+#              cold synthesis. 17-21 s; 3.11-5.48x (median 4.50x); five
+#              runs on an idle 2-core box read 4.28-4.62x once colour took
+#              its Fast_Color widths from the count tables.
 #   floorplan: the array-backed delta search vs the map-based reference (the
 #              test oracle in placeref_test.go) on CG-16. 16-18 s; 38-52x.
 #   synth:     synthesis with every candidate priced (the test-only

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -94,10 +95,14 @@ func run(args []string, stdout io.Writer) (err error) {
 		if err := runHier(stdout, pat, shared.Clusters, hopt, *out); err != nil {
 			return err
 		}
-		return shared.WriteReport("netgen", trace.Summarize(pat))
+		return shared.WriteReport("netgen", func() any { return trace.Summarize(pat) })
 	}
 
-	res, err := synth.Synthesize(pat, opt)
+	// The contention model is computed once: the synthesis reads the
+	// cliques, and the report's pattern summary both sets.
+	periods := model.ContentionPeriods(pat)
+	cliques := model.MaxCliques(periods)
+	res, err := synth.SynthesizeCliques(context.Background(), pat, cliques, opt)
 	if err != nil {
 		return err
 	}
@@ -134,7 +139,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 		fmt.Fprintf(stdout, "design (topology + routes) written to %s\n", *out)
 	}
-	return shared.WriteReport("netgen", trace.Summarize(pat))
+	return shared.WriteReport("netgen", func() any { return trace.SummarizeCliques(pat, periods, cliques) })
 }
 
 // runHier synthesizes and reports a two-level chiplet design for the

@@ -46,7 +46,7 @@ func run(args []string, stdout io.Writer) error {
 		tracePath = fs.String("trace", "", "input noctrace file (required)")
 		topo      = fs.String("topo", "mesh", "mesh, torus, ring, crossbar, or generated")
 		netPath   = fs.String("net", "", "topology JSON for -topo generated")
-		vcs       = fs.Int("vcs", 3, "virtual channels per link")
+		vcs       = fs.Int("vcs", flitsim.Config{}.Normalized().VCs, "virtual channels per link")
 		useFloor  = fs.Bool("floorplan", true, "derive per-link delays from a floorplan (generated topologies)")
 		shared    cliutil.Flags
 	)
@@ -92,7 +92,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "energy estimate:    %.0f units\n", res.EnergyUnits)
 	fmt.Fprintf(stdout, "deadlock recoveries: %d (%d victims)\n", res.Kills, res.Victims)
 	fmt.Fprintf(stdout, "vc stalls:          %d\n", res.VCStalls)
-	return shared.WriteReport("netsim", trace.Summarize(pat))
+	return shared.WriteReport("netsim", func() any { return trace.Summarize(pat) })
 }
 
 // replayDesign replays pat on a saved design: a hier-design document through

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -54,6 +55,34 @@ func TestNegativeVCsRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "virtual channels") {
 			t.Errorf("netsim %v -vcs -1: error %v, want the virtual-channel count rejected", args, err)
 		}
+	}
+}
+
+// TestVCsDefault: netsim without -vcs simulates flitsim's default virtual
+// channel count, cycle for cycle.
+func TestVCsDefault(t *testing.T) {
+	pat, err := nas.Generate("CG", 8, nas.Config{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, pat); err != nil {
+		t.Fatal(err)
+	}
+	tracePath := filepath.Join(t.TempDir(), "cg8.trace")
+	if err := os.WriteFile(tracePath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := func(args ...string) string {
+		var stdout bytes.Buffer
+		if err := run(append([]string{"-trace", tracePath, "-topo", "mesh"}, args...), &stdout); err != nil {
+			t.Fatal(err)
+		}
+		return stdout.String()
+	}
+	def := strconv.Itoa(flitsim.Config{}.Normalized().VCs)
+	if got, want := out(), out("-vcs", def); got != want {
+		t.Errorf("netsim without -vcs:\n%s\nwith -vcs %s:\n%s", got, def, want)
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -50,55 +51,25 @@ import (
 )
 
 func main() {
-	synthDef, serveDef := synth.Options{}.Normalized(), serve.Config{}.Normalized()
-	var (
-		maxDeg   = flag.Int("maxdegree", synthDef.MaxDegree, "default maximum switch degree (ports)")
-		maxProcs = flag.Int("maxprocs", synthDef.MaxProcsPerSwitch, "default maximum processors per switch")
-		restarts = flag.Int("restarts", synthDef.Restarts, "default synthesis restarts")
-		inflight = flag.Int("max-inflight", serveDef.MaxInFlight, "concurrently executing syntheses")
-		queue    = flag.Int("max-queue", serveDef.MaxQueue, "syntheses waiting for a slot before 503")
-		drain    = flag.Duration("drain-timeout", 10*time.Second,
-			"how long shutdown waits for in-flight requests")
-		pprofAddr = flag.String("pprof-addr", "",
-			"serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables")
-		shared cliutil.Flags
-	)
-	shared.RegisterSeed(flag.CommandLine, "default synthesis seed")
-	shared.RegisterWorkers(flag.CommandLine)
-	shared.RegisterServe(flag.CommandLine)
-	flag.Parse()
-
-	srv, err := serve.New(serve.Config{
-		CacheSize:       shared.CacheSize,
-		DataDir:         shared.DataDir,
-		Self:            shared.Self,
-		Peers:           shared.PeerList(),
-		MaxInFlight:     *inflight,
-		MaxQueue:        *queue,
-		BulkMaxInFlight: shared.BulkMaxInflight,
-		Timeout:         shared.Timeout,
-		WarmThreshold:   shared.WarmThreshold,
-		Synth: synth.Options{
-			Constraints: synth.Constraints{MaxDegree: *maxDeg, MaxProcsPerSwitch: *maxProcs},
-			Seed:        shared.Seed,
-			Restarts:    *restarts,
-			Workers:     shared.Workers,
-		},
-	})
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fatal(err)
 	}
-	ln, err := net.Listen("tcp", shared.Addr)
+	srv, err := serve.New(o.cfg)
 	if err != nil {
 		fatal(err)
 	}
-	log.Printf("nocd: serving designs on %s (cache %d, budget %s)", ln.Addr(), shared.CacheSize, shared.Timeout)
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		fatal(err)
+	}
+	log.Printf("nocd: serving designs on %s (cache %d, budget %s)", ln.Addr(), o.cfg.CacheSize, o.cfg.Timeout)
 
 	// Profiling stays off the design listener: an explicit mux on its own
 	// address, bound only when asked for, so /debug/pprof/* is never
 	// reachable through the public surface.
-	if *pprofAddr != "" {
-		pln, err := net.Listen("tcp", *pprofAddr)
+	if o.pprofAddr != "" {
+		pln, err := net.Listen("tcp", o.pprofAddr)
 		if err != nil {
 			fatal(err)
 		}
@@ -118,10 +89,71 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := serve.Serve(ctx, srv, ln, *drain); err != nil {
+	if err := serve.Serve(ctx, srv, ln, o.drain); err != nil {
 		fatal(err)
 	}
 	log.Printf("nocd: drained, exiting")
+}
+
+// options is nocd's parsed command line: the server's configuration and the
+// daemon's own listen address, drain budget and profiling address.
+type options struct {
+	cfg       serve.Config
+	addr      string
+	drain     time.Duration
+	pprofAddr string
+}
+
+// parseFlags declares nocd's flags on fs and parses args. Every flag that
+// sets a serve.Config or synth.Options field takes its default from
+// serve.Config{}.Normalized() or synth.Options{}.Normalized(), except the
+// shared -seed and -workers (cliutil).
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	synthDef, serveDef := synth.Options{}.Normalized(), serve.Config{}.Normalized()
+	o := &options{}
+	c, sy := &o.cfg, &o.cfg.Synth
+	var (
+		peers  string
+		shared cliutil.Flags
+	)
+	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
+	fs.IntVar(&c.CacheSize, "cache-size", serveDef.CacheSize,
+		"designs held by the content-addressed LRU response cache")
+	fs.DurationVar(&c.Timeout, "timeout", serveDef.Timeout,
+		"per-request synthesis budget (exceeded requests return 504)")
+	fs.Float64Var(&c.WarmThreshold, "warm-threshold", serveDef.WarmThreshold,
+		"structural-distance ceiling for warm-start seeding (0 = server default, negative disables)")
+	fs.StringVar(&c.DataDir, "data-dir", serveDef.DataDir,
+		"directory for the persistent design store (empty = memory only)")
+	fs.StringVar(&c.Self, "self", serveDef.Self,
+		"this replica's own base URL as listed in -peers")
+	fs.StringVar(&peers, "peers", "",
+		"comma-separated fleet member base URLs; enables consistent-hash sharding")
+	fs.IntVar(&c.BulkMaxInFlight, "bulk-max-inflight", serveDef.BulkMaxInFlight,
+		"bulk-lane synthesis watermark (lane=bulk beyond it returns 429; negative disables the lane)")
+	fs.IntVar(&c.MaxInFlight, "max-inflight", serveDef.MaxInFlight, "concurrently executing syntheses")
+	fs.IntVar(&c.MaxQueue, "max-queue", serveDef.MaxQueue, "syntheses waiting for a slot before 503")
+	fs.IntVar(&sy.MaxDegree, "maxdegree", synthDef.MaxDegree, "default maximum switch degree (ports)")
+	fs.IntVar(&sy.MaxProcsPerSwitch, "maxprocs", synthDef.MaxProcsPerSwitch, "default maximum processors per switch")
+	fs.IntVar(&sy.Restarts, "restarts", synthDef.Restarts, "default synthesis restarts")
+	fs.DurationVar(&o.drain, "drain-timeout", 10*time.Second,
+		"how long shutdown waits for in-flight requests")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "",
+		"serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables")
+	shared.RegisterSeed(fs, "default synthesis seed")
+	shared.RegisterWorkers(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	sy.Seed, sy.Workers = shared.Seed, shared.Workers
+	// Empty members are dropped, so `-peers ""` and a trailing comma both
+	// behave.
+	for _, p := range strings.Split(peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			c.Peers = append(c.Peers, p)
+		}
+	}
+	return o, nil
 }
 
 func fatal(err error) {

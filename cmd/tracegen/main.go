@@ -63,7 +63,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	if err := shared.WriteReport("tracegen", st); err != nil {
+	if err := shared.WriteReport("tracegen", func() any { return st }); err != nil {
 		fatal(err)
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -26,19 +24,6 @@ type Flags struct {
 	CPUProfile string
 	MemProfile string
 	Report     string
-
-	// Server group (RegisterServe): the nocd daemon's listen address,
-	// design-cache capacity, per-request synthesis budget, warm-start
-	// distance threshold, persistent store directory, fleet membership,
-	// and bulk-lane watermark.
-	Addr            string
-	CacheSize       int
-	Timeout         time.Duration
-	WarmThreshold   float64
-	DataDir         string
-	Self            string
-	Peers           string
-	BulkMaxInflight int
 
 	// Hier group (RegisterHier): the clustering of two-level chiplet mode.
 	// Clusters empty means flat (single-level) operation.
@@ -65,28 +50,6 @@ func (f *Flags) RegisterProfiles(fs *flag.FlagSet) {
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
 }
 
-// RegisterServe registers the server flag group: -addr, -cache-size,
-// -timeout, -warm-threshold, -data-dir, -self, -peers, and
-// -bulk-max-inflight, with the same names, defaults, and help text for
-// every daemon.
-func (f *Flags) RegisterServe(fs *flag.FlagSet) {
-	fs.StringVar(&f.Addr, "addr", ":8080", "HTTP listen address")
-	fs.IntVar(&f.CacheSize, "cache-size", 128,
-		"designs held by the content-addressed LRU response cache")
-	fs.DurationVar(&f.Timeout, "timeout", 2*time.Minute,
-		"per-request synthesis budget (exceeded requests return 504)")
-	fs.Float64Var(&f.WarmThreshold, "warm-threshold", 0,
-		"structural-distance ceiling for warm-start seeding (0 = server default, negative disables)")
-	fs.StringVar(&f.DataDir, "data-dir", "",
-		"directory for the persistent design store (empty = memory only)")
-	fs.StringVar(&f.Self, "self", "",
-		"this replica's own base URL as listed in -peers")
-	fs.StringVar(&f.Peers, "peers", "",
-		"comma-separated fleet member base URLs; enables consistent-hash sharding")
-	fs.IntVar(&f.BulkMaxInflight, "bulk-max-inflight", 1,
-		"bulk-lane synthesis watermark (lane=bulk beyond it returns 429; negative disables the lane)")
-}
-
 // RegisterHier registers the two-level clustering flags, -clusters and
 // -max-gateways, with identical names, defaults, and help text for every
 // command that can partition a pattern. The NoI level's own knobs belong to
@@ -96,18 +59,6 @@ func (f *Flags) RegisterHier(fs *flag.FlagSet) {
 		`cluster spec for two-level chiplet mode: "4", "flow:4", "blocks:4", or explicit "0-3;4-7@4,7" (empty = flat)`)
 	fs.IntVar(&f.MaxGateways, "max-gateways", 0,
 		"cap on gateway processors per cluster (0 = every boundary processor)")
-}
-
-// PeerList splits the -peers value into member URLs, dropping empty
-// segments, so `-peers ""` and a trailing comma both behave.
-func (f *Flags) PeerList() []string {
-	var urls []string
-	for _, p := range strings.Split(f.Peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			urls = append(urls, p)
-		}
-	}
-	return urls
 }
 
 // RegisterReport registers -report.
@@ -164,14 +115,17 @@ func (f *Flags) Observer() obs.Observer {
 }
 
 // WriteReport validates and writes the RunReport to the -report path.
-// No-op without -report. The optional pattern value (e.g. a trace.Stats)
-// is embedded under the report's "pattern" key.
-func (f *Flags) WriteReport(tool string, pattern any) error {
+// No-op without -report. The optional pattern function (e.g. one returning
+// a trace.Stats) runs only when a report is written; its value is embedded
+// under the report's "pattern" key.
+func (f *Flags) WriteReport(tool string, pattern func() any) error {
 	if f.Report == "" {
 		return nil
 	}
 	rep := f.collector.Report(tool)
-	rep.Pattern = pattern
+	if pattern != nil {
+		rep.Pattern = pattern()
+	}
 	if err := rep.Validate(); err != nil {
 		return fmt.Errorf("cliutil: invalid report: %w", err)
 	}

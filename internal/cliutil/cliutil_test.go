@@ -3,9 +3,7 @@ package cliutil
 import (
 	"flag"
 	"path/filepath"
-	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -20,48 +18,12 @@ func TestObserverNilWithoutReport(t *testing.T) {
 	if o := f.Observer(); o != nil {
 		t.Errorf("Observer() without -report = %#v, want nil interface", o)
 	}
-	if err := f.WriteReport("t", nil); err != nil {
+	summary := func() any {
+		t.Error("WriteReport without -report built the pattern summary")
+		return nil
+	}
+	if err := f.WriteReport("t", summary); err != nil {
 		t.Errorf("WriteReport without -report: %v", err)
-	}
-}
-
-func TestRegisterServe(t *testing.T) {
-	var f Flags
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f.RegisterServe(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if f.Addr != ":8080" || f.CacheSize != 128 || f.Timeout != 2*time.Minute {
-		t.Errorf("defaults = %q/%d/%s, want :8080/128/2m", f.Addr, f.CacheSize, f.Timeout)
-	}
-	if f.DataDir != "" || f.Self != "" || f.Peers != "" || f.BulkMaxInflight != 1 {
-		t.Errorf("fleet defaults = %q/%q/%q/%d, want \"\"/\"\"/\"\"/1",
-			f.DataDir, f.Self, f.Peers, f.BulkMaxInflight)
-	}
-	if got := f.PeerList(); got != nil {
-		t.Errorf("PeerList() with no -peers = %v, want nil", got)
-	}
-
-	var g Flags
-	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	g.RegisterServe(fs)
-	if err := fs.Parse([]string{
-		"-addr", "127.0.0.1:0", "-cache-size", "7", "-timeout", "3s",
-		"-data-dir", "/tmp/designs", "-self", "http://a:1",
-		"-peers", "http://a:1, http://b:2,,http://c:3,", "-bulk-max-inflight", "4",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if g.Addr != "127.0.0.1:0" || g.CacheSize != 7 || g.Timeout != 3*time.Second {
-		t.Errorf("parsed = %q/%d/%s, want 127.0.0.1:0/7/3s", g.Addr, g.CacheSize, g.Timeout)
-	}
-	if g.DataDir != "/tmp/designs" || g.Self != "http://a:1" || g.BulkMaxInflight != 4 {
-		t.Errorf("fleet parsed = %q/%q/%d, want /tmp/designs, http://a:1, 4", g.DataDir, g.Self, g.BulkMaxInflight)
-	}
-	want := []string{"http://a:1", "http://b:2", "http://c:3"}
-	if got := g.PeerList(); !reflect.DeepEqual(got, want) {
-		t.Errorf("PeerList() = %v, want %v (whitespace and empties dropped)", got, want)
 	}
 }
 
@@ -88,7 +50,7 @@ func TestReportRoundTrip(t *testing.T) {
 	obs.Count(o, "test.things", 3)
 	sp := obs.Span(o, "test.work")
 	sp.End()
-	if err := f.WriteReport("testtool", map[string]int{"n": 1}); err != nil {
+	if err := f.WriteReport("testtool", func() any { return map[string]int{"n": 1} }); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := obs.ReadReportFile(path)
@@ -97,6 +59,9 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if rep.Tool != "testtool" {
 		t.Errorf("Tool = %q, want testtool", rep.Tool)
+	}
+	if pat, ok := rep.Pattern.(map[string]any); !ok || pat["n"] != 1.0 {
+		t.Errorf("Pattern = %#v, want the summary {n: 1}", rep.Pattern)
 	}
 	if rep.Counters["test.things"] != 3 {
 		t.Errorf("counter test.things = %d, want 3", rep.Counters["test.things"])

@@ -104,14 +104,11 @@ func (c Config) WarmStart(benchmark string, procs int) ([]WarmStartRow, error) {
 		if err != nil {
 			return WarmStartRow{}, fmt.Errorf("warmstart %s seeded: %v", cell.Name, err)
 		}
-		cost := func(r *synth.Result) int {
-			return r.Net.TotalLinks() + 2*r.Net.NumSwitches()
-		}
 		return WarmStartRow{
 			Variant:        cell.Name,
 			Distance:       fp.Distance(baseFP),
-			ColdCost:       cost(cold),
-			WarmCost:       cost(warm),
+			ColdCost:       cold.ResourceCost(),
+			WarmCost:       warm.ResourceCost(),
 			ColdMoves:      cold.Stats.MovesEvaluated,
 			WarmMoves:      warm.Stats.MovesEvaluated,
 			SeededRestarts: warm.Stats.SeededRestarts,

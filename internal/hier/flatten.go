@@ -39,11 +39,12 @@ func (f *Flat) LinkDelay(a, b topology.SwitchID) int {
 }
 
 // Flatten composes the design's levels into a Flat for the given pattern.
-// The pattern supplies the flow set: the split is recomputed from the
-// design's assignment, so a design loaded from disk (whose levels carry no
-// patterns) flattens exactly like a freshly synthesized one. Flows that a
-// level's table does not route are an error — the design was built for a
-// different pattern.
+// The pattern supplies the flow set: each flow's path across the levels is
+// resolved from the design's assignment (pathFor, as SplitPattern resolves
+// it), so a design loaded from disk (whose levels carry no patterns)
+// flattens exactly like a freshly synthesized one. Flows that a level's
+// table does not route are an error — the design was built for a different
+// pattern.
 func Flatten(d *Design, p *model.Pattern) (*Flat, error) {
 	if d == nil || p == nil {
 		return nil, fmt.Errorf("hier: Flatten needs a design and a pattern")
@@ -52,10 +53,6 @@ func Flatten(d *Design, p *model.Pattern) (*Flat, error) {
 		return nil, fmt.Errorf("hier: pattern has %d procs, design %d", p.Procs, d.Procs)
 	}
 	if err := d.checkLevels(); err != nil {
-		return nil, err
-	}
-	split, err := SplitPattern(p, d.Assign)
-	if err != nil {
 		return nil, err
 	}
 	a := d.Assign
@@ -107,7 +104,7 @@ func Flatten(d *Design, p *model.Pattern) (*Flat, error) {
 	nextOut := make(map[int]int)
 	nextIn := make(map[int]int)
 	for _, f := range p.Flows() {
-		fp := split.Flows[f]
+		fp := pathFor(a, f)
 		if fp.Intra {
 			lv := d.Chiplets[fp.Cluster]
 			sub, ok := lv.Table.Routes[fp.Local]
@@ -117,7 +114,7 @@ func Flatten(d *Design, p *model.Pattern) (*Flat, error) {
 			table.Routes[f] = shiftRoute(sub, flat.ChipletOffset[fp.Cluster])
 			continue
 		}
-		route, err := composeInter(d, flat, split, f, fp, gwBase, nextOut, nextIn)
+		route, err := composeInter(d, flat, f, fp, gwBase, nextOut, nextIn)
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +128,7 @@ func Flatten(d *Design, p *model.Pattern) (*Flat, error) {
 }
 
 // composeInter assembles one inter-cluster flow's composite route.
-func composeInter(d *Design, flat *Flat, split *Split, f model.Flow, fp FlowPath, gwBase, nextOut, nextIn map[int]int) (routing.Route, error) {
+func composeInter(d *Design, flat *Flat, f model.Flow, fp FlowPath, gwBase, nextOut, nextIn map[int]int) (routing.Route, error) {
 	a := d.Assign
 	if d.NoI == nil {
 		return routing.Route{}, fmt.Errorf("hier: inter-cluster flow %v but design has no NoI level", f)

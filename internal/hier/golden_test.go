@@ -278,4 +278,15 @@ func TestDesignConstraintsMet(t *testing.T) {
 			t.Errorf("%s: ConstraintsMet() = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+	// ExactColoring folds the levels' certificates the same way.
+	exact := true
+	for _, lv := range d.Levels() {
+		exact = exact && lv.Result.ExactColoring
+	}
+	if got := d.ExactColoring(); got != exact {
+		t.Errorf("ExactColoring() = %v, the levels' certificates fold to %v", got, exact)
+	}
+	if with(allMet, 0, true, false).ExactColoring() {
+		t.Error("ExactColoring() with a baseline chiplet = true, want false")
+	}
 }

@@ -146,6 +146,13 @@ func (d *Design) ConstraintsMet() bool {
 	return d.everyLevel(func(r *synth.Result) bool { return r.ConstraintsMet })
 }
 
+// ExactColoring reports whether every level's pipe widths are certified
+// minimal by a clique (false when any level is a baseline without a
+// synthesis result).
+func (d *Design) ExactColoring() bool {
+	return d.everyLevel(func(r *synth.Result) bool { return r.ExactColoring })
+}
+
 // everyLevel reports whether every level has a synthesis result passing ok.
 func (d *Design) everyLevel(ok func(*synth.Result) bool) bool {
 	for _, lv := range d.Levels() {

@@ -33,8 +33,6 @@ type Split struct {
 	// NoI is the inter-chiplet sub-pattern over gateway endpoints; nil
 	// when the assignment has a single cluster (no NoI level).
 	NoI *model.Pattern
-	// Flows maps every original flow to its decomposition.
-	Flows map[model.Flow]FlowPath
 	// InterMessages counts original messages that cross clusters.
 	InterMessages int
 }
@@ -94,10 +92,7 @@ func SplitPattern(p *model.Pattern, a *Assignment) (*Split, error) {
 	if p.Procs != a.Procs {
 		return nil, fmt.Errorf("hier: pattern has %d procs, assignment %d", p.Procs, a.Procs)
 	}
-	s := &Split{
-		Assign: a,
-		Flows:  make(map[model.Flow]FlowPath),
-	}
+	s := &Split{Assign: a}
 	// levels[c] is chiplet c's sub-pattern; the NoI's, when there is one,
 	// comes last.
 	noi := len(a.Clusters)
@@ -121,11 +116,12 @@ func SplitPattern(p *model.Pattern, a *Assignment) (*Split, error) {
 		at[i][k] = landing{int32(level + 1), count[level], int32(f.Src), int32(f.Dst)}
 		count[level]++
 	}
+	paths := make(map[model.Flow]FlowPath)
 	for i, m := range p.Messages {
-		fp, ok := s.Flows[m.Flow()]
+		fp, ok := paths[m.Flow()]
 		if !ok {
 			fp = pathFor(a, m.Flow())
-			s.Flows[m.Flow()] = fp
+			paths[m.Flow()] = fp
 		}
 		if fp.Intra {
 			put(i, fp.Cluster, fp.Local)

@@ -80,7 +80,8 @@ func TestSplitConservation(t *testing.T) {
 		// Chiplets hold their intra messages plus forwarding legs only.
 		for c, sub := range s.Chiplets {
 			legs := 0
-			for f, fp := range s.Flows {
+			for _, f := range tc.pat.Flows() {
+				fp := pathFor(a, f)
 				if fp.Intra {
 					continue
 				}
@@ -104,7 +105,8 @@ func TestSplitConservation(t *testing.T) {
 		}
 		// With uncapped boundary gateways there are no forwarding legs at
 		// all: inter-cluster endpoints are their own gateways.
-		for f, fp := range s.Flows {
+		for _, f := range tc.pat.Flows() {
+			fp := pathFor(a, f)
 			if fp.Intra {
 				continue
 			}
@@ -160,7 +162,8 @@ func TestSplitCappedGatewaysForwarding(t *testing.T) {
 		t.Fatalf("%d NoI messages for %d inter-cluster messages", len(s.NoI.Messages), interMsgs)
 	}
 	sawLeg := false
-	for f, fp := range s.Flows {
+	for _, f := range pat.Flows() {
+		fp := pathFor(a, f)
 		if fp.Intra {
 			continue
 		}
@@ -262,7 +265,7 @@ func TestSplitMatchesProjection(t *testing.T) {
 		for i, got := range levels {
 			name, procs := tc.pat.Name+".noi", a.NoIProcs
 			keep := func(m model.Message) *model.Message {
-				if fp := s.Flows[m.Flow()]; !fp.Intra {
+				if fp := pathFor(a, m.Flow()); !fp.Intra {
 					return to(m, fp.NoI)
 				}
 				return nil
@@ -270,7 +273,7 @@ func TestSplitMatchesProjection(t *testing.T) {
 			if c := i; c < len(a.Clusters) {
 				name, procs = fmt.Sprintf("%s.c%d", tc.pat.Name, c), len(a.Clusters[c])
 				keep = func(m model.Message) *model.Message {
-					switch fp := s.Flows[m.Flow()]; {
+					switch fp := pathFor(a, m.Flow()); {
 					case fp.Intra && fp.Cluster == c:
 						return to(m, fp.Local)
 					case !fp.Intra && fp.SrcCluster == c && fp.LegOut != nil:

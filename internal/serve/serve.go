@@ -687,7 +687,7 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 				Procs:          d.Procs,
 				ConstraintsMet: d.ConstraintsMet(),
 				ContentionFree: d.ContentionFree(),
-				ExactColoring:  true,
+				ExactColoring:  d.ExactColoring(),
 				Switches:       d.TotalSwitches(),
 				Links:          d.TotalLinks(),
 				Hier: &HierSummary{
@@ -699,7 +699,6 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 				},
 			}
 			for _, lv := range d.Levels() {
-				resp.ExactColoring = resp.ExactColoring && lv.Result.ExactColoring
 				resp.Stats.Add(lv.Result.Stats)
 			}
 			if d.NoI != nil {

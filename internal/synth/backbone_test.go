@@ -10,7 +10,7 @@ import (
 // TestBackboneRerouteMeetsDegree pins runs where backboneReroute decides the
 // verdict, a kind the golden corpus lacks: cold BT/9 and SP/9 without their
 // 1→2 flow under MaxDegree 4. With the backbone proposal these designs meet
-// their constraints at resourceCost 31; without it they end ConstraintsMet
+// their constraints at ResourceCost 31; without it they end ConstraintsMet
 // false. Stubbing the phase leaves all 63 golden rows unchanged, so this test
 // is what shows a corpus-only ablation that the phase is live.
 func TestBackboneRerouteMeetsDegree(t *testing.T) {
@@ -27,8 +27,8 @@ func TestBackboneRerouteMeetsDegree(t *testing.T) {
 				t.Errorf("%s/9 without 1→2, MaxProcsPerSwitch %d: ConstraintsMet %v, ContentionFree %v; want both",
 					name, maxProcs, res.ConstraintsMet, res.ContentionFree)
 			}
-			if c := resourceCost(res); c != 31 {
-				t.Errorf("%s/9 without 1→2, MaxProcsPerSwitch %d: resourceCost %d, want 31", name, maxProcs, c)
+			if c := res.ResourceCost(); c != 31 {
+				t.Errorf("%s/9 without 1→2, MaxProcsPerSwitch %d: ResourceCost %d, want 31", name, maxProcs, c)
 			}
 		}
 	}

@@ -319,7 +319,7 @@ type kernel struct {
 	cliques    []model.Clique
 	idx        *model.FlowIndex      // flow ⇄ dense ID (per-pattern)
 	conflict   *model.ConflictMatrix // C as per-flow conflict rows
-	cliqueBits []model.BitSet        // clique -> member flow IDs
+	cliqueBits []model.BitSet        // clique -> member flow IDs (flowCliques' source)
 	flows      []model.Flow          // flow ID -> Flow (sorted; shared with idx)
 	revID      []int                 // flow ID -> reverse flow's ID, or -1
 	procFlows  [][]int               // processor -> flow IDs touching it

@@ -45,7 +45,9 @@ type Result struct {
 // colours for assemble and returns the real (post-colouring) degree of every
 // switch index, repair pipes included, which is all the outer loop reads of a
 // round, and whether every direction's width is certified minimal by a
-// clique. A dead switch's degree is 0 and a live one's at least 1.
+// clique. A dead switch's degree is 0 and a live one's at least 1. The
+// Fast_Color width the gap (Stats.FastColorGap) is measured against is the
+// count tables' dirW, which setRouteRaw keeps exact.
 //
 // A used direction joins two live switches, so colour, repairConnectivity
 // and assemble walk the live switches only (liveSwitches). They write and
@@ -70,7 +72,7 @@ func (s *state) colour() (realDeg []int, allExact bool) {
 			k, colors, certified := coloring.Color(set, s.conflict)
 			s.stats.DSATUR++
 			allExact = allExact && certified
-			if fast := coloring.FastColorBits(s.cliqueBits, set); k > fast {
+			if fast := int(s.dirW[d]); k > fast {
 				s.stats.FastColorGap += k - fast
 			}
 			s.finK[d], s.finColors[d] = int32(k), colors
@@ -465,6 +467,13 @@ func emitSynthObs(o obs.Observer, totals Stats, best *Result) {
 	}
 }
 
+// ResourceCost is the design's combined resource cost, links plus each
+// switch priced as the merge objective prices it in links: the restart fold
+// ranks designs that tie on their verdicts by it.
+func (r *Result) ResourceCost() int {
+	return r.Net.TotalLinks() + costSwitchWeight/costLinkWeight*r.Net.NumSwitches()
+}
+
 func better(a, b *Result) bool {
 	if b == nil {
 		return true
@@ -475,12 +484,7 @@ func better(a, b *Result) bool {
 	if a.ContentionFree != b.ContentionFree {
 		return a.ContentionFree
 	}
-	// Combined resource cost, a switch priced as the merge objective
-	// prices it in links.
-	const switchLinks = costSwitchWeight / costLinkWeight
-	ra := a.Net.TotalLinks() + switchLinks*a.Net.NumSwitches()
-	rb := b.Net.TotalLinks() + switchLinks*b.Net.NumSwitches()
-	if ra != rb {
+	if ra, rb := a.ResourceCost(), b.ResourceCost(); ra != rb {
 		return ra < rb
 	}
 	return totalHops(a.Table) < totalHops(b.Table)
@@ -513,7 +517,7 @@ func synthesizeOnce(ctx context.Context, p *model.Pattern, kern *kernel, opt Opt
 // partition and colour rounds until the real degrees meet the budget, and
 // one assembly of the design, on the round it exits.
 func (s *state) run(p *model.Pattern, sd *SeedDesign) (*Result, error) {
-	ctx, opt, stats, kern := s.ctx, s.opt, s.stats, s.kernel
+	ctx, stats, kern := s.ctx, s.stats, s.kernel
 	if s.applySeed(sd) {
 		stats.SeededRestarts++
 	}
@@ -539,7 +543,7 @@ func (s *state) run(p *model.Pattern, sd *SeedDesign) (*Result, error) {
 		met = true
 		var forced []int
 		for _, sw := range s.liveSwitches() {
-			if len(s.swProcs[sw]) > opt.MaxProcsPerSwitch || realDeg[sw] > opt.MaxDegree {
+			if s.excess(realDeg[sw], len(s.swProcs[sw])) > 0 {
 				met = false
 				if len(s.swProcs[sw]) >= 2 {
 					forced = append(forced, sw)

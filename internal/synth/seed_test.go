@@ -13,10 +13,6 @@ import (
 	"repro/internal/trace"
 )
 
-func resourceCost(r *Result) int {
-	return r.Net.TotalLinks() + 2*r.Net.NumSwitches()
-}
-
 // TestDeterminismSeededWorkers extends the worker-count determinism contract
 // to warm-started runs: with a SeedDesign set, every Workers value must
 // return byte-identical designs, and the seeded-restart count must be
@@ -76,7 +72,7 @@ func TestSeedQualityNeverWorse(t *testing.T) {
 		if cold.ContentionFree && !warm.ContentionFree {
 			t.Errorf("%s: seeded run lost ContentionFree", name)
 		}
-		if wc, cc := resourceCost(warm), resourceCost(cold); wc > cc {
+		if wc, cc := warm.ResourceCost(), cold.ResourceCost(); wc > cc {
 			t.Errorf("%s: seeded cost %d exceeds cold cost %d", name, wc, cc)
 		}
 	}
@@ -134,7 +130,7 @@ func TestSeedAcrossVariants(t *testing.T) {
 	if !warm.ContentionFree {
 		t.Error("seeded variant run is not contention-free")
 	}
-	if wc, cc := resourceCost(warm), resourceCost(cold); wc > cc {
+	if wc, cc := warm.ResourceCost(), cold.ResourceCost(); wc > cc {
 		t.Errorf("seeded variant cost %d exceeds cold cost %d", wc, cc)
 	}
 }
@@ -218,8 +214,8 @@ func TestSeedForeignDesign(t *testing.T) {
 			if !res.ContentionFree || !res.ConstraintsMet {
 				t.Fatalf("ContentionFree %v, ConstraintsMet %v; want both", res.ContentionFree, res.ConstraintsMet)
 			}
-			if c := resourceCost(res); c != tc.cost {
-				t.Errorf("resourceCost = %d, want %d", c, tc.cost)
+			if c := res.ResourceCost(); c != tc.cost {
+				t.Errorf("ResourceCost = %d, want %d", c, tc.cost)
 			}
 			if sum := fmt.Sprintf("%x", sha256.Sum256(designBytes(t, res))); tc.sha != "" && sum != tc.sha {
 				t.Errorf("design sha256 %s, want %s", sum, tc.sha)

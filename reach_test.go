@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -123,7 +124,26 @@ type decl struct {
 	lines int
 }
 
+// The module is type-checked once per test binary and shared by the tests
+// that walk it: a loaded module is read-only, and each walk keeps its own
+// state (unreachable's live set, TestKnobsWritten's field maps).
+var (
+	moduleOnce sync.Once
+	loaded     *module
+	loadErr    error
+)
+
 func loadModule(t *testing.T) *module {
+	moduleOnce.Do(func() { loaded, loadErr = readModule() })
+	if loadErr != nil {
+		t.Fatal(loadErr)
+	}
+	return loaded
+}
+
+// readModule type-checks the non-test source of every package under the
+// repository root.
+func readModule() (*module, error) {
 	m := &module{
 		fset: token.NewFileSet(),
 		pkgs: map[string]*types.Package{},
@@ -147,10 +167,7 @@ func loadModule(t *testing.T) *module {
 		_, err = m.Import(modulePrefix + filepath.ToSlash(path))
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return m, err
 }
 
 // Import type-checks a module package from its non-test files, once, so
