@@ -71,7 +71,7 @@ census:
 # least BENCH_MIN_<gate> times the ns/op of its denominator, each side the
 # median of BENCH_COUNT samples. Both sides run in the same invocation on the
 # same machine, so the ratio needs no recorded baseline, and no target writes
-# a file. With five samples a side the seven gates take about 3.3 minutes on a
+# a file. With five samples a side the eight gates take about 3.6 minutes on a
 # loaded 2-core box; one sample a side let a single noisy sample decide a
 # gate. Each gate's time and its latest measured ratios (five samples a side,
 # loaded 2-core box) are given below.
@@ -129,7 +129,21 @@ census:
 #              decoder that goes back to a string per line falls to about 1;
 #              the floor of 1.2 is about two-thirds of the median. 17-20 s;
 #              1.36-2.18x (median 1.75x).
-BENCH_GATES = flitsim warm floorplan synth rounds workers decode
+#   ingest:    the request-path passes over ring-allreduce/64's 16,128
+#              messages through their test oracles vs production, one pair
+#              per package that owns an oracle: trace.BuildPhased against
+#              the builder that appended each message and grew each phase's
+#              list (build_ref_test.go); ContentionPeriods and Pattern.Flows
+#              against the index that sorted every message's key and the
+#              map (flowindex_ref_test.go); and the eight-cluster flow
+#              partition against the one that summed every pair's members on
+#              every scan (partition_ref_test.go). A pass that goes back to
+#              per-message growth, sorting or rescanning falls to about 1;
+#              the floor of 1.5 is about two-thirds of the lowest pair's
+#              median. 42 s; BuildPhased 5.42-6.19x, the interning
+#              2.22-2.40x (median 2.37x), the partition 5.87-7.65x (six
+#              runs, 2-core box).
+BENCH_GATES = flitsim warm floorplan synth rounds workers decode ingest
 BENCH_TARGETS = $(addprefix bench-,$(BENCH_GATES))
 .PHONY: bench bench-all $(BENCH_TARGETS)
 
@@ -161,6 +175,12 @@ BENCH_PKG_decode = ./internal/trace
 BENCH_RATIO_decode = BenchmarkDecodeJitterFields:BenchmarkDecodeJitter
 BENCH_MIN_decode = 1.2
 
+BENCH_PKG_ingest = ./internal/trace ./internal/model ./internal/hier
+BENCH_RATIO_ingest = BenchmarkBuildPhasedRing64Reference:BenchmarkBuildPhasedRing64 \
+	BenchmarkInternRing64Reference:BenchmarkInternRing64 \
+	BenchmarkFlowPartitionRing64Reference:BenchmarkFlowPartitionRing64
+BENCH_MIN_ingest = 1.5
+
 BENCH_PKG_workers = ./internal/synth
 BENCH_RATIO_workers = BenchmarkSynthesizeHierNoI:BenchmarkSynthesizeHierNoIWorkers2
 BENCH_MIN_workers = 1.2
@@ -189,7 +209,7 @@ $(BENCH_TARGETS): bench-%:
 
 bench: $(BENCH_TARGETS)
 
-# bench-all is the one performance entry point: `bench`'s seven ratio gates in
+# bench-all is the one performance entry point: `bench`'s eight ratio gates in
 # sequence, then the end-to-end ledger — BENCHMARK.json's four workloads, each
 # with its per-layer breakdown. The ledger builds and drives its own nocd and
 # writes only under bench/out/; about 35 s per workload. Run it on an

@@ -2,6 +2,7 @@ package hier
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -192,21 +193,19 @@ func fillGateways(a *Assignment, p *model.Pattern, explicit [][]int, maxGateways
 	if len(a.Clusters) == 1 {
 		return // single cluster: no NoI level, no gateways
 	}
-	boundary := make([]map[int]bool, len(a.Clusters))
-	for c := range boundary {
-		boundary[c] = make(map[int]bool)
-	}
+	// boundary[q]: processor q is an endpoint of an inter-cluster message.
+	boundary := make([]bool, a.Procs)
 	for _, m := range p.Messages {
 		if a.Of[m.Src] != a.Of[m.Dst] {
-			boundary[a.Of[m.Src]][m.Src] = true
-			boundary[a.Of[m.Dst]][m.Dst] = true
+			boundary[m.Src] = true
+			boundary[m.Dst] = true
 		}
 	}
 	for c, members := range a.Clusters {
 		gws := explicit[c]
 		if len(gws) == 0 {
 			for _, q := range members {
-				if boundary[c][q] {
+				if boundary[q] {
 					gws = append(gws, q)
 				}
 			}
@@ -231,15 +230,26 @@ func fillGateways(a *Assignment, p *model.Pattern, explicit [][]int, maxGateways
 // from singletons, repeatedly merge the pair of groups exchanging the most
 // bytes whose union respects the ceil(N/k) size cap; when no weighted merge
 // fits, merge the two smallest groups (the balance fallback). Ties break
-// toward the smallest representative members, so the result is deterministic.
+// toward the smaller union, then the smallest representative members, so
+// the result is deterministic.
+//
+// Groups live in slots: group q starts in slot q, and a merge folds the later
+// slot into the earlier one, so the live slots stay ascending. weight is the
+// dense symmetric matrix of slot-pair weights, the processor-pair weights to
+// begin with, and a merge adds the folded slot's row and column into the
+// survivor's. best[a] caches row a's best partner; a merge rescans only the
+// rows it can have changed, so a partition is O(N²) in the common case
+// rather than O(N⁴) summing every pair's members on every scan.
 func flowPartition(p *model.Pattern, k int) [][]int {
 	n := p.Procs
 	groups := make([][]int, n)
+	size := make([]int, n)
+	live := make([]int, n) // the groups' slots, ascending
 	for q := 0; q < n; q++ {
 		groups[q] = []int{q}
+		size[q] = 1
+		live[q] = q
 	}
-	// weight is the dense symmetric n×n matrix of pair weights: the merge
-	// scan reads it O(groups²·|gi|·|gj|) times per merge.
 	weight := make([]int64, n*n)
 	for _, m := range p.Messages {
 		if m.Src == m.Dst {
@@ -250,49 +260,79 @@ func flowPartition(p *model.Pattern, k int) [][]int {
 		weight[m.Dst*n+m.Src] += w
 	}
 	sizeCap := (n + k - 1) / k
-	groupWeight := func(i, j int) int64 {
-		var w int64
-		for _, u := range groups[i] {
-			row := weight[u*n : (u+1)*n]
-			for _, v := range groups[j] {
-				w += row[v]
+	// fits reports whether slots a and b may merge by weight: their union
+	// is within the cap and their weight is not negative (one that is never
+	// beats the scan's starting bound of −1).
+	fits := func(a, b int) bool { return size[a]+size[b] <= sizeCap && weight[a*n+b] >= 0 }
+	// heavier reports whether pair (a, b) ranks above pair (c, d): more
+	// weight, then the smaller union.
+	heavier := func(a, b, c, d int) bool {
+		wab, wcd := weight[a*n+b], weight[c*n+d]
+		return wab > wcd || wab == wcd && size[a]+size[b] < size[c]+size[d]
+	}
+	// best[a] is the partner b > a of a's best fitting pair, the lowest
+	// such slot among equals; -1 when none fits.
+	best := make([]int, n)
+	scanRow := func(i int) {
+		a := live[i]
+		best[a] = -1
+		for _, b := range live[i+1:] {
+			if fits(a, b) && (best[a] < 0 || heavier(a, b, a, best[a])) {
+				best[a] = b
 			}
 		}
-		return w
 	}
-	merge := func(i, j int) {
-		groups[i] = dedupSorted(append(groups[i], groups[j]...))
-		groups = append(groups[:j], groups[j+1:]...)
+	for i := range live {
+		scanRow(i)
 	}
-	for len(groups) > k {
-		bestI, bestJ := -1, -1
-		var bestW int64 = -1
-		bestSize := 0
-		for i := 0; i < len(groups); i++ {
-			for j := i + 1; j < len(groups); j++ {
-				size := len(groups[i]) + len(groups[j])
-				if size > sizeCap {
-					continue
-				}
-				w := groupWeight(i, j)
-				if w > bestW || (w == bestW && size < bestSize) {
-					bestI, bestJ, bestW, bestSize = i, j, w, size
-				}
+	for len(live) > k {
+		bi, bj := -1, -1
+		for i, a := range live {
+			if b := best[a]; b >= 0 && (bi < 0 || heavier(a, b, live[bi], best[live[bi]])) {
+				bi = i
 			}
 		}
-		if bestI < 0 {
+		if bi >= 0 {
+			bj, _ = slices.BinarySearch(live, best[live[bi]])
+		} else {
 			// No pair fits the cap (possible when sizes fragment
 			// unevenly): merge the two smallest groups regardless.
-			for i := 0; i < len(groups); i++ {
-				for j := i + 1; j < len(groups); j++ {
-					size := len(groups[i]) + len(groups[j])
-					if bestI < 0 || size < bestSize {
-						bestI, bestJ, bestSize = i, j, size
+			bestSize := 0
+			for i, a := range live {
+				for j := i + 1; j < len(live); j++ {
+					if sz := size[a] + size[live[j]]; bi < 0 || sz < bestSize {
+						bi, bj, bestSize = i, j, sz
 					}
 				}
 			}
 		}
-		merge(bestI, bestJ)
+		a, b := live[bi], live[bj]
+		rowA, rowB := weight[a*n:(a+1)*n], weight[b*n:(b+1)*n]
+		for _, c := range live {
+			if c != a && c != b {
+				rowA[c] += rowB[c]
+				weight[c*n+a] = rowA[c]
+			}
+		}
+		groups[a] = dedupSorted(append(groups[a], groups[b]...))
+		size[a] += size[b]
+		live = slices.Delete(live, bj, bj+1)
+		// Only pairs with a changed, and b is gone: rescan a's row and every
+		// row whose best partner was a or b, and offer each earlier row its
+		// new pair with a.
+		for i, c := range live {
+			switch {
+			case c == a || best[c] == a || best[c] == b:
+				scanRow(i)
+			case c < a && fits(c, a) && (best[c] < 0 || heavier(c, a, c, best[c]) ||
+				!heavier(c, best[c], c, a) && a < best[c]):
+				best[c] = a
+			}
+		}
 	}
-	return groups
+	out := make([][]int, len(live))
+	for i, a := range live {
+		out[i] = groups[a]
+	}
+	return out
 }

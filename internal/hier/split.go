@@ -86,8 +86,8 @@ func pathFor(a *Assignment, f model.Flow) FlowPath {
 // communication.
 //
 // One walk over the messages and one over the phases serve every level: each
-// flow's path is resolved once, and a message is appended to the (at most
-// three) levels that own a piece of it.
+// flow's path is resolved once, into a slice by flow ID, and a message is
+// appended to the (at most three) levels that own a piece of it.
 func SplitPattern(p *model.Pattern, a *Assignment) (*Split, error) {
 	if p.Procs != a.Procs {
 		return nil, fmt.Errorf("hier: pattern has %d procs, assignment %d", p.Procs, a.Procs)
@@ -116,12 +116,20 @@ func SplitPattern(p *model.Pattern, a *Assignment) (*Split, error) {
 		at[i][k] = landing{int32(level + 1), count[level], int32(f.Src), int32(f.Dst)}
 		count[level]++
 	}
-	paths := make(map[model.Flow]FlowPath)
+	// paths[id] is the path of the flow with that ID; a self-flow has no ID,
+	// and its path, within one chiplet, is resolved in place.
+	ix := model.NewFlowIndex(p.Flows())
+	paths := make([]FlowPath, ix.Len())
+	for id, f := range ix.Flows() {
+		paths[id] = pathFor(a, f)
+	}
+	var self FlowPath
 	for i, m := range p.Messages {
-		fp, ok := paths[m.Flow()]
-		if !ok {
-			fp = pathFor(a, m.Flow())
-			paths[m.Flow()] = fp
+		fp := &self
+		if id, ok := ix.ID(m.Flow()); ok {
+			fp = &paths[id]
+		} else {
+			self = pathFor(a, m.Flow())
 		}
 		if fp.Intra {
 			put(i, fp.Cluster, fp.Local)

@@ -292,7 +292,7 @@ func TestSplitMatchesProjection(t *testing.T) {
 }
 
 // BenchmarkSplitPattern is the split of the largest hier ledger class:
-// ring-allreduce/64 (8,064 messages, 126 phases) over eight clusters.
+// ring-allreduce/64 (16,128 messages, 252 phases) over eight clusters.
 func BenchmarkSplitPattern(b *testing.B) {
 	pat := ring64(b)
 	sp, err := ParseSpec("blocks:8")
@@ -314,7 +314,8 @@ func BenchmarkSplitPattern(b *testing.B) {
 
 // BenchmarkPartition is the flow partition every hier request runs serially
 // before its first level: ring-allreduce/64 over eight clusters (the largest
-// hier ledger class) and CG/16 over four.
+// hier ledger class), CG/16 over four, and BT/256 and CG/256 over sixteen,
+// the scale cells.
 func BenchmarkPartition(b *testing.B) {
 	cg16, err := nas.Generate("CG", 16, nas.Config{})
 	if err != nil {
@@ -327,6 +328,8 @@ func BenchmarkPartition(b *testing.B) {
 	}{
 		{"ring64", ring64(b), "8"},
 		{"cg16", cg16, "4"},
+		{"bt256", nas256(b, "BT"), "16"},
+		{"cg256", nas256(b, "CG"), "16"},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			sp, err := ParseSpec(c.clusters)

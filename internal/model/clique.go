@@ -86,36 +86,29 @@ type periodEvent struct {
 // flows whose count is positive. Only an instant at which some count crossed
 // 0<->1 can show a new set; the bitset is then looked up by hash and Equal
 // among the sets seen so far, and a Clique is built only for a new one.
-func ContentionPeriods(p *Pattern) []Clique { return contentionPeriods(p, sortByTime) }
+func ContentionPeriods(p *Pattern) []Clique { return contentionPeriods(p, internMessages, sortByTime) }
 
-// contentionPeriods is ContentionPeriods with its two event lists sorted by
-// sortEvents, which gets a scratch list and returns it, grown if it needed a
-// longer one.
-func contentionPeriods(p *Pattern, sortEvents func(evs, buf []periodEvent) []periodEvent) []Clique {
-	flows := make([]Flow, len(p.Messages))
-	for i, m := range p.Messages {
-		flows[i] = m.Flow()
-	}
-	ix := NewFlowIndex(flows)
-	if ix.Len() == 0 {
+// contentionPeriods is ContentionPeriods with the messages' flows interned
+// by intern (the distinct flows in ID order and each message's flow ID, -1
+// for a self-flow) and its two event lists sorted by sortEvents, which gets
+// a scratch list and returns it, grown if it needed a longer one.
+func contentionPeriods(p *Pattern, intern func(*Pattern) ([]Flow, []int32), sortEvents func(evs, buf []periodEvent) []periodEvent) []Clique {
+	flows, ids := intern(p)
+	if len(flows) == 0 {
 		return nil
 	}
 	n := len(p.Messages)
 	evs := make([]periodEvent, 2*n)
 	starts, finishes := evs[:n], evs[n:]
 	for i, m := range p.Messages {
-		id := int32(-1)
-		if fid, ok := ix.ID(flows[i]); ok {
-			id = int32(fid)
-		}
-		starts[i] = periodEvent{m.Start, id}
-		finishes[i] = periodEvent{m.Finish, id}
+		starts[i] = periodEvent{m.Start, ids[i]}
+		finishes[i] = periodEvent{m.Finish, ids[i]}
 	}
 	sortEvents(finishes, sortEvents(starts, nil))
 
-	words := (ix.Len() + 63) / 64
+	words := (len(flows) + 63) / 64
 	active := make(BitSet, words)
-	inFlight := make([]int32, ix.Len())
+	inFlight := make([]int32, len(flows))
 	nActive := 0
 	dirty := false
 
@@ -155,7 +148,7 @@ func contentionPeriods(p *Pattern, sortEvents func(evs, buf []periodEvent) []per
 			}
 			if k == 0 {
 				c := make(Clique, 0, nActive)
-				active.ForEach(func(id int) { c = append(c, ix.Flow(id)) })
+				active.ForEach(func(id int) { c = append(c, flows[id]) })
 				out = append(out, c)
 				seen = append(seen, active...)
 				prev = append(prev, head[h])
@@ -263,7 +256,8 @@ func hashBits(b BitSet) uint64 {
 	return h
 }
 
-// hashMul is hashBits' multiplier (the 64-bit golden-ratio constant).
+// hashMul is the multiplier of hashBits and of keySet's slots (the 64-bit
+// golden-ratio constant).
 const hashMul = 0x9E3779B97F4A7C15
 
 // MaxCliques reduces a clique set to the communication maximum clique set of

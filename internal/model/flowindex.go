@@ -1,7 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -14,11 +16,12 @@ import (
 // pattern's flow universe must never be used to interpret IDs or bitsets
 // produced against another pattern's index.
 //
-// The index hashes nothing: it sorts the flows' packed keys (flowKey) and
-// finds an ID by binary search over them, so a flow's ID is its key's rank.
+// A flow's ID is the rank of its packed key (flowKey). The keys live in a
+// keySet whose slots hold, once ranked, each key's ID, so ID is one hash
+// probe.
 type FlowIndex struct {
 	flows []Flow
-	keys  []uint64 // the flows' packed keys, ascending
+	set   keySet // the flows' keys, ranked
 }
 
 // flowKey packs f into one word, Src above Dst, so that key order is
@@ -31,28 +34,137 @@ func flowKey(f Flow) (key uint64, ok bool) {
 	return uint64(f.Src)<<32 | uint64(f.Dst), true
 }
 
+// mustKey is flowKey for a flow that must pack. It panics on one that does
+// not: no valid pattern has such a flow.
+func mustKey(f Flow) uint64 {
+	k, ok := flowKey(f)
+	if !ok {
+		panic(fmt.Sprintf("model: flow %v has a node outside [0, 2^32)", f))
+	}
+	return k
+}
+
 // NewFlowIndex builds an index over the given flows (deduplicated and
 // sorted; self-flows are excluded, matching Pattern.Flows). It panics on a
 // flow with a node outside [0, 2^32): no valid pattern has one.
 func NewFlowIndex(flows []Flow) *FlowIndex {
-	keys := make([]uint64, 0, len(flows))
+	var s keySet
 	for _, f := range flows {
-		if f.Src == f.Dst {
-			continue
+		if f.Src != f.Dst {
+			s.add(mustKey(f))
 		}
-		k, ok := flowKey(f)
-		if !ok {
-			panic(fmt.Sprintf("model: flow %v has a node outside [0, 2^32)", f))
+	}
+	s.rank()
+	return &FlowIndex{flows: s.sortedFlows(), set: s}
+}
+
+// internMessages interns the flows of p's messages: the distinct flows in
+// ID order, and each message's flow ID, -1 for a self-flow. Every message is
+// hashed once; only the distinct flows are sorted. It panics on a flow with
+// a node outside [0, 2^32), as NewFlowIndex does.
+func internMessages(p *Pattern) (flows []Flow, ids []int32) {
+	var s keySet
+	ids = make([]int32, len(p.Messages))
+	for i, m := range p.Messages {
+		ids[i] = -1
+		if m.Src != m.Dst {
+			ids[i] = s.add(mustKey(m.Flow()))
 		}
-		keys = append(keys, k)
 	}
-	slices.Sort(keys)
-	keys = slices.Clip(slices.Compact(keys))
-	fs := make([]Flow, len(keys))
-	for i, k := range keys {
-		fs[i] = Flow{Src: Node(k >> 32), Dst: Node(uint32(k))}
+	rank := s.rank()
+	for i, at := range ids {
+		if at >= 0 {
+			ids[i] = rank[at]
+		}
 	}
-	return &FlowIndex{flows: fs, keys: keys}
+	return s.sortedFlows(), ids
+}
+
+// keySet collects distinct flow keys: an open-addressed table with linear
+// probing, sized by the distinct keys it holds rather than by how often
+// they repeat, so interning a pattern's messages sorts its flows, not its
+// messages. A slot holds ^key, 0 when empty: ^key is 0 only for the
+// self-flow of node 2^32−1, which no caller adds.
+type keySet struct {
+	slots []uint64
+	// at holds, for each full slot, its key's position in keys, and once
+	// rank has run, the key's rank.
+	at    []int32
+	shift uint     // 64 − log2(len(slots)): a key's home slot is the top bits of key·hashMul
+	keys  []uint64 // the distinct keys, in order of first add until sortedFlows sorts them
+}
+
+// keySetMinSlots is a keySet's first table size: room for 32 keys at its
+// load limit of one half.
+const keySetMinSlots = 64
+
+// add puts k in the set and returns its position in keys.
+func (s *keySet) add(k uint64) int32 {
+	if 2*len(s.keys) >= len(s.slots) {
+		s.grow()
+	}
+	i := s.slot(k)
+	if s.slots[i] == 0 {
+		s.slots[i] = ^k
+		s.at[i] = int32(len(s.keys))
+		s.keys = append(s.keys, k)
+	}
+	return s.at[i]
+}
+
+// slot returns the slot holding k, or the empty slot where k would go.
+func (s *keySet) slot(k uint64) int {
+	mask := len(s.slots) - 1
+	i := int((k * hashMul) >> s.shift)
+	for s.slots[i] != 0 && s.slots[i] != ^k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow doubles the table (or makes the first one), re-inserts the keys, and
+// makes room in keys for every key the new table takes before it grows.
+func (s *keySet) grow() {
+	n := max(2*len(s.slots), keySetMinSlots)
+	s.slots, s.at = make([]uint64, n), make([]int32, n)
+	s.keys = slices.Grow(s.keys, n/2-len(s.keys))
+	s.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for j, k := range s.keys {
+		i := s.slot(k)
+		s.slots[i], s.at[i] = ^k, int32(j)
+	}
+}
+
+// rank gives each key its rank among the keys, which is its flow's ID: the
+// result maps a key's position in keys to its rank, and each slot's at is
+// rewritten from the position to the rank. It must run before sortedFlows.
+func (s *keySet) rank() []int32 {
+	order := make([]int32, len(s.keys))
+	for j := range order {
+		order[j] = int32(j)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(s.keys[a], s.keys[b]) })
+	rank := make([]int32, len(order))
+	for id, j := range order {
+		rank[j] = int32(id)
+	}
+	for i, k := range s.slots {
+		if k != 0 {
+			s.at[i] = rank[s.at[i]]
+		}
+	}
+	return rank
+}
+
+// sortedFlows sorts the keys, which is Flow.Less order, and returns their
+// flows.
+func (s *keySet) sortedFlows() []Flow {
+	slices.Sort(s.keys)
+	flows := make([]Flow, len(s.keys))
+	for i, k := range s.keys {
+		flows[i] = Flow{Src: Node(k >> 32), Dst: Node(uint32(k))}
+	}
+	return flows
 }
 
 // Len returns the number of interned flows.
@@ -61,14 +173,14 @@ func (ix *FlowIndex) Len() int { return len(ix.flows) }
 // ID returns the dense ID of f and whether f is interned (0 if not).
 func (ix *FlowIndex) ID(f Flow) (int, bool) {
 	k, packs := flowKey(f)
-	if !packs {
+	if !packs || len(ix.set.slots) == 0 {
 		return 0, false
 	}
-	id, ok := slices.BinarySearch(ix.keys, k)
-	if !ok {
+	i := ix.set.slot(k)
+	if ix.set.slots[i] == 0 {
 		return 0, false
 	}
-	return id, true
+	return int(ix.set.at[i]), true
 }
 
 // Flow returns the flow with the given ID.

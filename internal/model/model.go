@@ -137,22 +137,36 @@ func (p *Pattern) Validate() error {
 }
 
 // Flows returns the distinct flows of the pattern in sorted order,
-// excluding self-flows (src == dst), which never use the network.
+// excluding self-flows (src == dst), which never use the network. Repeated
+// flows are dropped before anything is sorted (keySet), so the sort is over
+// the pattern's flows, not its messages. A pattern with a node that does not
+// pack into a flow key, which Validate rejects, has every flow sorted by
+// comparison and the repeats dropped after.
 func (p *Pattern) Flows() []Flow {
-	seen := make(map[Flow]bool)
-	var out []Flow
+	var s keySet
 	for _, m := range p.Messages {
-		f := m.Flow()
-		if f.Src == f.Dst || seen[f] {
+		if m.Src == m.Dst {
 			continue
 		}
-		seen[f] = true
-		out = append(out, f)
+		k, ok := flowKey(m.Flow())
+		if !ok {
+			var out []Flow
+			for _, m := range p.Messages {
+				if m.Src != m.Dst {
+					out = append(out, m.Flow())
+				}
+			}
+			slices.SortFunc(out, func(f, g Flow) int {
+				return cmp.Or(cmp.Compare(f.Src, g.Src), cmp.Compare(f.Dst, g.Dst))
+			})
+			return slices.Compact(out)
+		}
+		s.add(k)
 	}
-	slices.SortFunc(out, func(f, g Flow) int {
-		return cmp.Or(cmp.Compare(f.Src, g.Src), cmp.Compare(f.Dst, g.Dst))
-	})
-	return out
+	if len(s.keys) == 0 {
+		return nil
+	}
+	return s.sortedFlows()
 }
 
 // TotalBytes sums the payload of all messages.

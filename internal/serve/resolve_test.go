@@ -618,3 +618,42 @@ func TestBatchHit16Allocs(t *testing.T) {
 		t.Errorf("writing a 200 row allocates %.0f times, want 0", allocs)
 	}
 }
+
+// TestLeaderRechecksMemory forces the interleaving in which a request's
+// store lookup misses, a second request for the same key then synthesises,
+// stores its entry and leaves the flight, and only after that does the first
+// request join the flight for the key. The first request leads a new flight,
+// which must find the stored entry in memory and serve it instead of
+// synthesising the key a second time, with no serve counter moved.
+func TestLeaderRechecksMemory(t *testing.T) {
+	srv := newTestServer(t, quickConfig())
+	body := []byte(`{"benchmark":"CG","procs":16,"seed":1}`)
+	var second itemResult
+	afterLookupMiss = func(string) {
+		afterLookupMiss = nil // the second request goes straight through
+		second = srv.resolve(context.Background(), body, false)
+	}
+	defer func() { afterLookupMiss = nil }()
+	first := srv.resolve(context.Background(), body, false)
+	if first.status != http.StatusOK || second.status != http.StatusOK {
+		t.Fatalf("statuses %d and %d, want 200: %s %s", first.status, second.status, first.errMsg, second.errMsg)
+	}
+	if second.cache != "miss" || first.cache != "hit" {
+		t.Errorf("X-Nocd-Cache %q for the request that synthesised and %q for the one that waited, want miss and hit", second.cache, first.cache)
+	}
+	if !bytes.Equal(first.body, second.body) {
+		t.Error("the request that waited was not served the stored bytes")
+	}
+	col := srv.Metrics()
+	for name, want := range map[string]int64{
+		"synth.runs":           1,
+		"serve.cache_miss":     1,
+		"serve.cache_hit":      0,
+		"serve.store_mem_miss": 2,
+		"serve.store_mem_hit":  0,
+	} {
+		if got := col.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}

@@ -408,20 +408,37 @@ func (s *Server) resolve(ctx context.Context, raw []byte, alreadyForwarded bool)
 		}
 	}
 
+	if afterLookupMiss != nil {
+		afterLookupMiss(key)
+	}
 	reqCol := obs.NewCollector()
+	how := "miss"
 	ent, err, shared := s.flights.Do(ctx, key, func(runCtx context.Context) (*Entry, error) {
+		// The lookup and the flight are two steps: a leader for this key
+		// may have stored its entry and left the flight between them. Its
+		// entry is in memory, so take it rather than synthesise the key
+		// again. The peek counts nothing: the lookup already counted this
+		// request's store misses.
+		if ent, ok := s.mem.Peek(key); ok {
+			how = "hit"
+			return ent, nil
+		}
 		return s.synthesize(runCtx, key, plan, pat, reqCol)
 	})
 	if err != nil {
 		return s.errorResult(ctx, key, err)
 	}
-	how := "miss"
 	if shared {
 		how = "shared"
 		obs.Count(s.col, "serve.singleflight_shared", 1)
 	}
 	return entryResult(ent, how)
 }
+
+// afterLookupMiss, set only by tests, runs between a request's store lookup
+// missing and its joining the flight for its key, so a test can finish
+// another request for the key in that gap.
+var afterLookupMiss func(key string)
 
 // requestKey computes the plan's cache key — byte for byte Key of its
 // pattern — through the key memo, for a named workload and an inline trace

@@ -61,6 +61,16 @@ func (c *memStore) Get(key string) (*Entry, bool) {
 	return el.Value.(*Entry), true
 }
 
+// Peek returns the entry for key without refreshing its recency.
+func (c *memStore) Peek(key string) (*Entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[key]; ok {
+		return el.Value.(*Entry), true
+	}
+	return nil, false
+}
+
 // Put inserts (or refreshes) an entry, evicting from the cold end to stay
 // within capacity. A non-positive capacity disables the backend entirely.
 func (c *memStore) Put(e *Entry) (evicted []string, stored bool) {

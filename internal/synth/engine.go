@@ -418,7 +418,14 @@ func (d *drawSource) Int63() int64 {
 // reset rebuilds the mutable state for the current kernel: one megaswitch
 // holding every processor, every flow on the shared single-switch route,
 // all tables zero and the totals the megaswitch's, journal and arena empty.
+//
+// Only the switch indices used since the last reset can hold a nonzero cell:
+// the list of switches only grows between resets, and every mutator writes
+// at indices below its length. So reset clears the used square of each
+// matrix, not all stride² cells: a NoI restart that grew the stride to 64
+// clears the few indices it used.
 func (s *state) reset() {
+	used := len(s.swProcs)
 	s.growStride(8)
 	nf := len(s.flows)
 	words := (nf + 63) / 64
@@ -431,29 +438,26 @@ func (s *state) reset() {
 		}
 		s.bsWords = words
 	} else {
-		for _, set := range s.pipes {
-			if set != nil {
-				set.Reset()
+		for a := 0; a < used; a++ {
+			for _, set := range s.pipes[a*s.stride : a*s.stride+used] {
+				if set != nil {
+					set.Reset()
+				}
 			}
 		}
 	}
-	for i := range s.dirW {
-		s.dirW[i] = 0
+	for a := 0; a < used; a++ {
+		row := a * s.stride
+		clear(s.dirW[row : row+used])
+		clear(s.dirQ[row : row+used])
+		clear(s.pairW[row : row+used])
+		clear(s.rowAt[row : row+used])
 	}
-	for i := range s.dirQ {
-		s.dirQ[i] = 0
-	}
-	for i := range s.pairW {
-		s.pairW[i] = 0
-	}
-	for i := range s.sumW {
-		s.sumW[i] = 0
-	}
+	clear(s.sumW[:used])
 	// The slab is cut into rows of this kernel's clique count, so every row
 	// goes back: zeroed here, carved again by newCountRow on first use.
 	clear(s.counts)
 	s.counts = s.counts[:0]
-	clear(s.rowAt)
 	if nc := 2 * len(s.cliques); cap(s.boundCnt) < nc {
 		s.boundCnt = make([]int32, nc)
 	} else {

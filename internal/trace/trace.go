@@ -50,14 +50,33 @@ func (s PhaseSpec) nominalDuration() float64 {
 // starts when phase i-1 (plus its compute gap) ends. All messages of a phase
 // share the phase's start and finish times, so each phase is exactly one
 // contention period in the ideal, skew-free case the methodology assumes.
+//
+// The message and phase lists are sized from the specs up front, and every
+// phase's Messages is a capped slice of one index array, so an append to one
+// phase's list reallocates it instead of writing into the next phase's.
 func BuildPhased(name string, procs int, phases []PhaseSpec) *model.Pattern {
 	p := &model.Pattern{Name: name, Procs: procs}
+	n := 0
+	for _, spec := range phases {
+		n += len(spec.Flows)
+	}
+	var ids []int
+	if n > 0 { // a pattern without messages keeps nil lists
+		p.Messages = make([]model.Message, 0, n)
+		ids = make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+	}
+	if len(phases) > 0 {
+		p.Phases = make([]model.Phase, 0, len(phases))
+	}
 	t := 0.0
 	for _, spec := range phases {
 		dur := spec.nominalDuration()
 		ph := model.Phase{Label: spec.Label, Start: t, Finish: t + dur, ComputeAfter: spec.ComputeAfter}
+		lo := len(p.Messages)
 		for _, f := range spec.Flows {
-			ph.Messages = append(ph.Messages, len(p.Messages))
 			p.Messages = append(p.Messages, model.Message{
 				ID:     len(p.Messages),
 				Src:    f.Src,
@@ -66,6 +85,9 @@ func BuildPhased(name string, procs int, phases []PhaseSpec) *model.Pattern {
 				Finish: t + dur,
 				Bytes:  spec.Bytes,
 			})
+		}
+		if hi := len(p.Messages); hi > lo { // a phase without flows keeps a nil list
+			ph.Messages = ids[lo:hi:hi]
 		}
 		p.Phases = append(p.Phases, ph)
 		// Separate consecutive phases by a small epsilon beyond the
@@ -101,11 +123,22 @@ func ApplySkew(p *model.Pattern, maxSkew float64, seed int64) *model.Pattern {
 	return out
 }
 
+// clonePhases copies ps, each phase's Messages a capped slice of one array
+// (an empty list comes out nil).
 func clonePhases(ps []model.Phase) []model.Phase {
+	n := 0
+	for _, ph := range ps {
+		n += len(ph.Messages)
+	}
+	all := make([]int, 0, n)
 	out := make([]model.Phase, len(ps))
 	for i, ph := range ps {
 		out[i] = ph
-		out[i].Messages = append([]int(nil), ph.Messages...)
+		if len(ph.Messages) > 0 {
+			lo := len(all)
+			all = append(all, ph.Messages...)
+			out[i].Messages = all[lo:len(all):len(all)]
+		}
 	}
 	return out
 }
