@@ -71,7 +71,7 @@ census:
 # least BENCH_MIN_<gate> times the ns/op of its denominator, each side the
 # median of BENCH_COUNT samples. Both sides run in the same invocation on the
 # same machine, so the ratio needs no recorded baseline, and no target writes
-# a file. With five samples a side the eight gates take about 3.6 minutes on a
+# a file. With five samples a side the nine gates take about 4 minutes on a
 # loaded 2-core box; one sample a side let a single noisy sample decide a
 # gate. Each gate's time and its latest measured ratios (five samples a side,
 # loaded 2-core box) are given below.
@@ -143,7 +143,19 @@ census:
 #              median. 42 s; BuildPhased 5.42-6.19x, the interning
 #              2.22-2.40x (median 2.37x), the partition 5.87-7.65x (six
 #              runs, 2-core box).
-BENCH_GATES = flitsim warm floorplan synth rounds workers decode ingest
+#   request:   the request path's JSON through its encoding/json oracles vs
+#              production, in two pairs: the jitter body planned through the
+#              json.Decoder (decodeRequestJSON in envelope_ref_test.go) vs
+#              the one-pass envelope decoder; and the ring-allreduce/64 and
+#              CG/16 at four clusters responses rendered by marshalling and
+#              indenting the whole response around a saved design
+#              (renderResponseMarshal in render_ref_test.go) vs renderResponse,
+#              which writes the design once into each form. A path that goes
+#              back to encoding/json falls to about 1; the floor of 1.7
+#              is about two-thirds of the render pair's median. 31 s;
+#              decode 8.53-10.75x, render 2.27-3.20x (four runs, 2-core
+#              box).
+BENCH_GATES = flitsim warm floorplan synth rounds workers decode ingest request
 BENCH_TARGETS = $(addprefix bench-,$(BENCH_GATES))
 .PHONY: bench bench-all $(BENCH_TARGETS)
 
@@ -181,6 +193,11 @@ BENCH_RATIO_ingest = BenchmarkBuildPhasedRing64Reference:BenchmarkBuildPhasedRin
 	BenchmarkFlowPartitionRing64Reference:BenchmarkFlowPartitionRing64
 BENCH_MIN_ingest = 1.5
 
+BENCH_PKG_request = ./internal/serve
+BENCH_RATIO_request = BenchmarkDecodeRequestJitterJSON:BenchmarkDecodeRequestJitter \
+	BenchmarkRenderResponsesMarshal:BenchmarkRenderResponses
+BENCH_MIN_request = 1.7
+
 BENCH_PKG_workers = ./internal/synth
 BENCH_RATIO_workers = BenchmarkSynthesizeHierNoI:BenchmarkSynthesizeHierNoIWorkers2
 BENCH_MIN_workers = 1.2
@@ -209,7 +226,7 @@ $(BENCH_TARGETS): bench-%:
 
 bench: $(BENCH_TARGETS)
 
-# bench-all is the one performance entry point: `bench`'s eight ratio gates in
+# bench-all is the one performance entry point: `bench`'s nine ratio gates in
 # sequence, then the end-to-end ledger — BENCHMARK.json's four workloads, each
 # with its per-layer breakdown. The ledger builds and drives its own nocd and
 # writes only under bench/out/; about 35 s per workload. Run it on an
@@ -235,7 +252,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 30s ./internal/hier
 	$(GO) test -run '^$$' -fuzz FuzzHierLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/hier
 	$(GO) test -run '^$$' -fuzz FuzzContentionPeriods -fuzztime 30s ./internal/model
-	$(GO) test -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDesignRequest$$' -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDesignRequestDecode -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDiskStoreLoad -fuzztime 30s -fuzzminimizetime 2s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadDesign -fuzztime 30s -fuzzminimizetime 2s ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzMoveEngine -fuzztime 30s ./internal/synth

@@ -1,34 +1,40 @@
 package collective
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/trace"
 )
 
-// ringStep builds one neighbor-shift step of a ring pass: every node i
-// sends one chunk to its successor (i+1) mod N, all transfers synchronized.
-// Each step is a permutation — exactly one send and one receive per node —
-// which is what makes ring collectives maximally well-behaved: the step's
-// flows form a single contention period whose maximum clique is the whole
-// ring.
-func ringStep(label string, nodes, bytes int) trace.PhaseSpec {
-	fs := make([]model.Flow, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		fs = append(fs, model.F(i, (i+1)%nodes))
+// ringFlows returns the flows of one neighbor-shift step of a ring pass:
+// every node i sends one chunk to its successor (i+1) mod N, all transfers
+// synchronized. Each step is a permutation — exactly one send and one
+// receive per node — which is what makes ring collectives maximally
+// well-behaved: the step's flows form a single contention period whose
+// maximum clique is the whole ring.
+func ringFlows(nodes int) []model.Flow {
+	fs := make([]model.Flow, nodes)
+	for i := range fs {
+		fs[i] = model.F(i, (i+1)%nodes)
 	}
-	return trace.PhaseSpec{Label: label, Flows: fs, Bytes: bytes}
+	return fs
 }
 
 // ringPass appends the N−1 steps of one ring pass (a reduce-scatter or an
-// all-gather), labelled prefix.s0 … prefix.s{N−2}. In step s node i moves
-// chunk (i−s) mod N for a reduce-scatter and chunk (i+1−s) mod N for an
-// all-gather; the chunk index does not change the flow structure, so the
-// schedule records only the step.
-func ringPass(phases []trace.PhaseSpec, prefix string, nodes, chunkBytes int) []trace.PhaseSpec {
-	for s := 0; s < nodes-1; s++ {
-		phases = append(phases, ringStep(fmt.Sprintf("%s.s%d", prefix, s), nodes, chunkBytes))
+// all-gather) over the step flows, labelled prefix.s0 … prefix.s{N−2}. In
+// step s node i moves chunk (i−s) mod N for a reduce-scatter and chunk
+// (i+1−s) mod N for an all-gather; the chunk index does not change the flow
+// structure, so the schedule records only the step, and every step shares
+// the one flow slice (trace.BuildPhased only reads it).
+func ringPass(phases []trace.PhaseSpec, prefix string, flows []model.Flow, chunkBytes int) []trace.PhaseSpec {
+	label := append([]byte(prefix), ".s"...)
+	for s := 0; s < len(flows)-1; s++ {
+		phases = append(phases, trace.PhaseSpec{
+			Label: string(strconv.AppendInt(label, int64(s), 10)),
+			Flows: flows,
+			Bytes: chunkBytes,
+		})
 	}
 	return phases
 }
@@ -62,12 +68,15 @@ func ringCollective(name string, passes []string, nodes int, cfg Config) (*model
 		return nil, err
 	}
 	chunk := cfg.chunk(nodes)
-	var phases []trace.PhaseSpec
-	for rep := 0; rep < cfg.Repeats; rep++ {
-		for _, prefix := range passes {
-			phases = ringPass(phases, prefix, nodes, chunk)
-		}
-		phases[len(phases)-1].ComputeAfter = computeGap(nodes)
+	flows := ringFlows(nodes)
+	phases := make([]trace.PhaseSpec, 0, cfg.Repeats*len(passes)*(nodes-1))
+	for _, prefix := range passes {
+		phases = ringPass(phases, prefix, flows, chunk)
+	}
+	phases[len(phases)-1].ComputeAfter = computeGap(nodes)
+	// Every further execution repeats the first's steps, labels included.
+	for rep := 1; rep < cfg.Repeats; rep++ {
+		phases = append(phases, phases[:len(passes)*(nodes-1)]...)
 	}
 	return build(name, nodes, phases), nil
 }

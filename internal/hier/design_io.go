@@ -9,11 +9,12 @@ import (
 	"repro/internal/synth"
 )
 
-// hierDesignJSON is the serialized form of a composite two-level design:
-// the "hier-design" v1 schema. The clustering and gateway lists are stored
-// explicitly; each level embeds a complete single-level design document
-// (the synth.SaveDesign format), so every chiplet and the NoI load and
-// validate through the existing loader.
+// hierDesignJSON is the serialized form of a composite two-level design,
+// as LoadDesign decodes it: the "hier-design" v1 schema. The clustering and
+// gateway lists are stored explicitly; each level embeds a complete
+// single-level design document (the synth.SaveDesign format), so every
+// chiplet and the NoI load and validate through the existing loader.
+// AppendDesign writes it.
 type hierDesignJSON struct {
 	Schema       string            `json:"schema"`
 	Version      int               `json:"version"`
@@ -33,43 +34,71 @@ const DesignSchema = "hier-design"
 
 const designVersion = 1
 
-// SaveDesign writes the composite design as hier-design v1 JSON. The bytes
-// are deterministic for a deterministic design: cluster and gateway lists
-// are canonical, and each embedded level reuses synth.SaveDesign's stable
-// encoding.
+// SaveDesign writes the composite design as hier-design v1 JSON, indented by
+// two spaces and ended by a newline. The bytes are deterministic for a
+// deterministic design: cluster and gateway lists are canonical, and each
+// embedded level is synth's stable design v1 encoding.
 func SaveDesign(w io.Writer, d *Design) error {
-	out := hierDesignJSON{
-		Schema:       DesignSchema,
-		Version:      designVersion,
-		Name:         d.Name,
-		Procs:        d.Procs,
-		Clusters:     d.Assign.Clusters,
-		Gateways:     d.Assign.Gateways,
-		GatewayWidth: d.GatewayWidth,
-		NoILinkDelay: d.NoILinkDelay,
-	}
-	// Nil inner lists (e.g. the gateway-less single-cluster case) encode
-	// as [] rather than null.
-	out.Gateways = append([][]int{}, out.Gateways...)
-	for i, gws := range out.Gateways {
-		if gws == nil {
-			out.Gateways[i] = []int{}
+	a := synth.NewAppender(nil, true, 0)
+	AppendDesign(a, d)
+	_, err := w.Write(append(a.B, '\n'))
+	return err
+}
+
+// AppendDesign writes the composite design as a hier-design v1 document in
+// a's form, each level through synth's design v1 appender. A nil cluster
+// list is null, as encoding/json writes it; gateway lists, nil ones (the
+// gateway-less single-cluster case) included, are arrays; the noi field is
+// left out of a design without a NoI.
+func AppendDesign(a *synth.Appender, d *Design) {
+	a.Open('{')
+	a.Key("schema")
+	a.String(DesignSchema)
+	a.Key("version")
+	a.Int(designVersion)
+	a.Key("name")
+	a.String(d.Name)
+	a.Key("procs")
+	a.Int(d.Procs)
+	a.Key("clusters")
+	if d.Assign.Clusters == nil {
+		a.Null()
+	} else {
+		a.Open('[')
+		for _, members := range d.Assign.Clusters {
+			if members == nil {
+				a.Null()
+			} else {
+				synth.Ints(a, members)
+			}
 		}
+		a.Close(']')
 	}
-	for i, lv := range d.Levels() {
-		var buf bytes.Buffer
-		if err := synth.SaveDesign(&buf, lv.Net, lv.Table); err != nil {
-			return err
-		}
-		if i < len(d.Chiplets) {
-			out.Chiplets = append(out.Chiplets, buf.Bytes())
-		} else {
-			out.NoI = buf.Bytes()
-		}
+	a.Key("gateways")
+	a.Open('[')
+	for _, gws := range d.Assign.Gateways {
+		synth.Ints(a, gws)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	a.Close(']')
+	a.Key("gateway_width")
+	a.Int(d.GatewayWidth)
+	a.Key("noi_link_delay")
+	a.Int(d.NoILinkDelay)
+	a.Key("chiplets")
+	if len(d.Chiplets) == 0 {
+		a.Null()
+	} else {
+		a.Open('[')
+		for _, lv := range d.Chiplets {
+			a.Design(lv.Net, lv.Table)
+		}
+		a.Close(']')
+	}
+	if d.NoI != nil {
+		a.Key("noi")
+		a.Design(d.NoI.Net, d.NoI.Table)
+	}
+	a.Close('}')
 }
 
 // LoadDesign reads a design saved by SaveDesign, validating the clustering

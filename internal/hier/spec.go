@@ -234,8 +234,11 @@ func parseProcList(spec, text string) ([]int, error) {
 		if hi-lo >= maxSpecProcs {
 			return nil, specErrf(spec, "range %q spans %d processors (limit %d)", item, hi-lo+1, maxSpecProcs)
 		}
-		for p := lo; p <= hi; p++ {
+		for p := lo; ; p++ { // not p <= hi: a range ending at MaxInt would wrap
 			out = append(out, p)
+			if p == hi {
+				break
+			}
 		}
 		if len(out) > maxSpecProcs {
 			return nil, specErrf(spec, "spec names more than %d processors", maxSpecProcs)

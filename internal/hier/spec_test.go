@@ -2,6 +2,8 @@ package hier
 
 import (
 	"errors"
+	"math"
+	"strconv"
 	"testing"
 )
 
@@ -30,6 +32,19 @@ func TestParseSpecForms(t *testing.T) {
 		if got := sp.Canonical(); got != tc.canonical {
 			t.Errorf("ParseSpec(%q).Canonical() = %q, want %q", tc.in, got, tc.canonical)
 		}
+	}
+}
+
+// TestParseSpecRangeAtMaxInt parses groups that end at the largest int,
+// whose expansion once wrapped around and appended forever.
+func TestParseSpecRangeAtMaxInt(t *testing.T) {
+	max := strconv.Itoa(math.MaxInt)
+	sp, err := ParseSpec("0;" + strconv.Itoa(math.MaxInt-2) + "-" + max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sp.Groups) != 2 || len(sp.Groups[0]) != 1 || len(sp.Groups[1]) != 3 || sp.Groups[1][2] != math.MaxInt {
+		t.Errorf("groups %v", sp.Groups)
 	}
 }
 

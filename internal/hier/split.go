@@ -73,6 +73,42 @@ func pathFor(a *Assignment, f model.Flow) FlowPath {
 	return fp
 }
 
+// landing is one level's piece of a message: the level and the flow in its
+// processor IDs.
+type landing struct {
+	level int
+	flow  model.Flow
+}
+
+// landings are the pieces of every message on one flow, in the order a
+// message's pieces are numbered: an intra flow's one in its chiplet; an
+// inter flow's outbound leg, its inbound leg, then the NoI's.
+type landings struct {
+	n  int
+	at [3]landing
+}
+
+// landingsOf lists the pieces of a message on a flow with path fp; noi is
+// the NoI's level.
+func landingsOf(fp FlowPath, noi int) (ls landings) {
+	add := func(level int, f model.Flow) {
+		ls.at[ls.n] = landing{level, f}
+		ls.n++
+	}
+	if fp.Intra {
+		add(fp.Cluster, fp.Local)
+		return ls
+	}
+	if fp.LegOut != nil {
+		add(fp.SrcCluster, *fp.LegOut)
+	}
+	if fp.LegIn != nil {
+		add(fp.DstCluster, *fp.LegIn)
+	}
+	add(noi, fp.NoI)
+	return ls
+}
+
 // SplitPattern decomposes a pattern under an assignment: each chiplet keeps
 // its intra-cluster messages (in local processor IDs) plus forwarding legs
 // of inter-cluster messages whose local endpoint is not a gateway, and the
@@ -85,9 +121,11 @@ func pathFor(a *Assignment, f model.Flow) FlowPath {
 // phase's compute gap shapes timing even for processors that sit out its
 // communication.
 //
-// One walk over the messages and one over the phases serve every level: each
-// flow's path is resolved once, into a slice by flow ID, and a message is
-// appended to the (at most three) levels that own a piece of it.
+// Each flow's pieces are resolved once, into a slice by flow ID. A first
+// walk over the messages numbers each message's pieces in their levels,
+// which counts each level's messages; a second walk, re-reading each
+// message's pieces by its flow, places them in lists of those sizes; and
+// one walk over the phases mirrors them for every level.
 func SplitPattern(p *model.Pattern, a *Assignment) (*Split, error) {
 	if p.Procs != a.Procs {
 		return nil, fmt.Errorf("hier: pattern has %d procs, assignment %d", p.Procs, a.Procs)
@@ -103,46 +141,42 @@ func SplitPattern(p *model.Pattern, a *Assignment) (*Split, error) {
 	if noi > 1 {
 		levels = append(levels, &model.Pattern{Name: p.Name + ".noi", Procs: a.NoIProcs})
 	}
-	// at[i] lists where message i lands: 1 + the level, its ID there (the
-	// level's running count) and its endpoints in the level's processor IDs.
-	type landing struct{ level, id, src, dst int32 }
-	at := make([][3]landing, len(p.Messages))
-	count := make([]int32, len(levels))
-	put := func(i, level int, f model.Flow) {
-		k := 0
-		for at[i][k].level != 0 {
-			k++
-		}
-		at[i][k] = landing{int32(level + 1), count[level], int32(f.Src), int32(f.Dst)}
-		count[level]++
-	}
-	// paths[id] is the path of the flow with that ID; a self-flow has no ID,
-	// and its path, within one chiplet, is resolved in place.
+	// pieces[id] are the pieces of the flow with that ID; a self-flow has no
+	// ID, and its pieces, within one chiplet, are resolved in place.
 	ix := model.NewFlowIndex(p.Flows())
-	paths := make([]FlowPath, ix.Len())
+	pieces := make([]landings, ix.Len())
 	for id, f := range ix.Flows() {
-		paths[id] = pathFor(a, f)
+		pieces[id] = landingsOf(pathFor(a, f), noi)
 	}
-	var self FlowPath
+	// msgs[i] is message i's flow ID (-1 for a self-flow) and the ID of each
+	// of its pieces in its level: the level's running count.
+	type numbered struct {
+		flow int32
+		ids  [3]int32
+	}
+	msgs := make([]numbered, len(p.Messages))
+	var self landings
+	piecesOf := func(i int) *landings {
+		if id := msgs[i].flow; id >= 0 {
+			return &pieces[id]
+		}
+		self = landingsOf(pathFor(a, p.Messages[i].Flow()), noi)
+		return &self
+	}
+	count := make([]int32, len(levels))
 	for i, m := range p.Messages {
-		fp := &self
+		msgs[i].flow = -1
 		if id, ok := ix.ID(m.Flow()); ok {
-			fp = &paths[id]
-		} else {
-			self = pathFor(a, m.Flow())
+			msgs[i].flow = int32(id)
 		}
-		if fp.Intra {
-			put(i, fp.Cluster, fp.Local)
-			continue
+		ls := piecesOf(i)
+		if ls.at[ls.n-1].level == noi { // an intra flow's one piece is its chiplet's
+			s.InterMessages++
 		}
-		s.InterMessages++
-		if fp.LegOut != nil {
-			put(i, fp.SrcCluster, *fp.LegOut)
+		for k, l := range ls.at[:ls.n] {
+			msgs[i].ids[k] = count[l.level]
+			count[l.level]++
 		}
-		if fp.LegIn != nil {
-			put(i, fp.DstCluster, *fp.LegIn)
-		}
-		put(i, noi, fp.NoI)
 	}
 	for l, lv := range levels {
 		if count[l] > 0 { // a level nothing lands on keeps a nil list
@@ -150,12 +184,10 @@ func SplitPattern(p *model.Pattern, a *Assignment) (*Split, error) {
 		}
 	}
 	for i, m := range p.Messages {
-		for _, l := range at[i] {
-			if l.level == 0 {
-				break
-			}
-			m.ID, m.Src, m.Dst = int(l.id), int(l.src), int(l.dst)
-			levels[l.level-1].Messages[l.id] = m
+		ls := piecesOf(i)
+		for k, l := range ls.at[:ls.n] {
+			m.ID, m.Src, m.Dst = int(msgs[i].ids[k]), l.flow.Src, l.flow.Dst
+			levels[l.level].Messages[m.ID] = m
 		}
 	}
 	// Each level's mirrored phase lists are cut from one array sized by its
@@ -173,11 +205,9 @@ func SplitPattern(p *model.Pattern, a *Assignment) (*Split, error) {
 			start[l] = len(lists[l])
 		}
 		for _, mi := range ph.Messages {
-			for _, l := range at[mi] {
-				if l.level == 0 {
-					break
-				}
-				lists[l.level-1] = append(lists[l.level-1], int(l.id))
+			ls := piecesOf(mi)
+			for k, l := range ls.at[:ls.n] {
+				lists[l.level] = append(lists[l.level], int(msgs[mi].ids[k]))
 			}
 		}
 		for l, lv := range levels {

@@ -11,8 +11,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/topology"
@@ -154,7 +155,9 @@ func (t *Table) SortedFlows() []model.Flow {
 	for f := range t.Routes {
 		flows = append(flows, f)
 	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i].Less(flows[j]) })
+	slices.SortFunc(flows, func(a, b model.Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
 	return flows
 }
 

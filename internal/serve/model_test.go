@@ -36,7 +36,7 @@ func inlineRequest(t testing.TB, p *model.Pattern) string {
 
 // jitterRequest is the long non-phase-aligned request of bench/'s
 // warm_variants workload: CG/16 over 39 iterations, every processor skewed.
-func jitterRequest(t *testing.T) string {
+func jitterRequest(t testing.TB) string {
 	t.Helper()
 	p, err := nas.Generate("CG", 16, nas.Config{Iterations: 39})
 	if err != nil {

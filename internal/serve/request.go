@@ -5,11 +5,8 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"strings"
 
 	"repro/internal/hier"
 	"repro/internal/model"
@@ -80,7 +77,7 @@ type workloadID struct {
 // block with its parsed cluster spec, and the admission lane.
 type designPlan struct {
 	workload workloadID // by-name source; zero for an inline trace
-	trace    string     // inline noctrace v1 source; empty for a workload
+	trace    []byte     // inline noctrace v1 source, unescaped; empty for a workload
 	opt      synth.Options
 	hier     *HierRequest // validated at the grammar level; nil for a flat request
 	spec     *hier.Spec   // hier.Clusters parsed; nil for a flat request
@@ -122,20 +119,17 @@ func (pl *designPlan) hierOptions(base synth.Options) hier.Options {
 // the synthesis knobs and the hier block. It builds no pattern and consults
 // no memo. Failures are client errors (400, or 413 past the bounds).
 func (s *Server) planRequest(raw []byte) (*designPlan, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var req DesignRequest
-	if err := dec.Decode(&req); err != nil {
+	req, trace, err := decodeRequest(raw)
+	if err != nil {
 		return nil, badRequest("decoding request: %v", err)
 	}
-	// The body is one object: anything after it but whitespace — trailing
-	// garbage, a second object — is rejected, not silently dropped, as
-	// json.Unmarshal rejects it on /v1/designs.
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, badRequest("decoding request: unexpected data after the request object")
-	}
+	return s.plan(&req, trace)
+}
 
-	pl := &designPlan{lane: req.Lane, trace: req.Trace}
+// plan validates a decoded request whose inline trace, if any, is trace
+// (req.Trace is not read).
+func (s *Server) plan(req *DesignRequest, trace []byte) (*designPlan, error) {
+	pl := &designPlan{lane: req.Lane, trace: trace}
 	switch pl.lane {
 	case "":
 		pl.lane = LaneInteractive
@@ -145,7 +139,7 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 	}
 
 	switch {
-	case req.Benchmark != "" && req.Trace != "":
+	case req.Benchmark != "" && len(trace) > 0:
 		return nil, badRequest("benchmark and trace are mutually exclusive")
 	case req.Benchmark != "":
 		if req.Procs <= 0 {
@@ -161,7 +155,7 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 		if n := workloads.Messages(req.Benchmark, req.Procs, s.workloadConfig(pl.workload)); n > maxRequestMessages {
 			return nil, &tooLargeError{fmt.Sprintf("%s at %d procs is %d messages, above the limit of %d", req.Benchmark, req.Procs, n, maxRequestMessages)}
 		}
-	case req.Trace == "":
+	case len(trace) == 0:
 		return nil, badRequest("request needs a benchmark or an inline trace")
 	}
 
@@ -204,7 +198,7 @@ func (s *Server) planRequest(raw []byte) (*designPlan, error) {
 // by requestKey on a memo miss, or by a flight leader whose key came from
 // the memo — and counted on serve.pattern_generated.
 func (s *Server) buildPattern(plan *designPlan) (*model.Pattern, error) {
-	if plan.trace == "" {
+	if len(plan.trace) == 0 {
 		id := plan.workload
 		p, err := workloads.Generate(id.benchmark, id.procs, s.workloadConfig(id))
 		if errors.As(err, new(*workloads.Error)) {
@@ -215,7 +209,7 @@ func (s *Server) buildPattern(plan *designPlan) (*model.Pattern, error) {
 		}
 		return p, err
 	}
-	p, err := trace.Decode(strings.NewReader(plan.trace))
+	p, err := trace.Decode(bytes.NewReader(plan.trace))
 	if err != nil {
 		return nil, badRequest("decoding trace: %v", err)
 	}

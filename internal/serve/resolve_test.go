@@ -28,8 +28,8 @@ func slowKey(t testing.TB, srv *Server, plan *designPlan) (string, error) {
 	t.Helper()
 	var pat *model.Pattern
 	var err error
-	if plan.trace != "" {
-		pat, err = trace.Decode(strings.NewReader(plan.trace))
+	if len(plan.trace) > 0 {
+		pat, err = trace.Decode(bytes.NewReader(plan.trace))
 	} else {
 		pat, err = workloads.Generate(plan.workload.benchmark, plan.workload.procs, srv.workloadConfig(plan.workload))
 	}

@@ -36,10 +36,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -449,8 +449,8 @@ var afterLookupMiss func(key string)
 // one past the procs bound — is never memoised.
 func (s *Server) requestKey(plan *designPlan) (key string, pat *model.Pattern, err error) {
 	id := memoID{workload: plan.workload}
-	if plan.trace != "" {
-		id.trace = sha256.Sum256([]byte(plan.trace))
+	if len(plan.trace) > 0 {
+		id.trace = sha256.Sum256(plan.trace)
 	}
 	h, ok := s.memo.restore(id)
 	if ok {
@@ -656,7 +656,7 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 
 	ent := &Entry{Key: key}
 	var resp DesignResponse
-	var save func(io.Writer) error
+	var render func(*synth.Appender)
 	var res *synth.Result
 	var err error
 	if plan.hier == nil {
@@ -679,7 +679,7 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 			}
 		}
 		if res, err = synth.SynthesizeCliques(ctx, pat, cliques, opt); err == nil {
-			save = func(w io.Writer) error { return synth.SaveDesign(w, res.Net, res.Table) }
+			render = func(a *synth.Appender) { a.Design(res.Net, res.Table) }
 			resp = DesignResponse{
 				Name:           res.Net.Name,
 				Procs:          res.Net.Procs,
@@ -698,7 +698,7 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 		var d *hier.Design
 		if d, err = hier.SynthesizeContext(ctx, pat, plan.hierOptions(opt)); err == nil {
 			obs.Count(s.col, "serve.hier_designs", 1)
-			save = func(w io.Writer) error { return hier.SaveDesign(w, d) }
+			render = func(a *synth.Appender) { hier.AppendDesign(a, d) }
 			resp = DesignResponse{
 				Name:           d.Name,
 				Procs:          d.Procs,
@@ -738,32 +738,14 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 		return nil, err
 	}
 
-	// Render: the design document, then the response with the request's
-	// RunReport, marshalled once. The one marshal yields both of ent's
-	// forms: Row is the compact JSON, and Body is Row indented plus a
-	// newline — byte for byte what MarshalIndent would write, since
-	// MarshalIndent is Marshal followed by the same indenter.
-	var design bytes.Buffer
-	if err := save(&design); err != nil {
-		return nil, fmt.Errorf("serve: rendering design: %w", err)
-	}
+	// Render: the response with the request's RunReport, in both of ent's
+	// forms (renderResponse).
 	resp.Schema, resp.Version, resp.PatternHash = ResponseSchema, ResponseVersion, key
-	resp.Design = design.Bytes()
 	resp.Report = reqCol.Report("nocd")
 	resp.Report.Pattern = trace.SummarizeCliques(pat, periods, cliques)
-	row, err := json.Marshal(&resp)
-	if err != nil {
-		return nil, fmt.Errorf("serve: rendering response: %w", err)
+	if ent.Row, ent.Body, err = renderResponse(&resp, render); err != nil {
+		return nil, err
 	}
-	var body bytes.Buffer
-	body.Grow(2*len(row) + 1)
-	if err := json.Indent(&body, row, "", "  "); err != nil {
-		return nil, fmt.Errorf("serve: rendering response: %w", err)
-	}
-	body.WriteByte('\n')
-	// Stored entries keep both forms for their lifetime; the clone drops the
-	// buffer's slack, which would otherwise outweigh Row.
-	ent.Body, ent.Row = bytes.Clone(body.Bytes()), row
 	if !s.store(ent) {
 		return ent, nil
 	}
@@ -776,6 +758,44 @@ func (s *Server) synthesize(runCtx context.Context, key string, plan *designPlan
 	}
 	return ent, nil
 }
+
+// renderResponse renders resp, whose Design is nil, with the design render
+// writes, in the two forms an Entry keeps: Row, the compact JSON, and Body,
+// Row indented by two spaces plus a newline — byte for byte what
+// json.Marshal and json.Indent wrote when the design went through them too
+// (renderResponseMarshal, render_ref_test.go). Only the response without
+// its design goes through encoding/json, where the design is the null
+// placeholder; the design is written once in each form, in that
+// placeholder's place: compact into Row, indented one level deep into Body.
+// No field before "design" can hold the placeholder's text: every quote
+// inside a string is escaped, and every newline.
+func renderResponse(resp *DesignResponse, render func(*synth.Appender)) (row, body []byte, err error) {
+	compact, err := json.Marshal(resp)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: rendering response: %w", err)
+	}
+	var indented bytes.Buffer
+	indented.Grow(2 * len(compact))
+	if err := json.Indent(&indented, compact, "", "  "); err != nil {
+		return nil, nil, fmt.Errorf("serve: rendering response: %w", err)
+	}
+	buf := renderBufs.Get().(*[]byte)
+	defer renderBufs.Put(buf)
+	splice := func(doc []byte, placeholder string, indent bool) []byte {
+		i := bytes.Index(doc, []byte(placeholder)) + len(placeholder) - len("null")
+		a := synth.NewAppender(append((*buf)[:0], doc[:i]...), indent, 1)
+		render(a)
+		*buf = append(a.B, doc[i+len("null"):]...)
+		return *buf
+	}
+	row = bytes.Clone(splice(compact, `"design":null`, false))
+	body = bytes.Clone(append(splice(indented.Bytes(), `"design": null`, true), '\n'))
+	return row, body, nil
+}
+
+// renderBufs pools renderResponse's scratch buffers, so that each rendered
+// form is copied once, at its exact size, out of a buffer already grown.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // handleGetDesign replays a cached design by its content-addressed key —
 // the X-Nocd-Pattern-Hash every /v1/design response carries. Bytes are

@@ -11,9 +11,10 @@ import (
 	"repro/internal/topology"
 )
 
-// designJSON is the serialized form of a synthesized design: the topology
-// plus the source-routing table with per-hop link assignments, so a saved
-// design can be re-simulated exactly as generated.
+// designJSON is the serialized form of a synthesized design, as LoadDesign
+// decodes it: the topology plus the source-routing table with per-hop link
+// assignments, so a saved design can be re-simulated exactly as generated.
+// Appender.Design writes it.
 type designJSON struct {
 	Name     string      `json:"name"`
 	Procs    int         `json:"procs"`
@@ -35,34 +36,13 @@ type routeJSON struct {
 	Links    []int `json:"links"`
 }
 
-// SaveDesign writes the generated network and its routing table as JSON.
+// SaveDesign writes the generated network and its routing table as JSON:
+// the design v1 document indented by two spaces, then a newline.
 func SaveDesign(w io.Writer, net *topology.Network, table *routing.Table) error {
-	out := designJSON{Name: net.Name, Procs: net.Procs}
-	for _, sw := range net.Switches {
-		procs := sw.Procs
-		if procs == nil {
-			procs = []int{}
-		}
-		out.Switches = append(out.Switches, procs)
-	}
-	for _, p := range net.Pipes {
-		out.Pipes = append(out.Pipes, pipeJSON{A: int(p.A), B: int(p.B), Width: p.Width})
-	}
-	flows := table.SortedFlows()
-	for _, f := range flows {
-		r := table.Routes[f]
-		rj := routeJSON{Src: f.Src, Dst: f.Dst, Links: r.Links}
-		if rj.Links == nil {
-			rj.Links = []int{}
-		}
-		for _, s := range r.Switches {
-			rj.Switches = append(rj.Switches, int(s))
-		}
-		out.Routes = append(out.Routes, rj)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	a := NewAppender(nil, true, 0)
+	a.Design(net, table)
+	_, err := w.Write(append(a.B, '\n'))
+	return err
 }
 
 // LoadDesign reads a design saved by SaveDesign, validating both the

@@ -21,3 +21,6 @@ func AssembleEveryRound(fn func(realDeg []int, net *topology.Network, table *rou
 
 // WithoutFlow is withoutFlow for the external tests' drop-one-flow runs.
 var WithoutFlow = withoutFlow
+
+// SaveDesignMarshal is the encoding/json oracle of SaveDesign.
+var SaveDesignMarshal = saveDesignMarshal

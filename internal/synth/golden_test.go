@@ -64,6 +64,41 @@ func goldenWorkloads(t *testing.T) []*model.Pattern {
 	return pats
 }
 
+// goldenRun is one synthesis of the golden corpus, named as its row.
+type goldenRun struct {
+	name string
+	res  *synth.Result
+}
+
+// goldenRuns synthesizes the golden corpus in its row order: per workload,
+// one run per variant, then the run seeded from its default design.
+func goldenRuns(t *testing.T) []goldenRun {
+	t.Helper()
+	synthesize := func(p *model.Pattern, opt synth.Options) *synth.Result {
+		res, err := synth.Synthesize(p, opt)
+		if err != nil {
+			t.Fatalf("Synthesize(%s): %v", p.Name, err)
+		}
+		return res
+	}
+	var runs []goldenRun
+	for _, p := range goldenWorkloads(t) {
+		var base *synth.Result
+		for _, v := range goldenVariants {
+			res := synthesize(p, v.opt)
+			if v.name == "default" {
+				base = res
+			}
+			runs = append(runs, goldenRun{p.Name + "/" + v.name, res})
+		}
+		sd := synth.SeedFromDesign(base.Net, base.Table)
+		res := synthesize(p, synth.Options{Seed: 9, Restarts: 2, Workers: 2, SeedDesign: sd,
+			Constraints: synth.Constraints{MaxDegree: 4, MaxProcsPerSwitch: 3}})
+		runs = append(runs, goldenRun{p.Name + "/seeded", res})
+	}
+	return runs
+}
+
 // TestGoldenDesigns pins the SHA-256 of the SaveDesign bytes of 63 full
 // synthesis runs: 9 workloads × 6 option variants, plus one run per workload
 // warm-started from its own default design under tighter constraints (under
@@ -77,31 +112,13 @@ func goldenWorkloads(t *testing.T) []*model.Pattern {
 // `go test ./internal/synth -run TestGoldenDesigns -update` — and say why
 // the bytes were allowed to move.
 func TestGoldenDesigns(t *testing.T) {
-	hash := func(p *model.Pattern, opt synth.Options) (string, *synth.Result) {
-		res, err := synth.Synthesize(p, opt)
-		if err != nil {
-			t.Fatalf("Synthesize(%s): %v", p.Name, err)
-		}
-		var buf bytes.Buffer
-		if err := synth.SaveDesign(&buf, res.Net, res.Table); err != nil {
-			t.Fatalf("SaveDesign(%s): %v", p.Name, err)
-		}
-		return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), res
-	}
 	var got strings.Builder
-	for _, p := range goldenWorkloads(t) {
-		var base *synth.Result
-		for _, v := range goldenVariants {
-			sum, res := hash(p, v.opt)
-			if v.name == "default" {
-				base = res
-			}
-			fmt.Fprintf(&got, "%s/%s %s\n", p.Name, v.name, sum)
+	for _, run := range goldenRuns(t) {
+		var buf bytes.Buffer
+		if err := synth.SaveDesign(&buf, run.res.Net, run.res.Table); err != nil {
+			t.Fatalf("SaveDesign(%s): %v", run.name, err)
 		}
-		sd := synth.SeedFromDesign(base.Net, base.Table)
-		sum, _ := hash(p, synth.Options{Seed: 9, Restarts: 2, Workers: 2, SeedDesign: sd,
-			Constraints: synth.Constraints{MaxDegree: 4, MaxProcsPerSwitch: 3}})
-		fmt.Fprintf(&got, "%s/seeded %s\n", p.Name, sum)
+		fmt.Fprintf(&got, "%s %x\n", run.name, sha256.Sum256(buf.Bytes()))
 	}
 	path := filepath.Join("testdata", "designs.golden")
 	if *update {
