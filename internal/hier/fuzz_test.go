@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,6 +44,8 @@ func FuzzPartition(f *testing.F) {
 		"", "flow:0", "blocks:9", "flow:-1", "0-3", "0-3;3-7", "0-3;4-9",
 		"0-3@9;4-7", "x", "0-3;;4-7", "1-0", "0-99999999999", "@", ";",
 		"flow:4;0-3", "blocks:2@1",
+		// Group order is a spelling; the spec budget covers the whole spec.
+		"4-7@7;0-3", "0-3;4-7@7", wideSpec, "0-65535", "0-65535@0-65535",
 	}
 	for _, s := range seeds {
 		f.Add(s, 0)
@@ -82,13 +85,13 @@ func FuzzPartition(f *testing.F) {
 			}
 			return
 		}
-		fuzzCheckAssignment(t, spec, p.Procs, a, cap)
+		fuzzCheckAssignment(t, spec, sp, p.Procs, a, cap)
 	})
 }
 
 // fuzzCheckAssignment is checkAssignment restated with Fatalf context for the
 // fuzzer (no testing helper marks inside f.Fuzz bodies).
-func fuzzCheckAssignment(t *testing.T, spec string, procs int, a *Assignment, maxGateways int) {
+func fuzzCheckAssignment(t *testing.T, spec string, sp *Spec, procs int, a *Assignment, maxGateways int) {
 	if a.Procs != procs {
 		t.Fatalf("%q: Procs=%d, want %d", spec, a.Procs, procs)
 	}
@@ -118,7 +121,13 @@ func fuzzCheckAssignment(t *testing.T, spec string, procs int, a *Assignment, ma
 	}
 	noi := 0
 	for c, gws := range a.Gateways {
-		if maxGateways > 0 && len(gws) > maxGateways {
+		// An "@" list is used as written; the cap bounds only the default
+		// (boundary) gateway sets. Clusters keep the spec's group order.
+		if sp.Mode == ModeExplicit && len(a.Clusters) > 1 && len(sp.GroupGateways[c]) > 0 {
+			if !slices.Equal(gws, sp.GroupGateways[c]) {
+				t.Fatalf("%q: cluster %d gateways %v, spec wrote %v", spec, c, gws, sp.GroupGateways[c])
+			}
+		} else if maxGateways > 0 && len(gws) > maxGateways {
 			t.Fatalf("%q: cluster %d has %d gateways over cap %d", spec, c, len(gws), maxGateways)
 		}
 		if len(a.Clusters) > 1 && len(gws) == 0 {

@@ -3,7 +3,6 @@ package hier
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -153,35 +152,17 @@ func Partition(p *model.Pattern, spec *Spec, maxGateways int) (*Assignment, erro
 	default:
 		return nil, specErrf(spec.Canonical(), "unknown partition mode %d", int(spec.Mode))
 	}
-	// Canonical cluster order; carry explicit gateway lists along.
-	order := make([]int, len(clusters))
-	for i := range order {
-		order[i] = i
-	}
-	sorted := make([][]int, len(clusters))
-	for i, members := range clusters {
-		sorted[i] = dedupSorted(members)
-		if len(sorted[i]) == 0 {
-			return nil, specErrf(spec.Canonical(), "cluster %d is empty", i)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return sorted[order[i]][0] < sorted[order[j]][0] })
-	ordClusters := make([][]int, len(order))
-	ordGateways := make([][]int, len(order))
-	for i, o := range order {
-		ordClusters[i] = sorted[o]
-		if gateways != nil {
-			ordGateways[i] = gateways[o]
-		}
-	}
-	a, err := NewAssignment(p.Procs, ordClusters, nil)
+	// Every mode's clusters come out canonical (ParseSpec orders explicit
+	// groups; flow and blocks clusters ascend by slot); NewAssignment
+	// rejects any that are not.
+	a, err := NewAssignment(p.Procs, clusters, nil)
 	if err != nil {
 		if se, ok := err.(*SpecError); ok && se.Spec == "" {
 			se.Spec = spec.Canonical()
 		}
 		return nil, err
 	}
-	fillGateways(a, p, ordGateways, maxGateways)
+	fillGateways(a, p, gateways, maxGateways)
 	return a, nil
 }
 
@@ -202,7 +183,10 @@ func fillGateways(a *Assignment, p *model.Pattern, explicit [][]int, maxGateways
 		}
 	}
 	for c, members := range a.Clusters {
-		gws := explicit[c]
+		var gws []int
+		if explicit != nil {
+			gws = explicit[c]
+		}
 		if len(gws) == 0 {
 			for _, q := range members {
 				if boundary[q] {

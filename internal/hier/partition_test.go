@@ -2,6 +2,7 @@ package hier
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -187,6 +188,13 @@ func TestPartitionErrors(t *testing.T) {
 	}
 	if _, err := Partition(p, nil, 0); err == nil {
 		t.Error("Partition(nil spec): expected error")
+	}
+	// Partition takes a spec's groups in the order ParseSpec leaves them;
+	// groups out of canonical order are refused, not reordered.
+	disordered := &Spec{Mode: ModeExplicit, Groups: [][]int{{8, 9, 10, 11, 12, 13, 14, 15}, {0, 1, 2, 3, 4, 5, 6, 7}}, GroupGateways: [][]int{nil, nil}}
+	var se *SpecError
+	if _, err := Partition(p, disordered, 0); !errors.As(err, &se) || !strings.Contains(se.Reason, "canonical order") {
+		t.Errorf("Partition(disordered groups) = %v, want a canonical-order *SpecError", err)
 	}
 }
 

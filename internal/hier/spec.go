@@ -15,7 +15,9 @@
 package hier
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,6 +82,8 @@ type Spec struct {
 	K int
 	// Groups and GroupGateways hold the explicit member and gateway
 	// lists for ModeExplicit (GroupGateways[i] nil = pick automatically).
+	// ParseSpec leaves them canonical: every list ascending without
+	// repeats, and the groups ordered by smallest member.
 	Groups        [][]int
 	GroupGateways [][]int
 }
@@ -108,43 +112,50 @@ func ParseSpec(s string) (*Spec, error) {
 		}
 		return &Spec{Mode: ModeFlow, K: k}, nil
 	}
-	spec := &Spec{Mode: ModeExplicit}
+	// Validate in spelled order, so errors name the groups as written; one
+	// seen map holds every member's group, which also checks gateways, and
+	// one budget bounds every list the spec expands.
+	type group struct{ members, gateways []int }
+	var groups []group
 	seen := make(map[int]int)
-	for gi, group := range strings.Split(text, ";") {
-		memberText, gwText, hasGW := strings.Cut(group, "@")
-		members, err := parseProcList(s, memberText)
+	budget := maxSpecProcs
+	for gi, groupText := range strings.Split(text, ";") {
+		memberText, gwText, hasGW := strings.Cut(groupText, "@")
+		members, err := parseProcList(s, memberText, &budget)
 		if err != nil {
 			return nil, err
 		}
 		if len(members) == 0 {
 			return nil, specErrf(s, "group %d is empty", gi)
 		}
-		inGroup := make(map[int]bool, len(members))
 		for _, m := range members {
 			if prev, dup := seen[m]; dup {
 				return nil, specErrf(s, "processor %d in groups %d and %d", m, prev, gi)
 			}
 			seen[m] = gi
-			inGroup[m] = true
 		}
 		var gws []int
 		if hasGW {
-			gws, err = parseProcList(s, gwText)
-			if err != nil {
+			if gws, err = parseProcList(s, gwText, &budget); err != nil {
 				return nil, err
 			}
 			if len(gws) == 0 {
 				return nil, specErrf(s, "group %d has an empty gateway list", gi)
 			}
 			for _, g := range gws {
-				if !inGroup[g] {
+				if in, ok := seen[g]; !ok || in != gi {
 					return nil, specErrf(s, "gateway %d is not a member of group %d", g, gi)
 				}
 			}
-			gws = dedupSorted(gws)
 		}
-		spec.Groups = append(spec.Groups, members)
-		spec.GroupGateways = append(spec.GroupGateways, gws)
+		groups = append(groups, group{members, gws})
+	}
+	// Groups are disjoint, so ordering them by smallest member is total.
+	slices.SortFunc(groups, func(a, b group) int { return cmp.Compare(a.members[0], b.members[0]) })
+	spec := &Spec{Mode: ModeExplicit}
+	for _, g := range groups {
+		spec.Groups = append(spec.Groups, g.members)
+		spec.GroupGateways = append(spec.GroupGateways, g.gateways)
 	}
 	// A lone one-processor group with no gateway suffix would canonicalize
 	// to a bare integer — the cluster-count spelling. Reject the ambiguity;
@@ -156,7 +167,8 @@ func ParseSpec(s string) (*Spec, error) {
 }
 
 // Canonical renders the spec in a normal form, so that differently spelled
-// but equivalent specs (range vs. list, reordered members) share cache keys.
+// but equivalent specs (range vs. list, reordered members or groups) share
+// cache keys. The lists are already canonical; it only collapses runs.
 func (s *Spec) Canonical() string {
 	switch s.Mode {
 	case ModeFlow:
@@ -178,8 +190,7 @@ func (s *Spec) Canonical() string {
 	return b.String()
 }
 
-func writeProcList(b *strings.Builder, procs []int) {
-	sorted := dedupSorted(procs)
+func writeProcList(b *strings.Builder, sorted []int) {
 	for i := 0; i < len(sorted); {
 		j := i
 		for j+1 < len(sorted) && sorted[j+1] == sorted[j]+1 {
@@ -212,7 +223,9 @@ func parseCount(spec, text string) (int, error) {
 }
 
 // parseProcList parses "0,3,5-8" into sorted deduplicated processor IDs.
-func parseProcList(spec, text string) ([]int, error) {
+// Every item is charged against *budget, the entries the whole spec may
+// still expand, before it expands.
+func parseProcList(spec, text string, budget *int) ([]int, error) {
 	var out []int
 	for _, item := range strings.Split(text, ",") {
 		item = strings.TrimSpace(item)
@@ -231,24 +244,24 @@ func parseProcList(spec, text string) ([]int, error) {
 				return nil, specErrf(spec, "bad range %q", item)
 			}
 		}
-		if hi-lo >= maxSpecProcs {
-			return nil, specErrf(spec, "range %q spans %d processors (limit %d)", item, hi-lo+1, maxSpecProcs)
+		if hi-lo >= *budget { // not hi-lo+1 > *budget: 0-MaxInt would wrap
+			return nil, specErrf(spec, "spec lists more than %d processors and gateways", maxSpecProcs)
 		}
+		*budget -= hi - lo + 1
 		for p := lo; ; p++ { // not p <= hi: a range ending at MaxInt would wrap
 			out = append(out, p)
 			if p == hi {
 				break
 			}
 		}
-		if len(out) > maxSpecProcs {
-			return nil, specErrf(spec, "spec names more than %d processors", maxSpecProcs)
-		}
 	}
 	return dedupSorted(out), nil
 }
 
-// maxSpecProcs bounds explicit specs so a hostile range ("0-999999999")
-// cannot balloon allocation before the pattern's processor count is known.
+// maxSpecProcs bounds the entries an explicit spec's lists expand to, members
+// and gateways together, so a hostile spec ("0-999999999", or many large
+// groups) cannot balloon allocation before the pattern's processor count is
+// known.
 const maxSpecProcs = 1 << 16
 
 func dedupSorted(in []int) []int {

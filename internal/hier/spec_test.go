@@ -3,9 +3,16 @@ package hier
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
+
+// wideSpec is sixteen 65,536-processor groups in 217 bytes: per list it is
+// within maxSpecProcs, as a whole spec it expands to 1,048,576 entries.
+const wideSpec = "0-65535;65536-131071;131072-196607;196608-262143;262144-327679;327680-393215;393216-458751;458752-524287;" +
+	"524288-589823;589824-655359;655360-720895;720896-786431;786432-851967;851968-917503;917504-983039;983040-1048575"
 
 func TestParseSpecForms(t *testing.T) {
 	cases := []struct {
@@ -132,5 +139,50 @@ func TestCanonicalSingletonAndPairRuns(t *testing.T) {
 	// A two-element run stays a list (0-1 style ranges only pay off at 3+).
 	if got, want := sp.Canonical(), "0,2,4,5;1,3"; got != want {
 		t.Errorf("Canonical() = %q, want %q", got, want)
+	}
+}
+
+// TestParseSpecGroupOrder: ParseSpec orders groups by smallest member and
+// carries their gateways along, so group order is a spelling, not a key.
+func TestParseSpecGroupOrder(t *testing.T) {
+	a, err := ParseSpec("4-7@7;0-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ParseSpec("0-3;4-7@7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("specs differ: %+v and %+v", a, b)
+	}
+	if got, want := a.Canonical(), "0-3;4-7@7"; got != want || b.Canonical() != want {
+		t.Errorf("Canonical() = %q and %q, want %q", got, b.Canonical(), want)
+	}
+	// Errors still number the groups as written.
+	_, err = ParseSpec("4-7@3;0-3")
+	if err == nil || !strings.Contains(err.Error(), "gateway 3 is not a member of group 0") {
+		t.Errorf("error = %v, want gateway 3 outside group 0", err)
+	}
+}
+
+// TestParseSpecBudget: one budget of maxSpecProcs entries covers every list
+// an explicit spec expands, members and gateways together, and is charged
+// before a range expands.
+func TestParseSpecBudget(t *testing.T) {
+	if len(wideSpec) != 217 {
+		t.Fatalf("wideSpec is %d bytes", len(wideSpec))
+	}
+	for _, in := range []string{wideSpec, "0-65535@0-65535", "0-65535;65536"} {
+		_, err := ParseSpec(in)
+		var se *SpecError
+		if !errors.As(err, &se) || !strings.Contains(se.Reason, strconv.Itoa(maxSpecProcs)) {
+			t.Errorf("ParseSpec(%.40q) = %v, want a *SpecError naming the limit %d", in, err, maxSpecProcs)
+		}
+	}
+	for _, in := range []string{"0-65535", "0-65534@0", "0-32767@0-32767"} {
+		if _, err := ParseSpec(in); err != nil {
+			t.Errorf("ParseSpec(%q): %v", in, err)
+		}
 	}
 }

@@ -34,8 +34,8 @@ type EventRecord struct {
 	AtNs   int64  `json:"at_ns"`
 }
 
-// NewCollector returns an empty Collector whose span and event timestamps
-// are measured from now.
+// NewCollector returns an empty Collector whose event timestamps are
+// measured from now.
 func NewCollector() *Collector {
 	return &Collector{
 		start:    time.Now(),
@@ -56,23 +56,15 @@ func (c *Collector) Count(name string, delta int64) {
 	c.mu.Unlock()
 }
 
-// SpanStart implements Observer.
-func (c *Collector) SpanStart(string) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.now()
-}
+// SpanStart implements Observer; a Collector only aggregates closed spans.
+func (*Collector) SpanStart(string) {}
 
 // SpanEnd implements Observer.
-func (c *Collector) SpanEnd(name string, start int64) {
+func (c *Collector) SpanEnd(name string, d time.Duration) {
 	if c == nil {
 		return
 	}
-	dur := c.now() - start
-	if dur < 0 {
-		dur = 0
-	}
+	dur := int64(d)
 	c.mu.Lock()
 	agg := c.spans[name]
 	if agg == nil {

@@ -16,10 +16,14 @@
 //     into private state and emit only from the deterministic reduction.
 //   - Spans carry wall-clock time and are therefore NOT deterministic;
 //     reports separate them from counters so artifacts can be diffed on the
-//     counter section alone.
+//     counter section alone. A span is timed by its SpanHandle and reaches
+//     the sink as a name and a duration, so no sink keeps per-span state
+//     and a Tee hands every sink the same duration.
 //   - Events are bounded in number (Collector caps them) and ordered by
 //     arrival, which under concurrent emitters is nondeterministic.
 package obs
+
+import "time"
 
 // Observer is the telemetry sink threaded through the pipeline. A nil
 // Observer is the canonical "disabled" value; call sites go through the
@@ -29,11 +33,12 @@ package obs
 type Observer interface {
 	// Count adds delta to the named monotonic counter.
 	Count(name string, delta int64)
-	// SpanStart opens a named timing span and returns an opaque start
-	// token to hand back to SpanEnd.
-	SpanStart(name string) int64
-	// SpanEnd closes a span previously opened with SpanStart.
-	SpanEnd(name string, start int64)
+	// SpanStart is called when a named timing span opens. A sink that only
+	// aggregates has nothing to do here; it is the hook for observers that
+	// act at a span's start (gate, cancel or fail the work it opens).
+	SpanStart(name string)
+	// SpanEnd records a closed span and how long it was open.
+	SpanEnd(name string, d time.Duration)
 	// Event records a one-off structured event.
 	Event(name, detail string)
 }
@@ -58,20 +63,23 @@ func Emit(o Observer, name, detail string) {
 type SpanHandle struct {
 	o     Observer
 	name  string
-	start int64
+	start time.Time
 }
 
-// Span opens a timing span on o, tolerating a nil Observer.
+// Span opens a timing span on o, tolerating a nil Observer. The clock is
+// read before the start hook runs, so the span covers the hook.
 func Span(o Observer, name string) SpanHandle {
 	if o == nil {
 		return SpanHandle{}
 	}
-	return SpanHandle{o: o, name: name, start: o.SpanStart(name)}
+	s := SpanHandle{o: o, name: name, start: time.Now()}
+	o.SpanStart(name)
+	return s
 }
 
 // End closes the span.
 func (s SpanHandle) End() {
 	if s.o != nil {
-		s.o.SpanEnd(s.name, s.start)
+		s.o.SpanEnd(s.name, time.Since(s.start))
 	}
 }

@@ -1,18 +1,13 @@
 package obs
 
-import "sync"
+import "time"
 
 // Tee returns an Observer forwarding every call to each non-nil sink. It
 // exists for call sites that must feed one pipeline stage into two sinks at
 // once — the nocd server aggregates across all requests into its /metrics
-// Collector while each request also builds its own RunReport.
-//
-// Span tokens are implementation-private to each sink (a Collector's token
-// is an offset on its own clock), so the tee cannot hand one sink's token
-// to another: it issues its own token and keeps the per-sink tokens in a
-// small table until the span closes. That table makes Tee the only Observer
-// here that allocates per span; keep it off hot paths that demand the
-// zero-allocation contract.
+// Collector while each request also builds its own RunReport. A span carries
+// its own duration, so every sink records the same one and the tee keeps no
+// state of its own.
 //
 // With zero or one live sink no tee is built: Tee returns nil (the
 // canonical disabled Observer) or the sink itself.
@@ -29,53 +24,31 @@ func Tee(sinks ...Observer) Observer {
 	case 1:
 		return live[0]
 	}
-	return &teeObserver{sinks: live, open: make(map[int64][]int64)}
+	return tee(live)
 }
 
-type teeObserver struct {
-	sinks []Observer
+type tee []Observer
 
-	mu   sync.Mutex
-	next int64
-	open map[int64][]int64 // tee token -> per-sink tokens
-}
-
-func (t *teeObserver) Count(name string, delta int64) {
-	for _, s := range t.sinks {
+func (t tee) Count(name string, delta int64) {
+	for _, s := range t {
 		s.Count(name, delta)
 	}
 }
 
-func (t *teeObserver) SpanStart(name string) int64 {
-	starts := make([]int64, len(t.sinks))
-	for i, s := range t.sinks {
-		starts[i] = s.SpanStart(name)
-	}
-	t.mu.Lock()
-	t.next++
-	token := t.next
-	t.open[token] = starts
-	t.mu.Unlock()
-	return token
-}
-
-func (t *teeObserver) SpanEnd(name string, start int64) {
-	t.mu.Lock()
-	starts, ok := t.open[start]
-	delete(t.open, start)
-	t.mu.Unlock()
-	if !ok {
-		// A token the tee never issued (or already closed): drop rather
-		// than corrupt the sinks' aggregates with a foreign offset.
-		return
-	}
-	for i, s := range t.sinks {
-		s.SpanEnd(name, starts[i])
+func (t tee) SpanStart(name string) {
+	for _, s := range t {
+		s.SpanStart(name)
 	}
 }
 
-func (t *teeObserver) Event(name, detail string) {
-	for _, s := range t.sinks {
+func (t tee) SpanEnd(name string, d time.Duration) {
+	for _, s := range t {
+		s.SpanEnd(name, d)
+	}
+}
+
+func (t tee) Event(name, detail string) {
+	for _, s := range t {
 		s.Event(name, detail)
 	}
 }

@@ -30,6 +30,11 @@ var decodeCases = []struct {
 	{`{"hier":null,"hier":{"clusters":"flow:4"},"benchmark":"CG","procs":16}`, true},
 	{`{"hier":{},"hier":{"clusters":null}}`, true},
 	{`{"benchmark":"CG","procs":16,"hier":{"clusters":"0;9223372036854775807"}}`, true},
+	{`{"benchmark":"CG","procs":16,"hier":{"clusters":"4-7@7;0-3"}}`, true},
+	{`{"benchmark":"CG","procs":16,"hier":{"clusters":"0-3;4-7@7"}}`, true},
+	{`{"benchmark":"CG","procs":16,"hier":{"clusters":"` + wideSpec + `"}}`, true},
+	{`{"benchmark":"CG","procs":16,"hier":{"clusters":"0-65535"}}`, true},
+	{`{"benchmark":"CG","procs":16,"hier":{"clusters":"0-65535@0-65535"}}`, true},
 	// Null leaves a field as it was.
 	{`{"trace":"","benchmark":"CG","procs":16}`, true},
 	{`{"benchmark":"CG","benchmark":null,"procs":16,"procs":null,"seed":null,"lane":null,"trace":null,"iterations":null}`, true},

@@ -118,6 +118,42 @@ func TestDesignHierKeying(t *testing.T) {
 	}
 }
 
+// wideSpec is sixteen 65,536-processor groups in 217 bytes, over the
+// 65,536 entries one cluster spec may expand to.
+const wideSpec = "0-65535;65536-131071;131072-196607;196608-262143;262144-327679;327680-393215;393216-458751;458752-524287;" +
+	"524288-589823;589824-655359;655360-720895;720896-786431;786432-851967;851968-917503;917504-983039;983040-1048575"
+
+// TestDesignHierGroupOrderSharesKey: an explicit spec's group order is a
+// spelling, so two orders of the same groups are one key and one synthesis.
+func TestDesignHierGroupOrderSharesKey(t *testing.T) {
+	srv := newTestServer(t, quickConfig())
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	first, raw := postDesign(t, ts.URL, `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "0-7;8-15"}}`)
+	if first.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", first.StatusCode, raw)
+	}
+	runs := srv.Metrics().Counter("synth.runs")
+	second, raw := postDesign(t, ts.URL, `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "8-15;0-7"}}`)
+	if second.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", second.StatusCode, raw)
+	}
+	if a, b := first.Header.Get("X-Nocd-Pattern-Hash"), second.Header.Get("X-Nocd-Pattern-Hash"); a != b {
+		t.Errorf("pattern hashes %s and %s, want one", a, b)
+	}
+	if got := second.Header.Get("X-Nocd-Cache"); got != "hit" {
+		t.Errorf("reordered groups: cache %q, want hit", got)
+	}
+	col := srv.Metrics()
+	if got := col.Counter("serve.cache_miss"); got != 1 {
+		t.Errorf("serve.cache_miss = %d, want 1", got)
+	}
+	if got := col.Counter("synth.runs"); got != runs {
+		t.Errorf("synth.runs = %d after the second request, %d after the first", got, runs)
+	}
+}
+
 // TestDesignHierBadRequests pins the typed 400s: grammar errors at parse
 // time, partition errors against the concrete pattern at synthesis time,
 // and malformed knobs.
@@ -149,6 +185,22 @@ func TestDesignHierBadRequests(t *testing.T) {
 		if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != CodeBadRequest {
 			t.Errorf("%s: not the typed bad-request envelope: %s", name, raw)
 		}
+	}
+}
+
+// TestDesignHierSpecOverBudget: a spec over the entry budget is a 400 when
+// the request is planned, before any key, lookup or synthesis.
+func TestDesignHierSpecOverBudget(t *testing.T) {
+	srv := newTestServer(t, quickConfig())
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	resp, raw := postDesign(t, ts.URL, `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "`+wideSpec+`"}}`)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(raw, []byte(CodeBadRequest)) {
+		t.Errorf("status %d: %s, want a 400 %s", resp.StatusCode, raw, CodeBadRequest)
+	}
+	if got := srv.Metrics().Counter("serve.cache_miss"); got != 0 {
+		t.Errorf("serve.cache_miss = %d, want 0", got)
 	}
 }
 

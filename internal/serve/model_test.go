@@ -167,11 +167,11 @@ type panicOnce struct {
 	fired atomic.Bool
 }
 
-func (p *panicOnce) SpanStart(name string) int64 {
+func (p *panicOnce) SpanStart(name string) {
 	if name == "synth.restart" && p.fired.CompareAndSwap(false, true) {
 		panic("injected restart panic")
 	}
-	return p.Observer.SpanStart(name)
+	p.Observer.SpanStart(name)
 }
 
 // TestRestartPanicFailsOneRequest: a panic on a restart goroutine is one

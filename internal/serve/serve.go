@@ -110,8 +110,10 @@ type Config struct {
 	Timeout time.Duration
 	// Synth supplies the server-wide synthesis defaults. Requests may
 	// override the knobs exposed in DesignRequest; Workers and Obs are
-	// operator-only. Obs, when set, is teed into every synthesis (test
-	// hook and operator escape hatch).
+	// operator-only. Obs, when set, is teed into every synthesis beside
+	// the server's collectors (test hook and operator escape hatch): its
+	// SpanStart runs as each span opens and its SpanEnd gets the same
+	// duration theirs do.
 	Synth synth.Options
 	// Workload supplies pattern-generation defaults for by-name requests
 	// (a request's iterations override Iterations; Obs is ignored).

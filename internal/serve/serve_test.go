@@ -149,16 +149,15 @@ func newGate() *gateObserver {
 	return &gateObserver{started: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (*gateObserver) Count(string, int64)   {}
-func (*gateObserver) SpanEnd(string, int64) {}
-func (*gateObserver) Event(string, string)  {}
+func (*gateObserver) Count(string, int64)           {}
+func (*gateObserver) SpanEnd(string, time.Duration) {}
+func (*gateObserver) Event(string, string)          {}
 
-func (g *gateObserver) SpanStart(name string) int64 {
+func (g *gateObserver) SpanStart(name string) {
 	if name == "synth.restart" {
 		g.once.Do(func() { close(g.started) })
 		<-g.release
 	}
-	return 0
 }
 
 // TestDesignSingleflightCollapse pins the dedup layer: concurrent identical

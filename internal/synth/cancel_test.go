@@ -23,11 +23,11 @@ type cancelOnRestart struct {
 	cancel  context.CancelFunc
 }
 
-func (*cancelOnRestart) Count(string, int64)   {}
-func (*cancelOnRestart) SpanEnd(string, int64) {}
-func (*cancelOnRestart) Event(string, string)  {}
+func (*cancelOnRestart) Count(string, int64)           {}
+func (*cancelOnRestart) SpanEnd(string, time.Duration) {}
+func (*cancelOnRestart) Event(string, string)          {}
 
-func (c *cancelOnRestart) SpanStart(name string) int64 {
+func (c *cancelOnRestart) SpanStart(name string) {
 	if name == "synth.restart" {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -35,7 +35,6 @@ func (c *cancelOnRestart) SpanStart(name string) int64 {
 			c.cancel()
 		}
 	}
-	return 0
 }
 
 // waitGoroutines fails t unless the goroutine count falls back to before:

@@ -141,16 +141,15 @@ func TestRestartSharingMatchesEveryRestart(t *testing.T) {
 // panicOnFirstRestart panics the first time a restart opens its span.
 type panicOnFirstRestart struct{ fired bool }
 
-func (*panicOnFirstRestart) Count(string, int64)   {}
-func (*panicOnFirstRestart) SpanEnd(string, int64) {}
-func (*panicOnFirstRestart) Event(string, string)  {}
+func (*panicOnFirstRestart) Count(string, int64)           {}
+func (*panicOnFirstRestart) SpanEnd(string, time.Duration) {}
+func (*panicOnFirstRestart) Event(string, string)          {}
 
-func (p *panicOnFirstRestart) SpanStart(name string) int64 {
+func (p *panicOnFirstRestart) SpanStart(name string) {
 	if name == "synth.restart" && !p.fired {
 		p.fired = true
 		panic("injected restart panic")
 	}
-	return 0
 }
 
 // TestRestartLeaderFailureReleasesFollowers: the restarts waiting on a
