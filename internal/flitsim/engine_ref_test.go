@@ -51,7 +51,7 @@ func simulateReference(pat *model.Pattern, rt router, fb *fabric) (Result, error
 		readyAt:   make(map[int]int64),
 		inputUsed: make(map[*channel]bool),
 	}
-	scripts := buildScripts(pat)
+	scripts := new(scriptArena).build(pat)
 	for p := 0; p < pat.Procs; p++ {
 		e.nis = append(e.nis, &niState{proc: p, script: scripts[p]})
 	}
@@ -87,8 +87,9 @@ func (e *refEngine) deliverArrivals() {
 		kept := c.inflight[:0]
 		for _, inf := range c.inflight {
 			if inf.at <= e.now {
-				inf.to.buf = append(inf.to.buf, inf.f)
-				inf.to.inTransit--
+				to := &e.fb.vcs[inf.to]
+				to.buf = append(to.buf, inf.f)
+				to.inTransit--
 			} else {
 				kept = append(kept, inf)
 			}
@@ -204,10 +205,10 @@ func (e *refEngine) inject() {
 		if !v.space(e.cfg.BufFlits) {
 			continue
 		}
-		f := flit{pkt: pkt, head: pkt.sent == 0, tail: pkt.sent == pkt.flits-1}
+		f := flit{pkt: int32(pkt.msgID), head: pkt.sent == 0, tail: pkt.sent == pkt.flits-1}
 		pkt.sent++
 		v.inTransit++
-		ch.inflight = append(ch.inflight, inflightFlit{f: f, to: v, at: e.now + int64(ch.delay)})
+		ch.inflight = append(ch.inflight, inflightFlit{f: f, to: v.id, at: e.now + int64(ch.delay)})
 		ch.carried++
 		e.flitHops++
 		pkt.lastProgress = e.now
@@ -285,10 +286,10 @@ func (e *refEngine) forward() {
 		f := v.pop()
 		out := v.out
 		out.inTransit++
-		c.inflight = append(c.inflight, inflightFlit{f: f, to: out, at: e.now + int64(c.delay)})
+		c.inflight = append(c.inflight, inflightFlit{f: f, to: out.id, at: e.now + int64(c.delay)})
 		c.carried++
 		e.flitHops++
-		f.pkt.lastProgress = e.now
+		e.packets[int(f.pkt)].lastProgress = e.now
 		e.inputUsed[v.ch] = true
 		if f.tail {
 			v.owner = nil
@@ -309,7 +310,7 @@ func (e *refEngine) ejectFlits() {
 			}
 			ch.rr = (ch.rr + i + 1) % len(ch.vcs)
 			f := v.pop()
-			pkt := f.pkt
+			pkt := e.packets[int(f.pkt)]
 			pkt.arrived++
 			pkt.lastProgress = e.now
 			if f.tail {
@@ -368,8 +369,8 @@ func (e *refEngine) kill(pkt *packet) {
 	for _, c := range e.fb.channels {
 		kept := c.inflight[:0]
 		for _, inf := range c.inflight {
-			if inf.f.pkt == pkt {
-				inf.to.inTransit--
+			if int(inf.f.pkt) == pkt.msgID {
+				e.fb.vcs[inf.to].inTransit--
 				continue
 			}
 			kept = append(kept, inf)

@@ -20,6 +20,14 @@ func runWith(pat *model.Pattern, net *topology.Network, rt router, cfg Config) (
 	return run(pat, net, cfg, func() (router, error) { return rt, nil })
 }
 
+// buildFabric lays out a private fabric of net under cfg, for the engines
+// tests drive without the pool.
+func buildFabric(net *topology.Network, cfg Config) *fabric {
+	fb := new(fabric)
+	fb.build(net, cfg)
+	return fb
+}
+
 // runReference is runWith on the cycle-stepping oracle of engine_ref_test.go:
 // the same normalised configuration and fabric, simulateReference in place
 // of simulate. Every suite that needs the reference goes through here.
@@ -423,6 +431,92 @@ func TestEngineEquivalencePeriodic(t *testing.T) {
 	})
 }
 
+// TestEngineEquivalenceWorklists pins the engines together on the states
+// the event-driven engine's worklists (DESIGN.md §8) must get right: a
+// recovery kill of a packet whose head waits for VC allocation, which leaves
+// its channel's allocation bit set for the next pass to drop; self-messages,
+// whose readyAt postSend sets; a receive whose message was ejected before
+// its NI reached the op, so the ejection sets no wake; and heads stalled
+// for thousands of cycles on an ejection channel's only VC, whose channels
+// stay on the allocation worklist all that time.
+func TestEngineEquivalenceWorklists(t *testing.T) {
+	t.Run("kill-unrouted", func(t *testing.T) {
+		// One 1-VC link for two worms: the loser's head waits in its
+		// injection VC for the link's VC until it is killed.
+		pnet, ptable := pairNet()
+		starve := trace.BuildPhased("starve", 4, []trace.PhaseSpec{
+			{Flows: []model.Flow{model.F(0, 2), model.F(1, 3)}, Bytes: 4096},
+		})
+		res := runBoth(t, "pair", starve, pnet, sourceRouted{ptable}, Config{VCs: 1, BufFlits: 3, DeadlockTimeout: 96})
+		if res.Kills == 0 || res.VCStalls == 0 {
+			t.Errorf("pair: Kills = %d, VCStalls = %d; want a stalled head killed", res.Kills, res.VCStalls)
+		}
+		// The ring's cyclic deadlock: every head waits at a switch for
+		// the link its successor holds, and one of them is killed.
+		rnet, rtable := ringNet(4)
+		var fs []model.Flow
+		for i := 0; i < 4; i++ {
+			fs = append(fs, model.F(i, (i+2)%4))
+		}
+		storm := trace.BuildPhased("storm", 4, []trace.PhaseSpec{{Flows: fs, Bytes: 1024}})
+		res = runBoth(t, "ring", storm, rnet, sourceRouted{rtable}, Config{VCs: 1, BufFlits: 2, DeadlockTimeout: 64})
+		if res.Kills == 0 {
+			t.Error("ring: no kill")
+		}
+	})
+	const procs = 8
+	rows, cols := topology.GridDims(procs)
+	mnet, mgrid := topology.Mesh(rows, cols)
+	mdor := meshRouter(t, mnet, mgrid)
+	xnet := topology.Crossbar(procs)
+	xbar := crossbarRouter(t, xnet)
+	t.Run("self", func(t *testing.T) {
+		pat := trace.BuildPhased("self", procs, []trace.PhaseSpec{
+			{Flows: []model.Flow{model.F(0, 0), model.F(3, 3), model.F(0, 5)}, Bytes: 256, ComputeAfter: 3},
+			{Flows: []model.Flow{model.F(5, 0), model.F(6, 6)}, Bytes: 64},
+			{Flows: []model.Flow{model.F(2, 2)}, Bytes: 16, ComputeAfter: 1},
+		})
+		res := runBoth(t, "mesh", pat, mnet, mdor, Config{})
+		if res.Messages != 2 {
+			t.Errorf("Messages = %d, want the 2 that cross the network", res.Messages)
+		}
+		runBoth(t, "crossbar", pat, xnet, xbar, Config{VCs: 1})
+	})
+	t.Run("early", func(t *testing.T) {
+		// p2 receives a 16 KB worm, then a 16-byte message posted at the
+		// same cycle, which is ejected thousands of cycles before p2
+		// reaches its receive. p1 (after its first-phase post) and p3 (at
+		// once) post their second-phase messages to p2 too, and those
+		// land while p2 is still receiving the worm.
+		pat := trace.BuildPhased("early", procs, []trace.PhaseSpec{
+			{Flows: []model.Flow{model.F(0, 2), model.F(1, 2)}, Bytes: 16 << 10},
+			{Flows: []model.Flow{model.F(1, 2), model.F(3, 2)}, Bytes: 16, ComputeAfter: 2},
+		})
+		pat.Messages[1].Bytes = 16
+		runBoth(t, "crossbar", pat, xnet, xbar, Config{})
+		runBoth(t, "mesh", pat, mnet, mdor, Config{VCs: 2})
+	})
+	t.Run("ejection-stall", func(t *testing.T) {
+		// Three 16 KB worms for p7's one ejection VC: two heads wait at
+		// p7's switch, one for about 4,100 cycles and one for 8,200, with
+		// no recovery tick long enough to kill them.
+		pat := trace.BuildPhased("hot", procs, []trace.PhaseSpec{
+			{Flows: []model.Flow{model.F(0, 7), model.F(1, 7), model.F(4, 7)}, Bytes: 16 << 10},
+		})
+		for _, c := range []struct {
+			name   string
+			net    *topology.Network
+			router router
+		}{{"crossbar", xnet, xbar}, {"mesh", mnet, mdor}} {
+			res := runBoth(t, c.name, pat, c.net, c.router, Config{VCs: 1, DeadlockTimeout: 1 << 20})
+			if res.VCStalls < 8_000 || res.Kills != 0 {
+				t.Errorf("%s: VCStalls = %d, Kills = %d; want heads pending on the ejection VC for thousands of cycles, unkilled",
+					c.name, res.VCStalls, res.Kills)
+			}
+		}
+	})
+}
+
 // drawCase draws a small phased workload — random flows, sizes from 16 B to
 // 16<<(sizeExps-1) B, compute gaps — and simulator knobs, taking every choice
 // from draw (rand.Intn, or the next fuzz byte).
@@ -502,6 +596,11 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 2, 0, 7, 1, 7, 2, 7, 8, 0, 2, 6, 2})             // mesh, delay 1-4, three to p7
 	f.Add([]byte{2, 0, 0, 4, 0, 7, 1, 7, 2, 6, 3, 6, 4, 6, 8, 0, 2, 6, 2}) // ring, two and three rotating (period 6)
 	f.Add([]byte{0, 1, 0, 4, 0, 7, 1, 7, 2, 6, 3, 6, 4, 6, 8, 0, 2, 6, 2}) // mesh, delay 1-2, the same
+	// TestEngineEquivalenceWorklists' shapes.
+	f.Add([]byte{0, 0, 0, 1, 0, 7, 4, 7, 10, 0, 0, 0, 0})                              // mesh, two 16 KB worms to p7 on 1 VC, timeout 64: a waiting head killed
+	f.Add([]byte{0, 1, 1, 2, 0, 0, 3, 3, 0, 5, 4, 50, 1, 5, 0, 6, 6, 2, 100, 1, 2, 2}) // mesh, self-messages in both phases
+	f.Add([]byte{3, 0, 1, 0, 0, 2, 10, 0, 0, 1, 2, 0, 0, 2, 6, 2})                     // crossbar, a 16-byte message ejected while p2 receives a 16 KB one
+	f.Add([]byte{3, 0, 0, 2, 0, 7, 1, 7, 4, 7, 10, 0, 0, 6, 2})                        // crossbar, three 16 KB worms for p7's one ejection VC, timeout 8192
 	const procs = 8
 	rows, cols := topology.GridDims(procs)
 	mnet, mgrid := topology.Mesh(rows, cols)

@@ -1,0 +1,6 @@
+//go:build !race
+
+package flitsim
+
+// raceEnabled reports whether the test binary runs under the race detector.
+const raceEnabled = false

@@ -32,7 +32,7 @@ func run(pat *model.Pattern, net *topology.Network, cfg Config, route func() (ro
 	}
 	sp := obs.Span(cfg.Obs, "flitsim.run")
 	defer sp.End()
-	return simulate(pat, rt, buildFabric(net, cfg))
+	return simulate(pat, rt, net, cfg)
 }
 
 // replay builds the table router: it replays the table build makes over the

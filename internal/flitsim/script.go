@@ -21,21 +21,35 @@ type op struct {
 	msg    int   // opSend/opRecv: message ID
 }
 
-// buildScripts converts a communication pattern into per-processor scripts
-// under the phase-parallel model: within each phase every participating
-// processor posts its send (paying the send overhead), then blocks on its
-// receive; a phase's compute gap busies every processor afterwards. Patterns
-// without phase metadata are treated as a sequence of single-message phases
-// in start-time order (conservative trace-driven fallback).
-func buildScripts(p *model.Pattern) [][]op {
-	scripts := make([][]op, p.Procs)
+// scriptArena holds the buffers build carves scripts out of; a pooled
+// engine keeps one, so a warm simulation builds its scripts in place.
+type scriptArena struct {
+	scripts [][]op
+	counts  []int
+	ops     []op
+	msgs    []int
+	order   []int
+	phases  []model.Phase
+}
+
+// build converts a communication pattern into per-processor scripts under
+// the phase-parallel model: within each phase every participating processor
+// posts its send (paying the send overhead), then blocks on its receive; a
+// phase's compute gap busies every processor afterwards. Patterns without
+// phase metadata are treated as a sequence of single-message phases in
+// start-time order (conservative trace-driven fallback). The scripts alias
+// the arena until its next build.
+func (a *scriptArena) build(p *model.Pattern) [][]op {
+	a.scripts = resized(a.scripts, p.Procs)
+	scripts := a.scripts
 	phases := p.Phases
 	if len(phases) == 0 {
-		phases = syntheticPhases(p)
+		phases = a.syntheticPhases(p)
 	}
 	// First pass: per-processor op counts, so every script is carved out
 	// of one flat arena instead of growing by repeated append.
-	counts := make([]int, p.Procs)
+	a.counts = resized(a.counts, p.Procs)
+	counts := a.counts
 	total := 0
 	for _, ph := range phases {
 		for _, mi := range ph.Messages {
@@ -54,13 +68,13 @@ func buildScripts(p *model.Pattern) [][]op {
 			total += p.Procs
 		}
 	}
-	arena := make([]op, total)
+	a.ops = resized(a.ops, total)
 	off := 0
 	for proc, n := range counts {
-		scripts[proc] = arena[off : off : off+n]
+		scripts[proc] = a.ops[off : off : off+n]
 		off += n
 	}
-	var msgs []int
+	msgs := a.msgs
 	for _, ph := range phases {
 		// Sends first (asynchronous post), then receives, per proc.
 		msgs = append(msgs[:0], ph.Messages...)
@@ -85,24 +99,28 @@ func buildScripts(p *model.Pattern) [][]op {
 			}
 		}
 	}
+	a.msgs = msgs
 	return scripts
 }
 
-func syntheticPhases(p *model.Pattern) []model.Phase {
-	order := make([]int, len(p.Messages))
+// syntheticPhases returns one single-message phase per message, in
+// start-time order, built in the arena.
+func (a *scriptArena) syntheticPhases(p *model.Pattern) []model.Phase {
+	a.order = resized(a.order, len(p.Messages))
+	order := a.order
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return p.Messages[order[a]].Start < p.Messages[order[b]].Start
+	sort.SliceStable(order, func(x, y int) bool {
+		return p.Messages[order[x]].Start < p.Messages[order[y]].Start
 	})
-	phases := make([]model.Phase, len(order))
+	a.phases = resized(a.phases, len(order))
 	for i := range order {
 		// Each single-message phase aliases one element of order — never
 		// mutated, and cheaper than a fresh slice per phase.
-		phases[i] = model.Phase{Messages: order[i : i+1]}
+		a.phases[i] = model.Phase{Messages: order[i : i+1]}
 	}
-	return phases
+	return a.phases
 }
 
 // niState is one processor's network interface and script executor.

@@ -1,6 +1,9 @@
 package synth
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // backboneReroute is a restructuring move used when marginal optimization is
 // plateau-locked on degree violations: it proposes an entirely new routing
@@ -20,15 +23,37 @@ func (s *state) backboneReroute() bool {
 	return true
 }
 
-// backboneProposal returns every flow's route, by flow ID, over a backbone
-// chosen greedily by direct-traffic demand, or nil when there is none (fewer
-// than three switches, or components that cannot be joined): each switch may
-// spend MaxDegree minus its processor count on links, the heaviest demand
-// pairs claim edges first, and remaining components are joined by the
-// cheapest feasible edges. Each route is a backbone shortest path (which may
-// be longer than the one-intermediate routes the local optimizer produces —
-// the final topology supports arbitrary source routes).
+// backboneProposal returns every flow's route, by flow ID, over the backbone
+// backboneGraph chooses, or nil when there is none. Each route is a backbone
+// shortest path (which may be longer than the one-intermediate routes the
+// local optimizer produces — the final topology supports arbitrary source
+// routes).
 func (s *state) backboneProposal() [][]int {
+	adj := s.backboneGraph()
+	if adj == nil {
+		return nil
+	}
+	// The backbone is connected, so every flow has a path.
+	ends := make([][2]int, len(s.flows))
+	for fi, f := range s.flows {
+		ends[fi] = [2]int{s.home[f.Src], s.home[f.Dst]}
+	}
+	paths := shortestPaths(adj, ends)
+	for fi, e := range ends {
+		if e[0] == e[1] {
+			paths[fi] = s.cachedDirect(e[0], e[0])
+		}
+	}
+	return paths
+}
+
+// backboneGraph returns the adjacency lists of a connected backbone over the
+// switches, chosen greedily by direct-traffic demand, or nil when there is
+// none (fewer than three switches, or components that cannot be joined):
+// each switch may spend MaxDegree minus its processor count on links, the
+// heaviest demand pairs claim edges first, and remaining components are
+// joined by the cheapest feasible edges.
+func (s *state) backboneGraph() [][]int {
 	n := len(s.swProcs)
 	if n < 3 {
 		return nil
@@ -116,17 +141,7 @@ func (s *state) backboneProposal() [][]int {
 		addEdge(bestA, bestB)
 	}
 
-	// The backbone is connected now, so every flow has a path.
-	paths := make([][]int, len(s.flows))
-	for fi, f := range s.flows {
-		a, b := s.home[f.Src], s.home[f.Dst]
-		if a == b {
-			paths[fi] = s.cachedDirect(a, a)
-		} else {
-			paths[fi] = bfsPath(adj, a, b)
-		}
-	}
-	return paths
+	return adj
 }
 
 // wiBackbone prices installing paths, one route per flow, bound as
@@ -185,40 +200,78 @@ func maxComp(comp []int) int {
 	return m
 }
 
-// bfsPath returns the shortest path from a to b over adj (lowest-ID ties).
-func bfsPath(adj [][]int, a, b int) []int {
+// shortestPaths returns, for each pair (a, b) of ends with a ≠ b, the
+// shortest path from a to b over adj that a breadth-first search from a
+// visiting neighbours in ascending ID order finds (lowest-ID ties), or nil if
+// b is unreachable; a pair with a = b gets nil. It sorts adj's lists in place
+// and runs one search per distinct source, reading each of its pairs' paths
+// off the search's parent tree: the order the search visits switches in
+// depends only on the source and the sorted lists, and a search stopped on
+// reaching b would have set every parent on b's chain already. The paths
+// share one backing array, each capped at its length.
+func shortestPaths(adj [][]int, ends [][2]int) [][]int {
 	n := len(adj)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[a] = a
-	queue := []int{a}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if v == b {
-			break
-		}
-		nbs := append([]int(nil), adj[v]...)
+	for _, nbs := range adj {
 		sort.Ints(nbs)
-		for _, u := range nbs {
-			if parent[u] == -1 {
-				parent[u] = v
-				queue = append(queue, u)
+	}
+	// Bucket the pairs by source (a counting sort), so each source's search
+	// runs once.
+	first := make([]int, n+1)
+	for _, e := range ends {
+		first[e[0]+1]++
+	}
+	for a := 0; a < n; a++ {
+		first[a+1] += first[a]
+	}
+	bySrc := make([]int, len(ends))
+	fill := append([]int(nil), first[:n]...)
+	for i, e := range ends {
+		bySrc[fill[e[0]]] = i
+		fill[e[0]]++
+	}
+	paths := make([][]int, len(ends))
+	parent := fill // reused: the buckets are filled
+	queue := make([]int, 0, n)
+	var arena []int
+	for a := 0; a < n; a++ {
+		searched := false
+		for _, i := range bySrc[first[a]:first[a+1]] {
+			b := ends[i][1]
+			if b == a {
+				continue
 			}
+			if !searched {
+				searched = true
+				for v := range parent {
+					parent[v] = -1
+				}
+				parent[a] = a
+				queue = append(queue[:0], a)
+				for h := 0; h < len(queue); h++ {
+					v := queue[h]
+					for _, u := range adj[v] {
+						if parent[u] == -1 {
+							parent[u] = v
+							queue = append(queue, u)
+						}
+					}
+				}
+			}
+			if parent[b] == -1 {
+				continue
+			}
+			hops := 0
+			for v := b; v != a; v = parent[v] {
+				hops++
+			}
+			at := len(arena)
+			arena = slices.Grow(arena, hops+1)[:at+hops+1]
+			path := arena[at : at+hops+1 : at+hops+1]
+			for v, j := b, hops; j >= 0; v, j = parent[v], j-1 {
+				path[j] = v
+			}
+			paths[i] = path
 		}
 	}
-	if parent[b] == -1 {
-		return nil
-	}
-	var rev []int
-	for v := b; v != a; v = parent[v] {
-		rev = append(rev, v)
-	}
-	rev = append(rev, a)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return paths
 }

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"math/rand"
+
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -24,3 +26,10 @@ var WithoutFlow = withoutFlow
 
 // SaveDesignMarshal is the encoding/json oracle of SaveDesign.
 var SaveDesignMarshal = saveDesignMarshal
+
+// ShortestPathsMismatch runs shortestPaths and the per-flow bfsPath oracle
+// over every ordered pair of adj's nodes, and returns the first pair whose
+// paths differ, or "".
+func ShortestPathsMismatch(adj [][]int, seed int64) string {
+	return shortestPathsMismatch(adj, rand.New(rand.NewSource(seed)))
+}

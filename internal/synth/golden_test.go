@@ -145,3 +145,21 @@ func TestGoldenDesigns(t *testing.T) {
 		}
 	}
 }
+
+// TestBackbonePathsGolden holds shortestPaths (one search per source) to the
+// per-flow search it replaced on the switch graph of every golden design:
+// every ordered pair of switches, in a shuffled order with repeats.
+func TestBackbonePathsGolden(t *testing.T) {
+	for i, run := range goldenRuns(t) {
+		net := run.res.Net
+		adj := make([][]int, net.NumSwitches())
+		for _, p := range net.Pipes {
+			a, b := int(p.A), int(p.B)
+			adj[a] = append(adj[a], b)
+			adj[b] = append(adj[b], a)
+		}
+		if msg := synth.ShortestPathsMismatch(adj, int64(i)); msg != "" {
+			t.Errorf("%s: %s", run.name, msg)
+		}
+	}
+}

@@ -209,10 +209,13 @@ func comparePipe(t *testing.T, s *state, a, b int) {
 // compareBackbone prices backboneReroute's proposal, when the state has one,
 // with the what-if evaluator (wiBackbone) and with the oracle
 // (backboneDeltaRef: install every path, recompute the whole objective, put
-// the routes back), then at checkBounds' bounds.
+// the routes back), then at checkBounds' bounds. Each non-local flow's path
+// must be the one the per-flow bfsPath finds over the proposal's backbone,
+// whose edges the paths' hops are.
 func compareBackbone(t *testing.T, s *state) {
 	t.Helper()
 	if paths := s.backboneProposal(); paths != nil {
+		checkBackbonePaths(t, s, paths)
 		compareProbe(t, s, "wiBackbone", func(bound int) int { return s.wiBackbone(paths, bound) },
 			func() (int, func()) { return s.backboneDeltaRef(paths) })
 	}
