@@ -82,7 +82,8 @@ census:
 #              is leapt; and full-size CG on the mesh, where worms taking
 #              turns on shared links make periodic states that are leapt
 #              whole periods at a time (the pair also bounds the period
-#              test's bookkeeping). 49-63 s; 201-322x, 219-295x and 43-56x.
+#              test's bookkeeping). 54-60 s; 314-502x, 409-516x and
+#              47-50x (three runs).
 #   warm:      the same five CG-16 variants synthesized cold vs seeded from a
 #              prior design. The ratio measures what seeding saves, so
 #              pruning that speeds up cold synthesis lowers it; raise the

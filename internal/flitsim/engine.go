@@ -2,7 +2,6 @@ package flitsim
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"repro/internal/model"
@@ -22,9 +21,14 @@ import (
 //     invariants and period for the repeat test;
 //   - stepping only what can act: each phase of a cycle walks a worklist
 //     the events maintain — channels with an unrouted head (allocate),
-//     processors with flits to eject, NIs with a queue (inject), NIs whose
-//     script op is due (stepScripts) — in ascending index order, the order
-//     the reference scans everything in;
+//     channels with routed input VCs (forward), channels with flits on the
+//     wire (arrival delivery), processors with flits to eject, NIs with a
+//     queue (inject) — each a model.BitSet walked with Next in ascending
+//     index order, the order the reference scans everything in; NIs whose
+//     script op is due (stepScripts) wake by cycle. The one order-free list
+//     is netPackets, the packets in the network, whose deadlock victim
+//     breaks ties by creation sequence (packet.seq) as the reference's
+//     creation-order scan does;
 //   - keying hot state off dense slices (message-ID-indexed packet arena
 //     and readyAt, channel-ID-indexed input-used stamps) instead of maps,
 //     with generation stamps replacing per-cycle map clears, and naming
@@ -43,16 +47,16 @@ type engine struct {
 	fab     fabric      // the pooled fabric simulate builds, fb's target
 	scripts scriptArena // the pooled script buffers
 
-	nis        []*niState
-	niArena    []niState
-	pktArena   []packet  // message-ID-indexed packets, the IDs flits carry
-	allPackets []*packet // creation order, for deterministic scans
-	readyAt    []int64   // message ID -> cycle its recv may complete, -1 unknown
-	now        int64
-	kills      int
-	victims    int // distinct packets ever killed (first-kill events)
-	vcStalls   int64
-	flitHops   int64
+	nis      []*niState
+	niArena  []niState
+	pktArena []packet // message-ID-indexed packets, the IDs flits carry
+	readyAt  []int64  // message ID -> cycle its recv may complete, -1 unknown
+	posts    int      // packets created so far, the next packet.seq
+	now      int64
+	kills    int
+	victims  int // distinct packets ever killed (first-kill events)
+	vcStalls int64
+	flitHops int64
 
 	latSum int64
 	latMax int64
@@ -71,48 +75,37 @@ type engine struct {
 	undelivered   int   // posted network packets not yet fully received
 
 	// netPackets holds the undelivered packets with at least one flit
-	// sent, in arbitrary order (swap-free linear removal). Only
-	// order-independent reductions (the recovery wake-up minimum) may
-	// scan it; victim selection scans allPackets in creation order.
+	// sent, in no order (swap removal): recovery scans it for the wake-up
+	// minimum and for the victim, whose tie-break is packet.seq.
 	netPackets []*packet
 
 	// routedTo[ch.id] lists the input VCs currently allocated to output
 	// channel ch (v.out.ch == ch), sorted by vcBuf.seq so forward()
 	// considers them in the reference engine's arbitration order.
 	routedTo [][]*vcBuf
-	// liveCh lists channels with flits on the wire, so arrival delivery
-	// never scans idle channels. Order is irrelevant: a channel delivers
-	// only into its own VC buffers, so per-channel delivery is
-	// independent, and the arrival-minimum reduction is commutative.
-	liveCh []*channel
-	chLive []bool
-	// bufInCh[ch.id] counts flits buffered across ch's VCs, letting
-	// allocate/eject skip empty channels.
-	bufInCh []int
-	// routedChs holds the IDs of channels with a non-empty routedTo list,
-	// sorted ascending — i.e. fb.channels order, which switch allocation
-	// must follow because moving a flit consumes its input channel for
-	// every later output in the same cycle. fwdChs is the per-cycle
-	// snapshot forward() iterates while routeOut edits the live list.
-	routedChs []int
-	fwdChs    []int
 
 	eligible []*vcBuf // forward() scratch
 
-	// Worklists (DESIGN.md §8), each walked in ascending index order.
-	// allocCh marks the switch-bound channels that may hold an unrouted
-	// head at a VC front: a head delivery sets the bit, and allocate clears
-	// it once no such VC is left. ejectP marks the processors whose
-	// ejection channel may hold flits, injectP exactly the NIs with a
-	// non-empty queue. wake[p] is the earliest cycle NI p's started op can
-	// complete (farFuture: never without an ejection), wakeMin the least
-	// of them, and running counts the NIs whose script is not done.
-	allocCh bitset
-	ejectP  bitset
-	injectP bitset
-	wake    []int64
-	wakeMin int64
-	running int
+	// Worklists (DESIGN.md §8): bitsets walked with Next in ascending
+	// index order. allocCh marks the switch-bound channels that may hold an
+	// unrouted head at a VC front: a head delivery sets the bit, and
+	// allocate clears it once no such VC is left. routedCh marks the
+	// channels with a non-empty routedTo list, the outputs forward visits.
+	// onWire marks the channels with flits on the wire (a kill may leave
+	// one with none); its readers give the same result in any order.
+	// ejectP marks the processors whose ejection channel may hold flits,
+	// injectP exactly the NIs with a non-empty queue. wake[p] is the
+	// earliest cycle NI p's started op can complete (farFuture: never
+	// without an ejection), wakeMin the least of them, and running counts
+	// the NIs whose script is not done.
+	allocCh  model.BitSet
+	routedCh model.BitSet
+	onWire   model.BitSet
+	ejectP   model.BitSet
+	injectP  model.BitSet
+	wake     []int64
+	wakeMin  int64
+	running  int
 
 	// Periodic-state detection (period, DESIGN.md §8). hist holds one
 	// record per processed cycle, oldest first, for at most the last
@@ -159,34 +152,6 @@ type move struct {
 	rr, elig int
 }
 
-// bitset is a set of small non-negative integers, one bit each.
-type bitset []uint64
-
-func (b bitset) set(i int) { b[i>>6] |= 1 << (i & 63) }
-func (b bitset) del(i int) { b[i>>6] &^= 1 << (i & 63) }
-
-// next returns the least member ≥ i, or −1 if there is none. Walking
-// i = next(0), next(i+1), … visits the members in ascending order and sees
-// every removal or addition made ahead of i on the way.
-func (b bitset) next(i int) int {
-	w := i >> 6
-	if w >= len(b) {
-		return -1
-	}
-	if word := b[w] >> (i & 63); word != 0 {
-		return i + bits.TrailingZeros64(word)
-	}
-	for w++; w < len(b); w++ {
-		if b[w] != 0 {
-			return w<<6 | bits.TrailingZeros64(b[w])
-		}
-	}
-	return -1
-}
-
-// sized returns b with room for n members and none set.
-func (b bitset) sized(n int) bitset { return resized(b, (n+63)>>6) }
-
 // farFuture is the nextArrival sentinel when no flit is on a wire.
 const farFuture = int64(1) << 62
 
@@ -209,7 +174,7 @@ func simulate(pat *model.Pattern, rt router, net *topology.Network, cfg Config) 
 // slice from the pattern and fabric instead of growing by append.
 func (e *engine) reset(pat *model.Pattern, rt router, fb *fabric) {
 	e.fb, e.cfg, e.router, e.pat = fb, fb.cfg, rt, pat
-	e.now, e.kills, e.victims, e.vcStalls, e.flitHops = 0, 0, 0, 0, 0
+	e.now, e.posts, e.kills, e.victims, e.vcStalls, e.flitHops = 0, 0, 0, 0, 0, 0
 	e.latSum, e.latMax, e.latN = 0, 0, 0
 	e.usedStamp = 0
 	e.eventAt, e.stepped, e.leapt = 0, 0, 0 // cycle 0 has no predecessor: an event
@@ -223,9 +188,6 @@ func (e *engine) reset(pat *model.Pattern, rt router, fb *fabric) {
 		e.pktArena = make([]packet, nMsg)
 	} else {
 		e.pktArena = e.pktArena[:nMsg]
-	}
-	if cap(e.allPackets) < nMsg {
-		e.allPackets = make([]*packet, 0, nMsg)
 	}
 	if cap(e.readyAt) < nMsg {
 		e.readyAt = make([]int64, nMsg)
@@ -242,12 +204,6 @@ func (e *engine) reset(pat *model.Pattern, rt router, fb *fabric) {
 		e.inputUsed = e.inputUsed[:nCh]
 		clear(e.inputUsed)
 	}
-	if cap(e.bufInCh) < nCh {
-		e.bufInCh = make([]int, nCh)
-	} else {
-		e.bufInCh = e.bufInCh[:nCh]
-		clear(e.bufInCh)
-	}
 	if cap(e.nGot) < nCh {
 		e.nGot = make([]int, nCh)
 		e.got = make([]inflightFlit, nCh*maxPeriod)
@@ -256,13 +212,6 @@ func (e *engine) reset(pat *model.Pattern, rt router, fb *fabric) {
 		clear(e.nGot)
 		e.got = e.got[:nCh*maxPeriod]
 	}
-	if cap(e.chLive) < nCh {
-		e.chLive = make([]bool, nCh)
-	} else {
-		e.chLive = e.chLive[:nCh]
-		clear(e.chLive)
-	}
-	e.liveCh = e.liveCh[:0]
 	if cap(e.routedTo) < nCh {
 		rt := make([][]*vcBuf, nCh)
 		copy(rt, e.routedTo)
@@ -273,11 +222,13 @@ func (e *engine) reset(pat *model.Pattern, rt router, fb *fabric) {
 	for i := range e.routedTo {
 		e.routedTo[i] = e.routedTo[i][:0]
 	}
-	e.routedChs = e.routedChs[:0]
 
-	e.allocCh = e.allocCh.sized(nCh)
-	e.ejectP = e.ejectP.sized(pat.Procs)
-	e.injectP = e.injectP.sized(pat.Procs)
+	chWords, procWords := (nCh+63)>>6, (pat.Procs+63)>>6
+	e.allocCh = resized(e.allocCh, chWords)
+	e.routedCh = resized(e.routedCh, chWords)
+	e.onWire = resized(e.onWire, chWords)
+	e.ejectP = resized(e.ejectP, procWords)
+	e.injectP = resized(e.injectP, procWords)
 
 	scripts := e.scripts.build(pat)
 	if cap(e.niArena) < pat.Procs {
@@ -311,16 +262,12 @@ func (e *engine) release() {
 		clear(rc)
 		e.pktArena[i] = packet{routeCh: rc[:0]}
 	}
-	clear(e.allPackets)
-	e.allPackets = e.allPackets[:0]
 	clear(e.eligible)
 	e.eligible = e.eligible[:0]
 	clear(e.netPackets)
 	e.netPackets = e.netPackets[:0]
 	e.moves = e.moves[:0]
 	e.hist = e.hist[:0]
-	clear(e.liveCh)
-	e.liveCh = e.liveCh[:0]
 	for i := range e.routedTo {
 		clear(e.routedTo[i])
 		e.routedTo[i] = e.routedTo[i][:0]
@@ -429,7 +376,7 @@ func (e *engine) nextCycle() int64 {
 	if !steady && e.inflightCount > 0 && e.nextArrival < next {
 		next = e.nextArrival
 	}
-	for p := e.injectP.next(0); p >= 0; p = e.injectP.next(p + 1) {
+	for p := e.injectP.Next(0); p >= 0; p = e.injectP.Next(p + 1) {
 		head := e.nis[p].queue[0]
 		if head.delivered || head.sent >= head.flits {
 			// Stale entry: inject dequeues it next cycle.
@@ -589,8 +536,8 @@ func (e *engine) repeats(p int) (tailK int64, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	for _, c := range e.liveCh {
-		if !e.pipeRepeats(c, p) {
+	for id := e.onWire.Next(0); id >= 0; id = e.onWire.Next(id + 1) {
+		if !e.pipeRepeats(chs[id], p) {
 			return 0, false
 		}
 	}
@@ -687,7 +634,8 @@ func (e *engine) leap(p int, k int64) {
 	e.flitHops += k * sends
 	stalls := k * (e.vcStalls - e.hist[n-p].stalls)
 	e.vcStalls += stalls
-	for _, c := range e.liveCh {
+	for id := e.onWire.Next(0); id >= 0; id = e.onWire.Next(id + 1) {
+		c := e.fb.channels[id]
 		for i := range c.inflight {
 			c.inflight[i].at += shift
 		}
@@ -713,10 +661,7 @@ func (e *engine) addInflight(c *channel, inf inflightFlit) {
 	if inf.at < e.nextArrival {
 		e.nextArrival = inf.at
 	}
-	if !e.chLive[c.id] {
-		e.chLive[c.id] = true
-		e.liveCh = append(e.liveCh, c)
-	}
+	e.onWire.Set(c.id)
 }
 
 // routeIn records that input VC v was allocated output VC v.out,
@@ -732,16 +677,7 @@ func (e *engine) routeIn(v *vcBuf) {
 	}
 	lst[i] = v
 	e.routedTo[id] = lst
-	if len(lst) == 1 {
-		chs := append(e.routedChs, id)
-		j := len(chs) - 1
-		for j > 0 && chs[j-1] > id {
-			chs[j] = chs[j-1]
-			j--
-		}
-		chs[j] = id
-		e.routedChs = chs
-	}
+	e.routedCh.Set(id)
 }
 
 // routeOut removes v from its output channel's routed list; call before
@@ -758,14 +694,7 @@ func (e *engine) routeOut(v *vcBuf) {
 		}
 	}
 	if len(e.routedTo[id]) == 0 {
-		chs := e.routedChs
-		for i, x := range chs {
-			if x == id {
-				copy(chs[i:], chs[i+1:])
-				e.routedChs = chs[:len(chs)-1]
-				return
-			}
-		}
+		e.routedCh.Clear(id)
 	}
 }
 
@@ -787,8 +716,8 @@ func (e *engine) deliverArrivals() {
 		return
 	}
 	next := farFuture
-	live := e.liveCh[:0]
-	for _, c := range e.liveCh {
+	for id := e.onWire.Next(0); id >= 0; id = e.onWire.Next(id + 1) {
+		c := e.fb.channels[id]
 		kept := c.inflight[:0]
 		for _, inf := range c.inflight {
 			if inf.at <= e.now {
@@ -799,15 +728,14 @@ func (e *engine) deliverArrivals() {
 				e.nGot[c.id]++
 				e.inflightCount--
 				e.buffered++
-				e.bufInCh[c.id]++
 				switch {
 				case c.dst.kind == endProc:
-					e.ejectP.set(c.dst.id)
+					e.ejectP.Set(c.dst.id)
 				case inf.f.head:
 					// A head arrives at an empty VC (its owner's
 					// predecessor left with its tail), so it is the
 					// front, and it is unrouted.
-					e.allocCh.set(c.id)
+					e.allocCh.Set(c.id)
 				}
 			} else {
 				if inf.at < next {
@@ -817,13 +745,10 @@ func (e *engine) deliverArrivals() {
 			}
 		}
 		c.inflight = kept
-		if len(kept) > 0 {
-			live = append(live, c)
-		} else {
-			e.chLive[c.id] = false
+		if len(kept) == 0 {
+			e.onWire.Clear(id)
 		}
 	}
-	e.liveCh = live
 	e.nextArrival = next
 }
 
@@ -942,9 +867,10 @@ func (e *engine) postSend(ni *niState, msgID int) {
 		flits:        flits,
 		postedAt:     e.now,
 		lastProgress: e.now,
+		seq:          e.posts,
 		routeCh:      rc,
 	}
-	e.allPackets = append(e.allPackets, pkt)
+	e.posts++
 	if m.Src == m.Dst {
 		pkt.delivered = true
 		pkt.deliveredAt = e.now
@@ -959,7 +885,7 @@ func (e *engine) postSend(ni *niState, msgID int) {
 	}
 	e.undelivered++
 	ni.queue = append(ni.queue, pkt)
-	e.injectP.set(ni.proc)
+	e.injectP.Set(ni.proc)
 }
 
 // dequeue drops the head of the NI's queue, shifting the rest down so the
@@ -969,14 +895,14 @@ func (e *engine) dequeue(ni *niState) {
 	ni.queue[n] = nil
 	ni.queue = ni.queue[:n]
 	if n == 0 {
-		e.injectP.del(ni.proc)
+		e.injectP.Clear(ni.proc)
 	}
 }
 
 // inject streams flits of each queued NI's head packet into its injection
 // channel, in NI order.
 func (e *engine) inject() {
-	for p := e.injectP.next(0); p >= 0; p = e.injectP.next(p + 1) {
+	for p := e.injectP.Next(0); p >= 0; p = e.injectP.Next(p + 1) {
 		ni := e.nis[p]
 		pkt := ni.queue[0]
 		if pkt.delivered || pkt.sent >= pkt.flits {
@@ -1032,9 +958,9 @@ func (e *engine) allocate() {
 	if e.buffered == 0 {
 		return
 	}
-	for id := e.allocCh.next(0); id >= 0; id = e.allocCh.next(id + 1) {
+	for id := e.allocCh.Next(0); id >= 0; id = e.allocCh.Next(id + 1) {
 		if !e.allocateAt(e.fb.channels[id]) {
-			e.allocCh.del(id)
+			e.allocCh.Clear(id)
 		}
 	}
 }
@@ -1085,14 +1011,13 @@ func (e *engine) forward() {
 	e.usedStamp++
 	stamp := e.usedStamp
 	eligible := e.eligible[:0]
-	// Only channels with routed input VCs can move a flit; routedChs is
-	// sorted so they are visited in fb.channels order. Iterate a snapshot
-	// because the tail-pop routeOut below edits the live list. Routed
-	// lists only ever cover switch-sourced channels (outputs of VC
-	// allocation), so injection channels never appear here.
-	fwd := append(e.fwdChs[:0], e.routedChs...)
-	e.fwdChs = fwd
-	for _, id := range fwd {
+	// Only channels with routed input VCs can move a flit, and they are
+	// visited in fb.channels order: a move consumes its input channel for
+	// every later output this cycle. The tail-pop routeOut below can clear
+	// only the channel being visited. Routed lists only ever cover
+	// switch-sourced channels (outputs of VC allocation), so injection
+	// channels never appear here.
+	for id := e.routedCh.Next(0); id >= 0; id = e.routedCh.Next(id + 1) {
 		c := e.fb.channels[id]
 		// Input VCs routed to this channel, in reference arbitration
 		// order (routedTo is seq-sorted), filtered down to the ones that
@@ -1114,7 +1039,6 @@ func (e *engine) forward() {
 			e.eventAt = e.now
 		}
 		e.buffered--
-		e.bufInCh[v.ch.id]--
 		out := v.out
 		out.inTransit++
 		e.addInflight(c, inflightFlit{f: f, to: out.id, at: e.now + int64(c.delay)})
@@ -1133,17 +1057,15 @@ func (e *engine) forward() {
 
 // ejectFlits absorbs one flit per processor per cycle from its ejection
 // channel. Only processors in ejectP can have one, and they are visited in
-// processor order, as the reference scans every processor.
+// processor order, as the reference scans every processor. A processor
+// leaves ejectP once its channel's VCs are empty, by this ejection or by a
+// kill.
 func (e *engine) ejectFlits() {
 	if e.buffered == 0 {
 		return
 	}
-	for p := e.ejectP.next(0); p >= 0; p = e.ejectP.next(p + 1) {
+	for p := e.ejectP.Next(0); p >= 0; p = e.ejectP.Next(p + 1) {
 		ch := e.fb.eject[p]
-		if e.bufInCh[ch.id] == 0 {
-			e.ejectP.del(p) // drained by a kill
-			continue
-		}
 		for i := 0; i < len(ch.vcs); i++ {
 			v := ch.vcs[(ch.rr+i)%len(ch.vcs)]
 			if len(v.buf) == 0 {
@@ -1157,10 +1079,6 @@ func (e *engine) ejectFlits() {
 				e.eventAt = e.now
 			}
 			e.buffered--
-			e.bufInCh[ch.id]--
-			if e.bufInCh[ch.id] == 0 {
-				e.ejectP.del(p)
-			}
 			pkt.arrived++
 			pkt.lastProgress = e.now
 			if f.tail {
@@ -1179,6 +1097,9 @@ func (e *engine) ejectFlits() {
 			}
 			break
 		}
+		if ch.empty() {
+			e.ejectP.Clear(p)
+		}
 	}
 }
 
@@ -1195,10 +1116,7 @@ func (e *engine) recoverDeadlocks() {
 	// backoff; removing one victim breaks the cycle and lets the rest
 	// drain (regressive recovery, Section 4.2).
 	var victim *packet
-	for _, pkt := range e.allPackets {
-		if pkt.delivered || pkt.sent == 0 {
-			continue
-		}
+	for _, pkt := range e.netPackets {
 		// A packet's tolerance doubles with each recovery: heavy but
 		// live congestion (a head legitimately waiting out several
 		// long wormholes) must not be mistaken for deadlock forever,
@@ -1211,7 +1129,8 @@ func (e *engine) recoverDeadlocks() {
 		if e.now-pkt.lastProgress <= timeout {
 			continue
 		}
-		if victim == nil || pkt.lastProgress < victim.lastProgress {
+		if victim == nil || pkt.lastProgress < victim.lastProgress ||
+			pkt.lastProgress == victim.lastProgress && pkt.seq < victim.seq {
 			victim = pkt
 		}
 	}
@@ -1236,7 +1155,6 @@ func (e *engine) kill(pkt *packet) {
 		for _, v := range c.vcs {
 			if v.owner == pkt {
 				e.buffered -= len(v.buf)
-				e.bufInCh[c.id] -= len(v.buf)
 				v.clearBuf()
 				v.owner = nil
 				if v.out != nil {
@@ -1262,7 +1180,7 @@ func (e *engine) kill(pkt *packet) {
 		ni.queue = append(ni.queue, nil)
 		copy(ni.queue[1:], ni.queue)
 		ni.queue[0] = pkt
-		e.injectP.set(ni.proc)
+		e.injectP.Set(ni.proc)
 	}
 	pkt.sent = 0
 	pkt.arrived = 0
@@ -1284,7 +1202,7 @@ func (e *engine) kill(pkt *packet) {
 // finished reports whether every packet is delivered, every script done and
 // every NI queue empty.
 func (e *engine) finished() bool {
-	return e.undelivered == 0 && e.running == 0 && e.injectP.next(0) < 0
+	return e.undelivered == 0 && e.running == 0 && e.injectP.Next(0) < 0
 }
 
 func (e *engine) results() Result {

@@ -438,7 +438,9 @@ func TestEngineEquivalencePeriodic(t *testing.T) {
 // whose readyAt postSend sets; a receive whose message was ejected before
 // its NI reached the op, so the ejection sets no wake; and heads stalled
 // for thousands of cycles on an ejection channel's only VC, whose channels
-// stay on the allocation worklist all that time.
+// stay on the allocation worklist all that time; and a recovery tie
+// between two packets stalled from the same cycle, which the earliest
+// created must lose.
 func TestEngineEquivalenceWorklists(t *testing.T) {
 	t.Run("kill-unrouted", func(t *testing.T) {
 		// One 1-VC link for two worms: the loser's head waits in its
@@ -513,6 +515,20 @@ func TestEngineEquivalenceWorklists(t *testing.T) {
 				t.Errorf("%s: VCStalls = %d, Kills = %d; want heads pending on the ejection VC for thousands of cycles, unkilled",
 					c.name, res.VCStalls, res.Kills)
 			}
+		}
+	})
+	t.Run("victim-tie", func(t *testing.T) {
+		// Four 256-byte messages for p1's one ejection VC, listed so that
+		// message IDs (p4 0, p2 1, p7 2, p6 3) disagree with the NI order
+		// that creates them. p6's and p7's heads wait from the same cycle;
+		// the first kill must take p6's, created first though its ID is
+		// higher, and though netPackets lists p7's first once p2's
+		// delivered packet is swap-removed.
+		pat := trace.BuildPhased("tie", procs, []trace.PhaseSpec{
+			{Flows: []model.Flow{model.F(4, 1), model.F(2, 1), model.F(7, 1), model.F(6, 1)}, Bytes: 256},
+		})
+		if res := runBoth(t, "crossbar", pat, xnet, xbar, Config{VCs: 1, BufFlits: 5, DeadlockTimeout: 64}); res.Kills == 0 {
+			t.Error("no kill")
 		}
 	})
 }
@@ -601,6 +617,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 0, 0, 3, 3, 0, 5, 4, 50, 1, 5, 0, 6, 6, 2, 100, 1, 2, 2}) // mesh, self-messages in both phases
 	f.Add([]byte{3, 0, 1, 0, 0, 2, 10, 0, 0, 1, 2, 0, 0, 2, 6, 2})                     // crossbar, a 16-byte message ejected while p2 receives a 16 KB one
 	f.Add([]byte{3, 0, 0, 2, 0, 7, 1, 7, 4, 7, 10, 0, 0, 6, 2})                        // crossbar, three 16 KB worms for p7's one ejection VC, timeout 8192
+	f.Add([]byte{3, 0, 0, 3, 4, 1, 2, 1, 7, 1, 6, 1, 4, 0, 0, 3, 0})                   // crossbar, four 256-byte messages for p1's one ejection VC, timeout 64: a victim tie
 	const procs = 8
 	rows, cols := topology.GridDims(procs)
 	mnet, mgrid := topology.Mesh(rows, cols)

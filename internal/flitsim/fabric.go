@@ -295,6 +295,16 @@ func (c *channel) freeVCOf(allowed []int) *vcBuf {
 	return nil
 }
 
+// empty reports whether every VC buffer of the channel is empty.
+func (c *channel) empty() bool {
+	for _, v := range c.vcs {
+		if len(v.buf) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // freeSpace totals the spare buffer slots across the channel's VCs — the
 // adaptivity metric used by TFAR output selection.
 func (c *channel) freeSpace(cap int) int {
@@ -324,4 +334,7 @@ type packet struct {
 	lastProgress  int64
 	notBefore     int64
 	retries       int
+	// seq is the packet's creation order (postSend), deadlock victim
+	// selection's tie-break.
+	seq int
 }

@@ -1,6 +1,10 @@
 package flitsim
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/collective"
@@ -75,5 +79,67 @@ func TestLeapFires(t *testing.T) {
 	exec, stepped = steppedCycles(t, tb, rnet, tfar{rgrid}, Config{})
 	if exec != 111_863 || stepped >= 4_000 {
 		t.Errorf("tree-broadcast/16 on the ring: stepped %d of %d cycles, want < 4,000 of 111,863", stepped, exec)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/stepped.golden")
+
+// TestSteppedGolden pins the engine's work, not only its results: for the
+// full-size cells of the paper sweep it records the simulated length and
+// the cycles run() processed in full, so a change that skips or leaps less
+// (or more) fails here even when every Result is unchanged. -update
+// rewrites testdata/stepped.golden.
+func TestSteppedGolden(t *testing.T) {
+	type cell struct {
+		name string
+		pat  *model.Pattern
+		net  *topology.Network
+		rt   router
+		cfg  Config
+	}
+	rows, cols := topology.GridDims(16)
+	mnet, mgrid := topology.Mesh(rows, cols)
+	tnet, tgrid := topology.Torus(rows, cols)
+	xnet := topology.Crossbar(16)
+	rnet, rgrid := topology.Ring(16)
+	mdor, xbar := meshRouter(t, mnet, mgrid), crossbarRouter(t, xnet)
+	folded := Config{LinkDelay: func(a, b topology.SwitchID) int { return 2 }}
+	var cells []cell
+	for _, bench := range []string{"BT", "CG", "FFT", "MG", "SP"} {
+		pat, err := nas.Generate(bench, 16, nas.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells,
+			cell{bench + "/16 crossbar", pat, xnet, xbar, Config{}},
+			cell{bench + "/16 mesh", pat, mnet, mdor, Config{}},
+			cell{bench + "/16 folded-torus", pat, tnet, tfar{tgrid}, folded})
+	}
+	tb, err := collective.Generate("tree-broadcast", 16, collective.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells = append(cells, cell{"tree-broadcast/16 ring", tb, rnet, tfar{rgrid}, Config{}})
+	var got bytes.Buffer
+	for _, c := range cells {
+		exec, stepped := steppedCycles(t, c.pat, c.net, c.rt, c.cfg)
+		fmt.Fprintf(&got, "%-24s exec %7d  stepped %6d\n", c.name, exec, stepped)
+	}
+	const path = "testdata/stepped.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("stepped cycles moved:\n got:\n%s want:\n%s", got.Bytes(), want)
 	}
 }

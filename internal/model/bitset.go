@@ -92,6 +92,25 @@ func (b BitSet) Equal(c BitSet) bool {
 	return true
 }
 
+// Next returns the least element ≥ i, or −1 if there is none. Walking
+// i = Next(0), Next(i+1), … visits the elements in ascending order and sees
+// every addition or removal made ahead of i on the way.
+func (b BitSet) Next(i int) int {
+	w := i >> 6
+	if w >= len(b) {
+		return -1
+	}
+	if word := b[w] >> (uint(i) & 63); word != 0 {
+		return i + bits.TrailingZeros64(word)
+	}
+	for w++; w < len(b); w++ {
+		if b[w] != 0 {
+			return w<<6 | bits.TrailingZeros64(b[w])
+		}
+	}
+	return -1
+}
+
 // ForEach calls fn for every element in ascending order.
 func (b BitSet) ForEach(fn func(i int)) {
 	for wi, w := range b {

@@ -89,6 +89,63 @@ func TestBitSetEqualIgnoresUniverseSize(t *testing.T) {
 	}
 }
 
+// TestBitSetNext holds the next-member walk to ForEach on random sets, at
+// the word boundaries and past the end, and pins that a walk sees what is
+// set or cleared ahead of its cursor.
+func TestBitSetNext(t *testing.T) {
+	walk := func(b BitSet) []int {
+		var out []int
+		for i := b.Next(0); i >= 0; i = b.Next(i + 1) {
+			out = append(out, i)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(300)
+		b := NewBitSet(n)
+		for k := rng.Intn(n + 1); k > 0; k-- {
+			b.Set(rng.Intn(n))
+		}
+		if got, want := walk(b), b.Elems(nil); !slices.Equal(got, want) {
+			t.Fatalf("walk = %v, ForEach = %v", got, want)
+		}
+	}
+
+	b := NewBitSet(192)
+	for _, i := range []int{63, 64, 127} {
+		b.Set(i)
+	}
+	for _, c := range []struct{ from, want int }{
+		{0, 63}, {63, 63}, {64, 64}, {65, 127}, {127, 127},
+		{128, -1}, {191, -1}, {192, -1}, {1000, -1},
+	} {
+		if got := b.Next(c.from); got != c.want {
+			t.Errorf("Next(%d) = %d, want %d", c.from, got, c.want)
+		}
+	}
+	if got := NewBitSet(0).Next(0); got != -1 {
+		t.Errorf("empty Next(0) = %d, want -1", got)
+	}
+
+	// Visiting 63 sets 130 and clears 127; visiting 64 sets 65, in the
+	// same word as the cursor.
+	var seen []int
+	for i := b.Next(0); i >= 0; i = b.Next(i + 1) {
+		seen = append(seen, i)
+		switch i {
+		case 63:
+			b.Set(130)
+			b.Clear(127)
+		case 64:
+			b.Set(65)
+		}
+	}
+	if want := []int{63, 64, 65, 130}; !slices.Equal(seen, want) {
+		t.Errorf("walk with edits ahead = %v, want %v", seen, want)
+	}
+}
+
 // TestFlowIndexRoundTrip interns flow lists, up to the widest nodes a flow
 // key packs, and holds each index to the map-and-sort interning it replaced:
 // the same flows in Flow.Less order, every ID resolved back, and no other

@@ -168,23 +168,34 @@ func singleSwitchRoute(s topology.SwitchID) Route {
 }
 
 // DORMesh builds dimension-order (X then Y) routes on a mesh for the given
-// flows — the routing the paper assumes for the mesh baseline.
+// flows — the routing the paper assumes for the mesh baseline. Every route's
+// switches and links are capped windows of two shared backing arrays.
 func DORMesh(net *topology.Network, g topology.Grid, flows []model.Flow) (*Table, error) {
 	t := &Table{Net: net, Routes: make(map[model.Flow]Route, len(flows))}
+	hops := func(f model.Flow) int {
+		r1, c1 := g.Coord(net.Home[f.Src])
+		r2, c2 := g.Coord(net.Home[f.Dst])
+		return max(r2-r1, r1-r2) + max(c2-c1, c1-c2)
+	}
+	total := 0
+	for _, f := range flows {
+		total += hops(f) // 0 for a self-flow
+	}
+	sws := make([]topology.SwitchID, 0, len(flows)+total)
+	links := make([]int, total)
 	for _, f := range flows {
 		if f.Src == f.Dst {
 			continue
 		}
+		lo, n := len(sws), hops(f)
 		sw, dst := net.Home[f.Src], net.Home[f.Dst]
-		r1, c1 := g.Coord(sw)
-		r2, c2 := g.Coord(dst)
-		hops := max(r2-r1, r1-r2) + max(c2-c1, c1-c2)
-		route := Route{Switches: append(make([]topology.SwitchID, 0, hops+1), sw), Links: make([]int, hops)}
+		sws = append(sws, sw)
 		for next, ok := DORNext(g, sw, dst); ok; next, ok = DORNext(g, sw, dst) {
-			route.Switches = append(route.Switches, next)
+			sws = append(sws, next)
 			sw = next
 		}
-		t.Routes[f] = route
+		t.Routes[f] = Route{Switches: sws[lo:len(sws):len(sws)], Links: links[:n:n]}
+		links = links[n:]
 	}
 	return t, t.Validate()
 }

@@ -236,14 +236,14 @@ func (s *state) groupRouteDelta(g group, cand []int, bound int) int {
 func (s *state) eliminatePipes() bool {
 	changed := false
 	// An elimination commits as the walk goes, so both loops step through
-	// the live set as it stands (nextIn): a switch over its budget, or at
+	// the live set as it stands (Next): a switch over its budget, or at
 	// the end of a used pipe, is live.
 	sws := s.walkSet()
-	for sw := nextIn(sws, 0); sw >= 0; sw = nextIn(sws, sw+1) {
+	for sw := sws.Next(0); sw >= 0; sw = sws.Next(sw + 1) {
 		if s.estDegree(sw) <= s.opt.MaxDegree {
 			continue
 		}
-		for other := nextIn(sws, 0); other >= 0; other = nextIn(sws, other+1) {
+		for other := sws.Next(0); other >= 0; other = sws.Next(other + 1) {
 			if other == sw {
 				continue
 			}

@@ -27,13 +27,13 @@ func (s *state) consolidationScore() int { return s.globalCost() + s.live*costSw
 func (s *state) mergeRefine() bool {
 	changed := false
 	// A merge keeps or rolls back as the walk goes, so it steps through
-	// the live set as it stands (nextIn); a switch with processors is live.
+	// the live set as it stands (Next); a switch with processors is live.
 	sws := s.walkSet()
-	for a := nextIn(sws, 0); a >= 0; a = nextIn(sws, a+1) {
+	for a := sws.Next(0); a >= 0; a = sws.Next(a + 1) {
 		if len(s.swProcs[a]) == 0 {
 			continue
 		}
-		for b := nextIn(sws, 0); b >= 0; b = nextIn(sws, b+1) {
+		for b := sws.Next(0); b >= 0; b = sws.Next(b + 1) {
 			if a == b || len(s.swProcs[b]) == 0 {
 				continue
 			}

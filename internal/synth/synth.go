@@ -303,7 +303,7 @@ var priceEveryTarget bool
 
 // walkSet is the set of switches a scan visits: the live ones, or every
 // index under priceEveryTarget. In production it is liveSet itself, so a scan
-// that commits as it goes and steps with nextIn sees liveness as it stands.
+// that commits as it goes and steps with Next sees liveness as it stands.
 func (s *state) walkSet() model.BitSet {
 	if !priceEveryTarget {
 		return s.liveSet
@@ -323,20 +323,6 @@ func (s *state) walkSet() model.BitSet {
 func (s *state) liveSwitches() []int {
 	s.liveScratch = s.walkSet().Elems(s.liveScratch[:0])
 	return s.liveScratch
-}
-
-// nextIn returns the lowest switch of set at or above sw, or -1.
-func nextIn(set model.BitSet, sw int) int {
-	for w := sw >> 6; w < len(set); w++ {
-		word := set[w]
-		if w == sw>>6 {
-			word &= ^uint64(0) << (uint(sw) & 63)
-		}
-		if word != 0 {
-			return w<<6 | bits.TrailingZeros64(word)
-		}
-	}
-	return -1
 }
 
 // twinTargets lists, ascending, the switches a relocation or pipe-

@@ -186,23 +186,27 @@ func (n *Network) Validate() error {
 	if len(n.Home) != n.Procs {
 		return fmt.Errorf("topology %q: Home has %d entries for %d procs", n.Name, len(n.Home), n.Procs)
 	}
-	seen := make(map[int]SwitchID)
+	// at[p] is the switch that lists processor p, −1 for none yet.
+	at := make([]SwitchID, n.Procs)
+	for p := range at {
+		at[p] = -1
+	}
 	for _, sw := range n.Switches {
 		for _, p := range sw.Procs {
 			if p < 0 || p >= n.Procs {
 				return fmt.Errorf("topology %q: switch %d attaches out-of-range proc %d", n.Name, sw.ID, p)
 			}
-			if prev, dup := seen[p]; dup {
-				return fmt.Errorf("topology %q: proc %d attached to switches %d and %d", n.Name, p, prev, sw.ID)
+			if at[p] >= 0 {
+				return fmt.Errorf("topology %q: proc %d attached to switches %d and %d", n.Name, p, at[p], sw.ID)
 			}
-			seen[p] = sw.ID
+			at[p] = sw.ID
 			if n.Home[p] != sw.ID {
 				return fmt.Errorf("topology %q: proc %d home %d but attached to %d", n.Name, p, n.Home[p], sw.ID)
 			}
 		}
 	}
-	for p := 0; p < n.Procs; p++ {
-		if _, ok := seen[p]; !ok {
+	for p, sw := range at {
+		if sw < 0 {
 			return fmt.Errorf("topology %q: proc %d unattached", n.Name, p)
 		}
 	}
@@ -230,15 +234,25 @@ func (n *Network) connected() bool {
 	if len(n.Switches) == 0 {
 		return false
 	}
-	// Start BFS from the home of processor 0.
+	// Breadth-first from the home of processor 0, reading each switch's
+	// neighbours off the pipes; a switch is queued at most once.
 	start := n.Home[0]
 	visited := make([]bool, len(n.Switches))
-	queue := []SwitchID{start}
+	queue := make([]SwitchID, 1, len(n.Switches))
+	queue[0] = start
 	visited[start] = true
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		for _, nb := range n.Neighbors(s) {
+	for i := 0; i < len(queue); i++ {
+		s := queue[i]
+		for _, p := range n.Pipes {
+			var nb SwitchID
+			switch s {
+			case p.A:
+				nb = p.B
+			case p.B:
+				nb = p.A
+			default:
+				continue
+			}
 			if !visited[nb] {
 				visited[nb] = true
 				queue = append(queue, nb)
