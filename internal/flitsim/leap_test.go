@@ -59,37 +59,37 @@ func TestLeapFires(t *testing.T) {
 	// Full-size BT/16 on the crossbar: worms bound for one processor take
 	// turns on its ejection channel, a period-4 state (22,082 stepped
 	// cycles when only a repeating cycle was leapt).
-	bt, err := nas.Generate("BT", 16, nas.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xnet = topology.Crossbar(16)
-	exec, stepped = steppedCycles(t, bt, xnet, crossbarRouter(t, xnet), Config{})
-	if exec != 164_592 || stepped >= 4_000 {
-		t.Errorf("BT/16 on the crossbar: stepped %d of %d cycles, want < 4,000 of 164,592", stepped, exec)
+	if r := sweepRow(t, "BT/16 crossbar"); r.exec != 164_592 || r.stepped >= 4_000 {
+		t.Errorf("BT/16 on the crossbar: stepped %d of %d cycles, want < 4,000 of 164,592", r.stepped, r.exec)
 	}
 
 	// tree-broadcast/16 on the ring, the slowest cell of the paper sweep:
 	// periods 2, 3 and 6 (101,743 stepped cycles with single cycles only).
-	tb, err := collective.Generate("tree-broadcast", 16, collective.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnet, rgrid := topology.Ring(16)
-	exec, stepped = steppedCycles(t, tb, rnet, tfar{rgrid}, Config{})
-	if exec != 111_863 || stepped >= 4_000 {
-		t.Errorf("tree-broadcast/16 on the ring: stepped %d of %d cycles, want < 4,000 of 111,863", stepped, exec)
+	if r := sweepRow(t, "tree-broadcast/16 ring"); r.exec != 111_863 || r.stepped >= 4_000 {
+		t.Errorf("tree-broadcast/16 on the ring: stepped %d of %d cycles, want < 4,000 of 111,863", r.stepped, r.exec)
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/stepped.golden")
+// steppedRow is one full-size cell of the paper sweep with its simulated
+// length and the cycles run() processed in full.
+type steppedRow struct {
+	name          string
+	exec, stepped int64
+}
 
-// TestSteppedGolden pins the engine's work, not only its results: for the
-// full-size cells of the paper sweep it records the simulated length and
-// the cycles run() processed in full, so a change that skips or leaps less
-// (or more) fails here even when every Result is unchanged. -update
-// rewrites testdata/stepped.golden.
-func TestSteppedGolden(t *testing.T) {
+// sweep memoises steppedSweep: TestLeapFires and TestSteppedGolden read the
+// same rows, and the cells are the package's longest simulations. Neither
+// test is parallel, so no lock is needed.
+var sweep []steppedRow
+
+// steppedSweep runs full-size BT, CG, FFT, MG and SP/16 on the crossbar,
+// the mesh and the folded torus, and tree-broadcast/16 on the ring, once
+// per test binary.
+func steppedSweep(t *testing.T) []steppedRow {
+	t.Helper()
+	if sweep != nil {
+		return sweep
+	}
 	type cell struct {
 		name string
 		pat  *model.Pattern
@@ -120,10 +120,38 @@ func TestSteppedGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells = append(cells, cell{"tree-broadcast/16 ring", tb, rnet, tfar{rgrid}, Config{}})
-	var got bytes.Buffer
-	for _, c := range cells {
+	out := make([]steppedRow, len(cells))
+	for i, c := range cells {
 		exec, stepped := steppedCycles(t, c.pat, c.net, c.rt, c.cfg)
-		fmt.Fprintf(&got, "%-24s exec %7d  stepped %6d\n", c.name, exec, stepped)
+		out[i] = steppedRow{c.name, exec, stepped}
+	}
+	sweep = out
+	return sweep
+}
+
+// sweepRow is the named row of steppedSweep.
+func sweepRow(t *testing.T, name string) steppedRow {
+	t.Helper()
+	for _, r := range steppedSweep(t) {
+		if r.name == name {
+			return r
+		}
+	}
+	t.Fatalf("no sweep cell %q", name)
+	return steppedRow{}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/stepped.golden")
+
+// TestSteppedGolden pins the engine's work, not only its results: for the
+// full-size cells of the paper sweep it records the simulated length and
+// the cycles run() processed in full, so a change that skips or leaps less
+// (or more) fails here even when every Result is unchanged. -update
+// rewrites testdata/stepped.golden.
+func TestSteppedGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, r := range steppedSweep(t) {
+		fmt.Fprintf(&got, "%-24s exec %7d  stepped %6d\n", r.name, r.exec, r.stepped)
 	}
 	const path = "testdata/stepped.golden"
 	if *update {

@@ -101,8 +101,8 @@ func Flatten(d *Design, p *model.Pattern) (*Flat, error) {
 	// Per-gateway, per-direction round-robin over the gateway's links, in
 	// sorted flow order — deterministic, and with GatewayWidth > 1 it
 	// spreads concurrent inter-cluster flows across the bundle.
-	turnOut := make(map[int]int)
-	turnIn := make(map[int]int)
+	nextOut := make(map[int]int)
+	nextIn := make(map[int]int)
 	for _, f := range p.Flows() {
 		fp := pathFor(a, f)
 		if fp.Intra {
@@ -114,7 +114,7 @@ func Flatten(d *Design, p *model.Pattern) (*Flat, error) {
 			table.Routes[f] = shiftRoute(sub, flat.ChipletOffset[fp.Cluster])
 			continue
 		}
-		route, err := composeInter(d, flat, f, fp, gwBase, turnOut, turnIn)
+		route, err := composeInter(d, flat, f, fp, gwBase, nextOut, nextIn)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +128,7 @@ func Flatten(d *Design, p *model.Pattern) (*Flat, error) {
 }
 
 // composeInter assembles one inter-cluster flow's composite route.
-func composeInter(d *Design, flat *Flat, f model.Flow, fp FlowPath, gwBase, turnOut, turnIn map[int]int) (routing.Route, error) {
+func composeInter(d *Design, flat *Flat, f model.Flow, fp FlowPath, gwBase, nextOut, nextIn map[int]int) (routing.Route, error) {
 	a := d.Assign
 	if d.NoI == nil {
 		return routing.Route{}, fmt.Errorf("hier: inter-cluster flow %v but design has no NoI level", f)
@@ -144,10 +144,10 @@ func composeInter(d *Design, flat *Flat, f model.Flow, fp FlowPath, gwBase, turn
 	}
 	noiShifted := shiftRoute(noiRoute, flat.NoIOffset)
 
-	outLink := gwBase[fp.OutGW] + turnOut[fp.OutGW]%d.GatewayWidth
-	turnOut[fp.OutGW]++
-	inLink := gwBase[fp.InGW] + turnIn[fp.InGW]%d.GatewayWidth
-	turnIn[fp.InGW]++
+	outLink := gwBase[fp.OutGW] + nextOut[fp.OutGW]%d.GatewayWidth
+	nextOut[fp.OutGW]++
+	inLink := gwBase[fp.InGW] + nextIn[fp.InGW]%d.GatewayWidth
+	nextIn[fp.InGW]++
 
 	var r routing.Route
 	r.Switches = append(r.Switches, segOut.Switches...)
