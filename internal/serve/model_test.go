@@ -84,9 +84,10 @@ func bodyDigest(t *testing.T, body []byte) string {
 }
 
 // TestFlatMissComputesModelOnce pins the data flow of a flat miss: the
-// contention model (periods, then maximum cliques) is derived once and
-// handed to the fingerprint, the synthesis and the pattern summary, and
-// what comes out is what came out when each of the three derived its own.
+// contention model (periods, then maximum cliques) is derived once per
+// pattern and handed to the fingerprint, the synthesis and the pattern
+// summary, and what comes out is what came out when each of the three
+// derived its own.
 // The digests were taken from the commit before that change, with
 // bodyDigest, on a quickConfig server sent these three requests in order,
 // and re-based twice since: when mergeRefine began to skip merges its port
@@ -118,12 +119,28 @@ func TestFlatMissComputesModelOnce(t *testing.T) {
 			t.Errorf("%s: response digest %s, want %s", c.name, got, c.digest)
 		}
 	}
-	// A hit derives nothing; a hierarchical miss derives the whole
-	// pattern's model once, for its pattern summary.
-	postDesign(t, ts.URL, `{"benchmark":"CG","procs":16}`)
-	postDesign(t, ts.URL, `{"benchmark":"CG","procs":16,"hier":{"clusters":"blocks:4"}}`)
+	// The model is the pattern's, kept in the key memo: a hit derives
+	// nothing, nor does a miss on a known pattern, flat or hierarchical (its
+	// pattern summary is the model's); a hierarchical miss on a new pattern
+	// derives the whole pattern's model once.
+	post := func(body string) {
+		t.Helper()
+		if resp, b := postDesign(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, resp.StatusCode, b)
+		}
+	}
+	post(`{"benchmark":"CG","procs":16}`)
+	post(`{"benchmark":"CG","procs":16,"seed":2}`)
+	post(`{"benchmark":"CG","procs":16,"hier":{"clusters":"blocks:4"}}`)
+	if got := spanCount(srv.Metrics(), "serve.model"); got != 3 {
+		t.Errorf("%d model computations, want 3: a hit or a miss on a known pattern computed one", got)
+	}
+	if got := srv.Metrics().Counter("serve.model_memo_hit"); got != 2 {
+		t.Errorf("serve.model_memo_hit = %d, want 2: the flat and the hier miss on CG/16", got)
+	}
+	post(`{"benchmark":"FFT","procs":8,"hier":{"clusters":"2"}}`)
 	if got := spanCount(srv.Metrics(), "serve.model"); got != 4 {
-		t.Errorf("%d model computations, want 4: a hit computed one, or a hier miss did not compute exactly one", got)
+		t.Errorf("%d model computations, want 4: a hier miss on a new pattern did not compute exactly one", got)
 	}
 }
 

@@ -4,7 +4,7 @@
 package serve
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -78,6 +78,7 @@ type workloadID struct {
 type designPlan struct {
 	workload workloadID // by-name source; zero for an inline trace
 	trace    []byte     // inline noctrace v1 source, unescaped; empty for a workload
+	id       memoID     // the pattern's identity in the key memo
 	opt      synth.Options
 	hier     *HierRequest // validated at the grammar level; nil for a flat request
 	spec     *hier.Spec   // hier.Clusters parsed; nil for a flat request
@@ -190,13 +191,18 @@ func (s *Server) plan(req *DesignRequest, trace []byte) (*designPlan, error) {
 		}
 		pl.hier, pl.spec = h, spec
 	}
+	pl.id = memoID{workload: pl.workload}
+	if len(trace) > 0 {
+		pl.id.trace = sha256.Sum256(trace)
+	}
 	return pl, nil
 }
 
 // buildPattern builds the plan's pattern: an inline trace decoded, or a
 // named workload generated. Every pattern the server builds is built here —
 // by requestKey on a memo miss, or by a flight leader whose key came from
-// the memo — and counted on serve.pattern_generated.
+// the memo and whose request is hier or has no memoised model — and counted
+// on serve.pattern_generated.
 func (s *Server) buildPattern(plan *designPlan) (*model.Pattern, error) {
 	if len(plan.trace) == 0 {
 		id := plan.workload
@@ -209,7 +215,7 @@ func (s *Server) buildPattern(plan *designPlan) (*model.Pattern, error) {
 		}
 		return p, err
 	}
-	p, err := trace.Decode(bytes.NewReader(plan.trace))
+	p, err := trace.DecodeBytes(plan.trace)
 	if err != nil {
 		return nil, badRequest("decoding trace: %v", err)
 	}

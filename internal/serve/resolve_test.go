@@ -120,8 +120,9 @@ func TestMemoKeyEqualsKey(t *testing.T) {
 
 // TestHitBuildsNoPattern pins the laziness: once a workload has been seen,
 // a store hit, a batch of hits and a request forwarded to its owner build no
-// pattern; a memo hit whose design the store has meanwhile evicted builds
-// exactly one, in the flight leader, and synthesises the same bytes.
+// pattern, and nor does a flat memo hit whose design the store has
+// meanwhile evicted: its flight leader synthesises the same bytes from the
+// memoised model.
 func TestHitBuildsNoPattern(t *testing.T) {
 	const cg = `{"benchmark":"CG","procs":16}`
 	srv := newTestServer(t, quickConfig())
@@ -183,11 +184,11 @@ func TestHitBuildsNoPattern(t *testing.T) {
 			t.Fatalf("after eviction: X-Nocd-Cache = %q, want miss", got)
 		}
 		col := srv.Metrics()
-		if hit, gen := col.Counter("serve.keymemo_hit"), col.Counter("serve.pattern_generated"); hit != 1 || gen != 3 {
-			t.Errorf("serve.keymemo_hit = %d, serve.pattern_generated = %d; want 1 and 3 (the leader's deferred build)", hit, gen)
+		if hit, gen := col.Counter("serve.keymemo_hit"), col.Counter("serve.pattern_generated"); hit != 1 || gen != 2 {
+			t.Errorf("serve.keymemo_hit = %d, serve.pattern_generated = %d; want 1 and 2 (no build behind the memoised model)", hit, gen)
 		}
 		if bodyDigest(t, again) != bodyDigest(t, first) {
-			t.Error("the deferred generator's synthesis differs from the first")
+			t.Error("the synthesis from the memoised model differs from the first")
 		}
 	})
 }
@@ -195,8 +196,8 @@ func TestHitBuildsNoPattern(t *testing.T) {
 // TestInlineTraceMemo pins inline traces in the key memo, identified by a
 // digest of their raw text: a repeat decodes nothing, a respelling takes a
 // second entry but reaches the same key, a memo hit whose design was evicted
-// re-synthesises the same bytes, and a trace past the procs bound is a 413
-// every time and never memoised.
+// re-synthesises the same bytes from the memoised model without decoding,
+// and a trace past the procs bound is a 413 every time and never memoised.
 func TestInlineTraceMemo(t *testing.T) {
 	p, err := nas.Generate("MG", 8, nas.Config{Iterations: 1})
 	if err != nil {
@@ -261,11 +262,11 @@ func TestInlineTraceMemo(t *testing.T) {
 		if res.status != http.StatusOK || res.cache != "miss" {
 			t.Fatalf("after eviction: status %d, cache %q, want a 200 miss", res.status, res.cache)
 		}
-		if got := counts(); got[0] != before[0]+1 || got[2] != before[2]+1 {
-			t.Errorf("memo hits, patterns %v → %v: want one memo hit and the leader's one decode", before, got)
+		if got := counts(); got[0] != before[0]+1 || got[2] != before[2] {
+			t.Errorf("memo hits, patterns %v → %v: want one memo hit and no decode", before, got)
 		}
 		if bodyDigest(t, res.body) != bodyDigest(t, first.body) {
-			t.Error("the leader's synthesis from the decoded trace differs from the first")
+			t.Error("the leader's synthesis from the memoised model differs from the first")
 		}
 	})
 

@@ -146,6 +146,81 @@ func TestDeterminismSynthesizeCliques(t *testing.T) {
 	}
 }
 
+// mustModel builds p's Model from its own maximum clique set.
+func mustModel(t testing.TB, p *model.Pattern) *Model {
+	t.Helper()
+	m, err := NewModel(p, model.MaxCliqueSet(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSynthesizeModelShared: one Model serves every synthesis of its
+// pattern. Runs on one Model under different seeds, constraints, restart
+// counts and a seed design, all at once, each return the bytes, Stats and
+// counters of SynthesizeCliques on the pattern alone; and a Model is
+// validated once, by NewModel, with SynthesizeCliques' error.
+func TestSynthesizeModelShared(t *testing.T) {
+	pat, err := nas.Generate("CG", 16, quickNASConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := synthOrDie(t, pat, Options{Seed: 1, Restarts: 2})
+	opts := []Options{
+		{Seed: 1, Restarts: 2},
+		{Seed: 5, Restarts: 3, Workers: 2},
+		{Seed: 2, Constraints: Constraints{MaxDegree: 6}},
+		{Seed: 9, Restarts: 2, SeedDesign: SeedFromDesign(base.Net, base.Table)},
+	}
+	type out struct {
+		design   []byte
+		stats    Stats
+		counters map[string]int64
+	}
+	run := func(o Options, synth func(Options) (*Result, error)) out {
+		col := obs.NewCollector()
+		o.Obs = col
+		res, err := synth(o)
+		if err != nil {
+			t.Error(err)
+			return out{}
+		}
+		var buf bytes.Buffer
+		if err := SaveDesign(&buf, res.Net, res.Table); err != nil {
+			t.Error(err)
+		}
+		return out{buf.Bytes(), res.Stats, col.Counters()}
+	}
+	m := mustModel(t, pat)
+	got := make([]out, len(opts))
+	done := make(chan struct{})
+	for i, o := range opts {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			got[i] = run(o, func(o Options) (*Result, error) { return SynthesizeModel(context.Background(), m, o) })
+		}()
+	}
+	for range opts {
+		<-done
+	}
+	for i, o := range opts {
+		want := run(o, func(o Options) (*Result, error) {
+			return SynthesizeCliques(context.Background(), pat, model.MaxCliqueSet(pat), o)
+		})
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("options %d: a shared Model's synthesis differs from SynthesizeCliques'", i)
+		}
+	}
+
+	bad := *pat
+	bad.Procs = 0
+	_, wantErr := SynthesizeCliques(context.Background(), &bad, model.MaxCliqueSet(pat), Options{})
+	if _, err := NewModel(&bad, model.MaxCliqueSet(pat)); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+		t.Errorf("NewModel on an invalid pattern: %v, SynthesizeCliques: %v", err, wantErr)
+	}
+}
+
 // TestDeterminismWorkerCountSweep pins the invariant across intermediate
 // worker counts, including counts exceeding the restart count: the design
 // bytes, the winner's Stats and every counter. In the BT/9 case no configured

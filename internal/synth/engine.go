@@ -313,7 +313,7 @@ func (s *state) persistReversed(cand []int) []int {
 
 // kernel is the immutable per-pattern half of the old state: flow interning,
 // the conflict relation, clique bitsets, and the proc→flow map. Built once
-// per SynthesizeCliques call and shared read-only by every concurrent restart.
+// per Model and shared read-only by every restart of every synthesis on it.
 type kernel struct {
 	procs      int
 	cliques    []model.Clique
@@ -395,7 +395,7 @@ func (s *state) release() {
 // drawSource is a restart's random source. It records whether the restart
 // has drawn at all: the seed reaches the search only through draws, so a
 // restart that never draws computes the same result under every seed, and
-// SynthesizeCliques computes such a restart once (restartKind). Every draw
+// SynthesizeModel computes such a restart once (restartKind). Every draw
 // the search makes (Intn, Shuffle, Float64) goes through Int63, so wrapping
 // the source leaves the stream unchanged.
 type drawSource struct {

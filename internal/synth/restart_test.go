@@ -24,7 +24,7 @@ import (
 func everyRestart(t *testing.T, p *model.Pattern, opt Options) (*Result, Stats, []bool) {
 	t.Helper()
 	opt = opt.Normalized()
-	kern := newKernel(p, model.MaxCliqueSet(p))
+	m := mustModel(t, p)
 	var best *Result
 	var totals Stats
 	var drew []bool
@@ -33,7 +33,7 @@ func everyRestart(t *testing.T, p *model.Pattern, opt Options) (*Result, Stats, 
 		if run >= opt.Restarts {
 			sd = nil
 		}
-		res, d, err := synthesizeOnce(context.Background(), p, kern, opt, sd, opt.Seed+int64(run)*7919, nil)
+		res, d, err := synthesizeOnce(context.Background(), m, opt, sd, opt.Seed+int64(run)*7919, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestRestartSharingMatchesEveryRestart(t *testing.T) {
 			}
 			for _, w := range []int{1, 2, 8} {
 				opt.Workers = w
-				got, totals, shared, err := runRestarts(context.Background(), tc.pat, newKernel(tc.pat, model.MaxCliqueSet(tc.pat)), opt)
+				got, totals, shared, err := runRestarts(context.Background(), mustModel(t, tc.pat), opt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -19,7 +19,7 @@ import (
 // splitting, and the output passes the same formal coloring as a cold run.
 //
 // Seeding changes where the search starts, never what it accepts: if every
-// seeded restart fails the design constraints, SynthesizeCliques' extension
+// seeded restart fails the design constraints, SynthesizeModel's extension
 // loop draws cold restarts exactly as it does today, so output quality never
 // regresses below the cold path's.
 type SeedDesign struct {

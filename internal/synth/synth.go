@@ -706,7 +706,7 @@ func (s *state) globalRefine() {
 }
 
 // cancelled reports whether the run's context has been cancelled. The
-// caller chain (partition → synthesizeOnce → SynthesizeCliques) converts a
+// caller chain (partition → synthesizeOnce → SynthesizeModel) converts a
 // true return into the context's error.
 func (s *state) cancelled() bool {
 	return s.ctx != nil && s.ctx.Err() != nil

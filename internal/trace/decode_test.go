@@ -2,9 +2,11 @@ package trace_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/model"
 	"repro/internal/nas"
@@ -51,6 +53,28 @@ func checkDecodersAgree(t *testing.T, in string) bool {
 		t.Fatalf("decoders disagree on %.200q\n got: %+.300v\nwant: %+.300v", in, got, want)
 	}
 	return true
+}
+
+// TestDecodeReadErrorMatchesFieldsDecoder holds Decode to decodeFields on a
+// stream that fails part way: the lines read before the failure are decoded,
+// a malformed one among them (the last one cut short too) is the error, and
+// otherwise the read error is.
+func TestDecodeReadErrorMatchesFieldsDecoder(t *testing.T) {
+	readErr := errors.New("disk on fire")
+	for _, prefix := range []string{
+		"",
+		"noctrace v1\nprocs 2\nmsg 0 0 1 0 1 8\n",
+		"noctrace v1\nprocs 2\nmsg 0 0 1 0 1",
+		"noctrace v1\nprocs 2\nmsg 0 0 1 0 1 8\nmsg 1 0 1 x 1 8\nmsg 2 0 1 0 1 8\n",
+		"noctrace v2\n",
+	} {
+		stream := func() io.Reader { return io.MultiReader(strings.NewReader(prefix), iotest.ErrReader(readErr)) }
+		_, err := trace.Decode(stream())
+		_, want := trace.DecodeFields(stream())
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("after %q: Decode's error %v, decodeFields' %v", prefix, err, want)
+		}
+	}
 }
 
 // jitterTrace is the encoded focus input of the warm_variants workload in

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"repro/internal/model"
@@ -76,37 +77,70 @@ func Encode(w io.Writer, p *model.Pattern) error {
 	return bw.Flush()
 }
 
-// Decode parses a noctrace v1 stream and validates the result.
+// maxLine bounds a line: one of maxLine bytes or more, its newline not
+// counted, is bufio.ErrTooLong, as the 1 MiB bufio.Scanner the decoder once
+// read through reported it.
+const maxLine = 1 << 20
+
+// readBufs pools Decode's read buffers, so a stream costs no copy of its
+// own once the pool holds a buffer its size. Buffers above maxPooledRead
+// are left to the collector.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledRead = 4 << 20
+
+// Decode reads a noctrace v1 stream to its end and decodes it as
+// DecodeBytes does. A read error is reported as a line scanner reports it,
+// after the lines read before it: a malformed line among them is the error,
+// else the read error.
+func Decode(r io.Reader) (*model.Pattern, error) {
+	buf := readBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledRead {
+			readBufs.Put(buf)
+		}
+	}()
+	_, err := buf.ReadFrom(r)
+	return decode(buf.Bytes(), err)
+}
+
+// DecodeBytes parses a noctrace v1 document and validates the result.
 //
-// It reads each line in place (sc.Bytes), splits it into fields exactly as
+// It parses each line in place, splits it into fields exactly as
 // strings.Fields would after strings.TrimSpace, and parses numbers from the
 // field bytes, so a line costs no allocation: only names, phase labels and
-// phase reference lists are copied out. Every input is accepted or rejected,
-// with the same error text, as the string-per-line decoder it replaced
-// (decodeFields in the tests).
-func Decode(r io.Reader) (*model.Pattern, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	p := &model.Pattern{}
-	// A reader that knows its length (the server's strings.Reader) sizes the
-	// message slice from it, at one message per 48 bytes: about what a
+// phase reference lists are copied out, and the result holds no reference
+// to data. Every input is accepted or rejected, with the same error text,
+// as the string-per-line decoder it replaced (decodeFields in the tests).
+func DecodeBytes(data []byte) (*model.Pattern, error) { return decode(data, nil) }
+
+// decode is DecodeBytes of the bytes a stream yielded before readErr, nil
+// at its end.
+func decode(data []byte, readErr error) (*model.Pattern, error) {
+	// The message slice is sized at one message per 48 bytes: about what a
 	// generated trace spends on one, its msg line and its phase reference.
-	if l, ok := r.(interface{ Len() int }); ok {
-		p.Messages = make([]model.Message, 0, l.Len()/48)
-	}
+	p := &model.Pattern{Messages: make([]model.Message, 0, len(data)/48)}
 	var fieldBuf [16][]byte
 	fields := fieldBuf[:0]
-	lineno := 0
 	sawHeader := false
-	for sc.Scan() {
-		lineno++
-		fields = splitFields(fields[:0], sc.Bytes())
+	for lineno := 1; len(data) > 0; lineno++ {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if len(line) >= maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		fields = splitFields(fields[:0], line)
 		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
 		}
 		if !sawHeader {
 			if len(fields) != 2 || string(fields[0]) != "noctrace" || string(fields[1]) != "v1" {
-				return nil, fmt.Errorf("line %d: expected header \"noctrace v1\", got %q", lineno, bytes.TrimSpace(sc.Bytes()))
+				return nil, fmt.Errorf("line %d: expected header \"noctrace v1\", got %q", lineno, bytes.TrimSpace(line))
 			}
 			sawHeader = true
 			continue
@@ -182,8 +216,8 @@ func Decode(r io.Reader) (*model.Pattern, error) {
 			return nil, fmt.Errorf("line %d: unknown directive %q", lineno, fields[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if readErr != nil {
+		return nil, readErr
 	}
 	if !sawHeader {
 		return nil, fmt.Errorf("empty input: missing noctrace header")

@@ -139,6 +139,13 @@ var decodeEdgeInputs = []string{
 	"noctrace v1\nmsg 0 0 1 0 1 8\n",
 	"noctrace v1\nprocs 2\n\x00msg 0 0 1 0 1 8\n",
 	"noctrace v1\nprocs 2\n" + strings.Repeat("x", 1<<20) + "\n",
+	// The line bound's edges: 1 MiB less one byte is the longest line, with
+	// its newline or at the end of the input.
+	"noctrace v1\nprocs 2\n#" + strings.Repeat("x", 1<<20-2) + "\nmsg 0 0 1 0 1 8\n",
+	"noctrace v1\nprocs 2\n#" + strings.Repeat("x", 1<<20-2),
+	"noctrace v1\nprocs 2\n#" + strings.Repeat("x", 1<<20-1),
+	"noctrace v1\nprocs 2\n#" + strings.Repeat("x", 1<<20-3) + "\r\nmsg 0 0 1 0 1 8\n",
+	"noctrace v1\nprocs 2\n#" + strings.Repeat("x", 1<<20-2) + "\r\nmsg 0 0 1 0 1 8\n",
 	"noctrace v1",
 	"#only a comment\n",
 	"\n\n\t\n",
