@@ -71,7 +71,7 @@ census:
 # least BENCH_MIN_<gate> times the ns/op of its denominator, each side the
 # median of BENCH_COUNT samples. Both sides run in the same invocation on the
 # same machine, so the ratio needs no recorded baseline, and no target writes
-# a file. With five samples a side the nine gates take about 4 minutes on a
+# a file. With five samples a side the ten gates take about 4 minutes on a
 # loaded 2-core box; one sample a side let a single noisy sample decide a
 # gate. Each gate's time and its latest measured ratios (five samples a side,
 # loaded 2-core box) are given below.
@@ -124,9 +124,10 @@ census:
 #              nproc is lower. 18-20 s; 1.40-2.14x (median 1.55x).
 #   decode:    the noctrace decoder that read each line as a string and split
 #              it with strings.Fields (the test oracle decodeFields in
-#              decode_ref_test.go) vs Decode, which reads and parses each line
-#              in place, on the jitter trace the warm_variants ledger decodes
-#              on every miss (CG/16, 39 skewed iterations, about 100 KB). A
+#              decode_ref_test.go) vs Decode, which parses each line in place,
+#              on the jitter trace of the warm_variants ledger (CG/16, 39
+#              skewed iterations, about 100 KB), which the server decodes
+#              once per pattern the key memo has no model for. A
 #              decoder that goes back to a string per line falls to about 1;
 #              the floor of 1.2 is about two-thirds of the median. 17-20 s;
 #              1.36-2.18x (median 1.75x).
@@ -156,7 +157,18 @@ census:
 #              is about two-thirds of the render pair's median. 31 s;
 #              decode 8.53-10.75x, render 2.27-3.20x (four runs, 2-core
 #              box).
-BENCH_GATES = flitsim warm floorplan synth rounds workers decode ingest request
+#   memo:      a flat miss on the jitter trace (CG/16, 39 skewed iterations,
+#              about 100 KB inline; each iteration a new seed, seeded from the
+#              nearest stored design) with every model kept out of the key
+#              memo (the test-only forgetModels: each flight leader decodes
+#              the trace and derives its contention model, fingerprint,
+#              summary and synthesis kernel again) vs production, where the
+#              leader finds the pattern's model in the memo and goes straight
+#              to the nearest-seed scan, the seeded synthesis, the render and
+#              the store. A leader that stops reusing the model falls to about
+#              1; the floor of 2.4 is about two-thirds of the median. 15 s;
+#              3.36-3.72x (median 3.6x, four runs, 2-core box).
+BENCH_GATES = flitsim warm floorplan synth rounds workers decode ingest request memo
 BENCH_TARGETS = $(addprefix bench-,$(BENCH_GATES))
 .PHONY: bench bench-all $(BENCH_TARGETS)
 
@@ -199,6 +211,10 @@ BENCH_RATIO_request = BenchmarkDecodeRequestJitterJSON:BenchmarkDecodeRequestJit
 	BenchmarkRenderResponsesMarshal:BenchmarkRenderResponses
 BENCH_MIN_request = 1.7
 
+BENCH_PKG_memo = ./internal/serve
+BENCH_RATIO_memo = BenchmarkJitterMissNoModelMemo:BenchmarkJitterMiss
+BENCH_MIN_memo = 2.4
+
 BENCH_PKG_workers = ./internal/synth
 BENCH_RATIO_workers = BenchmarkSynthesizeHierNoI:BenchmarkSynthesizeHierNoIWorkers2
 BENCH_MIN_workers = 1.2
@@ -227,7 +243,7 @@ $(BENCH_TARGETS): bench-%:
 
 bench: $(BENCH_TARGETS)
 
-# bench-all is the one performance entry point: `bench`'s nine ratio gates in
+# bench-all is the one performance entry point: `bench`'s ten ratio gates in
 # sequence, then the end-to-end ledger — BENCHMARK.json's four workloads, each
 # with its per-layer breakdown. The ledger builds and drives its own nocd and
 # writes only under bench/out/; about 35 s per workload. Run it on an

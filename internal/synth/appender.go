@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"unicode/utf8"
 
+	"repro/internal/model"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -27,6 +28,16 @@ type Appender struct {
 	depth  int
 	first  bool // the next element is the first of its container
 	value  bool // a key was just written: the next value is its field's
+	// sorted holds the route order of each table Design has written, so a
+	// table written again after Reset — the same design in the other form —
+	// is not sorted again.
+	sorted []tableFlows
+}
+
+// tableFlows is a routing table's flows in SortedFlows order.
+type tableFlows struct {
+	table *routing.Table
+	flows []model.Flow
 }
 
 // NewAppender returns an Appender that appends one value to b: indented as
@@ -34,6 +45,26 @@ type Appender struct {
 // what comes before it (a key, or nothing) is the caller's.
 func NewAppender(b []byte, indented bool, depth int) *Appender {
 	return &Appender{B: b, indent: indented, depth: depth, value: true}
+}
+
+// Reset makes a the Appender NewAppender(b, indented, depth) returns, except
+// that it keeps the route orders of the tables it has written: a caller
+// that writes one document in both forms sorts each table's flows once. The
+// tables must not change in between.
+func (a *Appender) Reset(b []byte, indented bool, depth int) {
+	*a = Appender{B: b, indent: indented, depth: depth, value: true, sorted: a.sorted}
+}
+
+// sortedFlows returns table.SortedFlows(), sorted once per table.
+func (a *Appender) sortedFlows(table *routing.Table) []model.Flow {
+	for _, tf := range a.sorted {
+		if tf.table == table {
+			return tf.flows
+		}
+	}
+	flows := table.SortedFlows()
+	a.sorted = append(a.sorted, tableFlows{table, flows})
+	return flows
 }
 
 // indentSpaces is sliced for each indented line; deeper nesting appends it
@@ -175,7 +206,7 @@ func (a *Appender) Design(net *topology.Network, table *routing.Table) {
 		a.Close(']')
 	}
 	a.Key("routes")
-	flows := table.SortedFlows()
+	flows := a.sortedFlows(table)
 	if len(flows) == 0 {
 		a.Null()
 	} else {
